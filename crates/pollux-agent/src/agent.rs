@@ -10,7 +10,7 @@
 
 use crate::profiler::{ObservationRun, ThroughputProfiler};
 use pollux_models::{
-    fit_throughput_params_warm, AdaScale, BatchSizeLimits, EfficiencyModel, FitReport,
+    fit_throughput_params_counted, AdaScale, BatchSizeLimits, EfficiencyModel, FitReport, FitWork,
     GoodputModel, GradientStats, PlacementShape, ThroughputParams,
 };
 use serde::{Deserialize, Serialize};
@@ -186,7 +186,12 @@ impl PolluxAgent {
     /// [`FitReport::used_warm_start`]). Returns `true` when a fit was
     /// produced (needs at least one valid observation).
     pub fn refit(&mut self) -> bool {
-        match self.plan_fit() {
+        let fitted = self.plan_fit().map(|(report, _)| report);
+        self.install_fit(fitted)
+    }
+
+    fn install_fit(&mut self, fitted: Option<FitReport>) -> bool {
+        match fitted {
             Some(report) => {
                 self.fitted = Some(report);
                 true
@@ -197,38 +202,50 @@ impl PolluxAgent {
 
     /// The fit computation shared by [`refit`](Self::refit) and
     /// [`plan_report`](Self::plan_report): θsys against all profiled
-    /// data, warm-started from the previous fit. Pure — does not touch
-    /// agent state.
-    fn plan_fit(&self) -> Option<FitReport> {
-        let obs = self.profiler.observations();
-        let warm = self.fitted.as_ref().map(|f| f.params);
-        fit_throughput_params_warm(&obs, self.profiler.priors(), warm.as_ref())
+    /// data, warm-started from the previous fit, with the solver work
+    /// it spent. Pure — does not touch agent state.
+    fn plan_fit(&self) -> Option<(FitReport, FitWork)> {
+        let warm = self.fitted.as_ref().map(|f| &f.params);
+        fit_throughput_params_counted(&self.profiler.observations(), self.profiler.priors(), warm)
     }
 
-    /// [`refit`](Self::refit) with telemetry: times the fit as an
+    /// [`plan_fit`](Self::plan_fit) with telemetry: times the fit as an
     /// `agent/refit` span and records fit quality (an `agent/rmsle_1e6`
     /// histogram of `RMSLE · 10⁶`, since histogram buckets are integer
-    /// powers of two) and warm-start acceptance counters
-    /// (`agent/refit_warm_accepted` vs `agent/refit_cold`). The fit
-    /// itself is byte-for-byte the same computation as `refit`;
-    /// recording only reads the resulting report.
-    pub fn refit_recorded(&mut self, recorder: &pollux_telemetry::Recorder) -> bool {
+    /// powers of two), warm-start acceptance counters
+    /// (`agent/refit_warm_accepted` vs `agent/refit_cold`) and the
+    /// solver work (`agent/refit_evals`, `agent/refit_iters`
+    /// histograms: value-and-gradient evaluations and quasi-Newton
+    /// iterations per refit). Recording only reads the fit's outcome.
+    /// Safe to call from worker threads: counters are relaxed atomics
+    /// and span events go straight to the sink.
+    fn plan_fit_recorded(&self, recorder: &pollux_telemetry::Recorder) -> Option<FitReport> {
         let span = recorder.span("agent", "refit");
-        let fitted = self.refit();
+        let fitted = self.plan_fit();
         drop(span);
         recorder.incr("agent", "refits", 1);
-        if fitted {
-            let report = self.fitted.as_ref().expect("refit returned true");
-            recorder.observe("agent", "rmsle_1e6", (report.rmsle.max(0.0) * 1e6) as u64);
-            if report.used_warm_start {
-                recorder.incr("agent", "refit_warm_accepted", 1);
-            } else {
-                recorder.incr("agent", "refit_cold", 1);
-            }
-        } else {
+        let Some((report, work)) = fitted else {
             recorder.incr("agent", "refit_failed", 1);
+            return None;
+        };
+        recorder.observe("agent", "rmsle_1e6", (report.rmsle.max(0.0) * 1e6) as u64);
+        recorder.observe("agent", "refit_evals", work.evals);
+        recorder.observe("agent", "refit_iters", work.iters);
+        if report.used_warm_start {
+            recorder.incr("agent", "refit_warm_accepted", 1);
+        } else {
+            recorder.incr("agent", "refit_cold", 1);
         }
-        fitted
+        Some(report)
+    }
+
+    /// [`refit`](Self::refit) with the telemetry of
+    /// [`plan_report_recorded`](Self::plan_report_recorded) around the
+    /// fit. The fit itself is byte-for-byte the same computation as
+    /// `refit`.
+    pub fn refit_recorded(&mut self, recorder: &pollux_telemetry::Recorder) -> bool {
+        let fitted = self.plan_fit_recorded(recorder);
+        self.install_fit(fitted)
     }
 
     /// The fitted throughput parameters, or `None` before any fit.
@@ -300,16 +317,16 @@ impl PolluxAgent {
         refit: bool,
         tune_shape: Option<PlacementShape>,
     ) -> ReportPlan {
-        let fitted = if refit { self.plan_fit() } else { None };
-        self.plan_with_fit(stats, fitted, tune_shape)
+        let fitted = refit.then(|| self.plan_fit()).flatten();
+        self.plan_with_fit(stats, fitted.map(|(report, _)| report), tune_shape)
     }
 
-    /// [`plan_report`](Self::plan_report) with the same telemetry as
-    /// [`refit_recorded`](Self::refit_recorded) around the fit (an
-    /// `agent/refit` span plus the refit counters and the
-    /// `agent/rmsle_1e6` histogram). Safe to call from worker threads:
-    /// counters are relaxed atomics and span events go straight to the
-    /// sink.
+    /// [`plan_report`](Self::plan_report) with telemetry around the
+    /// fit: an `agent/refit` span, the refit counters
+    /// (`agent/refits`, `agent/refit_warm_accepted`,
+    /// `agent/refit_cold`, `agent/refit_failed`) and the
+    /// `agent/rmsle_1e6`, `agent/refit_evals` and `agent/refit_iters`
+    /// histograms. Safe to call from worker threads.
     pub fn plan_report_recorded(
         &self,
         recorder: &pollux_telemetry::Recorder,
@@ -317,26 +334,7 @@ impl PolluxAgent {
         refit: bool,
         tune_shape: Option<PlacementShape>,
     ) -> ReportPlan {
-        let fitted = if refit {
-            let span = recorder.span("agent", "refit");
-            let fitted = self.plan_fit();
-            drop(span);
-            recorder.incr("agent", "refits", 1);
-            match &fitted {
-                Some(report) => {
-                    recorder.observe("agent", "rmsle_1e6", (report.rmsle.max(0.0) * 1e6) as u64);
-                    if report.used_warm_start {
-                        recorder.incr("agent", "refit_warm_accepted", 1);
-                    } else {
-                        recorder.incr("agent", "refit_cold", 1);
-                    }
-                }
-                None => recorder.incr("agent", "refit_failed", 1),
-            }
-            fitted
-        } else {
-            None
-        };
+        let fitted = refit.then(|| self.plan_fit_recorded(recorder)).flatten();
         self.plan_with_fit(stats, fitted, tune_shape)
     }
 
@@ -578,5 +576,51 @@ mod tests {
         assert!(a.refit());
         let fit = a.fit().unwrap();
         assert!(fit.used_warm_start, "rmsle = {}", fit.rmsle);
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn recorded_refits_are_the_same_fits_and_count_solver_work() {
+        use pollux_telemetry::{Event, MemorySink, Recorder};
+        use std::sync::Arc;
+
+        let sink = Arc::new(MemorySink::new(64));
+        let recorder = Recorder::new(sink.clone());
+        let mut plain = agent();
+        feed_profile(&mut plain, &[(1, 1, 128), (2, 1, 256), (4, 1, 512)]);
+        let mut recorded = plain.clone();
+
+        // A cold refit through `refit_recorded`, then a warm one through
+        // `plan_report_recorded`: both are the unrecorded computation.
+        assert!(plain.refit());
+        assert!(recorded.refit_recorded(&recorder));
+        assert_eq!(recorded, plain);
+        let plan = recorded.plan_report_recorded(&recorder, None, true, None);
+        assert_eq!(plan.fitted, plain.plan_report(None, true, None).fitted);
+
+        recorder.flush();
+        let events = sink.drain();
+        let hist = |name: &str| {
+            events.iter().find_map(|e| match e {
+                Event::Hist { count, buckets, .. }
+                    if e.subsystem() == "agent" && e.name() == name =>
+                {
+                    Some((*count, buckets.clone()))
+                }
+                _ => None,
+            })
+        };
+        for name in ["refit_evals", "refit_iters", "rmsle_1e6"] {
+            let (count, _) = hist(name).unwrap_or_else(|| panic!("no agent/{name} histogram"));
+            assert_eq!(count, 2, "agent/{name}");
+        }
+        // The cold fit runs four solves, so at least four evaluations
+        // (log₂ bucket 3 or above); no refit evaluates zero times.
+        let (_, evals) = hist("refit_evals").unwrap();
+        assert!(evals.iter().all(|&(bucket, _)| bucket >= 1), "{evals:?}");
+        assert!(evals.iter().any(|&(bucket, _)| bucket >= 3), "{evals:?}");
+        assert_eq!(recorder.counter_value("agent", "refits"), 2);
+        assert_eq!(recorder.counter_value("agent", "refit_cold"), 1);
+        assert_eq!(recorder.counter_value("agent", "refit_warm_accepted"), 1);
     }
 }

@@ -133,7 +133,17 @@ fn single_rack_topology_is_byte_identical_to_flat() {
 /// equality) and with it the racked RNG stream. The flat macro_step
 /// digests were unaffected and still pass against their original
 /// constants.
-const GOLDEN_FOUR_RACK: u64 = 0xe724_718b_11a3_8cdb;
+///
+/// Re-pinned a third time (from `0xe724_718b_11a3_8cdb`) by the
+/// exact-gradient θsys solve (issue 12: analytic value+gradient, mean
+/// squared log error, no Nelder-Mead polish). Every job's reported
+/// goodput model carries the fitted θsys, which now agrees with the
+/// old solve to ~4 digits of RMSLE rather than to the bit, so the GA's
+/// fitness values — and with them this trajectory — move. The racked
+/// search itself is untouched: the single-rack ≡ flat identity above
+/// holds, and the benchmark's `sched_rounds` digest (no agents, no
+/// fits) is identical to its parent's.
+const GOLDEN_FOUR_RACK: u64 = 0x47a2_dfa6_753d_98a6;
 
 #[test]
 fn golden_trajectory_four_racks() {

@@ -17,9 +17,31 @@
 //! - no observation with more than two GPUs yet → both retrogression
 //!   slopes `β_sync^·` pinned to 0 (they multiply `K − 2` and are
 //!   unidentifiable otherwise).
+//!
+//! **The solve.** Projected L-BFGS with the exact gradient, on the
+//! *mean squared* log error `L = (1/n) Σ dᵢ²`,
+//! `dᵢ = ln(1 + T_iter(θ; aᵢ, mᵢ)) − ln(1 + tᵢ)`. `L` has the argmin of
+//! the RMSLE `√L` but stays smooth at a perfect fit, where `√L` has a
+//! kink (every one-observation fit ends there); the root is taken only
+//! to report [`FitReport::rmsle`]. With `g = T_grad`, `s = T_sync`,
+//! `h = max(g, s)`, `l = min(g, s)`, `r = l / h`, `S = 1 + r^γ` and
+//! `T = T_iter = h · S^{1/γ}`:
+//!
+//! ```text
+//! ∂L/∂θⱼ = (2/n) Σ dᵢ / (1 + Tᵢ) · ∂Tᵢ/∂θⱼ
+//! ∂T/∂h  = S^{1/γ} / S                  (= (h/T)^{γ−1})
+//! ∂T/∂l  = r^{γ−1} · ∂T/∂h              (= (l/T)^{γ−1})
+//! ∂T/∂γ  = T · ( r^γ ln r / (γ S) − ln S / γ² )
+//! ∂g/∂α_grad = 1,  ∂g/∂β_grad = m/K,  ∂s/∂α_sync = 1,  ∂s/∂β_sync = K − 2
+//! ```
+//!
+//! where `α_sync`, `β_sync` are the local or the node pair by the
+//! observation's locality. When `s = 0` (one GPU, or sync parameters
+//! pinned by a prior) `T = g` and `r^γ ln r` takes its limit 0, so
+//! `∂T/∂γ = 0`.
 
 use crate::throughput::{PlacementShape, ThroughputParams};
-use pollux_opt::{lbfgsb_minimize, nelder_mead_minimize, Bounds, LbfgsbOptions, NelderMeadOptions};
+use pollux_opt::{lbfgsb_minimize, Bounds, LbfgsbOptions};
 use serde::{Deserialize, Serialize};
 
 /// One throughput observation collected during training.
@@ -88,6 +110,17 @@ pub struct FitReport {
     pub used_warm_start: bool,
 }
 
+/// Solver work one fit spent, summed over its quasi-Newton solves.
+/// Travels beside the [`FitReport`], never inside it: it describes the
+/// computation, not the result, and must not reach a serialized form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FitWork {
+    /// Value-and-gradient evaluations of the objective.
+    pub evals: u64,
+    /// Quasi-Newton iterations.
+    pub iters: u64,
+}
+
 /// Root-mean-squared logarithmic error between the model and the
 /// observations; the paper's fitting objective.
 pub fn rmsle(params: &ThroughputParams, obs: &[FitObservation]) -> f64 {
@@ -106,12 +139,12 @@ pub fn rmsle(params: &ThroughputParams, obs: &[FitObservation]) -> f64 {
 /// Fits θsys to the observations under the given priors.
 ///
 /// Runs a small multi-start of bound-constrained quasi-Newton solves
-/// (over the free parameters only) followed by a Nelder-Mead polish of
-/// the best candidate, and returns the best feasible parameters found.
+/// with exact gradients (over the free parameters only) and returns
+/// the best feasible parameters found.
 ///
 /// Returns `None` when `obs` is empty or contains no finite `t_iter`.
 pub fn fit_throughput_params(obs: &[FitObservation], priors: FitPriors) -> Option<FitReport> {
-    fit_impl(obs, priors, (1.0, ThroughputParams::GAMMA_MAX), None)
+    fit_throughput_params_warm(obs, priors, None)
 }
 
 /// RMSLE at which a warm-started solve is accepted without running the
@@ -130,13 +163,24 @@ const WARM_ACCEPT_RMSLE: f64 = 0.02;
 /// multi-start restarts are skipped entirely
 /// ([`FitReport::used_warm_start`] is set); otherwise the warm
 /// candidate merely competes with the cold-start seeds, so the result
-/// is never worse than a cold fit. `warm = None` is exactly
+/// is never worse than a cold fit. A `warm` the objective is not finite
+/// at (NaN or infinite coordinates) is ignored. `warm = None` is exactly
 /// [`fit_throughput_params`].
 pub fn fit_throughput_params_warm(
     obs: &[FitObservation],
     priors: FitPriors,
     warm: Option<&ThroughputParams>,
 ) -> Option<FitReport> {
+    fit_throughput_params_counted(obs, priors, warm).map(|(report, _)| report)
+}
+
+/// [`fit_throughput_params_warm`] that also returns the solver work the
+/// fit spent, for telemetry.
+pub fn fit_throughput_params_counted(
+    obs: &[FitObservation],
+    priors: FitPriors,
+    warm: Option<&ThroughputParams>,
+) -> Option<(FitReport, FitWork)> {
     fit_impl(obs, priors, (1.0, ThroughputParams::GAMMA_MAX), warm)
 }
 
@@ -151,7 +195,194 @@ pub fn fit_throughput_params_constrained(
     priors: FitPriors,
     gamma_range: (f64, f64),
 ) -> Option<FitReport> {
-    fit_impl(obs, priors, gamma_range, None)
+    fit_impl(obs, priors, gamma_range, None).map(|(report, _)| report)
+}
+
+/// Index of γ in the canonical θsys order.
+const GAMMA: usize = ThroughputParams::DIM - 1;
+
+/// One observation reduced to what the objective needs, so that an
+/// evaluation touches no `PlacementShape` and takes no logarithm of
+/// data.
+struct Row {
+    /// Local batch size `m / K`, the coefficient of `β_grad`, over
+    /// [`Objective::scale`]'s entry for `β_grad`.
+    local_batch: f64,
+    /// θsys index of the `α_sync` this shape pays (`β_sync` follows
+    /// it); `None` for a single GPU, where `T_sync = 0`.
+    sync: Option<usize>,
+    /// `K − 2`, the coefficient of `β_sync`, over its scale.
+    extra_gpus: f64,
+    /// `ln(1 + t_obs)`.
+    ln_obs: f64,
+}
+
+/// Observations the fit uses: a finite positive `t_iter`.
+fn usable(o: &FitObservation) -> bool {
+    o.t_iter.is_finite() && o.t_iter > 0.0
+}
+
+/// The fitting objective over the free coordinates of θsys.
+///
+/// The solver's variables are `θ · scale`: each β is multiplied by the
+/// mean of its coefficient over the observations (and the coefficients
+/// in the rows divided by it), so that a unit step in any coordinate
+/// moves the predictions by a comparable amount. Unscaled, `β_grad`
+/// (seconds per example, times a local batch in the hundreds) makes
+/// the problem too ill-conditioned for the iteration budget.
+struct Objective {
+    rows: Vec<Row>,
+    /// θsys indices of the free parameters, ascending (γ is last).
+    free_idx: Vec<usize>,
+    scale: [f64; ThroughputParams::DIM],
+}
+
+impl Objective {
+    /// Keeps the observations with a finite positive `t_iter`; `None`
+    /// when there are none.
+    fn new(obs: &[FitObservation], priors: FitPriors) -> Option<Self> {
+        let mut rows: Vec<Row> = obs
+            .iter()
+            .filter(|o| usable(o))
+            .map(|o| {
+                let k = o.shape.gpus;
+                Row {
+                    local_batch: o.batch_size as f64 / k as f64,
+                    sync: (k > 1).then_some(if o.shape.nodes == 1 { 2 } else { 4 }),
+                    extra_gpus: k.saturating_sub(2) as f64,
+                    ln_obs: o.t_iter.ln_1p(),
+                }
+            })
+            .collect();
+        if rows.is_empty() {
+            return None;
+        }
+        // Mean of `f` over the rows where it is positive, or 1.
+        let mean_positive = |f: fn(&Row) -> f64| {
+            let (sum, count) = rows
+                .iter()
+                .map(f)
+                .filter(|&v| v > 0.0)
+                .fold((0.0, 0.0), |(s, c), v| (s + v, c + 1.0));
+            if count > 0.0 {
+                sum / count
+            } else {
+                1.0
+            }
+        };
+        let batch_scale = mean_positive(|r| r.local_batch);
+        let gpus_scale = mean_positive(|r| r.extra_gpus);
+        for row in &mut rows {
+            row.local_batch /= batch_scale;
+            row.extra_gpus /= gpus_scale;
+        }
+        let mask = priors.free_mask();
+        Some(Self {
+            rows,
+            free_idx: (0..ThroughputParams::DIM).filter(|&i| mask[i]).collect(),
+            scale: [1.0, batch_scale, 1.0, gpus_scale, 1.0, gpus_scale, 1.0],
+        })
+    }
+
+    /// The solver's starting point for a full θsys vector.
+    fn to_free(&self, theta: &[f64; ThroughputParams::DIM]) -> Vec<f64> {
+        self.free_idx
+            .iter()
+            .map(|&i| theta[i] * self.scale[i])
+            .collect()
+    }
+
+    /// Embeds the solver's free variables into a full (still scaled)
+    /// θsys vector; pinned parameters stay at their prior, 0.
+    fn embed(&self, free: &[f64]) -> [f64; ThroughputParams::DIM] {
+        let mut theta = [0.0; ThroughputParams::DIM];
+        for (&i, &v) in self.free_idx.iter().zip(free) {
+            theta[i] = v;
+        }
+        theta
+    }
+
+    /// θsys at the solver's free variables.
+    fn params(&self, free: &[f64]) -> ThroughputParams {
+        let mut theta = self.embed(free);
+        for (t, s) in theta.iter_mut().zip(&self.scale) {
+            *t /= s;
+        }
+        ThroughputParams::from_slice_unchecked(&theta)
+    }
+
+    /// Mean squared log error at the solver's variables `free`; writes
+    /// its gradient with respect to them into `grad` (derivation in
+    /// the module documentation).
+    fn msle_and_grad(&self, free: &[f64], grad: &mut [f64]) -> f64 {
+        let theta = self.embed(free);
+        let gamma = theta[GAMMA];
+        let mut full_grad = [0.0; ThroughputParams::DIM];
+        let mut acc = 0.0;
+        for row in &self.rows {
+            let t_grad = theta[0] + theta[1] * row.local_batch;
+            let t_sync = row
+                .sync
+                .map_or(0.0, |a| theta[a] + theta[a + 1] * row.extra_gpus);
+            let (hi, lo) = if t_grad >= t_sync {
+                (t_grad, t_sync)
+            } else {
+                (t_sync, t_grad)
+            };
+            // (T_iter, ∂T/∂hi, ∂T/∂lo, ∂T/∂γ).
+            let r = lo / hi;
+            let (t_iter, d_hi, d_lo, d_gamma) = if r > 0.0 {
+                let r_gamma = r.powf(gamma);
+                let s = 1.0 + r_gamma;
+                let root = s.powf(1.0 / gamma);
+                let t_iter = hi * root;
+                let d_hi = root / s;
+                let d_gamma = t_iter * (r_gamma * r.ln() / (gamma * s) - s.ln() / (gamma * gamma));
+                (t_iter, d_hi, d_hi * r_gamma / r, d_gamma)
+            } else {
+                // r = 0 (one GPU, sync parameters at their pinned prior,
+                // or a ratio that underflows): T = hi, r^γ ln r → 0,
+                // and r^{γ−1} → 1 only at γ = 1.
+                (hi, 1.0, if gamma == 1.0 { 1.0 } else { 0.0 }, 0.0)
+            };
+            let d = t_iter.ln_1p() - row.ln_obs;
+            acc += d * d;
+            let w = d / (1.0 + t_iter);
+            let (w_grad, w_sync) = if t_grad >= t_sync {
+                (w * d_hi, w * d_lo)
+            } else {
+                (w * d_lo, w * d_hi)
+            };
+            full_grad[0] += w_grad;
+            full_grad[1] += w_grad * row.local_batch;
+            if let Some(a) = row.sync {
+                full_grad[a] += w_sync;
+                full_grad[a + 1] += w_sync * row.extra_gpus;
+            }
+            full_grad[GAMMA] += w * d_gamma;
+        }
+        let n = self.rows.len() as f64;
+        for (g, &i) in grad.iter_mut().zip(&self.free_idx) {
+            *g = 2.0 * full_grad[i] / n;
+        }
+        acc / n
+    }
+
+    /// Box constraints on the free coordinates.
+    fn bounds(&self, gamma_range: (f64, f64)) -> Bounds {
+        let (lo, hi) = self
+            .free_idx
+            .iter()
+            .map(|&i| {
+                if i == GAMMA {
+                    gamma_range
+                } else {
+                    (ThroughputParams::LOWER[i], f64::INFINITY)
+                }
+            })
+            .unzip();
+        Bounds::new(lo, hi).expect("the γ range was checked and the α/β bounds are static")
+    }
 }
 
 fn fit_impl(
@@ -159,108 +390,61 @@ fn fit_impl(
     priors: FitPriors,
     gamma_range: (f64, f64),
     warm: Option<&ThroughputParams>,
-) -> Option<FitReport> {
-    if !(1.0..=ThroughputParams::GAMMA_MAX).contains(&gamma_range.0)
-        || gamma_range.1 < gamma_range.0
-        || gamma_range.1 > ThroughputParams::GAMMA_MAX
-    {
+) -> Option<(FitReport, FitWork)> {
+    let (gamma_lo, gamma_hi) = gamma_range;
+    // Written so that a NaN end fails it.
+    if !(1.0 <= gamma_lo && gamma_lo <= gamma_hi && gamma_hi <= ThroughputParams::GAMMA_MAX) {
         return None;
     }
-    let clean: Vec<FitObservation> = obs
-        .iter()
-        .copied()
-        .filter(|o| o.t_iter.is_finite() && o.t_iter > 0.0)
-        .collect();
-    if clean.is_empty() {
-        return None;
-    }
-
-    let mask = priors.free_mask();
-    let free_idx: Vec<usize> = (0..ThroughputParams::DIM).filter(|&i| mask[i]).collect();
-
-    // Embed a free-parameter vector into a full θsys vector; pinned
-    // parameters stay at 0 (γ is always free).
-    let embed = |free: &[f64]| -> ThroughputParams {
-        let mut full = [0.0; ThroughputParams::DIM];
-        full[6] = 1.0; // Default γ when somehow pinned (never happens).
-        for (slot, &i) in free_idx.iter().enumerate() {
-            full[i] = free[slot];
-        }
-        ThroughputParams::from_slice_unchecked(&full)
-    };
-
-    let loss = |free: &[f64]| -> f64 { rmsle(&embed(free), &clean) };
-
-    // Box constraints on the free coordinates.
-    let mut lo = Vec::with_capacity(free_idx.len());
-    let mut hi = Vec::with_capacity(free_idx.len());
-    for &i in &free_idx {
-        lo.push(if i == 6 {
-            gamma_range.0
-        } else {
-            ThroughputParams::LOWER[i]
-        });
-        hi.push(if i == 6 { gamma_range.1 } else { f64::INFINITY });
-    }
-    let bounds = Bounds::new(lo.clone(), hi.clone()).expect("static bounds are well-formed");
-
+    let objective = Objective::new(obs, priors)?;
+    let bounds = objective.bounds(gamma_range);
     let lb_opts = LbfgsbOptions {
         // 7 parameters: quasi-Newton converges in a few dozen steps;
         // the agent refits often, so the budget is kept tight.
         max_iters: 80,
         ..Default::default()
     };
-    let nm_opts = NelderMeadOptions {
-        max_evals: 1200,
-        ..Default::default()
+    let mut work = FitWork::default();
+    // One quasi-Newton solve from a full θsys seed: `(x, MSLE)`, or
+    // `None` when the objective is not finite at the projected seed.
+    let mut solve = |seed_full: &[f64; ThroughputParams::DIM]| -> Option<(Vec<f64>, f64)> {
+        let r = lbfgsb_minimize(
+            |x, g| objective.msle_and_grad(x, g),
+            &objective.to_free(seed_full),
+            &bounds,
+            &lb_opts,
+        )
+        .ok()?;
+        work.evals += r.evals as u64;
+        work.iters += r.iters as u64;
+        Some((r.x, r.fx))
     };
-
-    // Warm start: one quasi-Newton solve (plus polish) from the
-    // previous round's optimum before spending any restarts.
-    let mut warm_candidate: Option<(Vec<f64>, f64)> = None;
-    if let Some(w) = warm {
-        let full = w.to_vec();
-        let seed: Vec<f64> = free_idx
-            .iter()
-            .enumerate()
-            .map(|(slot, &i)| full[i].clamp(lo[slot], hi[slot]))
-            .collect();
-        let mut cand = (seed.clone(), loss(&seed));
-        if let Ok(r) = lbfgsb_minimize(loss, &seed, &bounds, &lb_opts) {
-            if r.fx < cand.1 {
-                cand = (r.x, r.fx);
-            }
+    let report = |(x, msle): (Vec<f64>, f64), used_warm_start: bool| {
+        let params = objective.params(&x);
+        debug_assert!(params.is_valid(), "fit produced invalid params: {params:?}");
+        FitReport {
+            params,
+            rmsle: msle.sqrt(),
+            num_observations: objective.rows.len(),
+            priors,
+            used_warm_start,
         }
-        if let Ok(r) = nelder_mead_minimize(loss, &cand.0, &bounds, &nm_opts) {
-            if r.fx < cand.1 {
-                cand = (r.x, r.fx);
-            }
-        }
-        if cand.1 <= WARM_ACCEPT_RMSLE {
-            let params = embed(&cand.0);
-            debug_assert!(
-                params.is_valid(),
-                "warm fit produced invalid params: {params:?}"
-            );
-            return Some(FitReport {
-                params,
-                rmsle: cand.1,
-                num_observations: clean.len(),
-                priors,
-                used_warm_start: true,
-            });
-        }
-        warm_candidate = Some(cand);
-    }
+    };
 
     // Heuristic multi-starts derived from the data scale: the mean
     // iteration time and per-example time seed α and β.
-    let mean_t = clean.iter().map(|o| o.t_iter).sum::<f64>() / clean.len() as f64;
-    let mean_per_example = clean
-        .iter()
-        .map(|o| o.t_iter * o.shape.gpus as f64 / o.batch_size.max(1) as f64)
-        .sum::<f64>()
-        / clean.len() as f64;
+    let n = objective.rows.len() as f64;
+    let (sum_t, sum_per_example) =
+        obs.iter()
+            .filter(|o| usable(o))
+            .fold((0.0, 0.0), |(t, per_example), o| {
+                let gpu_time = o.t_iter * o.shape.gpus as f64;
+                (
+                    t + o.t_iter,
+                    per_example + gpu_time / o.batch_size.max(1) as f64,
+                )
+            });
+    let (mean_t, mean_per_example) = (sum_t / n, sum_per_example / n);
     let seeds_full: [[f64; ThroughputParams::DIM]; 4] = [
         [
             0.5 * mean_t,
@@ -300,46 +484,45 @@ fn fit_impl(
         ],
     ];
 
+    // Warm start: one quasi-Newton solve from the previous round's
+    // optimum before spending any restarts. Where T_sync ≪ T_grad the
+    // objective is flat in the sync parameters at every γ > 1
+    // (∂T/∂T_sync = r^{γ−1} → 0), so an α_sync that was pinned last
+    // round, or fitted to next to nothing, would never grow from
+    // there and the solve would stop early on a vanishing gradient:
+    // below 1 % of the first seed's value it starts from that value.
+    let warm_candidate = warm.and_then(|w| {
+        let mut seed = w.to_vec();
+        for i in [2, 4] {
+            if seed[i] <= 0.01 * seeds_full[0][i] {
+                seed[i] = seeds_full[0][i];
+            }
+        }
+        solve(&seed)
+    });
+    let mut best = match warm_candidate {
+        Some(cand) if cand.1.sqrt() <= WARM_ACCEPT_RMSLE => {
+            return Some((report(cand, true), work));
+        }
+        other => other,
+    };
+
     // A warm candidate that failed the early-accept threshold still
     // competes with the cold-start restarts.
-    let mut best: Option<(Vec<f64>, f64)> = warm_candidate;
     for seed_full in &seeds_full {
-        let seed: Vec<f64> = free_idx.iter().map(|&i| seed_full[i]).collect();
-        if let Ok(r) = lbfgsb_minimize(loss, &seed, &bounds, &lb_opts) {
-            if best.as_ref().is_none_or(|(_, f)| r.fx < *f) {
-                best = Some((r.x, r.fx));
+        if let Some(cand) = solve(seed_full) {
+            if best.as_ref().is_none_or(|(_, msle)| cand.1 < *msle) {
+                best = Some(cand);
             }
         }
     }
-    let (start, _) = best.clone().unwrap_or_else(|| {
-        let seed: Vec<f64> = free_idx.iter().map(|&i| seeds_full[0][i]).collect();
-        let fx = loss(&seed);
-        (seed, fx)
-    });
-
-    // Nelder-Mead polish: robust to flat RMSLE regions where numeric
-    // gradients vanish.
-    if let Ok(r) = nelder_mead_minimize(loss, &start, &bounds, &nm_opts) {
-        if best.as_ref().is_none_or(|(_, f)| r.fx < *f) {
-            best = Some((r.x, r.fx));
-        }
-    }
-
-    let (x, fx) = best?;
-    let params = embed(&x);
-    debug_assert!(params.is_valid(), "fit produced invalid params: {params:?}");
-    Some(FitReport {
-        params,
-        rmsle: fx,
-        num_observations: clean.len(),
-        priors,
-        used_warm_start: false,
-    })
+    Some((report(best?, false), work))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -545,6 +728,23 @@ mod tests {
     }
 
     #[test]
+    fn counted_fit_is_the_same_fit_and_sums_its_solves() {
+        let obs = synth_observations(0.05, 11);
+        let priors = FitPriors::from_observations(&obs);
+        let (cold, cold_work) = fit_throughput_params_counted(&obs, priors, None).unwrap();
+        assert_eq!(cold, fit_throughput_params(&obs, priors).unwrap());
+        // Four seeds, each at least one evaluation and one iteration,
+        // and no iteration without an evaluation.
+        assert!(cold_work.iters >= 4, "{cold_work:?}");
+        assert!(cold_work.evals >= cold_work.iters, "{cold_work:?}");
+        // An accepted warm start is one solve from the optimum.
+        let (warm, warm_work) =
+            fit_throughput_params_counted(&obs, priors, Some(&cold.params)).unwrap();
+        assert!(warm.used_warm_start);
+        assert!(warm_work.evals >= 1 && warm_work.evals < cold_work.evals);
+    }
+
+    #[test]
     fn bad_warm_start_falls_back_to_multi_start() {
         // Absurd warm parameters: the warm solve cannot reach the
         // acceptance threshold from there... but the multi-start must
@@ -582,5 +782,121 @@ mod tests {
         assert_eq!(report.params.alpha_sync_node, 0.0);
         assert_eq!(report.params.beta_sync_local, 0.0);
         assert_eq!(report.params.beta_sync_node, 0.0);
+    }
+
+    /// The four masks the priors can produce: all sync parameters
+    /// pinned; `α_sync^local` free; both `α_sync` free; everything free.
+    const MASK_PRIORS: [(u32, u32); 4] = [(1, 1), (2, 1), (2, 2), (4, 2)];
+
+    /// Shapes for the gradient check: one GPU (`T_sync = 0`), two GPUs
+    /// (`K − 2 = 0`), and local and multi-node shapes beyond two.
+    const GRADIENT_SHAPES: [(u32, u32); 6] = [(1, 1), (2, 1), (2, 2), (4, 1), (8, 2), (16, 4)];
+
+    #[test]
+    fn gradient_at_a_zero_sync_time_is_the_one_sided_derivative() {
+        // A free α_sync at its bound 0 on a two-GPU row: the box only
+        // admits steps up, where T = (T_grad^γ + α_sync^γ)^{1/γ} has
+        // slope 1 at γ = 1 and slope 0 above it.
+        let shape = PlacementShape::new(2, 1).unwrap();
+        let obs = [FitObservation {
+            shape,
+            batch_size: 256,
+            t_iter: 0.4,
+        }];
+        let objective = Objective::new(&obs, FitPriors::from_observations(&obs)).unwrap();
+        assert_eq!(objective.free_idx, [0, 1, 2, GAMMA]);
+        for gamma in [1.0, 2.0] {
+            let x = [0.1, 0.1, 0.0, gamma];
+            let mut grad = [0.0; 4];
+            let fx = objective.msle_and_grad(&x, &mut grad);
+            let h = 1e-7;
+            let mut scratch = [0.0; 4];
+            let forward = (objective.msle_and_grad(&[0.1, 0.1, h, gamma], &mut scratch) - fx) / h;
+            assert!(
+                (grad[2] - forward).abs() < 1e-6,
+                "γ = {gamma}: analytic {} vs forward {forward}",
+                grad[2]
+            );
+            assert_eq!(grad[2] == 0.0, gamma > 1.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// The analytic gradient against the central-difference oracle,
+        /// in the solver's variables. Free α/β are drawn away from 0 so
+        /// that the oracle's probes stay where the objective is smooth
+        /// (at an α_sync of exactly 0 only the one-sided derivative
+        /// exists, which is the one the solver needs and the analytic
+        /// gradient returns).
+        #[test]
+        fn analytic_gradient_matches_central_differences(
+            rows in proptest::collection::vec((0usize..6, 16u64..8192, 0.01f64..5.0), 1..10),
+            mask in 0usize..4,
+            alphas in proptest::collection::vec(0.02f64..0.6, 3),
+            betas in proptest::collection::vec(0.01f64..0.4, 3),
+            // γ at 1, at 10, inside, or pinned by the ablation's
+            // degenerate range (g, g).
+            gamma_case in 0usize..4,
+            gamma_inside in 1.0f64..10.0,
+            equalise in 0usize..3,
+        ) {
+            let obs: Vec<FitObservation> = rows
+                .iter()
+                .map(|&(shape, batch_size, t_iter)| {
+                    let (gpus, nodes) = GRADIENT_SHAPES[shape];
+                    FitObservation {
+                        shape: PlacementShape::new(gpus, nodes).unwrap(),
+                        batch_size,
+                        t_iter,
+                    }
+                })
+                .collect();
+            let (max_gpus_seen, max_nodes_seen) = MASK_PRIORS[mask];
+            let priors = FitPriors { max_gpus_seen, max_nodes_seen };
+            let objective = Objective::new(&obs, priors).unwrap();
+            let full = (1.0, ThroughputParams::GAMMA_MAX);
+            let (gamma, gamma_range) = match gamma_case {
+                0 => (full.0, full),
+                1 => (full.1, full),
+                2 => (gamma_inside, full),
+                // Projected onto the degenerate range below.
+                _ => (5.5, (gamma_inside, gamma_inside)),
+            };
+            let mut theta = [
+                alphas[0], betas[0], alphas[1], betas[1], alphas[2], betas[2], gamma,
+            ];
+            // Every third case: make T_grad = T_sync on a multi-GPU row
+            // whose α_sync is free (r = 1, where hi and lo swap roles).
+            if equalise == 0 {
+                if let Some((row, a)) = objective
+                    .rows
+                    .iter()
+                    .find_map(|r| r.sync.filter(|a| objective.free_idx.contains(a)).map(|a| (r, a)))
+                {
+                    let beta_sync = if objective.free_idx.contains(&(a + 1)) { theta[a + 1] } else { 0.0 };
+                    theta[a] = theta[0] + theta[1] * row.local_batch - beta_sync * row.extra_gpus;
+                }
+            }
+            let mut x: Vec<f64> = objective.free_idx.iter().map(|&i| theta[i]).collect();
+            objective.bounds(gamma_range).project(&mut x);
+            if x.iter().take(x.len() - 1).any(|&v| v < 0.01) {
+                continue; // Equalising pushed an α_sync to the boundary.
+            }
+
+            let mut analytic = vec![0.0; x.len()];
+            let value = objective.msle_and_grad(&x, &mut analytic);
+            let mut scratch = vec![0.0; x.len()];
+            let mut value_only = |p: &[f64]| objective.msle_and_grad(p, &mut scratch);
+            prop_assert_eq!(value.to_bits(), value_only(&x).to_bits());
+            let numeric = pollux_opt::central_gradient(&mut value_only, &x, 1e-6);
+            for (i, (a, n)) in analytic.iter().zip(&numeric).enumerate() {
+                prop_assert!(
+                    (a - n).abs() <= 1e-9 + 1e-5 * a.abs().max(n.abs()),
+                    "coordinate {} (θ index {}): analytic {a} vs numeric {n} at {x:?}, {obs:?}",
+                    i, objective.free_idx[i]
+                );
+            }
+        }
     }
 }

@@ -34,8 +34,8 @@ pub use accum::AccumulatedGoodput;
 pub use adascale::AdaScale;
 pub use efficiency::{EfficiencyModel, GradientStats};
 pub use fit::{
-    fit_throughput_params, fit_throughput_params_constrained, fit_throughput_params_warm,
-    FitObservation, FitPriors, FitReport,
+    fit_throughput_params, fit_throughput_params_constrained, fit_throughput_params_counted,
+    fit_throughput_params_warm, FitObservation, FitPriors, FitReport, FitWork,
 };
 pub use goodput::{BatchSizeLimits, GoodputModel, SpeedupProfile};
 pub use rack::{RackAwareParams, RackPlacementShape};

@@ -3,11 +3,12 @@
 //! A practical replacement for the L-BFGS-B routine the original Pollux
 //! implementation calls through SciPy: limited-memory BFGS directions
 //! computed on the free variables (gradient-projection active set), with
-//! a projected-path backtracking Armijo line search. For the 7-parameter
-//! θsys fit this converges in a few dozen iterations.
+//! a projected-path backtracking Armijo line search. Like the paper's
+//! SciPy call, the caller supplies the exact gradient: the objective is
+//! one closure that returns the value and writes the gradient. For the
+//! 7-parameter θsys fit this converges in a few dozen iterations.
 
 use crate::bounds::Bounds;
-use crate::numgrad::central_gradient;
 use crate::OptError;
 
 /// Options controlling [`lbfgsb_minimize`].
@@ -21,8 +22,6 @@ pub struct LbfgsbOptions {
     pub grad_tol: f64,
     /// Convergence tolerance on the relative objective decrease.
     pub f_tol: f64,
-    /// Relative step used for numerical gradients.
-    pub grad_eps: f64,
 }
 
 impl Default for LbfgsbOptions {
@@ -32,7 +31,6 @@ impl Default for LbfgsbOptions {
             history: 8,
             grad_tol: 1e-8,
             f_tol: 1e-12,
-            grad_eps: 1e-7,
         }
     }
 }
@@ -46,29 +44,30 @@ pub struct LbfgsbResult {
     pub fx: f64,
     /// Outer iterations performed.
     pub iters: usize,
+    /// Value-and-gradient evaluations performed.
+    pub evals: usize,
     /// True when a convergence criterion was met (vs. iteration cap).
     pub converged: bool,
 }
 
-/// Minimizes `f` over the box `bounds` starting from `x0`.
+/// Minimizes over the box `bounds` starting from `x0`.
 ///
-/// The objective only needs to be defined inside the box: all probe
-/// points (including numeric-gradient probes after projection) stay
-/// feasible up to the gradient step `grad_eps`.
+/// `fg(x, grad)` returns the objective at `x` and writes its gradient
+/// into `grad`. It is only ever called on points inside the box.
 ///
 /// # Errors
 ///
 /// - [`OptError::DimensionMismatch`] when `x0` and `bounds` disagree.
-/// - [`OptError::NonFiniteObjective`] when `f` is non-finite at the
-///   projected initial point.
+/// - [`OptError::NonFiniteObjective`] when the objective is non-finite
+///   at the projected initial point.
 pub fn lbfgsb_minimize<F>(
-    mut f: F,
+    mut fg: F,
     x0: &[f64],
     bounds: &Bounds,
     opts: &LbfgsbOptions,
 ) -> Result<LbfgsbResult, OptError>
 where
-    F: FnMut(&[f64]) -> f64,
+    F: FnMut(&[f64], &mut [f64]) -> f64,
 {
     if x0.len() != bounds.dim() {
         return Err(OptError::DimensionMismatch {
@@ -78,25 +77,25 @@ where
     }
     let n = x0.len();
     let mut x = bounds.projected(x0);
-    let mut fx = f(&x);
+    let mut grad = vec![0.0; n];
+    let mut fx = fg(&x, &mut grad);
+    let mut evals = 1;
     if !fx.is_finite() {
         return Err(OptError::NonFiniteObjective);
     }
 
-    // Wrap the objective so any excursion outside the box is projected
-    // back first; this keeps numeric-gradient probes feasible.
-    let mut safe_f = |p: &[f64]| {
-        if bounds.contains(p) {
-            f(p)
-        } else {
-            f(&bounds.projected(p))
-        }
-    };
-
-    let mut grad = central_gradient(&mut safe_f, &x, opts.grad_eps);
-    let mut s_hist: Vec<Vec<f64>> = Vec::new();
-    let mut y_hist: Vec<Vec<f64>> = Vec::new();
-    let mut rho_hist: Vec<f64> = Vec::new();
+    // Work buffers, reused by every iteration.
+    let mut active = vec![false; n];
+    let mut d = vec![0.0; n];
+    let mut x_new = vec![0.0; n];
+    let mut grad_new = vec![0.0; n];
+    let mut s = vec![0.0; n];
+    let mut y = vec![0.0; n];
+    let history = opts.history.max(1);
+    let mut alphas = vec![0.0; history];
+    let mut s_hist: Vec<Vec<f64>> = Vec::with_capacity(history);
+    let mut y_hist: Vec<Vec<f64>> = Vec::with_capacity(history);
+    let mut rho_hist: Vec<f64> = Vec::with_capacity(history);
     let mut converged = false;
     let mut iters = 0;
 
@@ -114,49 +113,46 @@ where
             break;
         }
 
-        // Restrict to free variables: zero the gradient along active bounds.
-        let mut g_free = grad.clone();
-        for (i, gi) in g_free.iter_mut().enumerate() {
-            if bounds.is_active(&x, &grad, i) {
-                *gi = 0.0;
-            }
+        // Two-loop recursion for d = -H * g on the free variables: the
+        // gradient is zeroed along active bounds going in, and the
+        // direction coming out, so the line search does not fight the
+        // projection.
+        for (i, a) in active.iter_mut().enumerate() {
+            *a = bounds.is_active(&x, &grad, i);
         }
-
-        // Two-loop recursion for d = -H * g_free.
-        let mut d = two_loop_direction(&g_free, &s_hist, &y_hist, &rho_hist);
-        // Zero the direction along active constraints too, so the line
-        // search does not fight the projection.
-        for (i, di) in d.iter_mut().enumerate() {
-            if bounds.is_active(&x, &grad, i) {
-                *di = 0.0;
-            }
-        }
-        let dir_dot_grad: f64 = d.iter().zip(&grad).map(|(a, b)| a * b).sum();
-        if dir_dot_grad >= 0.0 || !dir_dot_grad.is_finite() {
+        d.copy_from_slice(&grad);
+        zero_where(&mut d, &active);
+        two_loop_direction(&mut d, &s_hist, &y_hist, &rho_hist, &mut alphas);
+        zero_where(&mut d, &active);
+        let mut dd = dot(&d, &grad);
+        if dd >= 0.0 || !dd.is_finite() {
             // Not a descent direction (stale curvature); reset to steepest
             // descent on the free variables.
             s_hist.clear();
             y_hist.clear();
             rho_hist.clear();
-            d = g_free.iter().map(|g| -g).collect();
+            for (di, g) in d.iter_mut().zip(&grad) {
+                *di = -g;
+            }
+            zero_where(&mut d, &active);
             if d.iter().all(|&v| v == 0.0) {
                 converged = true;
                 break;
             }
+            dd = dot(&d, &grad);
         }
 
         // Projected backtracking line search (Armijo).
-        let dd: f64 = d.iter().zip(&grad).map(|(a, b)| a * b).sum();
         let mut alpha = 1.0;
         let c1 = 1e-4;
         let mut accepted = false;
-        let mut x_new = x.clone();
         let mut f_new = fx;
         for _ in 0..50 {
             for i in 0..n {
                 x_new[i] = (x[i] + alpha * d[i]).clamp(bounds.lo(i), bounds.hi(i));
             }
-            f_new = safe_f(&x_new);
+            f_new = fg(&x_new, &mut grad_new);
+            evals += 1;
             // The Armijo condition along the projected path uses the true
             // displacement rather than alpha * d.
             let disp_dot_grad: f64 = x_new
@@ -177,26 +173,31 @@ where
             break;
         }
 
-        let grad_new = central_gradient(&mut safe_f, &x_new, opts.grad_eps);
-        let s: Vec<f64> = x_new.iter().zip(&x).map(|(a, b)| a - b).collect();
-        let y: Vec<f64> = grad_new.iter().zip(&grad).map(|(a, b)| a - b).collect();
-        let sy: f64 = s.iter().zip(&y).map(|(a, b)| a * b).sum();
+        // Curvature pair (s, y) = (x_new - x, grad_new - grad). Once the
+        // history is full the evicted pair's buffers become the scratch.
+        for i in 0..n {
+            s[i] = x_new[i] - x[i];
+            y[i] = grad_new[i] - grad[i];
+        }
+        let sy = dot(&s, &y);
         if sy > 1e-12 && sy.is_finite() {
-            if s_hist.len() == opts.history {
-                s_hist.remove(0);
-                y_hist.remove(0);
+            if s_hist.len() == history {
                 rho_hist.remove(0);
+                let (old_s, old_y) = (s_hist.remove(0), y_hist.remove(0));
+                s_hist.push(std::mem::replace(&mut s, old_s));
+                y_hist.push(std::mem::replace(&mut y, old_y));
+            } else {
+                s_hist.push(s.clone());
+                y_hist.push(y.clone());
             }
-            s_hist.push(s);
-            y_hist.push(y);
             rho_hist.push(1.0 / sy);
         }
 
         let f_decrease = (fx - f_new).abs();
         let f_scale = fx.abs().max(f_new.abs()).max(1.0);
-        x = x_new.clone();
+        std::mem::swap(&mut x, &mut x_new);
+        std::mem::swap(&mut grad, &mut grad_new);
         fx = f_new;
-        grad = grad_new;
         if f_decrease / f_scale < opts.f_tol {
             converged = true;
             break;
@@ -207,22 +208,22 @@ where
         x,
         fx,
         iters,
+        evals,
         converged,
     })
 }
 
-/// L-BFGS two-loop recursion producing `-H * g`.
+/// L-BFGS two-loop recursion: replaces `q = g` by `-H * g` in place.
 fn two_loop_direction(
-    g: &[f64],
+    q: &mut [f64],
     s_hist: &[Vec<f64>],
     y_hist: &[Vec<f64>],
     rho_hist: &[f64],
-) -> Vec<f64> {
-    let mut q = g.to_vec();
+    alphas: &mut [f64],
+) {
     let k = s_hist.len();
-    let mut alphas = vec![0.0; k];
     for i in (0..k).rev() {
-        let a = rho_hist[i] * dot(&s_hist[i], &q);
+        let a = rho_hist[i] * dot(&s_hist[i], q);
         alphas[i] = a;
         for (qj, yj) in q.iter_mut().zip(&y_hist[i]) {
             *qj -= a * yj;
@@ -240,13 +241,21 @@ fn two_loop_direction(
         }
     }
     for i in 0..k {
-        let beta = rho_hist[i] * dot(&y_hist[i], &q);
+        let beta = rho_hist[i] * dot(&y_hist[i], q);
         for (qj, sj) in q.iter_mut().zip(&s_hist[i]) {
             *qj += (alphas[i] - beta) * sj;
         }
     }
     q.iter_mut().for_each(|v| *v = -*v);
-    q
+}
+
+/// Zeroes the coordinates of `v` that `mask` marks.
+fn zero_where(v: &mut [f64], mask: &[bool]) {
+    for (vi, &masked) in v.iter_mut().zip(mask) {
+        if masked {
+            *vi = 0.0;
+        }
+    }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -262,9 +271,25 @@ mod tests {
         LbfgsbOptions::default()
     }
 
+    /// `Σ w_i (x_i − c_i)²` with its gradient.
+    fn quadratic<'a>(
+        centre: &'a [f64],
+        weight: &'a [f64],
+    ) -> impl FnMut(&[f64], &mut [f64]) -> f64 + 'a {
+        move |x, g| {
+            let mut f = 0.0;
+            for i in 0..x.len() {
+                let r = x[i] - centre[i];
+                f += weight[i] * r * r;
+                g[i] = 2.0 * weight[i] * r;
+            }
+            f
+        }
+    }
+
     #[test]
     fn minimizes_unconstrained_quadratic() {
-        let f = |x: &[f64]| (x[0] - 1.0).powi(2) + 10.0 * (x[1] + 2.0).powi(2);
+        let f = quadratic(&[1.0, -2.0], &[1.0, 10.0]);
         let r = lbfgsb_minimize(f, &[5.0, 5.0], &Bounds::unbounded(2), &default_opts()).unwrap();
         assert!(r.converged);
         assert!((r.x[0] - 1.0).abs() < 1e-4, "{:?}", r.x);
@@ -274,7 +299,7 @@ mod tests {
     #[test]
     fn respects_active_lower_bound() {
         // Unconstrained minimum at (-3, -3); feasible minimum at (0, 0).
-        let f = |x: &[f64]| (x[0] + 3.0).powi(2) + (x[1] + 3.0).powi(2);
+        let f = quadratic(&[-3.0, -3.0], &[1.0, 1.0]);
         let b = Bounds::uniform(2, 0.0, 10.0).unwrap();
         let r = lbfgsb_minimize(f, &[5.0, 5.0], &b, &default_opts()).unwrap();
         assert!(r.x[0].abs() < 1e-5 && r.x[1].abs() < 1e-5, "{:?}", r.x);
@@ -282,7 +307,7 @@ mod tests {
 
     #[test]
     fn respects_active_upper_bound() {
-        let f = |x: &[f64]| (x[0] - 100.0).powi(2);
+        let f = quadratic(&[100.0], &[1.0]);
         let b = Bounds::new(vec![0.0], vec![7.0]).unwrap();
         let r = lbfgsb_minimize(f, &[1.0], &b, &default_opts()).unwrap();
         assert!((r.x[0] - 7.0).abs() < 1e-6, "{:?}", r.x);
@@ -291,7 +316,7 @@ mod tests {
     #[test]
     fn mixed_active_and_free_coordinates() {
         // Min at (-5, 2): x0 pinned to its lower bound 0, x1 free.
-        let f = |x: &[f64]| (x[0] + 5.0).powi(2) + (x[1] - 2.0).powi(2);
+        let f = quadratic(&[-5.0, 2.0], &[1.0, 1.0]);
         let b = Bounds::new(vec![0.0, -10.0], vec![10.0, 10.0]).unwrap();
         let r = lbfgsb_minimize(f, &[3.0, -3.0], &b, &default_opts()).unwrap();
         assert!(r.x[0].abs() < 1e-5);
@@ -300,9 +325,11 @@ mod tests {
 
     #[test]
     fn solves_constrained_rosenbrock() {
-        let f = |x: &[f64]| {
+        let f = |x: &[f64], g: &mut [f64]| {
             let a = 1.0 - x[0];
             let b = x[1] - x[0] * x[0];
+            g[0] = -2.0 * a - 400.0 * x[0] * b;
+            g[1] = 200.0 * b;
             a * a + 100.0 * b * b
         };
         let b = Bounds::uniform(2, -2.0, 2.0).unwrap();
@@ -314,11 +341,33 @@ mod tests {
             "{:?}",
             r.x
         );
+        assert!(r.evals > r.iters, "every iteration evaluates at least once");
+    }
+
+    #[test]
+    fn short_history_recycles_its_buffers_and_still_converges() {
+        // More iterations than history slots, so pairs are evicted and
+        // their buffers reused: the solve must still reach the optimum.
+        let centre = [1.0, -2.0, 3.0, -4.0, 5.0, -6.0];
+        let weight = [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0];
+        let mut opts = default_opts();
+        opts.history = 2;
+        let r = lbfgsb_minimize(
+            quadratic(&centre, &weight),
+            &[0.0; 6],
+            &Bounds::unbounded(6),
+            &opts,
+        )
+        .unwrap();
+        assert!(r.iters > 3, "iters = {}", r.iters);
+        for (xi, ci) in r.x.iter().zip(&centre) {
+            assert!((xi - ci).abs() < 1e-4, "{:?}", r.x);
+        }
     }
 
     #[test]
     fn infeasible_start_is_projected() {
-        let f = |x: &[f64]| x[0] * x[0];
+        let f = quadratic(&[0.0], &[1.0]);
         let b = Bounds::new(vec![1.0], vec![5.0]).unwrap();
         let r = lbfgsb_minimize(f, &[-100.0], &b, &default_opts()).unwrap();
         assert!((r.x[0] - 1.0).abs() < 1e-6);
@@ -326,7 +375,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_is_an_error() {
-        let f = |_: &[f64]| 0.0;
+        let f = |_: &[f64], _: &mut [f64]| 0.0;
         let b = Bounds::unbounded(3);
         assert!(matches!(
             lbfgsb_minimize(f, &[0.0], &b, &default_opts()),
@@ -339,20 +388,26 @@ mod tests {
 
     #[test]
     fn nan_at_start_is_an_error() {
-        let f = |_: &[f64]| f64::NAN;
+        let f = |_: &[f64], _: &mut [f64]| f64::NAN;
         let b = Bounds::unbounded(1);
         assert!(matches!(
             lbfgsb_minimize(f, &[0.0], &b, &default_opts()),
+            Err(OptError::NonFiniteObjective)
+        ));
+        // A NaN start stays NaN under projection and is refused too.
+        assert!(matches!(
+            lbfgsb_minimize(quadratic(&[0.0], &[1.0]), &[f64::NAN], &b, &default_opts()),
             Err(OptError::NonFiniteObjective)
         ));
     }
 
     #[test]
     fn already_optimal_converges_immediately() {
-        let f = |x: &[f64]| x[0] * x[0];
+        let f = quadratic(&[0.0], &[1.0]);
         let r = lbfgsb_minimize(f, &[0.0], &Bounds::unbounded(1), &default_opts()).unwrap();
         assert!(r.converged);
         assert!(r.iters <= 2);
+        assert_eq!(r.evals, 1);
     }
 
     #[test]
@@ -360,12 +415,16 @@ mod tests {
         // A synthetic strongly-convex objective in the same box the agent
         // uses for θsys: six non-negative parameters and γ in [1, 10].
         let target = [0.1, 0.01, 0.05, 0.0, 0.2, 0.002, 1.6];
-        let f =
-            move |x: &[f64]| -> f64 { x.iter().zip(&target).map(|(a, b)| (a - b).powi(2)).sum() };
         let lo = vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0];
         let hi = vec![f64::INFINITY; 6].into_iter().chain([10.0]).collect();
         let b = Bounds::new(lo, hi).unwrap();
-        let r = lbfgsb_minimize(f, &[1.0; 7], &b, &default_opts()).unwrap();
+        let r = lbfgsb_minimize(
+            quadratic(&target, &[1.0; 7]),
+            &[1.0; 7],
+            &b,
+            &default_opts(),
+        )
+        .unwrap();
         for (xi, ti) in r.x.iter().zip(&target) {
             assert!((xi - ti).abs() < 1e-4, "{:?}", r.x);
         }
@@ -379,12 +438,15 @@ mod tests {
             shift in proptest::collection::vec(-20.0f64..20.0, 2..5),
         ) {
             let dim = start.len().min(shift.len());
-            let s = shift[..dim].to_vec();
-            let f = move |x: &[f64]| -> f64 {
-                x.iter().zip(&s).map(|(a, b)| (a - b).powi(2)).sum()
-            };
+            let ones = vec![1.0; dim];
             let b = Bounds::uniform(dim, -5.0, 5.0).unwrap();
-            let r = lbfgsb_minimize(f, &start[..dim], &b, &default_opts()).unwrap();
+            let r = lbfgsb_minimize(
+                quadratic(&shift[..dim], &ones),
+                &start[..dim],
+                &b,
+                &default_opts(),
+            )
+            .unwrap();
             prop_assert!(b.contains(&r.x));
             // The clamped shift is the true constrained optimum.
             for (xi, si) in r.x.iter().zip(&shift) {

@@ -9,9 +9,10 @@
 //!   seven system-throughput parameters `θsys` by minimizing a
 //!   root-mean-squared-logarithmic-error loss subject to box constraints
 //!   (`α, β ≥ 0`, `γ ∈ [1, 10]`). We provide an equivalent
-//!   bound-constrained quasi-Newton optimizer in [`lbfgsb`], plus a
-//!   derivative-free [`nelder_mead`] fallback used for robustness when
-//!   the loss surface is flat or noisy.
+//!   bound-constrained quasi-Newton optimizer in [`lbfgsb`]; like the
+//!   SciPy call it is handed the exact gradient. [`numgrad`] keeps a
+//!   central-difference gradient as the oracle that tests check
+//!   analytic gradients against.
 //!
 //! All optimizers are deterministic given their inputs; none of them
 //! allocate per-iteration beyond small work vectors.
@@ -20,14 +21,12 @@ pub mod bounds;
 pub mod brent;
 pub mod golden;
 pub mod lbfgsb;
-pub mod nelder_mead;
 pub mod numgrad;
 
 pub use bounds::Bounds;
 pub use brent::{brent_max, brent_min};
 pub use golden::{golden_section_max, golden_section_max_int, golden_section_min};
 pub use lbfgsb::{lbfgsb_minimize, LbfgsbOptions, LbfgsbResult};
-pub use nelder_mead::{nelder_mead_minimize, NelderMeadOptions, NelderMeadResult};
 pub use numgrad::central_gradient;
 
 /// Error type for optimizer misuse (invalid domains, NaN objectives).

@@ -1,9 +1,9 @@
 //! Central-difference numerical gradients.
 //!
-//! The θsys fitting loss (RMSLE of the throughput model) has a simple
-//! closed form but awkward analytic derivatives through the γ-norm
-//! combination (Eqn 11); with only seven parameters, central
-//! differences are fast, accurate, and far less error-prone.
+//! No solver here differentiates numerically: [`crate::lbfgsb`] takes
+//! the exact gradient from its caller. This is the independent oracle
+//! that tests compare such analytic gradients against (the θsys fit's,
+//! through the γ-norm of Eqn 11, in `pollux-models`).
 
 /// Computes the central-difference gradient of `f` at `x`.
 ///
@@ -25,25 +25,6 @@ where
         let fm = f(&xp);
         xp[i] = orig;
         grad[i] = (fp - fm) / (2.0 * h);
-    }
-    grad
-}
-
-/// Computes a forward-difference gradient, for objectives that are only
-/// defined on one side of a constraint boundary.
-pub fn forward_gradient<F>(f: &mut F, x: &[f64], fx: f64, eps: f64) -> Vec<f64>
-where
-    F: FnMut(&[f64]) -> f64,
-{
-    let mut grad = vec![0.0; x.len()];
-    let mut xp = x.to_vec();
-    for i in 0..x.len() {
-        let h = eps * x[i].abs().max(1.0);
-        let orig = xp[i];
-        xp[i] = orig + h;
-        let fp = f(&xp);
-        xp[i] = orig;
-        grad[i] = (fp - fx) / h;
     }
     grad
 }
@@ -71,18 +52,6 @@ mod tests {
         let g = central_gradient(&mut f, &[0.5, 2.0], 1e-6);
         assert!((g[0] - 0.5f64.exp() * 2.0).abs() < 1e-5);
         assert!((g[1] - 0.5f64.exp()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn forward_gradient_close_to_central() {
-        let mut f = |x: &[f64]| (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2);
-        let x = [0.0, 0.0];
-        let fx = f(&x);
-        let gf = forward_gradient(&mut f, &x, fx, 1e-7);
-        let gc = central_gradient(&mut f, &x, 1e-6);
-        for (a, b) in gf.iter().zip(&gc) {
-            assert!((a - b).abs() < 1e-4);
-        }
     }
 
     proptest! {

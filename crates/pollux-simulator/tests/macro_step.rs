@@ -240,7 +240,17 @@ fn assert_byte_identical(macro_stepped: &str, reference: &str, label: &str) {
 /// of these changes, the engine's trajectory changed — that is a
 /// correctness regression, not an acceptable side effect of a
 /// performance PR.
-const GOLDEN_CHURN: u64 = 0x3cf2_5ae5_ac27_01e5;
+///
+/// `GOLDEN_CHURN` was re-pinned once (from `0x3cf2_5ae5_ac27_01e5`) by
+/// the exact-gradient θsys solve (issue 12: analytic value+gradient,
+/// mean squared log error, no Nelder-Mead polish). The fit reaches the
+/// same optimum to ~4 digits of RMSLE but not to the bit, and the churn
+/// jobs tune their batch size from the fitted θsys, so their progress
+/// moves in the last places. The engine did not change: all three
+/// steppers, every thread count and the rack-configured run moved to
+/// this one value together, and `GOLDEN_QUIET` — whose jobs' tuning is
+/// insensitive to those last places — did not move.
+const GOLDEN_CHURN: u64 = 0x2955_6c26_7cbf_bb45;
 const GOLDEN_QUIET: u64 = 0x5454_2cce_0419_5e8c;
 
 #[test]
