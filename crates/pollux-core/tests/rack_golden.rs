@@ -143,7 +143,18 @@ fn single_rack_topology_is_byte_identical_to_flat() {
 /// search itself is untouched: the single-rack ≡ flat identity above
 /// holds, and the benchmark's `sched_rounds` digest (no agents, no
 /// fits) is identical to its parent's.
-const GOLDEN_FOUR_RACK: u64 = 0x47a2_dfa6_753d_98a6;
+///
+/// Re-pinned a fourth time (from `0x47a2_dfa6_753d_98a6`) to the value
+/// release builds had produced all along. The old constant held in
+/// debug builds only: the GA's `debug_assert!` full recompute of every
+/// offspring read the table through the *counted*
+/// `SpeedupTable::speedup`, so `SchedIntervalSample::table_hits` — part
+/// of the serialized `SimResult` — was inflated in debug builds (first
+/// sample: 341 against 93 in release) and nothing else differed. The
+/// cross-check now reads through the uncounted `SpeedupTable::lookup`;
+/// the trajectory itself did not move, and CI runs this suite under
+/// both profiles.
+const GOLDEN_FOUR_RACK: u64 = 0x884b_9fba_2898_4dd2;
 
 #[test]
 fn golden_trajectory_four_racks() {

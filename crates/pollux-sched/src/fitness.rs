@@ -16,6 +16,7 @@
 
 use crate::speedup::{SchedJob, SpeedupCache, SpeedupTable};
 use pollux_cluster::AllocationMatrix;
+use pollux_models::PlacementShape;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the fitness evaluation.
@@ -59,12 +60,30 @@ pub fn contribution(
     table: &SpeedupTable,
     config: &FitnessConfig,
 ) -> f64 {
-    let job = &jobs[j];
-    let mut s = match alloc.shape_of(j) {
-        Some(shape) => table.speedup(j, shape),
-        None => 0.0,
-    };
-    if job.is_running() && alloc.row(j) != job.current_placement.as_slice() {
+    row_contribution(&jobs[j], alloc.row(j), config, |shape| {
+        table.speedup(j, shape)
+    })
+}
+
+/// [`contribution`] of one placement row, with the table read left to
+/// the caller: the GA tallies its lookups per slot, and debug
+/// cross-checks must not count theirs at all
+/// ([`SpeedupTable::lookup`]). `K` and `N` come from one pass over the
+/// row.
+#[inline]
+pub(crate) fn row_contribution(
+    job: &SchedJob,
+    row: &[u32],
+    config: &FitnessConfig,
+    speedup: impl FnOnce(PlacementShape) -> f64,
+) -> f64 {
+    let (mut gpus, mut nodes) = (0u32, 0u32);
+    for &g in row {
+        gpus += g;
+        nodes += u32::from(g > 0);
+    }
+    let mut s = PlacementShape::new(gpus, nodes).map_or(0.0, speedup);
+    if job.is_running() && row != job.current_placement.as_slice() {
         s -= config.restart_penalty;
     }
     job.weight * s

@@ -45,7 +45,9 @@
 //! pinned by this crate's determinism tests. `threads == 1` runs the
 //! identical per-slot code inline without spawning any threads.
 
-use crate::fitness::{contribution, contributions, fitness_of, weight_sum, FitnessConfig};
+use crate::fitness::{
+    contribution, contributions, fitness_of, row_contribution, weight_sum, FitnessConfig,
+};
 use crate::par::parallel_map;
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
@@ -369,13 +371,15 @@ impl GeneticAlgorithm {
             }
         }
         member.fitness = fitness_of(&member.contrib, ctx.weight_sum);
+        // Uncounted reads: a debug-only check must leave the table's
+        // hit counter — part of the serialized `SimResult` — alone.
         debug_assert!(
-            {
-                let full = contributions(ctx.jobs, &member.matrix, ctx.table, &self.config.fitness);
-                full.iter()
-                    .zip(&member.contrib)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-            },
+            ctx.jobs.iter().enumerate().all(|(j, job)| {
+                let full = row_contribution(job, member.matrix.row(j), &self.config.fitness, |s| {
+                    ctx.table.lookup(j, s).unwrap_or(0.0)
+                });
+                full.to_bits() == member.contrib[j].to_bits()
+            }),
             "incremental contributions diverged from a full recompute"
         );
         (member, stats)

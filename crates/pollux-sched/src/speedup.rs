@@ -489,14 +489,38 @@ impl SpeedupTable {
     /// and one array read. Returns 0 for out-of-table shapes.
     #[inline]
     pub fn speedup(&self, job_idx: usize, shape: PlacementShape) -> f64 {
-        if job_idx >= self.num_jobs || shape.gpus == 0 || shape.gpus > self.max_gpus {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return 0.0;
+        match self.lookup(job_idx, shape) {
+            Some(v) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                v
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                0.0
+            }
         }
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The uncounted read behind [`Self::speedup`]: `None` for an
+    /// out-of-table shape (a miss). The hit/miss counters flow into the
+    /// golden-digested `SchedIntervalSample`, so debug-only cross-checks
+    /// must read through here, and a caller that tallies its own
+    /// lookups reports them once via [`Self::record_lookups`].
+    #[inline]
+    pub fn lookup(&self, job_idx: usize, shape: PlacementShape) -> Option<f64> {
+        if job_idx >= self.num_jobs || shape.gpus == 0 || shape.gpus > self.max_gpus {
+            return None;
+        }
         let cols = self.max_gpus as usize;
         let locality = usize::from(shape.nodes >= 2);
-        self.values[job_idx * 2 * cols + locality * cols + (shape.gpus as usize - 1)]
+        Some(self.values[job_idx * 2 * cols + locality * cols + (shape.gpus as usize - 1)])
+    }
+
+    /// Adds lookups a caller made through [`Self::lookup`] and counted
+    /// itself to the table's counters.
+    pub fn record_lookups(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Number of jobs the table covers.
