@@ -51,9 +51,7 @@ impl PlacementPolicy for BestFitPacking {
             };
             let current: u32 = view.current_placement.iter().sum();
             if a.gpus > 0 && current == a.gpus && keep_placement(view.current_placement, free) {
-                for (n, &g) in view.current_placement.iter().enumerate() {
-                    matrix.set(a.row, n, g);
-                }
+                matrix.copy_row(a.row, view.current_placement);
             } else if a.gpus > 0 {
                 needs_placing.push(a);
             }
@@ -72,12 +70,12 @@ impl PlacementPolicy for BestFitPacking {
                     let mut row = vec![0u32; free.len()];
                     row[n] = a.gpus;
                     free[n] -= a.gpus;
-                    matrix.set_row(a.row, row);
+                    matrix.copy_row(a.row, &row);
                 }
                 None => {
                     // Wider than any node: consolidated spread.
                     if let Some(row) = pack_consolidated(a.gpus, free) {
-                        matrix.set_row(a.row, row);
+                        matrix.copy_row(a.row, &row);
                     }
                 }
             }

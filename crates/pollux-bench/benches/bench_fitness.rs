@@ -20,7 +20,7 @@ use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId};
 use pollux_models::{BatchSizeLimits, EfficiencyModel, GoodputModel, ThroughputParams};
 use pollux_sched::{
     contribution, contributions, fitness, fitness_of, fitness_with_cache, repair_matrix,
-    weight_sum, FitnessConfig, SchedJob, SpeedupCache, SpeedupTable,
+    weight_sum, FitnessConfig, GaWorkspace, SchedJob, SpeedupCache, SpeedupTable,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,6 +63,7 @@ fn sched_jobs() -> Vec<SchedJob> {
 /// offspring are, so every arm prices the identical lookup mix.
 fn matrix_pool(jobs: &[SchedJob], spec: &ClusterSpec) -> Vec<AllocationMatrix> {
     let mut rng = StdRng::seed_from_u64(42);
+    let mut ws = GaWorkspace::default();
     (0..POOL)
         .map(|_| {
             let mut m = AllocationMatrix::zeros(jobs.len(), NUM_NODES);
@@ -70,7 +71,7 @@ fn matrix_pool(jobs: &[SchedJob], spec: &ClusterSpec) -> Vec<AllocationMatrix> {
                 let n = rng.gen_range(0..NUM_NODES);
                 m.set(j, n, rng.gen_range(0..=GPUS_PER_NODE));
             }
-            repair_matrix(&mut m, jobs, spec, true, &mut rng);
+            repair_matrix(&mut m, jobs, spec, true, &mut rng, &mut ws);
             m
         })
         .collect()

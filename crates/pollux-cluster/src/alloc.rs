@@ -12,6 +12,9 @@ use serde::{Deserialize, Serialize};
 
 /// A jobs × nodes GPU allocation matrix.
 ///
+/// Cells live in one row-major `Vec<u32>` (`cells[j * num_nodes + n]`),
+/// so a row is a contiguous slice and copying one is a `memcpy`.
+///
 /// # Examples
 ///
 /// ```
@@ -28,18 +31,38 @@ use serde::{Deserialize, Serialize};
 /// let shape = a.shape_of(1).unwrap();
 /// assert_eq!((shape.gpus, shape.nodes), (3, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AllocationMatrix {
+    num_jobs: usize,
     num_nodes: usize,
-    rows: Vec<Vec<u32>>,
+    cells: Vec<u32>,
+}
+
+/// The text `#[derive(Debug)]` rendered for the former
+/// `{ num_nodes, rows: Vec<Vec<u32>> }` layout, byte for byte — by
+/// deriving it on a view of that shape: the vendored serde serialises
+/// through `Debug`, and every golden digest covers this text.
+impl std::fmt::Debug for AllocationMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        #[derive(Debug)]
+        #[allow(dead_code)] // read by the derive only
+        struct AllocationMatrix<'a> {
+            num_nodes: usize,
+            rows: Vec<&'a [u32]>,
+        }
+        let rows = self.iter_rows().map(|(_, row)| row).collect();
+        let num_nodes = self.num_nodes;
+        AllocationMatrix { num_nodes, rows }.fmt(f)
+    }
 }
 
 impl AllocationMatrix {
     /// An all-zero matrix with `num_jobs` rows and `num_nodes` columns.
     pub fn zeros(num_jobs: usize, num_nodes: usize) -> Self {
         Self {
+            num_jobs,
             num_nodes,
-            rows: vec![vec![0; num_nodes]; num_jobs],
+            cells: vec![0; num_jobs * num_nodes],
         }
     }
 
@@ -49,13 +72,17 @@ impl AllocationMatrix {
         if rows.iter().any(|r| r.len() != num_nodes) {
             None
         } else {
-            Some(Self { num_nodes, rows })
+            Some(Self {
+                num_jobs: rows.len(),
+                num_nodes,
+                cells: rows.concat(),
+            })
         }
     }
 
     /// Number of job rows.
     pub fn num_jobs(&self) -> usize {
-        self.rows.len()
+        self.num_jobs
     }
 
     /// Number of node columns.
@@ -63,19 +90,35 @@ impl AllocationMatrix {
         self.num_nodes
     }
 
+    /// The cells of row `j`.
+    #[inline]
+    fn span(&self, j: usize) -> std::ops::Range<usize> {
+        assert!(j < self.num_jobs, "row {j} out of {} jobs", self.num_jobs);
+        j * self.num_nodes..(j + 1) * self.num_nodes
+    }
+
     /// The placement vector of job row `j`.
+    #[inline]
     pub fn row(&self, j: usize) -> &[u32] {
-        &self.rows[j]
+        &self.cells[self.span(j)]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, j: usize) -> &mut [u32] {
+        let span = self.span(j);
+        &mut self.cells[span]
     }
 
     /// GPUs allocated to job `j` on node `n`.
+    #[inline]
     pub fn get(&self, j: usize, n: usize) -> u32 {
-        self.rows[j][n]
+        self.row(j)[n]
     }
 
     /// Sets the GPUs allocated to job `j` on node `n`.
+    #[inline]
     pub fn set(&mut self, j: usize, n: usize, gpus: u32) {
-        self.rows[j][n] = gpus;
+        self.row_mut(j)[n] = gpus;
     }
 
     /// Overwrites the whole row for job `j`.
@@ -83,51 +126,56 @@ impl AllocationMatrix {
     /// # Panics
     ///
     /// Panics when `row.len() != num_nodes`.
-    pub fn set_row(&mut self, j: usize, row: Vec<u32>) {
+    pub fn copy_row(&mut self, j: usize, row: &[u32]) {
         assert_eq!(row.len(), self.num_nodes, "row width mismatch");
-        self.rows[j] = row;
+        self.row_mut(j).copy_from_slice(row);
+    }
+
+    /// Zeroes the whole row for job `j`.
+    pub fn clear_row(&mut self, j: usize) {
+        self.row_mut(j).fill(0);
     }
 
     /// Appends an empty row for a newly submitted job and returns its
     /// row index.
     pub fn push_job(&mut self) -> usize {
-        self.rows.push(vec![0; self.num_nodes]);
-        self.rows.len() - 1
+        self.num_jobs += 1;
+        self.cells.resize(self.num_jobs * self.num_nodes, 0);
+        self.num_jobs - 1
     }
 
     /// Removes the row for a finished job.
     pub fn remove_job(&mut self, j: usize) {
-        self.rows.remove(j);
+        self.cells.drain(self.span(j));
+        self.num_jobs -= 1;
     }
 
     /// Resizes the node dimension (cloud auto-scaling). Shrinking
     /// drops allocations on removed nodes.
     pub fn resize_nodes(&mut self, num_nodes: usize) {
-        for row in &mut self.rows {
-            row.resize(num_nodes, 0);
+        let kept = self.num_nodes.min(num_nodes);
+        let mut cells = vec![0; self.num_jobs * num_nodes];
+        for j in 0..self.num_jobs {
+            cells[j * num_nodes..j * num_nodes + kept].copy_from_slice(&self.row(j)[..kept]);
         }
+        self.cells = cells;
         self.num_nodes = num_nodes;
     }
 
     /// Total GPUs allocated to job `j`, `K = Σ_n A[j][n]`.
     pub fn gpus_of(&self, j: usize) -> u32 {
-        self.rows[j].iter().sum()
+        self.row(j).iter().sum()
     }
 
     /// Number of distinct nodes occupied by job `j`.
     pub fn nodes_of(&self, j: usize) -> u32 {
-        self.rows[j].iter().filter(|&&g| g > 0).count() as u32
+        self.row(j).iter().filter(|&&g| g > 0).count() as u32
     }
 
     /// The `(K, N)` placement shape of job `j`, or `None` when the job
     /// holds no GPUs.
     pub fn shape_of(&self, j: usize) -> Option<PlacementShape> {
-        let gpus = self.gpus_of(j);
-        if gpus == 0 {
-            None
-        } else {
-            PlacementShape::new(gpus, self.nodes_of(j))
-        }
+        PlacementShape::new(self.gpus_of(j), self.nodes_of(j))
     }
 
     /// True when job `j` spans more than one node.
@@ -137,35 +185,38 @@ impl AllocationMatrix {
 
     /// Total GPUs allocated on node `n` across all jobs.
     pub fn gpus_used_on(&self, n: usize) -> u32 {
-        self.rows.iter().map(|r| r[n]).sum()
+        assert!(n < self.num_nodes, "node {n} out of {}", self.num_nodes);
+        self.cells.iter().skip(n).step_by(self.num_nodes).sum()
     }
 
     /// Total GPUs allocated across the whole matrix.
     pub fn total_gpus_used(&self) -> u32 {
-        (0..self.num_nodes).map(|n| self.gpus_used_on(n)).sum()
+        self.cells.iter().sum()
     }
 
     /// Node columns whose usage exceeds the cluster capacity.
     pub fn over_capacity_nodes(&self, spec: &ClusterSpec) -> Vec<NodeId> {
-        (0..self.num_nodes.min(spec.num_nodes()))
-            .filter(|&n| self.gpus_used_on(n) > spec.gpus_on(NodeId(n as u32)))
-            .map(|n| NodeId(n as u32))
-            .collect()
+        let mut used = vec![0; self.num_nodes];
+        for (_, row) in self.iter_rows() {
+            used.iter_mut().zip(row).for_each(|(u, &g)| *u += g);
+        }
+        let nodes = (0..spec.num_nodes() as u32).map(NodeId);
+        let over = nodes.zip(used).filter(|&(node, u)| u > spec.gpus_on(node));
+        over.map(|(node, _)| node).collect()
     }
 
     /// True when every node is within its GPU capacity and the matrix
     /// width matches the cluster.
     pub fn is_feasible(&self, spec: &ClusterSpec) -> bool {
-        self.num_nodes == spec.num_nodes()
-            && (0..self.num_nodes).all(|n| self.gpus_used_on(n) <= spec.gpus_on(NodeId(n as u32)))
+        self.num_nodes == spec.num_nodes() && self.over_capacity_nodes(spec).is_empty()
     }
 
     /// Row indices of *distributed* jobs (spanning ≥ 2 nodes) that
     /// occupy node `n` — the quantity the interference-avoidance
     /// constraint bounds by 1 per node (Sec. 4.2.1).
     pub fn distributed_jobs_on(&self, n: usize) -> Vec<usize> {
-        (0..self.rows.len())
-            .filter(|&j| self.rows[j][n] > 0 && self.is_distributed(j))
+        (0..self.num_jobs)
+            .filter(|&j| self.get(j, n) > 0 && self.is_distributed(j))
             .collect()
     }
 
@@ -177,18 +228,18 @@ impl AllocationMatrix {
     /// True when job `j` has an identical placement in `other`
     /// (no restart needed when re-applying the matrix).
     pub fn row_equals(&self, j: usize, other: &AllocationMatrix) -> bool {
-        j < other.rows.len() && self.rows[j] == other.rows[j]
+        j < other.num_jobs && self.row(j) == other.row(j)
     }
 
     /// Iterates over `(job_row, placement)` for all rows.
     pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
-        self.rows.iter().enumerate().map(|(j, r)| (j, r.as_slice()))
+        (0..self.num_jobs).map(|j| (j, self.row(j)))
     }
 }
 
 impl std::fmt::Display for AllocationMatrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (j, row) in self.rows.iter().enumerate() {
+        for (j, row) in self.iter_rows() {
             write!(f, "job {j:>3}: ")?;
             for g in row {
                 write!(f, "{g:>3}")?;

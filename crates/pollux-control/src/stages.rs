@@ -312,9 +312,7 @@ impl PlacementPolicy for ConsolidatedPlacement {
             };
             let current: u32 = view.current_placement.iter().sum();
             if a.gpus > 0 && current == a.gpus && keep_placement(view.current_placement, free) {
-                for (n, &g) in view.current_placement.iter().enumerate() {
-                    matrix.set(a.row, n, g);
-                }
+                matrix.copy_row(a.row, view.current_placement);
             } else if a.gpus > 0 {
                 needs_placing.push(a);
             }
@@ -326,7 +324,7 @@ impl PlacementPolicy for ConsolidatedPlacement {
         }
         for a in needs_placing {
             if let Some(row) = pack_consolidated(a.gpus, free) {
-                matrix.set_row(a.row, row);
+                matrix.copy_row(a.row, &row);
             }
         }
     }
@@ -425,9 +423,7 @@ impl SchedulingPolicy for StagedScheduler {
                 && !may_yield[row]
                 && keep_placement(view.current_placement, &mut free)
             {
-                for (n, &g) in view.current_placement.iter().enumerate() {
-                    matrix.set(row, n, g);
-                }
+                matrix.copy_row(row, view.current_placement);
                 held[row] = true;
             }
         }

@@ -3,7 +3,7 @@
 //! Two pinned equivalences, each under randomized operation streams:
 //!
 //! 1. [`SparseAllocation`] ≡ [`AllocationMatrix`]: both sides execute
-//!    the same random sequence of `set` / `set_row` / `push_job` /
+//!    the same random sequence of `set` / `copy_row` / `push_job` /
 //!    `remove_job` / `resize_nodes` operations and must agree on every
 //!    observable — cell values, per-job totals, shapes, per-node
 //!    usage, and the dense materialization.
@@ -115,7 +115,7 @@ proptest! {
                         let row: Vec<u32> = (0..m.num_nodes())
                             .map(|n| ((n * (b + 1) + g as usize) % 5) as u32 % 3)
                             .collect();
-                        m.set_row(j, row.clone());
+                        m.copy_row(j, &row);
                         s.set_row_dense(j, &row);
                     }
                 }

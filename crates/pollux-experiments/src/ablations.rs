@@ -225,6 +225,8 @@ pub fn search_ablation(seed: u64) -> SearchAblation {
     let mut best_random = f64::NEG_INFINITY;
     let mut rng2 = StdRng::seed_from_u64(seed ^ 0xABCD);
     let fitness_cfg = FitnessConfig::default();
+    let mut ws = pollux_sched::GaWorkspace::default();
+    let avoid = ga_cfg.interference_avoidance;
     for _ in 0..budget {
         let mut m = pollux_cluster::AllocationMatrix::zeros(jobs.len(), spec.num_nodes());
         for j in 0..jobs.len() {
@@ -232,7 +234,7 @@ pub fn search_ablation(seed: u64) -> SearchAblation {
                 m.set(j, n, rng2.gen_range(0..=4));
             }
         }
-        ga.repair(&mut m, &jobs, &spec, &mut rng2);
+        pollux_sched::repair_matrix(&mut m, &jobs, &spec, avoid, &mut rng2, &mut ws);
         let f = fitness(&jobs, &m, &table, &fitness_cfg);
         if f > best_random {
             best_random = f;

@@ -66,7 +66,7 @@ pub fn contribution(
 }
 
 /// [`contribution`] of one placement row, with the table read left to
-/// the caller: the GA tallies its lookups per slot, and debug
+/// the caller: the GA tallies its lookups per worker, and debug
 /// cross-checks must not count theirs at all
 /// ([`SpeedupTable::lookup`]). `K` and `N` come from one pass over the
 /// row.

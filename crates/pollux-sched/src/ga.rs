@@ -34,7 +34,8 @@
 //!
 //! With [`GaConfig::threads`] > 1, member construction (mutate,
 //! crossover, repair) and fitness evaluation fan out over a scoped
-//! worker pool ([`crate::par::parallel_map`]). Determinism across
+//! worker pool ([`crate::par::parallel_for_each_mut`]), one scratch
+//! [`GaWorkspace`] per worker. Determinism across
 //! thread counts is achieved by **seed-per-slot RNG splitting**: the
 //! master RNG is only ever advanced serially, drawing one `u64` seed
 //! per population slot; each slot then derives its own private
@@ -45,10 +46,8 @@
 //! pinned by this crate's determinism tests. `threads == 1` runs the
 //! identical per-slot code inline without spawning any threads.
 
-use crate::fitness::{
-    contribution, contributions, fitness_of, row_contribution, weight_sum, FitnessConfig,
-};
-use crate::par::parallel_map;
+use crate::fitness::{fitness_of, row_contribution, weight_sum, FitnessConfig};
+use crate::par::parallel_for_each_mut;
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
 use rand::rngs::StdRng;
@@ -111,14 +110,6 @@ pub struct GaRunStats {
     pub rows_recomputed: u64,
 }
 
-impl GaRunStats {
-    fn absorb(&mut self, slot: SlotStats) {
-        self.fitness_evals += slot.fitness_evals;
-        self.incremental_evals += slot.incremental_evals;
-        self.rows_recomputed += slot.rows_recomputed;
-    }
-}
-
 /// Outcome of one `evolve` call.
 #[derive(Debug, Clone)]
 pub struct GaOutcome {
@@ -142,30 +133,82 @@ pub struct GeneticAlgorithm {
     config: GaConfig,
 }
 
-/// Borrowed evaluation inputs shared by every population slot; handed
-/// to the per-slot builders so worker closures capture one reference.
+/// Borrowed inputs shared by every population slot of one round;
+/// handed to the per-slot builder so worker closures capture one
+/// reference.
 struct EvalCtx<'a> {
     jobs: &'a [SchedJob],
     spec: &'a ClusterSpec,
     table: &'a SpeedupTable,
     weight_sum: f64,
+    /// First initial-population slot built by mutating an empty matrix.
+    first_fresh: usize,
+    /// The population offspring are bred from (empty while the initial
+    /// population is being built) and its fitnesses.
+    parents: &'a [Member],
+    fitnesses: &'a [f64],
+    slot_seeds: &'a [u64],
 }
 
 /// One chromosome with its cached per-job fitness contributions.
-#[derive(Debug, Clone)]
+/// `evolve` recycles these buffers: a member that loses survival is
+/// overwritten by an offspring of the next generation.
+#[derive(Debug, Default)]
 struct Member {
     matrix: AllocationMatrix,
     contrib: Vec<f64>,
     fitness: f64,
 }
 
-/// Per-slot evaluation counters, merged into [`GaRunStats`] in slot
-/// order.
-#[derive(Debug, Clone, Copy, Default)]
-struct SlotStats {
-    fitness_evals: u64,
-    incremental_evals: u64,
+/// Scratch that mutation and repair reuse from call to call, so that
+/// building a member allocates nothing once the buffers have grown.
+/// One per worker; what carries meaning between calls is
+/// [`Self::touched`], which the caller resets with [`Self::track`],
+/// and the tallies `evolve` reads at its end.
+#[derive(Debug, Default)]
+pub struct GaWorkspace {
+    touched: Vec<bool>,
+    /// Contribution rows this worker recomputed and the table lookups
+    /// that took, tallied here so the hot loop never touches a shared
+    /// atomic.
     rows_recomputed: u64,
+    table_hits: u64,
+    table_misses: u64,
+    /// `K_j` and `N_j`: GPUs and occupied nodes of each row.
+    row_gpus: Vec<u32>,
+    row_nodes: Vec<u32>,
+    /// Column sums, and per column the rows holding GPUs on it in
+    /// ascending row order: `holders[n * num_jobs..][..col_jobs[n]]`.
+    col_gpus: Vec<u32>,
+    col_jobs: Vec<usize>,
+    holders: Vec<u32>,
+    /// The list a random pick is drawn from: a row's occupied nodes,
+    /// an over-full column's holders, a node's distributed jobs.
+    picks: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl GaWorkspace {
+    /// Starts tracking `num_jobs` rows with no row marked.
+    pub fn track(&mut self, num_jobs: usize) {
+        self.touched.clear();
+        self.touched.resize(num_jobs, false);
+    }
+
+    /// The rows that mutation and repair rewrote since [`Self::track`]
+    /// (conservatively: a cell rewritten to its old value still marks
+    /// the row — recomputing an unchanged row yields the same
+    /// contribution bits). Rows beyond the tracked count go unmarked.
+    pub fn touched(&self) -> &[bool] {
+        &self.touched
+    }
+}
+
+#[inline]
+fn mark(touched: &mut [bool], j: usize) {
+    if let Some(t) = touched.get_mut(j) {
+        *t = true;
+    }
 }
 
 impl GeneticAlgorithm {
@@ -180,79 +223,39 @@ impl GeneticAlgorithm {
     }
 
     /// Mutates `m` in place: each element flips with probability `1/N`
-    /// to a uniform GPU count within the node's capacity.
-    pub fn mutate<R: Rng>(&self, m: &mut AllocationMatrix, spec: &ClusterSpec, rng: &mut R) {
-        self.mutate_impl(m, spec, rng, None);
-    }
-
-    /// Mutation core; when `touched` is provided, every row that had a
-    /// cell rewritten is marked (conservatively: a cell rewritten to
-    /// its old value still marks the row — recomputing an unchanged
-    /// row yields the same contribution bits).
-    fn mutate_impl<R: Rng>(
+    /// to a uniform GPU count within the node's capacity. Every row
+    /// that had a cell rewritten is marked in `ws`.
+    pub fn mutate<R: Rng>(
         &self,
         m: &mut AllocationMatrix,
         spec: &ClusterSpec,
         rng: &mut R,
-        mut touched: Option<&mut [bool]>,
+        ws: &mut GaWorkspace,
     ) {
-        let n = m.num_nodes().max(1);
-        let p = 1.0 / n as f64;
+        let p = 1.0 / m.num_nodes().max(1) as f64;
         for j in 0..m.num_jobs() {
             for node in 0..m.num_nodes() {
                 if rng.gen_bool(p) {
                     let cap = spec.gpus_on(NodeId(node as u32));
                     m.set(j, node, rng.gen_range(0..=cap));
-                    if let Some(t) = touched.as_deref_mut() {
-                        if j < t.len() {
-                            t[j] = true;
-                        }
-                    }
+                    mark(&mut ws.touched, j);
                 }
             }
         }
     }
 
-    /// Produces an offspring whose rows are randomly mixed from the
-    /// two parents.
-    pub fn crossover<R: Rng>(
-        &self,
-        a: &AllocationMatrix,
-        b: &AllocationMatrix,
-        rng: &mut R,
-    ) -> AllocationMatrix {
-        debug_assert_eq!(a.num_jobs(), b.num_jobs());
-        debug_assert_eq!(a.num_nodes(), b.num_nodes());
-        let mut child = AllocationMatrix::zeros(a.num_jobs(), a.num_nodes());
-        for j in 0..a.num_jobs() {
-            let src = if rng.gen_bool(0.5) { a } else { b };
-            child.set_row(j, src.row(j).to_vec());
-        }
-        child
-    }
-
-    /// Crossover that also carries contributions: each row's cached
-    /// contribution is copied from the parent supplying the row (a
+    /// Writes into `child` an offspring whose rows are randomly mixed
+    /// from the two parents, one `gen_bool` per row. Each row's cached
+    /// contribution comes along from the parent supplying the row (a
     /// contribution is a pure function of its row), so the child needs
-    /// no evaluation for rows repair leaves untouched. Draws the same
-    /// one `gen_bool` per row as [`Self::crossover`].
-    fn crossover_members<R: Rng>(&self, a: &Member, b: &Member, rng: &mut R) -> Member {
+    /// no evaluation for rows repair leaves untouched.
+    fn crossover<R: Rng>(a: &Member, b: &Member, child: &mut Member, rng: &mut R) {
         debug_assert_eq!(a.matrix.num_jobs(), b.matrix.num_jobs());
         debug_assert_eq!(a.matrix.num_nodes(), b.matrix.num_nodes());
-        let num_jobs = a.matrix.num_jobs();
-        let mut matrix = AllocationMatrix::zeros(num_jobs, a.matrix.num_nodes());
-        let mut contrib = Vec::with_capacity(a.contrib.len());
-        for j in 0..num_jobs {
+        for j in 0..a.matrix.num_jobs() {
             let src = if rng.gen_bool(0.5) { a } else { b };
-            matrix.set_row(j, src.matrix.row(j).to_vec());
-            if j < src.contrib.len() {
-                contrib.push(src.contrib[j]);
-            }
-        }
-        Member {
-            matrix,
-            contrib,
-            fitness: 0.0,
+            child.matrix.copy_row(j, src.matrix.row(j));
+            child.contrib[j] = src.contrib[j];
         }
     }
 
@@ -270,119 +273,70 @@ impl GeneticAlgorithm {
         best
     }
 
-    /// Repairs `m` into a feasible allocation:
-    ///
-    /// 1. per-job scale caps — random decrements until `K ≤ gpu_cap`;
-    /// 2. per-job minimums — rows with `0 < K < min_gpus` are zeroed
-    ///    (the job stays pending rather than holding useless GPUs);
-    /// 3. node capacities — random decrements within over-capacity
-    ///    columns (Fig 5's repair step);
-    /// 4. optionally, interference avoidance — while any node hosts two
-    ///    or more distributed jobs, one of the extras loses its GPUs on
-    ///    that node (Sec. 4.2.1).
-    ///
-    /// Steps interleave because each can re-trigger another; the loop
-    /// terminates since every action strictly decreases total GPUs.
-    pub fn repair<R: Rng>(
-        &self,
-        m: &mut AllocationMatrix,
-        jobs: &[SchedJob],
-        spec: &ClusterSpec,
-        rng: &mut R,
-    ) {
-        repair_matrix(m, jobs, spec, self.config.interference_avoidance, rng);
-    }
-
-    /// Builds one initial-population member from its slot seed:
-    /// optionally mutated from its template, repaired, and evaluated
-    /// with a full contribution pass.
-    fn init_member(
-        &self,
-        template: &AllocationMatrix,
-        fresh: bool,
-        slot_seed: u64,
-        ctx: &EvalCtx<'_>,
-    ) -> (Member, SlotStats) {
-        let mut rng = StdRng::seed_from_u64(slot_seed);
-        let mut matrix = template.clone();
-        if fresh {
-            self.mutate(&mut matrix, ctx.spec, &mut rng);
-        }
-        self.repair(&mut matrix, ctx.jobs, ctx.spec, &mut rng);
-        let contrib = contributions(ctx.jobs, &matrix, ctx.table, &self.config.fitness);
-        let fitness = fitness_of(&contrib, ctx.weight_sum);
-        let stats = SlotStats {
-            fitness_evals: 1,
-            incremental_evals: 0,
-            rows_recomputed: ctx.jobs.len() as u64,
-        };
-        (
-            Member {
-                matrix,
-                contrib,
-                fitness,
-            },
-            stats,
-        )
-    }
-
-    /// Builds one offspring from its slot seed. Slots below
-    /// `population.len()` are mutated copies of the same-index member;
-    /// the rest are crossover children of tournament-selected parents.
-    /// Either way only the rows touched by mutation/crossover/repair
-    /// have their contributions recomputed.
-    fn offspring_member(
+    /// Builds the member of one population slot into `child` from the
+    /// slot's seed. With no parents it is an initial member: `child`
+    /// holds its template (mutated first from `ctx.first_fresh` on)
+    /// and every row is evaluated. Otherwise slots below
+    /// `parents.len()` are mutated copies of the same-index parent and
+    /// the rest are crossover children of tournament-selected parents;
+    /// either way only the rows mutation and repair touched have their
+    /// contributions recomputed, the others keep the parent's.
+    fn build_member(
         &self,
         slot: usize,
-        slot_seed: u64,
-        population: &[Member],
-        fitnesses: &[f64],
         ctx: &EvalCtx<'_>,
-    ) -> (Member, SlotStats) {
-        let mut rng = StdRng::seed_from_u64(slot_seed);
-        let mut touched = vec![false; ctx.jobs.len()];
-        let mut member = if slot < population.len() {
-            let mut c = population[slot].clone();
-            self.mutate_impl(&mut c.matrix, ctx.spec, &mut rng, Some(&mut touched));
-            c
-        } else {
-            let a = self.tournament_select(fitnesses, &mut rng);
-            let b = self.tournament_select(fitnesses, &mut rng);
-            self.crossover_members(&population[a], &population[b], &mut rng)
-        };
-        repair_matrix_tracked(
-            &mut member.matrix,
-            ctx.jobs,
-            ctx.spec,
-            self.config.interference_avoidance,
-            &mut rng,
-            &mut touched,
-        );
-        let mut stats = SlotStats {
-            fitness_evals: 1,
-            incremental_evals: 1,
-            rows_recomputed: 0,
-        };
-        for (j, &dirty) in touched.iter().enumerate() {
-            if dirty {
-                member.contrib[j] =
-                    contribution(ctx.jobs, j, &member.matrix, ctx.table, &self.config.fitness);
-                stats.rows_recomputed += 1;
+        ws: &mut GaWorkspace,
+        child: &mut Member,
+    ) {
+        let parents = ctx.parents;
+        let mut rng = StdRng::seed_from_u64(ctx.slot_seeds[slot]);
+        ws.track(ctx.jobs.len());
+        child.contrib.resize(ctx.jobs.len(), 0.0);
+        let initial = parents.is_empty();
+        let mutated = if initial {
+            slot >= ctx.first_fresh
+        } else if let Some(parent) = parents.get(slot) {
+            for j in 0..parent.matrix.num_jobs() {
+                child.matrix.copy_row(j, parent.matrix.row(j));
             }
+            child.contrib.copy_from_slice(&parent.contrib);
+            true
+        } else {
+            let a = self.tournament_select(ctx.fitnesses, &mut rng);
+            let b = self.tournament_select(ctx.fitnesses, &mut rng);
+            Self::crossover(&parents[a], &parents[b], child, &mut rng);
+            false
+        };
+        if mutated {
+            self.mutate(&mut child.matrix, ctx.spec, &mut rng, ws);
         }
-        member.fitness = fitness_of(&member.contrib, ctx.weight_sum);
-        // Uncounted reads: a debug-only check must leave the table's
-        // hit counter — part of the serialized `SimResult` — alone.
+        let avoid = self.config.interference_avoidance;
+        repair_matrix(&mut child.matrix, ctx.jobs, ctx.spec, avoid, &mut rng, ws);
+
+        // Uncounted reads, tallied in the workspace: the table's own
+        // counters are part of the serialized `SimResult`, so they get
+        // the run's totals once and nothing from the debug-only check.
+        let (mut hits, mut misses) = (0, 0);
+        let mut evaluate = |j: usize, tally: bool| {
+            let row = child.matrix.row(j);
+            row_contribution(&ctx.jobs[j], row, &self.config.fitness, |shape| {
+                let v = ctx.table.lookup(j, shape);
+                hits += u64::from(tally && v.is_some());
+                misses += u64::from(tally && v.is_none());
+                v.unwrap_or(0.0)
+            })
+        };
+        for j in (0..ctx.jobs.len()).filter(|&j| initial || ws.touched[j]) {
+            child.contrib[j] = evaluate(j, true);
+            ws.rows_recomputed += 1;
+        }
         debug_assert!(
-            ctx.jobs.iter().enumerate().all(|(j, job)| {
-                let full = row_contribution(job, member.matrix.row(j), &self.config.fitness, |s| {
-                    ctx.table.lookup(j, s).unwrap_or(0.0)
-                });
-                full.to_bits() == member.contrib[j].to_bits()
-            }),
+            (0..ctx.jobs.len()).all(|j| evaluate(j, false).to_bits() == child.contrib[j].to_bits()),
             "incremental contributions diverged from a full recompute"
         );
-        (member, stats)
+        ws.table_hits += hits;
+        ws.table_misses += misses;
+        child.fitness = fitness_of(&child.contrib, ctx.weight_sum);
     }
 
     /// Runs the genetic algorithm from a seed population.
@@ -411,84 +365,102 @@ impl GeneticAlgorithm {
         let num_jobs = jobs.len();
         let num_nodes = spec.num_nodes();
         let pop_size = self.config.population.max(2);
-        let threads = self.config.threads.max(1);
-        let mut run_stats = GaRunStats::default();
 
-        // Templates for the initial population: retained seed members,
-        // the "current allocations" member (so doing nothing is
-        // representable), and fresh random members (mutated from zero)
-        // to fill up to `pop_size`.
-        let mut templates: Vec<(AllocationMatrix, bool)> = seed
+        // The initial population, built in place from its templates:
+        // retained seed members, the "current allocations" member (so
+        // doing nothing is representable), and fresh random members
+        // (mutated from zero) to fill up to `pop_size`.
+        let template = |matrix| Member {
+            matrix,
+            ..Default::default()
+        };
+        let mut members: Vec<Member> = seed
             .into_iter()
             .filter(|m| m.num_jobs() == num_jobs && m.num_nodes() == num_nodes)
             .take(pop_size)
-            .map(|m| (m, false))
+            .map(template)
             .collect();
         let mut current = AllocationMatrix::zeros(num_jobs, num_nodes);
         for (j, job) in jobs.iter().enumerate() {
             if job.current_placement.len() == num_nodes {
-                current.set_row(j, job.current_placement.clone());
+                current.copy_row(j, &job.current_placement);
             }
         }
-        templates.push((current, false));
-        while templates.len() < pop_size {
-            templates.push((AllocationMatrix::zeros(num_jobs, num_nodes), true));
+        members.push(template(current));
+        let first_fresh = members.len();
+        while members.len() < pop_size {
+            members.push(template(AllocationMatrix::zeros(num_jobs, num_nodes)));
         }
 
-        // One seed per slot, drawn serially from the master RNG.
-        let ctx = EvalCtx {
-            jobs,
-            spec,
-            table,
-            weight_sum: weight_sum(jobs),
-        };
-        let slot_seeds: Vec<u64> = (0..templates.len()).map(|_| rng.next_u64()).collect();
-        let built = parallel_map(templates.len(), threads, |i| {
-            let (template, fresh) = &templates[i];
-            self.init_member(template, *fresh, slot_seeds[i], &ctx)
-        });
-        let mut members = Vec::with_capacity(built.len());
-        let mut fitnesses = Vec::with_capacity(built.len());
-        for (m, s) in built {
-            run_stats.absorb(s);
-            fitnesses.push(m.fitness);
-            members.push(m);
-        }
-
-        let mut best_so_far = fitnesses.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let weight_sum = weight_sum(jobs);
+        let mut workspaces: Vec<GaWorkspace> = Vec::new();
+        workspaces.resize_with(self.config.threads.max(1), GaWorkspace::default);
+        let mut run_stats = GaRunStats::default();
+        // `members[..live]` is the population; the buffers behind it
+        // are last generation's losers, overwritten by the offspring.
+        let mut live = 0;
+        let mut fitnesses: Vec<f64> = Vec::new();
+        let mut slot_seeds: Vec<u64> = Vec::new();
+        let mut order: Vec<usize> = Vec::new();
+        let mut ranked: Vec<Member> = Vec::new();
+        let mut best_so_far = f64::NEG_INFINITY;
         let mut stale_gens = 0usize;
-        for _gen in 0..self.config.generations {
-            run_stats.generations_run += 1;
-            // One mutated copy per member plus `pop_size` crossover
-            // children; again one serial seed draw per slot.
-            let num_offspring = members.len() + pop_size;
-            let slot_seeds: Vec<u64> = (0..num_offspring).map(|_| rng.next_u64()).collect();
-            let offspring = parallel_map(num_offspring, threads, |i| {
-                self.offspring_member(i, slot_seeds[i], &members, &fitnesses, &ctx)
+        // Round 0 builds the initial population; every later round is
+        // a generation: one mutated copy per member plus `pop_size`
+        // crossover children, then survival.
+        for generation in 0..=self.config.generations {
+            let num_slots = if generation == 0 {
+                members.len()
+            } else {
+                run_stats.generations_run += 1;
+                run_stats.incremental_evals += (live + pop_size) as u64;
+                live + pop_size
+            };
+            // One seed per slot, drawn serially from the master RNG.
+            slot_seeds.clear();
+            slot_seeds.extend((0..num_slots).map(|_| rng.next_u64()));
+            members.resize_with(live + num_slots, || {
+                template(AllocationMatrix::zeros(num_jobs, num_nodes))
             });
-            for (m, s) in offspring {
-                run_stats.absorb(s);
-                fitnesses.push(m.fitness);
-                members.push(m);
+            let (parents, slots) = members.split_at_mut(live);
+            let ctx = EvalCtx {
+                jobs,
+                spec,
+                table,
+                weight_sum,
+                first_fresh,
+                parents,
+                fitnesses: &fitnesses,
+                slot_seeds: &slot_seeds,
+            };
+            parallel_for_each_mut(slots, &mut workspaces, |ws, i, child| {
+                self.build_member(i, &ctx, ws, child)
+            });
+            run_stats.fitness_evals += num_slots as u64;
+            fitnesses.extend(slots.iter().map(|m| m.fitness));
+            if generation == 0 {
+                live = members.len();
+                best_so_far = fitnesses.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                continue;
             }
 
-            // Survival: keep the top `pop_size`. The sort is stable, so
-            // fitness ties break by slot index — deterministically.
-            let mut idx: Vec<usize> = (0..members.len()).collect();
-            idx.sort_by(|&a, &b| {
-                fitnesses[b]
-                    .partial_cmp(&fitnesses[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
+            // Survival: the top `pop_size` move to the front. Fitter
+            // first, NaN last, ties by slot index: a total order, and
+            // for finite fitnesses that of a stable descending sort.
+            order.clear();
+            order.extend(0..members.len());
+            order.sort_unstable_by(|&a, &b| {
+                let (fa, fb) = (fitnesses[a], fitnesses[b]);
+                fb.partial_cmp(&fa)
+                    .unwrap_or_else(|| fa.is_nan().cmp(&fb.is_nan()))
+                    .then(a.cmp(&b))
             });
-            idx.truncate(pop_size);
-            let mut new_members = Vec::with_capacity(pop_size);
-            let mut new_fit = Vec::with_capacity(pop_size);
-            for &i in &idx {
-                new_members.push(members[i].clone());
-                new_fit.push(fitnesses[i]);
-            }
-            members = new_members;
-            fitnesses = new_fit;
+            ranked.clear();
+            ranked.extend(order.iter().map(|&i| std::mem::take(&mut members[i])));
+            std::mem::swap(&mut members, &mut ranked);
+            live = pop_size;
+            fitnesses.clear();
+            fitnesses.extend(members[..live].iter().map(|m| m.fitness));
 
             if self.config.early_stop_gens > 0 {
                 let best_now = fitnesses.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -503,6 +475,11 @@ impl GeneticAlgorithm {
                 }
             }
         }
+        run_stats.rows_recomputed = workspaces.iter().map(|ws| ws.rows_recomputed).sum();
+        table.record_lookups(
+            workspaces.iter().map(|ws| ws.table_hits).sum(),
+            workspaces.iter().map(|ws| ws.table_misses).sum(),
+        );
 
         let best_idx = fitnesses
             .iter()
@@ -510,6 +487,7 @@ impl GeneticAlgorithm {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(0);
+        members.truncate(live);
         GaOutcome {
             best: members[best_idx].matrix.clone(),
             best_fitness: fitnesses[best_idx],
@@ -520,126 +498,138 @@ impl GeneticAlgorithm {
 }
 
 /// Repairs `m` into a feasible allocation (the Fig 5 repair step),
-/// shared by the genetic algorithm and the local-search backend. See
-/// [`GeneticAlgorithm::repair`] for the step-by-step description.
+/// shared by the genetic algorithm and the local-search backend:
+///
+/// 1. per-job scale caps — random decrements until `K ≤ gpu_cap`;
+/// 2. node capacities — random decrements within over-capacity
+///    columns;
+/// 3. optionally, interference avoidance — on every node hosting two
+///    or more distributed jobs, one random one keeps its GPUs there
+///    and the others lose theirs (Sec. 4.2.1), nodes in random order.
+///    Evicting a distributed job's GPUs from a node never creates a
+///    *new* distributed job, so one pass suffices;
+/// 4. per-job minimums — rows left with `0 < K < min_gpus` are zeroed
+///    (the job stays pending rather than holding useless GPUs).
+///
+/// One row-major pass gathers `K_j`, `N_j`, the column sums and each
+/// column's holders; every later decrement keeps them current, so no
+/// step rescans the matrix. The random draws — which, in which order,
+/// from lists in which order — are the contract (DESIGN.md §3.1).
+/// Rows the repair rewrites are marked in `ws`.
 pub fn repair_matrix<R: Rng>(
     m: &mut AllocationMatrix,
     jobs: &[SchedJob],
     spec: &ClusterSpec,
     interference_avoidance: bool,
     rng: &mut R,
+    ws: &mut GaWorkspace,
 ) {
-    repair_matrix_impl(m, jobs, spec, interference_avoidance, rng, None);
-}
+    let (num_jobs, num_nodes) = (m.num_jobs(), m.num_nodes());
+    assert!(jobs.len() <= num_jobs, "allocation matrix too small");
+    ws.row_gpus.clear();
+    ws.row_nodes.clear();
+    ws.col_gpus.clear();
+    ws.col_gpus.resize(num_nodes, 0);
+    ws.col_jobs.clear();
+    ws.col_jobs.resize(num_nodes, 0);
+    if ws.holders.len() < num_jobs * num_nodes {
+        ws.holders.resize(num_jobs * num_nodes, 0);
+    }
 
-/// [`repair_matrix`] that additionally marks every row it modifies in
-/// `touched` (rows at indices ≥ `touched.len()` are repaired but not
-/// marked). Draws the identical RNG stream as the untracked variant,
-/// so swapping between them never changes the repair outcome.
-pub fn repair_matrix_tracked<R: Rng>(
-    m: &mut AllocationMatrix,
-    jobs: &[SchedJob],
-    spec: &ClusterSpec,
-    interference_avoidance: bool,
-    rng: &mut R,
-    touched: &mut [bool],
-) {
-    repair_matrix_impl(m, jobs, spec, interference_avoidance, rng, Some(touched));
-}
-
-fn repair_matrix_impl<R: Rng>(
-    m: &mut AllocationMatrix,
-    jobs: &[SchedJob],
-    spec: &ClusterSpec,
-    interference_avoidance: bool,
-    rng: &mut R,
-    mut touched: Option<&mut [bool]>,
-) {
-    let num_nodes = m.num_nodes();
-    let mark = |t: &mut Option<&mut [bool]>, j: usize| {
-        if let Some(t) = t.as_deref_mut() {
-            if j < t.len() {
-                t[j] = true;
+    // The pass, with step 1 applied to each row before it is entered
+    // into the column sums: single-GPU decrements at random occupied
+    // nodes, O(excess + nodes) per job.
+    for j in 0..num_jobs {
+        ws.picks.clear();
+        let mut k = 0;
+        for (n, &g) in m.row(j).iter().enumerate() {
+            if g > 0 {
+                k += g;
+                ws.picks.push(n);
             }
         }
-    };
+        let cap = jobs.get(j).map_or(u32::MAX, |job| job.gpu_cap);
+        if k > cap {
+            mark(&mut ws.touched, j);
+            for _ in cap..k {
+                let pick = rng.gen_range(0..ws.picks.len());
+                let n = ws.picks[pick];
+                let left = m.get(j, n) - 1;
+                m.set(j, n, left);
+                if left == 0 {
+                    ws.picks.swap_remove(pick);
+                }
+            }
+            k = cap;
+        }
+        ws.row_gpus.push(k);
+        ws.row_nodes.push(ws.picks.len() as u32);
+        let row = m.row(j);
+        for &n in ws.picks.iter() {
+            ws.col_gpus[n] += row[n];
+            ws.holders[n * num_jobs + ws.col_jobs[n]] = j as u32;
+            ws.col_jobs[n] += 1;
+        }
+    }
 
-    // Step 1: per-job scale caps. Random single-GPU decrements, but
-    // batched so the whole step is O(excess + nodes) per job.
-    for (j, job) in jobs.iter().enumerate() {
-        let k = m.gpus_of(j);
-        if k <= job.gpu_cap {
+    // Step 2. A holder decremented to zero stays in its column's list
+    // (step 3 rechecks the cell), so the lists stay in row order.
+    for n in 0..num_nodes.min(spec.num_nodes()) {
+        let cap = spec.gpus_on(NodeId(n as u32));
+        if ws.col_gpus[n] <= cap {
             continue;
         }
-        mark(&mut touched, j);
-        let mut excess = k - job.gpu_cap;
-        let mut occupied: Vec<usize> = (0..num_nodes).filter(|&n| m.get(j, n) > 0).collect();
-        while excess > 0 {
-            let pick = rng.gen_range(0..occupied.len());
-            let n = occupied[pick];
+        let column = &ws.holders[n * num_jobs..][..ws.col_jobs[n]];
+        ws.picks.clear();
+        ws.picks.extend(column.iter().map(|&j| j as usize));
+        for _ in cap..ws.col_gpus[n] {
+            let pick = rng.gen_range(0..ws.picks.len());
+            let j = ws.picks[pick];
             let left = m.get(j, n) - 1;
             m.set(j, n, left);
+            mark(&mut ws.touched, j);
+            ws.row_gpus[j] -= 1;
             if left == 0 {
-                occupied.swap_remove(pick);
+                ws.picks.swap_remove(pick);
+                ws.row_nodes[j] -= 1;
             }
-            excess -= 1;
         }
     }
 
-    // Step 3: node capacities — random decrements within
-    // over-capacity columns (Fig 5's repair step), batched the same
-    // way.
-    for node in m.over_capacity_nodes(spec) {
-        let n = node.index();
-        let cap = spec.gpus_on(node);
-        let mut excess = m.gpus_used_on(n) - cap;
-        let mut holders: Vec<usize> = (0..m.num_jobs()).filter(|&j| m.get(j, n) > 0).collect();
-        while excess > 0 {
-            let pick = rng.gen_range(0..holders.len());
-            let j = holders[pick];
-            let left = m.get(j, n) - 1;
-            m.set(j, n, left);
-            mark(&mut touched, j);
-            if left == 0 {
-                holders.swap_remove(pick);
-            }
-            excess -= 1;
-        }
-    }
-
-    // Step 4: interference avoidance in a single random-order pass.
-    // Evicting a distributed job's GPUs from a node never creates a
-    // *new* distributed job, so one pass suffices.
+    // Step 3. A node with fewer than two holders cannot host two
+    // distributed jobs; skipping it draws nothing, as finding at most
+    // one distributed job on it never did.
     if interference_avoidance {
-        let mut nodes_of: Vec<u32> = (0..m.num_jobs()).map(|j| m.nodes_of(j)).collect();
-        let mut order: Vec<usize> = (0..num_nodes).collect();
-        order.shuffle(rng);
-        for &n in &order {
-            let mut distributed: Vec<usize> = (0..m.num_jobs())
-                .filter(|&j| m.get(j, n) > 0 && nodes_of[j] > 1)
-                .collect();
-            if distributed.len() <= 1 {
+        ws.order.clear();
+        ws.order.extend(0..num_nodes);
+        ws.order.shuffle(rng);
+        for &n in ws.order.iter().filter(|&&n| ws.col_jobs[n] >= 2) {
+            let column = ws.holders[n * num_jobs..][..ws.col_jobs[n]].iter();
+            ws.picks.clear();
+            ws.picks.extend(
+                column
+                    .map(|&j| j as usize)
+                    .filter(|&j| ws.row_nodes[j] > 1 && m.get(j, n) > 0),
+            );
+            if ws.picks.len() <= 1 {
                 continue;
             }
-            // Keep one random distributed job on this node; evict
-            // the others' GPUs from it.
-            let keep = rng.gen_range(0..distributed.len());
-            distributed.swap_remove(keep);
-            for j in distributed {
+            let keep = rng.gen_range(0..ws.picks.len());
+            ws.picks.swap_remove(keep);
+            for &j in ws.picks.iter() {
+                ws.row_gpus[j] -= m.get(j, n);
+                ws.row_nodes[j] -= 1;
                 m.set(j, n, 0);
-                nodes_of[j] -= 1;
-                mark(&mut touched, j);
+                mark(&mut ws.touched, j);
             }
         }
     }
 
-    // Step 2 last: zero rows that ended up below their minimum
-    // (possibly due to the earlier decrements).
+    // Step 4, last: earlier decrements can leave a row below minimum.
     for (j, job) in jobs.iter().enumerate() {
-        let k = m.gpus_of(j);
-        if k > 0 && k < job.min_gpus {
-            m.set_row(j, vec![0; num_nodes]);
-            mark(&mut touched, j);
+        if ws.row_gpus[j] > 0 && ws.row_gpus[j] < job.min_gpus {
+            m.clear_row(j);
+            mark(&mut ws.touched, j);
         }
     }
 }
@@ -681,6 +671,17 @@ mod tests {
         SpeedupTable::build(jobs, spec, 1)
     }
 
+    fn repair(
+        g: &GeneticAlgorithm,
+        m: &mut AllocationMatrix,
+        jobs: &[SchedJob],
+        spec: &ClusterSpec,
+        rng: &mut StdRng,
+    ) {
+        let avoid = g.config().interference_avoidance;
+        repair_matrix(m, jobs, spec, avoid, rng, &mut GaWorkspace::default());
+    }
+
     #[test]
     fn repair_enforces_node_capacity() {
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
@@ -690,7 +691,7 @@ mod tests {
         m.set(0, 0, 4);
         m.set(1, 0, 4);
         m.set(2, 0, 4);
-        ga(0).repair(&mut m, &jobs, &spec, &mut rng);
+        repair(&ga(0), &mut m, &jobs, &spec, &mut rng);
         assert!(m.is_feasible(&spec));
     }
 
@@ -705,7 +706,7 @@ mod tests {
         for n in 0..4 {
             m.set(0, n, 4);
         }
-        ga(0).repair(&mut m, &jobs, &spec, &mut rng);
+        repair(&ga(0), &mut m, &jobs, &spec, &mut rng);
         assert!(m.gpus_of(0) <= 2);
     }
 
@@ -718,7 +719,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut m = AllocationMatrix::zeros(1, 4);
         m.set(0, 0, 2);
-        ga(0).repair(&mut m, &jobs, &spec, &mut rng);
+        repair(&ga(0), &mut m, &jobs, &spec, &mut rng);
         assert_eq!(m.gpus_of(0), 0);
     }
 
@@ -733,7 +734,7 @@ mod tests {
         m.set(0, 1, 2);
         m.set(1, 1, 2);
         m.set(1, 2, 2);
-        ga(0).repair(&mut m, &jobs, &spec, &mut rng);
+        repair(&ga(0), &mut m, &jobs, &spec, &mut rng);
         assert!(m.satisfies_interference_avoidance());
         assert!(m.is_feasible(&spec));
     }
@@ -753,56 +754,44 @@ mod tests {
         m.set(0, 1, 2);
         m.set(1, 1, 2);
         m.set(1, 2, 2);
-        g.repair(&mut m, &jobs, &spec, &mut rng);
+        repair(&g, &mut m, &jobs, &spec, &mut rng);
         // Feasible but interference untouched.
         assert!(m.is_feasible(&spec));
         assert!(!m.satisfies_interference_avoidance());
     }
 
-    #[test]
-    fn tracked_repair_matches_untracked_and_marks_modified_rows() {
-        let spec = ClusterSpec::homogeneous(3, 4).unwrap();
-        let jobs: Vec<SchedJob> = (0..4).map(|i| job(i, 1000.0)).collect();
-        let mut wild = AllocationMatrix::zeros(4, 3);
-        for j in 0..4 {
-            for n in 0..3 {
-                wild.set(j, n, 3);
-            }
+    fn member(matrix: AllocationMatrix) -> Member {
+        Member {
+            contrib: vec![0.0; matrix.num_jobs()],
+            matrix,
+            ..Default::default()
         }
-        let mut plain = wild.clone();
-        let mut tracked = wild.clone();
-        let mut touched = vec![false; 4];
-        let mut rng_a = StdRng::seed_from_u64(21);
-        let mut rng_b = StdRng::seed_from_u64(21);
-        repair_matrix(&mut plain, &jobs, &spec, true, &mut rng_a);
-        repair_matrix_tracked(&mut tracked, &jobs, &spec, true, &mut rng_b, &mut touched);
-        assert_eq!(
-            plain, tracked,
-            "tracked repair must not change the RNG path"
-        );
-        // Every row that differs from the input must be marked.
-        for (j, &mark) in touched.iter().enumerate() {
-            if tracked.row(j) != wild.row(j) {
-                assert!(mark, "row {j} modified but unmarked");
-            }
-        }
-        assert!(touched.iter().any(|&t| t), "the wild matrix needed repair");
     }
 
     #[test]
     fn crossover_rows_come_from_parents() {
-        let g = ga(0);
         let mut rng = StdRng::seed_from_u64(6);
-        let mut a = AllocationMatrix::zeros(3, 2);
-        let mut b = AllocationMatrix::zeros(3, 2);
+        let mut a = member(AllocationMatrix::zeros(3, 2));
+        let mut b = member(AllocationMatrix::zeros(3, 2));
         for j in 0..3 {
-            a.set(j, 0, 1);
-            b.set(j, 1, 2);
+            a.matrix.set(j, 0, 1);
+            a.contrib[j] = 1.0;
+            b.matrix.set(j, 1, 2);
+            b.contrib[j] = 2.0;
         }
-        let c = g.crossover(&a, &b, &mut rng);
+        let mut c = member(AllocationMatrix::zeros(3, 2));
+        GeneticAlgorithm::crossover(&a, &b, &mut c, &mut rng);
         for j in 0..3 {
-            let row = c.row(j);
-            assert!(row == a.row(j) || row == b.row(j));
+            let from = if c.matrix.row(j) == a.matrix.row(j) {
+                &a
+            } else {
+                &b
+            };
+            assert_eq!(c.matrix.row(j), from.matrix.row(j));
+            assert_eq!(
+                c.contrib[j], from.contrib[j],
+                "contribution follows its row"
+            );
         }
     }
 
@@ -1041,104 +1030,6 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
             #[test]
-            fn repair_always_produces_feasible_matrices(
-                (rows, caps, num_nodes, gpus_per_node, seed) in arbitrary_world()
-            ) {
-                let spec = ClusterSpec::homogeneous(num_nodes, gpus_per_node).unwrap();
-                let jobs: Vec<SchedJob> = caps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(min_gpus, cap))| {
-                        let mut j = job(i as u32, 1000.0);
-                        j.min_gpus = min_gpus;
-                        j.gpu_cap = cap.max(min_gpus);
-                        j
-                    })
-                    .collect();
-                let mut m =
-                    AllocationMatrix::from_rows(rows, num_nodes as usize).unwrap();
-                let mut rng = StdRng::seed_from_u64(seed);
-                ga(0).repair(&mut m, &jobs, &spec, &mut rng);
-
-                // 1. Node capacities hold.
-                prop_assert!(m.is_feasible(&spec), "infeasible:\n{m}");
-                // 2. Interference avoidance holds.
-                prop_assert!(m.satisfies_interference_avoidance(), "interference:\n{m}");
-                // 3. Per-job bounds hold: K = 0 or min <= K <= cap.
-                for (j, job) in jobs.iter().enumerate() {
-                    let k = m.gpus_of(j);
-                    prop_assert!(
-                        k == 0 || (k >= job.min_gpus && k <= job.gpu_cap),
-                        "job {j}: K = {k}, min = {}, cap = {}",
-                        job.min_gpus,
-                        job.gpu_cap
-                    );
-                }
-            }
-
-            #[test]
-            fn repair_never_adds_gpus(
-                (rows, caps, num_nodes, gpus_per_node, seed) in arbitrary_world()
-            ) {
-                let spec = ClusterSpec::homogeneous(num_nodes, gpus_per_node).unwrap();
-                let jobs: Vec<SchedJob> = caps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(min_gpus, cap))| {
-                        let mut j = job(i as u32, 1000.0);
-                        j.min_gpus = min_gpus;
-                        j.gpu_cap = cap.max(min_gpus);
-                        j
-                    })
-                    .collect();
-                let m0 = AllocationMatrix::from_rows(rows, num_nodes as usize).unwrap();
-                let mut m = m0.clone();
-                let mut rng = StdRng::seed_from_u64(seed);
-                ga(0).repair(&mut m, &jobs, &spec, &mut rng);
-                // Repair only removes GPUs, never grants new ones.
-                for j in 0..m.num_jobs() {
-                    for n in 0..m.num_nodes() {
-                        prop_assert!(m.get(j, n) <= m0.get(j, n));
-                    }
-                }
-            }
-
-            #[test]
-            fn tracked_repair_is_bit_identical_and_conservative(
-                (rows, caps, num_nodes, gpus_per_node, seed) in arbitrary_world()
-            ) {
-                // The tracked variant must repair to the identical
-                // matrix (same RNG stream) and mark every modified row.
-                let spec = ClusterSpec::homogeneous(num_nodes, gpus_per_node).unwrap();
-                let jobs: Vec<SchedJob> = caps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(min_gpus, cap))| {
-                        let mut j = job(i as u32, 1000.0);
-                        j.min_gpus = min_gpus;
-                        j.gpu_cap = cap.max(min_gpus);
-                        j
-                    })
-                    .collect();
-                let wild = AllocationMatrix::from_rows(rows, num_nodes as usize).unwrap();
-                let mut plain = wild.clone();
-                let mut tracked = wild.clone();
-                let mut touched = vec![false; jobs.len()];
-                let mut rng_a = StdRng::seed_from_u64(seed);
-                let mut rng_b = StdRng::seed_from_u64(seed);
-                repair_matrix(&mut plain, &jobs, &spec, true, &mut rng_a);
-                repair_matrix_tracked(
-                    &mut tracked, &jobs, &spec, true, &mut rng_b, &mut touched,
-                );
-                prop_assert_eq!(&plain, &tracked);
-                for (j, &mark) in touched.iter().enumerate() {
-                    if tracked.row(j) != wild.row(j) {
-                        prop_assert!(mark, "row {} modified but unmarked", j);
-                    }
-                }
-            }
-
-            #[test]
             fn mutation_stays_within_node_capacity(
                 (rows, _caps, num_nodes, gpus_per_node, seed) in arbitrary_world()
             ) {
@@ -1156,7 +1047,7 @@ mod tests {
                     }
                 }
                 let mut rng = StdRng::seed_from_u64(seed);
-                ga(0).mutate(&mut m, &spec, &mut rng);
+                ga(0).mutate(&mut m, &spec, &mut rng, &mut GaWorkspace::default());
                 for j in 0..m.num_jobs() {
                     for n in 0..m.num_nodes() {
                         prop_assert!(m.get(j, n) <= gpus_per_node);
@@ -1186,12 +1077,15 @@ mod tests {
                 let g = ga(0);
                 let mut a =
                     AllocationMatrix::from_rows(rows_a, num_nodes as usize).unwrap();
-                g.repair(&mut a, &jobs, &spec, &mut rng);
+                repair(&g, &mut a, &jobs, &spec, &mut rng);
                 let mut b = a.clone();
-                g.mutate(&mut b, &spec, &mut rng);
-                g.repair(&mut b, &jobs, &spec, &mut rng);
-                let mut child = g.crossover(&a, &b, &mut rng);
-                g.repair(&mut child, &jobs, &spec, &mut rng);
+                g.mutate(&mut b, &spec, &mut rng, &mut GaWorkspace::default());
+                repair(&g, &mut b, &jobs, &spec, &mut rng);
+                let (a, b) = (member(a), member(b));
+                let mut child = member(AllocationMatrix::zeros(jobs.len(), num_nodes as usize));
+                GeneticAlgorithm::crossover(&a, &b, &mut child, &mut rng);
+                let mut child = child.matrix;
+                repair(&g, &mut child, &jobs, &spec, &mut rng);
                 prop_assert!(child.is_feasible(&spec), "infeasible child:\n{child}");
                 prop_assert!(child.satisfies_interference_avoidance());
                 for (j, job) in jobs.iter().enumerate() {

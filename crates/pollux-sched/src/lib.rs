@@ -55,11 +55,9 @@ pub use fitness::{
     contribution, contributions, fitness, fitness_of, fitness_with_cache, utility, weight_sum,
     FitnessConfig,
 };
-pub use ga::{
-    repair_matrix, repair_matrix_tracked, GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm,
-};
+pub use ga::{repair_matrix, GaConfig, GaOutcome, GaRunStats, GaWorkspace, GeneticAlgorithm};
 pub use local_search::{LocalSearch, LocalSearchConfig};
-pub use par::parallel_map;
+pub use par::{parallel_for_each_mut, parallel_map};
 pub use rackga::{assign_racks, home_rack};
 pub use scheduler::{PolluxSched, SchedConfig, SchedIntervalStats};
 pub use speedup::{CacheStats, SchedJob, SpeedupCache, SpeedupTable, SpeedupTableStats};

@@ -9,7 +9,7 @@
 //! climbing.
 
 use crate::fitness::{fitness, FitnessConfig};
-use crate::ga::repair_matrix;
+use crate::ga::{repair_matrix, GaWorkspace};
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
 use rand::Rng;
@@ -74,6 +74,7 @@ impl LocalSearch {
         let num_jobs = jobs.len();
         let num_nodes = spec.num_nodes();
         let avoid = self.config.interference_avoidance;
+        let mut ws = GaWorkspace::default();
 
         let mut best: Option<(AllocationMatrix, f64)> = None;
         for restart in 0..self.config.restarts.max(1) {
@@ -82,7 +83,7 @@ impl LocalSearch {
                 let mut m = AllocationMatrix::zeros(num_jobs, num_nodes);
                 for (j, job) in jobs.iter().enumerate() {
                     if job.current_placement.len() == num_nodes {
-                        m.set_row(j, job.current_placement.clone());
+                        m.copy_row(j, &job.current_placement);
                     }
                 }
                 m
@@ -96,7 +97,7 @@ impl LocalSearch {
                 }
                 m
             };
-            repair_matrix(&mut current, jobs, spec, avoid, rng);
+            repair_matrix(&mut current, jobs, spec, avoid, rng, &mut ws);
             let mut current_fit = fitness(jobs, &current, table, &self.config.fitness);
 
             for _ in 0..self.config.iterations {
@@ -112,7 +113,7 @@ impl LocalSearch {
                 }
                 let mut candidate = current.clone();
                 candidate.set(j, n, v);
-                repair_matrix(&mut candidate, jobs, spec, avoid, rng);
+                repair_matrix(&mut candidate, jobs, spec, avoid, rng, &mut ws);
                 let f = fitness(jobs, &candidate, table, &self.config.fitness);
                 if f > current_fit {
                     current = candidate;

@@ -9,6 +9,7 @@
 //! serial fallback, which runs inline without spawning.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Maps `f` over `0..n`, running on up to `threads` worker threads.
 ///
@@ -57,6 +58,45 @@ where
     indexed.into_iter().map(|(_, v)| v).collect()
 }
 
+/// Runs `f(state, i, &mut items[i])` for every item, on one worker per
+/// element of `states` (at most one per item), each owning its state
+/// for the whole call — the GA hands every worker a scratch workspace
+/// this way. Workers pull the next item from a shared queue. With one
+/// state (or one item) everything runs inline, in index order; the
+/// results are identical either way provided `f` treats its state as
+/// scratch and otherwise depends only on `i` and the item.
+///
+/// # Panics
+///
+/// Panics when `states` is empty, and propagates a worker's panic.
+pub fn parallel_for_each_mut<T, S, F>(items: &mut [T], states: &mut [S], f: F)
+where
+    T: Send,
+    S: Send,
+    F: Fn(&mut S, usize, &mut T) + Sync,
+{
+    let workers = states.len().min(items.len());
+    if workers <= 1 {
+        let state = states.first_mut().expect("at least one worker state");
+        for (i, item) in items.iter_mut().enumerate() {
+            f(state, i, item);
+        }
+        return;
+    }
+    let queue = Mutex::new(items.iter_mut().enumerate());
+    std::thread::scope(|scope| {
+        for state in &mut states[..workers] {
+            scope.spawn(|| loop {
+                // The guard is dropped before `f` runs, so a panic in
+                // `f` cannot poison the queue.
+                let next = queue.lock().expect("queue lock never poisoned").next();
+                let Some((i, item)) = next else { break };
+                f(state, i, item);
+            });
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,6 +107,22 @@ mod tests {
         for threads in [0, 1, 2, 4, 8, 300] {
             assert_eq!(parallel_map(257, threads, |i| i * 3), expect);
         }
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_with_a_private_state() {
+        for threads in [1usize, 2, 4, 300] {
+            let mut items = vec![0usize; 257];
+            let mut visits = vec![0usize; threads];
+            parallel_for_each_mut(&mut items, &mut visits, |seen, i, item| {
+                *item += i * 3 + 1;
+                *seen += 1;
+            });
+            let expect: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
+            assert_eq!(items, expect);
+            assert_eq!(visits.iter().sum::<usize>(), 257);
+        }
+        parallel_for_each_mut(&mut [] as &mut [usize], &mut [()], |_, _, _| {});
     }
 
     #[test]

@@ -18,6 +18,7 @@ use pollux_telemetry::{JobExplain, Recorder, RoundExplain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -204,6 +205,7 @@ impl PolluxSched {
         spec: &ClusterSpec,
         rng: &mut R,
     ) -> GaOutcome {
+        let jobs = &*with_usable_weights(jobs);
         // Two-phase rack search only when a real (multi-rack) topology
         // matching the cluster width is configured; everything else
         // falls through to the flat path untouched.
@@ -681,6 +683,29 @@ fn build_explain<F: Fn(usize, &SchedJob) -> (i64, i64)>(
     }
 }
 
+/// `jobs` with fairness weights the Eqn 14 mean can digest. One `∞`
+/// makes every fitness NaN and one NaN zeroes the weight sum, either
+/// of which silently turns the round's "best" into an arbitrary
+/// member; so a non-finite weight counts as 1 (what [`job_weight`]
+/// gives a job whose GPU-time is non-finite) and a negative one as 0.
+/// Finite non-negative weights — every round but a hostile one — are
+/// borrowed as they are.
+///
+/// [`job_weight`]: crate::weights::job_weight
+fn with_usable_weights(jobs: &[SchedJob]) -> Cow<'_, [SchedJob]> {
+    let usable = |w: f64| w.is_finite() && w >= 0.0;
+    if jobs.iter().all(|job| usable(job.weight)) {
+        return Cow::Borrowed(jobs);
+    }
+    let clamped = jobs.iter().cloned().map(|mut job| {
+        if !usable(job.weight) {
+            job.weight = if job.weight.is_finite() { 0.0 } else { 1.0 };
+        }
+        job
+    });
+    Cow::Owned(clamped.collect())
+}
+
 /// Adapts a saved population to a new job set and cluster width:
 /// surviving jobs keep their evolved rows (truncated or zero-padded to
 /// `num_nodes`), new jobs start with empty rows, and departed jobs'
@@ -708,9 +733,10 @@ fn reconcile_population(
             for (j, job) in jobs.iter().enumerate() {
                 if let Some(&oj) = old_index.get(&job.id) {
                     if oj < old.num_jobs() {
-                        let mut row = old.row(oj).to_vec();
-                        row.resize(num_nodes, 0);
-                        m.set_row(j, row);
+                        let kept = old.num_nodes().min(num_nodes);
+                        for (n, &g) in old.row(oj)[..kept].iter().enumerate() {
+                            m.set(j, n, g);
+                        }
                     }
                 }
             }
@@ -765,6 +791,33 @@ mod tests {
         for j in 0..3 {
             assert!(a.gpus_of(j) >= 1, "job {j} starved:\n{a}");
         }
+    }
+
+    #[test]
+    fn hostile_weights_are_clamped_not_propagated() {
+        let spec = ClusterSpec::homogeneous(4, 4).unwrap();
+        for topology in [None, Some(Topology::grouped(4, 2).unwrap())] {
+            for weight in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY, -1.0] {
+                let mut jobs: Vec<SchedJob> = (0..4).map(job).collect();
+                jobs[1].weight = weight;
+                let mut s = sched();
+                s.set_topology(topology.clone());
+                let mut rng = StdRng::seed_from_u64(6);
+                let out = s.optimize(&jobs, &spec, &mut rng);
+                assert!(
+                    out.best_fitness.is_finite() && out.best_fitness > 0.0,
+                    "weight {weight}: fitness {}",
+                    out.best_fitness
+                );
+                assert!(out.best.is_feasible(&spec));
+                assert!(out.best.satisfies_interference_avoidance());
+            }
+        }
+        // Usable weights, signed zero included, pass through as they are.
+        let mut jobs: Vec<SchedJob> = (0..2).map(job).collect();
+        jobs[0].weight = -0.0;
+        jobs[1].weight = 2.5;
+        assert!(matches!(with_usable_weights(&jobs), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -80,11 +80,7 @@ fn jobs(num_jobs: usize, num_nodes: usize) -> Vec<SchedJob> {
                 id: JobId(i as u32),
                 model: model(400.0 + 350.0 * i as f64),
                 min_gpus: 1 + (i % 3) as u32,
-                gpu_cap: if i % 4 == 1 {
-                    2 + (i % 4) as u32
-                } else {
-                    64
-                },
+                gpu_cap: if i % 4 == 1 { 2 + (i % 4) as u32 } else { 64 },
                 weight: 1.0 + (i % 5) as f64 * 0.2,
                 current_placement: current,
             }
@@ -211,6 +207,143 @@ fn evolve_outcomes_match_pinned_digests() {
                 "J={num_jobs} N={num_nodes} avoid={avoid} warm={warm} threads={threads}: \
                  0x{got:016x}"
             );
+        }
+    }
+}
+
+/// Pinned against the text `#[derive(Debug)]` rendered for the former
+/// `{ num_nodes, rows: Vec<Vec<u32>> }` layout.
+#[test]
+fn debug_text_matches_the_derived_rendering() {
+    let m = AllocationMatrix::from_rows(vec![vec![0, 3], vec![1, 0]], 2).unwrap();
+    assert_eq!(
+        format!("{m:?}"),
+        "AllocationMatrix { num_nodes: 2, rows: [[0, 3], [1, 0]] }"
+    );
+    assert_eq!(
+        format!("{m:#?}"),
+        "AllocationMatrix {\n    num_nodes: 2,\n    rows: [\n        [\n            0,\n            \
+         3,\n        ],\n        [\n            1,\n            0,\n        ],\n    ],\n}"
+    );
+    let no_jobs = AllocationMatrix::zeros(0, 3);
+    assert_eq!(
+        format!("{no_jobs:?}"),
+        "AllocationMatrix { num_nodes: 3, rows: [] }"
+    );
+    assert_eq!(
+        format!("{no_jobs:#?}"),
+        "AllocationMatrix {\n    num_nodes: 3,\n    rows: [],\n}"
+    );
+    let no_nodes = AllocationMatrix::zeros(2, 0);
+    assert_eq!(
+        format!("{no_nodes:?}"),
+        "AllocationMatrix { num_nodes: 0, rows: [[], []] }"
+    );
+    assert_eq!(
+        format!("{no_nodes:#?}"),
+        "AllocationMatrix {\n    num_nodes: 0,\n    rows: [\n        [],\n        [],\n    ],\n}"
+    );
+}
+
+mod properties {
+    use super::*;
+    use pollux::sched::{repair_matrix, GaWorkspace};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn matrix_ops_match_the_nested_vec_model(
+            num_nodes in 0usize..5,
+            ops in proptest::collection::vec((0usize..5, 0usize..8, 0usize..8, 0u32..9), 1..60),
+        ) {
+            let mut width = num_nodes;
+            let mut m = AllocationMatrix::zeros(2, width);
+            let mut model: Vec<Vec<u32>> = vec![vec![0; width]; 2];
+            for (kind, a, b, g) in ops {
+                match kind {
+                    0 if !model.is_empty() && width > 0 => {
+                        let (j, n) = (a % model.len(), b % width);
+                        m.set(j, n, g);
+                        model[j][n] = g;
+                    }
+                    1 if !model.is_empty() => {
+                        let j = a % model.len();
+                        let row: Vec<u32> = (0..width).map(|n| (n + b) as u32 * g % 7).collect();
+                        m.copy_row(j, &row);
+                        model[j] = row;
+                    }
+                    2 => {
+                        prop_assert_eq!(m.push_job(), model.len());
+                        model.push(vec![0; width]);
+                    }
+                    3 if !model.is_empty() => {
+                        m.remove_job(a % model.len());
+                        model.remove(a % model.len());
+                    }
+                    4 => {
+                        width = b % 6;
+                        m.resize_nodes(width);
+                        for row in &mut model {
+                            row.resize(width, 0);
+                        }
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(m.num_jobs(), model.len());
+                prop_assert_eq!(m.num_nodes(), width);
+                for (j, row) in model.iter().enumerate() {
+                    prop_assert_eq!(m.row(j), row.as_slice());
+                    prop_assert_eq!(m.gpus_of(j), row.iter().sum::<u32>());
+                }
+                for n in 0..width {
+                    prop_assert_eq!(m.gpus_used_on(n), model.iter().map(|r| r[n]).sum::<u32>());
+                }
+                prop_assert_eq!(&m, &AllocationMatrix::from_rows(model.clone(), width).unwrap());
+            }
+            if let Some(last) = model.len().checked_sub(1) {
+                m.clear_row(last);
+                prop_assert!(m.row(last).iter().all(|&g| g == 0));
+            }
+        }
+
+        #[test]
+        fn repair_output_is_feasible_and_tracked(
+            (rows, bounds, gpus_per_node) in (1usize..7, 1usize..6).prop_flat_map(|(j, n)| (
+                proptest::collection::vec(proptest::collection::vec(0u32..10, n), j),
+                proptest::collection::vec((1u32..4, 1u32..32), j),
+                2u32..6,
+            )),
+            avoid in 0u8..2,
+            seed in proptest::num::u64::ANY,
+        ) {
+            let avoid = avoid == 1;
+            let num_nodes = rows[0].len();
+            let spec = ClusterSpec::homogeneous(num_nodes as u32, gpus_per_node).unwrap();
+            let mut jobs = jobs(rows.len(), num_nodes);
+            for (job, &(min_gpus, cap)) in jobs.iter_mut().zip(&bounds) {
+                job.min_gpus = min_gpus;
+                job.gpu_cap = cap.max(min_gpus);
+            }
+            let wild = AllocationMatrix::from_rows(rows, num_nodes).unwrap();
+            let mut m = wild.clone();
+            let mut ws = GaWorkspace::default();
+            ws.track(jobs.len());
+            repair_matrix(&mut m, &jobs, &spec, avoid, &mut StdRng::seed_from_u64(seed), &mut ws);
+
+            prop_assert!(m.is_feasible(&spec), "over capacity:\n{m}");
+            prop_assert!(!avoid || m.satisfies_interference_avoidance(), "interference:\n{m}");
+            for (j, job) in jobs.iter().enumerate() {
+                let k = m.gpus_of(j);
+                prop_assert!(
+                    k == 0 || (job.min_gpus..=job.gpu_cap).contains(&k),
+                    "job {j}: K = {k} outside {}..={}", job.min_gpus, job.gpu_cap
+                );
+                // Repair only ever removes GPUs, and owns up to it.
+                prop_assert!(m.row(j).iter().zip(wild.row(j)).all(|(after, before)| after <= before));
+                prop_assert!(ws.touched()[j] || m.row(j) == wild.row(j), "row {j} changed unmarked");
+            }
         }
     }
 }
