@@ -169,9 +169,11 @@ impl PolluxAgent {
     }
 
     /// Commits a batched observation run opened by
-    /// [`begin_observation_run`](Self::begin_observation_run).
-    pub fn record_observation_run(&mut self, run: ObservationRun) {
-        self.profiler.record_run(run);
+    /// [`begin_observation_run`](Self::begin_observation_run); the run
+    /// stays open (see [`ThroughputProfiler::record_run`]). Returns
+    /// whether there was anything to write.
+    pub fn record_observation_run(&mut self, run: &mut ObservationRun) -> bool {
+        self.profiler.record_run(run)
     }
 
     /// Records the latest smoothed gradient statistics (from a

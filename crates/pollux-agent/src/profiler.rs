@@ -52,7 +52,8 @@ impl ObservationRun {
         self.added += 1;
     }
 
-    /// Number of samples this run has accepted so far.
+    /// Number of samples this run has accepted since it was opened or
+    /// last committed.
     pub fn accepted(&self) -> u64 {
         self.added
     }
@@ -91,10 +92,9 @@ impl ThroughputProfiler {
     /// Equivalence contract: a run behaves exactly like calling
     /// [`record`](Self::record) per sample — same validity filtering,
     /// same `sum += t` addition order, same "no entry is created until
-    /// a sample is accepted" rule — **provided** no other `record` /
-    /// `record_run` touches the same `(shape, batch_size)` key between
-    /// `begin_run` and `record_run` (the run snapshots the aggregate
-    /// and writes it back absolutely).
+    /// a sample is accepted" rule — **provided** nothing else writes
+    /// the same `(shape, batch_size)` key while the run is open (the
+    /// run snapshots the aggregate and writes it back absolutely).
     pub fn begin_run(&self, shape: PlacementShape, batch_size: u64) -> ObservationRun {
         let agg = self
             .samples
@@ -110,17 +110,24 @@ impl ThroughputProfiler {
     }
 
     /// Commits a batched observation run opened by
-    /// [`begin_run`](Self::begin_run). A run that accepted no samples
-    /// leaves the profiler untouched (no empty entry, no prior update),
-    /// exactly as a sequence of rejected [`record`](Self::record) calls
-    /// would.
-    pub fn record_run(&mut self, run: ObservationRun) {
+    /// [`begin_run`](Self::begin_run) and returns whether there was
+    /// anything to write. A run that accepted no samples leaves the
+    /// profiler untouched (no empty entry, no prior update), exactly
+    /// as a sequence of rejected [`record`](Self::record) calls would.
+    ///
+    /// The run stays open: it goes on from the aggregate it now shares
+    /// with the profiler, under the same contract as `begin_run`, so a
+    /// caller may keep one run per configuration and commit it only
+    /// when the profiler is about to be read.
+    pub fn record_run(&mut self, run: &mut ObservationRun) -> bool {
         if run.added == 0 {
-            return;
+            return false;
         }
         *self.samples.entry((run.shape, run.batch_size)).or_default() = run.agg;
         self.max_gpus_seen = self.max_gpus_seen.max(run.shape.gpus);
         self.max_nodes_seen = self.max_nodes_seen.max(run.shape.nodes);
+        run.added = 0;
+        true
     }
 
     /// Number of distinct configurations with at least one sample.
@@ -234,8 +241,39 @@ mod tests {
             run.observe(t);
         }
         assert_eq!(run.accepted(), 4);
-        batched.record_run(run);
+        batched.record_run(&mut run);
 
+        assert_eq!(per_sample, batched);
+        assert_eq!(
+            per_sample.mean_t_iter(shape(2, 1), 256).unwrap().to_bits(),
+            batched.mean_t_iter(shape(2, 1), 256).unwrap().to_bits(),
+        );
+    }
+
+    /// A run kept open across commits (the engine holds one per
+    /// running job, across chunks) ends with the bits of per-sample
+    /// recording, whether or not a commit falls between two samples.
+    #[test]
+    fn run_left_open_across_commits_matches_per_sample_recording() {
+        let samples = [0.21, 0.19, f64::NAN, 0.2, 0.23, 0.18];
+        let mut per_sample = ThroughputProfiler::new();
+        per_sample.record(shape(2, 1), 256, 0.4);
+        let mut batched = per_sample.clone();
+        let mut run = batched.begin_run(shape(2, 1), 256);
+        assert!(!batched.record_run(&mut run), "nothing to write yet");
+        for (i, &t) in samples.iter().enumerate() {
+            per_sample.record(shape(2, 1), 256, t);
+            run.observe(t);
+            // Commit after the second sample only: the third to sixth
+            // stay uncommitted across the boundary in between.
+            if i == 1 {
+                assert!(batched.record_run(&mut run));
+                assert_eq!(run.accepted(), 0);
+                assert_eq!(per_sample, batched);
+            }
+        }
+        assert_ne!(per_sample, batched, "four samples are still in the run");
+        assert!(batched.record_run(&mut run));
         assert_eq!(per_sample, batched);
         assert_eq!(
             per_sample.mean_t_iter(shape(2, 1), 256).unwrap().to_bits(),
@@ -250,7 +288,7 @@ mod tests {
         run.observe(f64::INFINITY);
         run.observe(-1.0);
         assert_eq!(run.accepted(), 0);
-        p.record_run(run);
+        p.record_run(&mut run);
         assert_eq!(p.num_configurations(), 0);
         assert_eq!(
             p.priors().max_gpus_seen,
@@ -262,7 +300,7 @@ mod tests {
         let mut run = p.begin_run(shape(1, 1), 0);
         run.observe(0.3);
         assert_eq!(run.accepted(), 0);
-        p.record_run(run);
+        p.record_run(&mut run);
         assert_eq!(p.num_samples(), 0);
     }
 
@@ -272,7 +310,7 @@ mod tests {
         let mut run = p.begin_run(shape(8, 2), 1024);
         run.observe(0.12);
         assert_eq!(run.shape(), shape(8, 2));
-        p.record_run(run);
+        p.record_run(&mut run);
         assert_eq!(p.priors().max_gpus_seen, 8);
         assert_eq!(p.priors().max_nodes_seen, 2);
         assert_eq!(p.num_samples(), 1);

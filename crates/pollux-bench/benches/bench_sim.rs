@@ -6,26 +6,18 @@
 //!    ([`Simulation::run_reference`]): every tick recomputes
 //!    interference, per-job iteration times, and records one profiler
 //!    sample through the `BTreeMap`;
-//! 2. `macro_step` — the event-horizon engine ([`Simulation::run`]):
-//!    per-job constants are hoisted once per macro-step and the
-//!    intervening ticks run in a tight inner loop;
+//! 2. `macro_step` — the event-sparse engine ([`Simulation::run`]):
+//!    per-job constants live in run contexts that only events rebuild,
+//!    and the ticks between event horizons run in a tight inner loop;
 //! 3. `macro_step_telemetry` — the same engine with a live
 //!    `MemorySink`-backed telemetry recorder attached, pricing the
 //!    instrumentation overhead (budget: ≤ 5 % over the bare engine).
 //!
-//! The two arms must produce **byte-identical** serialized
-//! `SimResult`s — the same contract the determinism suite pins — so
-//! the speedup below is a pure performance delta, never a trajectory
-//! change.
-//!
-//! A second, datacenter-scale scenario (256 nodes × 4 GPUs, 1 000
-//! jobs, 24 h horizon; a miniature in quick mode) compares the
-//! job-major chunk stepper ([`Simulation::run`]) against the retained
-//! tick-major chunk stepper ([`Simulation::run_tick_major`]) across an
-//! `engine_threads` sweep (1/2/4), again requiring byte-identical
-//! results from every arm at every thread count, and derives a
-//! per-phase wall-clock breakdown (chunk advance vs report/refit vs
-//! scheduling) from the engine's telemetry spans.
+//! The arms must produce **byte-identical** serialized `SimResult`s —
+//! the same contract the determinism suite pins — so the speedup below
+//! is a pure performance delta, never a trajectory change. The
+//! datacenter-scale engine numbers, with their per-layer breakdown,
+//! come from the repository benchmark's `dc_tiresias` workload.
 //!
 //! Not a criterion bench: a custom `main` so the measured numbers land
 //! in machine-readable form at `BENCH_sim.json` in the repo root. Set
@@ -192,103 +184,6 @@ fn measure(
     }
 }
 
-/// One datacenter-arm run: the chosen chunk stepper at the chosen
-/// `engine_threads` count, optionally with a live recorder for the
-/// phase breakdown.
-fn run_dc(
-    s: &Scenario,
-    wl: &[(JobSpec, UserConfig)],
-    tick_major: bool,
-    threads: usize,
-    sink: Option<&Arc<MemorySink>>,
-) -> (String, u128) {
-    let spec = ClusterSpec::homogeneous(s.nodes, s.gpus_per_node).unwrap();
-    let wl = wl.to_vec();
-    let cfg = SimConfig {
-        engine_threads: threads,
-        ..sim_config(s)
-    };
-    let recorder = sink.map(|s| Recorder::new(s.clone() as Arc<dyn pollux_telemetry::Sink>));
-    let start = Instant::now();
-    let mut sim =
-        Simulation::new(cfg, spec, FcfsPacked { gpus: 2 }, wl).expect("valid simulation inputs");
-    if let Some(recorder) = recorder {
-        sim = sim.with_recorder(recorder);
-    }
-    let result = if tick_major {
-        sim.run_tick_major()
-    } else {
-        sim.run()
-    };
-    let ns = start.elapsed().as_nanos();
-    let json = serde_json::to_string(&result).expect("SimResult serializes");
-    (json, ns)
-}
-
-/// Sums the engine's round spans out of a drained event stream. The
-/// chunk-advance phase carries no span of its own (it *is* the hot
-/// loop); callers derive it as `total - report - sched`.
-fn span_sums(events: &[pollux_telemetry::Event]) -> (u128, u128) {
-    let (mut report_ns, mut sched_ns) = (0u128, 0u128);
-    for e in events {
-        if let pollux_telemetry::Event::Span {
-            subsystem,
-            name,
-            dur_ns,
-            ..
-        } = e
-        {
-            if subsystem.as_ref() == "engine" {
-                match name.as_ref() {
-                    "report_round" => report_ns += *dur_ns as u128,
-                    "reschedule" => sched_ns += *dur_ns as u128,
-                    _ => {}
-                }
-            }
-        }
-    }
-    (report_ns, sched_ns)
-}
-
-struct DcArm {
-    name: &'static str,
-    threads: usize,
-    best_ns: u128,
-}
-
-struct DcPhases {
-    arm: &'static str,
-    total_ns: u128,
-    chunk_ns: u128,
-    report_ns: u128,
-    sched_ns: u128,
-}
-
-/// Measures one recorded run of a datacenter arm and splits its wall
-/// clock into chunk-advance / report-refit / scheduling phases.
-fn dc_phases(
-    s: &Scenario,
-    wl: &[(JobSpec, UserConfig)],
-    tick_major: bool,
-    name: &'static str,
-) -> (DcPhases, String) {
-    let sink = Arc::new(MemorySink::new(1 << 20));
-    let (json, total_ns) = run_dc(s, wl, tick_major, 1, Some(&sink));
-    assert_eq!(sink.dropped(), 0, "{name}: phase sink overflowed");
-    let (report_ns, sched_ns) = span_sums(&sink.drain());
-    let chunk_ns = total_ns.saturating_sub(report_ns + sched_ns);
-    (
-        DcPhases {
-            arm: name,
-            total_ns,
-            chunk_ns,
-            report_ns,
-            sched_ns,
-        },
-        json,
-    )
-}
-
 fn main() {
     let quick = std::env::var("BENCH_SIM_QUICK").is_ok_and(|v| v != "0");
     let (scenario, reps) = if quick {
@@ -311,7 +206,7 @@ fn main() {
                 window_hours: 48.0,
                 max_sim_time: 7.0 * 24.0 * 3600.0,
             },
-            3,
+            5,
         )
     };
 
@@ -374,106 +269,13 @@ fn main() {
         }
     }
 
-    // ---- Datacenter-scale arm: job-major vs tick-major chunk
-    // stepping with an engine_threads sweep and a per-phase breakdown.
-    let dc_scenario = if quick {
-        Scenario {
-            num_jobs: 100,
-            nodes: 32,
-            gpus_per_node: 4,
-            window_hours: 2.0,
-            max_sim_time: 6.0 * 3600.0,
-        }
-    } else {
-        Scenario {
-            num_jobs: 1000,
-            nodes: 256,
-            gpus_per_node: 4,
-            window_hours: 12.0,
-            max_sim_time: 24.0 * 3600.0,
-        }
-    };
-    let dc_reps = if quick { 1 } else { 2 };
-    let dc_wl = workload(&dc_scenario);
-    let mut dc_arms: Vec<DcArm> = Vec::new();
-    let mut dc_json: Option<String> = None;
-    let check =
-        |json: String, name: &str, threads: usize, baseline: &mut Option<String>| match baseline {
-            None => *baseline = Some(json),
-            Some(base) => {
-                if *base != json {
-                    let at = base
-                        .bytes()
-                        .zip(json.bytes())
-                        .position(|(a, b)| a != b)
-                        .unwrap_or_else(|| base.len().min(json.len()));
-                    panic!(
-                        "datacenter arm {name} (threads={threads}) diverged \
-                         from the first arm at byte {at}; run the determinism suite"
-                    );
-                }
-            }
-        };
-    for (name, tick_major, threads) in [
-        ("tick_major", true, 1usize),
-        ("job_major", false, 1),
-        ("job_major", false, 2),
-        ("job_major", false, 4),
-    ] {
-        let mut best_ns = u128::MAX;
-        for _ in 0..dc_reps {
-            let (json, ns) = run_dc(&dc_scenario, &dc_wl, tick_major, threads, None);
-            check(json, name, threads, &mut dc_json);
-            best_ns = best_ns.min(ns);
-        }
-        dc_arms.push(DcArm {
-            name,
-            threads,
-            best_ns,
-        });
-    }
-    // Phase breakdown: recorded single-threaded runs per stepper
-    // (span creation is priced inside the report/sched phases it
-    // labels; the chunk phase carries none). The two steppers are
-    // sampled from one interleaved loop — alternating order within
-    // each pair, keeping the fastest run per stepper — so slow machine
-    // phases cannot bias the chunk-speedup ratio toward either arm.
-    let mut tick_phases: Option<DcPhases> = None;
-    let mut job_phases: Option<DcPhases> = None;
-    for i in 0..dc_reps.max(2) {
-        let order = if i % 2 == 0 {
-            [true, false]
-        } else {
-            [false, true]
-        };
-        for tick_major in order {
-            let name = if tick_major {
-                "tick_major"
-            } else {
-                "job_major"
-            };
-            let (p, json) = dc_phases(&dc_scenario, &dc_wl, tick_major, name);
-            check(json, name, 1, &mut dc_json);
-            let slot = if tick_major {
-                &mut tick_phases
-            } else {
-                &mut job_phases
-            };
-            if slot.as_ref().is_none_or(|prev| p.total_ns < prev.total_ns) {
-                *slot = Some(p);
-            }
-        }
-    }
-    let tick_phases = tick_phases.expect("at least one recorded tick-major run");
-    let job_phases = job_phases.expect("at least one recorded job-major run");
-    let chunk_speedup = tick_phases.chunk_ns as f64 / job_phases.chunk_ns.max(1) as f64;
-
     let speedup = reference.best_ns as f64 / macro_step.best_ns as f64;
     let arms = [&reference, &macro_step, &telemetry];
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"bench\": \"bench_sim\",\n  \"quick\": {quick},\n  \"num_jobs\": {},\n  \"num_nodes\": {},\n  \"gpus_per_node\": {},\n  \"window_hours\": {:.1},\n  \"max_sim_days\": {:.2},\n  \"reps\": {reps},\n  \"results_identical\": true,\n  \"arms\": [\n",
+        "  \"bench\": \"bench_sim\",\n  \"quick\": {quick},\n  \"host_cpus\": {},\n  \"num_jobs\": {},\n  \"num_nodes\": {},\n  \"gpus_per_node\": {},\n  \"window_hours\": {:.1},\n  \"max_sim_days\": {:.2},\n  \"reps\": {reps},\n  \"results_identical\": true,\n  \"arms\": [\n",
+        std::thread::available_parallelism().map_or(1, usize::from),
         scenario.num_jobs,
         scenario.nodes,
         scenario.gpus_per_node,
@@ -490,42 +292,10 @@ fn main() {
         ));
     }
     out.push_str(&format!(
-        "  ],\n  \"speedup_macro_vs_reference\": {speedup:.2},\n  \"telemetry_enabled\": {},\n  \"telemetry_overhead_pct\": {overhead_pct:.2},\n",
+        "  ],\n  \"speedup_macro_vs_reference\": {speedup:.2},\n  \"telemetry_enabled\": {},\n  \"telemetry_overhead_pct\": {overhead_pct:.2}\n",
         cfg!(feature = "telemetry"),
     ));
-    out.push_str(&format!(
-        "  \"datacenter\": {{\n    \"num_jobs\": {},\n    \"num_nodes\": {},\n    \"gpus_per_node\": {},\n    \"max_sim_days\": {:.2},\n    \"reps\": {dc_reps},\n    \"results_identical\": true,\n    \"arms\": [\n",
-        dc_scenario.num_jobs,
-        dc_scenario.nodes,
-        dc_scenario.gpus_per_node,
-        dc_scenario.max_sim_time / 86_400.0,
-    ));
-    for (i, arm) in dc_arms.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{ \"name\": \"{}\", \"engine_threads\": {}, \"best_total_ns\": {}, \"ms\": {:.1} }}{}\n",
-            arm.name,
-            arm.threads,
-            arm.best_ns,
-            arm.best_ns as f64 / 1.0e6,
-            if i + 1 < dc_arms.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    ],\n    \"phases\": [\n");
-    let phase_rows = [&tick_phases, &job_phases];
-    for (i, p) in phase_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{ \"arm\": \"{}\", \"total_ms\": {:.1}, \"chunk_advance_ms\": {:.1}, \"report_refit_ms\": {:.1}, \"sched_ms\": {:.1} }}{}\n",
-            p.arm,
-            p.total_ns as f64 / 1.0e6,
-            p.chunk_ns as f64 / 1.0e6,
-            p.report_ns as f64 / 1.0e6,
-            p.sched_ns as f64 / 1.0e6,
-            if i + 1 < phase_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str(&format!(
-        "    ],\n    \"chunk_speedup_job_major_vs_tick_major\": {chunk_speedup:.2}\n  }}\n}}\n"
-    ));
+    out.push_str("}\n");
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
     std::fs::write(path, &out).expect("write BENCH_sim.json");
@@ -547,26 +317,6 @@ fn main() {
         assert!(
             overhead_pct <= 5.0,
             "telemetry recorder overhead exceeded the 5% budget (got {overhead_pct:.2}%)"
-        );
-        // Single-threaded, the job-major layout cannot pull far ahead
-        // of the tick-major sweep by construction: the determinism
-        // contract pins the per-tick efficiency math (a powf-dominated
-        // dependency chain) operand-for-operand in both steppers, and
-        // the block-interleaved stripes recover the same cross-job
-        // instruction-level parallelism the tick sweep gets for free.
-        // What job-major buys is block-local cache residency and,
-        // above all, the ability to fan stripes over `engine_threads`
-        // — which a single-vCPU bench host cannot exhibit. Measured
-        // single-threaded, the two layouts sit at parity within
-        // run-to-run noise (0.8-1.1x across runs on a shared host,
-        // since the derived chunk phase inherits the noise of three
-        // wall-clock terms). This floor guards against the layout
-        // *regressing* behind the tick-major baseline by more than
-        // that noise band.
-        assert!(
-            chunk_speedup >= 0.7,
-            "job-major chunk advancement regressed well behind the tick-major \
-             layout on the datacenter trace (got {chunk_speedup:.2}x)"
         );
     }
 }

@@ -160,8 +160,8 @@ impl JobLifecycle {
     }
 
     /// Overwrites attained service with a value the caller accumulated
-    /// out of band. The job-major simulator engine advances gputime in
-    /// a thread-private register over a whole chunk (seeded from
+    /// out of band. The simulator engine advances a running job's
+    /// gputime in that job's run context (seeded from
     /// [`Self::gputime`], advanced by the same `+=` sequence
     /// [`Self::accrue_gputime`] would have applied) and commits the
     /// result absolutely here, so the stored bits are identical to the

@@ -224,8 +224,8 @@ fn simulation_result_is_identical_across_sched_threads() {
     }
 }
 
-/// `engine_threads` parallelizes the job-major chunk loop and the
-/// report round's refit/tune fan-out; under the full Pollux stack (GA
+/// `engine_threads` parallelizes the report round's refit/tune
+/// fan-out; under the full Pollux stack (GA
 /// scheduling, batch adaptation, restarts, interference) it must not
 /// perturb one byte of the serialized result.
 #[test]

@@ -16,6 +16,18 @@
 //! spans, points, and timeline events are summed/collected over the
 //! whole file.
 //!
+//! The engine's counters, as the counter table lists them:
+//! `engine/chunks` and `engine/ticks` (chunks executed, ticks in
+//! them); `engine/mid_chunk_aborts` (chunks a job's finish ended
+//! before their event horizon); `engine/interference_recomputes`
+//! (slowdown vectors recomputed: one per chunk that follows a change
+//! to the interference index, none while interference is off);
+//! `engine/ctx_rebuilds` (run contexts opened or reopened by a grant,
+//! a wake-up, a new batch size or a changed slowdown);
+//! `engine/profiler_flushes` (open profiler runs written back with new
+//! samples: per job at most one per report round plus one per context
+//! rebuild); `engine/horizon_*` (which event bounded each chunk).
+//!
 //! Flags:
 //! - `--chrome-trace <out.json>`: also export the capture as a Chrome
 //!   trace (open in Perfetto / `chrome://tracing`). The export always

@@ -42,13 +42,13 @@ pub struct SimConfig {
     /// like the flat search.
     #[serde(default)]
     pub nodes_per_rack: u32,
-    /// Worker threads for the engine's own per-job work: the job-major
-    /// chunk advancement stripes and the report-round refit/tune
-    /// fan-out. `0` and `1` both mean fully serial (0 is the serde
-    /// default so configs predating the knob stay valid). Results are
-    /// byte-identical at any thread count — the engine draws all RNG
-    /// serially and commits per-job results in job order — so this is
-    /// purely a wall-clock knob.
+    /// Worker threads for the report rounds' refit/tune fan-out, and
+    /// nothing else: chunks are advanced serially (a mean chunk is
+    /// less work than one thread spawn). `0` and `1` both mean fully
+    /// serial (0 is the serde default so configs predating the knob
+    /// stay valid). Results are byte-identical at any thread count —
+    /// the engine draws all RNG serially and commits per-job results
+    /// in job order — so this is purely a wall-clock knob.
     #[serde(default)]
     pub engine_threads: usize,
     /// RNG seed for measurement noise and policy randomness.

@@ -1,33 +1,31 @@
 //! The discrete-time simulation engine.
 //!
-//! # Macro-stepped, job-major execution
+//! # Event-sparse execution
 //!
-//! [`Simulation::run`] does not iterate tick-by-tick. Between *event
-//! horizons* — the next arrival, restart-delay expiry, report tick,
-//! scheduling tick, earliest analytically-predicted job completion,
-//! and the simulation end — nothing a tick can observe changes except
-//! each job's own training progress and the per-tick measurement
-//! noise. So the engine computes per-job invariants once per
-//! macro-step (interference slowdown, iteration time, throughput, the
-//! profiler slot) and advances the intervening ticks **job-major**:
-//! each job's whole chunk runs as one tight loop over its private
-//! accumulators, making jobs independent work items for
-//! [`pollux_sched::parallel_map`]; see `Simulation::advance_chunk`
-//! for the exact contract. The previous tick-major macro inner loop is
-//! retained as [`Simulation::run_tick_major`] (the `bench_sim`
-//! comparison baseline), and the original per-tick stepper as
-//! [`Simulation::run_reference`].
+//! [`Simulation::run`] keeps one persistent *run context* per running
+//! job: the invariants its tick needs (interference slowdown,
+//! iteration time, throughput, the efficiency curve's constants), its
+//! hot accumulators, and an open profiler run. Placement, batch size
+//! and interference change only at scheduling rounds, report rounds,
+//! restart wake-ups and finishes, so a context is rebuilt by exactly
+//! those events (`Simulation::sync_context`) and by nothing else. Time
+//! advances in *chunks* between event horizons — the next arrival,
+//! restart-delay expiry, report tick, scheduling tick and the
+//! simulation end — and a chunk is one tick-major sweep over the
+//! contexts (`Simulation::advance_chunk`) that ends early after the
+//! tick in which a job finishes.
 //!
-//! The determinism contract is strict: for a fixed seed the
-//! macro-stepped engine produces a `SimResult` **bit-identical** to
-//! both retained steppers, at any `engine_threads` count (same RNG
-//! draw sequence, same f64 addition order per accumulator). The
-//! determinism suite in `tests/macro_step.rs` pins this with golden
-//! digests and reference-equality proptests.
+//! The original per-tick stepper is retained as
+//! [`Simulation::run_reference`], and the determinism contract is
+//! strict: for a fixed seed `run` produces a `SimResult`
+//! **bit-identical** to it (same RNG draw sequence, same f64 operands
+//! in the same order per accumulator). The suites in
+//! `tests/macro_step.rs` and the root `tests/engine_identity.rs` pin
+//! this with golden digests and reference-equality proptests.
 
 use crate::config::SimConfig;
 use crate::interference::InterferenceIndex;
-use crate::job::{JobState, SimJob};
+use crate::job::{EfficiencyStepper, JobState, SimJob};
 use crate::metrics::{
     ClusterSample, EventKind, JobRecord, JobSample, SchedIntervalSample, SchedulingEvent, SimResult,
 };
@@ -129,28 +127,29 @@ pub struct Simulation<P: SchedulingPolicy> {
     job_series: Vec<JobSample>,
     sched_stats: Vec<SchedIntervalSample>,
     node_seconds: f64,
-    /// Reused interference buffer, indexed by job (all jobs, not just
-    /// active ones, so stale entries can never alias a live index).
+    /// Interference slowdown per job, as of the last
+    /// [`Self::refresh_slowdowns`]. Jobs spawned since are past its
+    /// end and read as 0 — they hold no GPUs yet.
     slowdown: Vec<f64>,
+    /// The [`InterferenceIndex`] changed since `slowdown` was computed.
+    slowdowns_stale: bool,
     /// Incremental interference index: per-node occupant sets and
     /// per-job node counts, updated on placement deltas (reallocation,
-    /// finish, resize) so each macro-step's interference query costs
-    /// O(nodes + occupancy) instead of a full O(active · nodes)
-    /// placement rescan. Maintained on both steppers; only the macro
-    /// path reads it (the reference stepper keeps its verbatim scan).
+    /// finish, resize). Maintained on both steppers; only `run` reads
+    /// it (the reference stepper keeps its verbatim scan).
     interference: InterferenceIndex,
     /// Recycled (always empty) allocation for the per-interval policy
     /// views; see [`take_views`] / [`store_views`].
     view_buf: Vec<PolicyJobView<'static>>,
-    /// Recycled per-macro-step job contexts.
-    chunk_buf: Vec<ChunkCtx>,
-    /// Recycled per-tick finish list.
-    finished_buf: Vec<(usize, JobId)>,
-    /// Recycled measurement-noise buffer for the job-major chunk pass:
-    /// `truncated × n_run` eps values, drawn serially in the tick-major
-    /// RNG order but stored transposed (each running job's draws form
-    /// one contiguous column) so the per-job loop streams its column.
-    eps_buf: Vec<f64>,
+    /// One context per `Running` job, ascending by job index — the
+    /// order of the per-tick RNG draws. Kept current by
+    /// [`Self::sync_context`].
+    running: Vec<RunCtx>,
+    /// One entry per `Restarting` job, ascending by job index.
+    restarting: Vec<RestartCtx>,
+    /// False under [`Self::run_reference`], which keeps no contexts
+    /// and scans instead, so that the oracle shares none of this.
+    contexts_live: bool,
     /// Telemetry handle (disabled by default; see
     /// [`Simulation::with_recorder`]). Purely observational: the
     /// determinism suite proves a `SimResult` is bit-identical with
@@ -170,14 +169,21 @@ pub struct Simulation<P: SchedulingPolicy> {
 /// recorder is attached.
 #[derive(Default)]
 struct EngineTelemetry {
-    /// Macro-steps executed.
+    /// Chunks executed.
     chunks: Counter,
     /// Ticks advanced (sum of chunk lengths).
     ticks: Counter,
-    /// Chunks cut short by a mid-chunk job completion.
+    /// Chunks ended by a job finishing before their event horizon.
     mid_chunk_aborts: Counter,
-    /// Interference-vector recomputations (one per macro-step).
+    /// Slowdown-vector recomputations: one per chunk that follows a
+    /// change to the interference index, none while interference is
+    /// switched off.
     interference_recomputes: Counter,
+    /// Run contexts opened or reopened (a grant, a wake-up, a new
+    /// batch size, a changed slowdown).
+    ctx_rebuilds: Counter,
+    /// Open profiler runs written back with new samples in them.
+    profiler_flushes: Counter,
     /// Which event horizon bounded each chunk.
     horizon_report: Counter,
     horizon_sched: Counter,
@@ -199,6 +205,8 @@ impl EngineTelemetry {
             ticks: rec.counter("engine", "ticks"),
             mid_chunk_aborts: rec.counter("engine", "mid_chunk_aborts"),
             interference_recomputes: rec.counter("engine", "interference_recomputes"),
+            ctx_rebuilds: rec.counter("engine", "ctx_rebuilds"),
+            profiler_flushes: rec.counter("engine", "profiler_flushes"),
             horizon_report: rec.counter("engine", "horizon_report"),
             horizon_sched: rec.counter("engine", "horizon_sched"),
             horizon_arrival: rec.counter("engine", "horizon_arrival"),
@@ -210,24 +218,20 @@ impl EngineTelemetry {
     }
 }
 
-/// Per-job invariants hoisted for one macro-step: between event
-/// horizons everything here is constant — placement, batch size, and
-/// interference only change on boundaries, and the chunk aborts at the
-/// first job completion. Statistical efficiency is *not* hoisted: it
-/// depends on the job's own progress, which moves every tick.
-struct ChunkCtx {
+/// What one running job's tick needs, kept from the event that opened
+/// it to the next event that changes one of its inputs (see
+/// [`Simulation::sync_context`]). Statistical efficiency is not an
+/// invariant — it follows the job's own progress — so the context
+/// carries the curve's constants and evaluates it per tick.
+struct RunCtx {
     /// Index into `Simulation::jobs`.
     idx: usize,
-    /// GPU-seconds accrued per tick (`gpus · dt`).
-    gpu_dt: f64,
-    /// Present for `Running` jobs holding GPUs; `None` for
-    /// `Restarting` jobs, which only accrue GPU time.
-    run: Option<RunCtx>,
-}
-
-struct RunCtx {
-    /// Batch size in effect.
-    batch: u64,
+    /// The job's `progress`, `examples_processed` and attained
+    /// GPU-time. Advanced here and written back to the job at the end
+    /// of every chunk, so boundary code reads the job as before.
+    progress: f64,
+    examples: f64,
+    gputime: f64,
     /// Total work (examples at m0-efficiency) at which the job ends.
     work: f64,
     /// True throughput after interference (examples/s).
@@ -238,46 +242,59 @@ struct RunCtx {
     /// (`t_iter / (1 − slowdown)`; interference is indistinguishable
     /// from slowness to the agent).
     t_base: f64,
-    /// This job's column in the chunk's eps buffer: its position among
-    /// the running contexts, in ascending job order.
-    col: usize,
-    /// Open profiler batch for this job's `(shape, batch)` key.
+    /// GPU-seconds accrued per tick (`gpus · dt`).
+    gpu_dt: f64,
+    /// The interference slowdown the three fields above were derived
+    /// from.
+    slow: f64,
+    /// Batch size in effect.
+    batch: u64,
+    /// The efficiency curve at `batch`.
+    efficiency: EfficiencyStepper,
+    /// Open profiler run for the job's `(shape, batch)` key, committed
+    /// only when the profiler is about to be read or the key changes.
     obs: ObservationRun,
 }
 
+impl RunCtx {
+    fn open(idx: usize, job: &mut SimJob, shape: PlacementShape, slow: f64, dt: f64) -> Self {
+        let batch = job.batch_size;
+        let t_iter = job.true_t_iter(shape, batch);
+        let throughput = (batch as f64 / t_iter) * (1.0 - slow);
+        Self {
+            idx,
+            progress: job.progress,
+            examples: job.examples_processed,
+            gputime: job.lifecycle.gputime(),
+            work: job.spec.work,
+            throughput,
+            tput_dt: throughput * dt,
+            t_base: t_iter / (1.0 - slow),
+            gpu_dt: shape.gpus as f64 * dt,
+            slow,
+            batch,
+            efficiency: EfficiencyStepper::new(job, batch),
+            obs: job.agent.begin_observation_run(shape, batch),
+        }
+    }
+}
+
+/// A job waiting out its restart delay: it only accrues GPU time.
+struct RestartCtx {
+    /// Index into `Simulation::jobs`.
+    idx: usize,
+    /// GPU-seconds accrued per tick (`gpus · dt`).
+    gpu_dt: f64,
+    /// When training resumes.
+    until: f64,
+}
+
 struct ChunkOutcome {
-    /// Ticks actually executed (≥ 1; short on early completion).
+    /// Ticks actually executed (≥ 1; short when a job finished).
     ticks: u64,
     /// Whether the simulation is over (no arrivals left, all jobs
     /// finished).
     exit: bool,
-}
-
-/// Per-job result of one job-major chunk stripe, computed against
-/// immutable state on a worker thread and committed serially in job
-/// order.
-struct JobOutcome {
-    /// The job's attained service after the chunk (seeded from the
-    /// chunk-start value, advanced by the identical per-tick `+=`
-    /// sequence, committed absolutely via `JobLifecycle::set_gputime`).
-    gputime: f64,
-    /// Present for running jobs; `None` for restarting ones, which
-    /// only accrue GPU time.
-    run: Option<RunOutcome>,
-}
-
-struct RunOutcome {
-    /// Training progress after the chunk.
-    progress: f64,
-    /// Raw examples processed after the chunk.
-    examples: f64,
-    /// Whether progress crossed the job's total work. By the
-    /// truncation pre-scan's construction this can only happen on the
-    /// chunk's final tick.
-    finished: bool,
-    /// The advanced profiler batch (clone of the context's snapshot,
-    /// fed the identical observation sequence).
-    obs: ObservationRun,
 }
 
 /// Serial phase-1 output of one report round entry: everything the
@@ -299,86 +316,18 @@ struct ReportPrep {
     tune_shape: Option<PlacementShape>,
 }
 
-/// Jobs per job-major work item. Each job's per-tick efficiency is a
-/// serial dependency chain (`progress → φ(progress) → progress`), so a
-/// one-job stripe is latency-bound on that chain; interleaving a small
-/// fixed block of independent jobs tick-by-tick keeps several chains
-/// in flight and makes the loop throughput-bound instead, exactly like
-/// the tick-major sweep — while the per-job working set (a block, not
-/// the whole cluster) stays cache-resident. The count is a fixed
-/// constant so the job → work-item mapping, and therefore the result,
-/// is independent of `engine_threads`.
-const STRIPE_BLOCK: usize = 8;
-
-/// Advances one block of up to [`STRIPE_BLOCK`] jobs over the whole
-/// (truncated) chunk: the job-major inner loop. Pure — reads the
-/// frozen contexts/jobs and returns per-job accumulators.
-///
-/// The loop is tick-outer *within the block* for instruction-level
-/// parallelism (see [`STRIPE_BLOCK`]), but every accumulator is
-/// per-job: each job's `progress`, `examples`, `gputime`, and profiler
-/// sum advance by operand-for-operand the tick-major sequence
-/// (efficiency at the job's own moving progress, then the `+=`
-/// accumulations, then the noisy observation). Accumulators of
-/// different jobs never interact, so interleaving leaves every job's
-/// bits identical to a standalone fold.
-fn advance_job_block(
-    block: &[ChunkCtx],
-    jobs: &[SimJob],
-    tlen: usize,
-    eps: &[f64],
-    dt: f64,
-) -> [Option<JobOutcome>; STRIPE_BLOCK] {
-    debug_assert!(!block.is_empty() && block.len() <= STRIPE_BLOCK);
-    let mut gputime = [0.0f64; STRIPE_BLOCK];
-    let mut progress = [0.0f64; STRIPE_BLOCK];
-    let mut examples = [0.0f64; STRIPE_BLOCK];
-    let mut obs: [Option<ObservationRun>; STRIPE_BLOCK] = Default::default();
-    for (k, ctx) in block.iter().enumerate() {
-        let job = &jobs[ctx.idx];
-        gputime[k] = job.lifecycle.gputime();
-        if let Some(rs) = &ctx.run {
-            progress[k] = job.progress;
-            examples[k] = job.examples_processed;
-            obs[k] = Some(rs.obs.clone());
+/// Makes `entry` the element at the position a binary search of the
+/// sorted `list` returned: replaces or inserts `Some`, removes on
+/// `None`.
+fn put_sorted<T>(list: &mut Vec<T>, at: Result<usize, usize>, entry: Option<T>) {
+    match (at, entry) {
+        (Ok(k), Some(entry)) => list[k] = entry,
+        (Err(k), Some(entry)) => list.insert(k, entry),
+        (Ok(k), None) => {
+            list.remove(k);
         }
+        (Err(_), None) => {}
     }
-    for t in 0..tlen {
-        for (k, ctx) in block.iter().enumerate() {
-            let Some(rs) = &ctx.run else {
-                // Restarting: only GPU time accrues, one add per tick.
-                gputime[k] += ctx.gpu_dt;
-                continue;
-            };
-            let job = &jobs[ctx.idx];
-            let eff = job.true_efficiency_at(progress[k], rs.batch);
-            progress[k] += rs.throughput * eff * dt;
-            examples[k] += rs.tput_dt;
-            gputime[k] += ctx.gpu_dt;
-            let eps_t = eps[rs.col * tlen + t];
-            obs[k]
-                .as_mut()
-                .expect("running ctx has an open run")
-                .observe(rs.t_base * (1.0 + eps_t));
-            debug_assert!(
-                progress[k] < rs.work || t + 1 == tlen,
-                "job crossed its work mid-chunk: the truncation pre-scan missed a finish"
-            );
-        }
-    }
-    let mut out: [Option<JobOutcome>; STRIPE_BLOCK] = Default::default();
-    for (k, ctx) in block.iter().enumerate() {
-        out[k] = Some(JobOutcome {
-            gputime: gputime[k],
-            run: ctx.run.as_ref().map(|rs| RunOutcome {
-                progress: progress[k],
-                examples: examples[k],
-                finished: progress[k] >= rs.work,
-                obs: obs[k].take().expect("running ctx has an open run"),
-            }),
-        });
-    }
-    out
 }
 
 /// Removes every finished index from `active` in one ordered merge.
@@ -525,11 +474,12 @@ impl<P: SchedulingPolicy> Simulation<P> {
             sched_stats: Vec::new(),
             node_seconds: 0.0,
             slowdown: Vec::new(),
+            slowdowns_stale: false,
             interference: InterferenceIndex::new(num_nodes),
             view_buf: Vec::new(),
-            chunk_buf: Vec::new(),
-            finished_buf: Vec::new(),
-            eps_buf: Vec::new(),
+            running: Vec::new(),
+            restarting: Vec::new(),
+            contexts_live: true,
             recorder: Recorder::disabled(),
             telem: EngineTelemetry::default(),
             restarts_total: 0,
@@ -587,29 +537,11 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// Runs the simulation to completion (all jobs finished) or to the
     /// configured time horizon, and returns the metrics.
     ///
-    /// Macro-stepped and job-major: boundary work (arrivals, wake-ups,
-    /// reports, scheduling) happens at event horizons; the ticks in
-    /// between run through `Self::advance_chunk` with per-job
-    /// invariants hoisted and each job advanced over its whole chunk
-    /// in one stripe. Bit-identical to [`Self::run_tick_major`] and
-    /// [`Self::run_reference`] for any fixed seed, at any
-    /// `engine_threads` count.
-    pub fn run(self) -> SimResult {
-        self.run_macro(true)
-    }
-
-    /// The retained tick-major macro stepper: identical event-horizon
-    /// chunking, but the inner loop sweeps every running job each tick
-    /// (the pre-job-major layout). Kept as the `bench_sim` comparison
-    /// baseline isolating the job-major chunk advancement, and as an
-    /// extra equivalence anchor for the determinism suite. Always
-    /// serial inside chunks; report rounds share [`Self::run`]'s
-    /// two-phase path.
-    pub fn run_tick_major(self) -> SimResult {
-        self.run_macro(false)
-    }
-
-    fn run_macro(mut self, job_major: bool) -> SimResult {
+    /// Boundary work (arrivals, wake-ups, reports, scheduling) happens
+    /// at event horizons; the ticks in between run through
+    /// `Self::advance_chunk` over the persistent run contexts.
+    /// Bit-identical to [`Self::run_reference`] for any fixed seed.
+    pub fn run(mut self) -> SimResult {
         let dt = self.config.tick_seconds;
         let sched_every = (self.config.sched_interval / dt).round().max(1.0) as u64;
         let report_every = (self.config.report_interval / dt).round().max(1.0) as u64;
@@ -622,11 +554,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
             now = tick as f64 * dt;
             self.tick_boundaries(tick, now, report_every, sched_every);
             let horizon = self.next_horizon(tick, dt, report_every, sched_every, max_ticks);
-            let chunk = if job_major {
-                self.advance_chunk(tick, horizon, dt)
-            } else {
-                self.advance_chunk_tick_major(tick, horizon, dt)
-            };
+            let chunk = self.advance_chunk(tick, horizon, dt);
             tick += chunk.ticks;
             now = (tick - 1) as f64 * dt;
             if chunk.exit {
@@ -639,11 +567,12 @@ impl<P: SchedulingPolicy> Simulation<P> {
         self.finalize(now)
     }
 
-    /// The retained per-tick reference stepper: the pre-macro-step
-    /// engine, advancing one tick at a time with no hoisted
-    /// invariants. Kept as the ground truth the determinism suite and
-    /// `bench_sim` compare [`Self::run`] against.
+    /// The retained per-tick reference stepper: the original engine,
+    /// advancing one tick at a time with no hoisted invariants and no
+    /// run contexts. Kept as the ground truth the determinism suites
+    /// and `bench_sim` compare [`Self::run`] against.
     pub fn run_reference(mut self) -> SimResult {
+        self.contexts_live = false;
         let dt = self.config.tick_seconds;
         let sched_every = (self.config.sched_interval / dt).round().max(1.0) as u64;
         let report_every = (self.config.report_interval / dt).round().max(1.0) as u64;
@@ -658,8 +587,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
             self.node_seconds += self.spec.num_nodes() as f64 * dt;
 
             // The pre-refactor early-exit check: a full scan over the
-            // job list every tick (the macro path folds this into its
-            // finish handling).
+            // job list every tick (`run` folds this into its finish
+            // handling).
             if self.arrivals.is_empty() && self.jobs.iter().all(SimJob::is_finished) {
                 now += dt;
                 break;
@@ -673,8 +602,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// Everything that may only happen on a tick boundary: arrivals,
     /// restart wake-ups, agent reports, rescheduling, sampling. Safe
     /// to call on non-boundary ticks (each action no-ops when not
-    /// due), which is what makes resuming after a mid-chunk job
-    /// completion trivial.
+    /// due), which is what makes resuming after a chunk that a finish
+    /// ended early trivial.
     fn tick_boundaries(&mut self, tick: u64, now: f64, report_every: u64, sched_every: u64) {
         self.spawn_arrivals(now);
         self.wake_restarts(now);
@@ -691,9 +620,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// The next event horizon after `tick` (exclusive chunk end, in
     /// `(tick, max_ticks]`): the earliest of the next report tick,
     /// next scheduling tick, next arrival, next restart-delay expiry,
-    /// and the end of simulated time. Job completions are handled by
-    /// the chunk itself (prediction inside [`Self::advance_chunk`]
-    /// plus an authoritative per-tick check).
+    /// and the end of simulated time. Job completions are detected
+    /// per tick by the chunk itself ([`Self::advance_chunk`]).
     ///
     /// Telemetry: bumps the `engine/horizon_*` counter of whichever
     /// source won (strictly earliest; ties go to the first candidate
@@ -726,344 +654,232 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 fired = &self.telem.horizon_arrival;
             }
         }
-        for &i in &self.active {
-            if let JobState::Restarting { until } = self.jobs[i].state() {
-                let wake = first_tick_at_or_after(until, dt, tick + 1);
-                if wake < horizon {
-                    horizon = wake;
-                    fired = &self.telem.horizon_restart;
-                }
+        for r in &self.restarting {
+            let wake = first_tick_at_or_after(r.until, dt, tick + 1);
+            if wake < horizon {
+                horizon = wake;
+                fired = &self.telem.horizon_restart;
             }
         }
         fired.add(1);
         horizon.max(tick + 1)
     }
 
-    /// Builds the per-job chunk contexts shared by both macro paths:
-    /// refreshes interference, hoists the per-job invariants, opens
-    /// the profiler runs, and applies the analytic completion lower
-    /// bound to the chunk length. Returns the context vector (taken
-    /// from the recycled buffer), the bounded chunk length, and the
-    /// number of running (GPU-holding) contexts.
-    fn chunk_setup(&mut self, start: u64, horizon: u64, dt: f64) -> (Vec<ChunkCtx>, u64, usize) {
-        self.compute_interference();
-        // `compute_interference` sizes the vector to the full job
-        // list; a shorter vector would silently under-slow the jobs
-        // it misses, so fail loudly instead of defaulting to 0.
-        debug_assert_eq!(
-            self.slowdown.len(),
-            self.jobs.len(),
-            "interference slowdown vector must cover every job"
-        );
-        let mut ctxs = std::mem::take(&mut self.chunk_buf);
-        let mut max_len = horizon - start;
-        let mut n_run = 0usize;
-
-        let jobs = &mut self.jobs;
-        for &idx in &self.active {
-            let job = &mut jobs[idx];
-            match job.state() {
-                JobState::Running => {}
-                JobState::Restarting { .. } => {
-                    ctxs.push(ChunkCtx {
-                        idx,
-                        gpu_dt: job.gpus() as f64 * dt,
-                        run: None,
-                    });
-                    continue;
-                }
-                _ => continue,
-            }
-            let Some(shape) = job.shape() else { continue };
-            let m = job.batch_size;
-            let slow = self.slowdown[idx];
-            let t_iter = job.true_t_iter(shape, m);
-            let throughput = (m as f64 / t_iter) * (1.0 - slow);
-            let tput_dt = throughput * dt;
-
-            // Earliest analytically-predicted completion: efficiency
-            // ≤ 1, so progress grows by at most `throughput · dt` per
-            // tick and the job cannot finish in fewer than
-            // ⌊remaining / (throughput · dt)⌋ ticks. Purely a
-            // chunk-length heuristic — the finish detection stays
-            // authoritative, so correctness never depends on it.
-            let remaining = job.spec.work - job.progress;
-            if tput_dt > 0.0 && remaining > 0.0 {
-                let lb = (remaining / tput_dt).floor();
-                if lb.is_finite() && lb >= 1.0 {
-                    max_len = max_len.min(if lb >= 9.0e18 { u64::MAX } else { lb as u64 });
-                }
-            }
-
-            let obs = job.agent.begin_observation_run(shape, m);
-            ctxs.push(ChunkCtx {
-                idx,
-                gpu_dt: shape.gpus as f64 * dt,
-                run: Some(RunCtx {
-                    batch: m,
-                    work: job.spec.work,
-                    throughput,
-                    tput_dt,
-                    t_base: t_iter / (1.0 - slow),
-                    col: n_run,
-                    obs,
-                }),
-            });
-            n_run += 1;
+    /// Brings job `i`'s context in line with the job: the one place
+    /// contexts are opened, reopened and dropped. Every event that
+    /// changes an input of a context calls it after the change —
+    /// `apply_reallocation` and `resize_cluster` (shape, state), the
+    /// report round (batch size), `wake_restarts` (Restarting →
+    /// Running), a finish, and `refresh_slowdowns` (slowdown). A
+    /// running job's open profiler run is committed first, since its
+    /// `(shape, batch)` key may be about to change.
+    fn sync_context(&mut self, i: usize) {
+        if !self.contexts_live {
+            return;
         }
-        (ctxs, max_len, n_run)
+        let dt = self.config.tick_seconds;
+        let job = &mut self.jobs[i];
+
+        let at = self.running.binary_search_by_key(&i, |c| c.idx);
+        if let Ok(k) = at {
+            if job.agent.record_observation_run(&mut self.running[k].obs) {
+                self.telem.profiler_flushes.add(1);
+            }
+        }
+        let shape = if job.is_running() { job.shape() } else { None };
+        debug_assert_eq!(shape.is_some(), job.is_running(), "running jobs hold GPUs");
+        let ctx = shape.map(|shape| {
+            let slow = self.slowdown.get(i).copied().unwrap_or(0.0);
+            self.telem.ctx_rebuilds.add(1);
+            RunCtx::open(i, job, shape, slow, dt)
+        });
+        put_sorted(&mut self.running, at, ctx);
+
+        let at = self.restarting.binary_search_by_key(&i, |r| r.idx);
+        let entry = match job.state() {
+            JobState::Restarting { until } => Some(RestartCtx {
+                idx: i,
+                gpu_dt: job.gpus() as f64 * dt,
+                until,
+            }),
+            _ => None,
+        };
+        put_sorted(&mut self.restarting, at, entry);
     }
 
-    /// Advances up to `horizon - start` ticks **job-major**: each job's
-    /// whole chunk runs as one tight loop over its private accumulators
-    /// (an independent `parallel_map` work item), with results
-    /// committed serially in job order.
+    /// Commits every open profiler run that holds new samples. Called
+    /// before the report round reads the profilers.
+    fn flush_runs(&mut self) {
+        let mut flushed = 0;
+        for ctx in &mut self.running {
+            let agent = &mut self.jobs[ctx.idx].agent;
+            flushed += u64::from(agent.record_observation_run(&mut ctx.obs));
+        }
+        self.telem.profiler_flushes.add(flushed);
+    }
+
+    /// Recomputes the per-job interference slowdowns if the
+    /// [`InterferenceIndex`] changed since the last chunk, and reopens
+    /// the contexts whose slowdown moved: when two or more
+    /// *distributed* jobs occupy one node, all of them are slowed
+    /// (Sec. 4.2.1 / Fig 9). O(nodes + occupancy) from the index;
+    /// [`Self::assert_contexts_current`] cross-checks the outcome
+    /// against the full rescan in debug builds.
+    fn refresh_slowdowns(&mut self) {
+        let factor = self.config.interference_slowdown;
+        if !self.slowdowns_stale || factor <= 0.0 {
+            return;
+        }
+        self.slowdowns_stale = false;
+        self.telem.interference_recomputes.add(1);
+        self.slowdown.clear();
+        self.slowdown.resize(self.jobs.len(), 0.0);
+        self.interference.mark_slowdowns(factor, &mut self.slowdown);
+        for k in 0..self.running.len() {
+            let i = self.running[k].idx;
+            if self.running[k].slow != self.slowdown[i] {
+                self.sync_context(i);
+            }
+        }
+    }
+
+    /// Debug builds check, at the start of every chunk, that the
+    /// contexts are what a scan of the jobs (and, for the slowdowns,
+    /// of every placement) would build: a missed invalidation fails
+    /// here, at the event that caused it, instead of as a digest
+    /// mismatch at the end of a run.
+    fn assert_contexts_current(&self) {
+        let slowdown = self.interference_slowdowns_reference();
+        let mut running = self.running.iter();
+        let mut restarting = self.restarting.iter();
+        for &i in &self.active {
+            let job = &self.jobs[i];
+            match job.state() {
+                JobState::Running => {
+                    let ctx = running.next().expect("running job without a context");
+                    assert_eq!(ctx.idx, i, "contexts follow job order");
+                    assert_eq!(Some(ctx.obs.shape()), job.shape());
+                    assert_eq!(ctx.batch, job.batch_size);
+                    assert_eq!(ctx.slow, slowdown[i]);
+                    assert_eq!(ctx.progress.to_bits(), job.progress.to_bits());
+                    assert_eq!(ctx.examples.to_bits(), job.examples_processed.to_bits());
+                    assert_eq!(ctx.gputime.to_bits(), job.gputime().to_bits());
+                }
+                JobState::Restarting { until } => {
+                    let ctx = restarting.next().expect("restarting job without an entry");
+                    assert_eq!((ctx.idx, ctx.until), (i, until));
+                    assert_eq!(ctx.gpu_dt, job.gpus() as f64 * self.config.tick_seconds);
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            running.next().is_none(),
+            "context of a job that is not running"
+        );
+        assert!(
+            restarting.next().is_none(),
+            "entry of a job that is not restarting"
+        );
+    }
+
+    /// Advances up to `horizon - start` ticks, one tick-major sweep
+    /// over the run contexts per tick, and ends after the tick in
+    /// which a job finishes. Per-chunk work is O(running jobs): the
+    /// contexts are already current, so nothing here walks `active`,
+    /// `jobs` or the nodes.
     ///
-    /// The pass is structured so every observable stays bit-identical
-    /// to the tick-major sweep:
-    /// 1. *Truncation pre-scan* (serial). The measurement noise only
-    ///    feeds the profiler — progress never sees it — so each job's
-    ///    finish tick is computable before any eps is drawn. Candidate
-    ///    jobs (`remaining ≤ cap · tput_dt`, with slack for f64
-    ///    rounding) replay their progress fold to find the first
-    ///    crossing; the chunk truncates at the earliest one, which is
-    ///    exactly where the tick-major loop would have aborted.
-    /// 2. *eps pre-draw* (serial). Exactly `truncated × n_run` draws in
-    ///    the tick-major order — per tick, ascending job order — stored
-    ///    transposed so each job's draws form one contiguous column.
-    ///    The RNG stream is untouched: same count, same order.
-    /// 3. *Job stripes* (parallelizable, `engine_threads`). Fixed
-    ///    blocks of [`STRIPE_BLOCK`] jobs fold their whole chunk over
-    ///    their eps columns ([`advance_job_block`]): per-job
-    ///    accumulators see the identical operand sequence as the
-    ///    tick-major sweep, and `node_seconds` is the only cross-job
-    ///    accumulator — advanced serially at commit by the same
-    ///    per-tick additions.
-    /// 4. *Commit* (serial, ascending job order): write back progress /
-    ///    examples / gputime, record the profiler runs, finish jobs
-    ///    that crossed (only possible on the final tick, by step 1),
-    ///    and emit events — all in the tick-major order.
+    /// Bit-compatibility with the reference stepper:
+    /// - RNG: exactly one `gen_range(-noise..=noise)` per running job,
+    ///   in ascending job order, per tick — nothing else draws inside
+    ///   a chunk;
+    /// - f64 accumulation: `progress`, `examples_processed`, `gputime`,
+    ///   `node_seconds` and the profiler sum advance by one addition
+    ///   per tick in the original order; the cached products
+    ///   (`gpus · dt`, `throughput · dt`, `t_iter / (1 − slow)`) and
+    ///   the efficiency constants have bit-identical operands to the
+    ///   per-tick recomputation;
+    /// - a context's accumulators start from the job's own values and
+    ///   are written back absolutely, and an open profiler run starts
+    ///   from the profiler's own aggregate and is written back
+    ///   absolutely, so when either is committed cannot matter.
     fn advance_chunk(&mut self, start: u64, horizon: u64, dt: f64) -> ChunkOutcome {
+        self.refresh_slowdowns();
+        if cfg!(debug_assertions) {
+            self.assert_contexts_current();
+        }
         let noise = self.config.measurement_noise;
-        let threads = self.config.engine_threads.max(1);
         let node_dt = self.spec.num_nodes() as f64 * dt;
-        let arrivals_empty = self.arrivals.is_empty();
+        let max_len = horizon - start;
 
-        let (mut ctxs, max_len, n_run) = self.chunk_setup(start, horizon, dt);
+        let mut executed = 0u64;
+        let mut any_finished = false;
+        while executed < max_len && !any_finished {
+            executed += 1;
+            for ctx in &mut self.running {
+                let eff = ctx.efficiency.at(ctx.progress);
+                ctx.progress += ctx.throughput * eff * dt;
+                ctx.examples += ctx.tput_dt;
+                ctx.gputime += ctx.gpu_dt;
 
-        // Truncation pre-scan: find the earliest finish tick across
-        // jobs (1-based, ≤ the current cap). A job can cross `work`
-        // within `cap` ticks only if `remaining ≤ cap · tput_dt`
-        // (efficiency ≤ 1); the 1e-6 slack over-approximates f64
-        // rounding in the progress fold, so a real finisher is never
-        // filtered out — at worst a non-finisher replays its fold.
-        // Candidates replay the exact progress arithmetic (same
-        // operands as the main stripe), so the detected tick is exact.
-        let mut truncated = max_len;
-        for ctx in &ctxs {
-            let Some(rs) = &ctx.run else { continue };
-            let job = &self.jobs[ctx.idx];
-            let remaining = rs.work - job.progress;
-            if remaining > 0.0 && remaining > truncated as f64 * rs.tput_dt * (1.0 + 1e-6) {
-                continue;
+                // The agent observes a noisy iteration time (including
+                // any interference slowdown, which it cannot
+                // distinguish).
+                let eps: f64 = self.rng.gen_range(-noise..=noise);
+                ctx.obs.observe(ctx.t_base * (1.0 + eps));
+
+                any_finished |= ctx.progress >= ctx.work;
             }
-            let mut progress = job.progress;
-            for t in 1..=truncated {
-                let eff = job.true_efficiency_at(progress, rs.batch);
-                progress += rs.throughput * eff * dt;
-                if progress >= rs.work {
-                    truncated = t;
-                    break;
-                }
-            }
-        }
-        let tlen = truncated as usize;
-
-        // eps pre-draw: tick-major draw order, job-major (transposed)
-        // storage. Nothing else draws inside a chunk.
-        let mut eps = std::mem::take(&mut self.eps_buf);
-        eps.clear();
-        eps.resize(n_run * tlen, 0.0);
-        {
-            let rng = &mut self.rng;
-            for t in 0..tlen {
-                for ctx in &ctxs {
-                    let Some(rs) = &ctx.run else { continue };
-                    eps[rs.col * tlen + t] = rng.gen_range(-noise..=noise);
-                }
-            }
-        }
-
-        // Job stripes: pure per-block folds over immutable state, in
-        // fixed blocks of `STRIPE_BLOCK` jobs (see its doc for why).
-        // With `engine_threads <= 1` this runs inline with no spawns.
-        let outcomes = {
-            let jobs: &[SimJob] = &self.jobs;
-            let ctxs_ref: &[ChunkCtx] = &ctxs;
-            let eps_ref: &[f64] = &eps;
-            let n_blocks = ctxs_ref.len().div_ceil(STRIPE_BLOCK);
-            parallel_map(n_blocks, threads, |b| {
-                let lo = b * STRIPE_BLOCK;
-                let hi = (lo + STRIPE_BLOCK).min(ctxs_ref.len());
-                advance_job_block(&ctxs_ref[lo..hi], jobs, tlen, eps_ref, dt)
-            })
-        };
-
-        // Serial commit in job order.
-        let finish_now = (start + truncated - 1) as f64 * dt;
-        let mut finished = std::mem::take(&mut self.finished_buf);
-        let jobs = &mut self.jobs;
-        let outs = outcomes.into_iter().flatten().flatten();
-        for (ctx, out) in ctxs.iter().zip(outs) {
-            let job = &mut jobs[ctx.idx];
-            job.lifecycle.set_gputime(out.gputime);
-            let Some(run) = out.run else { continue };
-            job.progress = run.progress;
-            job.examples_processed = run.examples;
-            if run.finished {
-                job.lifecycle.finish(finish_now + dt);
-                self.interference.clear_job(ctx.idx, &job.placement);
-                job.placement.iter_mut().for_each(|g| *g = 0);
-                finished.push((ctx.idx, job.spec.id));
-            }
-            // Commit the batched profiler observations (including for
-            // jobs that just finished — the tick-major loop records up
-            // to and including the finish tick too).
-            job.agent.record_observation_run(run.obs);
-        }
-        for _ in 0..truncated {
             self.node_seconds += node_dt;
         }
+
+        for ctx in &self.running {
+            let job = &mut self.jobs[ctx.idx];
+            job.progress = ctx.progress;
+            job.examples_processed = ctx.examples;
+            job.lifecycle.set_gputime(ctx.gputime);
+        }
+        for r in &self.restarting {
+            let lifecycle = &mut self.jobs[r.idx].lifecycle;
+            for _ in 0..executed {
+                lifecycle.accrue_gputime(r.gpu_dt);
+            }
+        }
+
         let mut exit = false;
-        if !finished.is_empty() {
-            for &(_, id) in finished.iter() {
+        if any_finished {
+            let finish_time = (start + executed - 1) as f64 * dt + dt;
+            let finished: Vec<(usize, JobId)> = self
+                .running
+                .iter()
+                .filter(|ctx| ctx.progress >= ctx.work)
+                .map(|ctx| (ctx.idx, self.jobs[ctx.idx].spec.id))
+                .collect();
+            for &(i, id) in &finished {
+                let job = &mut self.jobs[i];
+                job.lifecycle.finish(finish_time);
+                self.interference.clear_job(i, job.placement());
+                job.edit_placement(|row| row.fill(0));
+                // Commits the job's profiler run (the reference
+                // stepper records up to and including the finish tick
+                // too) and drops its context.
+                self.sync_context(i);
                 self.events.push(SchedulingEvent {
-                    time: finish_now + dt,
+                    time: finish_time,
                     job: id,
                     kind: EventKind::Finished,
                     gpus: 0,
                 });
             }
+            self.slowdowns_stale = true;
             remove_finished_from_active(&mut self.active, &finished);
-            exit = arrivals_empty && self.active.is_empty();
+            exit = self.arrivals.is_empty() && self.active.is_empty();
         }
-
-        ctxs.clear();
-        self.chunk_buf = ctxs;
-        finished.clear();
-        self.finished_buf = finished;
-        eps.clear();
-        self.eps_buf = eps;
-
-        self.telem.chunks.add(1);
-        self.telem.ticks.add(truncated);
-        self.telem.chunk_ticks.observe(truncated);
-        if truncated < horizon - start {
-            // A completion (or its prediction) cut the chunk short of
-            // its event horizon.
-            self.telem.mid_chunk_aborts.add(1);
-        }
-
-        ChunkOutcome {
-            ticks: truncated,
-            exit,
-        }
-    }
-
-    /// The retained tick-major chunk advancement (the pre-job-major
-    /// inner loop): sweeps every context each tick, drawing eps inline
-    /// and aborting after the tick of the first completion. Driven by
-    /// [`Self::run_tick_major`] as the benchmark baseline and an extra
-    /// determinism anchor.
-    ///
-    /// Bit-compatibility with the reference stepper:
-    /// - RNG: exactly one `gen_range(-noise..=noise)` per running job
-    ///   holding GPUs, in ascending job order, per tick — nothing else
-    ///   draws inside a chunk;
-    /// - f64 accumulation: `progress`, `examples_processed`,
-    ///   `gputime`, `node_seconds`, and the profiler sum advance by
-    ///   one addition per tick in the original order; cached products
-    ///   (`gpus · dt`, `throughput · dt`, `t_iter / (1 − slow)`) have
-    ///   bit-identical operands to the per-tick recomputation;
-    /// - efficiency is recomputed per tick through the same
-    ///   `SimJob::true_efficiency` path — it is a nonlinear function
-    ///   of the job's own moving progress and cannot be hoisted.
-    fn advance_chunk_tick_major(&mut self, start: u64, horizon: u64, dt: f64) -> ChunkOutcome {
-        let noise = self.config.measurement_noise;
-        let node_dt = self.spec.num_nodes() as f64 * dt;
-        let arrivals_empty = self.arrivals.is_empty();
-
-        let (mut ctxs, max_len, _n_run) = self.chunk_setup(start, horizon, dt);
-
-        let jobs = &mut self.jobs;
-        let rng = &mut self.rng;
-        let interference = &mut self.interference;
-        let mut finished = std::mem::take(&mut self.finished_buf);
-        let mut executed = 0u64;
-        let mut exit = false;
-        'ticks: for t in start..start + max_len {
-            let now = t as f64 * dt;
-            executed += 1;
-            for ctx in ctxs.iter_mut() {
-                let job = &mut jobs[ctx.idx];
-                let Some(rs) = &mut ctx.run else {
-                    job.lifecycle.accrue_gputime(ctx.gpu_dt);
-                    continue;
-                };
-                let eff = job.true_efficiency(rs.batch);
-                job.progress += rs.throughput * eff * dt;
-                job.examples_processed += rs.tput_dt;
-                job.lifecycle.accrue_gputime(ctx.gpu_dt);
-
-                // The agent observes a noisy iteration time (including
-                // any interference slowdown, which it cannot
-                // distinguish).
-                let eps: f64 = rng.gen_range(-noise..=noise);
-                rs.obs.observe(rs.t_base * (1.0 + eps));
-
-                if job.progress >= rs.work {
-                    job.lifecycle.finish(now + dt);
-                    interference.clear_job(ctx.idx, &job.placement);
-                    job.placement.iter_mut().for_each(|g| *g = 0);
-                    finished.push((ctx.idx, job.spec.id));
-                }
-            }
-            self.node_seconds += node_dt;
-
-            if !finished.is_empty() {
-                for &(_, id) in finished.iter() {
-                    self.events.push(SchedulingEvent {
-                        time: now + dt,
-                        job: id,
-                        kind: EventKind::Finished,
-                        gpus: 0,
-                    });
-                }
-                remove_finished_from_active(&mut self.active, &finished);
-                exit = arrivals_empty && self.active.is_empty();
-                break 'ticks;
-            }
-        }
-
-        // Commit the batched profiler observations (including those of
-        // jobs that just finished — the reference stepper records up
-        // to and including the finish tick too).
-        for ctx in ctxs.iter_mut() {
-            if let Some(rs) = ctx.run.take() {
-                jobs[ctx.idx].agent.record_observation_run(rs.obs);
-            }
-        }
-        ctxs.clear();
-        self.chunk_buf = ctxs;
-        finished.clear();
-        self.finished_buf = finished;
 
         self.telem.chunks.add(1);
         self.telem.ticks.add(executed);
         self.telem.chunk_ticks.observe(executed);
-        if executed < horizon - start {
-            // A completion (or its prediction) cut the chunk short of
-            // its event horizon.
+        if executed < max_len {
             self.telem.mid_chunk_aborts.add(1);
         }
 
@@ -1081,12 +897,11 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// scratch, and each noisy sample recorded individually through
     /// the profiler's `BTreeMap`.
     ///
-    /// The one departure is bookkeeping the macro path's shared
-    /// boundary code requires: finished jobs are also pruned from
-    /// `self.active` (the pre-refactor engine had no active index and
-    /// re-scanned all jobs instead). That pruning — the same ordered
-    /// merge the macro paths use — runs only on finish ticks and never
-    /// changes the trajectory.
+    /// The one departure is bookkeeping the shared boundary code
+    /// requires: finished jobs are also pruned from `self.active` (the
+    /// pre-refactor engine had no active index and re-scanned all jobs
+    /// instead). That pruning — the same ordered merge `run` uses —
+    /// runs only on finish ticks and never changes the trajectory.
     fn advance_tick_reference(&mut self, now: f64, dt: f64) {
         let slowdown = self.interference_slowdowns_reference();
         let noise = self.config.measurement_noise;
@@ -1119,8 +934,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
 
             if job.progress >= job.spec.work {
                 job.lifecycle.finish(now + dt);
-                self.interference.clear_job(idx, &job.placement);
-                job.placement.iter_mut().for_each(|g| *g = 0);
+                self.interference.clear_job(idx, job.placement());
+                job.edit_placement(|row| row.fill(0));
                 finished.push((idx, job.spec.id));
             }
         }
@@ -1142,7 +957,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// vector fresh and, per node, rescans every job's placement
     /// (recounting its node spread each time) — O(nodes · jobs ·
     /// nodes). Produces exactly the same values as
-    /// [`Self::compute_interference`].
+    /// [`Self::refresh_slowdowns`].
     fn interference_slowdowns_reference(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.jobs.len()];
         let factor = self.config.interference_slowdown;
@@ -1153,11 +968,12 @@ impl<P: SchedulingPolicy> Simulation<P> {
         for node in 0..n {
             let mut distributed = Vec::new();
             for (i, job) in self.jobs.iter().enumerate() {
-                if job.is_finished() || node >= job.placement.len() {
+                let row = job.placement();
+                if job.is_finished() || node >= row.len() {
                     continue;
                 }
-                let nodes_used = job.placement.iter().filter(|&&g| g > 0).count();
-                if job.placement[node] > 0 && nodes_used > 1 {
+                let nodes_used = row.iter().filter(|&&g| g > 0).count();
+                if row[node] > 0 && nodes_used > 1 {
                     distributed.push(i);
                 }
             }
@@ -1181,7 +997,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 if self.recorder.is_enabled() {
                     // The job's lifecycle emits its own transitions
                     // from here on; the arrival instant carries the
-                    // submit time, not the macro-step boundary.
+                    // submit time, not the chunk boundary.
                     let id = u64::from(job.spec.id.0);
                     job.lifecycle.attach_telemetry(id, self.recorder.clone());
                     self.recorder.timeline(
@@ -1200,10 +1016,23 @@ impl<P: SchedulingPolicy> Simulation<P> {
         }
     }
 
-    /// Wakes jobs whose restart delay elapsed.
+    /// Wakes jobs whose restart delay elapsed, in ascending job order.
     fn wake_restarts(&mut self, now: f64) {
-        for &i in &self.active {
-            self.jobs[i].lifecycle.wake(now);
+        if !self.contexts_live {
+            for &i in &self.active {
+                self.jobs[i].lifecycle.wake(now);
+            }
+            return;
+        }
+        let mut k = 0;
+        while k < self.restarting.len() {
+            let i = self.restarting[k].idx;
+            if self.jobs[i].lifecycle.wake(now) {
+                // Drops entry `k` and opens the job's run context.
+                self.sync_context(i);
+            } else {
+                k += 1;
+            }
         }
     }
 
@@ -1223,7 +1052,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
     ///    φ-noise eps — the RNG stream is identical to the sequential
     ///    path — and evaluate the refit trigger against the profiler
     ///    counts (which the round itself never changes).
-    /// 2. *Plan* (parallelizable, `engine_threads`): each job's refit
+    /// 2. *Plan* (parallelizable, `engine_threads` — the one thing
+    ///    that knob governs): each job's refit
     ///    and batch-size tune run as a pure
     ///    [`PolluxAgent::plan_report_recorded`] against the frozen
     ///    agent — the expensive θsys fit dominates this phase.
@@ -1231,7 +1061,12 @@ impl<P: SchedulingPolicy> Simulation<P> {
     ///    `(FitReport, batch_size)`, update the refit bookkeeping, and
     ///    (for non-adaptive policies) consult the policy's batch
     ///    override — policies are never touched off-thread.
+    ///
+    /// The round reads every running job's profiler, so the open runs
+    /// are committed first; a job whose batch size the round changed
+    /// gets its context reopened under the new `(shape, batch)` key.
     fn report_and_tune(&mut self, _now: f64) {
+        self.flush_runs();
         let policy = &self.policy;
         let adapt = policy.adapts_batch_size();
         let config = self.config;
@@ -1299,8 +1134,10 @@ impl<P: SchedulingPolicy> Simulation<P> {
         }
 
         // Phase 3: serial commit in job order.
+        let mut rekeyed = Vec::new();
         for (p, plan) in preps.iter().zip(&plans) {
             let job = &mut jobs[p.idx];
+            let batch_before = job.batch_size;
             if job.agent.commit_report(plan) {
                 job.last_fit_configs = p.configs;
                 job.last_fit_samples = p.samples;
@@ -1320,6 +1157,12 @@ impl<P: SchedulingPolicy> Simulation<P> {
                     }
                 }
             }
+            if job.batch_size != batch_before {
+                rekeyed.push(p.idx);
+            }
+        }
+        for i in rekeyed {
+            self.sync_context(i);
         }
     }
 
@@ -1390,10 +1233,11 @@ impl<P: SchedulingPolicy> Simulation<P> {
     fn apply_reallocation(&mut self, i: usize, r: Reallocation, now: f64) {
         // Index delta from the authoritative old row, before it is
         // overwritten.
-        self.interference.apply(i, &self.jobs[i].placement, &r.new);
+        self.interference.apply(i, self.jobs[i].placement(), &r.new);
+        self.slowdowns_stale = true;
         let job = &mut self.jobs[i];
         debug_assert_eq!(job.spec.id, r.job, "view order matches active order");
-        job.placement = r.new;
+        job.edit_placement(|row| *row = r.new);
         let event_kind;
         let event_gpus;
         if let Some(shape) = job.shape() {
@@ -1422,6 +1266,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
             event_kind = EventKind::Preempted;
             event_gpus = 0;
         }
+        self.sync_context(i);
         self.events.push(SchedulingEvent {
             time: now,
             job: r.job,
@@ -1441,51 +1286,31 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let gpus_per_node = self.spec.gpus_on(NodeId(0));
         self.spec =
             ClusterSpec::homogeneous(nodes, gpus_per_node).expect("nodes >= 1 enforced by caller");
-        for job in &mut self.jobs {
-            if job.is_finished() {
-                job.placement.resize(new_n, 0);
-                continue;
-            }
-            let loses_gpus = job.placement.iter().skip(new_n).any(|&g| g > 0);
-            job.placement.resize(new_n, 0);
-            if loses_gpus {
-                // The whole job is preempted (partial placements would
-                // change its world silently).
-                job.placement.iter_mut().for_each(|g| *g = 0);
-                job.lifecycle.preempt(now);
+        for i in 0..self.jobs.len() {
+            let job = &mut self.jobs[i];
+            let loses_gpus = job.placement().iter().skip(new_n).any(|&g| g > 0);
+            job.edit_placement(|row| {
+                row.resize(new_n, 0);
+                if loses_gpus {
+                    // The whole job is preempted (partial placements
+                    // would change its world silently).
+                    row.fill(0);
+                }
+            });
+            if loses_gpus && job.lifecycle.preempt(now) {
+                self.sync_context(i);
             }
         }
         // Placements were edited wholesale, bypassing the index's
         // delta updates: rebuild it from the rows now in effect.
         self.interference
-            .rebuild(new_n, self.jobs.iter().map(|j| j.placement.as_slice()));
+            .rebuild(new_n, self.jobs.iter().map(|j| j.placement()));
+        self.slowdowns_stale = true;
         if self.config.nodes_per_rack > 0 {
             if let Some(topo) = Topology::grouped(nodes, self.config.nodes_per_rack) {
                 self.policy.configure_topology(Some(&topo));
             }
         }
-    }
-
-    /// Refreshes the per-job interference buffer: when two or more
-    /// *distributed* jobs occupy one node, all of them are slowed
-    /// (Sec. 4.2.1 / Fig 9). Served by the incremental
-    /// [`InterferenceIndex`] — O(nodes + occupancy) per macro-step
-    /// instead of rescanning every active placement — and cross-checked
-    /// against the full rescan in debug builds.
-    fn compute_interference(&mut self) {
-        self.telem.interference_recomputes.add(1);
-        self.slowdown.clear();
-        self.slowdown.resize(self.jobs.len(), 0.0);
-        let factor = self.config.interference_slowdown;
-        if factor <= 0.0 {
-            return;
-        }
-        self.interference.mark_slowdowns(factor, &mut self.slowdown);
-        debug_assert_eq!(
-            self.slowdown,
-            self.interference_slowdowns_reference(),
-            "incremental interference index diverged from the full rescan"
-        );
     }
 
     /// Records one cluster-state sample.
@@ -1833,6 +1658,53 @@ mod tests {
         // Efficiency below 1 because tuned batches exceed m0.
         let eff = res.avg_cluster_efficiency().unwrap();
         assert!(eff > 0.3 && eff <= 1.0, "eff = {eff}");
+    }
+
+    /// An arrival is a chunk boundary that reads no profiler, so the
+    /// open run must cross it uncommitted — and still end with the
+    /// bits per-sample `record` produces (the reference stepper).
+    #[test]
+    fn open_run_crosses_an_arrival_boundary_uncommitted() {
+        let sim = || {
+            let mut wl = small_workload(2);
+            wl[1].0.submit_time = 7.0;
+            // One node, four GPUs, four asked: the second job waits.
+            let spec = ClusterSpec::homogeneous(1, 4).unwrap();
+            Simulation::new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap()
+        };
+        let (dt, report_every, sched_every) = (1.0, 30, 60);
+
+        let mut stepped = sim();
+        stepped.tick_boundaries(0, 0.0, report_every, sched_every);
+        assert_eq!(
+            stepped.next_horizon(0, dt, report_every, sched_every, 1000),
+            7
+        );
+        assert_eq!(stepped.advance_chunk(0, 7, dt).ticks, 7);
+        stepped.tick_boundaries(7, 7.0, report_every, sched_every);
+        assert_eq!(stepped.jobs.len(), 2, "the arrival was a boundary");
+        assert_eq!(stepped.advance_chunk(7, 20, dt).ticks, 13);
+        let run = &stepped.running[0].obs;
+        assert_eq!(run.accepted(), 20, "no boundary so far reads the profiler");
+        assert_eq!(stepped.jobs[0].agent.profiler().num_samples(), 0);
+        stepped.flush_runs();
+
+        let mut reference = sim();
+        reference.contexts_live = false;
+        for tick in 0..20 {
+            let now = tick as f64 * dt;
+            reference.tick_boundaries(tick, now, report_every, sched_every);
+            reference.advance_tick_reference(now, dt);
+        }
+
+        let (batched, per_sample) = (
+            stepped.jobs[0].agent.profiler(),
+            reference.jobs[0].agent.profiler(),
+        );
+        assert_eq!(per_sample.num_samples(), 20);
+        assert_eq!(batched, per_sample);
+        let mean = |p: &pollux_agent::ThroughputProfiler| p.observations()[0].t_iter.to_bits();
+        assert_eq!(mean(batched), mean(per_sample));
     }
 
     /// Policy that re-places every job on alternating nodes each

@@ -2,10 +2,10 @@
 //!
 //! The paper's interference rule (Sec. 4.2.1 / Fig 9): a *distributed*
 //! job (one spanning ≥ 2 nodes) is slowed by a fixed factor whenever
-//! it shares any node with another distributed job. The engine
-//! recomputed eligibility from scratch each macro-step by rescanning
-//! every active placement — O(active · nodes), which dominates at
-//! datacenter scale where chunks are short and placements sparse.
+//! it shares any node with another distributed job. Recomputing
+//! eligibility by rescanning every active placement is O(active ·
+//! nodes), which dominates at datacenter scale where placements are
+//! sparse.
 //!
 //! [`InterferenceIndex`] maintains the two facts the rule needs — the
 //! occupant set of every node and each job's occupied-node count —
@@ -13,8 +13,9 @@
 //! already applies ([`apply`](InterferenceIndex::apply) on a
 //! reallocation, [`clear_job`](InterferenceIndex::clear_job) on
 //! finish, [`rebuild`](InterferenceIndex::rebuild) after a cluster
-//! resize). Query cost is O(nodes + occupancy) per macro-step and
-//! update cost O(changed cells) per round, independent of job count.
+//! resize). Query cost is O(nodes + occupancy), paid once per chunk
+//! that follows a mutation, and update cost O(changed cells) per
+//! round, independent of job count.
 //!
 //! Invalidation rules (who must call what):
 //! - job spawned → [`push_job`](InterferenceIndex::push_job) (jobs
@@ -28,7 +29,7 @@
 //!
 //! The `sparse_equiv` proptest suite pins this index against the full
 //! rescan over random reallocation streams; a debug assertion in the
-//! engine cross-checks every macro-step in debug builds.
+//! engine cross-checks every query in debug builds.
 
 /// Per-node occupant sets plus per-job occupied-node counts.
 #[derive(Debug, Clone, Default)]

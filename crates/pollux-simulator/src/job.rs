@@ -30,8 +30,13 @@ pub struct SimJob {
     /// Shared lifecycle state machine (state, start time, restarts,
     /// attained GPU-time).
     pub lifecycle: JobLifecycle,
-    /// Current placement row (GPUs per node), cluster-width.
-    pub placement: Vec<u32>,
+    /// Current placement row (GPUs per node), cluster-width. Private
+    /// so that [`Self::edit_placement`] is the only writer and `held`
+    /// can never go stale.
+    placement: Vec<u32>,
+    /// `(gpus, nodes)` of `placement`, kept by
+    /// [`Self::edit_placement`].
+    held: (u32, u32),
     /// Current total batch size.
     pub batch_size: u64,
     /// Accumulated useful work (examples at m0-efficiency).
@@ -59,6 +64,7 @@ impl SimJob {
             agent,
             lifecycle: JobLifecycle::new(),
             placement: vec![0; num_nodes],
+            held: (0, 0),
             batch_size,
             progress: 0.0,
             examples_processed: 0.0,
@@ -114,19 +120,29 @@ impl SimJob {
         }
     }
 
+    /// Current placement row (GPUs per node), cluster-width.
+    pub fn placement(&self) -> &[u32] {
+        &self.placement
+    }
+
+    /// The one placement writer: applies `edit` to the row and
+    /// re-derives the `(gpus, nodes)` that [`Self::shape`] and
+    /// [`Self::gpus`] serve, so neither rescans the row per call.
+    pub fn edit_placement(&mut self, edit: impl FnOnce(&mut Vec<u32>)) {
+        edit(&mut self.placement);
+        self.held = scan_placement(&self.placement);
+    }
+
     /// The job's current placement shape, if it holds any GPUs.
     pub fn shape(&self) -> Option<PlacementShape> {
-        let gpus: u32 = self.placement.iter().sum();
-        if gpus == 0 {
-            return None;
-        }
-        let nodes = self.placement.iter().filter(|&&g| g > 0).count() as u32;
-        PlacementShape::new(gpus, nodes)
+        debug_assert_eq!(self.held, scan_placement(&self.placement));
+        PlacementShape::new(self.held.0, self.held.1)
     }
 
     /// GPUs currently held.
     pub fn gpus(&self) -> u32 {
-        self.placement.iter().sum()
+        debug_assert_eq!(self.held, scan_placement(&self.placement));
+        self.held.0
     }
 
     /// Normalized training progress in [0, 1].
@@ -151,12 +167,9 @@ impl SimJob {
     }
 
     /// [`true_efficiency`](Self::true_efficiency) evaluated at a
-    /// caller-supplied progress value instead of the stored one. The
-    /// job-major engine advances progress in a thread-private register
-    /// across a whole chunk and needs the efficiency curve at each
-    /// intermediate value; the operations are identical to the
-    /// stored-progress path, so feeding back the same progress yields
-    /// the same bits.
+    /// caller-supplied progress value instead of the stored one.
+    /// The engine's hoisted `EfficiencyStepper` is pinned against this
+    /// bit for bit.
     pub fn true_efficiency_at(&self, progress: f64, m: u64) -> f64 {
         let frac = (progress / self.spec.work).clamp(0.0, 1.0);
         EfficiencyModel::from_noise_scale(self.profile.m0, self.profile.phi_at(frac))
@@ -173,6 +186,64 @@ impl SimJob {
     /// The **true** throughput (examples/s) under `shape` at batch `m`.
     pub fn true_throughput(&self, shape: PlacementShape, m: u64) -> f64 {
         self.profile.params.throughput(shape, m)
+    }
+}
+
+/// `(gpus, nodes)` of a placement row by a full scan.
+fn scan_placement(row: &[u32]) -> (u32, u32) {
+    let gpus = row.iter().sum();
+    let nodes = row.iter().filter(|&&g| g > 0).count() as u32;
+    (gpus, nodes)
+}
+
+/// [`SimJob::true_efficiency_at`] for one job at one batch size, with
+/// everything that does not depend on the progress hoisted: the
+/// engine's run contexts evaluate it once per tick. The per-tick
+/// expression keeps the operations of the unhoisted chain
+/// (`GnsProfile::phi` → `EfficiencyModel::efficiency`) on the same
+/// operands, so the two agree to the bit.
+#[derive(Debug, Clone)]
+pub(crate) struct EfficiencyStepper {
+    work: f64,
+    phi_start: f64,
+    /// `phi_end / phi_start`.
+    growth: f64,
+    boosts: Vec<(f64, f64)>,
+    /// `m0` and `max(m, m0)` as the `f64`s `efficiency` adds to φ.
+    m0: f64,
+    m: f64,
+}
+
+impl EfficiencyStepper {
+    pub(crate) fn new(job: &SimJob, batch_size: u64) -> Self {
+        let gns = &job.profile.gns;
+        Self {
+            work: job.spec.work,
+            phi_start: gns.phi_start,
+            growth: gns.phi_end / gns.phi_start,
+            boosts: gns.boosts.clone(),
+            m0: job.profile.m0 as f64,
+            m: batch_size.max(job.profile.m0) as f64,
+        }
+    }
+
+    /// The true statistical efficiency at `progress`.
+    #[inline]
+    pub(crate) fn at(&self, progress: f64) -> f64 {
+        let p = (progress / self.work).clamp(0.0, 1.0);
+        let base = self.phi_start * self.growth.powf(p);
+        let mut boost = 1.0;
+        for &(threshold, multiplier) in &self.boosts {
+            if p >= threshold {
+                boost *= multiplier;
+            }
+        }
+        let phi = base * boost;
+        assert!(!(phi.is_nan() || phi < 0.0), "phi > 0 from the profile");
+        if phi.is_infinite() {
+            return 1.0;
+        }
+        (phi + self.m0) / (phi + self.m)
     }
 }
 
@@ -211,9 +282,46 @@ mod tests {
     #[test]
     fn shape_tracks_placement() {
         let mut j = sample_job();
-        j.placement = vec![2, 0, 1, 0];
+        j.edit_placement(|row| *row = vec![2, 0, 1, 0]);
         assert_eq!(j.shape(), PlacementShape::new(3, 2));
         assert_eq!(j.gpus(), 3);
+        j.edit_placement(|row| row.truncate(2));
+        assert_eq!(j.shape(), PlacementShape::new(2, 1));
+        j.edit_placement(|row| row.fill(0));
+        assert_eq!((j.shape(), j.gpus()), (None, 0));
+    }
+
+    /// The hoisted stepper must return the bits of the unhoisted
+    /// chain for every model, below, at and above `m0`, across the
+    /// whole trajectory including the boost thresholds and the clamps.
+    #[test]
+    fn efficiency_stepper_matches_true_efficiency_bitwise() {
+        let template = TraceGenerator::new(TraceConfig::default())
+            .unwrap()
+            .generate()
+            .swap_remove(0);
+        for kind in ModelKind::ALL {
+            let mut spec = template.clone();
+            spec.kind = kind;
+            spec.work = kind.profile().total_work * 0.37;
+            let user = spec.tuned;
+            let job = SimJob::new(spec, user, 2);
+            let m0 = job.profile.m0;
+            for m in [1, m0, m0 + 1, 3 * m0, 100 * m0] {
+                let stepper = EfficiencyStepper::new(&job, m);
+                let mut fractions: Vec<f64> = (0..=1000).map(|i| i as f64 / 1000.0).collect();
+                fractions.extend(job.profile.gns.boosts.iter().map(|&(thr, _)| thr));
+                fractions.extend([-0.5, 1.0 + 1e-12, 7.0]);
+                for f in fractions {
+                    let progress = f * job.spec.work;
+                    assert_eq!(
+                        stepper.at(progress).to_bits(),
+                        job.true_efficiency_at(progress, m).to_bits(),
+                        "{kind:?} m={m} progress fraction {f}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -267,7 +375,7 @@ mod tests {
     #[test]
     fn view_reflects_job_state() {
         let mut job = sample_job();
-        job.placement = vec![0, 2, 0, 0];
+        job.edit_placement(|row| *row = vec![0, 2, 0, 0]);
         job.lifecycle.accrue_gputime(120.0);
         job.progress = job.spec.work / 2.0;
 

@@ -1,7 +1,8 @@
-//! Determinism suite for the macro-stepped simulation engine.
+//! Determinism suite for the event-sparse simulation engine.
 //!
 //! The engine's contract is that restructuring the tick loop around
-//! event horizons is a pure performance change: for a fixed seed the
+//! event horizons and persistent run contexts is a pure performance
+//! change: for a fixed seed the
 //! `SimResult` must be **byte-identical** (compared through its
 //! serialized form, which exposes every f64 bit pattern) to the
 //! reference tick-stepper the repo retains in
@@ -38,7 +39,7 @@ fn workload(n: usize, stagger: f64, seed: u64) -> Vec<(JobSpec, UserConfig)> {
 
 /// [`workload`] with every job's total work scaled by `work_scale`.
 /// Small scales force jobs to cross their finish line in the middle of
-/// long chunks, exercising the job-major stepper's truncate-and-replay
+/// long chunks, exercising the stepper's end-the-chunk-on-a-finish
 /// path.
 fn workload_scaled(
     n: usize,
@@ -178,14 +179,12 @@ fn quiet_config() -> SimConfig {
     }
 }
 
-/// Which engine variant a run goes through. All three must be
+/// Which engine variant a run goes through. Both must be
 /// bit-identical for a fixed seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Stepper {
-    /// `Simulation::run`: macro-stepped, job-major chunks.
-    JobMajor,
-    /// `Simulation::run_tick_major`: macro-stepped, tick-major chunks.
-    TickMajor,
+    /// `Simulation::run`: chunks over persistent run contexts.
+    Macro,
     /// `Simulation::run_reference`: the pre-refactor one-tick loop.
     Reference,
 }
@@ -199,8 +198,7 @@ fn json_of<P: SchedulingPolicy>(
 ) -> String {
     let sim = Simulation::new(cfg, spec, policy, wl).unwrap();
     let result = match stepper {
-        Stepper::JobMajor => sim.run(),
-        Stepper::TickMajor => sim.run_tick_major(),
+        Stepper::Macro => sim.run(),
         Stepper::Reference => sim.run_reference(),
     };
     serde_json::to_string(&result).expect("SimResult serializes")
@@ -212,7 +210,7 @@ fn digest_of<P: SchedulingPolicy>(
     policy: P,
     wl: Vec<(JobSpec, UserConfig)>,
 ) -> u64 {
-    fnv1a64(json_of(cfg, spec, policy, wl, Stepper::JobMajor).as_bytes())
+    fnv1a64(json_of(cfg, spec, policy, wl, Stepper::Macro).as_bytes())
 }
 
 /// Panics with the first differing byte region when two serialized
@@ -306,43 +304,13 @@ fn reference_stepper_matches_goldens() {
     assert_eq!(quiet, GOLDEN_QUIET, "reference drifted: 0x{quiet:016x}");
 }
 
-/// The retained tick-major chunk stepper must also reproduce the
-/// pinned digests: it shares the event-horizon chunking and the
-/// two-phase report round with `run()`, differing only in the inner
-/// chunk loop's layout.
-#[test]
-fn tick_major_stepper_matches_goldens() {
-    let churn = fnv1a64(
-        json_of(
-            churn_config(),
-            ClusterSpec::homogeneous(3, 4).unwrap(),
-            Churn,
-            workload(8, 300.0, 3),
-            Stepper::TickMajor,
-        )
-        .as_bytes(),
-    );
-    assert_eq!(churn, GOLDEN_CHURN, "tick-major drifted: 0x{churn:016x}");
-    let quiet = fnv1a64(
-        json_of(
-            quiet_config(),
-            ClusterSpec::homogeneous(2, 4).unwrap(),
-            FcfsPacked { gpus: 2 },
-            workload(6, 45.0, 11),
-            Stepper::TickMajor,
-        )
-        .as_bytes(),
-    );
-    assert_eq!(quiet, GOLDEN_QUIET, "tick-major drifted: 0x{quiet:016x}");
-}
-
 /// `engine_threads` may only change wall-clock time, never a byte of
-/// the result: the job-major chunk loop and the report round's
-/// refit/tune fan-out both commit in job order regardless of which
-/// worker computed what. The pinned goldens are the oracle, so this
-/// also proves the parallel paths equal the pre-refactor serial
-/// engine — the churn trajectory drives restarts, interference, batch
-/// re-tuning, and refits through the parallel report round.
+/// the result: the report round's refit/tune fan-out commits in job
+/// order regardless of which worker computed what. The pinned goldens
+/// are the oracle, so this also proves the parallel path equals the
+/// pre-refactor serial engine — the churn trajectory drives restarts,
+/// interference, batch re-tuning, and refits through the parallel
+/// report round.
 #[test]
 fn golden_digests_hold_at_any_engine_thread_count() {
     for threads in [1usize, 2, 4] {
@@ -371,11 +339,10 @@ fn golden_digests_hold_at_any_engine_thread_count() {
 
 /// Forced mid-chunk finishes: scale every job's work down so jobs
 /// cross their finish line far from any event horizon, then require
-/// the job-major stepper (at several thread counts) to match the
-/// reference tick loop bit for bit. This pins the truncate-and-replay
-/// rule — the chunk must cut at the earliest finish tick and replay
-/// overrunning jobs over the truncated prefix without consuming extra
-/// RNG draws.
+/// the stepper (at several thread counts) to match the reference tick
+/// loop bit for bit. This pins the rule that a chunk ends after the
+/// tick of the earliest finish, every other job having run exactly
+/// that tick too, without consuming extra RNG draws.
 #[test]
 fn mid_chunk_finishes_are_bit_identical_across_steppers() {
     for work_scale in [0.01f64, 0.05, 0.2] {
@@ -393,9 +360,9 @@ fn mid_chunk_finishes_are_bit_identical_across_steppers() {
                 engine_threads: threads,
                 ..churn_config()
             };
-            let job_major = json_of(cfg, spec.clone(), Churn, wl.clone(), Stepper::JobMajor);
+            let stepped = json_of(cfg, spec.clone(), Churn, wl.clone(), Stepper::Macro);
             assert_byte_identical(
-                &job_major,
+                &stepped,
                 &reference,
                 &format!("work_scale={work_scale} engine_threads={threads}"),
             );
@@ -501,9 +468,8 @@ fn golden_trajectories_survive_live_telemetry() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-    /// Bitwise equality of the job-major engine, the retained
-    /// tick-major chunk stepper, and the reference tick-stepper on
-    /// random small workloads: varied arrival staggering, cluster
+    /// Bitwise equality of the engine and the reference tick-stepper
+    /// on random small workloads: varied arrival staggering, cluster
     /// shapes, interference levels, measurement noise, engine thread
     /// counts, work scales small enough to force mid-chunk finishes,
     /// and both churny (restart/preemption/interference-heavy) and
@@ -533,24 +499,19 @@ proptest! {
         };
         let spec = ClusterSpec::homogeneous(nodes, gpus).unwrap();
         let wl = workload_scaled(n_jobs, stagger, wl_seed, work_scale);
-        let runs: Vec<String> = if churny == 1 {
-            [Stepper::JobMajor, Stepper::TickMajor, Stepper::Reference]
-                .map(|s| json_of(cfg, spec.clone(), Churn, wl.clone(), s))
-                .into_iter()
-                .collect()
-        } else {
-            [Stepper::JobMajor, Stepper::TickMajor, Stepper::Reference]
-                .map(|s| json_of(cfg, spec.clone(), FcfsPacked { gpus: 2 }, wl.clone(), s))
-                .into_iter()
-                .collect()
-        };
+        let runs = [Stepper::Macro, Stepper::Reference].map(|s| {
+            if churny == 1 {
+                json_of(cfg, spec.clone(), Churn, wl.clone(), s)
+            } else {
+                json_of(cfg, spec.clone(), FcfsPacked { gpus: 2 }, wl.clone(), s)
+            }
+        });
         let label = format!(
             "jobs={n_jobs} stagger={stagger:.1} wl_seed={wl_seed} sim_seed={sim_seed} \
              nodes={nodes} gpus={gpus} interference={interference:.2} noise={noise:.3} \
              hours={hours:.2} churny={churny} engine_threads={engine_threads} \
              work_scale={work_scale:.3}"
         );
-        assert_byte_identical(&runs[0], &runs[2], &format!("job-major vs reference: {label}"));
-        assert_byte_identical(&runs[1], &runs[2], &format!("tick-major vs reference: {label}"));
+        assert_byte_identical(&runs[0], &runs[1], &label);
     }
 }

@@ -1,6 +1,10 @@
 //! Chaos testing: a policy that emits random (often infeasible)
-//! allocation matrices every interval. The engine must defensively
-//! clamp them and keep every invariant intact.
+//! allocation matrices, cluster sizes and batch sizes every interval.
+//! The engine must defensively clamp them and keep every invariant
+//! intact — and, since every round rewrites every placement, resizes
+//! the cluster and re-keys every profiler run, its persistent run
+//! contexts must survive the worst churn there is: each case also
+//! requires `run()` to equal `run_reference()` byte for byte.
 
 use pollux::cluster::{AllocationMatrix, ClusterSpec};
 use pollux::simulator::{
@@ -10,11 +14,15 @@ use pollux::workload::{ModelKind, TraceConfig, TraceGenerator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 
-/// Emits uniformly random matrices, ignoring capacities entirely.
+/// Emits uniformly random matrices, ignoring capacities entirely, and
+/// random cluster sizes and batch sizes.
 struct ChaosPolicy {
     max_gpus_per_cell: u32,
-    rng: StdRng,
+    /// The policy's own stream; in a cell because
+    /// `choose_batch_size` takes `&self`.
+    rng: RefCell<StdRng>,
 }
 
 impl SchedulingPolicy for ChaosPolicy {
@@ -29,17 +37,42 @@ impl SchedulingPolicy for ChaosPolicy {
         spec: &ClusterSpec,
         _rng: &mut StdRng,
     ) -> AllocationMatrix {
+        let rng = self.rng.get_mut();
         let mut m = AllocationMatrix::zeros(jobs.len(), spec.num_nodes());
         for j in 0..jobs.len() {
             for n in 0..spec.num_nodes() {
-                m.set(j, n, self.rng.gen_range(0..=self.max_gpus_per_cell));
+                m.set(j, n, rng.gen_range(0..=self.max_gpus_per_cell));
             }
         }
         m
     }
+
+    fn desired_nodes(
+        &mut self,
+        _now: f64,
+        _jobs: &[PolicyJobView<'_>],
+        _spec: &ClusterSpec,
+        _rng: &mut StdRng,
+    ) -> Option<u32> {
+        let rng = self.rng.get_mut();
+        rng.gen_bool(0.7).then(|| rng.gen_range(1..=4))
+    }
+
+    fn choose_batch_size(&self, _job: &PolicyJobView<'_>) -> Option<u64> {
+        let mut rng = self.rng.borrow_mut();
+        rng.gen_bool(0.7).then(|| rng.gen_range(1..=8192))
+    }
 }
 
-fn run_chaos(seed: u64, max_cell: u32, jobs: usize) -> pollux::simulator::SimResult {
+/// One chaos run through `run()` or, with `reference`, through the
+/// per-tick `run_reference()`.
+fn run_chaos(
+    seed: u64,
+    max_cell: u32,
+    jobs: usize,
+    interference: f64,
+    reference: bool,
+) -> pollux::simulator::SimResult {
     let trace: Vec<_> = TraceGenerator::new(TraceConfig {
         num_jobs: 40,
         duration_hours: 1.0,
@@ -63,16 +96,20 @@ fn run_chaos(seed: u64, max_cell: u32, jobs: usize) -> pollux::simulator::SimRes
     .collect();
     let sim = SimConfig {
         max_sim_time: 6.0 * 3600.0,
+        interference_slowdown: interference,
         seed,
         ..Default::default()
     };
     let policy = ChaosPolicy {
         max_gpus_per_cell: max_cell,
-        rng: StdRng::seed_from_u64(seed ^ 0xC0FFEE),
+        rng: RefCell::new(StdRng::seed_from_u64(seed ^ 0xC0FFEE)),
     };
-    Simulation::new(sim, ClusterSpec::homogeneous(3, 4).unwrap(), policy, trace)
-        .unwrap()
-        .run()
+    let sim = Simulation::new(sim, ClusterSpec::homogeneous(3, 4).unwrap(), policy, trace).unwrap();
+    if reference {
+        sim.run_reference()
+    } else {
+        sim.run()
+    }
 }
 
 proptest! {
@@ -82,8 +119,15 @@ proptest! {
         seed in 0u64..1000,
         max_cell in 1u32..12,
         jobs in 2usize..6,
+        interference in 0.0f64..0.6,
     ) {
-        let res = run_chaos(seed, max_cell, jobs);
+        let res = run_chaos(seed, max_cell, jobs, interference, false);
+        let oracle = run_chaos(seed, max_cell, jobs, interference, true);
+        prop_assert_eq!(
+            serde_json::to_string(&res).unwrap(),
+            serde_json::to_string(&oracle).unwrap(),
+            "run() diverged from run_reference()"
+        );
 
         // The cluster is never oversubscribed, no matter what the
         // policy asked for.
