@@ -10,9 +10,10 @@
 
 use crate::profiler::{ObservationRun, ThroughputProfiler};
 use pollux_models::{
-    fit_throughput_params_counted, AdaScale, BatchSizeLimits, EfficiencyModel, FitReport, FitWork,
+    fit_throughput_params_counted, AdaScale, BatchSizeLimits, EfficiencyModel, FitReport,
     GoodputModel, GradientStats, PlacementShape, ThroughputParams,
 };
+use pollux_telemetry::Recorder;
 use serde::{Deserialize, Serialize};
 
 /// What the agent reports to `PolluxSched` (the `(θsys, φ_t, m0)`
@@ -41,30 +42,6 @@ pub struct TuningDecision {
     pub gain: f64,
     /// Predicted goodput at `m*` (useful examples/s).
     pub goodput: f64,
-}
-
-/// The immutable half of one report-interval round, produced by
-/// [`PolluxAgent::plan_report`] against a frozen agent and applied by
-/// [`PolluxAgent::commit_report`].
-///
-/// The split exists so a driver that owns many agents (the simulator's
-/// report round) can fan the expensive parts — the θsys refit and the
-/// batch-size tune — over worker threads with only `&PolluxAgent`
-/// access, then commit the results serially in job order. The plan is
-/// computed against the *post-commit* state it describes: the tuning
-/// decision sees `stats` (if any) as the latest gradient statistics
-/// and the fresh fit (if one was produced), exactly as if
-/// `observe_gradient_stats` → `refit` → `tune` had run sequentially.
-#[derive(Debug, Clone)]
-pub struct ReportPlan {
-    /// Gradient statistics to install as the latest snapshot.
-    pub stats: Option<GradientStats>,
-    /// The θsys fit this round produced (`None` when no refit was
-    /// requested or the fit failed).
-    pub fitted: Option<FitReport>,
-    /// The tuning decision for the requested shape, if one was
-    /// requested and a goodput model exists.
-    pub tuning: Option<TuningDecision>,
 }
 
 /// Job-level profiling, model fitting, and tuning.
@@ -188,47 +165,31 @@ impl PolluxAgent {
     /// [`FitReport::used_warm_start`]). Returns `true` when a fit was
     /// produced (needs at least one valid observation).
     pub fn refit(&mut self) -> bool {
-        let fitted = self.plan_fit().map(|(report, _)| report);
-        self.install_fit(fitted)
+        self.refit_recorded(&Recorder::disabled())
     }
 
-    fn install_fit(&mut self, fitted: Option<FitReport>) -> bool {
-        match fitted {
-            Some(report) => {
-                self.fitted = Some(report);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The fit computation shared by [`refit`](Self::refit) and
-    /// [`plan_report`](Self::plan_report): θsys against all profiled
-    /// data, warm-started from the previous fit, with the solver work
-    /// it spent. Pure — does not touch agent state.
-    fn plan_fit(&self) -> Option<(FitReport, FitWork)> {
-        let warm = self.fitted.as_ref().map(|f| &f.params);
-        fit_throughput_params_counted(&self.profiler.observations(), self.profiler.priors(), warm)
-    }
-
-    /// [`plan_fit`](Self::plan_fit) with telemetry: times the fit as an
+    /// [`refit`](Self::refit) under a recorder: times the fit as an
     /// `agent/refit` span and records fit quality (an `agent/rmsle_1e6`
     /// histogram of `RMSLE · 10⁶`, since histogram buckets are integer
-    /// powers of two), warm-start acceptance counters
-    /// (`agent/refit_warm_accepted` vs `agent/refit_cold`) and the
-    /// solver work (`agent/refit_evals`, `agent/refit_iters`
-    /// histograms: value-and-gradient evaluations and quasi-Newton
-    /// iterations per refit). Recording only reads the fit's outcome.
-    /// Safe to call from worker threads: counters are relaxed atomics
-    /// and span events go straight to the sink.
-    fn plan_fit_recorded(&self, recorder: &pollux_telemetry::Recorder) -> Option<FitReport> {
+    /// powers of two), the outcome counters (`agent/refits` =
+    /// `agent/refit_warm_accepted` + `agent/refit_cold` +
+    /// `agent/refit_failed`) and the solver work (`agent/refit_evals`,
+    /// `agent/refit_iters` histograms: value-and-gradient evaluations
+    /// and quasi-Newton iterations per refit). Recording only reads the
+    /// fit's outcome.
+    pub fn refit_recorded(&mut self, recorder: &Recorder) -> bool {
+        let warm = self.fitted.as_ref().map(|f| &f.params);
         let span = recorder.span("agent", "refit");
-        let fitted = self.plan_fit();
+        let fitted = fit_throughput_params_counted(
+            &self.profiler.observations(),
+            self.profiler.priors(),
+            warm,
+        );
         drop(span);
         recorder.incr("agent", "refits", 1);
         let Some((report, work)) = fitted else {
             recorder.incr("agent", "refit_failed", 1);
-            return None;
+            return false;
         };
         recorder.observe("agent", "rmsle_1e6", (report.rmsle.max(0.0) * 1e6) as u64);
         recorder.observe("agent", "refit_evals", work.evals);
@@ -238,16 +199,8 @@ impl PolluxAgent {
         } else {
             recorder.incr("agent", "refit_cold", 1);
         }
-        Some(report)
-    }
-
-    /// [`refit`](Self::refit) with the telemetry of
-    /// [`plan_report_recorded`](Self::plan_report_recorded) around the
-    /// fit. The fit itself is byte-for-byte the same computation as
-    /// `refit`.
-    pub fn refit_recorded(&mut self, recorder: &pollux_telemetry::Recorder) -> bool {
-        let fitted = self.plan_fit_recorded(recorder);
-        self.install_fit(fitted)
+        self.fitted = Some(report);
+        true
     }
 
     /// The fitted throughput parameters, or `None` before any fit.
@@ -303,90 +256,6 @@ impl PolluxAgent {
             gain: self.adascale.gain(&eff, m_star),
             goodput,
         })
-    }
-
-    /// Computes one report-interval round without mutating the agent:
-    /// optionally re-fits θsys (`refit`), and optionally tunes the
-    /// batch size for `tune_shape` against the hypothetical post-commit
-    /// state (`stats` installed, fresh fit applied). Equivalent to
-    /// `observe_gradient_stats(stats)` → `refit()` → `tune(shape)` on
-    /// a mutable agent, operation for operation — the simulator's
-    /// golden digests pin this. Apply the result with
-    /// [`commit_report`](Self::commit_report).
-    pub fn plan_report(
-        &self,
-        stats: Option<GradientStats>,
-        refit: bool,
-        tune_shape: Option<PlacementShape>,
-    ) -> ReportPlan {
-        let fitted = refit.then(|| self.plan_fit()).flatten();
-        self.plan_with_fit(stats, fitted.map(|(report, _)| report), tune_shape)
-    }
-
-    /// [`plan_report`](Self::plan_report) with telemetry around the
-    /// fit: an `agent/refit` span, the refit counters
-    /// (`agent/refits`, `agent/refit_warm_accepted`,
-    /// `agent/refit_cold`, `agent/refit_failed`) and the
-    /// `agent/rmsle_1e6`, `agent/refit_evals` and `agent/refit_iters`
-    /// histograms. Safe to call from worker threads.
-    pub fn plan_report_recorded(
-        &self,
-        recorder: &pollux_telemetry::Recorder,
-        stats: Option<GradientStats>,
-        refit: bool,
-        tune_shape: Option<PlacementShape>,
-    ) -> ReportPlan {
-        let fitted = refit.then(|| self.plan_fit_recorded(recorder)).flatten();
-        self.plan_with_fit(stats, fitted, tune_shape)
-    }
-
-    fn plan_with_fit(
-        &self,
-        stats: Option<GradientStats>,
-        fitted: Option<FitReport>,
-        tune_shape: Option<PlacementShape>,
-    ) -> ReportPlan {
-        let stats_effective = stats.or(self.latest_stats);
-        let params = fitted.as_ref().or(self.fitted.as_ref()).map(|f| f.params);
-        let tuning = tune_shape.and_then(|shape| {
-            // Mirrors `efficiency_model` with the planned stats in
-            // place of `latest_stats` — same ops, same bits.
-            let phi = stats_effective
-                .map(|s| s.noise_scale(self.m0()))
-                .unwrap_or(0.0);
-            let eff = EfficiencyModel::from_noise_scale(self.m0(), phi.max(0.0))
-                .expect("m0 >= 1 and phi >= 0 by construction");
-            let model = GoodputModel::new(params?, eff, self.limits)?;
-            let (m_star, goodput) = model.optimal_batch_size(shape)?;
-            Some(TuningDecision {
-                batch_size: m_star,
-                learning_rate: self.adascale.learning_rate(&eff, m_star),
-                gain: self.adascale.gain(&eff, m_star),
-                goodput,
-            })
-        });
-        ReportPlan {
-            stats,
-            fitted,
-            tuning,
-        }
-    }
-
-    /// Applies a [`ReportPlan`] produced by
-    /// [`plan_report`](Self::plan_report) against this same agent
-    /// state. Returns `true` when the plan carried a fresh fit (the
-    /// analogue of [`refit`](Self::refit) returning `true`).
-    pub fn commit_report(&mut self, plan: &ReportPlan) -> bool {
-        if let Some(stats) = plan.stats {
-            self.latest_stats = Some(stats);
-        }
-        match &plan.fitted {
-            Some(fit) => {
-                self.fitted = Some(fit.clone());
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -533,40 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_commit_equals_sequential_mutation() {
-        // plan_report/commit_report must replicate the sequential
-        // observe_gradient_stats → refit → tune path bit for bit, in
-        // every combination of (stats, refit, tune) requested.
-        let shape = PlacementShape::new(4, 1).unwrap();
-        let stats = GradientStats::new(18.0, 1.0).unwrap();
-        for (give_stats, refit, tune) in [
-            (true, true, true),
-            (true, false, true),
-            (false, true, true),
-            (false, true, false),
-            (false, false, false),
-        ] {
-            let mut seq = agent();
-            feed_profile(&mut seq, &[(1, 1, 128), (2, 1, 256), (4, 1, 512)]);
-            let mut planned = seq.clone();
-
-            let stats_in = give_stats.then_some(stats);
-            let plan = planned.plan_report(stats_in, refit, tune.then_some(shape));
-            let plan_fitted = planned.commit_report(&plan);
-
-            if let Some(s) = stats_in {
-                seq.observe_gradient_stats(s);
-            }
-            let seq_fitted = refit && seq.refit();
-            let seq_tuning = if tune { seq.tune(shape) } else { None };
-
-            assert_eq!(plan_fitted, seq_fitted);
-            assert_eq!(plan.tuning, seq_tuning);
-            assert_eq!(planned, seq, "case ({give_stats}, {refit}, {tune})");
-        }
-    }
-
-    #[test]
     fn second_refit_warm_starts_from_first() {
         let mut a = agent();
         feed_profile(&mut a, &[(1, 1, 128), (2, 1, 256), (4, 1, 512)]);
@@ -580,10 +415,9 @@ mod tests {
         assert!(fit.used_warm_start, "rmsle = {}", fit.rmsle);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn recorded_refits_are_the_same_fits_and_count_solver_work() {
-        use pollux_telemetry::{Event, MemorySink, Recorder};
+        use pollux_telemetry::{Event, MemorySink};
         use std::sync::Arc;
 
         let sink = Arc::new(MemorySink::new(64));
@@ -592,13 +426,12 @@ mod tests {
         feed_profile(&mut plain, &[(1, 1, 128), (2, 1, 256), (4, 1, 512)]);
         let mut recorded = plain.clone();
 
-        // A cold refit through `refit_recorded`, then a warm one through
-        // `plan_report_recorded`: both are the unrecorded computation.
-        assert!(plain.refit());
-        assert!(recorded.refit_recorded(&recorder));
-        assert_eq!(recorded, plain);
-        let plan = recorded.plan_report_recorded(&recorder, None, true, None);
-        assert_eq!(plan.fitted, plain.plan_report(None, true, None).fitted);
+        // A cold refit, then a warm one: the recorder changes neither.
+        for _ in 0..2 {
+            assert!(plain.refit());
+            assert!(recorded.refit_recorded(&recorder));
+            assert_eq!(recorded, plain);
+        }
 
         recorder.flush();
         let events = sink.drain();

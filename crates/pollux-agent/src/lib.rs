@@ -18,6 +18,6 @@ pub mod agent;
 pub mod gns;
 pub mod profiler;
 
-pub use agent::{AgentReport, PolluxAgent, ReportPlan, TuningDecision};
+pub use agent::{AgentReport, PolluxAgent, TuningDecision};
 pub use gns::{DifferencedGns, Ewma, ReplicaGns};
 pub use profiler::{ObservationRun, ThroughputProfiler};

@@ -292,8 +292,7 @@ fn main() {
         ));
     }
     out.push_str(&format!(
-        "  ],\n  \"speedup_macro_vs_reference\": {speedup:.2},\n  \"telemetry_enabled\": {},\n  \"telemetry_overhead_pct\": {overhead_pct:.2}\n",
-        cfg!(feature = "telemetry"),
+        "  ],\n  \"speedup_macro_vs_reference\": {speedup:.2},\n  \"telemetry_overhead_pct\": {overhead_pct:.2}\n",
     ));
     out.push_str("}\n");
 

@@ -12,7 +12,7 @@ use pollux_models::{
     fit_throughput_params, BatchSizeLimits, EfficiencyModel, FitObservation, FitPriors,
     GoodputModel, PlacementShape, ThroughputParams,
 };
-use pollux_sched::{GaConfig, GeneticAlgorithm, SchedJob, SpeedupCache, SpeedupTable};
+use pollux_sched::{GaConfig, GeneticAlgorithm, SchedJob, SpeedupTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -102,25 +102,6 @@ fn bench_speedup_table_build(c: &mut Criterion) {
     });
 }
 
-fn bench_speedup_cache_population(c: &mut Criterion) {
-    let jobs = sched_jobs(16);
-    c.bench_function("speedup_cache_16_jobs_64_shapes", |b| {
-        b.iter_batched(
-            SpeedupCache::new,
-            |cache| {
-                for job in &jobs {
-                    for k in 1..=16u32 {
-                        let shape = PlacementShape::new(k, k.div_ceil(4)).unwrap();
-                        black_box(cache.speedup(job, shape));
-                    }
-                }
-                cache
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
 criterion_group!(
     benches,
     bench_goodput_eval,
@@ -128,6 +109,5 @@ criterion_group!(
     bench_theta_sys_fit,
     bench_ga_generation,
     bench_speedup_table_build,
-    bench_speedup_cache_population,
 );
 criterion_main!(benches);

@@ -9,9 +9,6 @@
 //! - [`alloc::AllocationMatrix`] — the matrix with capacity checks,
 //!   placement-shape reduction, and the queries the genetic algorithm's
 //!   repair step needs;
-//! - [`sparse::SparseAllocation`] — the sparse per-job `{node → gpus}`
-//!   counterpart for datacenter-scale clusters, proptest-pinned to the
-//!   dense matrix;
 //! - [`rack::RackTopology`] / [`topology::Topology`] — node → rack
 //!   grouping for the rack-aware throughput model and the two-phase
 //!   (rack, then GPU) placement search;
@@ -20,13 +17,11 @@
 pub mod alloc;
 pub mod ids;
 pub mod rack;
-pub mod sparse;
 pub mod spec;
 pub mod topology;
 
 pub use alloc::AllocationMatrix;
 pub use ids::{JobId, NodeId};
 pub use rack::RackTopology;
-pub use sparse::SparseAllocation;
 pub use spec::{ClusterSpec, NodeSpec};
 pub use topology::Topology;

@@ -319,7 +319,6 @@ mod tests {
         assert_eq!(p.state(), JobState::Pending);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn transitions_emit_timeline_instants() {
         use pollux_telemetry::{Event, MemorySink};

@@ -176,12 +176,11 @@ pub trait SchedulingPolicy {
         None
     }
 
-    /// Parallelism hint: drivers call this once at startup with their
-    /// configured scheduling thread count (`SimConfig::sched_threads`
-    /// in the simulator; 1 = serial). Policies whose optimizer
-    /// supports parallel evaluation (e.g. Pollux's genetic algorithm)
-    /// reconfigure their worker pool; the default is a no-op, so
-    /// purely serial policies need not care. Implementations must keep
+    /// Parallelism hint for a driver that owns a thread budget (the
+    /// simulator does not call it: Pollux's GA reads
+    /// `GaConfig::threads`). Policies whose optimizer supports
+    /// parallel evaluation reconfigure their worker pool; the default
+    /// is a no-op. Implementations must keep
     /// results independent of the thread count (Pollux's GA guarantees
     /// bit-identical schedules for a fixed seed).
     fn configure_parallelism(&mut self, _threads: usize) {}

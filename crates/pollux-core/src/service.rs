@@ -791,7 +791,6 @@ mod tests {
         service.shutdown();
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn service_rounds_emit_telemetry() {
         use pollux_telemetry::{Event, MemorySink};

@@ -197,7 +197,6 @@ fn simulator_first_interval_matches_direct_planner_outcome() {
     let workload = trace.into_iter().map(|j| (j, user)).collect();
     let sim = SimConfig {
         seed: SEED,
-        sched_threads: 1,
         max_sim_time: 120.0,
         ..Default::default()
     };

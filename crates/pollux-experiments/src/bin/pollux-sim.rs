@@ -32,6 +32,15 @@ use pollux_simulator::{SchedulingPolicy, SimConfig};
 use pollux_workload::{TraceConfig, TraceGenerator};
 use std::time::Instant;
 
+/// Writes an output file the environment asked for. The path is user
+/// input: an unwritable one is reported and exits 2, like a bad seed.
+fn write_or_exit(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2);
+    }
+}
+
 fn run_one(name: &str, policy: Box<dyn SchedulingPolicy>, seed: u64) {
     let mut trace_cfg = TraceConfig {
         seed,
@@ -57,7 +66,7 @@ fn run_one(name: &str, policy: Box<dyn SchedulingPolicy>, seed: u64) {
     };
     if let Ok(path) = std::env::var("POLLUX_TRACE_OUT") {
         let json = serde_json::to_string_pretty(&trace).expect("trace serializes");
-        std::fs::write(&path, json).expect("trace file writable");
+        write_or_exit(&path, json);
     }
     let t0 = Instant::now();
     let res = run_trace_recorded(
@@ -71,7 +80,7 @@ fn run_one(name: &str, policy: Box<dyn SchedulingPolicy>, seed: u64) {
     .expect("valid simulation inputs");
     if let Ok(path) = std::env::var("POLLUX_JSON_OUT") {
         let json = serde_json::to_string_pretty(&res).expect("result serializes");
-        std::fs::write(format!("{path}.{name}.json"), json).expect("output file writable");
+        write_or_exit(&format!("{path}.{name}.json"), json);
     }
     let s = res.summary();
     let h = |v: Option<f64>| v.unwrap_or(0.0) / 3600.0;

@@ -10,11 +10,9 @@
 //! recomputation uses, so incremental and full evaluation are
 //! bit-identical.
 //!
-//! Speedup lookups go through the dense per-interval [`SpeedupTable`];
-//! [`fitness_with_cache`] keeps the previous sharded-`SpeedupCache`
-//! path alive as the `bench_fitness` baseline.
+//! Speedup lookups go through the dense per-interval [`SpeedupTable`].
 
-use crate::speedup::{SchedJob, SpeedupCache, SpeedupTable};
+use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::AllocationMatrix;
 use pollux_models::PlacementShape;
 use serde::{Deserialize, Serialize};
@@ -149,40 +147,6 @@ pub fn fitness(
     }
 }
 
-/// Legacy fitness evaluation against the sharded [`SpeedupCache`].
-///
-/// Identical semantics (and bits) to [`fitness`]; kept as the
-/// hash-cache baseline arm of `bench_fitness`.
-pub fn fitness_with_cache(
-    jobs: &[SchedJob],
-    alloc: &AllocationMatrix,
-    cache: &SpeedupCache,
-    config: &FitnessConfig,
-) -> f64 {
-    debug_assert!(
-        alloc.num_jobs() >= jobs.len(),
-        "allocation matrix too small"
-    );
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (j, job) in jobs.iter().enumerate() {
-        let mut s = match alloc.shape_of(j) {
-            Some(shape) => cache.speedup(job, shape),
-            None => 0.0,
-        };
-        if job.is_running() && alloc.row(j) != job.current_placement.as_slice() {
-            s -= config.restart_penalty;
-        }
-        num += job.weight * s;
-        den += job.weight;
-    }
-    if den > 0.0 {
-        num / den
-    } else {
-        0.0
-    }
-}
-
 /// The cluster-utility measure for auto-scaling (Eqn 17):
 /// `UTILITY(A) = Σ_j SPEEDUP_j(A_j) / TOTAL_GPUS` (unweighted, no
 /// restart penalty).
@@ -209,6 +173,7 @@ pub fn utility(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::speedup::pure_speedup;
     use pollux_cluster::{ClusterSpec, JobId};
     use pollux_models::{BatchSizeLimits, EfficiencyModel, GoodputModel, ThroughputParams};
 
@@ -351,23 +316,29 @@ mod tests {
     }
 
     #[test]
-    fn table_fitness_matches_legacy_cache_fitness_bitwise() {
+    fn table_fitness_matches_pure_speedup_fitness_bitwise() {
         let jobs = vec![
             job(0, 1.0, vec![2, 0, 0, 0]),
             job(1, 1.3, vec![]),
             job(2, 0.7, vec![0, 0, 1, 0]),
         ];
         let table = table_for(&jobs, 4, 4);
-        let cache = SpeedupCache::new();
         let cfg = FitnessConfig::default();
         for (a, b, c) in [(2u32, 3u32, 1u32), (1, 0, 4), (4, 4, 0)] {
             let mut alloc = AllocationMatrix::zeros(3, 4);
             alloc.set(0, 0, a);
             alloc.set(1, 1, b);
             alloc.set(2, 2, c);
+            let from_model: Vec<f64> = jobs
+                .iter()
+                .enumerate()
+                .map(|(j, job)| {
+                    row_contribution(job, alloc.row(j), &cfg, |shape| pure_speedup(job, shape))
+                })
+                .collect();
             assert_eq!(
                 fitness(&jobs, &alloc, &table, &cfg).to_bits(),
-                fitness_with_cache(&jobs, &alloc, &cache, &cfg).to_bits()
+                fitness_of(&from_model, weight_sum(&jobs)).to_bits()
             );
         }
     }

@@ -37,8 +37,7 @@
 //! its seed, so for a fixed seed the schedule is bit-identical at
 //! every thread count. `threads == 1` (the default) runs the same
 //! per-slot code inline without spawning. See [`ga`] for the full
-//! determinism contract. The legacy sharded [`SpeedupCache`] is kept
-//! for comparison benchmarks ([`fitness::fitness_with_cache`]).
+//! determinism contract.
 
 pub mod autoscale;
 pub mod fitness;
@@ -52,13 +51,12 @@ pub mod weights;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler};
 pub use fitness::{
-    contribution, contributions, fitness, fitness_of, fitness_with_cache, utility, weight_sum,
-    FitnessConfig,
+    contribution, contributions, fitness, fitness_of, utility, weight_sum, FitnessConfig,
 };
 pub use ga::{repair_matrix, GaConfig, GaOutcome, GaRunStats, GaWorkspace, GeneticAlgorithm};
 pub use local_search::{LocalSearch, LocalSearchConfig};
 pub use par::{parallel_for_each_mut, parallel_map};
 pub use rackga::{assign_racks, home_rack};
 pub use scheduler::{PolluxSched, SchedConfig, SchedIntervalStats};
-pub use speedup::{CacheStats, SchedJob, SpeedupCache, SpeedupTable, SpeedupTableStats};
+pub use speedup::{SchedJob, SpeedupTable, SpeedupTableStats};
 pub use weights::{job_weight, WeightConfig};

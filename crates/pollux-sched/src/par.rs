@@ -153,7 +153,6 @@ mod tests {
     /// Recorder counters must be *exact* (not approximate) under
     /// concurrent workers: each increment is one `fetch_add`, so the
     /// sum over any interleaving equals the serial sum.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_counters_are_exact_under_workers() {
         use pollux_telemetry::{NullSink, Recorder};

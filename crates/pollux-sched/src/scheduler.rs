@@ -917,7 +917,6 @@ mod tests {
         assert!(after.solves > before.solves);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn round_explain_audits_flat_and_racked_intervals() {
         use pollux_telemetry::MemorySink;

@@ -1,5 +1,4 @@
-//! Per-job `SPEEDUP` evaluation: dense per-interval tables (hot path)
-//! and the legacy sharded memo cache (benchmark baseline).
+//! Per-job `SPEEDUP` evaluation: dense per-interval tables.
 //!
 //! `SPEEDUP_j(A_j)` (Eqn 15) only depends on the placement through its
 //! `(K, N)` shape, because `T_sync` is locality- but not
@@ -11,16 +10,14 @@
 //! [`crate::par::parallel_map`]); each fitness lookup thereafter is an
 //! unsynchronized array index — no hashing, no locking, no lazy solve.
 //!
-//! [`SpeedupCache`] is the previous design: shape-level memoization
-//! sharded behind `parking_lot::RwLock`s, populated lazily on the hot
-//! path. It is retained as the baseline for `bench_fitness` and for
-//! callers that query a handful of shapes where precomputing the dense
-//! table would not pay off.
+//! [`pure_speedup`] evaluates one `(job, shape)` straight from the
+//! goodput model, for callers that query a handful of shapes or must
+//! not touch the table's counters.
 //!
 //! # Determinism
 //!
-//! Both structures store values that are **pure** functions of
-//! `(job.model, shape)`, computed with bit-identical arithmetic
+//! Table entries are **pure** functions of `(job.model, shape)`,
+//! computed with bit-identical arithmetic
 //! (`max_goodput(shape) / max_goodput(reference_shape())`, zero outside
 //! the feasible range). Table construction reassembles worker results
 //! in job order, so the table contents never depend on the thread
@@ -28,15 +25,11 @@
 //! likewise thread-count-invariant.
 
 use crate::par::parallel_map;
-use parking_lot::RwLock;
 use pollux_cluster::{ClusterSpec, JobId};
 use pollux_models::{GoodputModel, PlacementShape};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of independently locked shards (a power of two).
-pub const SHARD_COUNT: usize = 16;
 
 /// The scheduler-facing view of one job at one scheduling interval.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,13 +96,12 @@ impl SchedJob {
 }
 
 /// Counter-free `SPEEDUP_j` evaluation: the same feasibility gates and
-/// canonicalization as [`SpeedupCache::speedup`] / [`SpeedupTable`],
-/// but computed directly from the goodput model with **no** hit/miss
-/// accounting. The table and cache counters flow into the
-/// golden-digested `SchedIntervalSample`, so observational consumers —
-/// the per-round decision audit (`RoundExplain`) above all — must use
-/// this instead of the counted lookups to keep digests byte-identical
-/// with telemetry on and off.
+/// canonicalization as [`SpeedupTable`], but computed directly from
+/// the goodput model with **no** hit/miss accounting. The table
+/// counters flow into the golden-digested `SchedIntervalSample`, so
+/// observational consumers — the per-round decision audit
+/// (`RoundExplain`) above all — must use this instead of the counted
+/// lookups to keep digests byte-identical with telemetry on and off.
 pub fn pure_speedup(job: &SchedJob, shape: PlacementShape) -> f64 {
     if shape.gpus < job.min_gpus || shape.gpus > job.gpu_cap {
         return 0.0;
@@ -117,132 +109,6 @@ pub fn pure_speedup(job: &SchedJob, shape: PlacementShape) -> f64 {
     let shape = PlacementShape::new(shape.gpus, shape.nodes.min(2))
         .expect("nodes >= 1 preserved by canonicalization");
     job.model.speedup(shape)
-}
-
-/// One shard of the memo table: shape-level speedups plus the per-job
-/// reference goodput (the Eqn 15 denominator) for the jobs hashed to
-/// this shard.
-#[derive(Debug, Default)]
-struct Shard {
-    by_shape: HashMap<(JobId, PlacementShape), f64>,
-    reference: HashMap<JobId, f64>,
-}
-
-/// Hit/miss counters of a [`SpeedupCache`] (diagnostics and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the memo table.
-    pub hits: u64,
-    /// Lookups that computed and inserted a fresh value.
-    pub misses: u64,
-}
-
-/// Memoizes `SPEEDUP_j` per `(job, shape)` within one scheduling round.
-///
-/// Shared across the fitness worker pool: all methods take `&self`.
-/// The cache must be cleared (or rebuilt) whenever the jobs' goodput
-/// models change, i.e. at every scheduling interval.
-#[derive(Debug, Default)]
-pub struct SpeedupCache {
-    shards: Vec<RwLock<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SpeedupCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self {
-            shards: (0..SHARD_COUNT).map(|_| RwLock::default()).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, id: JobId) -> &RwLock<Shard> {
-        // Fibonacci multiplicative hash of the job id: consecutive ids
-        // spread across shards.
-        let h = (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[h as usize % SHARD_COUNT]
-    }
-
-    /// Clears all memoized values and counters (call at the start of
-    /// each interval).
-    pub fn clear(&mut self) {
-        for shard in &self.shards {
-            let mut s = shard.write();
-            s.by_shape.clear();
-            s.reference.clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// `SPEEDUP_j` for the job under `shape` (batch size re-optimized
-    /// in both numerator and denominator). Returns 0 for infeasible
-    /// shapes (`K < min_gpus`) and shapes beyond the job's scale cap.
-    ///
-    /// Shapes are canonicalized to `(K, min(N, 2))` before lookup:
-    /// `T_sync` (Eqn 10) only distinguishes co-located (`N = 1`) from
-    /// cross-node (`N ≥ 2`) placements, so all multi-node shapes with
-    /// equal `K` share one speedup value.
-    ///
-    /// Safe to call from any number of threads concurrently; the
-    /// returned value is independent of interleaving (see the module
-    /// docs on determinism).
-    pub fn speedup(&self, job: &SchedJob, shape: PlacementShape) -> f64 {
-        if shape.gpus < job.min_gpus || shape.gpus > job.gpu_cap {
-            return 0.0;
-        }
-        let shape = PlacementShape::new(shape.gpus, shape.nodes.min(2))
-            .expect("nodes >= 1 preserved by canonicalization");
-        let shard = self.shard(job.id);
-        let cached_ref = {
-            let s = shard.read();
-            if let Some(&v) = s.by_shape.get(&(job.id, shape)) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return v;
-            }
-            s.reference.get(&job.id).copied()
-        };
-
-        // Miss: compute outside any lock (both solves are pure), then
-        // publish. A racing thread may compute the same value; the
-        // duplicate insert is bit-identical.
-        let denom =
-            cached_ref.unwrap_or_else(|| job.model.max_goodput(job.model.reference_shape()));
-        let v = if denom > 0.0 {
-            job.model.max_goodput(shape) / denom
-        } else {
-            0.0
-        };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut s = shard.write();
-        s.reference.entry(job.id).or_insert(denom);
-        s.by_shape.insert((job.id, shape), v);
-        v
-    }
-
-    /// Hit/miss counters since construction or the last [`clear`].
-    ///
-    /// [`clear`]: SpeedupCache::clear
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of memoized `(job, shape)` entries (diagnostics).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().by_shape.len()).sum()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().by_shape.is_empty())
-    }
 }
 
 /// Counters of a [`SpeedupTable`]: where did speedup values come from?
@@ -294,7 +160,7 @@ impl SpeedupTableStats {
 /// Entries outside a job's feasible range (`K < min_gpus` or
 /// `K > gpu_cap`) hold 0, so [`Self::speedup`] is a pure bounds check
 /// plus an array read: no hashing, no locks, no branches on job state.
-/// Values are bit-identical to [`SpeedupCache::speedup`] and
+/// Values are bit-identical to [`pure_speedup`] and
 /// [`GoodputModel::speedup`] for every shape reachable from a repaired
 /// allocation matrix.
 ///
@@ -584,119 +450,29 @@ mod tests {
     }
 
     #[test]
-    fn speedup_matches_model_directly() {
+    fn multi_node_shapes_share_one_value() {
+        // T_sync only tells co-located from cross-node: 8 GPUs over 4
+        // nodes canonicalizes to (8, 2).
         let j = job(1, 64);
-        let cache = SpeedupCache::new();
-        for (g, n) in [(1u32, 1u32), (2, 1), (4, 1), (8, 2)] {
-            let shape = PlacementShape::new(g, n).unwrap();
-            let expect = j.model.speedup(shape);
-            let got = cache.speedup(&j, shape);
-            assert!((got - expect).abs() < 1e-9, "({g},{n}): {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn cache_hits_do_not_recompute() {
-        let j = job(1, 64);
-        let cache = SpeedupCache::new();
-        let shape = PlacementShape::new(4, 1).unwrap();
-        let a = cache.speedup(&j, shape);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
-        let b = cache.speedup(&j, shape);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn canonicalized_shapes_share_entries() {
-        let j = job(1, 64);
-        let cache = SpeedupCache::new();
-        let a = cache.speedup(&j, PlacementShape::new(8, 2).unwrap());
-        // 8 GPUs over 4 nodes canonicalizes to (8, 2): a hit.
-        let b = cache.speedup(&j, PlacementShape::new(8, 4).unwrap());
-        assert_eq!(a, b);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats().hits, 1);
+        let a = pure_speedup(&j, PlacementShape::new(8, 2).unwrap());
+        let b = pure_speedup(&j, PlacementShape::new(8, 4).unwrap());
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(
+            a.to_bits(),
+            j.model
+                .speedup(PlacementShape::new(8, 2).unwrap())
+                .to_bits()
+        );
     }
 
     #[test]
     fn respects_gpu_cap_and_min() {
         let mut j = job(1, 4);
         j.min_gpus = 2;
-        let cache = SpeedupCache::new();
-        assert_eq!(cache.speedup(&j, PlacementShape::single()), 0.0);
-        assert!(cache.speedup(&j, PlacementShape::new(2, 1).unwrap()) > 0.0);
-        assert!(cache.speedup(&j, PlacementShape::new(4, 1).unwrap()) > 0.0);
-        assert_eq!(cache.speedup(&j, PlacementShape::new(5, 2).unwrap()), 0.0);
-        // Out-of-bounds shapes never touch the memo table.
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn clear_resets_memoization_and_stats() {
-        let j = job(1, 64);
-        let mut cache = SpeedupCache::new();
-        cache.speedup(&j, PlacementShape::single());
-        assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 0 });
-    }
-
-    #[test]
-    fn jobs_spread_across_shards() {
-        let cache = SpeedupCache::new();
-        let touched: std::collections::HashSet<usize> = (0..64u32)
-            .map(|id| {
-                let shard = cache.shard(JobId(id)) as *const _ as usize;
-                shard
-            })
-            .collect();
-        assert!(
-            touched.len() > SHARD_COUNT / 2,
-            "only {} shards",
-            touched.len()
-        );
-    }
-
-    #[test]
-    fn concurrent_readers_agree_and_stats_balance() {
-        // 8 threads hammer the same small shape set: every thread must
-        // observe the exact same (bit-identical) value per shape, and
-        // hits + misses must account for every query. Racing first
-        // queries may each count a miss, but the memo table still ends
-        // up with exactly one entry per canonical shape.
-        let jobs: Vec<SchedJob> = (0..4).map(|i| job(i, 64)).collect();
-        let shapes: Vec<PlacementShape> = (1..=8u32)
-            .map(|g| PlacementShape::new(g, g.div_ceil(4)).unwrap())
-            .collect();
-        let cache = SpeedupCache::new();
-        let queries_per_thread = jobs.len() * shapes.len();
-        let per_thread: Vec<Vec<u64>> = crate::par::parallel_map(8, 8, |_| {
-            let mut seen = Vec::with_capacity(queries_per_thread);
-            for j in &jobs {
-                for &s in &shapes {
-                    seen.push(cache.speedup(j, s).to_bits());
-                }
-            }
-            seen
-        });
-        for t in &per_thread[1..] {
-            assert_eq!(t, &per_thread[0], "threads observed different values");
-        }
-        let stats = cache.stats();
-        assert_eq!(
-            stats.hits + stats.misses,
-            (8 * queries_per_thread) as u64,
-            "every query must count as a hit or a miss"
-        );
-        assert!(stats.misses >= queries_per_thread as u64);
-        assert!(stats.hits > 0, "repeat queries must hit");
-        // (8,2) and (8,4)-style aliases collapse; here every shape is
-        // already canonical, so the table holds jobs × shapes entries.
-        assert_eq!(cache.len(), queries_per_thread);
+        assert_eq!(pure_speedup(&j, PlacementShape::single()), 0.0);
+        assert!(pure_speedup(&j, PlacementShape::new(2, 1).unwrap()) > 0.0);
+        assert!(pure_speedup(&j, PlacementShape::new(4, 1).unwrap()) > 0.0);
+        assert_eq!(pure_speedup(&j, PlacementShape::new(5, 2).unwrap()), 0.0);
     }
 
     #[test]
@@ -739,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn table_matches_cache_and_model_bitwise() {
+    fn table_matches_pure_speedup_bitwise() {
         let jobs: Vec<SchedJob> = (0..4)
             .map(|i| {
                 let mut j = job(i, 16);
@@ -749,16 +525,13 @@ mod tests {
             .collect();
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
         let table = SpeedupTable::build(&jobs, &spec, 2);
-        let cache = SpeedupCache::new();
         for (idx, j) in jobs.iter().enumerate() {
             for gpus in 1u32..=16 {
                 for nodes in 1u32..=4.min(gpus) {
                     let shape = PlacementShape::new(gpus, nodes).unwrap();
-                    let from_table = table.speedup(idx, shape);
-                    let from_cache = cache.speedup(j, shape);
                     assert_eq!(
-                        from_table.to_bits(),
-                        from_cache.to_bits(),
+                        table.speedup(idx, shape).to_bits(),
+                        pure_speedup(j, shape).to_bits(),
                         "job {idx} shape ({gpus},{nodes})"
                     );
                 }

@@ -27,11 +27,6 @@ pub struct SimConfig {
     /// scheduling interval (off by default; adds memory proportional
     /// to jobs × intervals).
     pub record_job_series: bool,
-    /// Worker threads handed to the policy's optimizer at simulation
-    /// start via `SchedulingPolicy::configure_parallelism` (1 = fully
-    /// serial). Simulation results are independent of this value for
-    /// policies honoring the determinism contract.
-    pub sched_threads: usize,
     /// Rack width handed to the policy at simulation start (and again
     /// after every resize) via `SchedulingPolicy::configure_topology`:
     /// nodes `[0, n)`, `[n, 2n)`, … form racks (the last may be
@@ -42,15 +37,6 @@ pub struct SimConfig {
     /// like the flat search.
     #[serde(default)]
     pub nodes_per_rack: u32,
-    /// Worker threads for the report rounds' refit/tune fan-out, and
-    /// nothing else: chunks are advanced serially (a mean chunk is
-    /// less work than one thread spawn). `0` and `1` both mean fully
-    /// serial (0 is the serde default so configs predating the knob
-    /// stay valid). Results are byte-identical at any thread count —
-    /// the engine draws all RNG serially and commits per-job results
-    /// in job order — so this is purely a wall-clock knob.
-    #[serde(default)]
-    pub engine_threads: usize,
     /// RNG seed for measurement noise and policy randomness.
     pub seed: u64,
 }
@@ -67,9 +53,7 @@ impl Default for SimConfig {
             phi_noise: 0.10,
             max_sim_time: 7.0 * 24.0 * 3600.0,
             record_job_series: false,
-            sched_threads: 1,
             nodes_per_rack: 0,
-            engine_threads: 1,
             seed: 0,
         }
     }
@@ -94,8 +78,7 @@ impl SimConfig {
             && (0.0..1.0).contains(&self.measurement_noise)
             && (0.0..1.0).contains(&self.phi_noise)
             && self.max_sim_time > 0.0
-            && self.max_sim_time.is_finite()
-            && self.sched_threads >= 1;
+            && self.max_sim_time.is_finite();
         if ok {
             Some(self)
         } else {
@@ -130,10 +113,6 @@ mod tests {
             },
             SimConfig {
                 measurement_noise: -0.1,
-                ..Default::default()
-            },
-            SimConfig {
-                sched_threads: 0,
                 ..Default::default()
             },
             SimConfig {

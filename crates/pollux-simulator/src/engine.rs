@@ -30,11 +30,10 @@ use crate::metrics::{
     ClusterSample, EventKind, JobRecord, JobSample, SchedIntervalSample, SchedulingEvent, SimResult,
 };
 use crate::policy::{PolicyJobView, SchedulingPolicy};
-use pollux_agent::{ObservationRun, ReportPlan};
+use pollux_agent::ObservationRun;
 use pollux_cluster::{ClusterSpec, JobId, NodeId, Topology};
 use pollux_control::{Reallocation, RoundPlanner};
 use pollux_models::{GradientStats, PlacementShape};
-use pollux_sched::parallel_map;
 use pollux_telemetry::{Counter, HistogramHandle, NullSink, Recorder};
 use pollux_workload::{JobSpec, UserConfig};
 use rand::rngs::StdRng;
@@ -153,7 +152,7 @@ pub struct Simulation<P: SchedulingPolicy> {
     /// Telemetry handle (disabled by default; see
     /// [`Simulation::with_recorder`]). Purely observational: the
     /// determinism suite proves a `SimResult` is bit-identical with
-    /// recording on, off, or compiled out.
+    /// recording on and off.
     recorder: Recorder,
     /// Hoisted counter/histogram handles for the engine hot path.
     telem: EngineTelemetry,
@@ -164,9 +163,8 @@ pub struct Simulation<P: SchedulingPolicy> {
 }
 
 /// Counter and histogram handles hoisted out of the engine hot path:
-/// one atomic add per touch, no registry lookup. All fields are inert
-/// ZSTs when the `telemetry` feature is off, and no-op handles when no
-/// recorder is attached.
+/// one atomic add per touch, no registry lookup; no-op handles when
+/// no recorder is attached.
 #[derive(Default)]
 struct EngineTelemetry {
     /// Chunks executed.
@@ -192,10 +190,6 @@ struct EngineTelemetry {
     horizon_end: Counter,
     /// Distribution of chunk lengths in ticks.
     chunk_ticks: HistogramHandle,
-    /// θsys refits computed through the parallel report-round fan-out
-    /// (equals `agent/refits` attempts issued by the engine; kept
-    /// separate so captures show how much refit work was parallelizable).
-    refits_parallel: Counter,
 }
 
 impl EngineTelemetry {
@@ -213,7 +207,6 @@ impl EngineTelemetry {
             horizon_restart: rec.counter("engine", "horizon_restart"),
             horizon_end: rec.counter("engine", "horizon_end"),
             chunk_ticks: rec.histogram("engine", "chunk_ticks"),
-            refits_parallel: rec.counter("agent", "refits_parallel"),
         }
     }
 }
@@ -295,25 +288,6 @@ struct ChunkOutcome {
     /// Whether the simulation is over (no arrivals left, all jobs
     /// finished).
     exit: bool,
-}
-
-/// Serial phase-1 output of one report round entry: everything the
-/// parallel plan phase needs, captured (and RNG-drawn) in job order.
-struct ReportPrep {
-    /// Index into `Simulation::jobs`.
-    idx: usize,
-    /// The noisy gradient-statistics observation for this round.
-    stats: Option<GradientStats>,
-    /// Whether the refit trigger fired (profiler gained information).
-    refit: bool,
-    /// Profiler configuration count at trigger evaluation, committed
-    /// to `last_fit_configs` when the fit succeeds.
-    configs: usize,
-    /// Profiler sample count at trigger evaluation.
-    samples: u64,
-    /// The placement to tune the batch size for (batch-adaptive
-    /// policies only).
-    tune_shape: Option<PlacementShape>,
 }
 
 /// Makes `entry` the element at the position a binary search of the
@@ -449,7 +423,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
         if workload.iter().any(|(s, _)| !s.submit_time.is_finite()) {
             return Err(SimBuildError::NonFiniteSubmitTime);
         }
-        policy.configure_parallelism(config.sched_threads);
         if config.nodes_per_rack > 0 {
             if let Some(topo) = Topology::grouped(spec.num_nodes() as u32, config.nodes_per_rack) {
                 policy.configure_topology(Some(&topo));
@@ -1040,53 +1013,38 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// θsys when the profile gained information, and re-tune batch
     /// sizes for batch-adaptive policies.
     ///
-    /// Runs as a deterministic two-phase round; rounds where the
-    /// trigger fires for at least one job (i.e. phase 2 performs real
-    /// θsys fits) are timed under an `engine/report_round` span —
-    /// emitting the span unconditionally would cost one event per
-    /// round (tens of thousands per simulated week) and blow the
-    /// recorder's ≤ 5% overhead budget for telemetry-heavy runs, while
-    /// no-refit rounds contribute negligibly to the phase anyway.
+    /// One serial pass over the running jobs in ascending order —
+    /// the order of the φ-noise draws: observe the noisy gradient
+    /// statistics, refit when the trigger fires, then tune (or ask the
+    /// policy for) the batch size against the state just installed.
     ///
-    /// 1. *Prepare* (serial, ascending job order): draw the per-job
-    ///    φ-noise eps — the RNG stream is identical to the sequential
-    ///    path — and evaluate the refit trigger against the profiler
-    ///    counts (which the round itself never changes).
-    /// 2. *Plan* (parallelizable, `engine_threads` — the one thing
-    ///    that knob governs): each job's refit
-    ///    and batch-size tune run as a pure
-    ///    [`PolluxAgent::plan_report_recorded`] against the frozen
-    ///    agent — the expensive θsys fit dominates this phase.
-    /// 3. *Commit* (serial, ascending job order): apply each plan's
-    ///    `(FitReport, batch_size)`, update the refit bookkeeping, and
-    ///    (for non-adaptive policies) consult the policy's batch
-    ///    override — policies are never touched off-thread.
+    /// The `engine/report_round` span opens at the round's first refit
+    /// and closes at its end, so it encloses every `agent/refit` span
+    /// of the round and rounds without a refit emit nothing: a span per
+    /// round would be tens of thousands of events per simulated week
+    /// for rounds that do next to no work.
     ///
     /// The round reads every running job's profiler, so the open runs
     /// are committed first; a job whose batch size the round changed
     /// gets its context reopened under the new `(shape, batch)` key.
     fn report_and_tune(&mut self, _now: f64) {
         self.flush_runs();
-        let policy = &self.policy;
-        let adapt = policy.adapts_batch_size();
-        let config = self.config;
-        let threads = config.engine_threads.max(1);
-        let recorder = &self.recorder;
-        let rng = &mut self.rng;
-        let jobs = &mut self.jobs;
-
-        // Phase 1: serial RNG draws and trigger evaluation.
-        let mut preps: Vec<ReportPrep> = Vec::new();
+        let adapt = self.policy.adapts_batch_size();
+        let phi_noise = self.config.phi_noise;
+        let mut round_span = None;
+        let mut rekeyed = Vec::new();
         for &i in &self.active {
-            let job = &jobs[i];
+            let job = &mut self.jobs[i];
             if !job.is_running() {
                 continue;
             }
             // Noisy measurement of the true noise scale, fed to the
             // agent in (variance, |grad|²) form.
-            let eps: f64 = rng.gen_range(-config.phi_noise..=config.phi_noise);
+            let eps: f64 = self.rng.gen_range(-phi_noise..=phi_noise);
             let phi_obs = (job.true_phi() * (1.0 + eps)).max(0.0);
-            let stats = GradientStats::new(phi_obs / job.profile.m0 as f64, 1.0);
+            if let Some(stats) = GradientStats::new(phi_obs / job.profile.m0 as f64, 1.0) {
+                job.agent.observe_gradient_stats(stats);
+            }
 
             // Refit only when the profiler actually learned something
             // substantial, keeping the simulation fast without changing
@@ -1100,65 +1058,28 @@ impl<P: SchedulingPolicy> Simulation<P> {
             let config_trigger = configs > job.last_fit_configs
                 && (job.last_fit_configs < 8 || configs >= 2 * job.last_fit_configs);
             let sample_trigger = samples >= 4 * job.last_fit_samples.max(1);
-            let refit = configs > 0 && (config_trigger || sample_trigger);
-            preps.push(ReportPrep {
-                idx: i,
-                stats,
-                refit,
-                configs,
-                samples,
-                tune_shape: if adapt { job.shape() } else { None },
-            });
-        }
-
-        // Phase 2: pure per-job plans over immutable agents. Inline
-        // (no spawns) when `engine_threads <= 1`. Only rounds doing
-        // actual fit work are worth a span event (see the doc above).
-        let _span = preps
-            .iter()
-            .any(|p| p.refit)
-            .then(|| self.recorder.span("engine", "report_round"));
-        let plans: Vec<ReportPlan> = {
-            let jobs_ref: &[SimJob] = jobs;
-            let preps_ref: &[ReportPrep] = &preps;
-            parallel_map(preps_ref.len(), threads, |k| {
-                let p = &preps_ref[k];
-                jobs_ref[p.idx]
-                    .agent
-                    .plan_report_recorded(recorder, p.stats, p.refit, p.tune_shape)
-            })
-        };
-        let refits = preps.iter().filter(|p| p.refit).count() as u64;
-        if refits > 0 {
-            self.telem.refits_parallel.add(refits);
-        }
-
-        // Phase 3: serial commit in job order.
-        let mut rekeyed = Vec::new();
-        for (p, plan) in preps.iter().zip(&plans) {
-            let job = &mut jobs[p.idx];
-            let batch_before = job.batch_size;
-            if job.agent.commit_report(plan) {
-                job.last_fit_configs = p.configs;
-                job.last_fit_samples = p.samples;
+            if configs > 0 && (config_trigger || sample_trigger) {
+                round_span.get_or_insert_with(|| self.recorder.span("engine", "report_round"));
+                if job.agent.refit_recorded(&self.recorder) {
+                    job.last_fit_configs = configs;
+                    job.last_fit_samples = samples;
+                }
             }
 
+            let batch_before = job.batch_size;
             if adapt {
-                if let Some(d) = plan.tuning {
+                if let Some(d) = job.shape().and_then(|shape| job.agent.tune(shape)) {
                     job.batch_size = d.batch_size;
                 }
-            } else {
-                let chosen = policy.choose_batch_size(&job.policy_view());
-                if let Some(m) = chosen {
-                    if let Some(shape) = job.shape() {
-                        if let Some((lo, hi)) = job.profile.limits.range(shape) {
-                            job.batch_size = m.clamp(lo, hi);
-                        }
+            } else if let Some(m) = self.policy.choose_batch_size(&job.policy_view()) {
+                if let Some(shape) = job.shape() {
+                    if let Some((lo, hi)) = job.profile.limits.range(shape) {
+                        job.batch_size = m.clamp(lo, hi);
                     }
                 }
             }
             if job.batch_size != batch_before {
-                rekeyed.push(p.idx);
+                rekeyed.push(i);
             }
         }
         for i in rekeyed {
@@ -1517,6 +1438,37 @@ mod tests {
     fn rejects_empty_workload() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         assert!(Simulation::new(quick_config(), spec, FcfsPacked { gpus: 1 }, vec![]).is_none());
+    }
+
+    /// `GaConfig::threads` is the one place GA parallelism is set: the
+    /// engine hands a policy its topology and its recorder, never a
+    /// thread count that would overwrite the policy's own.
+    #[test]
+    fn construction_leaves_policy_parallelism_alone() {
+        struct Configured {
+            threads: usize,
+        }
+        impl SchedulingPolicy for Configured {
+            fn name(&self) -> &'static str {
+                "configured"
+            }
+            fn schedule(
+                &mut self,
+                _now: f64,
+                jobs: &[PolicyJobView<'_>],
+                spec: &ClusterSpec,
+                _rng: &mut StdRng,
+            ) -> AllocationMatrix {
+                AllocationMatrix::zeros(jobs.len(), spec.num_nodes())
+            }
+            fn configure_parallelism(&mut self, threads: usize) {
+                self.threads = threads;
+            }
+        }
+        let spec = ClusterSpec::homogeneous(2, 4).unwrap();
+        let policy = Configured { threads: 4 };
+        let sim = Simulation::new(quick_config(), spec, policy, small_workload(2)).unwrap();
+        assert_eq!(sim.policy.threads, 4);
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //! - cluster resized (placements truncated/zeroed wholesale) →
 //!   [`rebuild`](InterferenceIndex::rebuild) from all rows.
 //!
-//! The `sparse_equiv` proptest suite pins this index against the full
-//! rescan over random reallocation streams; a debug assertion in the
-//! engine cross-checks every query in debug builds.
+//! The `interference_equiv` proptest suite pins this index against the
+//! full rescan over random reallocation streams; a debug assertion in
+//! the engine cross-checks every query in debug builds.
 
 /// Per-node occupant sets plus per-job occupied-node counts.
 #[derive(Debug, Clone, Default)]

@@ -16,15 +16,6 @@
 //! - a disabled recorder (the [`Default`]) skips all work, so code
 //!   paths are identical whether telemetry is captured or not.
 //!
-//! # Compile-out
-//!
-//! With the `telemetry` cargo feature disabled (it is on by default),
-//! [`Recorder`], [`SpanGuard`], [`Counter`], and [`HistogramHandle`]
-//! become zero-sized no-ops: instrumented crates compile with no
-//! telemetry code at all. [`Event`], the sinks, and the JSONL
-//! reader/writer stay available in both modes so capture files can
-//! always be parsed (e.g. by `telemetry_report`).
-//!
 //! # Example
 //!
 //! ```
@@ -42,7 +33,6 @@
 //! rec.point("engine", "cluster_sample", 60.0, &[("goodput", 123.4)]);
 //! rec.flush(); // counter + histogram snapshots
 //!
-//! # #[cfg(feature = "telemetry")]
 //! assert!(sink.len() >= 4);
 //! ```
 
@@ -61,7 +51,6 @@ pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "telemetry")]
     use std::sync::Arc;
 
     #[test]
@@ -76,7 +65,6 @@ mod tests {
         assert_eq!(rec.counter_value("a", "c"), 0);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn spans_counters_and_points_reach_the_sink() {
         let sink = Arc::new(MemorySink::new(64));
@@ -123,7 +111,6 @@ mod tests {
         assert_eq!((spans, counts, hists, points), (1, 1, 1, 1));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn cloned_recorders_share_counters() {
         let rec = Recorder::new(Arc::new(NullSink));
@@ -134,7 +121,6 @@ mod tests {
         assert_eq!(dup.counter_value("x", "n"), 3);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn hoisted_counter_handles_are_shared_and_exact() {
         let rec = Recorder::new(Arc::new(NullSink));
@@ -148,7 +134,6 @@ mod tests {
         assert_eq!(c1.value(), 300);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn jsonl_events_round_trip() {
         let sink = Arc::new(MemorySink::new(64));

@@ -1,473 +1,331 @@
 //! The recorder: the single handle instrumented code holds.
 //!
-//! Two implementations share one API surface. With the `telemetry`
-//! feature (the default) the real recorder routes events to a
-//! [`Sink`]; without it every type here is an inert ZST, so the
-//! instrumentation in the engine, scheduler, agent, and service
-//! compiles away entirely. Call sites are identical in both modes.
+//! A [`Recorder`] routes events to a [`Sink`]; the [`Default`] one is
+//! disabled and every method on it is one `None` check, so the
+//! instrumentation in the engine, scheduler, agent and service runs
+//! unconditionally.
 
+use crate::event::{Event, RoundExplain};
+use crate::histogram::Histogram;
 use crate::sink::Sink;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
-#[cfg(feature = "telemetry")]
-mod enabled {
-    use super::*;
-    use crate::event::{Event, RoundExplain};
-    use crate::histogram::Histogram;
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
+type Key = (&'static str, &'static str);
 
-    type Key = (&'static str, &'static str);
+#[derive(Debug)]
+struct Inner {
+    sink: Arc<dyn Sink>,
+    epoch: Instant,
+    mirror: AtomicBool,
+    // BTreeMaps so flush order (and therefore capture files) is
+    // independent of registration order.
+    counters: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
+    histograms: Mutex<BTreeMap<Key, Arc<Histogram>>>,
+}
 
-    #[derive(Debug)]
-    struct Inner {
-        sink: Arc<dyn Sink>,
-        epoch: Instant,
-        mirror: AtomicBool,
-        // BTreeMaps so flush order (and therefore capture files) is
-        // independent of registration order.
-        counters: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
-        histograms: Mutex<BTreeMap<Key, Arc<Histogram>>>,
+impl Inner {
+    fn emit(&self, event: Event) {
+        if self.mirror.load(Ordering::Relaxed) {
+            eprintln!("{}", event.to_jsonl());
+        }
+        self.sink.record(event);
+    }
+}
+
+/// A cloneable telemetry handle. The [`Default`] is disabled: all
+/// methods early-out, so unconditionally instrumented code costs
+/// one branch when nobody is listening.
+#[derive(Clone, Default)]
+pub struct Recorder {
+    inner: Option<Arc<Inner>>,
+}
+
+impl std::fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Deliberately opaque: a recorder may sit inside structs
+        // whose Debug form is serialized by the vendored serde
+        // stub, and wall-clock state must never leak there.
+        f.debug_struct("Recorder")
+            .field("enabled", &self.is_enabled())
+            .finish()
+    }
+}
+
+impl Recorder {
+    /// A recorder that records nothing (same as [`Default`]).
+    pub fn disabled() -> Self {
+        Self::default()
     }
 
-    impl Inner {
-        fn emit(&self, event: Event) {
-            if self.mirror.load(Ordering::Relaxed) {
-                eprintln!("{}", event.to_jsonl());
-            }
-            self.sink.record(event);
-        }
-    }
-
-    /// A cloneable telemetry handle. The [`Default`] is disabled: all
-    /// methods early-out, so unconditionally instrumented code costs
-    /// one branch when nobody is listening.
-    #[derive(Clone, Default)]
-    pub struct Recorder {
-        inner: Option<Arc<Inner>>,
-    }
-
-    impl std::fmt::Debug for Recorder {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            // Deliberately opaque: a recorder may sit inside structs
-            // whose Debug form is serialized by the vendored serde
-            // stub, and wall-clock state must never leak there.
-            f.debug_struct("Recorder")
-                .field("enabled", &self.is_enabled())
-                .finish()
-        }
-    }
-
-    impl Recorder {
-        /// A recorder that records nothing (same as [`Default`]).
-        pub fn disabled() -> Self {
-            Self::default()
-        }
-
-        /// Creates a recorder draining into `sink`.
-        pub fn new(sink: Arc<dyn Sink>) -> Self {
-            Self {
-                inner: Some(Arc::new(Inner {
-                    sink,
-                    epoch: Instant::now(),
-                    mirror: AtomicBool::new(false),
-                    counters: Mutex::new(BTreeMap::new()),
-                    histograms: Mutex::new(BTreeMap::new()),
-                })),
-            }
-        }
-
-        /// Whether events are being captured.
-        pub fn is_enabled(&self) -> bool {
-            self.inner.is_some()
-        }
-
-        /// Also prints every subsequent event to stderr as JSONL (the
-        /// `POLLUX_SIM_DEBUG` behavior). No-op when disabled.
-        pub fn enable_stderr_mirror(&self) {
-            if let Some(inner) = &self.inner {
-                inner.mirror.store(true, Ordering::Relaxed);
-            }
-        }
-
-        /// Opens a wall-clock span; the event is emitted when the
-        /// returned guard drops.
-        pub fn span(&self, subsystem: &'static str, name: &'static str) -> SpanGuard {
-            SpanGuard {
-                active: self
-                    .inner
-                    .as_ref()
-                    .map(|i| (Arc::clone(i), subsystem, name, Instant::now())),
-            }
-        }
-
-        /// Emits a span for a duration measured by the caller (used
-        /// where an `Instant` pair already exists).
-        pub fn record_duration_ns(&self, subsystem: &'static str, name: &'static str, ns: u64) {
-            if let Some(inner) = &self.inner {
-                let end = inner.epoch.elapsed().as_nanos() as u64;
-                inner.emit(Event::Span {
-                    subsystem: subsystem.into(),
-                    name: name.into(),
-                    start_ns: end.saturating_sub(ns),
-                    dur_ns: ns,
-                });
-            }
-        }
-
-        /// Adds to a named counter. For hot paths prefer hoisting a
-        /// [`Counter`] handle via [`Self::counter`].
-        pub fn incr(&self, subsystem: &'static str, name: &'static str, delta: u64) {
-            self.counter(subsystem, name).add(delta);
-        }
-
-        /// A shared handle to a named counter: one atomic add per
-        /// `add` call, no locking.
-        pub fn counter(&self, subsystem: &'static str, name: &'static str) -> Counter {
-            Counter {
-                cell: self.inner.as_ref().map(|inner| {
-                    Arc::clone(
-                        inner
-                            .counters
-                            .lock()
-                            .expect("counter registry")
-                            .entry((subsystem, name))
-                            .or_default(),
-                    )
-                }),
-            }
-        }
-
-        /// The current value of a counter (0 when disabled or never
-        /// touched). Primarily for tests and reports.
-        pub fn counter_value(&self, subsystem: &'static str, name: &'static str) -> u64 {
-            match &self.inner {
-                Some(inner) => inner
-                    .counters
-                    .lock()
-                    .expect("counter registry")
-                    .get(&(subsystem, name))
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .unwrap_or(0),
-                None => 0,
-            }
-        }
-
-        /// Records one observation into a named histogram.
-        pub fn observe(&self, subsystem: &'static str, name: &'static str, value: u64) {
-            self.histogram(subsystem, name).observe(value);
-        }
-
-        /// A shared handle to a named histogram.
-        pub fn histogram(&self, subsystem: &'static str, name: &'static str) -> HistogramHandle {
-            HistogramHandle {
-                hist: self.inner.as_ref().map(|inner| {
-                    Arc::clone(
-                        inner
-                            .histograms
-                            .lock()
-                            .expect("histogram registry")
-                            .entry((subsystem, name))
-                            .or_default(),
-                    )
-                }),
-            }
-        }
-
-        /// Emits one time-series point.
-        pub fn point(
-            &self,
-            subsystem: &'static str,
-            name: &'static str,
-            time: f64,
-            fields: &[(&'static str, f64)],
-        ) {
-            if let Some(inner) = &self.inner {
-                inner.emit(Event::Point {
-                    subsystem: subsystem.into(),
-                    name: name.into(),
-                    time,
-                    fields: fields.iter().map(|&(k, v)| (k.into(), v)).collect(),
-                });
-            }
-        }
-
-        /// Emits one string-valued metadata record (e.g.
-        /// `("sched", "policy")` = `"tiresias"`). Report tooling keeps
-        /// the latest value per `(subsystem, name)`.
-        pub fn meta(&self, subsystem: &'static str, name: &'static str, value: &str) {
-            if let Some(inner) = &self.inner {
-                inner.emit(Event::Meta {
-                    subsystem: subsystem.into(),
-                    name: name.into(),
-                    value: std::borrow::Cow::Owned(value.to_string()),
-                });
-            }
-        }
-
-        /// Emits one placement-timeline event (see
-        /// [`Event::Timeline`]). The placement slices are cloned only
-        /// when a sink is attached, so disabled recorders pay one
-        /// branch.
-        pub fn timeline(
-            &self,
-            subsystem: &'static str,
-            kind: &'static str,
-            time: f64,
-            job: u64,
-            old: &[u32],
-            new: &[u32],
-        ) {
-            if let Some(inner) = &self.inner {
-                inner.emit(Event::Timeline {
-                    subsystem: subsystem.into(),
-                    name: kind.into(),
-                    time,
-                    job,
-                    old: old.to_vec(),
-                    new: new.to_vec(),
-                });
-            }
-        }
-
-        /// Emits one scheduling-round audit record. Callers should
-        /// build the [`RoundExplain`] only when [`Self::is_enabled`]
-        /// to keep the disabled path free.
-        pub fn round_explain(&self, explain: RoundExplain) {
-            if let Some(inner) = &self.inner {
-                inner.emit(Event::Round(explain));
-            }
-        }
-
-        /// Emits cumulative snapshots of every counter and histogram,
-        /// then flushes the sink. Call at the end of a run; repeated
-        /// flushes re-emit the (monotone) cumulative values, and
-        /// report tooling keeps the latest snapshot per name.
-        pub fn flush(&self) {
-            let Some(inner) = &self.inner else { return };
-            for (&(sub, name), cell) in inner.counters.lock().expect("counter registry").iter() {
-                inner.emit(Event::Count {
-                    subsystem: sub.into(),
-                    name: name.into(),
-                    value: cell.load(Ordering::Relaxed),
-                });
-            }
-            for (&(sub, name), hist) in inner.histograms.lock().expect("histogram registry").iter()
-            {
-                let snap = hist.snapshot();
-                inner.emit(Event::Hist {
-                    subsystem: sub.into(),
-                    name: name.into(),
-                    count: snap.count,
-                    buckets: snap.buckets,
-                });
-            }
-            inner.sink.flush();
+    /// Creates a recorder draining into `sink`.
+    pub fn new(sink: Arc<dyn Sink>) -> Self {
+        Self {
+            inner: Some(Arc::new(Inner {
+                sink,
+                epoch: Instant::now(),
+                mirror: AtomicBool::new(false),
+                counters: Mutex::new(BTreeMap::new()),
+                histograms: Mutex::new(BTreeMap::new()),
+            })),
         }
     }
 
-    /// RAII span guard: emits a [`Event::Span`] on drop.
-    #[must_use = "a span measures until the guard drops; bind it to a variable"]
-    #[derive(Debug)]
-    pub struct SpanGuard {
-        active: Option<(Arc<Inner>, &'static str, &'static str, Instant)>,
+    /// Whether events are being captured.
+    pub fn is_enabled(&self) -> bool {
+        self.inner.is_some()
     }
 
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            if let Some((inner, subsystem, name, start)) = self.active.take() {
-                let start_ns = start.duration_since(inner.epoch).as_nanos() as u64;
-                let dur_ns = start.elapsed().as_nanos() as u64;
-                inner.emit(Event::Span {
-                    subsystem: subsystem.into(),
-                    name: name.into(),
-                    start_ns,
-                    dur_ns,
-                });
-            }
+    /// Also prints every subsequent event to stderr as JSONL (the
+    /// `POLLUX_SIM_DEBUG` behavior). No-op when disabled.
+    pub fn enable_stderr_mirror(&self) {
+        if let Some(inner) = &self.inner {
+            inner.mirror.store(true, Ordering::Relaxed);
         }
     }
 
-    /// Hoisted counter handle: a bare `AtomicU64::fetch_add(Relaxed)`
-    /// per call, exact under any number of concurrent writers.
-    #[derive(Debug, Clone, Default)]
-    pub struct Counter {
-        cell: Option<Arc<AtomicU64>>,
-    }
-
-    impl Counter {
-        /// A detached handle that records nothing until replaced by a
-        /// live one from [`Recorder::counter`].
-        pub fn detached() -> Self {
-            Counter { cell: None }
-        }
-
-        /// Adds `delta` to the counter.
-        #[inline]
-        pub fn add(&self, delta: u64) {
-            if let Some(cell) = &self.cell {
-                cell.fetch_add(delta, Ordering::Relaxed);
-            }
-        }
-
-        /// The current value (0 when disabled).
-        pub fn value(&self) -> u64 {
-            self.cell
+    /// Opens a wall-clock span; the event is emitted when the
+    /// returned guard drops.
+    pub fn span(&self, subsystem: &'static str, name: &'static str) -> SpanGuard {
+        SpanGuard {
+            active: self
+                .inner
                 .as_ref()
+                .map(|i| (Arc::clone(i), subsystem, name, Instant::now())),
+        }
+    }
+
+    /// Emits a span for a duration measured by the caller (used
+    /// where an `Instant` pair already exists).
+    pub fn record_duration_ns(&self, subsystem: &'static str, name: &'static str, ns: u64) {
+        if let Some(inner) = &self.inner {
+            let end = inner.epoch.elapsed().as_nanos() as u64;
+            inner.emit(Event::Span {
+                subsystem: subsystem.into(),
+                name: name.into(),
+                start_ns: end.saturating_sub(ns),
+                dur_ns: ns,
+            });
+        }
+    }
+
+    /// Adds to a named counter. For hot paths prefer hoisting a
+    /// [`Counter`] handle via [`Self::counter`].
+    pub fn incr(&self, subsystem: &'static str, name: &'static str, delta: u64) {
+        self.counter(subsystem, name).add(delta);
+    }
+
+    /// A shared handle to a named counter: one atomic add per
+    /// `add` call, no locking.
+    pub fn counter(&self, subsystem: &'static str, name: &'static str) -> Counter {
+        Counter {
+            cell: self.inner.as_ref().map(|inner| {
+                Arc::clone(
+                    inner
+                        .counters
+                        .lock()
+                        .expect("counter registry")
+                        .entry((subsystem, name))
+                        .or_default(),
+                )
+            }),
+        }
+    }
+
+    /// The current value of a counter (0 when disabled or never
+    /// touched). Primarily for tests and reports.
+    pub fn counter_value(&self, subsystem: &'static str, name: &'static str) -> u64 {
+        match &self.inner {
+            Some(inner) => inner
+                .counters
+                .lock()
+                .expect("counter registry")
+                .get(&(subsystem, name))
                 .map(|c| c.load(Ordering::Relaxed))
-                .unwrap_or(0)
+                .unwrap_or(0),
+            None => 0,
         }
     }
 
-    /// Hoisted histogram handle.
-    #[derive(Debug, Clone, Default)]
-    pub struct HistogramHandle {
-        hist: Option<Arc<Histogram>>,
+    /// Records one observation into a named histogram.
+    pub fn observe(&self, subsystem: &'static str, name: &'static str, value: u64) {
+        self.histogram(subsystem, name).observe(value);
     }
 
-    impl HistogramHandle {
-        /// Records one observation.
-        #[inline]
-        pub fn observe(&self, value: u64) {
-            if let Some(hist) = &self.hist {
-                hist.observe(value);
-            }
+    /// A shared handle to a named histogram.
+    pub fn histogram(&self, subsystem: &'static str, name: &'static str) -> HistogramHandle {
+        HistogramHandle {
+            hist: self.inner.as_ref().map(|inner| {
+                Arc::clone(
+                    inner
+                        .histograms
+                        .lock()
+                        .expect("histogram registry")
+                        .entry((subsystem, name))
+                        .or_default(),
+                )
+            }),
+        }
+    }
+
+    /// Emits one time-series point.
+    pub fn point(
+        &self,
+        subsystem: &'static str,
+        name: &'static str,
+        time: f64,
+        fields: &[(&'static str, f64)],
+    ) {
+        if let Some(inner) = &self.inner {
+            inner.emit(Event::Point {
+                subsystem: subsystem.into(),
+                name: name.into(),
+                time,
+                fields: fields.iter().map(|&(k, v)| (k.into(), v)).collect(),
+            });
+        }
+    }
+
+    /// Emits one string-valued metadata record (e.g.
+    /// `("sched", "policy")` = `"tiresias"`). Report tooling keeps
+    /// the latest value per `(subsystem, name)`.
+    pub fn meta(&self, subsystem: &'static str, name: &'static str, value: &str) {
+        if let Some(inner) = &self.inner {
+            inner.emit(Event::Meta {
+                subsystem: subsystem.into(),
+                name: name.into(),
+                value: std::borrow::Cow::Owned(value.to_string()),
+            });
+        }
+    }
+
+    /// Emits one placement-timeline event (see
+    /// [`Event::Timeline`]). The placement slices are cloned only
+    /// when a sink is attached, so disabled recorders pay one
+    /// branch.
+    pub fn timeline(
+        &self,
+        subsystem: &'static str,
+        kind: &'static str,
+        time: f64,
+        job: u64,
+        old: &[u32],
+        new: &[u32],
+    ) {
+        if let Some(inner) = &self.inner {
+            inner.emit(Event::Timeline {
+                subsystem: subsystem.into(),
+                name: kind.into(),
+                time,
+                job,
+                old: old.to_vec(),
+                new: new.to_vec(),
+            });
+        }
+    }
+
+    /// Emits one scheduling-round audit record. Callers should
+    /// build the [`RoundExplain`] only when [`Self::is_enabled`]
+    /// to keep the disabled path free.
+    pub fn round_explain(&self, explain: RoundExplain) {
+        if let Some(inner) = &self.inner {
+            inner.emit(Event::Round(explain));
+        }
+    }
+
+    /// Emits cumulative snapshots of every counter and histogram,
+    /// then flushes the sink. Call at the end of a run; repeated
+    /// flushes re-emit the (monotone) cumulative values, and
+    /// report tooling keeps the latest snapshot per name.
+    pub fn flush(&self) {
+        let Some(inner) = &self.inner else { return };
+        for (&(sub, name), cell) in inner.counters.lock().expect("counter registry").iter() {
+            inner.emit(Event::Count {
+                subsystem: sub.into(),
+                name: name.into(),
+                value: cell.load(Ordering::Relaxed),
+            });
+        }
+        for (&(sub, name), hist) in inner.histograms.lock().expect("histogram registry").iter() {
+            let snap = hist.snapshot();
+            inner.emit(Event::Hist {
+                subsystem: sub.into(),
+                name: name.into(),
+                count: snap.count,
+                buckets: snap.buckets,
+            });
+        }
+        inner.sink.flush();
+    }
+}
+
+/// RAII span guard: emits a [`Event::Span`] on drop.
+#[must_use = "a span measures until the guard drops; bind it to a variable"]
+#[derive(Debug)]
+pub struct SpanGuard {
+    active: Option<(Arc<Inner>, &'static str, &'static str, Instant)>,
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some((inner, subsystem, name, start)) = self.active.take() {
+            let start_ns = start.duration_since(inner.epoch).as_nanos() as u64;
+            let dur_ns = start.elapsed().as_nanos() as u64;
+            inner.emit(Event::Span {
+                subsystem: subsystem.into(),
+                name: name.into(),
+                start_ns,
+                dur_ns,
+            });
         }
     }
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod disabled {
-    use super::*;
+/// Hoisted counter handle: a bare `AtomicU64::fetch_add(Relaxed)`
+/// per call, exact under any number of concurrent writers.
+#[derive(Debug, Clone, Default)]
+pub struct Counter {
+    cell: Option<Arc<AtomicU64>>,
+}
 
-    /// Compiled-out recorder: a ZST whose methods are all no-ops.
-    /// Deliberately `Clone` but not `Copy`, mirroring the enabled
-    /// recorder's trait surface so call sites lint identically in
-    /// both modes.
-    #[derive(Debug, Clone, Default)]
-    pub struct Recorder;
-
-    impl Recorder {
-        /// A recorder that records nothing (same as [`Default`]).
-        pub fn disabled() -> Self {
-            Recorder
-        }
-
-        /// Accepts and drops the sink: telemetry is compiled out.
-        pub fn new(_sink: Arc<dyn Sink>) -> Self {
-            Recorder
-        }
-
-        /// Always `false` in this build.
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        /// No-op.
-        pub fn enable_stderr_mirror(&self) {}
-
-        /// No-op guard.
-        pub fn span(&self, _subsystem: &'static str, _name: &'static str) -> SpanGuard {
-            SpanGuard
-        }
-
-        /// No-op.
-        pub fn record_duration_ns(&self, _subsystem: &'static str, _name: &'static str, _ns: u64) {}
-
-        /// No-op.
-        pub fn incr(&self, _subsystem: &'static str, _name: &'static str, _delta: u64) {}
-
-        /// No-op handle.
-        pub fn counter(&self, _subsystem: &'static str, _name: &'static str) -> Counter {
-            Counter
-        }
-
-        /// Always 0 in this build.
-        pub fn counter_value(&self, _subsystem: &'static str, _name: &'static str) -> u64 {
-            0
-        }
-
-        /// No-op.
-        pub fn observe(&self, _subsystem: &'static str, _name: &'static str, _value: u64) {}
-
-        /// No-op handle.
-        pub fn histogram(&self, _subsystem: &'static str, _name: &'static str) -> HistogramHandle {
-            HistogramHandle
-        }
-
-        /// No-op.
-        pub fn point(
-            &self,
-            _subsystem: &'static str,
-            _name: &'static str,
-            _time: f64,
-            _fields: &[(&'static str, f64)],
-        ) {
-        }
-
-        /// No-op.
-        pub fn meta(&self, _subsystem: &'static str, _name: &'static str, _value: &str) {}
-
-        /// No-op.
-        pub fn timeline(
-            &self,
-            _subsystem: &'static str,
-            _kind: &'static str,
-            _time: f64,
-            _job: u64,
-            _old: &[u32],
-            _new: &[u32],
-        ) {
-        }
-
-        /// Accepts and drops the record: telemetry is compiled out.
-        pub fn round_explain(&self, _explain: crate::event::RoundExplain) {}
-
-        /// No-op.
-        pub fn flush(&self) {}
+impl Counter {
+    /// A detached handle that records nothing until replaced by a
+    /// live one from [`Recorder::counter`].
+    pub fn detached() -> Self {
+        Counter { cell: None }
     }
 
-    /// Compiled-out span guard.
-    #[must_use = "a span measures until the guard drops; bind it to a variable"]
-    #[derive(Debug)]
-    pub struct SpanGuard;
-
-    /// Compiled-out counter handle.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct Counter;
-
-    impl Counter {
-        /// A detached handle (identical to every other handle in this
-        /// build).
-        pub fn detached() -> Self {
-            Counter
-        }
-
-        /// No-op.
-        #[inline]
-        pub fn add(&self, _delta: u64) {}
-
-        /// Always 0 in this build.
-        pub fn value(&self) -> u64 {
-            0
+    /// Adds `delta` to the counter.
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        if let Some(cell) = &self.cell {
+            cell.fetch_add(delta, Ordering::Relaxed);
         }
     }
 
-    /// Compiled-out histogram handle.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct HistogramHandle;
-
-    impl HistogramHandle {
-        /// No-op.
-        #[inline]
-        pub fn observe(&self, _value: u64) {}
+    /// The current value (0 when disabled).
+    pub fn value(&self) -> u64 {
+        self.cell
+            .as_ref()
+            .map(|c| c.load(Ordering::Relaxed))
+            .unwrap_or(0)
     }
 }
 
-#[cfg(feature = "telemetry")]
-pub use enabled::{Counter, HistogramHandle, Recorder, SpanGuard};
+/// Hoisted histogram handle.
+#[derive(Debug, Clone, Default)]
+pub struct HistogramHandle {
+    hist: Option<Arc<Histogram>>,
+}
 
-#[cfg(not(feature = "telemetry"))]
-pub use disabled::{Counter, HistogramHandle, Recorder, SpanGuard};
+impl HistogramHandle {
+    /// Records one observation.
+    #[inline]
+    pub fn observe(&self, value: u64) {
+        if let Some(hist) = &self.hist {
+            hist.observe(value);
+        }
+    }
+}

@@ -4,7 +4,8 @@
 use pollux::agent::PolluxAgent;
 use pollux::cluster::{ClusterSpec, JobId};
 use pollux::models::{GradientStats, PlacementShape};
-use pollux::sched::{GaConfig, GeneticAlgorithm, SchedJob, SpeedupCache, SpeedupTable};
+use pollux::sched::speedup::pure_speedup;
+use pollux::sched::{GaConfig, GeneticAlgorithm, SchedJob, SpeedupTable};
 use pollux::workload::ModelKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,8 +122,8 @@ fn scheduler_prefers_jobs_that_scale() {
 
 #[test]
 fn speedup_canonicalization_matches_direct_model() {
-    // The cache's (K, min(N,2)) canonicalization must agree with the
-    // uncanonicalized model evaluation.
+    // The scheduler's (K, min(N,2)) canonicalization must agree with
+    // the uncanonicalized model evaluation.
     let agent = learned_agent(ModelKind::ResNet18Cifar10, 2000.0);
     let report = agent.report().unwrap();
     let job = SchedJob {
@@ -133,15 +134,17 @@ fn speedup_canonicalization_matches_direct_model() {
         weight: 1.0,
         current_placement: vec![],
     };
-    let cache = SpeedupCache::new();
+    let spec = ClusterSpec::homogeneous(16, 4).unwrap();
+    let table = SpeedupTable::build(std::slice::from_ref(&job), &spec, 1);
     for (g, n) in [(8u32, 2u32), (8, 4), (8, 8)] {
         let shape = PlacementShape::new(g, n).unwrap();
-        let cached = cache.speedup(&job, shape);
         let direct = job.model.speedup(shape);
-        assert!(
-            (cached - direct).abs() < 1e-9,
-            "({g},{n}): cached {cached} vs direct {direct}"
-        );
+        for canonical in [pure_speedup(&job, shape), table.speedup(0, shape)] {
+            assert!(
+                (canonical - direct).abs() < 1e-9,
+                "({g},{n}): canonical {canonical} vs direct {direct}"
+            );
+        }
     }
 }
 
