@@ -194,31 +194,7 @@ impl RoundPlanner {
             } else {
                 &[]
             };
-            if rows_equal_padded(matrix_row, view.current_placement, num_nodes) {
-                continue;
-            }
-            let gpus: u32 = matrix_row.iter().sum();
-            if gpus == 0 && !view.current_placement.iter().any(|&g| g > 0) {
-                continue; // Pending -> pending: nothing happened.
-            }
-            let mut new_row = matrix_row.to_vec();
-            new_row.resize(num_nodes, 0);
-            self.rows_materialized += 1;
-            self.recorder.timeline(
-                "round",
-                "placement",
-                now,
-                view.id.0 as u64,
-                view.current_placement,
-                &new_row,
-            );
-            reallocations.push(Reallocation {
-                job: view.id,
-                row,
-                old: view.current_placement.to_vec(),
-                new: new_row,
-                triggers_restart: gpus > 0 && view.started,
-            });
+            reallocations.extend(self.diff_row(now, row, view, matrix_row, num_nodes));
         }
         self.reallocations_ctr.add(reallocations.len() as u64);
         Ok(RoundOutcome {
@@ -277,35 +253,54 @@ impl RoundPlanner {
             };
             let mut new_row = delta.gpus;
             new_row.resize(num_nodes, 0);
-            if rows_equal_padded(&new_row, view.current_placement, num_nodes) {
-                continue;
-            }
-            let gpus: u32 = new_row.iter().sum();
-            if gpus == 0 && !view.current_placement.iter().any(|&g| g > 0) {
-                continue; // Pending -> pending: nothing happened.
-            }
-            self.rows_materialized += 1;
-            self.recorder.timeline(
-                "round",
-                "placement",
-                now,
-                view.id.0 as u64,
-                view.current_placement,
-                &new_row,
-            );
-            reallocations.push(Reallocation {
-                job: view.id,
-                row: delta.row,
-                old: view.current_placement.to_vec(),
-                new: new_row,
-                triggers_restart: gpus > 0 && view.started,
-            });
+            reallocations.extend(self.diff_row(now, delta.row, view, new_row, num_nodes));
         }
         self.reallocations_ctr.add(reallocations.len() as u64);
         RoundOutcome {
             reallocations,
             stats,
         }
+    }
+
+    /// The diff both paths share: `proposed` (a borrowed matrix row on
+    /// the dense path, an owned padded delta on the sparse one) against
+    /// `view`'s current placement. Unchanged rows and pending →
+    /// pending rows yield nothing; a changed row is materialized at
+    /// cluster width — copied out of the matrix only now — counted,
+    /// put on the timeline, and returned.
+    fn diff_row<R: AsRef<[u32]> + Into<Vec<u32>>>(
+        &mut self,
+        now: f64,
+        row: usize,
+        view: &PolicyJobView<'_>,
+        proposed: R,
+        num_nodes: usize,
+    ) -> Option<Reallocation> {
+        if rows_equal_padded(proposed.as_ref(), view.current_placement, num_nodes) {
+            return None;
+        }
+        let gpus: u32 = proposed.as_ref().iter().sum();
+        if gpus == 0 && !view.current_placement.iter().any(|&g| g > 0) {
+            return None; // Pending -> pending: nothing happened.
+        }
+        let mut new_row: Vec<u32> = proposed.into();
+        new_row.resize(num_nodes, 0);
+        self.rows_materialized += 1;
+        self.recorder.timeline(
+            "round",
+            "placement",
+            now,
+            view.id.0 as u64,
+            view.current_placement,
+            &new_row,
+        );
+        Some(Reallocation {
+            job: view.id,
+            row,
+            old: view.current_placement.to_vec(),
+            new: new_row,
+            triggers_restart: gpus > 0 && view.started,
+        })
     }
 }
 

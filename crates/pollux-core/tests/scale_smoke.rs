@@ -1,11 +1,11 @@
 //! Datacenter-scale smoke test: the full Pollux stack (engine +
 //! agents + racked two-phase GA + planner) over a 256-node × 1 000-job
-//! trace, behind an env gate so the default `cargo test` stays fast.
+//! trace, `#[ignore]`d so the default `cargo test` stays fast.
 //!
 //! Run with:
 //!
 //! ```text
-//! POLLUX_SCALE_SMOKE=1 cargo test --release -p pollux-core --test scale_smoke
+//! cargo test --release -p pollux-core --test scale_smoke -- --ignored
 //! ```
 //!
 //! CI runs exactly that. Besides completing at all — which the dense
@@ -21,14 +21,6 @@ use pollux_simulator::SimConfig;
 use pollux_workload::{TraceConfig, TraceGenerator};
 use std::time::{Duration, Instant};
 
-fn gated() -> bool {
-    if !std::env::var("POLLUX_SCALE_SMOKE").is_ok_and(|v| v != "0") {
-        eprintln!("scale smoke skipped: set POLLUX_SCALE_SMOKE=1 to run");
-        return false;
-    }
-    true
-}
-
 /// Wall-clock budget for the whole simulated run (release build).
 /// Locally this completes in well under a third of the budget; the
 /// slack absorbs shared-runner jitter, not algorithmic regressions —
@@ -36,10 +28,8 @@ fn gated() -> bool {
 const BUDGET: Duration = Duration::from_secs(300);
 
 #[test]
+#[ignore = "datacenter-scale; run with --release -- --ignored"]
 fn datacenter_scale_trace_completes_within_budget() {
-    if !gated() {
-        return;
-    }
     if cfg!(debug_assertions) {
         eprintln!("scale smoke wants --release (the budget assumes it)");
     }
@@ -103,6 +93,7 @@ fn datacenter_scale_trace_completes_within_budget() {
 /// reallocation rows and the view → `SchedJob` cache rebuilds zero
 /// entries, even at 256 nodes × 1 000 jobs.
 #[test]
+#[ignore = "datacenter-scale; run with --release -- --ignored"]
 fn quiet_round_materializes_no_rows_and_rebuilds_no_views() {
     use pollux_cluster::{AllocationMatrix, JobId};
     use pollux_control::{
@@ -113,10 +104,6 @@ fn quiet_round_materializes_no_rows_and_rebuilds_no_views() {
     use pollux_workload::UserConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    if !gated() {
-        return;
-    }
 
     const NODES: usize = 256;
     const JOBS: usize = 1_000;

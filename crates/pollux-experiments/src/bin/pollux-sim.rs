@@ -9,11 +9,10 @@
 //! Environment:
 //! - `POLLUX_SIM_JOBS=<n>` — override the trace size (default 160
 //!   jobs; e.g. 64 for a quick capture).
-//! - `POLLUX_SIM_DEBUG=1` — mirror every telemetry event to stderr as
-//!   JSONL while the simulation runs.
 //! - `POLLUX_TELEMETRY_OUT=<path>` — capture telemetry (spans,
 //!   counters, histograms, the goodput time-series) to a JSONL file;
-//!   summarize it with `telemetry_report`.
+//!   summarize it with `telemetry_report`. `/dev/stderr` streams the
+//!   events while the simulation runs.
 //! - `POLLUX_JSON_OUT=<path>` — also dump the full `SimResult` (per-job
 //!   records, cluster series, allocation timeline) as JSON per policy,
 //!   to `<path>.<policy>.json`.
@@ -23,12 +22,11 @@
 //!   telemetry capture as a Chrome trace (requires
 //!   `POLLUX_TELEMETRY_OUT`); open it in <https://ui.perfetto.dev>.
 
-use pollux_baselines::{optimus, tiresias, TiresiasConfig};
 use pollux_cluster::ClusterSpec;
-use pollux_core::{run_trace_recorded, ConfigChoice, PolluxConfig, PolluxPolicy};
+use pollux_core::{run_trace_recorded, ConfigChoice};
 use pollux_experiments::common::{capture_recorder, dump_timeline_artifacts};
-use pollux_sched::GaConfig;
-use pollux_simulator::{SchedulingPolicy, SimConfig};
+use pollux_experiments::zoo;
+use pollux_simulator::SimConfig;
 use pollux_workload::{TraceConfig, TraceGenerator};
 use std::time::Instant;
 
@@ -41,7 +39,19 @@ fn write_or_exit(path: &str, contents: String) {
     }
 }
 
-fn run_one(name: &str, policy: Box<dyn SchedulingPolicy>, seed: u64) {
+/// The paper's three policies in run order: the name this CLI prints
+/// and accepts, and the zoo registry entry that builds it.
+const POLICIES: [(&str, &str); 3] = [
+    ("tiresias", "tiresias"),
+    ("optimus", "optimus+oracle"),
+    ("pollux", "pollux"),
+];
+
+fn run_one(name: &str, zoo_name: &str, seed: u64) {
+    let policy = zoo::lookup(zoo_name)
+        .expect("the paper's policies are registered")
+        .build()
+        .into_policy();
     let mut trace_cfg = TraceConfig {
         seed,
         ..Default::default()
@@ -122,32 +132,14 @@ fn main() {
             }
         },
     };
-    if !matches!(which.as_str(), "pollux" | "optimus" | "tiresias" | "all") {
+    if which != "all" && !POLICIES.iter().any(|(name, _)| *name == which) {
         eprintln!("usage: pollux-sim [pollux|optimus|tiresias|all] [seed]");
         std::process::exit(2);
     }
-    if which == "tiresias" || which == "all" {
-        run_one(
-            "tiresias",
-            Box::new(tiresias(TiresiasConfig::default())),
-            seed,
-        );
-    }
-    if which == "optimus" || which == "all" {
-        run_one("optimus", Box::new(optimus(4)), seed);
-    }
-    if which == "pollux" || which == "all" {
-        let mut cfg = PolluxConfig::default();
-        cfg.sched.ga = GaConfig {
-            population: 40,
-            generations: 20,
-            ..Default::default()
-        };
-        run_one(
-            "pollux",
-            Box::new(PolluxPolicy::new(cfg).expect("valid config")),
-            seed,
-        );
+    for (name, zoo_name) in POLICIES {
+        if which == "all" || which == name {
+            run_one(name, zoo_name, seed);
+        }
     }
     dump_timeline_artifacts();
 }

@@ -155,7 +155,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Renders an ASCII line chart of one or more `(x, y)` series, labeled
 /// per series, in a fixed `width × height` character grid. Used to make
-/// the figure benches visually resemble the paper's plots.
+/// the printed figures visually resemble the paper's plots.
 pub fn render_chart(
     title: &str,
     series: &[(&str, &[(f64, f64)])],

@@ -3,9 +3,10 @@
 //!
 //! One module per experiment; each exposes a `run(...)` returning
 //! structured data plus a `Display` implementation that prints the
-//! same rows/series the paper reports. The `pollux-bench` crate wires
-//! each module to a `cargo bench` target, and EXPERIMENTS.md records
-//! paper-vs-measured values.
+//! same rows/series the paper reports. The `experiments` binary runs
+//! any of them by name (`experiments --list`; `zoo` keeps its own
+//! `policy-zoo` binary), and EXPERIMENTS.md records paper-vs-measured
+//! values.
 //!
 //! | Module | Paper artifact |
 //! |---|---|

@@ -248,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "several minutes of simulation; run via bench_table2"]
+    #[ignore = "several minutes of simulation; run via `experiments table2`"]
     fn full_table2_ordering() {
         let opts = Table2Options {
             traces: 1,

@@ -18,13 +18,11 @@
 //! allocate per-iteration beyond small work vectors.
 
 pub mod bounds;
-pub mod brent;
 pub mod golden;
 pub mod lbfgsb;
 pub mod numgrad;
 
 pub use bounds::Bounds;
-pub use brent::{brent_max, brent_min};
 pub use golden::{golden_section_max, golden_section_max_int, golden_section_min};
 pub use lbfgsb::{lbfgsb_minimize, LbfgsbOptions, LbfgsbResult};
 pub use numgrad::central_gradient;

@@ -29,12 +29,12 @@ use crate::job::{EfficiencyStepper, JobState, SimJob};
 use crate::metrics::{
     ClusterSample, EventKind, JobRecord, JobSample, SchedIntervalSample, SchedulingEvent, SimResult,
 };
-use crate::policy::{PolicyJobView, SchedulingPolicy};
+use crate::policy::SchedulingPolicy;
 use pollux_agent::ObservationRun;
 use pollux_cluster::{ClusterSpec, JobId, NodeId, Topology};
 use pollux_control::{Reallocation, RoundPlanner};
 use pollux_models::{GradientStats, PlacementShape};
-use pollux_telemetry::{Counter, HistogramHandle, NullSink, Recorder};
+use pollux_telemetry::{Counter, HistogramHandle, Recorder};
 use pollux_workload::{JobSpec, UserConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -137,9 +137,6 @@ pub struct Simulation<P: SchedulingPolicy> {
     /// finish, resize). Maintained on both steppers; only `run` reads
     /// it (the reference stepper keeps its verbatim scan).
     interference: InterferenceIndex,
-    /// Recycled (always empty) allocation for the per-interval policy
-    /// views; see [`take_views`] / [`store_views`].
-    view_buf: Vec<PolicyJobView<'static>>,
     /// One context per `Running` job, ascending by job index — the
     /// order of the per-tick RNG draws. Kept current by
     /// [`Self::sync_context`].
@@ -339,29 +336,6 @@ fn first_tick_at_or_after(time: f64, dt: f64, lo: u64) -> u64 {
     t.max(lo)
 }
 
-/// Takes the engine's recycled view buffer, re-borrowing its (empty)
-/// allocation at the shorter lifetime of the current interval — a
-/// plain covariant coercion, no unsafe needed in this direction.
-fn take_views<'a>(buf: &mut Vec<PolicyJobView<'static>>) -> Vec<PolicyJobView<'a>> {
-    std::mem::take(buf)
-}
-
-/// Stores an interval's view buffer back for reuse. Only the
-/// allocation survives: the vector is emptied first, so no borrow with
-/// the interval's lifetime escapes into the `'static` slot.
-fn store_views(buf: &mut Vec<PolicyJobView<'static>>, mut views: Vec<PolicyJobView<'_>>) {
-    views.clear();
-    let mut views = std::mem::ManuallyDrop::new(views);
-    let (ptr, cap) = (views.as_mut_ptr(), views.capacity());
-    // SAFETY: `views` is empty, so the allocation holds no value of
-    // the shorter lifetime — only raw capacity is reused. The
-    // (ptr, 0, cap) triple comes from a live Vec whose buffer is not
-    // freed (ManuallyDrop), `PolicyJobView` has no drop glue, and the
-    // cast only changes the lifetime parameter of the *element type*
-    // of an element-less buffer (size and alignment are unchanged).
-    *buf = unsafe { Vec::from_raw_parts(ptr.cast::<PolicyJobView<'static>>(), 0, cap) };
-}
-
 /// Why a [`Simulation`] could not be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimBuildError {
@@ -449,7 +423,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
             slowdown: Vec::new(),
             slowdowns_stale: false,
             interference: InterferenceIndex::new(num_nodes),
-            view_buf: Vec::new(),
             running: Vec::new(),
             restarting: Vec::new(),
             contexts_live: true,
@@ -490,23 +463,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
         self
     }
 
-    /// `POLLUX_SIM_DEBUG` support: mirror every telemetry event to
-    /// stderr as JSONL. When no recorder is attached, a throwaway
-    /// `NullSink` recorder is created so the mirror alone works — the
-    /// engine hot path carries no ad-hoc debug branches.
-    fn init_debug_mirror(&mut self) {
-        if std::env::var_os("POLLUX_SIM_DEBUG").is_some() {
-            if !self.recorder.is_enabled() {
-                let rec = Recorder::new(std::sync::Arc::new(NullSink));
-                self.telem = EngineTelemetry::new(&rec);
-                self.policy.attach_telemetry(rec.clone());
-                self.planner.attach_telemetry(rec.clone());
-                self.recorder = rec;
-            }
-            self.recorder.enable_stderr_mirror();
-        }
-    }
-
     /// Runs the simulation to completion (all jobs finished) or to the
     /// configured time horizon, and returns the metrics.
     ///
@@ -519,7 +475,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let sched_every = (self.config.sched_interval / dt).round().max(1.0) as u64;
         let report_every = (self.config.report_interval / dt).round().max(1.0) as u64;
         let max_ticks = (self.config.max_sim_time / dt).ceil() as u64;
-        self.init_debug_mirror();
 
         let mut now = 0.0;
         let mut tick = 0u64;
@@ -543,14 +498,14 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// The retained per-tick reference stepper: the original engine,
     /// advancing one tick at a time with no hoisted invariants and no
     /// run contexts. Kept as the ground truth the determinism suites
-    /// and `bench_sim` compare [`Self::run`] against.
+    /// (`tests/engine_identity.rs`, `tests/macro_step.rs`) compare
+    /// [`Self::run`] against.
     pub fn run_reference(mut self) -> SimResult {
         self.contexts_live = false;
         let dt = self.config.tick_seconds;
         let sched_every = (self.config.sched_interval / dt).round().max(1.0) as u64;
         let report_every = (self.config.report_interval / dt).round().max(1.0) as u64;
         let max_ticks = (self.config.max_sim_time / dt).ceil() as u64;
-        self.init_debug_mirror();
 
         let mut now = 0.0;
         for tick in 0..max_ticks {
@@ -1090,30 +1045,28 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// Scheduling interval: one round of the shared control-plane
     /// pipeline. The engine builds views over the active jobs, lets
     /// the [`RoundPlanner`] invoke the policy and diff placements,
-    /// then applies each [`Reallocation`] to its job store. The
-    /// `PolicyJobView` vector is recycled across intervals (and across
-    /// the `desired_nodes` / `plan` calls when no resize happens)
-    /// instead of being reallocated and rebuilt per call.
+    /// then applies each [`Reallocation`] to its job store. The view
+    /// vector is shared by the `desired_nodes` and `plan` calls when
+    /// no resize happens.
     fn reschedule(&mut self, now: f64) {
         let _span = self.recorder.span("engine", "reschedule");
         // Auto-scaling phase.
-        let mut views = take_views(&mut self.view_buf);
+        let mut views = Vec::with_capacity(self.active.len());
         views.extend(self.active.iter().map(|&i| self.jobs[i].policy_view()));
         let desired =
             self.planner
                 .desired_nodes(&mut self.policy, now, &views, &self.spec, &mut self.rng);
         if let Some(nodes) = desired {
             // Resizing mutates placements, so the views are rebuilt.
-            store_views(&mut self.view_buf, views);
+            drop(views);
             self.resize_cluster(nodes.max(1), now);
-            views = take_views(&mut self.view_buf);
+            views = Vec::with_capacity(self.active.len());
             views.extend(self.active.iter().map(|&i| self.jobs[i].policy_view()));
         }
         let outcome = self
             .planner
             .plan(&mut self.policy, now, &views, &self.spec, &mut self.rng)
             .expect("active jobs have unique ids");
-        store_views(&mut self.view_buf, views);
         if let Some(stats) = outcome.stats {
             self.sched_stats.push(stats);
         }
@@ -1348,6 +1301,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyJobView;
     use pollux_cluster::{AllocationMatrix, JobId};
     use pollux_workload::{ModelKind, TraceConfig, TraceGenerator};
 

@@ -20,6 +20,8 @@
 //! [`policy::SchedulingPolicy`]; Pollux itself lives in `pollux-core`
 //! and the baselines in `pollux-baselines`.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod engine;
 pub mod interference;

@@ -9,7 +9,7 @@ use crate::event::{Event, RoundExplain};
 use crate::histogram::Histogram;
 use crate::sink::Sink;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -19,20 +19,10 @@ type Key = (&'static str, &'static str);
 struct Inner {
     sink: Arc<dyn Sink>,
     epoch: Instant,
-    mirror: AtomicBool,
     // BTreeMaps so flush order (and therefore capture files) is
     // independent of registration order.
     counters: Mutex<BTreeMap<Key, Arc<AtomicU64>>>,
     histograms: Mutex<BTreeMap<Key, Arc<Histogram>>>,
-}
-
-impl Inner {
-    fn emit(&self, event: Event) {
-        if self.mirror.load(Ordering::Relaxed) {
-            eprintln!("{}", event.to_jsonl());
-        }
-        self.sink.record(event);
-    }
 }
 
 /// A cloneable telemetry handle. The [`Default`] is disabled: all
@@ -66,7 +56,6 @@ impl Recorder {
             inner: Some(Arc::new(Inner {
                 sink,
                 epoch: Instant::now(),
-                mirror: AtomicBool::new(false),
                 counters: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
             })),
@@ -76,14 +65,6 @@ impl Recorder {
     /// Whether events are being captured.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Also prints every subsequent event to stderr as JSONL (the
-    /// `POLLUX_SIM_DEBUG` behavior). No-op when disabled.
-    pub fn enable_stderr_mirror(&self) {
-        if let Some(inner) = &self.inner {
-            inner.mirror.store(true, Ordering::Relaxed);
-        }
     }
 
     /// Opens a wall-clock span; the event is emitted when the
@@ -102,7 +83,7 @@ impl Recorder {
     pub fn record_duration_ns(&self, subsystem: &'static str, name: &'static str, ns: u64) {
         if let Some(inner) = &self.inner {
             let end = inner.epoch.elapsed().as_nanos() as u64;
-            inner.emit(Event::Span {
+            inner.sink.record(Event::Span {
                 subsystem: subsystem.into(),
                 name: name.into(),
                 start_ns: end.saturating_sub(ns),
@@ -179,7 +160,7 @@ impl Recorder {
         fields: &[(&'static str, f64)],
     ) {
         if let Some(inner) = &self.inner {
-            inner.emit(Event::Point {
+            inner.sink.record(Event::Point {
                 subsystem: subsystem.into(),
                 name: name.into(),
                 time,
@@ -193,7 +174,7 @@ impl Recorder {
     /// the latest value per `(subsystem, name)`.
     pub fn meta(&self, subsystem: &'static str, name: &'static str, value: &str) {
         if let Some(inner) = &self.inner {
-            inner.emit(Event::Meta {
+            inner.sink.record(Event::Meta {
                 subsystem: subsystem.into(),
                 name: name.into(),
                 value: std::borrow::Cow::Owned(value.to_string()),
@@ -215,7 +196,7 @@ impl Recorder {
         new: &[u32],
     ) {
         if let Some(inner) = &self.inner {
-            inner.emit(Event::Timeline {
+            inner.sink.record(Event::Timeline {
                 subsystem: subsystem.into(),
                 name: kind.into(),
                 time,
@@ -231,7 +212,7 @@ impl Recorder {
     /// to keep the disabled path free.
     pub fn round_explain(&self, explain: RoundExplain) {
         if let Some(inner) = &self.inner {
-            inner.emit(Event::Round(explain));
+            inner.sink.record(Event::Round(explain));
         }
     }
 
@@ -242,7 +223,7 @@ impl Recorder {
     pub fn flush(&self) {
         let Some(inner) = &self.inner else { return };
         for (&(sub, name), cell) in inner.counters.lock().expect("counter registry").iter() {
-            inner.emit(Event::Count {
+            inner.sink.record(Event::Count {
                 subsystem: sub.into(),
                 name: name.into(),
                 value: cell.load(Ordering::Relaxed),
@@ -250,7 +231,7 @@ impl Recorder {
         }
         for (&(sub, name), hist) in inner.histograms.lock().expect("histogram registry").iter() {
             let snap = hist.snapshot();
-            inner.emit(Event::Hist {
+            inner.sink.record(Event::Hist {
                 subsystem: sub.into(),
                 name: name.into(),
                 count: snap.count,
@@ -273,7 +254,7 @@ impl Drop for SpanGuard {
         if let Some((inner, subsystem, name, start)) = self.active.take() {
             let start_ns = start.duration_since(inner.epoch).as_nanos() as u64;
             let dur_ns = start.elapsed().as_nanos() as u64;
-            inner.emit(Event::Span {
+            inner.sink.record(Event::Span {
                 subsystem: subsystem.into(),
                 name: name.into(),
                 start_ns,

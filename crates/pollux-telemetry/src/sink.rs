@@ -20,8 +20,8 @@ pub trait Sink: Send + Sync + std::fmt::Debug {
     fn flush(&self) {}
 }
 
-/// Discards everything. Useful when only the stderr mirror or the
-/// recorder's live counters are wanted.
+/// Discards everything. Useful when only the recorder's live
+/// counters are wanted.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
