@@ -89,7 +89,7 @@ pub struct SchedIntervalSample {
     pub table_hits: u64,
     /// Out-of-range table lookups (answered 0).
     pub table_misses: u64,
-    /// Golden-section goodput solves spent building the table.
+    /// Batch-size solves (Eqn 13) spent building the table.
     pub table_solves: u64,
 }
 

@@ -543,7 +543,7 @@ impl ClusterService {
 
     /// Cumulative dense speedup-table counters across all completed
     /// rounds (service key `pollux.sched.speedup.stats`): lookups hit
-    /// in the table, out-of-range misses, and golden-section solves
+    /// in the table, out-of-range misses, and batch-size solves
     /// spent precomputing the per-round tables.
     pub fn speedup_stats(&self) -> SpeedupTableStats {
         *self.shared.speedup_stats.read()

@@ -132,14 +132,232 @@ impl GoodputModel {
     }
 
     /// The most efficient batch size `m* = argmax_m GOODPUT(a, m)`
-    /// (Eqn 13), found by golden-section search over the feasible range
-    /// (goodput is unimodal in `m`; Sec. 4.1).
+    /// (Eqn 13).
     ///
     /// Returns `(m*, GOODPUT(a, m*))`, or `None` when no feasible batch
     /// size exists under `shape`.
     pub fn optimal_batch_size(&self, shape: PlacementShape) -> Option<(u64, f64)> {
+        self.optimal_batch_size_near(shape, None)
+            .map(|solve| (solve.batch_size, solve.goodput))
+    }
+
+    /// [`Self::optimal_batch_size`] with the work it took, optionally
+    /// started from `near`: a batch size believed to be close to `m*`,
+    /// typically the optimum of a neighbouring shape. The hint steers
+    /// the search only; the answer is the same with and without it.
+    ///
+    /// `GOODPUT` is unimodal in `m` (Sec. 4.1). Its logarithmic
+    /// derivative is
+    ///
+    /// ```text
+    /// g(m) = 1/m − 1/(φ+m) − (β_grad/K) · T_grad^(γ−1) / (T_grad^γ + T_sync^γ)
+    /// ```
+    ///
+    /// and `g · m (φ+m) (T_grad + T_sync^γ / T_grad^(γ−1))` — same sign,
+    /// same root — collapses to
+    ///
+    /// ```text
+    /// F(m) = φ · (α_grad + T_sync^γ / T_grad^(γ−1)) − (β_grad/K) · m²
+    /// ```
+    ///
+    /// which falls strictly with `m`, costs one `pow` (none when
+    /// `T_sync = 0`, where its root is the closed form `√(φ α K / β)`)
+    /// and is close to a parabola, so a bracketed Newton iteration
+    /// finds the root in a few steps. The integers next to the root are
+    /// then compared on [`Self::goodput`] itself, so the value returned
+    /// is computed by the expression a golden-section search over
+    /// `goodput` would have returned it from. That search
+    /// ([`golden_section_max_int`]) still answers whatever the
+    /// derivative cannot: ranges of at most nine batch sizes (scanned),
+    /// θsys outside its box, a non-finite `F`, and a top too flat for
+    /// neighbouring goodputs to differ beyond rounding (DESIGN.md §3.2).
+    pub fn optimal_batch_size_near(
+        &self,
+        shape: PlacementShape,
+        near: Option<u64>,
+    ) -> Option<BatchSolve> {
         let (lo, hi) = self.limits.range(shape)?;
-        golden_section_max_int(|m| self.goodput(shape, m), lo, hi).ok()
+        let mut evals = 0;
+        let found = if hi - lo > 8 {
+            self.stationary_batch_size(shape, (lo, hi), near, &mut evals)
+                .and_then(|start| self.climb(shape, (lo, hi), start, &mut evals))
+        } else {
+            None
+        };
+        let (batch_size, goodput) = found.or_else(|| {
+            let counted = |m| {
+                evals += 1;
+                self.goodput(shape, m)
+            };
+            golden_section_max_int(counted, lo, hi).ok()
+        })?;
+        Some(BatchSolve {
+            batch_size,
+            goodput,
+            evals,
+        })
+    }
+
+    /// The integer nearest the root of `F` (see
+    /// [`Self::optimal_batch_size_near`]) on `[lo, hi]`, or the end of
+    /// the range `GOODPUT` rises or falls towards when `F` keeps one
+    /// sign. `None` hands the solve to the golden-section search: θsys
+    /// outside its box (where `F` need not fall), a non-finite `F`, or
+    /// an iteration that has not settled within its budget.
+    fn stationary_batch_size(
+        &self,
+        shape: PlacementShape,
+        (lo, hi): (u64, u64),
+        near: Option<u64>,
+        evals: &mut u32,
+    ) -> Option<u64> {
+        /// Newton steps before the solve is handed over. Every step that
+        /// leaves the bracket bisects it, so 64 cover any range of
+        /// batch sizes a `u64` can hold.
+        const MAX_STEPS: usize = 64;
+
+        let tp = &self.throughput;
+        if !tp.is_valid() {
+            return None;
+        }
+        let alpha = tp.alpha_grad;
+        let beta = tp.beta_grad / shape.gpus as f64;
+        let t_sync = tp.t_sync(shape);
+        let sync_pow = if t_sync > 0.0 {
+            t_sync.powf(tp.gamma)
+        } else {
+            0.0
+        };
+        let gamma_m1 = tp.gamma - 1.0;
+        let phi = self.efficiency.noise_scale();
+        // `(F, F′, α_grad + T_sync^γ / T_grad^(γ−1))` at `m`, which
+        // becomes the end of `ends` on its side of the root:
+        // `F(ends.0) ≥ 0 ≥ F(ends.1)` for every end probed.
+        let mut probe = |m: f64, ends: &mut (f64, f64)| {
+            *evals += 1;
+            let t_grad = alpha + beta * m;
+            let (c, dc) = if sync_pow > 0.0 {
+                let ratio = sync_pow / t_grad.powf(gamma_m1);
+                (alpha + ratio, -gamma_m1 * beta * ratio / t_grad)
+            } else {
+                (alpha, 0.0)
+            };
+            let (f, df) = if phi.is_infinite() {
+                (c, dc)
+            } else {
+                (phi * c - beta * m * m, phi * dc - 2.0 * beta * m)
+            };
+            if f >= 0.0 {
+                ends.0 = m;
+            } else {
+                ends.1 = m;
+            }
+            (f.is_finite() && df.is_finite()).then_some((f, df, c))
+        };
+
+        // A hint strictly inside the range is probed first: it stands in
+        // for the end of the range on its side of the root, and is
+        // where the iteration starts.
+        let (lo_f, hi_f) = (lo as f64, hi as f64);
+        let mut ends = (lo_f, hi_f);
+        let mut at = None;
+        if let Some(hint) = near.filter(|&m| lo < m && m < hi) {
+            let (f, df, _) = probe(hint as f64, &mut ends)?;
+            at = Some((hint as f64, f, df));
+        }
+        if ends.0 == lo_f && probe(lo_f, &mut ends)?.0 <= 0.0 {
+            return Some(lo);
+        }
+        if ends.1 == hi_f {
+            let (f, _, c) = probe(hi_f, &mut ends)?;
+            if f >= 0.0 {
+                return Some(hi);
+            }
+            if at.is_none() {
+                // `F(lo) > 0 > F(hi)`, so φ is finite and β_grad > 0.
+                // The bracketed term only falls with `m`, so this is a
+                // lower bound on the root, and the root itself when
+                // `T_sync = 0`.
+                let mut x = (phi * c / beta).sqrt();
+                if !(lo_f < x && x < hi_f) {
+                    x = 0.5 * (lo_f + hi_f);
+                }
+                let (f, df, _) = probe(x, &mut ends)?;
+                at = Some((x, f, df));
+            }
+        }
+        let (mut x, mut f, mut df) = at.expect("probed at the hint or at the first guess");
+        for _ in 0..MAX_STEPS {
+            // `F′ ≤ −2 (β_grad/K) m < 0` here.
+            let mut next = x - f / df;
+            if !(ends.0 <= next && next <= ends.1) {
+                next = 0.5 * (ends.0 + ends.1);
+            }
+            if (next - x).abs() < 0.25 || ends.1 - ends.0 <= 0.5 {
+                return Some((next.round() as u64).clamp(lo, hi));
+            }
+            x = next;
+            (f, df, _) = probe(x, &mut ends)?;
+        }
+        None
+    }
+
+    /// Walks from `start` to the batch size whose goodput exceeds both
+    /// neighbours', on [`Self::goodput`] itself. `None` — the solve
+    /// goes to the golden-section search — when a value is non-finite,
+    /// the walk is still moving after `MAX_MOVES` steps (the
+    /// derivative's root was nowhere near the top), or the top stands
+    /// out from a neighbour by less than rounding error can fake: there
+    /// the derivative's sign says nothing about which float is largest.
+    fn climb(
+        &self,
+        shape: PlacementShape,
+        (lo, hi): (u64, u64),
+        start: u64,
+        evals: &mut u32,
+    ) -> Option<(u64, f64)> {
+        const MAX_MOVES: usize = 16;
+        /// Relative gap to a neighbour below which the top counts as
+        /// flat: some hundreds of ulps, where one step off a smooth top
+        /// at `m ≤ 10⁶` costs 10⁻¹² or more.
+        const FLAT: f64 = 1e-13;
+
+        let mut goodput = |m: u64| {
+            *evals += 1;
+            self.goodput(shape, m)
+        };
+        let mut m = start;
+        let mut best = goodput(m);
+        // The neighbours' values where the last move left them known.
+        let (mut left, mut right) = (None, None);
+        for _ in 0..MAX_MOVES {
+            if !best.is_finite() {
+                return None;
+            }
+            let l = match left {
+                Some(v) => v,
+                None if m > lo => goodput(m - 1),
+                None => f64::NEG_INFINITY,
+            };
+            if l > best {
+                (left, right) = (None, Some(best));
+                (m, best) = (m - 1, l);
+                continue;
+            }
+            let r = match right {
+                Some(v) => v,
+                None if m < hi => goodput(m + 1),
+                None => f64::NEG_INFINITY,
+            };
+            if r > best {
+                (left, right) = (Some(best), None);
+                (m, best) = (m + 1, r);
+                continue;
+            }
+            let margin = best * FLAT;
+            return (best - l > margin && best - r > margin).then_some((m, best));
+        }
+        None
     }
 
     /// `max_m GOODPUT(a, m)` or 0 when infeasible.
@@ -185,12 +403,17 @@ impl GoodputModel {
     /// `feasible` (and the impossible distributed `K = 1` cell) are 0,
     /// matching [`Self::speedup`]'s treatment of infeasible shapes.
     /// When `include_distributed` is false the distributed row is all
-    /// zeros and its golden-section solves are skipped (single-node
+    /// zeros and its batch-size solves are skipped (single-node
     /// clusters can never query it).
     ///
     /// Every stored value is bit-identical to the corresponding
     /// [`Self::speedup`] call: both divide `max_goodput(shape)` by a
-    /// once-computed `max_goodput(reference_shape())`.
+    /// once-computed `max_goodput(reference_shape())`. Each question is
+    /// asked once and the answers feed each other: `m*` grows with `K`
+    /// (Fig 1b), so within a locality class every solve starts from the
+    /// previous cell's optimum
+    /// ([`Self::optimal_batch_size_near`]), and the reference shape's
+    /// solve is reused when it is a cell of the profile.
     pub fn speedup_profile(
         &self,
         feasible: std::ops::RangeInclusive<u32>,
@@ -208,22 +431,52 @@ impl GoodputModel {
             return profile;
         }
         profile.solves += 1;
-        let denom = self.max_goodput(self.reference_shape());
+        let reference_shape = self.reference_shape();
+        let reference = self.optimal_batch_size_near(reference_shape, None);
+        let denom = reference.map_or(0.0, |solve| solve.goodput);
         if denom <= 0.0 {
             return profile;
         }
+        // `max_goodput(shape)`, started from and leaving behind the
+        // optimum of the locality's previous cell.
+        let max_goodput = |shape: PlacementShape, near: &mut Option<u64>| {
+            let solve = if shape == reference_shape {
+                reference
+            } else {
+                self.optimal_batch_size_near(shape, *near)
+            };
+            *near = solve.map(|solve| solve.batch_size).or(*near);
+            solve.map_or(0.0, |solve| solve.goodput)
+        };
+        let (mut near_colocated, mut near_spread) = (None, None);
         for k in lo..=hi {
             profile.solves += 1;
             let colocated = PlacementShape::new(k, 1).expect("k >= 1");
-            profile.colocated[(k - 1) as usize] = self.max_goodput(colocated) / denom;
+            profile.colocated[(k - 1) as usize] =
+                max_goodput(colocated, &mut near_colocated) / denom;
             if include_distributed && k >= 2 {
                 profile.solves += 1;
                 let spread = PlacementShape::new(k, 2).expect("k >= 2");
-                profile.distributed[(k - 1) as usize] = self.max_goodput(spread) / denom;
+                // The first spread cell starts from its co-located twin.
+                near_spread = near_spread.or(near_colocated);
+                profile.distributed[(k - 1) as usize] =
+                    max_goodput(spread, &mut near_spread) / denom;
             }
         }
         profile
     }
+}
+
+/// One Eqn-13 solve: the optimum and what finding it cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchSolve {
+    /// The most efficient batch size `m*`.
+    pub batch_size: u64,
+    /// `GOODPUT(a, m*)`.
+    pub goodput: f64,
+    /// Evaluations spent: of the derivative's numerator `F` and of
+    /// `GOODPUT` itself, one count each.
+    pub evals: u32,
 }
 
 /// Dense `SPEEDUP` values over `K = 1..=len` for both locality classes
@@ -236,8 +489,9 @@ pub struct SpeedupProfile {
     /// every `N ≥ 2` placement); 0 outside the feasible range and for
     /// the impossible `K = 1` cell.
     pub distributed: Vec<f64>,
-    /// Golden-section batch-size solves performed while building the
-    /// profile (reference denominator plus one per stored entry).
+    /// Batch-size questions (Eqn 13) the profile answers: the reference
+    /// denominator plus one per stored entry, whether or not an entry
+    /// could reuse another's solve.
     pub solves: u64,
 }
 
@@ -477,7 +731,7 @@ mod tests {
             gpus in 1u32..32,
         ) {
             // Sec 4.1 asserts GOODPUT(a, m) is unimodal in m, which is
-            // what justifies golden-section search. Verify on a grid:
+            // what justifies searching for one top. Verify on a grid:
             // once the sampled values start decreasing, they never
             // meaningfully increase again.
             let tp = ThroughputParams::new(
@@ -523,7 +777,7 @@ mod tests {
             let (m_star, best) = g.optimal_batch_size(shape).unwrap();
             let (lo, hi) = g.limits.range(shape).unwrap();
             prop_assert!(m_star >= lo && m_star <= hi);
-            // Coarse sampling should never beat golden-section by >0.5%.
+            // Coarse sampling should never beat the solver by >0.5%.
             let step = ((hi - lo) / 64).max(1);
             let mut m = lo;
             while m <= hi {
@@ -531,6 +785,56 @@ mod tests {
                     "m = {} beats m* = {}", m, m_star);
                 m += step;
             }
+        }
+
+        #[test]
+        fn chained_profile_matches_per_cell_speedup_bitwise(
+            alpha_grad in 0.0f64..0.3,
+            beta_grad in 1e-5f64..5e-3,
+            alpha_sync in 0.0f64..0.3,
+            beta_sync in 0.0f64..0.02,
+            gamma in 1.0f64..10.0,
+            phi_kind in 0u8..8,
+            (m0_exp, per_gpu_exp) in (3u32..10, 3u32..10),
+            (first, len) in (1u32..6, 1u32..40),
+        ) {
+            // Whatever a cell's solve started from — nothing, the
+            // previous cell's optimum, its co-located twin's, or the
+            // reference shape's solve reused outright (`m0` may need
+            // several GPUs, and `first` may sit above or below them) —
+            // the profile holds what `speedup` answers from scratch.
+            let tp = ThroughputParams::new(
+                alpha_grad, beta_grad, alpha_sync, beta_sync,
+                alpha_sync * 1.5, beta_sync * 1.5, gamma,
+            ).unwrap();
+            let phi = match phi_kind {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                k => 40.0 * 3f64.powi(i32::from(k)),
+            };
+            let m0 = 1u64 << m0_exp;
+            let eff = EfficiencyModel::from_noise_scale(m0, phi).unwrap();
+            let limits = BatchSizeLimits::new(m0, 65_536, 1 << per_gpu_exp).unwrap();
+            let g = GoodputModel::new(tp, eff, limits).unwrap();
+            let profile = g.speedup_profile(first..=len, len, true);
+            let mut cells = 0;
+            for k in 1..=len {
+                for (nodes, row) in [(1, &profile.colocated), (2, &profile.distributed)] {
+                    let feasible = k >= first && k >= nodes;
+                    let expect = if feasible {
+                        g.speedup(PlacementShape::new(k, nodes).unwrap())
+                    } else {
+                        0.0
+                    };
+                    cells += u64::from(feasible);
+                    prop_assert_eq!(
+                        row[(k - 1) as usize].to_bits(), expect.to_bits(),
+                        "K = {} N = {}: {} vs {}", k, nodes, row[(k - 1) as usize], expect
+                    );
+                }
+            }
+            // A reused or hinted solve is still a cell counted.
+            prop_assert_eq!(profile.solves, if first <= len { 1 + cells } else { 0 });
         }
     }
 }

@@ -37,6 +37,6 @@ pub use fit::{
     fit_throughput_params, fit_throughput_params_constrained, fit_throughput_params_counted,
     fit_throughput_params_warm, FitObservation, FitPriors, FitReport, FitWork,
 };
-pub use goodput::{BatchSizeLimits, GoodputModel, SpeedupProfile};
+pub use goodput::{BatchSizeLimits, BatchSolve, GoodputModel, SpeedupProfile};
 pub use rack::{RackAwareParams, RackPlacementShape};
 pub use throughput::{PlacementShape, ThroughputParams};

@@ -58,30 +58,47 @@ pub fn contribution(
     table: &SpeedupTable,
     config: &FitnessConfig,
 ) -> f64 {
-    row_contribution(&jobs[j], alloc.row(j), config, |shape| {
-        table.speedup(j, shape)
-    })
+    let (job, row) = (&jobs[j], alloc.row(j));
+    row_contribution(
+        job,
+        row,
+        row_shape(row),
+        job.is_running(),
+        config,
+        |shape| table.speedup(j, shape),
+    )
 }
 
-/// [`contribution`] of one placement row, with the table read left to
-/// the caller: the GA tallies its lookups per worker, and debug
-/// cross-checks must not count theirs at all
-/// ([`SpeedupTable::lookup`]). `K` and `N` come from one pass over the
-/// row.
+/// The `(K, N)` shape of one placement row, from one pass over it;
+/// `None` for an empty row.
 #[inline]
-pub(crate) fn row_contribution(
-    job: &SchedJob,
-    row: &[u32],
-    config: &FitnessConfig,
-    speedup: impl FnOnce(PlacementShape) -> f64,
-) -> f64 {
+pub(crate) fn row_shape(row: &[u32]) -> Option<PlacementShape> {
     let (mut gpus, mut nodes) = (0u32, 0u32);
     for &g in row {
         gpus += g;
         nodes += u32::from(g > 0);
     }
-    let mut s = PlacementShape::new(gpus, nodes).map_or(0.0, speedup);
-    if job.is_running() && row != job.current_placement.as_slice() {
+    PlacementShape::new(gpus, nodes)
+}
+
+/// [`contribution`] of one placement row whose shape
+/// ([`row_shape`]) and whose job's [`SchedJob::is_running`] the caller
+/// already knows — the GA's repair keeps the first current and the
+/// second holds for a whole `evolve` — with the table read left to the
+/// caller too: the GA tallies its lookups per worker, and debug
+/// cross-checks must not count theirs at all
+/// ([`SpeedupTable::lookup`]).
+#[inline]
+pub(crate) fn row_contribution(
+    job: &SchedJob,
+    row: &[u32],
+    shape: Option<PlacementShape>,
+    running: bool,
+    config: &FitnessConfig,
+    speedup: impl FnOnce(PlacementShape) -> f64,
+) -> f64 {
+    let mut s = shape.map_or(0.0, speedup);
+    if running && row != job.current_placement.as_slice() {
         s -= config.restart_penalty;
     }
     job.weight * s
@@ -333,7 +350,10 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(j, job)| {
-                    row_contribution(job, alloc.row(j), &cfg, |shape| pure_speedup(job, shape))
+                    let row = alloc.row(j);
+                    row_contribution(job, row, row_shape(row), job.is_running(), &cfg, |shape| {
+                        pure_speedup(job, shape)
+                    })
                 })
                 .collect();
             assert_eq!(

@@ -46,10 +46,11 @@
 //! pinned by this crate's determinism tests. `threads == 1` runs the
 //! identical per-slot code inline without spawning any threads.
 
-use crate::fitness::{fitness_of, row_contribution, weight_sum, FitnessConfig};
+use crate::fitness::{fitness_of, row_contribution, row_shape, weight_sum, FitnessConfig};
 use crate::par::parallel_for_each_mut;
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
+use pollux_models::PlacementShape;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -141,6 +142,8 @@ struct EvalCtx<'a> {
     spec: &'a ClusterSpec,
     table: &'a SpeedupTable,
     weight_sum: f64,
+    /// [`SchedJob::is_running`] of every job, fixed for the round.
+    running: &'a [bool],
     /// First initial-population slot built by mutating an empty matrix.
     first_fresh: usize,
     /// The population offspring are bred from (empty while the initial
@@ -174,7 +177,8 @@ pub struct GaWorkspace {
     rows_recomputed: u64,
     table_hits: u64,
     table_misses: u64,
-    /// `K_j` and `N_j`: GPUs and occupied nodes of each row.
+    /// `K_j` and `N_j`: GPUs and occupied nodes of each row, current
+    /// when repair returns, so the caller need not rescan the rows.
     row_gpus: Vec<u32>,
     row_nodes: Vec<u32>,
     /// Column sums, and per column the rows holding GPUs on it in
@@ -182,6 +186,10 @@ pub struct GaWorkspace {
     col_gpus: Vec<u32>,
     col_jobs: Vec<usize>,
     holders: Vec<u32>,
+    /// Per column, the holders that were distributed when their row
+    /// was entered. Later steps only take GPUs away, so it bounds the
+    /// distributed jobs interference avoidance can find there.
+    col_spread: Vec<u32>,
     /// The list a random pick is drawn from: a row's occupied nodes,
     /// an over-full column's holders, a node's distributed jobs.
     picks: Vec<usize>,
@@ -317,21 +325,34 @@ impl GeneticAlgorithm {
         // counters are part of the serialized `SimResult`, so they get
         // the run's totals once and nothing from the debug-only check.
         let (mut hits, mut misses) = (0, 0);
-        let mut evaluate = |j: usize, tally: bool| {
-            let row = child.matrix.row(j);
-            row_contribution(&ctx.jobs[j], row, &self.config.fitness, |shape| {
+        let mut evaluate = |j: usize, shape: Option<PlacementShape>, tally: bool| {
+            let (job, row) = (&ctx.jobs[j], child.matrix.row(j));
+            let lookup = |shape| {
                 let v = ctx.table.lookup(j, shape);
                 hits += u64::from(tally && v.is_some());
                 misses += u64::from(tally && v.is_none());
                 v.unwrap_or(0.0)
-            })
+            };
+            row_contribution(
+                job,
+                row,
+                shape,
+                ctx.running[j],
+                &self.config.fitness,
+                lookup,
+            )
         };
+        // Repair left every row's `K` and `N` in the workspace.
         for j in (0..ctx.jobs.len()).filter(|&j| initial || ws.touched[j]) {
-            child.contrib[j] = evaluate(j, true);
+            let shape = PlacementShape::new(ws.row_gpus[j], ws.row_nodes[j]);
+            child.contrib[j] = evaluate(j, shape, true);
             ws.rows_recomputed += 1;
         }
         debug_assert!(
-            (0..ctx.jobs.len()).all(|j| evaluate(j, false).to_bits() == child.contrib[j].to_bits()),
+            (0..ctx.jobs.len()).all(|j| {
+                let shape = row_shape(child.matrix.row(j));
+                evaluate(j, shape, false).to_bits() == child.contrib[j].to_bits()
+            }),
             "incremental contributions diverged from a full recompute"
         );
         ws.table_hits += hits;
@@ -393,6 +414,7 @@ impl GeneticAlgorithm {
         }
 
         let weight_sum = weight_sum(jobs);
+        let running: Vec<bool> = jobs.iter().map(SchedJob::is_running).collect();
         let mut workspaces: Vec<GaWorkspace> = Vec::new();
         workspaces.resize_with(self.config.threads.max(1), GaWorkspace::default);
         let mut run_stats = GaRunStats::default();
@@ -428,6 +450,7 @@ impl GeneticAlgorithm {
                 spec,
                 table,
                 weight_sum,
+                running: &running,
                 first_fresh,
                 parents,
                 fitnesses: &fitnesses,
@@ -513,9 +536,10 @@ impl GeneticAlgorithm {
 ///
 /// One row-major pass gathers `K_j`, `N_j`, the column sums and each
 /// column's holders; every later decrement keeps them current, so no
-/// step rescans the matrix. The random draws — which, in which order,
-/// from lists in which order — are the contract (DESIGN.md §3.1).
-/// Rows the repair rewrites are marked in `ws`.
+/// step rescans the matrix — nor does the caller, who finds `K_j` and
+/// `N_j` of the repaired rows in `ws`. The random draws — which, in
+/// which order, from lists in which order — are the contract
+/// (DESIGN.md §3.1). Rows the repair rewrites are marked in `ws`.
 pub fn repair_matrix<R: Rng>(
     m: &mut AllocationMatrix,
     jobs: &[SchedJob],
@@ -532,6 +556,8 @@ pub fn repair_matrix<R: Rng>(
     ws.col_gpus.resize(num_nodes, 0);
     ws.col_jobs.clear();
     ws.col_jobs.resize(num_nodes, 0);
+    ws.col_spread.clear();
+    ws.col_spread.resize(num_nodes, 0);
     if ws.holders.len() < num_jobs * num_nodes {
         ws.holders.resize(num_jobs * num_nodes, 0);
     }
@@ -564,11 +590,13 @@ pub fn repair_matrix<R: Rng>(
         }
         ws.row_gpus.push(k);
         ws.row_nodes.push(ws.picks.len() as u32);
+        let spread = u32::from(ws.picks.len() > 1);
         let row = m.row(j);
         for &n in ws.picks.iter() {
             ws.col_gpus[n] += row[n];
             ws.holders[n * num_jobs + ws.col_jobs[n]] = j as u32;
             ws.col_jobs[n] += 1;
+            ws.col_spread[n] += spread;
         }
     }
 
@@ -596,14 +624,15 @@ pub fn repair_matrix<R: Rng>(
         }
     }
 
-    // Step 3. A node with fewer than two holders cannot host two
-    // distributed jobs; skipping it draws nothing, as finding at most
-    // one distributed job on it never did.
-    if interference_avoidance {
+    // Step 3. A node that fewer than two distributed jobs entered
+    // cannot host two now; skipping it draws nothing, as finding at
+    // most one distributed job on it never did. With no node to visit
+    // the visiting order is not drawn either: nothing would read it.
+    if interference_avoidance && ws.col_spread.iter().any(|&spread| spread >= 2) {
         ws.order.clear();
         ws.order.extend(0..num_nodes);
         ws.order.shuffle(rng);
-        for &n in ws.order.iter().filter(|&&n| ws.col_jobs[n] >= 2) {
+        for &n in ws.order.iter().filter(|&&n| ws.col_spread[n] >= 2) {
             let column = ws.holders[n * num_jobs..][..ws.col_jobs[n]].iter();
             ws.picks.clear();
             ws.picks.extend(
@@ -630,6 +659,7 @@ pub fn repair_matrix<R: Rng>(
         if ws.row_gpus[j] > 0 && ws.row_gpus[j] < job.min_gpus {
             m.clear_row(j);
             mark(&mut ws.touched, j);
+            (ws.row_gpus[j], ws.row_nodes[j]) = (0, 0);
         }
     }
 }

@@ -27,7 +27,7 @@
 //! Table construction fans out over a scoped worker pool ([`par`])
 //! when [`GaConfig::threads`] > 1; after that, every fitness lookup on
 //! the GA hot path is an unsynchronized array index — no hashing, no
-//! locks, no golden-section solves. The GA additionally evaluates
+//! locks, no batch-size solves. The GA additionally evaluates
 //! fitness *incrementally*: each chromosome carries its per-job
 //! contribution vector and only rows touched by mutation, crossover,
 //! or repair are recomputed ([`ga`]).

@@ -47,31 +47,37 @@ const TOURNAMENT: usize = 3;
 /// penalty.
 const KEEP_BONUS: f64 = 0.25;
 
-/// The GPU demand phase 1 packs: what the job currently holds, at
-/// least its minimum, at most its cap.
-fn demand(job: &SchedJob) -> u64 {
-    let held: u32 = job.current_placement.iter().sum();
-    u64::from(held.max(job.min_gpus.max(1)).min(job.gpu_cap.max(1)))
+/// What phase 1 needs of a job, from one pass over its placement row:
+/// the GPU demand it packs (what the job currently holds, at least its
+/// minimum, at most its cap) and the job's [`home_rack`]. `held` is
+/// scratch, one slot per rack.
+fn demand_and_home(job: &SchedJob, topo: &Topology, held: &mut [u64]) -> (u64, Option<u32>) {
+    let racked = job.current_placement.len() == topo.num_nodes();
+    held.fill(0);
+    let mut total = 0u32;
+    for (n, &g) in job.current_placement.iter().enumerate() {
+        if g > 0 {
+            total += g;
+            if racked {
+                held[topo.rack_of(NodeId(n as u32)) as usize] += u64::from(g);
+            }
+        }
+    }
+    let demand = u64::from(total.max(job.min_gpus.max(1)).min(job.gpu_cap.max(1)));
+    let home = held
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
+        .filter(|&(_, &most)| most > 0)
+        .map(|(best, _)| best as u32);
+    (demand, home)
 }
 
 /// The rack holding the most of the job's current GPUs (ties to the
 /// lowest rack index), or `None` for an idle job or a placement whose
 /// width does not match the topology.
 pub fn home_rack(job: &SchedJob, topo: &Topology) -> Option<u32> {
-    if job.current_placement.len() != topo.num_nodes() {
-        return None;
-    }
-    let mut held = vec![0u64; topo.num_racks() as usize];
-    for (n, &g) in job.current_placement.iter().enumerate() {
-        if g > 0 {
-            held[topo.rack_of(NodeId(n as u32)) as usize] += u64::from(g);
-        }
-    }
-    let (best, &most) = held
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
-    (most > 0).then_some(best as u32)
+    demand_and_home(job, topo, &mut vec![0; topo.num_racks() as usize]).1
 }
 
 /// Assigns each job to a rack: `result[j]` is the rack of `jobs[j]`.
@@ -108,8 +114,11 @@ pub fn assign_racks<R: Rng>(
                 .sum()
         })
         .collect();
-    let demands: Vec<u64> = jobs.iter().map(demand).collect();
-    let homes: Vec<Option<u32>> = jobs.iter().map(|j| home_rack(j, topo)).collect();
+    let mut held = vec![0u64; num_racks];
+    let (demands, homes): (Vec<u64>, Vec<Option<u32>>) = jobs
+        .iter()
+        .map(|job| demand_and_home(job, topo, &mut held))
+        .unzip();
 
     // Deterministic score: integer capacity packing summed in rack
     // order plus f64 keep-bonuses summed in job order.

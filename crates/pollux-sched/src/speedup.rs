@@ -54,45 +54,6 @@ impl SchedJob {
     pub fn is_running(&self) -> bool {
         self.current_placement.iter().any(|&g| g > 0)
     }
-
-    /// A version stamp over the job's speedup-relevant inputs: the
-    /// θsys throughput parameters, the gradient-noise scale, the
-    /// batch-size limits, and the feasible GPU range. Two jobs with
-    /// equal stamps *almost certainly* produce bit-identical speedup
-    /// rows; the incremental table build uses the stamp as a cheap
-    /// prefilter and confirms with exact model equality, so a hash
-    /// collision can never corrupt a schedule. The weight and the
-    /// current placement are deliberately excluded: neither enters
-    /// `SPEEDUP_j` (Eqn 15).
-    pub fn speedup_version(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a64 offset basis
-        let mut mix = |bits: u64| {
-            for byte in bits.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        let tp = &self.model.throughput;
-        for v in [
-            tp.alpha_grad,
-            tp.beta_grad,
-            tp.alpha_sync_local,
-            tp.beta_sync_local,
-            tp.alpha_sync_node,
-            tp.beta_sync_node,
-            tp.gamma,
-        ] {
-            mix(v.to_bits());
-        }
-        mix(self.model.efficiency.m0());
-        mix(self.model.efficiency.noise_scale().to_bits());
-        mix(self.model.limits.min);
-        mix(self.model.limits.max_global);
-        mix(self.model.limits.max_per_gpu);
-        mix(u64::from(self.min_gpus));
-        mix(u64::from(self.gpu_cap));
-        h
-    }
 }
 
 /// Counter-free `SPEEDUP_j` evaluation: the same feasibility gates and
@@ -113,7 +74,7 @@ pub fn pure_speedup(job: &SchedJob, shape: PlacementShape) -> f64 {
 
 /// Counters of a [`SpeedupTable`]: where did speedup values come from?
 ///
-/// `solves` is fixed at build time (one golden-section batch-size solve
+/// `solves` is fixed at build time (one Eqn-13 batch-size solve
 /// per feasible table entry plus one reference denominator per job);
 /// `hits`/`misses` accumulate per lookup with relaxed atomics. Exposed
 /// through the `pollux.sched.speedup.stats` service key.
@@ -125,10 +86,10 @@ pub struct SpeedupTableStats {
     /// Lookups outside the table bounds (answered 0 without touching
     /// memory; only reachable through unrepaired candidate matrices).
     pub misses: u64,
-    /// Golden-section solves spent building the table. Reused rows
-    /// carry their original per-row solve count forward, so this total
-    /// is identical to a from-scratch build — it participates in the
-    /// golden-digested `SchedIntervalSample`.
+    /// Batch-size solves (Eqn 13) the table's entries stand for.
+    /// Reused rows carry their original per-row solve count forward, so
+    /// this total is identical to a from-scratch build — it
+    /// participates in the golden-digested `SchedIntervalSample`.
     pub solves: u64,
     /// Rows copied verbatim from the previous interval's table by
     /// [`SpeedupTable::build_reusing`] instead of being re-solved.
@@ -167,7 +128,7 @@ impl SpeedupTableStats {
 /// Rebuild the table whenever the jobs' goodput models change — but
 /// jobs whose speedup-relevant inputs did *not* change can have their
 /// rows copied forward from the previous interval's table via
-/// [`Self::build_reusing`], skipping their golden-section solves
+/// [`Self::build_reusing`], skipping their batch-size solves
 /// entirely.
 #[derive(Debug, Default)]
 pub struct SpeedupTable {
@@ -182,7 +143,7 @@ pub struct SpeedupTable {
     /// Per-row provenance: the exact inputs each row is a pure
     /// function of, enabling cross-interval row reuse.
     row_keys: Vec<RowKey>,
-    /// Per-row golden-section solve counts, carried forward with
+    /// Per-row batch-size solve counts, carried forward with
     /// reused rows so the `solves` total always equals a fresh build.
     row_solves: Vec<u64>,
     solves: u64,
@@ -192,13 +153,11 @@ pub struct SpeedupTable {
 }
 
 /// The inputs one table row is a pure function of. A previous row is
-/// reused only when *every* field matches exactly (the `version`
-/// stamp is a prefilter; `model` equality is the authority), which is
-/// what makes incremental builds bit-identical by construction.
+/// reused only when *every* field matches exactly, which is what makes
+/// incremental builds bit-identical by construction.
 #[derive(Debug, Clone, PartialEq)]
 struct RowKey {
     id: JobId,
-    version: u64,
     model: GoodputModel,
     /// Feasible GPU range the profile was solved over (`min_gpus` and
     /// `gpu_cap` clamped to the cluster's total GPUs — a cluster
@@ -219,7 +178,7 @@ struct RowStripe {
 
 impl SpeedupTable {
     /// Precomputes the table for `jobs` on `spec`, fanning the per-job
-    /// golden-section solves out over `threads` workers. Worker results
+    /// batch-size solves out over `threads` workers. Worker results
     /// are reassembled in job order, so the table contents are
     /// independent of the thread count.
     ///
@@ -269,19 +228,13 @@ impl SpeedupTable {
             let hi = job.gpu_cap.min(total);
             let key = RowKey {
                 id: job.id,
-                version: job.speedup_version(),
                 model: job.model,
                 lo,
                 hi,
             };
             if let Some(p) = prev {
                 if let Some(&pi) = prev_rows.get(&job.id) {
-                    let pk = &p.row_keys[pi];
-                    if pk.version == key.version
-                        && pk.lo == lo
-                        && pk.hi == hi
-                        && pk.model == key.model
-                    {
+                    if p.row_keys[pi] == key {
                         let base = pi * 2 * cols;
                         return RowStripe {
                             colocated: p.values[base..base + cols].to_vec(),
@@ -380,6 +333,18 @@ impl SpeedupTable {
         let cols = self.max_gpus as usize;
         let locality = usize::from(shape.nodes >= 2);
         Some(self.values[job_idx * 2 * cols + locality * cols + (shape.gpus as usize - 1)])
+    }
+
+    /// [`pure_speedup`] of the job in row `job_idx` under `shape`, read
+    /// instead of solved, for observers that must leave the counters
+    /// alone. `None` where the table does not hold that value: a shape
+    /// beyond its columns, or a cross-node shape in a table built for a
+    /// single node, whose distributed rows are zeros nobody solved.
+    pub fn stored(&self, job_idx: usize, shape: PlacementShape) -> Option<f64> {
+        if shape.nodes >= 2 && !self.include_distributed {
+            return None;
+        }
+        self.lookup(job_idx, shape)
     }
 
     /// Adds lookups a caller made through [`Self::lookup`] and counted

@@ -45,6 +45,121 @@ pub(crate) fn packed_shape(gpus: u32, gpus_per_node: u32) -> PlacementShape {
     PlacementShape::new(gpus, nodes).expect("nodes <= gpus for gpus >= 1")
 }
 
+/// What a careful user knows about one model on `gpus_per_node`-GPU
+/// nodes: the goodput-optimal batch size of every GPU count asked
+/// about so far (Eqn 13 at mid-training φ, packed placement) and the
+/// TunedJobs validity set up to `max_gpus`. Every job of a trace that
+/// trains the model draws its configurations from the same answers,
+/// so each is solved once, when first needed, and kept.
+#[derive(Debug, Clone)]
+pub struct UserConfigTable {
+    model: GoodputModel,
+    max_gpus: u32,
+    gpus_per_node: u32,
+    /// `optimal_batch_size` of the packed shape of `K` GPUs at index
+    /// `K − 1`, once asked for; the inner `None` is an infeasible `K`.
+    optimal: Vec<Option<Option<(u64, f64)>>>,
+    /// [`valid_tuned_gpu_counts`], once asked for.
+    valid: Option<Vec<u32>>,
+    solves: u64,
+}
+
+impl UserConfigTable {
+    /// An empty table for `profile`; nothing is solved yet.
+    pub fn new(profile: &ModelProfile, max_gpus: u32, gpus_per_node: u32) -> Self {
+        Self {
+            model: midtraining_model(profile),
+            max_gpus,
+            gpus_per_node,
+            optimal: Vec::new(),
+            valid: None,
+            solves: 0,
+        }
+    }
+
+    /// Eqn-13 solves performed so far.
+    pub fn solves(&self) -> u64 {
+        self.solves
+    }
+
+    /// `(m*, GOODPUT)` of `gpus` GPUs packed onto as few nodes as
+    /// possible, or `None` when `m0` does not fit on them.
+    fn optimal(&mut self, gpus: u32) -> Option<(u64, f64)> {
+        let idx = gpus as usize - 1;
+        if self.optimal.len() <= idx {
+            self.optimal.resize(idx + 1, None);
+        }
+        if self.optimal[idx].is_none() {
+            self.solves += 1;
+            let shape = packed_shape(gpus, self.gpus_per_node);
+            self.optimal[idx] = Some(self.model.optimal_batch_size(shape));
+        }
+        self.optimal[idx].expect("solved above")
+    }
+
+    /// `max_m GOODPUT` of the model's reference shape, the denominator
+    /// of its speedups.
+    fn reference_goodput(&mut self) -> f64 {
+        let reference = self.model.reference_shape();
+        let solve = if reference == packed_shape(reference.gpus, self.gpus_per_node) {
+            self.optimal(reference.gpus)
+        } else {
+            // `m0` needs more than a node's GPUs, co-located.
+            self.solves += 1;
+            self.model.optimal_batch_size(reference)
+        };
+        solve.map_or(0.0, |(_, goodput)| goodput)
+    }
+
+    /// See [`valid_tuned_gpu_counts`].
+    fn valid(&mut self) -> &[u32] {
+        if self.valid.is_none() {
+            self.valid = Some(self.solve_valid());
+        }
+        self.valid.as_deref().expect("solved above")
+    }
+
+    fn solve_valid(&mut self) -> Vec<u32> {
+        let base = self.reference_goodput();
+        let mut valid = vec![1];
+        if base <= 0.0 {
+            return valid;
+        }
+        for k in 2..=self.max_gpus {
+            let speedup = self.optimal(k).map_or(0.0, |(_, goodput)| goodput) / base;
+            let frac = speedup / k as f64;
+            if (0.5..=0.8).contains(&frac) {
+                valid.push(k);
+            }
+        }
+        valid
+    }
+
+    /// See [`tuned_config`].
+    pub fn tuned<R: Rng>(&mut self, rng: &mut R) -> UserConfig {
+        let valid = self.valid();
+        let gpus = valid[rng.gen_range(0..valid.len())];
+        let batch_size = self.optimal(gpus).map_or(self.model.limits.min, |(m, _)| m);
+        UserConfig { gpus, batch_size }
+    }
+
+    /// See [`realistic_config`].
+    pub fn realistic<R: Rng>(&mut self, trace_gpus: u32, rng: &mut R) -> UserConfig {
+        let m0 = self.model.limits.min;
+        let gpus = trace_gpus.max(1);
+        let m_opt = self.optimal(gpus).map_or(m0, |(m, _)| m);
+        let (lo_bound, hi_bound) = self
+            .model
+            .limits
+            .range(packed_shape(gpus, self.gpus_per_node))
+            .unwrap_or((m0, m0));
+        let lo = (m_opt / 2).clamp(lo_bound, hi_bound);
+        let hi = (m_opt * 2).clamp(lo_bound, hi_bound);
+        let batch_size = if lo >= hi { lo } else { rng.gen_range(lo..=hi) };
+        UserConfig { gpus, batch_size }
+    }
+}
+
 /// GPU counts whose optimally-batched goodput achieves 50–80 % of the
 /// ideal linear speedup (Sec. 5.2's validity criterion), evaluated at
 /// mid-training φ on `gpus_per_node`-GPU nodes up to `max_gpus`.
@@ -55,40 +170,23 @@ pub fn valid_tuned_gpu_counts(
     max_gpus: u32,
     gpus_per_node: u32,
 ) -> Vec<u32> {
-    let model = midtraining_model(profile);
-    let base = model.max_goodput(model.reference_shape());
-    let mut valid = vec![1];
-    if base <= 0.0 {
-        return valid;
-    }
-    for k in 2..=max_gpus {
-        let shape = packed_shape(k, gpus_per_node);
-        let speedup = model.max_goodput(shape) / base;
-        let frac = speedup / k as f64;
-        if (0.5..=0.8).contains(&frac) {
-            valid.push(k);
-        }
-    }
-    valid
+    UserConfigTable::new(profile, max_gpus, gpus_per_node)
+        .valid()
+        .to_vec()
 }
 
 /// Draws an idealized TunedJobs configuration (Sec. 5.2): a uniformly
 /// random valid GPU count, with the goodput-optimal batch size for it.
+///
+/// One draw solves the whole validity set; a caller drawing many
+/// configurations of one model keeps a [`UserConfigTable`].
 pub fn tuned_config<R: Rng>(
     profile: &ModelProfile,
     max_gpus: u32,
     gpus_per_node: u32,
     rng: &mut R,
 ) -> UserConfig {
-    let model = midtraining_model(profile);
-    let valid = valid_tuned_gpu_counts(profile, max_gpus, gpus_per_node);
-    let gpus = valid[rng.gen_range(0..valid.len())];
-    let shape = packed_shape(gpus, gpus_per_node);
-    let batch_size = model
-        .optimal_batch_size(shape)
-        .map(|(m, _)| m)
-        .unwrap_or(profile.m0);
-    UserConfig { gpus, batch_size }
+    UserConfigTable::new(profile, max_gpus, gpus_per_node).tuned(rng)
 }
 
 /// Draws a realistic user configuration (Sec. 5.3.1): `gpus` comes from
@@ -101,21 +199,7 @@ pub fn realistic_config<R: Rng>(
     gpus_per_node: u32,
     rng: &mut R,
 ) -> UserConfig {
-    let model = midtraining_model(profile);
-    let gpus = trace_gpus.max(1);
-    let shape = packed_shape(gpus, gpus_per_node);
-    let m_opt = model
-        .optimal_batch_size(shape)
-        .map(|(m, _)| m)
-        .unwrap_or(profile.m0);
-    let (lo_bound, hi_bound) = model
-        .limits
-        .range(shape)
-        .unwrap_or((profile.m0, profile.m0));
-    let lo = (m_opt / 2).clamp(lo_bound, hi_bound);
-    let hi = (m_opt * 2).clamp(lo_bound, hi_bound);
-    let batch_size = if lo >= hi { lo } else { rng.gen_range(lo..=hi) };
-    UserConfig { gpus, batch_size }
+    UserConfigTable::new(profile, 0, gpus_per_node).realistic(trace_gpus, rng)
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@ pub mod gns;
 pub mod models;
 pub mod tracegen;
 
-pub use configs::{realistic_config, tuned_config, valid_tuned_gpu_counts, UserConfig};
+pub use configs::{
+    realistic_config, tuned_config, valid_tuned_gpu_counts, UserConfig, UserConfigTable,
+};
 pub use gns::GnsProfile;
 pub use models::{ModelKind, ModelProfile, SizeCategory};
 pub use tracegen::{JobSpec, TraceConfig, TraceGenerator};

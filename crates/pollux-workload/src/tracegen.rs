@@ -6,8 +6,8 @@
 //! a Table-1 model in the same GPU-time category (38 % / 38 % / 17 % /
 //! 5 % / 2 %). We reproduce those published statistics directly.
 
-use crate::configs::{realistic_config, tuned_config, UserConfig};
-use crate::models::{ModelKind, SizeCategory};
+use crate::configs::{UserConfig, UserConfigTable};
+use crate::models::{ModelKind, ModelProfile, SizeCategory};
 use pollux_cluster::JobId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,6 +120,16 @@ impl TraceGenerator {
 
     /// Generates the full trace, sorted by submission time.
     pub fn generate(&self) -> Vec<JobSpec> {
+        self.generate_counted().0
+    }
+
+    /// [`Self::generate`], and the Eqn-13 solves its user configurations
+    /// took: what the users of one model know is solved once for all
+    /// its jobs ([`UserConfigTable`]), so the count grows with the
+    /// models and GPU counts of the trace, not with its length.
+    pub fn generate_counted(&self) -> (Vec<JobSpec>, u64) {
+        // The models met so far, in order of first appearance.
+        let mut models: Vec<(ModelProfile, UserConfigTable)> = Vec::new();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let n = self.effective_num_jobs();
         let total_weight: f64 = HOURLY_WEIGHTS.iter().sum();
@@ -154,18 +164,25 @@ impl TraceGenerator {
                     }
                     pick -= f;
                 }
-                let profile = kind.profile();
+                let known = models.iter().position(|(profile, _)| profile.kind == kind);
+                let (profile, configs) = match known {
+                    Some(at) => &mut models[at],
+                    None => {
+                        let profile = kind.profile();
+                        let configs = UserConfigTable::new(
+                            &profile,
+                            self.config.max_gpus,
+                            self.config.gpus_per_node,
+                        );
+                        models.push((profile, configs));
+                        models.last_mut().expect("just pushed")
+                    }
+                };
 
                 let scale = work_dist.sample(&mut rng).clamp(0.3, 3.0);
-                let tuned = tuned_config(
-                    &profile,
-                    self.config.max_gpus,
-                    self.config.gpus_per_node,
-                    &mut rng,
-                );
+                let tuned = configs.tuned(&mut rng);
                 let trace_gpus = sample_trace_gpus(profile.category, &mut rng);
-                let realistic =
-                    realistic_config(&profile, trace_gpus, self.config.gpus_per_node, &mut rng);
+                let realistic = configs.realistic(trace_gpus, &mut rng);
 
                 JobSpec {
                     id: JobId(i as u32),
@@ -187,7 +204,8 @@ impl TraceGenerator {
         for (i, job) in jobs.iter_mut().enumerate() {
             job.id = JobId(i as u32);
         }
-        jobs
+        let solves = models.iter().map(|(_, configs)| configs.solves()).sum();
+        (jobs, solves)
     }
 
     /// Histogram of submissions per hour (the Fig 6 series).
