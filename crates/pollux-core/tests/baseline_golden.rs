@@ -6,7 +6,8 @@
 //! `SimResult` bytes (and RNG draw order — none of the baselines draw)
 //! of the pre-refactor monolith. These digests were captured from the
 //! monolithic implementations at the commit introducing the staged
-//! scheduler and are never allowed to drift.
+//! scheduler and move only when the model under the schedulers does,
+//! with the cause written beside each constant.
 //!
 //! Workload: the repo's standard 64-job × 16-node churn anchor (the
 //! same staggered, work-scaled trace the timeline-fidelity suite
@@ -72,19 +73,30 @@ fn digest_of<P: SchedulingPolicy>(policy: P) -> u64 {
     )
 }
 
-/// Captured from the monolithic `Tiresias` (pre-decomposition).
-const GOLDEN_TIRESIAS: u64 = 0x7164_4c87_c626_8a16;
+/// Captured from the monolithic `Tiresias` (pre-decomposition) as
+/// `0x7164_4c87_c626_8a16`; re-pinned once, with the two below, by
+/// PR 20 — φ held ≤ 1 % per sub-interval of progress. The engine's
+/// ground-truth φ became piecewise constant in progress, so every job
+/// that trains above its `m0` (all of these) moved in the low digits
+/// of its progress under every policy. The staged pipeline is
+/// unchanged: `pollux-baselines`' own goldens, which run no engine,
+/// did not move.
+const GOLDEN_TIRESIAS: u64 = 0x1254_d4f3_0591_38b1;
 /// Captured from the monolithic `Optimus` (pre-decomposition) as
 /// `0x5355_e002_7cdd_e804`; re-pinned once by the exact-gradient θsys
 /// solve (issue 12). Optimus estimates remaining time from the fitted
 /// θsys in each job's report, and the new solve agrees with the old
 /// one to ~4 digits of RMSLE, not to the bit. `GOLDEN_TIRESIAS`, which never
 /// reads θsys, did not move — the staged pipeline is unchanged.
-const GOLDEN_OPTIMUS: u64 = 0x4064_4aec_d583_d64c;
+/// Re-pinned once more (from `0x4064_4aec_d583_d64c`) by PR 20, φ held
+/// ≤ 1 % per sub-interval: see `GOLDEN_TIRESIAS`.
+const GOLDEN_OPTIMUS: u64 = 0xe7a2_b5e9_aaa7_9cdf;
 /// Captured from the monolithic `OrEtAlAutoscaler` (pre-decomposition)
 /// as `0x6903_56cd_ceb4_d6aa`; re-pinned once with `GOLDEN_OPTIMUS`,
-/// for the same reason (it too plans from the reported θsys).
-const GOLDEN_OR_ETAL: u64 = 0x21c2_b432_48af_b11e;
+/// for the same reason (it too plans from the reported θsys), and
+/// once more (from `0x21c2_b432_48af_b11e`) by PR 20, φ held ≤ 1 % per
+/// sub-interval: see `GOLDEN_TIRESIAS`.
+const GOLDEN_OR_ETAL: u64 = 0xbc47_4be2_42c8_a4d3;
 
 #[test]
 fn tiresias_reproduces_the_monolith_digest() {

@@ -154,7 +154,16 @@ fn single_rack_topology_is_byte_identical_to_flat() {
 /// cross-check now reads through the uncounted `SpeedupTable::lookup`;
 /// the trajectory itself did not move, and CI runs this suite under
 /// both profiles.
-const GOLDEN_FOUR_RACK: u64 = 0x884b_9fba_2898_4dd2;
+///
+/// Re-pinned a fifth time (from `0x884b_9fba_2898_4dd2`) by PR 20 — φ
+/// held ≤ 1 % per sub-interval of progress. The engine's ground-truth
+/// φ became piecewise constant in progress (both steppers, one
+/// definition), so job progress moves in its low digits and the GA,
+/// which is chaotic in them, follows. Nothing in `pollux-sched`
+/// changed: its own goldens, `ga_identity.rs` and the benchmark's
+/// `sched_rounds` digest (no engine) are identical to the parent's, and
+/// the single-rack ≡ flat identity above still holds.
+const GOLDEN_FOUR_RACK: u64 = 0x86c8_77fc_678f_d2b2;
 
 #[test]
 fn golden_trajectory_four_racks() {

@@ -4,28 +4,31 @@
 //!
 //! [`Simulation::run`] keeps one persistent *run context* per running
 //! job: the invariants its tick needs (interference slowdown,
-//! iteration time, throughput, the efficiency curve's constants), its
-//! hot accumulators, and an open profiler run. Placement, batch size
-//! and interference change only at scheduling rounds, report rounds,
-//! restart wake-ups and finishes, so a context is rebuilt by exactly
-//! those events (`Simulation::sync_context`) and by nothing else. Time
+//! iteration time, throughput, the progress step under the φ the job
+//! currently holds), its hot accumulators, and an open profiler run.
+//! Placement, batch size and interference change only at scheduling
+//! rounds, report rounds, restart wake-ups and finishes, so a context
+//! is rebuilt by exactly those events (`Simulation::sync_context`) and
+//! by nothing else; the step is recomputed when the job's progress
+//! leaves the sub-interval its φ is held over
+//! (`SimJob::held_efficiency_at`), a few hundred times a lifetime. Time
 //! advances in *chunks* between event horizons — the next arrival,
 //! restart-delay expiry, report tick, scheduling tick and the
 //! simulation end — and a chunk is one tick-major sweep over the
 //! contexts (`Simulation::advance_chunk`) that ends early after the
 //! tick in which a job finishes.
 //!
-//! The original per-tick stepper is retained as
-//! [`Simulation::run_reference`], and the determinism contract is
-//! strict: for a fixed seed `run` produces a `SimResult`
-//! **bit-identical** to it (same RNG draw sequence, same f64 operands
-//! in the same order per accumulator). The suites in
-//! `tests/macro_step.rs` and the root `tests/engine_identity.rs` pin
-//! this with golden digests and reference-equality proptests.
+//! The per-tick oracle, [`Simulation::run_reference`], lives in
+//! `reference.rs`, and the determinism contract is strict: for a fixed
+//! seed `run` produces a `SimResult` **bit-identical** to it (same RNG
+//! draw sequence, same f64 operands in the same order per
+//! accumulator). The suites in `tests/macro_step.rs` and the root
+//! `tests/engine_identity.rs` pin this with golden digests and
+//! reference-equality proptests.
 
 use crate::config::SimConfig;
 use crate::interference::InterferenceIndex;
-use crate::job::{EfficiencyStepper, JobState, SimJob};
+use crate::job::{JobState, SimJob};
 use crate::metrics::{
     ClusterSample, EventKind, JobRecord, JobSample, SchedIntervalSample, SchedulingEvent, SimResult,
 };
@@ -38,6 +41,11 @@ use pollux_telemetry::{Counter, HistogramHandle, Recorder};
 use pollux_workload::{JobSpec, UserConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+// A child of this module, so that the oracle reads the engine's private
+// state without any of it being widened for its sake.
+#[path = "reference.rs"]
+mod reference;
 
 /// A job submission handed to the simulation: the trace record plus
 /// the user configuration in effect (tuned or realistic).
@@ -135,7 +143,7 @@ pub struct Simulation<P: SchedulingPolicy> {
     /// Incremental interference index: per-node occupant sets and
     /// per-job node counts, updated on placement deltas (reallocation,
     /// finish, resize). Maintained on both steppers; only `run` reads
-    /// it (the reference stepper keeps its verbatim scan).
+    /// it (the reference stepper scans the placements instead).
     interference: InterferenceIndex,
     /// One context per `Running` job, ascending by job index — the
     /// order of the per-tick RNG draws. Kept current by
@@ -143,8 +151,10 @@ pub struct Simulation<P: SchedulingPolicy> {
     running: Vec<RunCtx>,
     /// One entry per `Restarting` job, ascending by job index.
     restarting: Vec<RestartCtx>,
-    /// False under [`Self::run_reference`], which keeps no contexts
-    /// and scans instead, so that the oracle shares none of this.
+    /// The one switch between the steppers: false under
+    /// [`Self::run_reference`], which keeps no contexts (`running` and
+    /// `restarting` stay empty) and scans the jobs instead, so that the
+    /// oracle shares none of this bookkeeping with what it checks.
     contexts_live: bool,
     /// Telemetry handle (disabled by default; see
     /// [`Simulation::with_recorder`]). Purely observational: the
@@ -211,8 +221,9 @@ impl EngineTelemetry {
 /// What one running job's tick needs, kept from the event that opened
 /// it to the next event that changes one of its inputs (see
 /// [`Simulation::sync_context`]). Statistical efficiency is not an
-/// invariant — it follows the job's own progress — so the context
-/// carries the curve's constants and evaluates it per tick.
+/// invariant — it follows the job's own progress — but the job holds
+/// it over sub-intervals of progress, so the context carries the step
+/// under the current hold and the progress at which to ask again.
 struct RunCtx {
     /// Index into `Simulation::jobs`.
     idx: usize,
@@ -226,6 +237,12 @@ struct RunCtx {
     work: f64,
     /// True throughput after interference (examples/s).
     throughput: f64,
+    /// Per-tick progress increment under the φ the job holds
+    /// (`throughput · efficiency · dt`).
+    step: f64,
+    /// The job's [`SimJob::hold_end`]: the progress at which `step`
+    /// goes stale.
+    refresh_at: f64,
     /// Per-tick raw-example increment (`throughput · dt`).
     tput_dt: f64,
     /// Iteration time the agent observes before measurement noise
@@ -239,8 +256,6 @@ struct RunCtx {
     slow: f64,
     /// Batch size in effect.
     batch: u64,
-    /// The efficiency curve at `batch`.
-    efficiency: EfficiencyStepper,
     /// Open profiler run for the job's `(shape, batch)` key, committed
     /// only when the profiler is about to be read or the key changes.
     obs: ObservationRun,
@@ -251,21 +266,34 @@ impl RunCtx {
         let batch = job.batch_size;
         let t_iter = job.true_t_iter(shape, batch);
         let throughput = (batch as f64 / t_iter) * (1.0 - slow);
-        Self {
+        let mut ctx = Self {
             idx,
             progress: job.progress,
             examples: job.examples_processed,
             gputime: job.lifecycle.gputime(),
             work: job.spec.work,
             throughput,
+            step: 0.0,
+            refresh_at: 0.0,
             tput_dt: throughput * dt,
             t_base: t_iter / (1.0 - slow),
             gpu_dt: shape.gpus as f64 * dt,
             slow,
             batch,
-            efficiency: EfficiencyStepper::new(job, batch),
             obs: job.agent.begin_observation_run(shape, batch),
-        }
+        };
+        ctx.refresh_step(job, dt);
+        ctx
+    }
+
+    /// Recomputes `step` from the φ `job` holds at the context's
+    /// progress — the operands, in the order, of the reference
+    /// stepper's per-tick `throughput * eff * dt`.
+    #[cold]
+    fn refresh_step(&mut self, job: &mut SimJob, dt: f64) {
+        let eff = job.held_efficiency_at(self.progress, self.batch);
+        self.step = self.throughput * eff * dt;
+        self.refresh_at = job.hold_end();
     }
 }
 
@@ -495,38 +523,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
         self.finalize(now)
     }
 
-    /// The retained per-tick reference stepper: the original engine,
-    /// advancing one tick at a time with no hoisted invariants and no
-    /// run contexts. Kept as the ground truth the determinism suites
-    /// (`tests/engine_identity.rs`, `tests/macro_step.rs`) compare
-    /// [`Self::run`] against.
-    pub fn run_reference(mut self) -> SimResult {
-        self.contexts_live = false;
-        let dt = self.config.tick_seconds;
-        let sched_every = (self.config.sched_interval / dt).round().max(1.0) as u64;
-        let report_every = (self.config.report_interval / dt).round().max(1.0) as u64;
-        let max_ticks = (self.config.max_sim_time / dt).ceil() as u64;
-
-        let mut now = 0.0;
-        for tick in 0..max_ticks {
-            now = tick as f64 * dt;
-            self.tick_boundaries(tick, now, report_every, sched_every);
-            self.advance_tick_reference(now, dt);
-            self.node_seconds += self.spec.num_nodes() as f64 * dt;
-
-            // The pre-refactor early-exit check: a full scan over the
-            // job list every tick (`run` folds this into its finish
-            // handling).
-            if self.arrivals.is_empty() && self.jobs.iter().all(SimJob::is_finished) {
-                now += dt;
-                break;
-            }
-        }
-
-        self.sample(now);
-        self.finalize(now)
-    }
-
     /// Everything that may only happen on a tick boundary: arrivals,
     /// restart wake-ups, agent reports, rescheduling, sampling. Safe
     /// to call on non-boundary ticks (each action no-ops when not
@@ -692,6 +688,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
                     assert_eq!(ctx.progress.to_bits(), job.progress.to_bits());
                     assert_eq!(ctx.examples.to_bits(), job.examples_processed.to_bits());
                     assert_eq!(ctx.gputime.to_bits(), job.gputime().to_bits());
+                    assert_eq!(ctx.refresh_at.to_bits(), job.hold_end().to_bits());
                 }
                 JobState::Restarting { until } => {
                     let ctx = restarting.next().expect("restarting job without an entry");
@@ -724,9 +721,10 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// - f64 accumulation: `progress`, `examples_processed`, `gputime`,
     ///   `node_seconds` and the profiler sum advance by one addition
     ///   per tick in the original order; the cached products
-    ///   (`gpus · dt`, `throughput · dt`, `t_iter / (1 − slow)`) and
-    ///   the efficiency constants have bit-identical operands to the
-    ///   per-tick recomputation;
+    ///   (`gpus · dt`, `throughput · dt`, `t_iter / (1 − slow)`,
+    ///   `throughput · efficiency · dt`) have bit-identical operands to
+    ///   the per-tick recomputation, and the efficiency is refreshed on
+    ///   the comparison the reference makes every tick;
     /// - a context's accumulators start from the job's own values and
     ///   are written back absolutely, and an open profiler run starts
     ///   from the profiler's own aggregate and is written back
@@ -745,8 +743,14 @@ impl<P: SchedulingPolicy> Simulation<P> {
         while executed < max_len && !any_finished {
             executed += 1;
             for ctx in &mut self.running {
-                let eff = ctx.efficiency.at(ctx.progress);
-                ctx.progress += ctx.throughput * eff * dt;
+                if ctx.progress >= ctx.refresh_at {
+                    ctx.refresh_step(&mut self.jobs[ctx.idx], dt);
+                }
+                debug_assert!(
+                    ctx.step >= 0.0,
+                    "efficiency and throughput are never negative"
+                );
+                ctx.progress += ctx.step;
                 ctx.examples += ctx.tput_dt;
                 ctx.gputime += ctx.gpu_dt;
 
@@ -815,103 +819,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
             ticks: executed,
             exit,
         }
-    }
-
-    /// Advances training for one tick — the reference stepper's inner
-    /// loop, a faithful retention of the pre-refactor engine's
-    /// `advance` body *including its cost profile*: a fresh
-    /// interference vector allocated every tick, a scan over every job
-    /// (finished ones included), `t_iter`/efficiency recomputed from
-    /// scratch, and each noisy sample recorded individually through
-    /// the profiler's `BTreeMap`.
-    ///
-    /// The one departure is bookkeeping the shared boundary code
-    /// requires: finished jobs are also pruned from `self.active` (the
-    /// pre-refactor engine had no active index and re-scanned all jobs
-    /// instead). That pruning — the same ordered merge `run` uses —
-    /// runs only on finish ticks and never changes the trajectory.
-    fn advance_tick_reference(&mut self, now: f64, dt: f64) {
-        let slowdown = self.interference_slowdowns_reference();
-        let noise = self.config.measurement_noise;
-        let mut finished = Vec::new();
-        for (idx, job) in self.jobs.iter_mut().enumerate() {
-            match job.state() {
-                JobState::Running => {}
-                JobState::Restarting { .. } => {
-                    let gpu_dt = job.gpus() as f64 * dt;
-                    job.lifecycle.accrue_gputime(gpu_dt);
-                    continue;
-                }
-                _ => continue,
-            }
-            let Some(shape) = job.shape() else { continue };
-            let m = job.batch_size;
-            let slow = slowdown.get(idx).copied().unwrap_or(0.0);
-            let t_iter = job.true_t_iter(shape, m);
-            let throughput = (m as f64 / t_iter) * (1.0 - slow);
-            let eff = job.true_efficiency(m);
-            job.progress += throughput * eff * dt;
-            job.examples_processed += throughput * dt;
-            job.lifecycle.accrue_gputime(shape.gpus as f64 * dt);
-
-            // The agent observes a noisy iteration time (including any
-            // interference slowdown, which it cannot distinguish).
-            let eps: f64 = self.rng.gen_range(-noise..=noise);
-            let t_obs = t_iter / (1.0 - slow) * (1.0 + eps);
-            job.agent.observe_iteration(shape, m, t_obs);
-
-            if job.progress >= job.spec.work {
-                job.lifecycle.finish(now + dt);
-                self.interference.clear_job(idx, job.placement());
-                job.edit_placement(|row| row.fill(0));
-                finished.push((idx, job.spec.id));
-            }
-        }
-        for &(_, id) in finished.iter() {
-            self.events.push(SchedulingEvent {
-                time: now + dt,
-                job: id,
-                kind: EventKind::Finished,
-                gpus: 0,
-            });
-        }
-        if !finished.is_empty() {
-            remove_finished_from_active(&mut self.active, &finished);
-        }
-    }
-
-    /// The pre-refactor per-tick interference computation, kept
-    /// verbatim for the reference stepper: allocates the slowdown
-    /// vector fresh and, per node, rescans every job's placement
-    /// (recounting its node spread each time) — O(nodes · jobs ·
-    /// nodes). Produces exactly the same values as
-    /// [`Self::refresh_slowdowns`].
-    fn interference_slowdowns_reference(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.jobs.len()];
-        let factor = self.config.interference_slowdown;
-        if factor <= 0.0 {
-            return out;
-        }
-        let n = self.spec.num_nodes();
-        for node in 0..n {
-            let mut distributed = Vec::new();
-            for (i, job) in self.jobs.iter().enumerate() {
-                let row = job.placement();
-                if job.is_finished() || node >= row.len() {
-                    continue;
-                }
-                let nodes_used = row.iter().filter(|&&g| g > 0).count();
-                if row[node] > 0 && nodes_used > 1 {
-                    distributed.push(i);
-                }
-            }
-            if distributed.len() > 1 {
-                for i in distributed {
-                    out[i] = factor;
-                }
-            }
-        }
-        out
     }
 
     /// Moves due arrivals into the active job set.
@@ -1611,6 +1518,41 @@ mod tests {
         assert_eq!(batched, per_sample);
         let mean = |p: &pollux_agent::ThroughputProfiler| p.observations()[0].t_iter.to_bits();
         assert_eq!(mean(batched), mean(per_sample));
+    }
+
+    /// Whatever reopens a context — a changed slowdown, batch size or
+    /// shape — may do so in the middle of a hold. The hold is the
+    /// job's, so the reopened context steps on with the bits of one
+    /// that was never touched (the reference stepper has no contexts
+    /// to reopen, and the two must not part here).
+    #[test]
+    fn reopening_a_context_mid_hold_changes_no_bit() {
+        let sim = || {
+            let mut wl = small_workload(1);
+            wl[0].0.work *= 100.0; // Holds of hundreds of ticks.
+            let spec = ClusterSpec::homogeneous(1, 4).unwrap();
+            Simulation::new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap()
+        };
+        let (dt, report_every, sched_every) = (1.0, 30, 60);
+        let (mut kept, mut reopened) = (sim(), sim());
+        for s in [&mut kept, &mut reopened] {
+            s.tick_boundaries(0, 0.0, report_every, sched_every);
+            s.advance_chunk(0, 7, dt);
+        }
+        let job = &kept.jobs[0];
+        assert!(0.0 < job.progress && job.progress + 20.0 * kept.running[0].step < job.hold_end());
+
+        reopened.sync_context(0);
+        for s in [&mut kept, &mut reopened] {
+            s.advance_chunk(7, 25, dt);
+        }
+        let (a, b) = (&kept.jobs[0], &reopened.jobs[0]);
+        assert_eq!(a.progress.to_bits(), b.progress.to_bits());
+        assert_eq!(a.hold_end().to_bits(), b.hold_end().to_bits());
+        assert_eq!(
+            kept.running[0].step.to_bits(),
+            reopened.running[0].step.to_bits()
+        );
     }
 
     /// Policy that re-places every job on alternating nodes each

@@ -3,7 +3,7 @@
 use crate::policy::PolicyJobView;
 use pollux_agent::PolluxAgent;
 use pollux_models::{EfficiencyModel, PlacementShape};
-use pollux_workload::{JobSpec, ModelProfile, UserConfig};
+use pollux_workload::{GnsProfile, JobSpec, ModelProfile, UserConfig};
 
 pub use pollux_control::{JobLifecycle, JobState};
 
@@ -43,6 +43,11 @@ pub struct SimJob {
     pub progress: f64,
     /// Accumulated raw examples processed (for throughput accounting).
     pub examples_processed: f64,
+    /// The φ that drives progress, held over a sub-interval of it (see
+    /// [`Self::held_efficiency_at`]). It lives on the job, not in an
+    /// engine context, so that it outlasts whatever the engine rebuilds
+    /// around a reallocation, a new batch size or a changed slowdown.
+    hold: PhiHold,
     /// Fit bookkeeping: configurations seen at the last refit.
     pub(crate) last_fit_configs: usize,
     /// Fit bookkeeping: samples seen at the last refit.
@@ -68,6 +73,7 @@ impl SimJob {
             batch_size,
             progress: 0.0,
             examples_processed: 0.0,
+            hold: PhiHold::EXPIRED,
             last_fit_configs: 0,
             last_fit_samples: 0,
         }
@@ -167,12 +173,39 @@ impl SimJob {
     }
 
     /// [`true_efficiency`](Self::true_efficiency) evaluated at a
-    /// caller-supplied progress value instead of the stored one.
-    /// The engine's hoisted `EfficiencyStepper` is pinned against this
-    /// bit for bit.
+    /// caller-supplied progress value instead of the stored one: the
+    /// tick-exact curve, which samples and reports read and which the
+    /// held φ that drives progress (`held_efficiency_at`) is bounded
+    /// against.
     pub fn true_efficiency_at(&self, progress: f64, m: u64) -> f64 {
         let frac = (progress / self.spec.work).clamp(0.0, 1.0);
-        EfficiencyModel::from_noise_scale(self.profile.m0, self.profile.phi_at(frac))
+        self.efficiency_under(self.profile.phi_at(frac), m)
+    }
+
+    /// The statistical efficiency at batch size `m` that **drives
+    /// progress**: [`true_efficiency_at`](Self::true_efficiency_at)
+    /// with φ piecewise constant in progress. φ is taken at the
+    /// midpoint of a sub-interval `[p, p + δp)` of normalized progress
+    /// across which it moves by at most [`PHI_HOLD_DRIFT`], cut short
+    /// at the next boost threshold, and kept until `progress` reaches
+    /// the end of that sub-interval ([`Self::hold_end`]); the call that
+    /// finds it there starts the next one. Both engine steppers advance
+    /// through this one function, and a caller that caches its value
+    /// must refresh on the same comparison, `progress >= hold_end()`.
+    pub(crate) fn held_efficiency_at(&mut self, progress: f64, m: u64) -> f64 {
+        if progress >= self.hold.until {
+            self.hold = PhiHold::starting_at(&self.profile.gns, self.spec.work, progress);
+        }
+        self.efficiency_under(self.hold.phi, m)
+    }
+
+    /// The progress (examples) at which the current hold ends.
+    pub(crate) fn hold_end(&self) -> f64 {
+        self.hold.until
+    }
+
+    fn efficiency_under(&self, phi: f64, m: u64) -> f64 {
+        EfficiencyModel::from_noise_scale(self.profile.m0, phi)
             .expect("phi > 0 from the profile")
             .efficiency(m)
     }
@@ -196,54 +229,48 @@ fn scan_placement(row: &[u32]) -> (u32, u32) {
     (gpus, nodes)
 }
 
-/// [`SimJob::true_efficiency_at`] for one job at one batch size, with
-/// everything that does not depend on the progress hoisted: the
-/// engine's run contexts evaluate it once per tick. The per-tick
-/// expression keeps the operations of the unhoisted chain
-/// (`GnsProfile::phi` → `EfficiencyModel::efficiency`) on the same
-/// operands, so the two agree to the bit.
-#[derive(Debug, Clone)]
-pub(crate) struct EfficiencyStepper {
-    work: f64,
-    phi_start: f64,
-    /// `phi_end / phi_start`.
-    growth: f64,
-    boosts: Vec<(f64, f64)>,
-    /// `m0` and `max(m, m0)` as the `f64`s `efficiency` adds to φ.
-    m0: f64,
-    m: f64,
+/// φ may move by at most this factor across one hold, so the held
+/// value (taken at the midpoint in progress, the geometric mean in φ)
+/// is within `√1.01 − 1 ≈ 0.5 %` of the true one at either end, with
+/// the sign of the error flipping half way: the errors in progress
+/// cancel to second order within every hold (DESIGN §5.1).
+const PHI_HOLD_DRIFT: f64 = 1.01;
+
+/// Ground-truth φ held constant over a sub-interval of progress.
+#[derive(Debug, Clone, Copy)]
+struct PhiHold {
+    /// φ at the midpoint of the sub-interval.
+    phi: f64,
+    /// Progress (examples) at which the sub-interval ends.
+    until: f64,
 }
 
-impl EfficiencyStepper {
-    pub(crate) fn new(job: &SimJob, batch_size: u64) -> Self {
-        let gns = &job.profile.gns;
-        Self {
-            work: job.spec.work,
-            phi_start: gns.phi_start,
-            growth: gns.phi_end / gns.phi_start,
-            boosts: gns.boosts.clone(),
-            m0: job.profile.m0 as f64,
-            m: batch_size.max(job.profile.m0) as f64,
-        }
-    }
+impl PhiHold {
+    /// Ends before any progress: the first use starts a real hold.
+    const EXPIRED: Self = Self {
+        phi: f64::NAN,
+        until: f64::NEG_INFINITY,
+    };
 
-    /// The true statistical efficiency at `progress`.
-    #[inline]
-    pub(crate) fn at(&self, progress: f64) -> f64 {
-        let p = (progress / self.work).clamp(0.0, 1.0);
-        let base = self.phi_start * self.growth.powf(p);
-        let mut boost = 1.0;
-        for &(threshold, multiplier) in &self.boosts {
-            if p >= threshold {
-                boost *= multiplier;
+    /// The hold that starts at `progress`. φ grows geometrically in
+    /// normalized progress, `φ(p) = φ_start · growth^p`, so it moves by
+    /// the factor `PHI_HOLD_DRIFT` over `δp = ln(PHI_HOLD_DRIFT) /
+    /// |ln growth|` wherever the hold starts; a constant φ (`growth =
+    /// 1`, `δp = ∞`) is held to the end of training. A boost multiplies
+    /// φ at its threshold, so no hold reaches across one.
+    fn starting_at(gns: &GnsProfile, work: f64, progress: f64) -> Self {
+        let p = (progress / work).clamp(0.0, 1.0);
+        let dp = PHI_HOLD_DRIFT.ln() / (gns.phi_end / gns.phi_start).ln().abs();
+        let mut end = (p + dp).min(1.0);
+        for &(threshold, _) in &gns.boosts {
+            if p < threshold {
+                end = end.min(threshold);
             }
         }
-        let phi = base * boost;
-        assert!(!(phi.is_nan() || phi < 0.0), "phi > 0 from the profile");
-        if phi.is_infinite() {
-            return 1.0;
+        Self {
+            phi: gns.phi(0.5 * (p + end)),
+            until: end * work,
         }
-        (phi + self.m0) / (phi + self.m)
     }
 }
 
@@ -291,37 +318,121 @@ mod tests {
         assert_eq!((j.shape(), j.gpus()), (None, 0));
     }
 
-    /// The hoisted stepper must return the bits of the unhoisted
-    /// chain for every model, below, at and above `m0`, across the
-    /// whole trajectory including the boost thresholds and the clamps.
-    #[test]
-    fn efficiency_stepper_matches_true_efficiency_bitwise() {
-        let template = TraceGenerator::new(TraceConfig::default())
+    /// A job of `kind` with the model's whole work ahead of it.
+    fn whole_job(kind: ModelKind) -> SimJob {
+        let mut spec = TraceGenerator::new(TraceConfig::default())
             .unwrap()
             .generate()
             .swap_remove(0);
+        spec.kind = kind;
+        spec.work = kind.profile().total_work;
+        let user = spec.tuned;
+        SimJob::new(spec, user, 1)
+    }
+
+    /// The hold's contract against the tick-exact curve, on a fixed
+    /// 4-GPU allocation with 1 s ticks, for every model at a small, a
+    /// medium and a large batch: at every tick the held φ is within
+    /// 0.5 % of the true one — which a hold reaching across a boost
+    /// (× 1.5 to × 3) could not be on the first tick past it — and the
+    /// progress within 0.5 % of a run advanced by `true_efficiency_at`;
+    /// the two finish within a tick of each other, on a few hundred
+    /// holds a lifetime.
+    #[test]
+    fn held_phi_stays_within_its_contract_of_the_tick_exact_curve() {
+        let shape = PlacementShape::new(4, 1).unwrap();
         for kind in ModelKind::ALL {
-            let mut spec = template.clone();
-            spec.kind = kind;
-            spec.work = kind.profile().total_work * 0.37;
-            let user = spec.tuned;
-            let job = SimJob::new(spec, user, 2);
-            let m0 = job.profile.m0;
-            for m in [1, m0, m0 + 1, 3 * m0, 100 * m0] {
-                let stepper = EfficiencyStepper::new(&job, m);
-                let mut fractions: Vec<f64> = (0..=1000).map(|i| i as f64 / 1000.0).collect();
-                fractions.extend(job.profile.gns.boosts.iter().map(|&(thr, _)| thr));
-                fractions.extend([-0.5, 1.0 + 1e-12, 7.0]);
-                for f in fractions {
-                    let progress = f * job.spec.work;
-                    assert_eq!(
-                        stepper.at(progress).to_bits(),
-                        job.true_efficiency_at(progress, m).to_bits(),
-                        "{kind:?} m={m} progress fraction {f}"
+            for scale in [1, 4, 16] {
+                let mut held = whole_job(kind);
+                let oracle = held.clone();
+                let (work, m) = (held.spec.work, scale * held.profile.m0);
+                let rate = held.true_throughput(shape, m);
+                let label = format!("{kind:?} m = {scale} m0");
+
+                let mut exact = 0.0;
+                let mut exact_finish = None;
+                let mut boosts_crossed = 0;
+                let (mut holds, mut hold_end) = (0, held.hold_end());
+                let mut tick = 0u64;
+                while held.progress < work {
+                    let before = held.progress / work;
+                    let eff = held.held_efficiency_at(held.progress, m);
+                    if held.hold_end() != hold_end {
+                        holds += 1;
+                        hold_end = held.hold_end();
+                    }
+                    let drift = held.hold.phi / held.true_phi();
+                    assert!(
+                        (1.0 / 1.005..=1.005).contains(&drift),
+                        "{label}: held φ is {drift} × the true one at tick {tick}"
                     );
+                    held.progress += rate * eff;
+                    if exact < work {
+                        exact += rate * oracle.true_efficiency_at(exact, m);
+                        assert!(
+                            (held.progress - exact).abs() <= 0.005 * exact,
+                            "{label}: progress {} against {exact} at tick {tick}",
+                            held.progress
+                        );
+                        if exact >= work {
+                            exact_finish = Some(tick);
+                        }
+                    }
+                    let after = held.progress / work;
+                    boosts_crossed += oracle
+                        .profile
+                        .gns
+                        .boosts
+                        .iter()
+                        .filter(|&&(threshold, _)| before < threshold && threshold <= after)
+                        .count();
+                    tick += 1;
                 }
+                let held_finish = tick - 1;
+                let exact_finish = exact_finish.unwrap_or_else(|| {
+                    assert!(exact + rate * oracle.true_efficiency_at(exact, m) >= work);
+                    tick
+                });
+                assert!(
+                    held_finish.abs_diff(exact_finish) <= 1,
+                    "{label}: held run finishes at tick {held_finish}, exact at {exact_finish}"
+                );
+                assert!(holds <= 320, "{label}: {holds} holds");
+                assert_eq!(boosts_crossed, oracle.profile.gns.boosts.len(), "{label}");
             }
         }
+    }
+
+    /// A constant φ is held from the first tick to the last and gives
+    /// the bits of the unheld expression.
+    #[test]
+    fn constant_phi_is_one_hold_with_the_unheld_bits() {
+        let mut job = whole_job(ModelKind::NeuMFMovieLens);
+        job.profile.gns = GnsProfile::constant(1234.5).unwrap();
+        let m = 3 * job.profile.m0;
+        for k in 0..=1000 {
+            let progress = job.spec.work * f64::from(k) / 1000.0;
+            assert_eq!(
+                job.held_efficiency_at(progress, m).to_bits(),
+                job.true_efficiency_at(progress, m).to_bits()
+            );
+            assert_eq!(job.hold_end(), job.spec.work, "one hold to the end");
+        }
+    }
+
+    /// Within a hold the efficiency follows the batch size asked about,
+    /// not the one the hold was started under.
+    #[test]
+    fn a_hold_serves_every_batch_size() {
+        let mut job = whole_job(ModelKind::ResNet18Cifar10);
+        let m0 = job.profile.m0;
+        let at_m0 = job.held_efficiency_at(0.0, m0);
+        let end = job.hold_end();
+        let at_8m0 = job.held_efficiency_at(0.5 * end, 8 * m0);
+        assert_eq!(job.hold_end(), end, "still the first hold");
+        assert_eq!(at_m0, 1.0);
+        let phi = job.hold.phi;
+        assert_eq!(at_8m0, (phi + m0 as f64) / (phi + (8 * m0) as f64));
     }
 
     #[test]

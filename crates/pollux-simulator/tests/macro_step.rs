@@ -10,8 +10,8 @@
 //!
 //! 1. golden-trajectory digests: FNV-1a64 hashes of serialized
 //!    `SimResult`s for fixed seed/workload pairs, captured from the
-//!    pre-refactor engine (commit `80aa410`) and never allowed to
-//!    drift;
+//!    pre-refactor engine (commit `80aa410`) and moved only by a
+//!    change of model that says so beside the constant;
 //! 2. a proptest driving both steppers over random small workloads
 //!    (varied arrivals, restart churn, interference) and requiring
 //!    bitwise-equal results.
@@ -248,8 +248,18 @@ fn assert_byte_identical(macro_stepped: &str, reference: &str, label: &str) {
 /// steppers, every thread count and the rack-configured run moved to
 /// this one value together, and `GOLDEN_QUIET` — whose jobs' tuning is
 /// insensitive to those last places — did not move.
-const GOLDEN_CHURN: u64 = 0x2955_6c26_7cbf_bb45;
-const GOLDEN_QUIET: u64 = 0x5454_2cce_0419_5e8c;
+///
+/// Both were re-pinned once more (from `0x2955_6c26_7cbf_bb45` and
+/// `0x5454_2cce_0419_5e8c`) by PR 20 — φ held ≤ 1 % per sub-interval of
+/// progress. That one *is* a change of the reference, made on purpose:
+/// the ground-truth φ that drives progress became piecewise constant
+/// (`SimJob::held_efficiency_at`), in `run` and `run_reference` alike,
+/// so that a tick stops paying a `pow`. Every job here trains above its
+/// `m0`, so every progress value moved in its low digits; what a job
+/// does within a tick of its old finish is bounded by the unit tests
+/// beside the hold, and `run` ≡ `run_reference` stays bitwise.
+const GOLDEN_CHURN: u64 = 0x8643_ab6c_927e_fda9;
+const GOLDEN_QUIET: u64 = 0x8bbf_96a6_0d71_c9aa;
 
 #[test]
 fn golden_trajectory_churn() {
