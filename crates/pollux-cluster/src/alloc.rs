@@ -235,6 +235,18 @@ impl AllocationMatrix {
     pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
         (0..self.num_jobs).map(|j| (j, self.row(j)))
     }
+
+    /// Every row at once as disjoint mutable slices, in row order, so
+    /// that several writers can each fill their own rows of one matrix
+    /// at the same time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a matrix without node columns: it has no cells to
+    /// split into rows.
+    pub fn rows_mut(&mut self) -> impl ExactSizeIterator<Item = &mut [u32]> + '_ {
+        self.cells.chunks_exact_mut(self.num_nodes)
+    }
 }
 
 impl std::fmt::Display for AllocationMatrix {
@@ -352,6 +364,20 @@ mod tests {
         // Out-of-range rows in `other` are never equal.
         let small = AllocationMatrix::zeros(1, 2);
         assert!(!a.row_equals(1, &small));
+    }
+
+    #[test]
+    fn rows_mut_splits_into_disjoint_rows() {
+        let mut a = AllocationMatrix::zeros(3, 2);
+        let mut rows: Vec<&mut [u32]> = a.rows_mut().collect();
+        assert_eq!(rows.len(), 3);
+        // Held together and written out of order.
+        rows[2][1] = 5;
+        rows[0][0] = 7;
+        assert_eq!(a.row(0), &[7, 0]);
+        assert_eq!(a.row(1), &[0, 0]);
+        assert_eq!(a.row(2), &[0, 5]);
+        assert_eq!(AllocationMatrix::zeros(0, 2).rows_mut().len(), 0);
     }
 
     #[test]

@@ -176,13 +176,13 @@ pub trait SchedulingPolicy {
         None
     }
 
-    /// Parallelism hint for a driver that owns a thread budget (the
-    /// simulator does not call it: Pollux's GA reads
-    /// `GaConfig::threads`). Policies whose optimizer supports
-    /// parallel evaluation reconfigure their worker pool; the default
-    /// is a no-op. Implementations must keep
-    /// results independent of the thread count (Pollux's GA guarantees
-    /// bit-identical schedules for a fixed seed).
+    /// Caps the threads the policy's optimizer may work on, for a
+    /// driver that owns a thread budget (the simulator does not call
+    /// it). Pollux's racked search otherwise uses as many workers as
+    /// the host has cores, one rack each; the default is a no-op.
+    /// Implementations must keep results independent of the worker
+    /// count (Pollux guarantees bit-identical schedules for a fixed
+    /// seed).
     fn configure_parallelism(&mut self, _threads: usize) {}
 
     /// Topology hint: drivers call this at startup (and again after a

@@ -75,9 +75,9 @@ impl std::error::Error for ServiceError {}
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Pollux policy configuration (GA, weights, optional autoscale).
-    /// Fitness-evaluation worker threads are set via
-    /// `pollux.sched.ga.threads` (1 = serial); results are identical
-    /// for any thread count under a fixed [`Self::seed`].
+    /// There is no thread setting: on a racked cluster the scheduler
+    /// works on as many threads as the host has cores, and results are
+    /// identical for any worker count under a fixed [`Self::seed`].
     pub pollux: PolluxConfig,
     /// Wall-clock interval between scheduling rounds.
     pub interval: Duration,

@@ -1,14 +1,24 @@
-//! Determinism regression tests for parallel fitness evaluation.
+//! Determinism regression tests: results are a pure function of the
+//! seed — never of how many workers the host offers.
 //!
-//! The parallel GA's contract is that results are a pure function of
-//! the seed — never of the worker-thread count. These tests pin that
-//! contract at two levels:
+//! The rack is the scheduler's one grain of parallelism (per-rack
+//! searches and phase 1's placement scan fan out over the host's
+//! cores, `PolluxSched::set_threads` caps them), so that is where
+//! these tests vary the worker count:
 //!
-//! - `PolluxSched::optimize` must return a byte-identical
-//!   `AllocationMatrix` (and population) at 1 vs. N threads;
-//! - a full `Simulation::run` must produce an identical `SimResult`
-//!   (compared through its serialized form, which covers every f64 bit
-//!   pattern) when only `GaConfig::threads` changes.
+//! - `PolluxSched::optimize` on a racked cluster must return the same
+//!   `best`, fitness bits and `SchedIntervalStats` round after round,
+//!   and leave the master RNG in the same state, at 1 / 2 / 3 / 8
+//!   workers and at the host's own default;
+//! - `assign_racks` must equal itself across worker counts;
+//! - a full racked `Simulation::run` must produce an identical
+//!   `SimResult` (compared through its serialized form, which covers
+//!   every f64 bit pattern) when only
+//!   `SchedulingPolicy::configure_parallelism` changes.
+//!
+//! The flat search is serial; what is pinned for it here is that
+//! telemetry, the macro-stepped engine and the incremental tables
+//! leave its bits alone.
 
 use pollux_cluster::{ClusterSpec, JobId};
 use pollux_core::{ConfigChoice, PolluxConfig, PolluxPolicy};
@@ -16,10 +26,10 @@ use pollux_models::{
     BatchSizeLimits, EfficiencyModel, GoodputModel, PlacementShape, ThroughputParams,
 };
 use pollux_sched::{GaConfig, PolluxSched, SchedConfig, SchedJob};
-use pollux_simulator::SimConfig;
+use pollux_simulator::{SchedulingPolicy, SimConfig};
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn goodput_model(phi: f64) -> GoodputModel {
     let tp = ThroughputParams::new(0.05, 5.0e-4, 0.05, 0.002, 0.2, 0.01, 2.0).unwrap();
@@ -49,12 +59,11 @@ fn sched_jobs(n: u32, nodes: usize) -> Vec<SchedJob> {
         .collect()
 }
 
-fn sched_with_threads(threads: usize) -> PolluxSched {
+fn sched() -> PolluxSched {
     let config = SchedConfig {
         ga: GaConfig {
             population: 24,
             generations: 10,
-            threads,
             ..Default::default()
         },
         ..Default::default()
@@ -63,47 +72,14 @@ fn sched_with_threads(threads: usize) -> PolluxSched {
 }
 
 #[test]
-fn optimize_is_identical_across_thread_counts() {
-    let spec = ClusterSpec::homogeneous(8, 4).unwrap();
-    let jobs = sched_jobs(12, 8);
-
-    let mut reference = None;
-    for threads in [1usize, 2, 4, 8] {
-        let mut sched = sched_with_threads(threads);
-        let mut rng = StdRng::seed_from_u64(41);
-        let outcome = sched.optimize(&jobs, &spec, &mut rng);
-        match &reference {
-            None => reference = Some(outcome),
-            Some(base) => {
-                assert_eq!(
-                    base.best, outcome.best,
-                    "best allocation differs at {threads} threads"
-                );
-                assert_eq!(
-                    base.best_fitness.to_bits(),
-                    outcome.best_fitness.to_bits(),
-                    "fitness bits differ at {threads} threads"
-                );
-                assert_eq!(
-                    base.population, outcome.population,
-                    "population differs at {threads} threads"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn optimize_is_repeatable_for_a_fixed_seed() {
     let spec = ClusterSpec::homogeneous(8, 4).unwrap();
     let jobs = sched_jobs(12, 8);
-    let run = |threads| {
-        let mut sched = sched_with_threads(threads);
+    let run = || {
         let mut rng = StdRng::seed_from_u64(99);
-        sched.optimize(&jobs, &spec, &mut rng).best
+        sched().optimize(&jobs, &spec, &mut rng).best
     };
-    assert_eq!(run(4), run(4), "same seed, same threads must repeat");
-    assert_eq!(run(1), run(4), "serial and parallel must agree");
+    assert_eq!(run(), run(), "same seed must repeat");
 }
 
 fn tiny_trace() -> Vec<JobSpec> {
@@ -125,20 +101,23 @@ fn tiny_trace() -> Vec<JobSpec> {
     .collect()
 }
 
-fn run_sim(ga_threads: usize) -> String {
+/// The tiny trace on two racks of two nodes, the policy capped at
+/// `workers`.
+fn run_racked_sim(workers: usize) -> String {
     let mut c = PolluxConfig::default();
     c.sched.ga = GaConfig {
         population: 16,
         generations: 8,
-        threads: ga_threads,
         ..Default::default()
     };
-    let policy = PolluxPolicy::new(c).unwrap();
+    let mut policy = PolluxPolicy::new(c).unwrap();
+    policy.configure_parallelism(workers);
     let trace = tiny_trace();
     assert!(!trace.is_empty());
     let spec = ClusterSpec::homogeneous(4, 4).unwrap();
     let sim = SimConfig {
         max_sim_time: 10.0 * 3600.0,
+        nodes_per_rack: 2,
         ..Default::default()
     };
     let result = pollux_core::run_trace(policy, &trace, ConfigChoice::Tuned, spec, sim).unwrap();
@@ -204,9 +183,9 @@ fn simulation_result_is_identical_with_telemetry_enabled() {
 }
 
 #[test]
-fn simulation_result_is_identical_across_ga_threads() {
-    let serial = run_sim(1);
-    let parallel = run_sim(4);
+fn racked_simulation_result_is_identical_across_worker_counts() {
+    let serial = run_racked_sim(1);
+    let parallel = run_racked_sim(4);
     if serial != parallel {
         let pos = serial
             .bytes()
@@ -215,7 +194,7 @@ fn simulation_result_is_identical_across_ga_threads() {
             .unwrap_or(serial.len().min(parallel.len()));
         let lo = pos.saturating_sub(200);
         panic!(
-            "SimResult bytes differ between GaConfig::threads 1 and 4 at byte {pos}:\nserial:   ...{}...\nparallel: ...{}...",
+            "SimResult bytes differ between 1 and 4 workers at byte {pos}:\nserial:   ...{}...\nparallel: ...{}...",
             &serial[lo..(pos + 200).min(serial.len())],
             &parallel[lo..(pos + 200).min(parallel.len())]
         );
@@ -278,7 +257,7 @@ fn incremental_fitness_matches_full_recompute_on_optimize() {
     use pollux_sched::{fitness, FitnessConfig, SpeedupTable};
     let spec = ClusterSpec::homogeneous(8, 4).unwrap();
     let jobs = sched_jobs(12, 8);
-    let mut sched = sched_with_threads(2);
+    let mut sched = sched();
     let mut rng = StdRng::seed_from_u64(17);
     let outcome = sched.optimize(&jobs, &spec, &mut rng);
     assert!(outcome.stats.incremental_evals > 0, "{:?}", outcome.stats);
@@ -291,32 +270,6 @@ fn incremental_fitness_matches_full_recompute_on_optimize() {
         outcome.best_fitness,
         full
     );
-}
-
-#[test]
-fn interval_stats_are_identical_across_thread_counts() {
-    // Every deterministic counter in the per-interval breakdown (GA
-    // evaluations, table lookups, solves) must be a pure function of
-    // the seed — only the wall-clock nanos may differ.
-    let spec = ClusterSpec::homogeneous(8, 4).unwrap();
-    let jobs = sched_jobs(12, 8);
-    let mut reference = None;
-    for threads in [1usize, 2, 4] {
-        let mut sched = sched_with_threads(threads);
-        let mut rng = StdRng::seed_from_u64(23);
-        let _ = sched.optimize(&jobs, &spec, &mut rng);
-        let stats = sched.take_interval_stats().expect("interval recorded");
-        match &reference {
-            None => reference = Some(stats),
-            Some(base) => {
-                assert_eq!(base.ga, stats.ga, "GA counters differ at {threads} threads");
-                assert_eq!(
-                    base.speedup, stats.speedup,
-                    "table counters differ at {threads} threads"
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -350,56 +303,122 @@ fn dense_table_matches_model_bitwise_at_any_thread_count() {
     }
 }
 
+/// 600 standing jobs — three scan chunks, the last one short — on
+/// four racks of two nodes, the first 32 holding one GPU each.
+fn racked_jobs() -> Vec<SchedJob> {
+    let mut jobs = sched_jobs(600, 8);
+    for (i, job) in jobs.iter_mut().enumerate() {
+        job.gpu_cap = 8;
+        job.current_placement.fill(0);
+        if i < 32 {
+            job.current_placement[i / 4] = 1;
+        }
+    }
+    jobs
+}
+
 #[test]
-fn racked_optimize_is_identical_across_thread_counts() {
-    // The per-rack phase-2 GAs run in parallel with one serial seed
-    // draw per occupied rack; multi-round runs on one scheduler also
-    // exercise the cross-interval carry (warm-start populations and
-    // incremental tables), which must stay thread-count invariant.
+fn racked_optimize_is_identical_across_worker_counts() {
+    // The per-rack phase-2 searches run side by side under one serial
+    // seed draw per evolved rack; a multi-round run on one scheduler
+    // also exercises the cross-interval carry (warm-start populations,
+    // incremental tables, quiet-rack replay), all of which must stay
+    // worker-count invariant. `None` leaves the scheduler at the
+    // host's own core count.
     use pollux_cluster::Topology;
     let spec = ClusterSpec::homogeneous(8, 4).unwrap();
     let topo = Topology::grouped(8, 2).unwrap();
 
-    let run = |threads: usize| {
-        let mut sched = sched_with_threads(threads);
+    let run = |workers: Option<usize>| {
+        let mut sched = sched();
+        if let Some(workers) = workers {
+            sched.set_threads(workers);
+        }
         sched.set_topology(Some(topo.clone()));
         let mut rng = StdRng::seed_from_u64(17);
-        let mut outcomes = Vec::new();
-        // Round 1 cold; rounds 2-3 warm (carry-over populated); the
-        // job set churns between rounds to exercise the id remap.
-        let mut jobs = sched_jobs(12, 8);
-        outcomes.push(sched.optimize(&jobs, &spec, &mut rng));
-        outcomes.push(sched.optimize(&jobs, &spec, &mut rng));
+        let mut jobs = racked_jobs();
+        let mut round = |jobs: &[SchedJob]| {
+            let outcome = sched.optimize(jobs, &spec, &mut rng);
+            let stats = sched.take_interval_stats().expect("interval recorded");
+            (outcome.best, outcome.best_fitness.to_bits(), stats)
+        };
+        // Cold: every rack searches. Verbatim again: every rack is
+        // quiet and replays its carry.
+        let mut rounds = vec![round(&jobs), round(&jobs)];
+        // The plan is applied: placements move, racks search again.
+        for (job, (_, row)) in jobs.iter_mut().zip(rounds[1].0.iter_rows()) {
+            job.current_placement.copy_from_slice(row);
+        }
+        rounds.push(round(&jobs));
+        // Churn: a departure, an arrival, a re-weighted job.
         jobs.remove(3);
         jobs.push(SchedJob {
-            id: JobId(100),
+            id: JobId(1000),
             model: goodput_model(1234.0),
             min_gpus: 1,
-            gpu_cap: 16,
+            gpu_cap: 8,
             weight: 1.0,
             current_placement: vec![0; 8],
         });
-        outcomes.push(sched.optimize(&jobs, &spec, &mut rng));
-        outcomes
+        jobs[40].weight = 2.5;
+        rounds.push(round(&jobs));
+        // One job refitted: fewer racks search than most runs have
+        // workers.
+        jobs[7].model = goodput_model(4321.0);
+        rounds.push(round(&jobs));
+        // A burst of departures, down to a job count short of three
+        // full chunks by a different margin.
+        jobs.drain(100..250);
+        rounds.push(round(&jobs));
+        (rounds, rng.next_u64())
     };
 
-    let reference = run(1);
-    for threads in [2usize, 4] {
-        let outcomes = run(threads);
-        for (round, (base, got)) in reference.iter().zip(&outcomes).enumerate() {
+    let (reference, next_draw) = run(Some(1));
+    assert_eq!(reference[0].2.speedup.rows_reused, 0, "round 0 is cold");
+    assert_eq!(
+        (
+            reference[1].2.ga.generations_run,
+            reference[1].2.speedup.rows_reused
+        ),
+        (0, 600),
+        "round 1 must replay every rack"
+    );
+    for stats in [&reference[2].2, &reference[4].2] {
+        assert!(stats.ga.generations_run > 0, "a changed rack must search");
+    }
+    for workers in [Some(2), Some(3), Some(8), None] {
+        let (rounds, draw) = run(workers);
+        for (i, (base, got)) in reference.iter().zip(&rounds).enumerate() {
+            assert_eq!(base.0, got.0, "best differs at {workers:?}, round {i}");
             assert_eq!(
-                base.best, got.best,
-                "racked best differs at {threads} threads, round {round}"
+                base.1, got.1,
+                "fitness bits differ at {workers:?}, round {i}"
             );
-            assert_eq!(
-                base.best_fitness.to_bits(),
-                got.best_fitness.to_bits(),
-                "racked fitness bits differ at {threads} threads, round {round}"
-            );
-            assert_eq!(
-                base.population, got.population,
-                "racked population differs at {threads} threads, round {round}"
-            );
+            assert_eq!(base.2, got.2, "counters differ at {workers:?}, round {i}");
+        }
+        assert_eq!(next_draw, draw, "master RNG diverged at {workers:?}");
+    }
+}
+
+#[test]
+fn assign_racks_is_identical_across_worker_counts() {
+    use pollux_cluster::Topology;
+    use pollux_sched::assign_racks;
+    use std::collections::HashMap;
+    let spec = ClusterSpec::homogeneous(8, 4).unwrap();
+    let topo = Topology::grouped(8, 2).unwrap();
+    let jobs = racked_jobs();
+    // A carried assignment that disagrees with some home racks.
+    let prev: HashMap<JobId, u32> = jobs.iter().map(|j| (j.id, j.id.0 % 4)).collect();
+    for prev in [None, Some(&prev)] {
+        let run = |workers| {
+            let mut rng = StdRng::seed_from_u64(29);
+            let assignment = assign_racks(&jobs, &spec, &topo, prev, workers, &mut rng);
+            (assignment, rng.next_u64())
+        };
+        let reference = run(1);
+        for workers in [2usize, 3, 8] {
+            assert_eq!(reference, run(workers), "{workers} workers");
         }
     }
 }
@@ -529,7 +548,7 @@ fn speedup_values_survive_shape_canonicalization_in_parallel() {
                 / job.model.max_goodput(job.model.reference_shape())
         })
         .collect();
-    let got = parallel_map(32, 4, |i| {
+    let got = parallel_map(0..32, 4, |i| {
         let shape = PlacementShape::new(1 + (i as u32 % 16), 1 + (i as u32 % 4)).unwrap();
         table.speedup(i % jobs.len(), shape)
     });

@@ -230,8 +230,8 @@ fn run_all(trace: &[JobSpec], spec: &ClusterSpec) -> Vec<(String, u64)> {
 
 /// The full simulated trajectory — admission order included — is
 /// identical from run to run for every zoo policy. (The staged
-/// policies have no thread setting; `determinism.rs` varies
-/// `GaConfig::threads` under the Pollux policy.)
+/// policies spawn no threads; `determinism.rs` varies the worker count
+/// under the racked Pollux policy.)
 #[test]
 fn staged_trajectories_are_a_function_of_the_seed() {
     let trace = churn_trace_16();

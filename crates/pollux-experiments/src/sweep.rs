@@ -8,7 +8,7 @@
 //! single run — is now the wall-clock unit worth parallelizing.
 //!
 //! Parallelism here is purely a wall-clock knob: cells are computed by
-//! [`pollux_sched::parallel_map`], which preserves index order, so the
+//! [`pollux_sched::parallel_map`], which preserves item order, so the
 //! collected results are byte-identical to the serial loop at any
 //! thread count.
 
@@ -52,7 +52,7 @@ where
     T: Send,
     F: Fn(u64) -> T + Sync,
 {
-    parallel_map(n as usize, threads, |i| f(i as u64))
+    parallel_map(0..n as usize, threads, |i| f(i as u64))
 }
 
 #[cfg(test)]

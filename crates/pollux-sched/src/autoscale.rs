@@ -113,7 +113,7 @@ impl Autoscaler {
     ) -> (AllocationMatrix, f64) {
         let spec = ClusterSpec::homogeneous(nodes, self.config.gpus_per_node)
             .expect("nodes and gpus_per_node validated at construction");
-        let table = SpeedupTable::build(jobs, &spec, self.config.ga.threads.max(1));
+        let table = SpeedupTable::build(jobs, &spec, 1);
         let outcome = self.ga.evolve(jobs, &spec, vec![], &table, rng);
         let u = utility(jobs, &outcome.best, &table, spec.total_gpus());
         (outcome.best, u)

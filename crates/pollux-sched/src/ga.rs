@@ -30,24 +30,21 @@
 //! by a `debug_assert` full recompute on every offspring in debug
 //! builds and pinned by the determinism test suite.
 //!
-//! # Parallel evaluation and determinism
+//! # Seed-per-slot determinism
 //!
-//! With [`GaConfig::threads`] > 1, member construction (mutate,
-//! crossover, repair) and fitness evaluation fan out over a scoped
-//! worker pool ([`crate::par::parallel_for_each_mut`]), one scratch
-//! [`GaWorkspace`] per worker. Determinism across
-//! thread counts is achieved by **seed-per-slot RNG splitting**: the
-//! master RNG is only ever advanced serially, drawing one `u64` seed
-//! per population slot; each slot then derives its own private
-//! `StdRng` from that seed and performs every random decision for that
-//! slot locally. No slot observes another slot's RNG stream, so the
-//! result is a pure function of `(slot index, master seed)` and is
-//! bit-identical whether slots run on 1 thread or 8 — a property
-//! pinned by this crate's determinism tests. `threads == 1` runs the
-//! identical per-slot code inline without spawning any threads.
+//! `evolve` is serial: one thread builds every member of a generation
+//! (a generation is ≈ 80 members of ≈ 1.4 µs each, less than two
+//! thread spawns — fanning it out measured +55 % wall time, DESIGN §8).
+//! Its RNG contract is **seed-per-slot splitting**: the master RNG is
+//! advanced once per population slot, drawing one `u64` seed; each
+//! slot then derives its own private `StdRng` from that seed and
+//! performs every random decision for that slot locally. No slot
+//! observes another slot's RNG stream, so a member is a pure function
+//! of `(slot index, master seed)` — the draw order the golden digests
+//! pin. The racked round runs whole `evolve` calls side by side, one
+//! per rack ([`crate::scheduler`]); nothing inside a call is shared.
 
 use crate::fitness::{fitness_of, row_contribution, row_shape, weight_sum, FitnessConfig};
-use crate::par::parallel_for_each_mut;
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
 use pollux_models::PlacementShape;
@@ -71,11 +68,6 @@ pub struct GaConfig {
     /// the best fitness (0 = always run all `generations`, like the
     /// paper's fixed 100-generation budget).
     pub early_stop_gens: usize,
-    /// Worker threads for member construction and fitness evaluation.
-    /// `1` (the default) runs fully serially without spawning; any
-    /// value yields bit-identical results for a fixed master seed (see
-    /// the module docs).
-    pub threads: usize,
     /// Fitness evaluation settings (restart penalty).
     pub fitness: FitnessConfig,
 }
@@ -88,14 +80,13 @@ impl Default for GaConfig {
             tournament_size: 2,
             interference_avoidance: true,
             early_stop_gens: 8,
-            threads: 1,
             fitness: FitnessConfig::default(),
         }
     }
 }
 
-/// Evaluation counters of one `evolve` call, accumulated in
-/// deterministic slot order (thread-count-invariant for a fixed seed).
+/// Evaluation counters of one `evolve` call, a function of the master
+/// seed alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GaRunStats {
     /// Generations actually executed (≤ `GaConfig::generations` when
@@ -134,9 +125,8 @@ pub struct GeneticAlgorithm {
     config: GaConfig,
 }
 
-/// Borrowed inputs shared by every population slot of one round;
-/// handed to the per-slot builder so worker closures capture one
-/// reference.
+/// Borrowed inputs shared by every population slot of one round,
+/// handed to the per-slot builder as one reference.
 struct EvalCtx<'a> {
     jobs: &'a [SchedJob],
     spec: &'a ClusterSpec,
@@ -165,15 +155,14 @@ struct Member {
 
 /// Scratch that mutation and repair reuse from call to call, so that
 /// building a member allocates nothing once the buffers have grown.
-/// One per worker; what carries meaning between calls is
+/// One per `evolve` call; what carries meaning between calls is
 /// [`Self::touched`], which the caller resets with [`Self::track`],
 /// and the tallies `evolve` reads at its end.
 #[derive(Debug, Default)]
 pub struct GaWorkspace {
     touched: Vec<bool>,
-    /// Contribution rows this worker recomputed and the table lookups
-    /// that took, tallied here so the hot loop never touches a shared
-    /// atomic.
+    /// Contribution rows recomputed and the table lookups that took,
+    /// tallied here so the hot loop never touches a shared atomic.
     rows_recomputed: u64,
     table_hits: u64,
     table_misses: u64,
@@ -371,10 +360,9 @@ impl GeneticAlgorithm {
     /// per scheduling interval via [`SpeedupTable::build`] from the
     /// same `jobs` slice (and a spec with the same nodes) passed here.
     ///
-    /// `rng` is the master RNG: it is advanced serially (one seed draw
-    /// per population slot) regardless of [`GaConfig::threads`], so
-    /// the outcome depends only on the master seed, never on the
-    /// thread count.
+    /// `rng` is the master RNG: it is advanced by exactly one seed
+    /// draw per population slot, so the outcome — and the stream a
+    /// later consumer of `rng` sees — depends only on the master seed.
     pub fn evolve<R: Rng>(
         &self,
         jobs: &[SchedJob],
@@ -415,8 +403,7 @@ impl GeneticAlgorithm {
 
         let weight_sum = weight_sum(jobs);
         let running: Vec<bool> = jobs.iter().map(SchedJob::is_running).collect();
-        let mut workspaces: Vec<GaWorkspace> = Vec::new();
-        workspaces.resize_with(self.config.threads.max(1), GaWorkspace::default);
+        let mut ws = GaWorkspace::default();
         let mut run_stats = GaRunStats::default();
         // `members[..live]` is the population; the buffers behind it
         // are last generation's losers, overwritten by the offspring.
@@ -456,9 +443,9 @@ impl GeneticAlgorithm {
                 fitnesses: &fitnesses,
                 slot_seeds: &slot_seeds,
             };
-            parallel_for_each_mut(slots, &mut workspaces, |ws, i, child| {
-                self.build_member(i, &ctx, ws, child)
-            });
+            for (i, child) in slots.iter_mut().enumerate() {
+                self.build_member(i, &ctx, &mut ws, child);
+            }
             run_stats.fitness_evals += num_slots as u64;
             fitnesses.extend(slots.iter().map(|m| m.fitness));
             if generation == 0 {
@@ -498,11 +485,8 @@ impl GeneticAlgorithm {
                 }
             }
         }
-        run_stats.rows_recomputed = workspaces.iter().map(|ws| ws.rows_recomputed).sum();
-        table.record_lookups(
-            workspaces.iter().map(|ws| ws.table_hits).sum(),
-            workspaces.iter().map(|ws| ws.table_misses).sum(),
-        );
+        run_stats.rows_recomputed = ws.rows_recomputed;
+        table.record_lookups(ws.table_hits, ws.table_misses);
 
         let best_idx = fitnesses
             .iter()
@@ -669,7 +653,6 @@ mod tests {
     use super::*;
     use pollux_cluster::JobId;
     use pollux_models::{BatchSizeLimits, EfficiencyModel, GoodputModel, ThroughputParams};
-    use rand::RngCore;
 
     fn model(phi: f64) -> GoodputModel {
         let tp = ThroughputParams::new(0.05, 5.0e-4, 0.05, 0.002, 0.2, 0.01, 2.0).unwrap();
@@ -919,59 +902,6 @@ mod tests {
         assert_eq!(o1.best, o2.best);
         assert_eq!(o1.best_fitness, o2.best_fitness);
         assert_eq!(o1.stats, o2.stats);
-    }
-
-    #[test]
-    fn evolve_is_identical_across_thread_counts() {
-        // The core determinism contract: for a fixed master seed the
-        // full outcome (best, fitness, final population, counters) is
-        // bit-identical at every thread count.
-        let spec = ClusterSpec::homogeneous(4, 4).unwrap();
-        let jobs: Vec<SchedJob> = (0..6).map(|i| job(i, 3000.0 + 500.0 * i as f64)).collect();
-        let outcomes: Vec<GaOutcome> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&threads| {
-                let g = GeneticAlgorithm::new(GaConfig {
-                    population: 24,
-                    generations: 12,
-                    threads,
-                    ..Default::default()
-                });
-                let t = SpeedupTable::build(&jobs, &spec, threads);
-                let mut rng = StdRng::seed_from_u64(77);
-                g.evolve(&jobs, &spec, vec![], &t, &mut rng)
-            })
-            .collect();
-        for o in &outcomes[1..] {
-            assert_eq!(o.best, outcomes[0].best);
-            assert_eq!(o.best_fitness.to_bits(), outcomes[0].best_fitness.to_bits());
-            assert_eq!(o.population, outcomes[0].population);
-            assert_eq!(o.stats, outcomes[0].stats);
-        }
-    }
-
-    #[test]
-    fn evolve_leaves_master_rng_in_same_state_for_any_thread_count() {
-        // The master RNG must advance by exactly one draw per slot, so
-        // downstream consumers of the same RNG see identical streams.
-        let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let jobs: Vec<SchedJob> = (0..3).map(|i| job(i, 4000.0)).collect();
-        let after: Vec<u64> = [1usize, 4]
-            .iter()
-            .map(|&threads| {
-                let g = GeneticAlgorithm::new(GaConfig {
-                    population: 12,
-                    generations: 6,
-                    threads,
-                    ..Default::default()
-                });
-                let t = table(&jobs, &spec);
-                let mut rng = StdRng::seed_from_u64(5);
-                g.evolve(&jobs, &spec, vec![], &t, &mut rng);
-                rng.next_u64()
-            })
-            .collect();
-        assert_eq!(after[0], after[1]);
     }
 
     #[test]

@@ -24,20 +24,23 @@
 //! At the start of every optimization round the scheduler precomputes
 //! a dense [`SpeedupTable`]: one flat `f64` stripe per job over the
 //! bounded shape space (GPU count × colocated/distributed locality).
-//! Table construction fans out over a scoped worker pool ([`par`])
-//! when [`GaConfig::threads`] > 1; after that, every fitness lookup on
-//! the GA hot path is an unsynchronized array index — no hashing, no
-//! locks, no batch-size solves. The GA additionally evaluates
-//! fitness *incrementally*: each chromosome carries its per-job
-//! contribution vector and only rows touched by mutation, crossover,
-//! or repair are recomputed ([`ga`]).
+//! After that, every fitness lookup on the GA hot path is an
+//! unsynchronized array index — no hashing, no locks, no batch-size
+//! solves. The GA additionally evaluates fitness *incrementally*: each
+//! chromosome carries its per-job contribution vector and only rows
+//! touched by mutation, crossover, or repair are recomputed ([`ga`]).
 //!
-//! The master RNG is advanced **serially** — one seed draw per
-//! population slot — and each slot derives a private `StdRng` from
-//! its seed, so for a fixed seed the schedule is bit-identical at
-//! every thread count. `threads == 1` (the default) runs the same
-//! per-slot code inline without spawning. See [`ga`] for the full
-//! determinism contract.
+//! # Parallelism: one grain, the rack
+//!
+//! A search is serial: the master RNG is advanced one seed draw per
+//! population slot and each slot derives a private `StdRng` from its
+//! seed ([`ga`]). What runs side by side is whole racks: with a
+//! multi-rack topology ([`PolluxSched::set_topology`]) the per-rack
+//! searches — and phase 1's scan of the jobs' placements — fan out over
+//! [`par::parallel_map`] on as many workers as the host has cores
+//! ([`PolluxSched::set_threads`] caps it), each rack under a seed drawn
+//! serially in rack order. For a fixed seed the schedule is therefore
+//! bit-identical at every worker count; the flat search spawns nothing.
 
 pub mod autoscale;
 pub mod fitness;
@@ -55,7 +58,7 @@ pub use fitness::{
 };
 pub use ga::{repair_matrix, GaConfig, GaOutcome, GaRunStats, GaWorkspace, GeneticAlgorithm};
 pub use local_search::{LocalSearch, LocalSearchConfig};
-pub use par::{parallel_for_each_mut, parallel_map};
+pub use par::parallel_map;
 pub use rackga::{assign_racks, home_rack};
 pub use scheduler::{PolluxSched, SchedConfig, SchedIntervalStats};
 pub use speedup::{SchedJob, SpeedupTable, SpeedupTableStats};

@@ -1,153 +1,139 @@
-//! A minimal scoped worker pool for data-parallel fitness evaluation.
+//! A minimal scoped fan-out for the racked round's independent pieces.
 //!
-//! [`parallel_map`] fans an index range out over `threads` scoped
-//! workers pulling from a shared atomic counter (work stealing by
-//! index), then reassembles results **in index order**. Determinism is
-//! therefore the caller's only obligation: as long as `f(i)` depends
-//! only on `i` (and not on which worker runs it, or when), the output
-//! is identical for every thread count — including the `threads <= 1`
-//! serial fallback, which runs inline without spawning.
+//! [`parallel_map`] hands the items of an iterator out to `workers`
+//! threads — the calling thread is one of them — each pulling the next
+//! item from a shared queue, then reassembles the results **in item
+//! order**. Determinism is therefore the caller's only obligation: as
+//! long as `f(item)` depends only on the item (and not on which worker
+//! runs it, or when), the output is identical for every worker count —
+//! including the `workers <= 1` serial fallback, which runs inline
+//! without spawning.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Maps `f` over `0..n`, running on up to `threads` worker threads.
+/// Maps `f` over `items` on up to `workers` threads, the calling
+/// thread included: `workers − 1` are spawned and the caller takes a
+/// share itself, so two workers cost one spawn.
 ///
-/// Results are returned in index order regardless of completion order.
-/// With `threads <= 1` (or `n <= 1`) no threads are spawned and `f` is
-/// applied serially in index order — the results are identical either
-/// way provided `f(i)` is a pure function of `i` and captured state.
+/// Items are owned by the call that receives them, so an item may
+/// carry `&mut` borrows (the racked round hands each rack the rows of
+/// the result matrix it fills). Results are returned in item order
+/// regardless of completion order. With `workers <= 1` (or at most one
+/// item) no thread is spawned and `f` is applied serially in order —
+/// the results are identical either way provided `f(item)` is a pure
+/// function of the item and captured state.
 ///
 /// # Panics
 ///
-/// Propagates the first panic from any worker.
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+/// Re-raises a panic of `f` with its original payload, whichever
+/// thread it ran on.
+pub fn parallel_map<I, T, F>(items: I, workers: usize, f: F) -> Vec<T>
 where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(I::Item) -> T + Sync,
 {
-    let workers = threads.min(n);
+    let workers = workers.min(items.len());
     if workers <= 1 {
-        return (0..n).map(f).collect();
+        return items.map(f).collect();
     }
 
-    let next = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, T)> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            indexed.extend(handle.join().expect("worker panicked"));
+    let queue = Mutex::new(items.enumerate());
+    let drain = || {
+        let mut out: Vec<(usize, T)> = Vec::new();
+        loop {
+            // The guard is dropped before `f` runs, so a panic in `f`
+            // cannot poison the queue.
+            let next = queue.lock().expect("queue lock never poisoned").next();
+            let Some((i, item)) = next else { break };
+            out.push((i, f(item)));
         }
+        out
+    };
+    let mut indexed = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        let mut indexed = drain();
+        for handle in spawned {
+            match handle.join() {
+                Ok(part) => indexed.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        indexed
     });
     indexed.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(indexed.len(), n);
     indexed.into_iter().map(|(_, v)| v).collect()
-}
-
-/// Runs `f(state, i, &mut items[i])` for every item, on one worker per
-/// element of `states` (at most one per item), each owning its state
-/// for the whole call — the GA hands every worker a scratch workspace
-/// this way. Workers pull the next item from a shared queue. With one
-/// state (or one item) everything runs inline, in index order; the
-/// results are identical either way provided `f` treats its state as
-/// scratch and otherwise depends only on `i` and the item.
-///
-/// # Panics
-///
-/// Panics when `states` is empty, and propagates a worker's panic.
-pub fn parallel_for_each_mut<T, S, F>(items: &mut [T], states: &mut [S], f: F)
-where
-    T: Send,
-    S: Send,
-    F: Fn(&mut S, usize, &mut T) + Sync,
-{
-    let workers = states.len().min(items.len());
-    if workers <= 1 {
-        let state = states.first_mut().expect("at least one worker state");
-        for (i, item) in items.iter_mut().enumerate() {
-            f(state, i, item);
-        }
-        return;
-    }
-    let queue = Mutex::new(items.iter_mut().enumerate());
-    std::thread::scope(|scope| {
-        for state in &mut states[..workers] {
-            scope.spawn(|| loop {
-                // The guard is dropped before `f` runs, so a panic in
-                // `f` cannot poison the queue.
-                let next = queue.lock().expect("queue lock never poisoned").next();
-                let Some((i, item)) = next else { break };
-                f(state, i, item);
-            });
-        }
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     #[test]
-    fn preserves_index_order_for_every_thread_count() {
+    fn preserves_item_order_for_every_worker_count() {
         let expect: Vec<usize> = (0..257).map(|i| i * 3).collect();
-        for threads in [0, 1, 2, 4, 8, 300] {
-            assert_eq!(parallel_map(257, threads, |i| i * 3), expect);
+        for workers in [0, 1, 2, 4, 8, 300] {
+            assert_eq!(parallel_map(0..257, workers, |i| i * 3), expect);
         }
-    }
-
-    #[test]
-    fn for_each_mut_visits_every_item_once_with_a_private_state() {
-        for threads in [1usize, 2, 4, 300] {
-            let mut items = vec![0usize; 257];
-            let mut visits = vec![0usize; threads];
-            parallel_for_each_mut(&mut items, &mut visits, |seen, i, item| {
-                *item += i * 3 + 1;
-                *seen += 1;
-            });
-            let expect: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
-            assert_eq!(items, expect);
-            assert_eq!(visits.iter().sum::<usize>(), 257);
-        }
-        parallel_for_each_mut(&mut [] as &mut [usize], &mut [()], |_, _, _| {});
     }
 
     #[test]
     fn handles_empty_and_single_item_ranges() {
-        assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_map(1, 4, |i| i + 7), vec![7]);
+        assert_eq!(parallel_map(0..0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(parallel_map(0..1, 4, |i| i + 7), vec![7]);
     }
 
     #[test]
-    fn actually_uses_multiple_threads() {
-        use std::collections::HashSet;
-        use std::sync::{Barrier, Mutex};
-        let seen = Mutex::new(HashSet::new());
-        // Items 0 and 1 rendezvous on a barrier: a single worker would
-        // deadlock holding one side, so passing proves two distinct
-        // threads pulled from the queue concurrently.
+    fn items_may_carry_mutable_borrows() {
+        for workers in [1usize, 2, 3, 300] {
+            let mut cells = vec![0usize; 257];
+            let sums = parallel_map(cells.chunks_mut(10).enumerate(), workers, |(c, chunk)| {
+                chunk.iter_mut().for_each(|cell| *cell = c);
+                chunk.len()
+            });
+            assert_eq!(sums.iter().sum::<usize>(), 257);
+            assert!(cells.iter().enumerate().all(|(i, &cell)| cell == i / 10));
+        }
+    }
+
+    /// Runs two items that rendezvous on a barrier — a single thread
+    /// would deadlock holding one side, so one item runs on the
+    /// calling thread and one on the spawned worker — and returns the
+    /// thread each ran on, after giving `then` the chance to panic.
+    fn one_item_per_thread(then: impl Fn(ThreadId) + Sync) -> Vec<ThreadId> {
         let barrier = Barrier::new(2);
-        parallel_map(4, 4, |i| {
-            if i < 2 {
-                barrier.wait();
-            }
-            seen.lock().unwrap().insert(std::thread::current().id());
-            i
-        });
-        assert!(seen.lock().unwrap().len() > 1, "ran on a single thread");
+        parallel_map(0..2, 2, |_| {
+            barrier.wait();
+            let id = std::thread::current().id();
+            then(id);
+            id
+        })
+    }
+
+    #[test]
+    fn the_caller_takes_a_share_beside_one_spawned_worker() {
+        let ran_on = one_item_per_thread(|_| {});
+        let caller = std::thread::current().id();
+        assert_eq!(ran_on.iter().filter(|&&id| id == caller).count(), 1);
+        assert_ne!(ran_on[0], ran_on[1]);
+    }
+
+    #[test]
+    fn a_panic_message_reaches_the_caller_from_either_thread() {
+        let caller = std::thread::current().id();
+        for on_caller in [true, false] {
+            let payload = std::panic::catch_unwind(|| {
+                one_item_per_thread(|id| {
+                    assert!((id == caller) != on_caller, "boom {on_caller}");
+                })
+            })
+            .expect_err("one item panics");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains(&format!("boom {on_caller}")), "{message}");
+        }
     }
 
     /// Recorder counters must be *exact* (not approximate) under
@@ -161,8 +147,8 @@ mod tests {
         let counter = rec.counter("par", "work");
         let hist = rec.histogram("par", "values");
         let n = 10_000usize;
-        for threads in [1, 2, 4, 8] {
-            parallel_map(n, threads, |i| {
+        for workers in [1, 2, 4, 8] {
+            parallel_map(0..n, workers, |i| {
                 counter.add(i as u64);
                 hist.observe(i as u64);
                 rec.incr("par", "items", 1);
@@ -171,16 +157,5 @@ mod tests {
         let expected = (n as u64 * (n as u64 - 1) / 2) * 4;
         assert_eq!(rec.counter_value("par", "work"), expected);
         assert_eq!(rec.counter_value("par", "items"), 4 * n as u64);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker panicked")]
-    fn worker_panics_propagate() {
-        parallel_map(8, 2, |i| {
-            if i == 3 {
-                panic!("boom");
-            }
-            i
-        });
     }
 }

@@ -17,12 +17,16 @@
 //! restart penalty at rack granularity. The expensive goodput modeling
 //! happens only inside the per-rack phase-2 searches.
 //!
-//! Determinism: fully serial, one RNG stream, draws in member/gene
-//! order — bit-identical assignments for a fixed seed at any thread
-//! count. With a single rack the phase is skipped entirely (the
-//! caller never invokes it), which is what keeps the degenerate
-//! topology byte-identical to the flat search.
+//! Determinism: the search itself is serial — one RNG stream, draws
+//! in member/gene order. Only its input scan (`demand_and_home`, a
+//! pure function of one job) fans out over the round's workers, in
+//! job-order chunks reassembled in order — so assignments are
+//! bit-identical for a fixed seed at any worker count. With a single
+//! rack the phase is skipped entirely (the caller never invokes it),
+//! which is what keeps the degenerate topology byte-identical to the
+//! flat search.
 
+use crate::par::parallel_map;
 use crate::speedup::SchedJob;
 use pollux_cluster::{ClusterSpec, JobId, NodeId, Topology};
 use rand::Rng;
@@ -46,6 +50,11 @@ const TOURNAMENT: usize = 3;
 /// the rack-level analogue of the placement fitness's 0.25 restart
 /// penalty.
 const KEEP_BONUS: f64 = 0.25;
+/// Jobs one worker scans at a time.
+const SCAN_CHUNK: usize = 256;
+/// Placement cells tested for "all zero" at once: a cache line, which
+/// the compiler folds a vector at a time.
+const CELL_BLOCK: usize = 16;
 
 /// What phase 1 needs of a job, from one pass over its placement row:
 /// the GPU demand it packs (what the job currently holds, at least its
@@ -55,11 +64,19 @@ fn demand_and_home(job: &SchedJob, topo: &Topology, held: &mut [u64]) -> (u64, O
     let racked = job.current_placement.len() == topo.num_nodes();
     held.fill(0);
     let mut total = 0u32;
-    for (n, &g) in job.current_placement.iter().enumerate() {
-        if g > 0 {
-            total += g;
-            if racked {
-                held[topo.rack_of(NodeId(n as u32)) as usize] += u64::from(g);
+    // A placement row is almost all zeros (a job holds a few nodes of
+    // a thousand), so empty blocks are skipped whole.
+    for (b, block) in job.current_placement.chunks(CELL_BLOCK).enumerate() {
+        if block.iter().fold(0, |any, &g| any | g) == 0 {
+            continue;
+        }
+        for (i, &g) in block.iter().enumerate() {
+            if g > 0 {
+                total += g;
+                if racked {
+                    let n = NodeId((b * CELL_BLOCK + i) as u32);
+                    held[topo.rack_of(n) as usize] += u64::from(g);
+                }
             }
         }
     }
@@ -95,11 +112,15 @@ pub fn home_rack(job: &SchedJob, topo: &Topology) -> Option<u32> {
 /// home-rack keep-bonus anchoring them) stop reshuffling between
 /// racks from round to round, which is what keeps the phase-2
 /// per-rack carries valid.
+///
+/// `workers` bounds the threads that scan the jobs' placement rows for
+/// their demand and home rack; the assignment does not depend on it.
 pub fn assign_racks<R: Rng>(
     jobs: &[SchedJob],
     spec: &ClusterSpec,
     topo: &Topology,
     prev: Option<&HashMap<JobId, u32>>,
+    workers: usize,
     rng: &mut R,
 ) -> Vec<u32> {
     let num_racks = topo.num_racks() as usize;
@@ -114,11 +135,14 @@ pub fn assign_racks<R: Rng>(
                 .sum()
         })
         .collect();
-    let mut held = vec![0u64; num_racks];
-    let (demands, homes): (Vec<u64>, Vec<Option<u32>>) = jobs
-        .iter()
-        .map(|job| demand_and_home(job, topo, &mut held))
-        .unzip();
+    let scanned = parallel_map(jobs.chunks(SCAN_CHUNK), workers, |chunk| {
+        let mut held = vec![0u64; num_racks];
+        let scan = chunk
+            .iter()
+            .map(|job| demand_and_home(job, topo, &mut held));
+        scan.collect::<Vec<_>>()
+    });
+    let (demands, homes): (Vec<u64>, Vec<Option<u32>>) = scanned.into_iter().flatten().unzip();
 
     // Deterministic score: integer capacity packing summed in rack
     // order plus f64 keep-bonuses summed in job order.
@@ -310,7 +334,7 @@ mod tests {
         let jobs: Vec<SchedJob> = (0..3).map(|i| job(i, vec![])).collect();
         let mut rng = StdRng::seed_from_u64(1);
         let before = rng.clone().next_u64();
-        let assign = assign_racks(&jobs, &spec, &topo, None, &mut rng);
+        let assign = assign_racks(&jobs, &spec, &topo, None, 1, &mut rng);
         assert_eq!(assign, vec![0, 0, 0]);
         assert_eq!(rng.next_u64(), before, "single rack must not draw");
     }
@@ -320,8 +344,8 @@ mod tests {
         let topo = Topology::grouped(4, 2).unwrap();
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
         let jobs: Vec<SchedJob> = (0..6).map(|i| job(i, vec![])).collect();
-        let a1 = assign_racks(&jobs, &spec, &topo, None, &mut StdRng::seed_from_u64(7));
-        let a2 = assign_racks(&jobs, &spec, &topo, None, &mut StdRng::seed_from_u64(7));
+        let a1 = assign_racks(&jobs, &spec, &topo, None, 1, &mut StdRng::seed_from_u64(7));
+        let a2 = assign_racks(&jobs, &spec, &topo, None, 1, &mut StdRng::seed_from_u64(7));
         assert_eq!(a1, a2, "same seed, same assignment");
         assert!(a1.iter().all(|&r| r < topo.num_racks()));
         // 6 jobs of demand 1 against two racks of 8 GPUs each: both
@@ -337,7 +361,7 @@ mod tests {
         // Two running jobs, one per rack, each holding 2 GPUs; demand
         // fits everywhere, so the keep-bonus should pin them home.
         let jobs = vec![job(0, vec![2, 0, 0, 0]), job(1, vec![0, 0, 2, 0])];
-        let assign = assign_racks(&jobs, &spec, &topo, None, &mut StdRng::seed_from_u64(3));
+        let assign = assign_racks(&jobs, &spec, &topo, None, 1, &mut StdRng::seed_from_u64(3));
         assert_eq!(assign, vec![0, 1]);
     }
 
@@ -358,6 +382,7 @@ mod tests {
             &spec,
             &topo,
             Some(&prev),
+            1,
             &mut StdRng::seed_from_u64(9),
         );
         let want: Vec<u32> = (0..6u32).map(|i| u32::from(i % 2 == 0)).collect();
@@ -379,6 +404,7 @@ mod tests {
             &spec,
             &topo,
             Some(&prev),
+            1,
             &mut StdRng::seed_from_u64(9),
         );
         assert_eq!(assign.len(), 3);

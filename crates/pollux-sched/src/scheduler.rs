@@ -46,7 +46,7 @@ impl Default for SchedConfig {
 
 /// Evaluation-count breakdown of one scheduling interval.
 ///
-/// Every field is deterministic for a fixed seed at any thread count.
+/// Every field is deterministic for a fixed seed at any worker count.
 /// Wall-clock timings of the interval (table build, GA evolve) are
 /// *not* part of this struct: they are emitted as telemetry spans
 /// (`sched/table_build` and `sched/ga_evolve` on the flat path,
@@ -94,6 +94,9 @@ pub struct PolluxSched {
     /// memberships stable — the precondition for the per-rack carries
     /// above to hit. Cleared together with `rack_carry`.
     assign_carry: HashMap<JobId, u32>,
+    /// Most threads a racked interval works on, the calling one
+    /// included ([`Self::set_threads`]).
+    threads: usize,
 }
 
 /// What one rack's phase-2 search saves for the next interval: the
@@ -115,13 +118,30 @@ struct RackCarry {
     best: Option<(AllocationMatrix, f64)>,
 }
 
-/// One rack's phase-2 result, produced by a worker and stitched
-/// serially in rack order.
-struct RackRun {
-    outcome: GaOutcome,
-    table: SpeedupTable,
+/// One occupied rack's share of a racked interval, owned by the
+/// worker that takes it.
+struct RackTask<'a> {
+    rack: usize,
+    /// The rack-local subproblem.
+    sub_jobs: Vec<SchedJob>,
+    /// What the rack saved last interval.
+    carry: RackCarry,
+    /// The rack's private RNG seed when it searches; `None` replays
+    /// the carried answer (a quiet rack).
+    seed: Option<u64>,
+    /// The member jobs' rows of the interval's result matrix, in member
+    /// order: the worker writes the rack's answer straight into them.
+    rows: Vec<&'a mut [u32]>,
+}
+
+/// What a worker hands back for the caller to fold in rack order.
+struct RackDone {
+    rack: usize,
+    carry: RackCarry,
+    fitness: f64,
     weight_sum: f64,
-    job_ids: Vec<JobId>,
+    /// Search and table counters of a rack that evolved.
+    evolved: Option<(GaRunStats, SpeedupTableStats)>,
 }
 
 impl PolluxSched {
@@ -140,6 +160,7 @@ impl PolluxSched {
             prev_table: None,
             rack_carry: Vec::new(),
             assign_carry: HashMap::new(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -181,18 +202,20 @@ impl PolluxSched {
         &self.config
     }
 
-    /// Reconfigures the worker-thread count used for fitness
-    /// evaluation (`1` = fully serial). Safe to change between
-    /// intervals: for a fixed seed the schedule is identical at every
-    /// thread count (see the [`crate::ga`] determinism contract).
+    /// Caps the threads a racked interval works on (`1` = nothing is
+    /// ever spawned); a new scheduler starts at the host's
+    /// [`std::thread::available_parallelism`]. The rack is the one
+    /// grain of parallelism — the flat search is serial whatever the
+    /// cap. Safe to change between intervals: for a fixed seed the
+    /// schedule is identical at every worker count (see
+    /// `optimize_racked`'s determinism notes).
     pub fn set_threads(&mut self, threads: usize) {
-        self.config.ga.threads = threads.max(1);
-        self.ga = GeneticAlgorithm::new(self.config.ga);
+        self.threads = threads.max(1);
     }
 
-    /// The active worker-thread count.
+    /// The active worker-count cap.
     pub fn threads(&self) -> usize {
-        self.config.ga.threads
+        self.threads
     }
 
     /// Runs one full optimization for this interval and returns the
@@ -221,9 +244,8 @@ impl PolluxSched {
             jobs,
             spec.num_nodes(),
         );
-        let threads = self.config.ga.threads.max(1);
         let build_start = Instant::now();
-        let table = SpeedupTable::build_reusing(jobs, spec, threads, self.prev_table.as_ref());
+        let table = SpeedupTable::build_reusing(jobs, spec, 1, self.prev_table.as_ref());
         let table_build_nanos = build_start.elapsed().as_nanos() as u64;
         let evolve_start = Instant::now();
         let outcome = self.ga.evolve(jobs, spec, seed, &table, rng);
@@ -297,16 +319,21 @@ impl PolluxSched {
     ///
     /// # Parallelism and determinism
     ///
-    /// The per-rack phase-2 searches are independent (racks partition
-    /// both nodes and jobs), so they fan out over
-    /// [`crate::par::parallel_map`]. Determinism uses the same
-    /// seed-splitting discipline as the GA's seed-per-slot: after the
-    /// serial phase-1 assignment, the master RNG is advanced once per
-    /// *evolved* rack (in rack order) and each such rack evolves under
-    /// a private `StdRng` derived from its seed — so the result is
-    /// bit-identical at every thread count. Inner GA parallelism is
-    /// forced to 1 (outer parallelism replaces it; either choice is
-    /// bit-identical by the GA's thread-count invariance).
+    /// The rack is the scheduler's one grain of parallelism. The
+    /// per-rack phase-2 searches are independent (racks partition both
+    /// nodes and jobs), so they fan out over
+    /// [`crate::par::parallel_map`] on up to [`Self::threads`] workers
+    /// — by default the host's cores — of which the calling thread is
+    /// one. Determinism uses the same seed-splitting discipline as the
+    /// GA's seed-per-slot: after phase 1 (whose search is serial and
+    /// whose input scan fans out the same way), the master RNG is
+    /// advanced once per *evolved* rack (in rack order) and each such
+    /// rack evolves under a private `StdRng` derived from its seed. A
+    /// worker owns everything it writes: its rack's carry and its
+    /// member jobs' rows of the result matrix, which are disjoint from
+    /// every other rack's. Workers never touch the recorder; their
+    /// counters and fitness terms are folded by the caller in rack
+    /// order. So the result is bit-identical at every worker count.
     ///
     /// # Cross-interval carry-over
     ///
@@ -336,7 +363,7 @@ impl PolluxSched {
         let assignment = {
             let _span = self.recorder.span("sched", "rack_assign");
             let prev = (!self.assign_carry.is_empty()).then_some(&self.assign_carry);
-            rackga::assign_racks(jobs, spec, topo, prev, rng)
+            rackga::assign_racks(jobs, spec, topo, prev, self.threads, rng)
         };
 
         let num_racks = topo.num_racks() as usize;
@@ -344,20 +371,26 @@ impl PolluxSched {
         for (j, &r) in assignment.iter().enumerate() {
             members_of[r as usize].push(j);
         }
-        let occupied: Vec<usize> = (0..num_racks)
-            .filter(|&r| !members_of[r].is_empty())
-            .collect();
+        // Every job lives in exactly one rack, so the result's rows
+        // split among the racks: each rack's worker fills its own
+        // (and pays the first touch of their pages), in member order.
+        let mut best = AllocationMatrix::zeros(jobs.len(), spec.num_nodes());
+        let mut rows_of: Vec<Vec<&mut [u32]>> = Vec::new();
+        rows_of.resize_with(num_racks, Vec::new);
+        for (row, &r) in best.rows_mut().zip(&assignment) {
+            rows_of[r as usize].push(row);
+        }
 
         let mut prev_carry = std::mem::take(&mut self.rack_carry);
         prev_carry.resize_with(num_racks, RackCarry::default);
 
         // Serial pre-pass: each occupied rack's local subproblem —
-        // needed both by the evolve workers and to detect quiet racks.
-        let mut sub_jobs_of: Vec<Vec<SchedJob>> = occupied
-            .iter()
-            .map(|&r| {
+        // needed both by the workers and to detect quiet racks.
+        let mut tasks: Vec<RackTask<'_>> = (0..num_racks)
+            .filter(|&r| !members_of[r].is_empty())
+            .map(|r| {
                 let rack_nodes = topo.nodes_in(r as u32);
-                members_of[r]
+                let sub_jobs = members_of[r]
                     .iter()
                     .map(|&j| {
                         let job = &jobs[j];
@@ -381,7 +414,14 @@ impl PolluxSched {
                             current_placement: placement,
                         }
                     })
-                    .collect()
+                    .collect();
+                RackTask {
+                    rack: r,
+                    sub_jobs,
+                    carry: std::mem::take(&mut prev_carry[r]),
+                    seed: None,
+                    rows: std::mem::take(&mut rows_of[r]),
+                }
             })
             .collect();
 
@@ -391,130 +431,53 @@ impl PolluxSched {
         // re-searching. Work per interval then scales with the racks
         // that actually changed. The decision is a pure function of
         // the inputs and the carry, so it is identical at every
-        // thread count.
-        let evolve_flags: Vec<bool> = occupied
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| {
-                let carry = &prev_carry[r];
-                carry.best.is_none() || carry.sub_jobs != sub_jobs_of[i]
-            })
-            .collect();
-        let active: Vec<usize> = (0..occupied.len()).filter(|&i| evolve_flags[i]).collect();
-        // One serial master-RNG draw per *evolved* rack, in rack
-        // order; quiet racks draw nothing (their result is already
-        // fixed), keeping the stream deterministic either way.
-        let rack_seeds: Vec<u64> = active.iter().map(|_| rng.next_u64()).collect();
+        // worker count. One serial master-RNG draw per *evolved*
+        // rack, in rack order; quiet racks draw nothing (their result
+        // is already fixed), keeping the stream deterministic either
+        // way.
+        let mut racks_evolved = 0;
+        for task in &mut tasks {
+            if task.carry.best.is_none() || task.carry.sub_jobs != task.sub_jobs {
+                task.seed = Some(rng.next_u64());
+                racks_evolved += 1;
+            }
+        }
 
-        let mut inner_cfg = self.config.ga;
-        inner_cfg.threads = 1;
-        let inner_ga = GeneticAlgorithm::new(inner_cfg);
-        let threads = self.config.ga.threads.max(1);
-
+        // No more workers than racks that search: an interval of
+        // quiet racks only copies rows and spawns nothing.
+        let workers = self.threads.min(racks_evolved);
+        let racks_reused = (tasks.len() - racks_evolved) as u64;
+        let ga = &self.ga;
         let evolve_start = Instant::now();
-        let runs: Vec<RackRun> = {
-            let prev_carry = &prev_carry;
-            let occupied = &occupied;
-            let active = &active;
-            let sub_jobs_of = &sub_jobs_of;
-            let rack_seeds = &rack_seeds;
-            let inner_ga = &inner_ga;
-            parallel_map(active.len(), threads, move |k| {
-                let i = active[k];
-                let r = occupied[i];
-                let rack_nodes = topo.nodes_in(r as u32);
-                let sub_spec = ClusterSpec::new(
-                    rack_nodes
-                        .iter()
-                        .map(|&n| NodeSpec {
-                            gpus: spec.gpus_on(NodeId(n)),
-                        })
-                        .collect(),
-                )
-                .expect("racks are non-empty and rack nodes have GPUs");
-                let sub_jobs = &sub_jobs_of[i];
-
-                let carry = &prev_carry[r];
-                let seed_pop = reconcile_population(
-                    &carry.population,
-                    &carry.job_ids,
-                    sub_jobs,
-                    rack_nodes.len(),
-                );
-                let table =
-                    SpeedupTable::build_reusing(sub_jobs, &sub_spec, 1, carry.table.as_ref());
-                let mut rack_rng = StdRng::seed_from_u64(rack_seeds[k]);
-                let outcome = inner_ga.evolve(sub_jobs, &sub_spec, seed_pop, &table, &mut rack_rng);
-                let weight_sum: f64 = sub_jobs.iter().map(|j| j.weight).sum();
-                let job_ids: Vec<JobId> = sub_jobs.iter().map(|j| j.id).collect();
-                RackRun {
-                    outcome,
-                    table,
-                    weight_sum,
-                    job_ids,
-                }
-            })
-        };
+        let done = parallel_map(tasks.into_iter(), workers, |task| {
+            run_rack(ga, topo, spec, task)
+        });
         let ga_evolve_nanos = evolve_start.elapsed().as_nanos() as u64;
 
-        // Stitch serially in rack order (parallel_map preserves it).
-        let mut best = AllocationMatrix::zeros(jobs.len(), spec.num_nodes());
+        // Fold in rack order (parallel_map preserves it): the fitness
+        // sum is a float sum, and workers touch no shared counter.
         let mut stats = GaRunStats::default();
         let mut speedup = SpeedupTableStats::default();
         let mut fitness_weighted = 0.0;
         let mut weight_total = 0.0;
-        let mut racks_reused: u64 = 0;
         let mut new_carry: Vec<RackCarry> = Vec::new();
         new_carry.resize_with(num_racks, RackCarry::default);
-        let mut runs = runs.into_iter();
-        for (i, &r) in occupied.iter().enumerate() {
-            let rack_nodes = topo.nodes_in(r as u32);
-            if !evolve_flags[i] {
-                // Quiet rack: replay the carried answer and move the
-                // carry forward untouched. Its rows were all reused
-                // (nothing was solved or looked up this interval).
-                let carry = std::mem::take(&mut prev_carry[r]);
-                let (carry_best, carry_fitness) =
-                    carry.best.as_ref().expect("quiet racks carry a best");
-                let weight_sum: f64 = carry.sub_jobs.iter().map(|j| j.weight).sum();
-                fitness_weighted += carry_fitness * weight_sum;
-                weight_total += weight_sum;
-                speedup.rows_reused += carry.sub_jobs.len() as u64;
-                for (k, &j) in members_of[r].iter().enumerate() {
-                    for (col, &n) in rack_nodes.iter().enumerate() {
-                        let g = carry_best.get(k, col);
-                        if g > 0 {
-                            best.set(j, n as usize, g);
-                        }
-                    }
+        for rack in done {
+            match rack.evolved {
+                Some((search, table)) => {
+                    speedup.accumulate(table);
+                    stats.generations_run += search.generations_run;
+                    stats.fitness_evals += search.fitness_evals;
+                    stats.incremental_evals += search.incremental_evals;
+                    stats.rows_recomputed += search.rows_recomputed;
                 }
-                racks_reused += 1;
-                new_carry[r] = carry;
-                continue;
+                // A quiet rack's rows were all reused (nothing was
+                // solved or looked up this interval).
+                None => speedup.rows_reused += rack.carry.sub_jobs.len() as u64,
             }
-            let run = runs.next().expect("one run per evolved rack");
-            speedup.accumulate(run.table.stats());
-            stats.generations_run += run.outcome.stats.generations_run;
-            stats.fitness_evals += run.outcome.stats.fitness_evals;
-            stats.incremental_evals += run.outcome.stats.incremental_evals;
-            stats.rows_recomputed += run.outcome.stats.rows_recomputed;
-            fitness_weighted += run.outcome.best_fitness * run.weight_sum;
-            weight_total += run.weight_sum;
-            for (k, &j) in members_of[r].iter().enumerate() {
-                for (col, &n) in rack_nodes.iter().enumerate() {
-                    let g = run.outcome.best.get(k, col);
-                    if g > 0 {
-                        best.set(j, n as usize, g);
-                    }
-                }
-            }
-            new_carry[r] = RackCarry {
-                job_ids: run.job_ids,
-                population: run.outcome.population,
-                table: Some(run.table),
-                sub_jobs: std::mem::take(&mut sub_jobs_of[i]),
-                best: Some((run.outcome.best, run.outcome.best_fitness)),
-            };
+            fitness_weighted += rack.fitness * rack.weight_sum;
+            weight_total += rack.weight_sum;
+            new_carry[rack.rack] = rack.carry;
         }
 
         let best_fitness = if weight_total > 0.0 {
@@ -535,7 +498,7 @@ impl PolluxSched {
         rec.incr("sched", "table_misses", speedup.misses);
         rec.incr("sched", "table_solves", speedup.solves);
         rec.incr("sched", "table_rows_reused", speedup.rows_reused);
-        rec.incr("sched", "racks_evolved", active.len() as u64);
+        rec.incr("sched", "racks_evolved", racks_evolved as u64);
         rec.incr("sched", "racks_reused", racks_reused);
         self.last_explain = self.recorder.is_enabled().then(|| {
             // Each job's row in its rack's table: its rank among the
@@ -619,6 +582,66 @@ impl PolluxSched {
         rng: &mut R,
     ) -> AllocationMatrix {
         self.optimize(jobs, spec, rng).best
+    }
+}
+
+/// One rack's phase 2: search the rack-local subproblem under the
+/// rack's private seed — or, for a quiet rack, take the carried answer
+/// as it is — and write the answer into the rack's rows of the
+/// interval's result. Runs on whichever worker takes the task: it
+/// touches nothing but its arguments and emits no telemetry (the
+/// caller folds the counters, in rack order).
+fn run_rack(
+    ga: &GeneticAlgorithm,
+    topo: &Topology,
+    spec: &ClusterSpec,
+    task: RackTask<'_>,
+) -> RackDone {
+    let rack_nodes = topo.nodes_in(task.rack as u32);
+    let (carry, evolved) = match task.seed {
+        None => (task.carry, None),
+        Some(seed) => {
+            let sub_jobs = task.sub_jobs;
+            let sub_spec = ClusterSpec::new(
+                rack_nodes
+                    .iter()
+                    .map(|&n| NodeSpec {
+                        gpus: spec.gpus_on(NodeId(n)),
+                    })
+                    .collect(),
+            )
+            .expect("racks are non-empty and rack nodes have GPUs");
+            let prev = task.carry;
+            let seed_pop =
+                reconcile_population(&prev.population, &prev.job_ids, &sub_jobs, rack_nodes.len());
+            let table = SpeedupTable::build_reusing(&sub_jobs, &sub_spec, 1, prev.table.as_ref());
+            let mut rack_rng = StdRng::seed_from_u64(seed);
+            let outcome = ga.evolve(&sub_jobs, &sub_spec, seed_pop, &table, &mut rack_rng);
+            let counters = (outcome.stats, table.stats());
+            let carry = RackCarry {
+                job_ids: sub_jobs.iter().map(|j| j.id).collect(),
+                population: outcome.population,
+                table: Some(table),
+                sub_jobs,
+                best: Some((outcome.best, outcome.best_fitness)),
+            };
+            (carry, Some(counters))
+        }
+    };
+    let (best, fitness) = carry.best.as_ref().expect("searched or carried");
+    for (row, (_, answer)) in task.rows.into_iter().zip(best.iter_rows()) {
+        for (&n, &g) in rack_nodes.iter().zip(answer) {
+            if g > 0 {
+                row[n as usize] = g;
+            }
+        }
+    }
+    RackDone {
+        rack: task.rack,
+        fitness: *fitness,
+        weight_sum: carry.sub_jobs.iter().map(|j| j.weight).sum(),
+        carry,
+        evolved,
     }
 }
 

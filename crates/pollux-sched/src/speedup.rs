@@ -180,7 +180,10 @@ impl SpeedupTable {
     /// Precomputes the table for `jobs` on `spec`, fanning the per-job
     /// batch-size solves out over `threads` workers. Worker results
     /// are reassembled in job order, so the table contents are
-    /// independent of the thread count.
+    /// independent of the thread count. Every caller in this workspace
+    /// passes 1 — the racked round's grain is the rack, whose worker
+    /// builds its rack's table itself — and the parameter remains for
+    /// the frozen `benchmark/`, which compiles against it.
     ///
     /// Distributed rows are only solved when the cluster has at least
     /// two nodes — a single-node cluster can never produce an `N ≥ 2`
@@ -222,8 +225,7 @@ impl SpeedupTable {
                     .collect()
             })
             .unwrap_or_default();
-        let stripes = parallel_map(jobs.len(), threads, |i| {
-            let job = &jobs[i];
+        let stripes = parallel_map(jobs.iter(), threads, |job| {
             let lo = job.min_gpus.max(1);
             let hi = job.gpu_cap.min(total);
             let key = RowKey {

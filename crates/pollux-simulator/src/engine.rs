@@ -1301,9 +1301,10 @@ mod tests {
         assert!(Simulation::new(quick_config(), spec, FcfsPacked { gpus: 1 }, vec![]).is_none());
     }
 
-    /// `GaConfig::threads` is the one place GA parallelism is set: the
-    /// engine hands a policy its topology and its recorder, never a
-    /// thread count that would overwrite the policy's own.
+    /// A policy's worker count is its own (Pollux: the host's cores on
+    /// a racked cluster, capped by `configure_parallelism`): the engine
+    /// hands a policy its topology and its recorder, never a thread
+    /// count that would overwrite it.
     #[test]
     fn construction_leaves_policy_parallelism_alone() {
         struct Configured {

@@ -5,8 +5,7 @@
 //! - `evolve_outcomes_match_pinned_digests`: FNV-1a64 digests of whole
 //!   `evolve` outcomes over a grid, captured at the commit before the
 //!   flat matrix landed (release build — debug builds inflated the
-//!   table hit counter there) and asserted unchanged, at 1 and 4
-//!   threads.
+//!   table hit counter there) and asserted unchanged.
 //! - `debug_text_matches_the_derived_rendering`: the vendored serde
 //!   serialises through `Debug`, so every golden digests this text.
 //! - `matrix_ops_match_the_nested_vec_model`: the flat storage against
@@ -118,7 +117,6 @@ fn evolve_digest(
     num_nodes: usize,
     interference_avoidance: bool,
     warm: bool,
-    threads: usize,
 ) -> u64 {
     let spec = ClusterSpec::homogeneous(num_nodes as u32, GPUS_PER_NODE).unwrap();
     let jobs = jobs(num_jobs, num_nodes);
@@ -126,7 +124,6 @@ fn evolve_digest(
         population: 10,
         generations: 5,
         interference_avoidance,
-        threads,
         ..Default::default()
     });
     let seed = if warm {
@@ -200,14 +197,11 @@ const PINNED: [(usize, usize, bool, bool, u64); 36] = [
 #[test]
 fn evolve_outcomes_match_pinned_digests() {
     for &(num_jobs, num_nodes, avoid, warm, want) in &PINNED {
-        for threads in [1usize, 4] {
-            let got = evolve_digest(num_jobs, num_nodes, avoid, warm, threads);
-            assert_eq!(
-                got, want,
-                "J={num_jobs} N={num_nodes} avoid={avoid} warm={warm} threads={threads}: \
-                 0x{got:016x}"
-            );
-        }
+        let got = evolve_digest(num_jobs, num_nodes, avoid, warm);
+        assert_eq!(
+            got, want,
+            "J={num_jobs} N={num_nodes} avoid={avoid} warm={warm}: 0x{got:016x}"
+        );
     }
 }
 
