@@ -14,12 +14,11 @@ use pollux_models::{
     GoodputModel, GradientStats, PlacementShape, ThroughputParams,
 };
 use pollux_telemetry::Recorder;
-use serde::{Deserialize, Serialize};
 
 /// What the agent reports to `PolluxSched` (the `(θsys, φ_t, m0)`
 /// triple of Sec. 4.1, packaged as a ready-to-query goodput model,
 /// plus allocation constraints).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentReport {
     /// The job's goodput model at its current training progress.
     pub model: GoodputModel,
@@ -32,7 +31,7 @@ pub struct AgentReport {
 }
 
 /// The agent's job-level tuning decision after a (re-)allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningDecision {
     /// The most efficient batch size `m*` (Eqn 13).
     pub batch_size: u64,
@@ -71,7 +70,7 @@ pub struct TuningDecision {
 /// let report = agent.report().unwrap();
 /// assert!(report.gpu_cap >= 8); // twice the 4 GPUs it has held
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolluxAgent {
     limits: BatchSizeLimits,
     adascale: AdaScale,

@@ -19,10 +19,9 @@
 //! extremely noisy.
 
 use pollux_models::GradientStats;
-use serde::{Deserialize, Serialize};
 
 /// Exponentially-weighted moving average with warm-up bias correction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     weighted_sum: f64,
@@ -73,7 +72,7 @@ impl Ewma {
 /// normalized to the job's initial batch size `m0` (i.e.
 /// `variance = S / m0`), matching the `φ_t = m0 σ²/µ²` convention of
 /// the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaGns {
     m0: u64,
     noise: Ewma,
@@ -170,7 +169,7 @@ impl ReplicaGns {
 /// Var[ĝ]  ≈ |ĝ(t) − ĝ(t−1)|² / 2         (noise of a batch-m gradient)
 /// µ²      ≈ ĝ(t) · ĝ(t−1)                 (noise cancels in expectation)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DifferencedGns {
     m0: u64,
     noise: Ewma,

@@ -7,18 +7,17 @@
 //! matter how long the job runs.
 
 use pollux_models::{FitObservation, FitPriors, PlacementShape};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregated iteration-time samples keyed by configuration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ThroughputProfiler {
     samples: BTreeMap<(PlacementShape, u64), SampleAgg>,
     max_gpus_seen: u32,
     max_nodes_seen: u32,
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct SampleAgg {
     sum: f64,
     count: u64,

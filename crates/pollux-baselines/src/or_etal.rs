@@ -25,10 +25,9 @@ use pollux_simulator::{
     AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll, StagedScheduler,
 };
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Or et al. autoscaler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrEtAlConfig {
     /// Minimum acceptable throughput-scaling efficiency
     /// `THROUGHPUT(K·g) / (K · THROUGHPUT(g))`.

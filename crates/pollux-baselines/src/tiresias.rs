@@ -22,10 +22,9 @@ use pollux_simulator::{
     AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll, StagedScheduler,
 };
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Tiresias configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TiresiasConfig {
     /// Attained-service threshold (GPU-seconds) splitting the two
     /// priority queues.

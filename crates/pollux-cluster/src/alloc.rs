@@ -8,7 +8,6 @@
 use crate::ids::NodeId;
 use crate::spec::ClusterSpec;
 use pollux_models::PlacementShape;
-use serde::{Deserialize, Serialize};
 
 /// A jobs × nodes GPU allocation matrix.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let shape = a.shape_of(1).unwrap();
 /// assert_eq!((shape.gpus, shape.nodes), (3, 2));
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct AllocationMatrix {
     num_jobs: usize,
     num_nodes: usize,
@@ -40,8 +39,8 @@ pub struct AllocationMatrix {
 
 /// The text `#[derive(Debug)]` rendered for the former
 /// `{ num_nodes, rows: Vec<Vec<u32>> }` layout, byte for byte — by
-/// deriving it on a view of that shape: the vendored serde serialises
-/// through `Debug`, and every golden digest covers this text.
+/// deriving it on a view of that shape: `SimResult::canonical_text`
+/// is `Debug` text, and every golden digest covers this rendering.
 impl std::fmt::Debug for AllocationMatrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         #[derive(Debug)]

@@ -1,11 +1,7 @@
 //! Strongly-typed identifiers for jobs and nodes.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a training job, stable across re-allocations.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct JobId(pub u32);
 
 impl std::fmt::Display for JobId {
@@ -15,9 +11,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// Identifier of a physical node (its column in the allocation matrix).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {

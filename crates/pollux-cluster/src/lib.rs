@@ -9,19 +9,16 @@
 //! - [`alloc::AllocationMatrix`] — the matrix with capacity checks,
 //!   placement-shape reduction, and the queries the genetic algorithm's
 //!   repair step needs;
-//! - [`rack::RackTopology`] / [`topology::Topology`] — node → rack
-//!   grouping for the rack-aware throughput model and the two-phase
+//! - [`topology::Topology`] — node → rack grouping for the two-phase
 //!   (rack, then GPU) placement search;
 //! - [`ids`] — strongly-typed job/node identifiers.
 
 pub mod alloc;
 pub mod ids;
-pub mod rack;
 pub mod spec;
 pub mod topology;
 
 pub use alloc::AllocationMatrix;
 pub use ids::{JobId, NodeId};
-pub use rack::RackTopology;
 pub use spec::{ClusterSpec, NodeSpec};
 pub use topology::Topology;

@@ -1,10 +1,9 @@
 //! Node inventory: how many GPUs each node offers.
 
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Specification of a single node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeSpec {
     /// Number of GPUs installed on this node (≥ 1).
     pub gpus: u32,
@@ -16,7 +15,7 @@ pub struct NodeSpec {
 /// simulator also uses 4-GPU nodes. Heterogeneous capacities are
 /// supported for the auto-scaling experiments, where nodes are added
 /// and removed dynamically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSpec {
     nodes: Vec<NodeSpec>,
 }

@@ -1,52 +1,53 @@
 //! Scheduling topology: racks as a partition of the cluster's nodes.
 //!
-//! [`crate::RackTopology`] answers the *model-side* question ("which
-//! racks does this placement row span?"); [`Topology`] answers the
-//! *scheduler-side* one: enumerate the racks themselves, with each
-//! rack's member nodes precomputed in ascending order, so a rack-aware
-//! optimizer can decompose a datacenter-scale placement problem into
-//! independent per-rack subproblems. A single-rack topology is the
-//! degenerate case in which that decomposition is exactly today's flat
-//! search — the golden-digest suites pin this.
+//! [`Topology`] enumerates the racks, with each rack's member nodes
+//! precomputed in ascending order, so a rack-aware optimizer can
+//! decompose a datacenter-scale placement problem into independent
+//! per-rack subproblems. A single-rack topology is the degenerate case
+//! in which that decomposition is exactly the flat search — the
+//! golden-digest suites pin this.
 
 use crate::ids::NodeId;
-use crate::rack::RackTopology;
-use serde::{Deserialize, Serialize};
 
 /// A partition of nodes into racks with per-rack member lists.
 ///
 /// Invariants: every node belongs to exactly one rack, rack indices
 /// are contiguous from 0, every rack is non-empty, and
 /// `nodes_in(r)` is ascending for every rack `r`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    assignment: RackTopology,
+    /// `rack_of[n]` is the rack index of node `n`.
+    rack_of: Vec<u32>,
     /// `racks[r]` lists the node indices of rack `r`, ascending.
     racks: Vec<Vec<u32>>,
 }
 
 impl Topology {
     /// Builds a topology from an explicit node → rack assignment.
-    /// Returns `None` under the same conditions as
-    /// [`RackTopology::new`] (empty assignment, non-contiguous racks).
+    ///
+    /// Returns `None` when the assignment is empty or rack indices are
+    /// not contiguous from 0 (every rack in `0..max+1` must own at
+    /// least one node).
     pub fn from_rack_of(rack_of: Vec<u32>) -> Option<Self> {
-        Self::from_assignment(RackTopology::new(rack_of)?)
-    }
-
-    /// Builds a topology from an existing rack assignment.
-    pub fn from_assignment(assignment: RackTopology) -> Option<Self> {
-        let mut racks = vec![Vec::new(); assignment.num_racks() as usize];
-        for n in 0..assignment.num_nodes() {
-            racks[assignment.rack_of(NodeId(n as u32)) as usize].push(n as u32);
+        let num_racks = rack_of.iter().max()? + 1;
+        let mut racks = vec![Vec::new(); num_racks as usize];
+        for (n, &r) in rack_of.iter().enumerate() {
+            racks[r as usize].push(n as u32);
         }
-        Some(Self { assignment, racks })
+        racks
+            .iter()
+            .all(|nodes| !nodes.is_empty())
+            .then_some(Self { rack_of, racks })
     }
 
     /// `num_nodes` nodes grouped into consecutive racks of
     /// `nodes_per_rack` (the last rack may be smaller). `None` when
     /// either count is zero.
     pub fn grouped(num_nodes: u32, nodes_per_rack: u32) -> Option<Self> {
-        Self::from_assignment(RackTopology::grouped(num_nodes, nodes_per_rack)?)
+        if nodes_per_rack == 0 {
+            return None;
+        }
+        Self::from_rack_of((0..num_nodes).map(|n| n / nodes_per_rack).collect())
     }
 
     /// The degenerate one-rack topology over `num_nodes` nodes.
@@ -56,32 +57,22 @@ impl Topology {
 
     /// Number of nodes covered by the topology.
     pub fn num_nodes(&self) -> usize {
-        self.assignment.num_nodes()
+        self.rack_of.len()
     }
 
     /// Number of racks.
     pub fn num_racks(&self) -> u32 {
-        self.assignment.num_racks()
-    }
-
-    /// Whether all nodes share one rack (the flat/degenerate case).
-    pub fn is_single_rack(&self) -> bool {
-        self.num_racks() == 1
+        self.racks.len() as u32
     }
 
     /// The rack of node `n`.
     pub fn rack_of(&self, n: NodeId) -> u32 {
-        self.assignment.rack_of(n)
+        self.rack_of[n.index()]
     }
 
     /// The nodes of rack `r`, ascending.
     pub fn nodes_in(&self, r: u32) -> &[u32] {
         &self.racks[r as usize]
-    }
-
-    /// The underlying node → rack assignment.
-    pub fn assignment(&self) -> &RackTopology {
-        &self.assignment
     }
 }
 
@@ -97,14 +88,14 @@ mod tests {
         assert_eq!(t.nodes_in(0), &[0, 1, 2, 3]);
         assert_eq!(t.nodes_in(1), &[4, 5, 6, 7]);
         assert_eq!(t.nodes_in(2), &[8, 9]);
-        assert!(!t.is_single_rack());
-        assert_eq!(t.rack_of(NodeId(5)), 1);
+        let racks = [0, 3, 4, 5, 9].map(|n| t.rack_of(NodeId(n)));
+        assert_eq!(racks, [0, 0, 1, 1, 2]);
     }
 
     #[test]
     fn single_rack_is_degenerate() {
         let t = Topology::single_rack(6).unwrap();
-        assert!(t.is_single_rack());
+        assert_eq!(t.num_racks(), 1);
         assert_eq!(t.nodes_in(0), &[0, 1, 2, 3, 4, 5]);
     }
 
@@ -113,14 +104,21 @@ mod tests {
         let t = Topology::from_rack_of(vec![1, 0, 1, 0]).unwrap();
         assert_eq!(t.nodes_in(0), &[1, 3]);
         assert_eq!(t.nodes_in(1), &[0, 2]);
+        assert_eq!(
+            Topology::from_rack_of(vec![0, 0, 1, 1]),
+            Topology::grouped(4, 2)
+        );
     }
 
     #[test]
     fn rejects_invalid_assignments() {
         assert!(Topology::from_rack_of(vec![]).is_none());
+        // Rack 1 missing: indices not contiguous.
         assert!(Topology::from_rack_of(vec![0, 2]).is_none());
+        assert!(Topology::from_rack_of(vec![0, 0, 2]).is_none());
         assert!(Topology::grouped(0, 4).is_none());
         assert!(Topology::grouped(4, 0).is_none());
+        assert!(Topology::single_rack(0).is_none());
     }
 
     #[test]

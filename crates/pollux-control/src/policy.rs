@@ -13,7 +13,6 @@ use pollux_models::BatchSizeLimits;
 use pollux_telemetry::Recorder;
 use pollux_workload::{ModelProfile, UserConfig};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Read-only per-job information exposed to policies.
 ///
@@ -71,7 +70,7 @@ impl PolicyJobView<'_> {
 /// *not* here: they are machine-dependent and flow through the
 /// telemetry sink instead (spans `sched/table_build` and
 /// `sched/ga_evolve`) — see DESIGN.md § Telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedIntervalSample {
     /// Simulation time of the interval (s).
     pub time: f64,

@@ -10,10 +10,9 @@ use pollux_sched::{
     WeightConfig,
 };
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the full Pollux policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolluxConfig {
     /// Scheduler settings (GA, weights, interval).
     pub sched: SchedConfig,

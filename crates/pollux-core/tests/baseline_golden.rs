@@ -20,16 +20,6 @@ use pollux_core::{run_trace, ConfigChoice};
 use pollux_simulator::{SchedulingPolicy, SimConfig};
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator};
 
-/// FNV-1a 64-bit digest; tiny, dependency-free, and stable.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// 64 staggered jobs drawn from the trace generator, work scaled down
 /// so a healthy fraction finishes inside the horizon.
 fn churn_trace_64() -> Vec<JobSpec> {
@@ -66,11 +56,7 @@ fn digest_of<P: SchedulingPolicy>(policy: P) -> u64 {
     };
     let result = run_trace(policy, &churn_trace_64(), ConfigChoice::Tuned, spec, sim)
         .expect("valid simulation inputs");
-    fnv1a64(
-        serde_json::to_string(&result)
-            .expect("SimResult serializes")
-            .as_bytes(),
-    )
+    result.digest()
 }
 
 /// Captured from the monolithic `Tiresias` (pre-decomposition) as
@@ -153,11 +139,7 @@ fn digests_are_unchanged_with_telemetry_attached() {
         )
         .expect("valid simulation inputs");
         assert!(!sink.is_empty(), "live recorder captured nothing");
-        fnv1a64(
-            serde_json::to_string(&result)
-                .expect("SimResult serializes")
-                .as_bytes(),
-        )
+        result.digest()
     };
 
     assert_eq!(

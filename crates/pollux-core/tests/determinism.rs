@@ -121,7 +121,7 @@ fn run_racked_sim(workers: usize) -> String {
         ..Default::default()
     };
     let result = pollux_core::run_trace(policy, &trace, ConfigChoice::Tuned, spec, sim).unwrap();
-    serde_json::to_string(&result).expect("SimResult serializes")
+    result.canonical_text()
 }
 
 /// A live telemetry recorder must not change a single byte of the
@@ -163,7 +163,7 @@ fn simulation_result_is_identical_with_telemetry_enabled() {
         } else {
             pollux_core::run_trace(policy, &trace, ConfigChoice::Tuned, spec, sim).unwrap()
         };
-        serde_json::to_string(&result).expect("SimResult serializes")
+        result.canonical_text()
     };
     let plain = run(false);
     let recorded = run(true);
@@ -230,7 +230,7 @@ fn macro_stepped_engine_matches_reference_with_pollux_policy() {
         } else {
             sim.run()
         };
-        serde_json::to_string(&result).expect("SimResult serializes")
+        result.canonical_text()
     };
     let macro_stepped = run(false);
     let reference = run(true);

@@ -17,19 +17,8 @@
 use pollux_cluster::ClusterSpec;
 use pollux_core::{ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux_sched::GaConfig;
-use pollux_simulator::SimConfig;
+use pollux_simulator::{SimConfig, SimResult};
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator};
-
-/// FNV-1a 64-bit digest; tiny, dependency-free, and stable (mirrors
-/// the simulator's macro_step suite).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn tiny_trace() -> Vec<JobSpec> {
     TraceGenerator::new(TraceConfig {
@@ -50,7 +39,7 @@ fn tiny_trace() -> Vec<JobSpec> {
     .collect()
 }
 
-fn run_sim(nodes: u32, nodes_per_rack: u32) -> String {
+fn run_sim(nodes: u32, nodes_per_rack: u32) -> SimResult {
     let mut c = PolluxConfig::default();
     c.sched.ga = GaConfig {
         population: 16,
@@ -66,8 +55,7 @@ fn run_sim(nodes: u32, nodes_per_rack: u32) -> String {
         nodes_per_rack,
         ..Default::default()
     };
-    let result = pollux_core::run_trace(policy, &trace, ConfigChoice::Tuned, spec, sim).unwrap();
-    serde_json::to_string(&result).expect("SimResult serializes")
+    pollux_core::run_trace(policy, &trace, ConfigChoice::Tuned, spec, sim).unwrap()
 }
 
 /// Single-rack topologies must be byte-identical to the flat run for
@@ -76,9 +64,9 @@ fn run_sim(nodes: u32, nodes_per_rack: u32) -> String {
 /// `nodes_per_rack = 64` saturates to one rack.
 #[test]
 fn single_rack_topology_is_byte_identical_to_flat() {
-    let flat = run_sim(4, 0);
+    let flat = run_sim(4, 0).canonical_text();
     for npr in [4u32, 64] {
-        let racked = run_sim(4, npr);
+        let racked = run_sim(4, npr).canonical_text();
         if flat != racked {
             let at = flat
                 .bytes()
@@ -167,7 +155,7 @@ const GOLDEN_FOUR_RACK: u64 = 0x86c8_77fc_678f_d2b2;
 
 #[test]
 fn golden_trajectory_four_racks() {
-    let d = fnv1a64(run_sim(8, 2).as_bytes());
+    let d = run_sim(8, 2).digest();
     assert_eq!(
         d, GOLDEN_FOUR_RACK,
         "the 4-rack Pollux trajectory drifted: 0x{d:016x}"
@@ -179,5 +167,8 @@ fn golden_trajectory_four_racks() {
 /// through phase 1 and the per-rack phase-2 searches).
 #[test]
 fn racked_run_is_repeatable() {
-    assert_eq!(run_sim(8, 2), run_sim(8, 2));
+    assert_eq!(
+        run_sim(8, 2).canonical_text(),
+        run_sim(8, 2).canonical_text()
+    );
 }

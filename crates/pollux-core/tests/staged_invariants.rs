@@ -197,18 +197,8 @@ fn churn_trace_16() -> Vec<JobSpec> {
         .collect()
 }
 
-/// FNV-1a 64-bit digest of the serialized result — tiny failure
-/// output instead of two multi-megabyte JSON strings.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Runs every zoo policy and digests each trajectory.
+/// Runs every zoo policy and digests each trajectory — tiny failure
+/// output instead of two multi-megabyte texts.
 fn run_all(trace: &[JobSpec], spec: &ClusterSpec) -> Vec<(String, u64)> {
     zoo()
         .into_iter()
@@ -222,8 +212,7 @@ fn run_all(trace: &[JobSpec], spec: &ClusterSpec) -> Vec<(String, u64)> {
             let name = policy.name().to_string();
             let res = run_trace(policy, trace, ConfigChoice::Tuned, spec.clone(), sim)
                 .expect("valid simulation inputs");
-            let bytes = serde_json::to_string(&res).expect("SimResult serializes");
-            (name, fnv1a64(bytes.as_bytes()))
+            (name, res.digest())
         })
         .collect()
 }

@@ -23,10 +23,9 @@ use pollux_simulator::SimConfig;
 use pollux_workload::{ModelKind, TraceConfig, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Result of the overlap-model ablation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverlapAblation {
     /// Held-out relative throughput error with learnable γ.
     pub gamma_free: f64,
@@ -97,7 +96,7 @@ pub fn overlap_ablation(seed: u64) -> OverlapAblation {
 }
 
 /// One restart-penalty ablation row.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RestartPenaltyPoint {
     /// The penalty value.
     pub penalty: f64,
@@ -142,7 +141,7 @@ pub fn restart_penalty_ablation(seed: u64) -> Vec<RestartPenaltyPoint> {
                 ConfigChoice::Tuned,
                 spec.clone(),
                 sim,
-                crate::common::capture_recorder(),
+                crate::common::recorder(),
             )
             .expect("valid inputs");
             RestartPenaltyPoint {
@@ -155,7 +154,7 @@ pub fn restart_penalty_ablation(seed: u64) -> Vec<RestartPenaltyPoint> {
 }
 
 /// Result of the allocation-search ablation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SearchAblation {
     /// Best fitness found by the genetic algorithm.
     pub ga_fitness: f64,
@@ -249,7 +248,7 @@ pub fn search_ablation(seed: u64) -> SearchAblation {
 }
 
 /// Result of the co-adaptation ablation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoAdaptationAblation {
     /// Avg JCT with full co-adaptation (hours).
     pub pollux_jct_hours: f64,
@@ -295,7 +294,7 @@ pub fn coadaptation_ablation(seed: u64) -> CoAdaptationAblation {
             ConfigChoice::Tuned,
             spec.clone(),
             sim,
-            crate::common::capture_recorder(),
+            crate::common::recorder(),
         )
         .expect("valid inputs")
     };
@@ -310,7 +309,7 @@ pub fn coadaptation_ablation(seed: u64) -> CoAdaptationAblation {
 }
 
 /// Combined ablation report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationResult {
     /// γ-norm overlap-model ablation.
     pub overlap: OverlapAblation,

@@ -17,9 +17,12 @@
 //! - `--imagenet-scale F`: fraction of the full ImageNet job `fig10`
 //!   runs, 0.01–1.0 (default 0.25).
 //!
-//! Telemetry follows the process-wide `POLLUX_TELEMETRY_OUT` capture
-//! like every other experiment driver.
+//! Telemetry follows the process-wide `POLLUX_TELEMETRY_OUT` /
+//! `POLLUX_CHROME_TRACE` capture like every other experiment driver.
 
+use pollux_experiments::common::{
+    capture_recorder, dump_timeline_artifacts, exit_on_capture_error,
+};
 use pollux_experiments::ext_accum::{self, ModelKind};
 use pollux_experiments::{
     ablations, fidelity, fig1, fig10, fig2, fig3, fig6, fig7, fig8, fig9, table2, table3,
@@ -200,10 +203,12 @@ fn main() {
     if selected.is_empty() {
         fail(format_args!("no experiment named"));
     }
+    exit_on_capture_error(capture_recorder());
     for e in selected {
         println!("==============================================================");
         println!("Pollux reproduction: {}", e.banner);
         println!("==============================================================");
         (e.run)(&settings);
     }
+    exit_on_capture_error(dump_timeline_artifacts());
 }

@@ -29,7 +29,9 @@
 //! `POLLUX_TELEMETRY_OUT` capture like every other experiment driver.
 
 use pollux_core::ConfigChoice;
-use pollux_experiments::common::render_table;
+use pollux_experiments::common::{
+    capture_recorder, dump_timeline_artifacts, exit_on_capture_error, render_table,
+};
 use pollux_experiments::zoo::{self, ZooOptions};
 use pollux_telemetry::{chrome, Event, JsonlSink, Recorder};
 use std::path::{Path, PathBuf};
@@ -140,6 +142,7 @@ fn main() {
         return;
     }
 
+    exit_on_capture_error(capture_recorder());
     if let Some(dir) = &trace_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --trace-dir {dir:?}: {e}");
@@ -182,4 +185,5 @@ fn main() {
         }
         eprintln!("json: {path:?}");
     }
+    exit_on_capture_error(dump_timeline_artifacts());
 }

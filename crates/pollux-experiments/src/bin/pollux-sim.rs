@@ -14,20 +14,23 @@
 //!   summarize it with `telemetry_report`. `/dev/stderr` streams the
 //!   events while the simulation runs.
 //! - `POLLUX_JSON_OUT=<path>` — also dump the full `SimResult` (per-job
-//!   records, cluster series, allocation timeline) as JSON per policy,
-//!   to `<path>.<policy>.json`.
+//!   records, cluster series, allocation timeline) as pretty `Debug`
+//!   text per policy, to `<path>.<policy>.json`.
 //! - `POLLUX_TRACE_OUT=<path>` — save the generated workload trace as
-//!   JSON (reusable input for custom drivers).
+//!   pretty `Debug` text, once, before the first run.
 //! - `POLLUX_CHROME_TRACE=<path>` — after all runs, export the
 //!   telemetry capture as a Chrome trace (requires
 //!   `POLLUX_TELEMETRY_OUT`); open it in <https://ui.perfetto.dev>.
 
 use pollux_cluster::ClusterSpec;
 use pollux_core::{run_trace_recorded, ConfigChoice};
-use pollux_experiments::common::{capture_recorder, dump_timeline_artifacts};
+use pollux_experiments::common::{
+    capture_recorder, dump_timeline_artifacts, exit_on_capture_error,
+};
 use pollux_experiments::zoo;
 use pollux_simulator::SimConfig;
-use pollux_workload::{TraceConfig, TraceGenerator};
+use pollux_telemetry::Recorder;
+use pollux_workload::{JobSpec, TraceConfig, TraceGenerator};
 use std::time::Instant;
 
 /// Writes an output file the environment asked for. The path is user
@@ -47,56 +50,28 @@ const POLICIES: [(&str, &str); 3] = [
     ("pollux", "pollux"),
 ];
 
-fn run_one(name: &str, zoo_name: &str, seed: u64) {
+fn run_one(name: &str, zoo_name: &str, trace: &[JobSpec], seed: u64, recorder: Recorder) {
     let policy = zoo::lookup(zoo_name)
         .expect("the paper's policies are registered")
         .build()
         .into_policy();
-    let mut trace_cfg = TraceConfig {
-        seed,
-        ..Default::default()
-    };
-    if let Ok(jobs) = std::env::var("POLLUX_SIM_JOBS") {
-        match jobs.parse() {
-            Ok(n) if n > 0 => trace_cfg.num_jobs = n,
-            _ => {
-                eprintln!("invalid POLLUX_SIM_JOBS {jobs:?}; expected a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
-    let trace = TraceGenerator::new(trace_cfg)
-        .expect("valid trace config")
-        .generate();
     let spec = ClusterSpec::homogeneous(16, 4).expect("valid cluster");
     let sim = SimConfig {
         max_sim_time: 96.0 * 3600.0,
         seed,
         ..Default::default()
     };
-    if let Ok(path) = std::env::var("POLLUX_TRACE_OUT") {
-        let json = serde_json::to_string_pretty(&trace).expect("trace serializes");
-        write_or_exit(&path, json);
-    }
     let t0 = Instant::now();
-    let res = run_trace_recorded(
-        policy,
-        &trace,
-        ConfigChoice::Tuned,
-        spec,
-        sim,
-        capture_recorder(),
-    )
-    .expect("valid simulation inputs");
+    let res = run_trace_recorded(policy, trace, ConfigChoice::Tuned, spec, sim, recorder)
+        .expect("valid simulation inputs");
     if let Ok(path) = std::env::var("POLLUX_JSON_OUT") {
-        let json = serde_json::to_string_pretty(&res).expect("result serializes");
-        write_or_exit(&format!("{path}.{name}.json"), json);
+        write_or_exit(&format!("{path}.{name}.json"), format!("{res:#?}"));
     }
     let s = res.summary();
     let h = |v: Option<f64>| v.unwrap_or(0.0) / 3600.0;
     println!(
         "{name:<10} wall {:>8.2?}  jobs {}  unfinished {}  avg JCT {:.2}h  p99 {:.1}h  \
-         makespan {:.1}h  stat-eff {:.1}%",
+         makespan {:.1}h  stat-eff {:.1}%  digest {:016x}",
         t0.elapsed(),
         res.records.len(),
         res.unfinished(),
@@ -104,6 +79,7 @@ fn run_one(name: &str, zoo_name: &str, seed: u64) {
         h(s.p99_jct),
         res.makespan() / 3600.0,
         res.avg_cluster_efficiency().unwrap_or(0.0) * 100.0,
+        res.digest(),
     );
     println!(
         "{:<10} JCT p50/p95/p99 {:.2}/{:.2}/{:.2}h  wait avg {:.2}h p50/p95/p99 \
@@ -136,10 +112,30 @@ fn main() {
         eprintln!("usage: pollux-sim [pollux|optimus|tiresias|all] [seed]");
         std::process::exit(2);
     }
-    for (name, zoo_name) in POLICIES {
-        if which == "all" || which == name {
-            run_one(name, zoo_name, seed);
+    let recorder = exit_on_capture_error(capture_recorder());
+    let mut trace_cfg = TraceConfig {
+        seed,
+        ..Default::default()
+    };
+    if let Ok(jobs) = std::env::var("POLLUX_SIM_JOBS") {
+        match jobs.parse() {
+            Ok(n) if n > 0 => trace_cfg.num_jobs = n,
+            _ => {
+                eprintln!("invalid POLLUX_SIM_JOBS {jobs:?}; expected a positive integer");
+                std::process::exit(2);
+            }
         }
     }
-    dump_timeline_artifacts();
+    let trace = TraceGenerator::new(trace_cfg)
+        .expect("valid trace config")
+        .generate();
+    if let Ok(path) = std::env::var("POLLUX_TRACE_OUT") {
+        write_or_exit(&path, format!("{trace:#?}"));
+    }
+    for (name, zoo_name) in POLICIES {
+        if which == "all" || which == name {
+            run_one(name, zoo_name, &trace, seed, recorder.clone());
+        }
+    }
+    exit_on_capture_error(dump_timeline_artifacts());
 }

@@ -6,6 +6,7 @@ use pollux_sched::GaConfig;
 use pollux_simulator::SimConfig;
 use pollux_telemetry::{chrome, Event, JsonlSink, Recorder};
 use pollux_workload::{JobSpec, TraceConfig, TraceGenerator};
+use std::ffi::{OsStr, OsString};
 use std::sync::{Arc, OnceLock};
 
 /// The paper's testbed: 16 nodes × 4 Tesla T4 GPUs (Sec. 5.1).
@@ -45,66 +46,135 @@ pub fn evaluation_trace(i: u64, load: f64) -> Vec<JobSpec> {
     .generate()
 }
 
-/// The process-wide experiment recorder. When `POLLUX_TELEMETRY_OUT`
-/// names a file, telemetry from every simulation run through the
-/// experiment drivers is captured there as JSONL (summarize it with
-/// the `telemetry_report` bin); otherwise recording is disabled and
-/// every call site degrades to a no-op. The decision is made once per
-/// process so sweeps over many traces append into one capture.
-pub fn capture_recorder() -> Recorder {
-    static RECORDER: OnceLock<Recorder> = OnceLock::new();
-    RECORDER
-        .get_or_init(|| match std::env::var_os("POLLUX_TELEMETRY_OUT") {
-            Some(path) => match JsonlSink::create(&path) {
-                Ok(sink) => Recorder::new(Arc::new(sink)),
-                Err(e) => {
-                    eprintln!("POLLUX_TELEMETRY_OUT {path:?} not writable ({e}); telemetry off");
-                    Recorder::disabled()
-                }
-            },
-            None => Recorder::disabled(),
-        })
-        .clone()
+/// A capture setting the process cannot honour. The environment is
+/// user input: the binaries print this on one line and exit 2 before
+/// simulating anything.
+#[derive(Debug)]
+pub enum CaptureError {
+    /// The file `var` names cannot be written (or, for the capture a
+    /// Chrome trace is exported from, read back).
+    Io {
+        /// The environment variable that named the file.
+        var: &'static str,
+        /// Its value.
+        path: OsString,
+        /// What the file system said.
+        source: std::io::Error,
+    },
+    /// `POLLUX_CHROME_TRACE` is set and `POLLUX_TELEMETRY_OUT` is not:
+    /// there is no capture to export.
+    ChromeTraceWithoutCapture,
+}
+
+impl std::fmt::Display for CaptureError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Io { var, path, source } => write!(f, "{var} {path:?} is unusable: {source}"),
+            Self::ChromeTraceWithoutCapture => {
+                f.write_str("POLLUX_CHROME_TRACE is set but POLLUX_TELEMETRY_OUT is not")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CaptureError {}
+
+impl CaptureError {
+    fn io<'a>(var: &'static str, path: &'a OsStr) -> impl FnOnce(std::io::Error) -> Self + 'a {
+        move |source| Self::Io {
+            var,
+            path: path.to_owned(),
+            source,
+        }
+    }
+}
+
+const TELEMETRY_OUT: &str = "POLLUX_TELEMETRY_OUT";
+const CHROME_TRACE: &str = "POLLUX_CHROME_TRACE";
+
+static CAPTURE: OnceLock<Recorder> = OnceLock::new();
+
+/// Opens the process-wide capture the environment asks for, once. When
+/// `POLLUX_TELEMETRY_OUT` names a file, telemetry from every simulation
+/// run through the experiment drivers is captured there as JSONL
+/// (summarize it with the `telemetry-report` bin), so sweeps over many
+/// traces append into one capture; unset, the recorder is disabled and
+/// every call site is a no-op. Binaries call this before simulating
+/// anything; the drivers then record through what it opened.
+///
+/// # Errors
+///
+/// [`CaptureError`] when either output path cannot be created, or
+/// `POLLUX_CHROME_TRACE` is set without a capture to export.
+pub fn capture_recorder() -> Result<Recorder, CaptureError> {
+    if let Some(recorder) = CAPTURE.get() {
+        return Ok(recorder.clone());
+    }
+    let capture = std::env::var_os(TELEMETRY_OUT);
+    if let Some(out) = std::env::var_os(CHROME_TRACE) {
+        if capture.is_none() {
+            return Err(CaptureError::ChromeTraceWithoutCapture);
+        }
+        std::fs::File::create(&out).map_err(CaptureError::io(CHROME_TRACE, &out))?;
+    }
+    let recorder = match capture {
+        Some(path) => {
+            let sink = JsonlSink::create(&path).map_err(CaptureError::io(TELEMETRY_OUT, &path))?;
+            Recorder::new(Arc::new(sink))
+        }
+        None => Recorder::disabled(),
+    };
+    Ok(CAPTURE.get_or_init(|| recorder).clone())
+}
+
+/// The recorder [`capture_recorder`] opened; disabled in a process
+/// that never opened one.
+pub(crate) fn recorder() -> Recorder {
+    CAPTURE.get().cloned().unwrap_or_default()
+}
+
+/// Unwraps a capture result, or prints the error on one line and exits
+/// with status 2.
+pub fn exit_on_capture_error<T>(result: Result<T, CaptureError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Dumps end-of-run timeline artifacts from the process capture.
 ///
 /// When `POLLUX_CHROME_TRACE` names an output file, the JSONL capture
-/// written via [`capture_recorder`] (so `POLLUX_TELEMETRY_OUT` must
-/// also be set) is flushed, re-read, and exported as a Chrome trace —
-/// per-node placement slices, goodput/queue counter tracks, restart
-/// instants — loadable in Perfetto or `chrome://tracing`. Call this
-/// once, after every simulation in the process has finished; it is a
-/// no-op when the variable is unset.
-pub fn dump_timeline_artifacts() {
-    let Some(out) = std::env::var_os("POLLUX_CHROME_TRACE") else {
-        return;
+/// written via [`capture_recorder`] is flushed, re-read, and exported
+/// as a Chrome trace — per-node placement slices, goodput/queue counter
+/// tracks, restart instants — loadable in Perfetto or
+/// `chrome://tracing`. Call this once, after every simulation in the
+/// process has finished; it is a no-op when the variable is unset.
+///
+/// # Errors
+///
+/// [`CaptureError`] when the capture cannot be read back or the trace
+/// cannot be written.
+pub fn dump_timeline_artifacts() -> Result<(), CaptureError> {
+    let Some(out) = std::env::var_os(CHROME_TRACE) else {
+        return Ok(());
     };
-    let Some(capture) = std::env::var_os("POLLUX_TELEMETRY_OUT") else {
-        eprintln!("POLLUX_CHROME_TRACE is set but POLLUX_TELEMETRY_OUT is not; nothing captured");
-        return;
-    };
-    capture_recorder().flush();
-    let text = match std::fs::read_to_string(&capture) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read capture {capture:?}: {e}");
-            return;
-        }
-    };
+    let capture = std::env::var_os(TELEMETRY_OUT).ok_or(CaptureError::ChromeTraceWithoutCapture)?;
+    recorder().flush();
+    let text =
+        std::fs::read_to_string(&capture).map_err(CaptureError::io(TELEMETRY_OUT, &capture))?;
     let events: Vec<Event> = text
         .lines()
         .filter(|l| !l.trim().is_empty())
         .filter_map(Event::parse_jsonl)
         .collect();
     let (trace, stats) = chrome::export_with_stats(&events);
-    match std::fs::write(&out, &trace) {
-        Ok(()) => eprintln!(
-            "chrome trace: {out:?} ({} slices, {} counter samples, {} instants)",
-            stats.slices, stats.counters, stats.instants
-        ),
-        Err(e) => eprintln!("cannot write chrome trace {out:?}: {e}"),
-    }
+    std::fs::write(&out, &trace).map_err(CaptureError::io(CHROME_TRACE, &out))?;
+    eprintln!(
+        "chrome trace: {out:?} ({} slices, {} counter samples, {} instants)",
+        stats.slices, stats.counters, stats.instants
+    );
+    Ok(())
 }
 
 /// Mean of a slice (None when empty).

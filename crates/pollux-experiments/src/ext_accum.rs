@@ -15,10 +15,9 @@
 use crate::common::render_table;
 use pollux_models::{AccumulatedGoodput, EfficiencyModel, GoodputModel, PlacementShape};
 pub use pollux_workload::ModelKind;
-use serde::{Deserialize, Serialize};
 
 /// One progress point of the sweep.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AccumPoint {
     /// Normalized training progress.
     pub progress: f64,
@@ -37,7 +36,7 @@ pub struct AccumPoint {
 }
 
 /// The full extension-experiment result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccumResult {
     /// Model profile used.
     pub model: String,

@@ -7,10 +7,9 @@
 //! factors from a [`crate::table2`] run.
 
 use crate::table2::{Policy, Table2Result};
-use serde::{Deserialize, Serialize};
 
 /// JCT-reduction factors relative to the baselines.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FidelityResult {
     /// Avg-JCT reduction vs Optimus+Oracle (paper simulation: 0.26).
     pub reduction_vs_optimus: f64,

@@ -9,10 +9,9 @@
 use crate::common::render_table;
 use pollux_models::{EfficiencyModel, GoodputModel, PlacementShape};
 use pollux_workload::ModelKind;
-use serde::{Deserialize, Serialize};
 
 /// One Fig 1a series point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThroughputPoint {
     /// GPUs allocated (packed onto 4-GPU nodes).
     pub gpus: u32,
@@ -23,7 +22,7 @@ pub struct ThroughputPoint {
 }
 
 /// One Fig 1b series point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BestBatchPoint {
     /// GPUs allocated.
     pub gpus: u32,
@@ -34,7 +33,7 @@ pub struct BestBatchPoint {
 }
 
 /// The full Fig 1 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1Result {
     /// Fig 1a series.
     pub throughput: Vec<ThroughputPoint>,

@@ -15,10 +15,9 @@ use pollux_core::{run_trace_recorded, ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux_sched::{AutoscaleConfig, GaConfig};
 use pollux_simulator::{SimConfig, SimResult};
 use pollux_workload::{JobSpec, ModelKind, UserConfig};
-use serde::{Deserialize, Serialize};
 
 /// One time-series sample.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScalePoint {
     /// Simulation time (s).
     pub time: f64,
@@ -29,7 +28,7 @@ pub struct ScalePoint {
 }
 
 /// One autoscaler's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AutoscaleOutcome {
     /// Policy name.
     pub policy: String,
@@ -44,7 +43,7 @@ pub struct AutoscaleOutcome {
 }
 
 /// The full Fig 10 comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Result {
     /// Goodput-based (Pollux) outcome.
     pub pollux: AutoscaleOutcome,
@@ -147,7 +146,7 @@ pub fn run(work_scale: f64, max_nodes: u32) -> Fig10Result {
                 ConfigChoice::Tuned,
                 start.clone(),
                 sim,
-                crate::common::capture_recorder(),
+                crate::common::recorder(),
             )
             .expect("valid inputs"),
         )
@@ -166,7 +165,7 @@ pub fn run(work_scale: f64, max_nodes: u32) -> Fig10Result {
                 ConfigChoice::Tuned,
                 start,
                 sim,
-                crate::common::capture_recorder(),
+                crate::common::recorder(),
             )
             .expect("valid inputs"),
         )

@@ -14,10 +14,9 @@ use crate::common::render_table;
 use pollux_models::EfficiencyModel;
 use pollux_trainer::{AdaptiveTrainer, Dataset, LinearModel, TrainerConfig};
 use pollux_workload::ModelKind;
-use serde::{Deserialize, Serialize};
 
 /// One Fig 2a series point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EfficiencyPoint {
     /// Statistical epoch (0–90, ImageNet convention).
     pub epoch: f64,
@@ -28,7 +27,7 @@ pub struct EfficiencyPoint {
 }
 
 /// One Fig 2b comparison point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PredictionPoint {
     /// Batch size.
     pub batch_size: u64,
@@ -39,7 +38,7 @@ pub struct PredictionPoint {
 }
 
 /// The full Fig 2 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Result {
     /// Fig 2a series (profile-driven).
     pub trajectory: Vec<EfficiencyPoint>,

@@ -13,10 +13,9 @@ use pollux_models::{fit_throughput_params, FitObservation, FitPriors, PlacementS
 use pollux_workload::ModelKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One actual-vs-model comparison point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FitPoint {
     /// The varied quantity (nodes for Fig 3a, batch size for Fig 3b).
     pub x: u64,
@@ -27,7 +26,7 @@ pub struct FitPoint {
 }
 
 /// The full Fig 3 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// Fig 3a: throughput vs nodes (1 GPU per node, batch 2048).
     pub vs_nodes: Vec<FitPoint>,

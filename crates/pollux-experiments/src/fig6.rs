@@ -7,10 +7,9 @@
 
 use crate::common::render_table;
 use pollux_workload::{TraceConfig, TraceGenerator};
-use serde::{Deserialize, Serialize};
 
 /// The Fig 6 reproduction: submissions per hour, averaged over traces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// Mean submissions in each of the 8 window hours.
     pub hourly: Vec<f64>,

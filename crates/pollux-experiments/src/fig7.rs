@@ -8,10 +8,9 @@
 use crate::common::{mean, render_table};
 use crate::table2::{run_one, Policy, Table2Options};
 use pollux_core::ConfigChoice;
-use serde::{Deserialize, Serialize};
 
 /// One sweep point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Point {
     /// Fraction of user-configured jobs.
     pub user_fraction: f64,
@@ -22,7 +21,7 @@ pub struct Fig7Point {
 }
 
 /// The full Fig 7 sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// Sweep points at 0, 1/3, 2/3, 1.
     pub points: Vec<Fig7Point>,

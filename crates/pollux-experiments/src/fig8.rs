@@ -7,10 +7,9 @@
 use crate::common::{mean, render_table};
 use crate::sweep::sweep;
 use crate::table2::{run_one, Policy, Table2Options};
-use serde::{Deserialize, Serialize};
 
 /// One sweep point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Point {
     /// Load multiplier (relative job submission count).
     pub load: f64,
@@ -19,7 +18,7 @@ pub struct Fig8Point {
 }
 
 /// The full Fig 8 sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// Sweep points at 0.5×, 1×, 1.5×, 2×.
     pub points: Vec<Fig8Point>,

@@ -8,10 +8,9 @@
 
 use crate::common::{mean, render_table};
 use crate::table2::{run_one, Policy, Table2Options};
-use serde::{Deserialize, Serialize};
 
 /// One slowdown × avoidance cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Point {
     /// Injected slowdown fraction.
     pub slowdown: f64,
@@ -22,7 +21,7 @@ pub struct Fig9Point {
 }
 
 /// The full Fig 9 sweep (Pollux only, like the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// Points at slowdown 0, 0.25, 0.5.
     pub points: Vec<Fig9Point>,

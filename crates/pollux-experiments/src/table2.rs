@@ -3,17 +3,15 @@
 //! (statistical efficiency, throughput and goodput factors).
 
 use crate::common::{
-    capture_recorder, evaluation_trace, experiment_ga, experiment_sim, mean, render_table,
-    testbed_cluster,
+    evaluation_trace, experiment_ga, experiment_sim, mean, recorder, render_table, testbed_cluster,
 };
 use crate::sweep::sweep;
 use pollux_baselines::{optimus, tiresias, TiresiasConfig};
 use pollux_core::{run_trace_recorded, ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux_simulator::{SchedulingPolicy, SimResult};
-use serde::{Deserialize, Serialize};
 
 /// Which scheduler to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// Pollux (co-adaptive).
     Pollux,
@@ -39,7 +37,7 @@ impl Policy {
 }
 
 /// Aggregated per-policy results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyOutcome {
     /// Which policy.
     pub policy: Policy,
@@ -60,7 +58,7 @@ pub struct PolicyOutcome {
 }
 
 /// The full Table-2 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Result {
     /// One outcome per policy, in `Policy::ALL` order.
     pub outcomes: Vec<PolicyOutcome>,
@@ -125,7 +123,7 @@ pub fn run_one(policy: Policy, trace_idx: u64, opts: &Table2Options) -> SimResul
         opts.choice,
         testbed_cluster(),
         sim,
-        capture_recorder(),
+        recorder(),
     )
     .expect("valid simulation inputs")
 }

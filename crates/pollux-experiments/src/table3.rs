@@ -7,10 +7,9 @@
 use crate::common::{mean, render_table};
 use crate::sweep::sweep;
 use crate::table2::{run_one, Policy, Table2Options};
-use serde::{Deserialize, Serialize};
 
 /// One λ row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Decay exponent λ.
     pub lambda: f64,
@@ -23,7 +22,7 @@ pub struct Table3Row {
 }
 
 /// The full Table 3 reproduction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Result {
     /// Rows for λ = 0, 0.5, 1.0.
     pub rows: Vec<Table3Row>,

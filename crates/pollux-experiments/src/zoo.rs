@@ -24,7 +24,6 @@ use pollux_core::{run_trace_recorded, ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux_simulator::{SchedulingPolicy, SimResult, StagedScheduler};
 use pollux_telemetry::Recorder;
 use pollux_workload::{JobSpec, TraceConfig, TraceGenerator};
-use serde::{Deserialize, Serialize};
 
 /// A freshly-built zoo policy: either the Pollux GA scheduler on its
 /// direct [`SchedulingPolicy`] implementation, or a staged
@@ -204,7 +203,7 @@ impl Default for ZooOptions {
 }
 
 /// One policy's row of the head-to-head table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZooRow {
     /// Registry name.
     pub policy: String,
@@ -233,7 +232,7 @@ pub struct ZooRow {
 }
 
 /// The full head-to-head result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ZooResult {
     /// One row per policy, in request (or registry) order.
     pub rows: Vec<ZooRow>,
@@ -244,11 +243,10 @@ pub struct ZooResult {
 }
 
 impl ZooResult {
-    /// Renders the result as *real* JSON (the vendored `serde_json`
-    /// stub emits `Debug` text, so machine-readable dumps are
-    /// hand-rolled here, like the telemetry JSONL codec and the
-    /// Chrome exporter). The row schema is pinned by the CI zoo
-    /// smoke, which parses this output with Python's `json`.
+    /// Renders the result as JSON, hand-rolled on the telemetry
+    /// codec's encoders like the JSONL capture and the Chrome
+    /// exporter. The row schema is pinned by the CI zoo smoke, which
+    /// parses this output with Python's `json`.
     pub fn to_json(&self) -> String {
         use pollux_telemetry::json::{write_f64, write_str};
         let mut out = String::with_capacity(256 * self.rows.len() + 64);
@@ -396,7 +394,7 @@ pub fn resolve(opts: &ZooOptions) -> Result<Vec<&'static ZooEntry>, UnknownPolic
 /// [`UnknownPolicy`] when `opts.policies` names an unregistered
 /// policy.
 pub fn run(opts: &ZooOptions) -> Result<ZooResult, UnknownPolicy> {
-    run_with_recorder(opts, |_| crate::common::capture_recorder())
+    run_with_recorder(opts, |_| crate::common::recorder())
 }
 
 /// [`run`] with a caller-supplied recorder per policy, so each policy's

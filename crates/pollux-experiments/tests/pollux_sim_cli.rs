@@ -1,19 +1,45 @@
 //! `pollux-sim` treats its environment as user input: an output path
 //! it cannot write is one line on stderr and exit status 2, never a
-//! panic. Live event streaming is the one capture path pointed at
-//! `/dev/stderr`.
+//! panic or a run that quietly goes without. Live event streaming is
+//! the one capture path pointed at `/dev/stderr`.
 
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+const UNWRITABLE: &str = "/nonexistent-dir/pollux-sim-out";
+
+/// A two-job `pollux-sim` run with the given extra environment.
+fn pollux_sim(args: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pollux-sim"))
+        .args(args)
+        .env("POLLUX_SIM_JOBS", "2")
+        .envs(env.iter().copied())
+        .output()
+        .expect("pollux-sim runs")
+}
+
+/// A scratch file of this test binary's own, under cargo's target
+/// directory, removed if a previous run left it.
+fn scratch(name: &str) -> PathBuf {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// The `digest` column of each summary line of a successful run.
+fn digests(out: &Output) -> Vec<String> {
+    assert!(out.status.success(), "{out:?}");
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|line| line.split("digest ").nth(1))
+        .map(|d| d.trim().to_string())
+        .collect()
+}
 
 #[test]
 fn unwritable_output_paths_exit_2_with_one_line() {
     for var in ["POLLUX_TRACE_OUT", "POLLUX_JSON_OUT"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_pollux-sim"))
-            .args(["tiresias", "1"])
-            .env("POLLUX_SIM_JOBS", "2")
-            .env(var, "/nonexistent-dir/pollux-sim-out")
-            .output()
-            .expect("pollux-sim runs");
+        let out = pollux_sim(&["tiresias", "1"], &[(var, UNWRITABLE)]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{var}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{var}: {stderr}");
@@ -26,12 +52,10 @@ fn unwritable_output_paths_exit_2_with_one_line() {
 
 #[test]
 fn telemetry_out_dev_stderr_streams_parseable_jsonl() {
-    let out = Command::new(env!("CARGO_BIN_EXE_pollux-sim"))
-        .args(["tiresias", "1"])
-        .env("POLLUX_SIM_JOBS", "2")
-        .env("POLLUX_TELEMETRY_OUT", "/dev/stderr")
-        .output()
-        .expect("pollux-sim runs");
+    let out = pollux_sim(
+        &["tiresias", "1"],
+        &[("POLLUX_TELEMETRY_OUT", "/dev/stderr")],
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.lines().count() > 0, "no events streamed");
@@ -41,4 +65,83 @@ fn telemetry_out_dev_stderr_streams_parseable_jsonl() {
             "not a telemetry event: {line}"
         );
     }
+}
+
+/// A capture the process cannot open is refused before anything is
+/// simulated — by every binary that reads the capture settings.
+#[test]
+fn unusable_capture_settings_exit_2_before_simulating() {
+    let capture = scratch("refused-capture.jsonl");
+    let capture = capture.to_str().unwrap();
+    let cases: [(&str, &[(&str, &str)]); 3] = [
+        (
+            "POLLUX_TELEMETRY_OUT",
+            &[("POLLUX_TELEMETRY_OUT", UNWRITABLE)],
+        ),
+        (
+            "POLLUX_CHROME_TRACE",
+            &[
+                ("POLLUX_TELEMETRY_OUT", capture),
+                ("POLLUX_CHROME_TRACE", UNWRITABLE),
+            ],
+        ),
+        (
+            "POLLUX_CHROME_TRACE is set but POLLUX_TELEMETRY_OUT is not",
+            &[("POLLUX_CHROME_TRACE", "unused-trace.json")],
+        ),
+    ];
+    let bins: [(&str, &[&str]); 3] = [
+        (env!("CARGO_BIN_EXE_pollux-sim"), &["tiresias", "1"]),
+        (
+            env!("CARGO_BIN_EXE_policy-zoo"),
+            &["--traces", "1", "--jobs", "2"],
+        ),
+        (env!("CARGO_BIN_EXE_experiments"), &["fig6"]),
+    ];
+    for (bin, args) in bins {
+        for (names, env) in cases {
+            let out = Command::new(bin)
+                .args(args)
+                .env("POLLUX_SIM_JOBS", "2")
+                .env_remove("POLLUX_TELEMETRY_OUT")
+                .env_remove("POLLUX_CHROME_TRACE")
+                .envs(env.iter().copied())
+                .output()
+                .expect("the binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {names}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{bin} {names}: {stderr}");
+            assert!(stderr.contains(names), "{bin} {names}: {stderr}");
+            assert!(out.stdout.is_empty(), "{bin} {names}: something ran");
+        }
+    }
+}
+
+/// `pollux-sim all` writes the trace once, before the first policy
+/// runs: it is there even when a later output path stops the run.
+#[test]
+fn the_trace_is_dumped_once_before_the_first_run() {
+    let trace = scratch("trace-before-first-run.txt");
+    let out = pollux_sim(
+        &["all", "1"],
+        &[
+            ("POLLUX_TRACE_OUT", trace.to_str().unwrap()),
+            ("POLLUX_JSON_OUT", UNWRITABLE),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "no policy got to its summary line");
+    let text = std::fs::read_to_string(&trace).expect("the trace was written");
+    assert!(text.starts_with('['), "a pretty-Debug job list: {text}");
+}
+
+/// The summary line's digest answers "did these two runs diverge":
+/// equal for equal inputs, different for a different seed.
+#[test]
+fn the_summary_line_carries_the_result_digest() {
+    let first = digests(&pollux_sim(&["tiresias", "1"], &[]));
+    assert_eq!(first.len(), 1, "one summary line, one digest");
+    assert_eq!(first[0].len(), 16, "sixteen hex digits: {first:?}");
+    assert_eq!(first, digests(&pollux_sim(&["tiresias", "1"], &[])));
+    assert_ne!(first, digests(&pollux_sim(&["tiresias", "2"], &[])));
 }

@@ -21,10 +21,9 @@
 use crate::goodput::GoodputModel;
 use crate::throughput::{gamma_norm, PlacementShape};
 use pollux_opt::golden_section_max_int;
-use serde::{Deserialize, Serialize};
 
 /// Goodput model extended with gradient accumulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccumulatedGoodput {
     /// The base (single-step) goodput model.
     pub base: GoodputModel,

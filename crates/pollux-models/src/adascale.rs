@@ -14,10 +14,9 @@
 //! "statistical epochs" of Fig 2a).
 
 use crate::efficiency::EfficiencyModel;
-use serde::{Deserialize, Serialize};
 
 /// AdaScale state for one training job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaScale {
     /// User-submitted initial learning rate η0.
     eta0: f64,

@@ -18,10 +18,8 @@
 //! Training at batch size `m` must process `1 / EFFICIENCY_t(m)` times
 //! as many examples to make the same progress as at `m0`.
 
-use serde::{Deserialize, Serialize};
-
 /// Raw gradient statistics measured at the initial batch size `m0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradientStats {
     /// Gradient variance `σ_t² = Var[ĝ(t)]` (trace of the covariance).
     pub variance: f64,
@@ -71,7 +69,7 @@ impl GradientStats {
 /// // AdaScale gain: one step at m=1024 ≈ 4.46 steps at m0.
 /// assert!((eff.gain(1024) - 4.458).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyModel {
     /// Initial (user-submitted) batch size `m0`.
     m0: u64,

@@ -42,10 +42,9 @@
 
 use crate::throughput::{PlacementShape, ThroughputParams};
 use pollux_opt::{lbfgsb_minimize, Bounds, LbfgsbOptions};
-use serde::{Deserialize, Serialize};
 
 /// One throughput observation collected during training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitObservation {
     /// Placement shape the job ran under.
     pub shape: PlacementShape,
@@ -56,7 +55,7 @@ pub struct FitObservation {
 }
 
 /// Exploration state driving the prior masks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FitPriors {
     /// Largest GPU count among observations.
     pub max_gpus_seen: u32,
@@ -94,7 +93,7 @@ impl FitPriors {
 }
 
 /// Outcome of a θsys fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FitReport {
     /// Fitted parameters (valid under the box constraints).
     pub params: ThroughputParams,
@@ -106,7 +105,6 @@ pub struct FitReport {
     pub priors: FitPriors,
     /// Whether the fit converged from a warm start (previous round's
     /// parameters), skipping the multi-start restarts.
-    #[serde(default)]
     pub used_warm_start: bool,
 }
 

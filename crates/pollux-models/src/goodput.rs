@@ -4,7 +4,6 @@
 use crate::efficiency::EfficiencyModel;
 use crate::throughput::{PlacementShape, ThroughputParams};
 use pollux_opt::golden_section_max_int;
-use serde::{Deserialize, Serialize};
 
 /// Feasible batch-size range for a job.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// considers `m ≥ m0`); the upper limit is the smaller of a global cap
 /// (e.g. dataset-size or convergence-driven) and per-GPU memory
 /// capacity times the number of allocated GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchSizeLimits {
     /// Initial and minimum total batch size `m0 ≥ 1`.
     pub min: u64,
@@ -82,7 +81,7 @@ impl BatchSizeLimits {
 /// let s16 = model.speedup(PlacementShape::new(16, 4).unwrap());
 /// assert!(s16 > 1.0 && s16 < 16.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoodputModel {
     /// The fitted (or ground-truth) system-throughput parameters.
     pub throughput: ThroughputParams,

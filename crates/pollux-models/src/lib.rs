@@ -27,7 +27,6 @@ pub mod adascale;
 pub mod efficiency;
 pub mod fit;
 pub mod goodput;
-pub mod rack;
 pub mod throughput;
 
 pub use accum::AccumulatedGoodput;
@@ -38,5 +37,4 @@ pub use fit::{
     fit_throughput_params_warm, FitObservation, FitPriors, FitReport, FitWork,
 };
 pub use goodput::{BatchSizeLimits, BatchSolve, GoodputModel, SpeedupProfile};
-pub use rack::{RackAwareParams, RackPlacementShape};
 pub use throughput::{PlacementShape, ThroughputParams};

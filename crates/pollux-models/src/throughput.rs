@@ -17,15 +17,13 @@
 //! between no compute/communication overlap (γ = 1, `T_iter = T_grad +
 //! T_sync`) and perfect overlap (γ → ∞, `T_iter = max(T_grad, T_sync)`).
 
-use serde::{Deserialize, Serialize};
-
 /// A placement summarized by the only two quantities `T_iter` depends
 /// on: total GPUs `K` and occupied nodes `N`.
 ///
 /// Full allocation vectors (which GPUs on which nodes) live in
 /// `pollux-cluster`; they reduce to this shape for throughput
 /// prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlacementShape {
     /// Total number of allocated GPUs, `K ≥ 1`.
     pub gpus: u32,
@@ -74,7 +72,7 @@ impl PlacementShape {
 /// let large_scaling = p.throughput(sixteen, 2048) / p.throughput(one, 2048);
 /// assert!(large_scaling > 2.0 * small_scaling);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputParams {
     /// Fixed per-iteration gradient-computation overhead (s).
     pub alpha_grad: f64,

@@ -25,10 +25,9 @@ use crate::ga::{GaConfig, GeneticAlgorithm};
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::{AllocationMatrix, ClusterSpec};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the autoscaler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// Release nodes when utility falls below this.
     pub low_util: f64,

@@ -15,10 +15,9 @@
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::AllocationMatrix;
 use pollux_models::PlacementShape;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the fitness evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitnessConfig {
     /// Speedup subtracted from every job whose placement changes
     /// relative to its currently applied one (Sec. 4.2.1; the paper

@@ -51,10 +51,9 @@ use pollux_models::PlacementShape;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the genetic algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaConfig {
     /// Constant population size (the paper uses 100).
     pub population: usize,
@@ -87,7 +86,7 @@ impl Default for GaConfig {
 
 /// Evaluation counters of one `evolve` call, a function of the master
 /// seed alone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GaRunStats {
     /// Generations actually executed (≤ `GaConfig::generations` when
     /// early stopping triggers).

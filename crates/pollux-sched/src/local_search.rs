@@ -13,10 +13,9 @@ use crate::ga::{repair_matrix, GaWorkspace};
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the local search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalSearchConfig {
     /// Single-element proposals evaluated per restart.
     pub iterations: usize,

@@ -17,13 +17,12 @@ use pollux_models::PlacementShape;
 use pollux_telemetry::{JobExplain, Recorder, RoundExplain};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
 
 /// Configuration of the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
     /// Genetic-algorithm settings.
     pub ga: GaConfig,
@@ -47,14 +46,11 @@ impl Default for SchedConfig {
 /// Evaluation-count breakdown of one scheduling interval.
 ///
 /// Every field is deterministic for a fixed seed at any worker count.
-/// Wall-clock timings of the interval (table build, GA evolve) are
-/// *not* part of this struct: they are emitted as telemetry spans
-/// (`sched/table_build` and `sched/ga_evolve` on the flat path,
-/// `sched/rack_assign` and `sched/rack_evolve` on the racked path)
-/// through the recorder attached via [`PolluxSched::set_recorder`],
-/// keeping every deterministic output free of machine-dependent
-/// values.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Wall-clock timings of the interval are *not* part of this struct:
+/// they leave as the telemetry spans [`PolluxSched::set_recorder`]
+/// lists, keeping every deterministic output free of
+/// machine-dependent values.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedIntervalStats {
     /// GA evaluation counters (generations, full vs. incremental
     /// fitness evaluations, contribution rows recomputed).
@@ -69,8 +65,6 @@ pub struct SchedIntervalStats {
 pub struct PolluxSched {
     config: SchedConfig,
     ga: GeneticAlgorithm,
-    saved_population: Vec<AllocationMatrix>,
-    saved_job_ids: Vec<JobId>,
     last_interval: Option<SchedIntervalStats>,
     cumulative_speedup: SpeedupTableStats,
     recorder: Recorder,
@@ -80,32 +74,31 @@ pub struct PolluxSched {
     /// Rack layout for the two-phase (rack, then GPU) search. `None`
     /// or a single rack → the flat search, bit for bit.
     topology: Option<Topology>,
-    /// The previous flat interval's dense table: clean jobs' rows are
-    /// copied forward instead of re-solved
-    /// ([`SpeedupTable::build_reusing`]).
-    prev_table: Option<SpeedupTable>,
-    /// Per-rack cross-interval carry-over for the racked path, indexed
-    /// by rack. Cleared when the search switches paths or the topology
-    /// changes (rack indices renumber).
-    rack_carry: Vec<RackCarry>,
+    /// What each rack's search saved for the next interval, indexed by
+    /// rack; the flat round searches one rack of every node and keeps
+    /// entry 0. Dropped when the number of racks searched changes —
+    /// switching paths starts cold (only warmth depends on the carry) —
+    /// and when the topology changes under a racked carry.
+    carry: Vec<RackCarry>,
     /// The previous interval's phase-1 rack assignment keyed by job
     /// id. Seeds the next interval's assignment GA
     /// ([`rackga::assign_racks`]) so quiet intervals keep rack
     /// memberships stable — the precondition for the per-rack carries
-    /// above to hit. Cleared together with `rack_carry`.
+    /// above to hit. Cleared together with `carry`.
     assign_carry: HashMap<JobId, u32>,
     /// Most threads a racked interval works on, the calling one
     /// included ([`Self::set_threads`]).
     threads: usize,
 }
 
-/// What one rack's phase-2 search saves for the next interval: the
-/// evolved population (keyed by the member job ids for reconciliation
-/// after rack reshuffles), the rack's dense speedup table (for
-/// row-level reuse), and the exact subproblem it solved plus its
-/// answer — which lets a *quiet* rack (identical member jobs, models,
-/// weights, and rack-local placements next interval) return the
-/// previous result without re-searching at all.
+/// What one [`search`] saves for the next interval: the evolved
+/// population (keyed by the member job ids for reconciliation after
+/// arrivals, departures and rack reshuffles), the dense speedup table
+/// (for row-level reuse), and — on the racked path — the exact
+/// subproblem it solved plus its answer, which lets a *quiet* rack
+/// (identical member jobs, models, weights, and rack-local placements
+/// next interval) replay it. The flat round never replays: its answer
+/// leaves with the [`GaOutcome`] and `sub_jobs` stays empty.
 #[derive(Debug, Default)]
 struct RackCarry {
     job_ids: Vec<JobId>,
@@ -116,6 +109,18 @@ struct RackCarry {
     sub_jobs: Vec<SchedJob>,
     /// The previous best rack-local matrix and its fitness.
     best: Option<(AllocationMatrix, f64)>,
+}
+
+/// What either round hands the shared tail of [`PolluxSched::optimize`].
+struct Round {
+    best: AllocationMatrix,
+    best_fitness: f64,
+    stats: GaRunStats,
+    speedup: SpeedupTableStats,
+    carry: Vec<RackCarry>,
+    /// The racked round's phase-1 assignment, rack per job; `None` for
+    /// the flat round.
+    assignment: Option<Vec<u32>>,
 }
 
 /// One occupied rack's share of a racked interval, owned by the
@@ -138,8 +143,6 @@ struct RackTask<'a> {
 struct RackDone {
     rack: usize,
     carry: RackCarry,
-    fitness: f64,
-    weight_sum: f64,
     /// Search and table counters of a rack that evolved.
     evolved: Option<(GaRunStats, SpeedupTableStats)>,
 }
@@ -150,15 +153,12 @@ impl PolluxSched {
         Self {
             config,
             ga: GeneticAlgorithm::new(config.ga),
-            saved_population: Vec::new(),
-            saved_job_ids: Vec::new(),
             last_interval: None,
             cumulative_speedup: SpeedupTableStats::default(),
             recorder: Recorder::disabled(),
             last_explain: None,
             topology: None,
-            prev_table: None,
-            rack_carry: Vec::new(),
+            carry: Vec::new(),
             assign_carry: HashMap::new(),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
@@ -171,12 +171,14 @@ impl PolluxSched {
     /// rack-assignment GA ([`crate::rackga`]) followed by the
     /// placement GA independently inside each rack.
     ///
-    /// Changing the topology drops the per-rack carry-over state
+    /// Changing the topology drops a racked round's carry-over state
     /// (saved populations and tables): rack indices renumber, so the
-    /// old carry would warm-start the wrong node columns.
+    /// old carry would warm-start the wrong node columns. The flat
+    /// round's one entry is keyed by job id and reconciles to any
+    /// cluster width, so it stays.
     pub fn set_topology(&mut self, topology: Option<Topology>) {
-        if self.topology != topology {
-            self.rack_carry.clear();
+        if self.topology != topology && self.carry.len() > 1 {
+            self.carry.clear();
             self.assign_carry.clear();
         }
         self.topology = topology;
@@ -208,7 +210,7 @@ impl PolluxSched {
     /// grain of parallelism — the flat search is serial whatever the
     /// cap. Safe to change between intervals: for a fixed seed the
     /// schedule is identical at every worker count (see
-    /// `optimize_racked`'s determinism notes).
+    /// `racked_round`'s determinism notes).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -219,9 +221,9 @@ impl PolluxSched {
     }
 
     /// Runs one full optimization for this interval and returns the
-    /// complete [`GaOutcome`] (best matrix, fitness, final
-    /// population). The population is also saved internally to
-    /// bootstrap the next interval.
+    /// [`GaOutcome`] (best matrix, fitness, counters). The population
+    /// stays inside the scheduler, where it bootstraps the next
+    /// interval; the outcome's `population` is empty.
     pub fn optimize<R: Rng>(
         &mut self,
         jobs: &[SchedJob],
@@ -230,71 +232,109 @@ impl PolluxSched {
     ) -> GaOutcome {
         let jobs = &*with_usable_weights(jobs);
         // Two-phase rack search only when a real (multi-rack) topology
-        // matching the cluster width is configured; everything else
-        // falls through to the flat path untouched.
-        if let Some(topo) = self.topology.as_ref() {
-            if topo.num_racks() > 1 && topo.num_nodes() == spec.num_nodes() {
-                let topo = topo.clone();
-                return self.optimize_racked(&topo, jobs, spec, rng);
-            }
+        // matching the cluster width is configured; everything else is
+        // the flat round: one rack, every node.
+        let topo = self
+            .topology
+            .as_ref()
+            .filter(|topo| topo.num_racks() > 1 && topo.num_nodes() == spec.num_nodes());
+        let num_racks = topo.map_or(1, |topo| topo.num_racks() as usize);
+        let mut prev_carry = std::mem::take(&mut self.carry);
+        if prev_carry.len() != num_racks {
+            prev_carry.clear();
+            self.assign_carry.clear();
         }
-        let seed = reconcile_population(
-            &self.saved_population,
-            &self.saved_job_ids,
-            jobs,
-            spec.num_nodes(),
-        );
-        let build_start = Instant::now();
-        let table = SpeedupTable::build_reusing(jobs, spec, 1, self.prev_table.as_ref());
-        let table_build_nanos = build_start.elapsed().as_nanos() as u64;
-        let evolve_start = Instant::now();
-        let outcome = self.ga.evolve(jobs, spec, seed, &table, rng);
-        let ga_evolve_nanos = evolve_start.elapsed().as_nanos() as u64;
-        let speedup = table.stats();
-        self.cumulative_speedup.accumulate(speedup);
-        self.last_interval = Some(SchedIntervalStats {
-            ga: outcome.stats,
+        prev_carry.resize_with(num_racks, RackCarry::default);
+        let Round {
+            best,
+            best_fitness,
+            stats,
             speedup,
-        });
-        // Wall-clock timings leave through the telemetry sink only;
-        // everything deterministic ships via SchedIntervalStats.
+            carry,
+            assignment,
+        } = match topo {
+            Some(topo) => self.racked_round(topo, jobs, spec, prev_carry, rng),
+            None => {
+                // The flat round: one search over every node on the
+                // caller's stream; never replayed, so its answer leaves.
+                let prev = prev_carry.pop().expect("one entry per rack searched");
+                let (mut carry, stats, speedup, [build_nanos, evolve_nanos]) =
+                    search(&self.ga, jobs, spec, prev, rng);
+                self.recorder
+                    .record_duration_ns("sched", "table_build", build_nanos);
+                self.recorder
+                    .record_duration_ns("sched", "ga_evolve", evolve_nanos);
+                let (best, best_fitness) = carry.best.take().expect("searched");
+                Round {
+                    best,
+                    best_fitness,
+                    stats,
+                    speedup,
+                    carry: vec![carry],
+                    assignment: None,
+                }
+            }
+        };
+        self.cumulative_speedup.accumulate(speedup);
+        self.last_interval = Some(SchedIntervalStats { ga: stats, speedup });
+        // Wall-clock timings leave through the telemetry sink only
+        // (each round emits its own spans); everything deterministic
+        // ships via SchedIntervalStats.
         let rec = &self.recorder;
-        rec.record_duration_ns("sched", "table_build", table_build_nanos);
-        rec.record_duration_ns("sched", "ga_evolve", ga_evolve_nanos);
         rec.incr("sched", "intervals", 1);
-        rec.incr("sched", "generations", outcome.stats.generations_run);
-        rec.incr("sched", "fitness_evals", outcome.stats.fitness_evals);
-        rec.incr(
-            "sched",
-            "incremental_evals",
-            outcome.stats.incremental_evals,
-        );
-        rec.incr("sched", "rows_recomputed", outcome.stats.rows_recomputed);
+        rec.incr("sched", "generations", stats.generations_run);
+        rec.incr("sched", "fitness_evals", stats.fitness_evals);
+        rec.incr("sched", "incremental_evals", stats.incremental_evals);
+        rec.incr("sched", "rows_recomputed", stats.rows_recomputed);
         rec.incr("sched", "table_hits", speedup.hits);
         rec.incr("sched", "table_misses", speedup.misses);
         rec.incr("sched", "table_solves", speedup.solves);
         rec.incr("sched", "table_rows_reused", speedup.rows_reused);
         self.last_explain = self.recorder.is_enabled().then(|| {
-            // Flat path: no rack phase ran, so both rack columns carry
-            // the −1 sentinel.
+            // Each job's rack (the flat round's one rack is 0) and its
+            // row in that rack's table: its rank among the members.
+            let rack_of = |j: usize| assignment.as_ref().map_or(0, |a| a[j] as usize);
+            let mut members = vec![0usize; carry.len()];
+            let row_in_rack: Vec<usize> = (0..jobs.len())
+                .map(|j| {
+                    members[rack_of(j)] += 1;
+                    members[rack_of(j)] - 1
+                })
+                .collect();
+            // `assign_carry` still holds the previous interval's rack
+            // assignment here (the new one lands below) and is empty on
+            // the flat round, which ran no rack phase: both rack
+            // columns then carry the −1 sentinel.
             build_explain(
                 &self.config.ga.fitness,
                 jobs,
-                &outcome.best,
-                outcome.best_fitness,
-                false,
-                |_, _| (-1, -1),
-                |j, job, shape| stored_speedup(Some(&table), j, job, shape),
+                &best,
+                best_fitness,
+                assignment.is_some(),
+                |j, job| {
+                    let before = self.assign_carry.get(&job.id).map_or(-1, |&r| r as i64);
+                    (before, assignment.as_ref().map_or(-1, |a| a[j] as i64))
+                },
+                |j, job, shape| {
+                    let table = carry[rack_of(j)].table.as_ref();
+                    stored_speedup(table, row_in_rack[j], job, shape)
+                },
             )
         });
-        self.saved_population = outcome.population.clone();
-        self.saved_job_ids = jobs.iter().map(|j| j.id).collect();
-        // Each path owns its own carry-over; switching paths starts
-        // cold (correctness never depends on the carry, only warmth).
-        self.prev_table = Some(table);
-        self.rack_carry.clear();
-        self.assign_carry.clear();
-        outcome
+        self.carry = carry;
+        if let Some(assignment) = assignment {
+            self.assign_carry = jobs
+                .iter()
+                .zip(&assignment)
+                .map(|(j, &r)| (j.id, r))
+                .collect();
+        }
+        GaOutcome {
+            best,
+            best_fitness,
+            population: Vec::new(),
+            stats,
+        }
     }
 
     /// The two-phase rack search: assign jobs to racks with the cheap
@@ -337,29 +377,22 @@ impl PolluxSched {
     ///
     /// # Cross-interval carry-over
     ///
-    /// Each rack saves its evolved population (keyed by member job
-    /// ids), its dense table, and the exact subproblem it solved with
-    /// its answer. The next interval reconciles the population onto
-    /// the rack's new membership — survivors keep their rows,
-    /// departures are dropped, arrivals start empty — so the paper's
-    /// Sec. 4.3 warm start applies on the racked path too, and clean
-    /// jobs' table rows are copied forward instead of re-solved.
-    /// Phase 1 is seeded with the previous interval's assignment, so
-    /// quiet intervals keep rack memberships stable; a rack whose
-    /// subproblem is then verbatim unchanged replays last interval's
-    /// answer without re-searching at all (the quiet-rack fast path —
-    /// interval cost scales with the racks that changed). Wall-clock
-    /// timings of the two phases are emitted as telemetry spans
-    /// (`sched/rack_assign`, `sched/rack_evolve`) only, never
-    /// serialized; `sched/racks_evolved` and `sched/racks_reused`
-    /// count the fast path's hits.
-    fn optimize_racked<R: Rng>(
-        &mut self,
+    /// Each rack that evolves warm-starts from its own [`RackCarry`]
+    /// through the same [`search`] step as the flat round, so the
+    /// paper's Sec. 4.3 warm start applies per rack. Phase 1 is seeded
+    /// with the previous interval's assignment, so quiet intervals keep
+    /// rack memberships stable; a rack whose subproblem is then
+    /// verbatim unchanged replays last interval's answer without
+    /// re-searching at all — interval cost scales with the racks that
+    /// changed (`sched/racks_evolved`, `sched/racks_reused`).
+    fn racked_round<R: Rng>(
+        &self,
         topo: &Topology,
         jobs: &[SchedJob],
         spec: &ClusterSpec,
+        mut prev_carry: Vec<RackCarry>,
         rng: &mut R,
-    ) -> GaOutcome {
+    ) -> Round {
         let assignment = {
             let _span = self.recorder.span("sched", "rack_assign");
             let prev = (!self.assign_carry.is_empty()).then_some(&self.assign_carry);
@@ -380,9 +413,6 @@ impl PolluxSched {
         for (row, &r) in best.rows_mut().zip(&assignment) {
             rows_of[r as usize].push(row);
         }
-
-        let mut prev_carry = std::mem::take(&mut self.rack_carry);
-        prev_carry.resize_with(num_racks, RackCarry::default);
 
         // Serial pre-pass: each occupied rack's local subproblem —
         // needed both by the workers and to detect quiet racks.
@@ -426,15 +456,11 @@ impl PolluxSched {
             .collect();
 
         // Quiet-rack fast path: a rack whose subproblem is verbatim
-        // the one it solved last interval reuses last interval's
-        // answer (best matrix, fitness, population, table) without
-        // re-searching. Work per interval then scales with the racks
-        // that actually changed. The decision is a pure function of
-        // the inputs and the carry, so it is identical at every
-        // worker count. One serial master-RNG draw per *evolved*
-        // rack, in rack order; quiet racks draw nothing (their result
-        // is already fixed), keeping the stream deterministic either
-        // way.
+        // the one it solved last interval replays its carry. The
+        // decision is a pure function of the inputs and the carry, so
+        // it is identical at every worker count. One serial master-RNG
+        // draw per *evolved* rack, in rack order; quiet racks draw
+        // nothing (their result is already fixed).
         let mut racks_evolved = 0;
         for task in &mut tasks {
             if task.carry.best.is_none() || task.carry.sub_jobs != task.sub_jobs {
@@ -460,8 +486,7 @@ impl PolluxSched {
         let mut speedup = SpeedupTableStats::default();
         let mut fitness_weighted = 0.0;
         let mut weight_total = 0.0;
-        let mut new_carry: Vec<RackCarry> = Vec::new();
-        new_carry.resize_with(num_racks, RackCarry::default);
+        let mut new_carry: Vec<_> = (0..num_racks).map(|_| RackCarry::default()).collect();
         for rack in done {
             match rack.evolved {
                 Some((search, table)) => {
@@ -475,8 +500,10 @@ impl PolluxSched {
                 // solved or looked up this interval).
                 None => speedup.rows_reused += rack.carry.sub_jobs.len() as u64,
             }
-            fitness_weighted += rack.fitness * rack.weight_sum;
-            weight_total += rack.weight_sum;
+            let (_, fitness) = rack.carry.best.as_ref().expect("searched or carried");
+            let weight_sum: f64 = rack.carry.sub_jobs.iter().map(|j| j.weight).sum();
+            fitness_weighted += fitness * weight_sum;
+            weight_total += weight_sum;
             new_carry[rack.rack] = rack.carry;
         }
 
@@ -485,62 +512,17 @@ impl PolluxSched {
         } else {
             0.0
         };
-        self.cumulative_speedup.accumulate(speedup);
-        self.last_interval = Some(SchedIntervalStats { ga: stats, speedup });
         let rec = &self.recorder;
         rec.record_duration_ns("sched", "rack_evolve", ga_evolve_nanos);
-        rec.incr("sched", "intervals", 1);
-        rec.incr("sched", "generations", stats.generations_run);
-        rec.incr("sched", "fitness_evals", stats.fitness_evals);
-        rec.incr("sched", "incremental_evals", stats.incremental_evals);
-        rec.incr("sched", "rows_recomputed", stats.rows_recomputed);
-        rec.incr("sched", "table_hits", speedup.hits);
-        rec.incr("sched", "table_misses", speedup.misses);
-        rec.incr("sched", "table_solves", speedup.solves);
-        rec.incr("sched", "table_rows_reused", speedup.rows_reused);
         rec.incr("sched", "racks_evolved", racks_evolved as u64);
         rec.incr("sched", "racks_reused", racks_reused);
-        self.last_explain = self.recorder.is_enabled().then(|| {
-            // Each job's row in its rack's table: its rank among the
-            // rack's members.
-            let mut row_in_rack = vec![0usize; jobs.len()];
-            for members in &members_of {
-                for (k, &j) in members.iter().enumerate() {
-                    row_in_rack[j] = k;
-                }
-            }
-            // `assign_carry` still holds the previous interval's rack
-            // assignment here; the new one lands below.
-            build_explain(
-                &self.config.ga.fitness,
-                jobs,
-                &best,
-                best_fitness,
-                true,
-                |j, job| {
-                    let before = self.assign_carry.get(&job.id).map_or(-1, |&r| r as i64);
-                    (before, assignment[j] as i64)
-                },
-                |j, job, shape| {
-                    let table = new_carry[assignment[j] as usize].table.as_ref();
-                    stored_speedup(table, row_in_rack[j], job, shape)
-                },
-            )
-        });
-        self.saved_population = Vec::new();
-        self.saved_job_ids = jobs.iter().map(|j| j.id).collect();
-        self.prev_table = None;
-        self.rack_carry = new_carry;
-        self.assign_carry = jobs
-            .iter()
-            .zip(&assignment)
-            .map(|(j, &r)| (j.id, r))
-            .collect();
-        GaOutcome {
+        Round {
             best,
             best_fitness,
-            population: Vec::new(),
             stats,
+            speedup,
+            carry: new_carry,
+            assignment: Some(assignment),
         }
     }
 
@@ -585,7 +567,38 @@ impl PolluxSched {
     }
 }
 
-/// One rack's phase 2: search the rack-local subproblem under the
+/// The one search step, of the flat round and of every rack that
+/// evolves: reconcile the carried population onto `jobs`, build the
+/// table copying forward the carried table's clean rows, evolve on
+/// `rng`. Returns the next carry (`sub_jobs` left to a caller that
+/// replays), the search and table counters, and the wall-clock
+/// nanoseconds of the table build and of the evolve.
+fn search<R: Rng>(
+    ga: &GeneticAlgorithm,
+    jobs: &[SchedJob],
+    spec: &ClusterSpec,
+    prev: RackCarry,
+    rng: &mut R,
+) -> (RackCarry, GaRunStats, SpeedupTableStats, [u64; 2]) {
+    let seed = reconcile_population(&prev.population, &prev.job_ids, jobs, spec.num_nodes());
+    let build_start = Instant::now();
+    let table = SpeedupTable::build_reusing(jobs, spec, 1, prev.table.as_ref());
+    let build_nanos = build_start.elapsed().as_nanos() as u64;
+    let evolve_start = Instant::now();
+    let outcome = ga.evolve(jobs, spec, seed, &table, rng);
+    let evolve_nanos = evolve_start.elapsed().as_nanos() as u64;
+    let speedup = table.stats();
+    let carry = RackCarry {
+        job_ids: jobs.iter().map(|j| j.id).collect(),
+        population: outcome.population,
+        table: Some(table),
+        sub_jobs: Vec::new(),
+        best: Some((outcome.best, outcome.best_fitness)),
+    };
+    (carry, outcome.stats, speedup, [build_nanos, evolve_nanos])
+}
+
+/// One rack's phase 2: [`search`] the rack-local subproblem under the
 /// rack's private seed — or, for a quiet rack, take the carried answer
 /// as it is — and write the answer into the rack's rows of the
 /// interval's result. Runs on whichever worker takes the task: it
@@ -601,7 +614,6 @@ fn run_rack(
     let (carry, evolved) = match task.seed {
         None => (task.carry, None),
         Some(seed) => {
-            let sub_jobs = task.sub_jobs;
             let sub_spec = ClusterSpec::new(
                 rack_nodes
                     .iter()
@@ -611,24 +623,14 @@ fn run_rack(
                     .collect(),
             )
             .expect("racks are non-empty and rack nodes have GPUs");
-            let prev = task.carry;
-            let seed_pop =
-                reconcile_population(&prev.population, &prev.job_ids, &sub_jobs, rack_nodes.len());
-            let table = SpeedupTable::build_reusing(&sub_jobs, &sub_spec, 1, prev.table.as_ref());
             let mut rack_rng = StdRng::seed_from_u64(seed);
-            let outcome = ga.evolve(&sub_jobs, &sub_spec, seed_pop, &table, &mut rack_rng);
-            let counters = (outcome.stats, table.stats());
-            let carry = RackCarry {
-                job_ids: sub_jobs.iter().map(|j| j.id).collect(),
-                population: outcome.population,
-                table: Some(table),
-                sub_jobs,
-                best: Some((outcome.best, outcome.best_fitness)),
-            };
-            (carry, Some(counters))
+            let (mut carry, search, table, _) =
+                search(ga, &task.sub_jobs, &sub_spec, task.carry, &mut rack_rng);
+            carry.sub_jobs = task.sub_jobs;
+            (carry, Some((search, table)))
         }
     };
-    let (best, fitness) = carry.best.as_ref().expect("searched or carried");
+    let (best, _) = carry.best.as_ref().expect("searched or carried");
     for (row, (_, answer)) in task.rows.into_iter().zip(best.iter_rows()) {
         for (&n, &g) in rack_nodes.iter().zip(answer) {
             if g > 0 {
@@ -638,8 +640,6 @@ fn run_rack(
     }
     RackDone {
         rack: task.rack,
-        fitness: *fitness,
-        weight_sum: carry.sub_jobs.iter().map(|j| j.weight).sum(),
         carry,
         evolved,
     }
@@ -757,9 +757,7 @@ fn with_usable_weights(jobs: &[SchedJob]) -> Cow<'_, [SchedJob]> {
 /// Adapts a saved population to a new job set and cluster width:
 /// surviving jobs keep their evolved rows (truncated or zero-padded to
 /// `num_nodes`), new jobs start with empty rows, and departed jobs'
-/// rows are dropped. Shared by the flat path's cross-interval warm
-/// start and the racked path's per-rack carry-over (where it also
-/// remaps rows after rack reshuffles).
+/// rows are dropped — which also remaps rows after rack reshuffles.
 fn reconcile_population(
     saved: &[AllocationMatrix],
     saved_ids: &[JobId],
@@ -907,6 +905,60 @@ mod tests {
     }
 
     #[test]
+    fn switching_between_flat_and_racked_starts_cold() {
+        use rand::RngCore;
+
+        let spec4 = ClusterSpec::homogeneous(4, 4).unwrap();
+        let spec6 = ClusterSpec::homogeneous(6, 4).unwrap();
+        let two_racks = Some(Topology::grouped(4, 2).unwrap());
+        let jobs: Vec<SchedJob> = (0..4).map(job).collect();
+        let mut s = sched();
+        let mut rng = StdRng::seed_from_u64(8);
+        // Flat, racked, flat, racked — and flat again, because the
+        // 4-node topology no longer fits a cluster grown to 6 nodes.
+        // Every round switches paths, so every round must be the round
+        // a scheduler with no history runs from the same RNG state.
+        let rounds = [
+            (None, &spec4),
+            (two_racks.clone(), &spec4),
+            (None, &spec4),
+            (two_racks.clone(), &spec4),
+            (two_racks, &spec6),
+        ];
+        for (i, (topology, spec)) in rounds.into_iter().enumerate() {
+            s.set_topology(topology.clone());
+            let mut fresh = sched();
+            fresh.set_topology(topology);
+            let mut fresh_rng = rng.clone();
+            let cold = fresh.optimize(&jobs, spec, &mut fresh_rng);
+            let out = s.optimize(&jobs, spec, &mut rng);
+            assert_eq!(out.best, cold.best, "round {i}");
+            assert_eq!(out.best_fitness.to_bits(), cold.best_fitness.to_bits());
+            assert_eq!(s.take_interval_stats(), fresh.take_interval_stats());
+            assert_eq!(rng.next_u64(), fresh_rng.next_u64(), "round {i}");
+        }
+
+        // Flat → flat keeps its carry, across a cluster resize and a
+        // topology that was never searched: the next round is seeded
+        // from the population reconciled to the new width.
+        s.set_topology(None);
+        let [carry] = &s.carry[..] else {
+            panic!("a flat round carries one entry");
+        };
+        let seed = reconcile_population(&carry.population, &carry.job_ids, &jobs, 4);
+        assert_eq!(seed.len(), s.config.ga.population);
+        assert!(seed.iter().all(|m| m.num_nodes() == 4));
+        assert!(
+            seed.iter().any(|m| m.total_gpus_used() > 0),
+            "evolved rows kept"
+        );
+        let mut fresh_rng = rng.clone();
+        sched().optimize(&jobs, &spec4, &mut fresh_rng);
+        s.optimize(&jobs, &spec4, &mut rng);
+        assert_ne!(rng.next_u64(), fresh_rng.next_u64(), "a warm round");
+    }
+
+    #[test]
     fn population_persists_and_reconciles_arrivals() {
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
         let mut s = sched();
@@ -914,14 +966,14 @@ mod tests {
 
         let jobs2: Vec<SchedJob> = (0..2).map(job).collect();
         s.schedule(&jobs2, &spec, &mut rng);
-        assert_eq!(s.saved_job_ids.len(), 2);
+        assert_eq!(s.carry[0].job_ids.len(), 2);
 
         // A third job arrives; the first departs.
         let jobs_next = vec![job(1), job(2)];
         let a = s.schedule(&jobs_next, &spec, &mut rng);
         assert_eq!(a.num_jobs(), 2);
         assert!(a.is_feasible(&spec));
-        assert_eq!(s.saved_job_ids, vec![JobId(1), JobId(2)]);
+        assert_eq!(s.carry[0].job_ids, vec![JobId(1), JobId(2)]);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use crate::par::parallel_map;
 use pollux_cluster::{ClusterSpec, JobId};
 use pollux_models::{GoodputModel, PlacementShape};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,7 +77,7 @@ pub fn pure_speedup(job: &SchedJob, shape: PlacementShape) -> f64 {
 /// per feasible table entry plus one reference denominator per job);
 /// `hits`/`misses` accumulate per lookup with relaxed atomics. Exposed
 /// through the `pollux.sched.speedup.stats` service key.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpeedupTableStats {
     /// Lookups answered from the dense table (in-range shapes,
     /// including stored zeros for infeasible `K`).
@@ -95,7 +94,6 @@ pub struct SpeedupTableStats {
     /// [`SpeedupTable::build_reusing`] instead of being re-solved.
     /// Purely observational (never serialized into golden output):
     /// reuse is bit-exact by construction.
-    #[serde(default)]
     pub rows_reused: u64,
 }
 

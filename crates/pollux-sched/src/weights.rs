@@ -9,10 +9,8 @@
 //! finish quickly ahead of long-running large jobs. `λ = 0` disables
 //! the decay (every job weighs 1), larger `λ` decays faster.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the weight decay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightConfig {
     /// GPU-time threshold below which jobs keep full weight
     /// (GPU-seconds; the paper uses 4 GPU-hours).

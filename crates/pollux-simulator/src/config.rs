@@ -1,10 +1,8 @@
 //! Simulation parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Global simulation parameters, defaulting to the paper's setup
 /// (Sec. 5.1 / 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Simulation tick in seconds.
     pub tick_seconds: f64,
@@ -35,7 +33,6 @@ pub struct SimConfig {
     /// builds that predate the knob. Any value ≥ the node count yields
     /// a single rack, which rack-aware policies must treat exactly
     /// like the flat search.
-    #[serde(default)]
     pub nodes_per_rack: u32,
     /// RNG seed for measurement noise and policy randomness.
     pub seed: u64,

@@ -3,10 +3,9 @@
 
 use pollux_cluster::JobId;
 use pollux_workload::ModelKind;
-use serde::{Deserialize, Serialize};
 
 /// Per-job outcome record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job identifier.
     pub id: JobId,
@@ -53,7 +52,7 @@ impl JobRecord {
 }
 
 /// One cluster-state sample (taken every scheduling interval).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSample {
     /// Sample time (s).
     pub time: f64,
@@ -77,7 +76,7 @@ pub struct ClusterSample {
 }
 
 /// What happened to a job at a scheduling boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// First allocation: the job began training.
     Started,
@@ -90,7 +89,7 @@ pub enum EventKind {
 }
 
 /// One entry of the allocation timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulingEvent {
     /// Simulation time (s).
     pub time: f64,
@@ -104,7 +103,7 @@ pub struct SchedulingEvent {
 
 /// One per-job state sample (recorded when
 /// `SimConfig::record_job_series` is set).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSample {
     /// Sample time (s).
     pub time: f64,
@@ -194,7 +193,7 @@ fn percentile_of(mut vals: Vec<f64>, p: f64) -> Option<f64> {
 }
 
 /// Complete result of one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SimResult {
     /// Policy name the run used.
     pub policy: String,
@@ -213,11 +212,37 @@ pub struct SimResult {
     pub node_seconds: f64,
     /// Per-interval scheduler cost breakdowns (empty for policies that
     /// do not report them).
-    #[serde(default)]
     pub sched_stats: Vec<SchedIntervalSample>,
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 impl SimResult {
+    /// The text every golden pins: the pretty `Debug` rendering with
+    /// each run of whitespace collapsed to one space. It carries every
+    /// field, and every `f64` in shortest round-trip form, so equal
+    /// text means results equal bit for bit.
+    pub fn canonical_text(&self) -> String {
+        format!("{self:#?}")
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// FNV-1a64 of [`canonical_text`](Self::canonical_text): the one
+    /// answer to "did these two runs diverge".
+    pub fn digest(&self) -> u64 {
+        fnv1a64(self.canonical_text().as_bytes())
+    }
+
     /// JCTs of all finished jobs.
     pub fn jcts(&self) -> Vec<f64> {
         self.records.iter().filter_map(JobRecord::jct).collect()
@@ -433,6 +458,30 @@ mod tests {
         assert!((r.avg_efficiency().unwrap() - 0.9).abs() < 1e-12);
         let r = record(1, 10.0, None);
         assert_eq!(r.jct(), None);
+    }
+
+    #[test]
+    fn digest_is_fnv1a64_of_the_canonical_text() {
+        // The published FNV-1a64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+
+        let empty = SimResult::default();
+        assert_eq!(
+            empty.canonical_text(),
+            "SimResult { policy: \"\", records: [], series: [], events: [], job_series: [], \
+             end_time: 0.0, node_seconds: 0.0, sched_stats: [], }"
+        );
+        let one = SimResult {
+            records: vec![record(0, 10.0, Some(110.0))],
+            ..Default::default()
+        };
+        for res in [&empty, &one] {
+            assert!(!res.canonical_text().contains('\n'));
+            assert_eq!(res.digest(), fnv1a64(res.canonical_text().as_bytes()));
+        }
+        assert_ne!(empty.digest(), one.digest());
     }
 
     #[test]

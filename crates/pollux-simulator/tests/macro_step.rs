@@ -17,20 +17,10 @@
 //!    bitwise-equal results.
 
 use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId};
-use pollux_simulator::{PolicyJobView, SchedulingPolicy, SimConfig, Simulation};
+use pollux_simulator::{PolicyJobView, SchedulingPolicy, SimConfig, SimResult, Simulation};
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator, UserConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-
-/// FNV-1a 64-bit digest; tiny, dependency-free, and stable.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Small-model workload with staggered arrivals.
 fn workload(n: usize, stagger: f64, seed: u64) -> Vec<(JobSpec, UserConfig)> {
@@ -189,19 +179,18 @@ enum Stepper {
     Reference,
 }
 
-fn json_of<P: SchedulingPolicy>(
+fn result_of<P: SchedulingPolicy>(
     cfg: SimConfig,
     spec: ClusterSpec,
     policy: P,
     wl: Vec<(JobSpec, UserConfig)>,
     stepper: Stepper,
-) -> String {
+) -> SimResult {
     let sim = Simulation::new(cfg, spec, policy, wl).unwrap();
-    let result = match stepper {
+    match stepper {
         Stepper::Macro => sim.run(),
         Stepper::Reference => sim.run_reference(),
-    };
-    serde_json::to_string(&result).expect("SimResult serializes")
+    }
 }
 
 fn digest_of<P: SchedulingPolicy>(
@@ -210,7 +199,7 @@ fn digest_of<P: SchedulingPolicy>(
     policy: P,
     wl: Vec<(JobSpec, UserConfig)>,
 ) -> u64 {
-    fnv1a64(json_of(cfg, spec, policy, wl, Stepper::Macro).as_bytes())
+    result_of(cfg, spec, policy, wl, Stepper::Macro).digest()
 }
 
 /// Panics with the first differing byte region when two serialized
@@ -290,27 +279,23 @@ fn golden_trajectory_quiet() {
 /// digests — it *is* the pre-refactor engine.
 #[test]
 fn reference_stepper_matches_goldens() {
-    let churn = fnv1a64(
-        json_of(
-            churn_config(),
-            ClusterSpec::homogeneous(3, 4).unwrap(),
-            Churn,
-            workload(8, 300.0, 3),
-            Stepper::Reference,
-        )
-        .as_bytes(),
-    );
+    let churn = result_of(
+        churn_config(),
+        ClusterSpec::homogeneous(3, 4).unwrap(),
+        Churn,
+        workload(8, 300.0, 3),
+        Stepper::Reference,
+    )
+    .digest();
     assert_eq!(churn, GOLDEN_CHURN, "reference drifted: 0x{churn:016x}");
-    let quiet = fnv1a64(
-        json_of(
-            quiet_config(),
-            ClusterSpec::homogeneous(2, 4).unwrap(),
-            FcfsPacked { gpus: 2 },
-            workload(6, 45.0, 11),
-            Stepper::Reference,
-        )
-        .as_bytes(),
-    );
+    let quiet = result_of(
+        quiet_config(),
+        ClusterSpec::homogeneous(2, 4).unwrap(),
+        FcfsPacked { gpus: 2 },
+        workload(6, 45.0, 11),
+        Stepper::Reference,
+    )
+    .digest();
     assert_eq!(quiet, GOLDEN_QUIET, "reference drifted: 0x{quiet:016x}");
 }
 
@@ -324,14 +309,9 @@ fn mid_chunk_finishes_are_bit_identical_across_steppers() {
     for work_scale in [0.01f64, 0.05, 0.2] {
         let wl = workload_scaled(8, 300.0, 3, work_scale);
         let spec = ClusterSpec::homogeneous(3, 4).unwrap();
-        let reference = json_of(
-            churn_config(),
-            spec.clone(),
-            Churn,
-            wl.clone(),
-            Stepper::Reference,
-        );
-        let stepped = json_of(churn_config(), spec, Churn, wl, Stepper::Macro);
+        let [stepped, reference] = [Stepper::Macro, Stepper::Reference].map(|s| {
+            result_of(churn_config(), spec.clone(), Churn, wl.clone(), s).canonical_text()
+        });
         assert_byte_identical(&stepped, &reference, &format!("work_scale={work_scale}"));
     }
 }
@@ -392,8 +372,7 @@ fn golden_trajectories_survive_live_telemetry() {
             .unwrap()
             .with_recorder(recorder)
             .run();
-        let json = serde_json::to_string(&result).expect("SimResult serializes");
-        (fnv1a64(json.as_bytes()), sink.len())
+        (result.digest(), sink.len())
     };
 
     let (churn, churn_events) = digest_with_recorder(
@@ -455,10 +434,11 @@ proptest! {
         let wl = workload_scaled(n_jobs, stagger, wl_seed, work_scale);
         let runs = [Stepper::Macro, Stepper::Reference].map(|s| {
             if churny == 1 {
-                json_of(cfg, spec.clone(), Churn, wl.clone(), s)
+                result_of(cfg, spec.clone(), Churn, wl.clone(), s)
             } else {
-                json_of(cfg, spec.clone(), FcfsPacked { gpus: 2 }, wl.clone(), s)
+                result_of(cfg, spec.clone(), FcfsPacked { gpus: 2 }, wl.clone(), s)
             }
+            .canonical_text()
         });
         let label = format!(
             "jobs={n_jobs} stagger={stagger:.1} wl_seed={wl_seed} sim_seed={sim_seed} \

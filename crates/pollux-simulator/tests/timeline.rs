@@ -260,7 +260,7 @@ fn report_rounds_emit_one_span_around_their_refits() {
             Some(r) => sim.with_recorder(r).run(),
             None => sim.run(),
         };
-        serde_json::to_string(&result).expect("SimResult serializes")
+        result.canonical_text()
     };
     let sink = Arc::new(MemorySink::new(1 << 20));
     let recorder = Recorder::new(sink.clone() as Arc<dyn Sink>);

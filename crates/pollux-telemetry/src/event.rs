@@ -99,7 +99,7 @@ pub enum Event {
 
 /// Why one scheduling round decided what it did: the fitness the
 /// optimizer achieved, the fitness of leaving every job where it was,
-/// and a per-job breakdown ([`JobExplain`]). Serialized through
+/// and a per-job breakdown ([`JobExplain`]). Written out as
 /// [`Event::Round`]; all quantities are derived from scheduler state
 /// without touching its RNG or cached counters, so emitting (or not
 /// emitting) a `RoundExplain` never perturbs the simulation.

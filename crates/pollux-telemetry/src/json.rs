@@ -1,9 +1,8 @@
 //! A minimal JSON reader/writer for telemetry capture files.
 //!
-//! The workspace's vendored `serde` stub serializes through `Debug`
-//! and cannot parse anything back, so JSONL capture files are written
-//! and read by hand here. Only the subset the [`crate::Event`] schema
-//! needs is supported: objects, arrays, strings (with `\"`, `\\`,
+//! Nothing can be downloaded and the workspace carries no JSON
+//! library, so JSONL capture files are written and read by hand here.
+//! Only the subset the [`crate::Event`] schema needs is supported: objects, arrays, strings (with `\"`, `\\`,
 //! `\n`, `\t`, `\r`, `\uXXXX` escapes), numbers, booleans, and null.
 
 /// A parsed JSON value.

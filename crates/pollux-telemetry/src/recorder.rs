@@ -36,8 +36,8 @@ pub struct Recorder {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Deliberately opaque: a recorder may sit inside structs
-        // whose Debug form is serialized by the vendored serde
-        // stub, and wall-clock state must never leak there.
+        // whose Debug form is digested by a golden, and wall-clock
+        // state must never leak there.
         f.debug_struct("Recorder")
             .field("enabled", &self.is_enabled())
             .finish()

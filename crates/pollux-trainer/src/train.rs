@@ -14,10 +14,9 @@ use pollux_agent::{DifferencedGns, ReplicaGns};
 use pollux_models::{AdaScale, EfficiencyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Trainer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
     /// Number of simulated data-parallel replicas `K ≥ 1`.
     pub replicas: usize,
@@ -56,7 +55,7 @@ impl Default for TrainerConfig {
 }
 
 /// Per-step training statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepStats {
     /// Mini-batch loss before the update.
     pub loss: f64,

@@ -15,10 +15,9 @@
 use crate::models::ModelProfile;
 use pollux_models::{EfficiencyModel, GoodputModel, PlacementShape};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A user-submitted `(GPUs, batch size)` configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UserConfig {
     /// Requested number of GPUs (fixed for the job's lifetime under
     /// non-adaptive schedulers).

@@ -8,10 +8,8 @@
 //! over normalized progress `p ∈ [0, 1]`, times step *boosts* that
 //! activate at learning-rate-decay points.
 
-use serde::{Deserialize, Serialize};
-
 /// A φ(progress) trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GnsProfile {
     /// Noise scale at the start of training (examples).
     pub phi_start: f64,

@@ -13,10 +13,9 @@
 
 use crate::gns::GnsProfile;
 use pollux_models::{BatchSizeLimits, PlacementShape, ThroughputParams};
-use serde::{Deserialize, Serialize};
 
 /// GPU-time categories from the Microsoft trace analysis (Sec. 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeCategory {
     /// 0–1 GPU-hours.
     Small,
@@ -29,7 +28,7 @@ pub enum SizeCategory {
 }
 
 /// The five evaluation models of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// ResNet18 on CIFAR-10 (image classification, Small).
     ResNet18Cifar10,
@@ -124,7 +123,7 @@ impl ModelKind {
 }
 
 /// A complete ground-truth model description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Which Table-1 model this is.
     pub kind: ModelKind,

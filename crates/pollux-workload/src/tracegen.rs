@@ -12,7 +12,6 @@ use pollux_cluster::JobId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 
 /// Hourly submission-rate weights over the 8-hour window (Fig 6: the
 /// fourth hour peaks at 3× the first).
@@ -28,7 +27,7 @@ const MODEL_MIX: [(ModelKind, f64); 5] = [
 ];
 
 /// Configuration of the trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Base number of job submissions (the paper uses 160).
     pub num_jobs: usize,
@@ -62,7 +61,7 @@ impl Default for TraceConfig {
 }
 
 /// One synthetic job submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Stable identifier (submission order).
     pub id: JobId,

@@ -124,8 +124,8 @@ proptest! {
         let res = run_chaos(seed, max_cell, jobs, interference, false);
         let oracle = run_chaos(seed, max_cell, jobs, interference, true);
         prop_assert_eq!(
-            serde_json::to_string(&res).unwrap(),
-            serde_json::to_string(&oracle).unwrap(),
+            res.canonical_text(),
+            oracle.canonical_text(),
             "run() diverged from run_reference()"
         );
 

@@ -39,15 +39,6 @@ use pollux::simulator::{PolicyJobView, SchedulingPolicy, SimConfig, SimResult, S
 use pollux::workload::{ModelKind, TraceConfig, TraceGenerator};
 use rand::rngs::StdRng;
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Runs both steppers, requires identical bytes and the pinned digest,
 /// and hands back the result for case-specific assertions.
 fn check<P: SchedulingPolicy>(
@@ -61,8 +52,8 @@ fn check<P: SchedulingPolicy>(
     let sim = |policy| Simulation::new(cfg, spec.clone(), policy, workload.to_vec()).unwrap();
     let stepped = sim(policy()).run();
     let reference = sim(policy()).run_reference();
-    let text = serde_json::to_string(&stepped).expect("SimResult serializes");
-    let oracle = serde_json::to_string(&reference).expect("SimResult serializes");
+    let text = stepped.canonical_text();
+    let oracle = reference.canonical_text();
     if text != oracle {
         let at = text
             .bytes()
@@ -76,7 +67,7 @@ fn check<P: SchedulingPolicy>(
             &oracle[lo..(at + 80).min(oracle.len())],
         );
     }
-    let digest = fnv1a64(text.as_bytes());
+    let digest = stepped.digest();
     assert_eq!(
         digest, golden,
         "{label}: both steppers agree, on a trajectory other than the pinned one: 0x{digest:016x}"

@@ -6,8 +6,8 @@
 //!   `evolve` outcomes over a grid, captured at the commit before the
 //!   flat matrix landed (release build — debug builds inflated the
 //!   table hit counter there) and asserted unchanged.
-//! - `debug_text_matches_the_derived_rendering`: the vendored serde
-//!   serialises through `Debug`, so every golden digests this text.
+//! - `debug_text_matches_the_derived_rendering`: `SimResult::digest`
+//!   hashes `Debug` text, so every golden digests this rendering.
 //! - `matrix_ops_match_the_nested_vec_model`: the flat storage against
 //!   a `Vec<Vec<u32>>` model under random op streams.
 //! - `repair_output_is_feasible_and_tracked`: what repair promises.
