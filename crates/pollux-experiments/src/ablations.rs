@@ -11,9 +11,10 @@
 //! 3. **Genetic algorithm vs random search** — the GA's operators vs
 //!    an equal-budget random sampler on the same allocation problem.
 
-use crate::common::{mean, render_table};
+use crate::cell::simulate;
+use crate::common::{mean, recorder, render_table};
 use pollux_cluster::{ClusterSpec, JobId};
-use pollux_core::{run_trace_recorded, ConfigChoice, PolluxConfig, PolluxPolicy};
+use pollux_core::{ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux_models::{
     fit_throughput_params_constrained, EfficiencyModel, FitObservation, FitPriors, GoodputModel,
     PlacementShape, ThroughputParams,
@@ -135,13 +136,13 @@ pub fn restart_penalty_ablation(seed: u64) -> Vec<RestartPenaltyPoint> {
                 seed,
                 ..Default::default()
             };
-            let res = run_trace_recorded(
+            let res = simulate(
                 policy,
                 &trace,
                 ConfigChoice::Tuned,
                 spec.clone(),
                 sim,
-                crate::common::recorder(),
+                recorder(),
             )
             .expect("valid inputs");
             RestartPenaltyPoint {
@@ -288,13 +289,13 @@ pub fn coadaptation_ablation(seed: u64) -> CoAdaptationAblation {
             seed,
             ..Default::default()
         };
-        run_trace_recorded(
+        simulate(
             policy,
             &trace,
             ConfigChoice::Tuned,
             spec.clone(),
             sim,
-            crate::common::recorder(),
+            recorder(),
         )
         .expect("valid inputs")
     };

@@ -21,7 +21,7 @@
 //! `POLLUX_CHROME_TRACE` capture like every other experiment driver.
 
 use pollux_experiments::common::{
-    capture_recorder, dump_timeline_artifacts, exit_on_capture_error,
+    capture_recorder, dump_timeline_artifacts, exit_on_error, flag_value,
 };
 use pollux_experiments::ext_accum::{self, ModelKind};
 use pollux_experiments::{
@@ -86,22 +86,22 @@ static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "fig7",
         banner: "Fig 7 — workloads with realistic (user-configured) jobs",
-        run: |s| println!("{}", fig7::run(s.traces(2))),
+        run: |s| println!("{}", exit_on_error(fig7::run(s.traces(2)))),
     },
     Experiment {
         name: "fig8",
         banner: "Fig 8 — sensitivity to job load",
-        run: |s| println!("{}", fig8::run(s.traces(1))),
+        run: |s| println!("{}", exit_on_error(fig8::run(s.traces(1)))),
     },
     Experiment {
         name: "table3",
         banner: "Table 3 — impact of job weights (λ)",
-        run: |s| println!("{}", table3::run(s.traces(1))),
+        run: |s| println!("{}", exit_on_error(table3::run(s.traces(1)))),
     },
     Experiment {
         name: "fig9",
         banner: "Fig 9 — impact of interference avoidance",
-        run: |s| println!("{}", fig9::run(s.traces(1))),
+        run: |s| println!("{}", exit_on_error(fig9::run(s.traces(1)))),
     },
     Experiment {
         name: "fig10",
@@ -127,12 +127,7 @@ static REGISTRY: &[Experiment] = &[
 /// its factors from the same result `table2` prints.
 fn table2_result(s: &Settings) -> &'static table2::Table2Result {
     static RESULT: OnceLock<table2::Table2Result> = OnceLock::new();
-    RESULT.get_or_init(|| {
-        table2::run(&table2::Table2Options {
-            traces: s.traces(2),
-            ..Default::default()
-        })
-    })
+    RESULT.get_or_init(|| exit_on_error(table2::run(s.traces(2))))
 }
 
 fn run_ext_accum(_: &Settings) {
@@ -150,24 +145,9 @@ fn run_ext_accum(_: &Settings) {
     );
 }
 
-fn fail(msg: std::fmt::Arguments<'_>) -> ! {
+fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("{msg}; usage: experiments [--list] [--traces N] [--imagenet-scale F] <name|all>...");
     std::process::exit(2);
-}
-
-/// Parses a flag's value and checks it against the accepted range.
-fn flag_value<T>(flag: &str, v: Option<String>, range: std::ops::RangeInclusive<T>) -> T
-where
-    T: std::str::FromStr + PartialOrd + std::fmt::Display,
-{
-    match v.as_deref().map(T::from_str) {
-        Some(Ok(x)) if range.contains(&x) => x,
-        _ => fail(format_args!(
-            "invalid or missing value for {flag} (expected {}..={})",
-            range.start(),
-            range.end()
-        )),
-    }
 }
 
 fn main() {
@@ -182,9 +162,13 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => list = true,
-            "--traces" => settings.traces = Some(flag_value("--traces", args.next(), 1..=16)),
+            "--traces" => {
+                settings.traces =
+                    Some(flag_value("--traces", args.next(), 1..=16).unwrap_or_else(|e| fail(e)))
+            }
             "--imagenet-scale" => {
                 settings.imagenet_scale = flag_value("--imagenet-scale", args.next(), 0.01..=1.0)
+                    .unwrap_or_else(|e| fail(e))
             }
             "all" => selected.extend(REGISTRY),
             name => match REGISTRY.iter().find(|e| e.name == name) {
@@ -201,14 +185,14 @@ fn main() {
         return;
     }
     if selected.is_empty() {
-        fail(format_args!("no experiment named"));
+        fail("no experiment named");
     }
-    exit_on_capture_error(capture_recorder());
+    exit_on_error(capture_recorder());
     for e in selected {
         println!("==============================================================");
         println!("Pollux reproduction: {}", e.banner);
         println!("==============================================================");
         (e.run)(&settings);
     }
-    exit_on_capture_error(dump_timeline_artifacts());
+    exit_on_error(dump_timeline_artifacts());
 }

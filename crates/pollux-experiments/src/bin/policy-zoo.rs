@@ -11,12 +11,14 @@
 //!
 //! - `--list`: print the registry (name, stages, summary) and exit.
 //! - `--policies`: comma-separated registry names (default: all).
-//! - `--traces`: independently-seeded traces averaged per policy
-//!   (default 2).
-//! - `--jobs`: jobs per trace (default: the standard 160-job
+//! - `--traces`: independently-seeded traces averaged per policy,
+//!   1–16 (default 2).
+//! - `--jobs`: jobs per trace, 1–100000 (default: the standard 160-job
 //!   workload).
-//! - `--load`: workload scale, 1.0 = the paper's 8-hour window.
-//! - `--interference`: injected co-location slowdown (default 0).
+//! - `--load`: workload scale, 0.01–8 (1.0 = the paper's 8-hour
+//!   window).
+//! - `--interference`: injected co-location slowdown, 0–0.99
+//!   (default 0).
 //! - `--realistic`: submit trace-derived user configs instead of
 //!   idealized tuned configs.
 //! - `--trace-dir DIR`: per-policy telemetry — writes
@@ -25,65 +27,58 @@
 //!   policy in the run.
 //! - `--json PATH`: also dump the structured `ZooResult` as JSON.
 //!
-//! Without `--trace-dir`, telemetry follows the process-wide
-//! `POLLUX_TELEMETRY_OUT` capture like every other experiment driver.
+//! Flags are user input: a bad value, an unknown policy or an output
+//! path that cannot be written is one line on stderr and exit status
+//! 2, before anything is simulated. Without `--trace-dir`, telemetry
+//! follows the process-wide `POLLUX_TELEMETRY_OUT` capture like every
+//! other experiment driver.
 
 use pollux_core::ConfigChoice;
 use pollux_experiments::common::{
-    capture_recorder, dump_timeline_artifacts, exit_on_capture_error, render_table,
+    capture_recorder, dump_timeline_artifacts, exit_on_error, export_chrome_trace, flag_value,
+    render_table, CaptureError,
 };
 use pollux_experiments::zoo::{self, ZooOptions};
-use pollux_telemetry::{chrome, Event, JsonlSink, Recorder};
+use pollux_telemetry::{JsonlSink, Recorder};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-fn usage() -> ! {
+fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!(
-        "usage: policy-zoo [--list] [--policies a,b,c] [--traces N] [--jobs N] [--load F] \
+        "{msg}; usage: policy-zoo [--list] [--policies a,b,c] [--traces N] [--jobs N] [--load F] \
          [--interference F] [--realistic] [--trace-dir DIR] [--json PATH]"
     );
     std::process::exit(2);
 }
 
-fn parse<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
-    match v.as_deref().map(T::from_str) {
-        Some(Ok(x)) => x,
-        _ => {
-            eprintln!("invalid or missing value for {flag}");
-            usage();
-        }
-    }
+/// A range-checked numeric flag.
+fn number<T>(flag: &str, v: Option<String>, range: std::ops::RangeInclusive<T>) -> T
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    flag_value(flag, v, range).unwrap_or_else(|e| fail(e))
+}
+
+/// A flag whose value is text (names, a path).
+fn text(flag: &str, v: Option<String>) -> String {
+    v.unwrap_or_else(|| fail(format_args!("missing value for {flag}")))
+}
+
+/// Opens (or writes) an output path `flag` named, or prints why it
+/// cannot on one line and exits with status 2.
+fn output<'a, T>(
+    flag: &'static str,
+    path: &'a Path,
+    open: impl FnOnce(&'a Path) -> std::io::Result<T>,
+) -> T {
+    exit_on_error(open(path).map_err(CaptureError::io(flag, path.as_os_str())))
 }
 
 /// Registry names are filesystem-safe except for `+` aesthetics; keep
 /// them verbatim but make that decision explicit here.
 fn capture_path(dir: &Path, policy: &str, ext: &str) -> PathBuf {
     dir.join(format!("{policy}.{ext}"))
-}
-
-fn export_chrome(dir: &Path, policy: &str) {
-    let capture = capture_path(dir, policy, "jsonl");
-    let text = match std::fs::read_to_string(&capture) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read capture {capture:?}: {e}");
-            return;
-        }
-    };
-    let events: Vec<Event> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(Event::parse_jsonl)
-        .collect();
-    let (trace, stats) = chrome::export_with_stats(&events);
-    let out = capture_path(dir, policy, "trace.json");
-    match std::fs::write(&out, &trace) {
-        Ok(()) => eprintln!(
-            "chrome trace: {out:?} ({} slices, {} counter samples, {} instants)",
-            stats.slices, stats.counters, stats.instants
-        ),
-        Err(e) => eprintln!("cannot write chrome trace {out:?}: {e}"),
-    }
 }
 
 fn main() {
@@ -97,27 +92,23 @@ fn main() {
         match arg.as_str() {
             "--list" => list = true,
             "--policies" => {
-                let v: String = parse("--policies", args.next());
-                opts.policies = v
+                opts.policies = text("--policies", args.next())
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
                     .map(String::from)
                     .collect();
             }
-            "--traces" => opts.traces = parse("--traces", args.next()),
-            "--jobs" => opts.jobs = Some(parse("--jobs", args.next())),
-            "--load" => opts.load = parse("--load", args.next()),
-            "--interference" => opts.interference = parse("--interference", args.next()),
-            "--realistic" => opts.choice = ConfigChoice::Realistic,
-            "--trace-dir" => {
-                trace_dir = Some(PathBuf::from(parse::<String>("--trace-dir", args.next())))
+            "--traces" => opts.traces = number("--traces", args.next(), 1..=16),
+            "--jobs" => opts.cell.jobs = number("--jobs", args.next(), 1..=100_000),
+            "--load" => opts.cell.load = number("--load", args.next(), 0.01..=8.0),
+            "--interference" => {
+                opts.cell.interference = number("--interference", args.next(), 0.0..=0.99)
             }
-            "--json" => json_out = Some(PathBuf::from(parse::<String>("--json", args.next()))),
-            _ => {
-                eprintln!("unknown argument {arg:?}");
-                usage();
-            }
+            "--realistic" => opts.cell.choice = ConfigChoice::Realistic,
+            "--trace-dir" => trace_dir = Some(text("--trace-dir", args.next()).into()),
+            "--json" => json_out = Some(text("--json", args.next()).into()),
+            _ => fail(format_args!("unknown argument {arg:?}")),
         }
     }
 
@@ -142,48 +133,42 @@ fn main() {
         return;
     }
 
-    exit_on_capture_error(capture_recorder());
+    // Every output path is opened before the first simulation.
+    exit_on_error(capture_recorder());
+    if let Some(path) = &json_out {
+        output("--json", path, File::create);
+    }
     if let Some(dir) = &trace_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create --trace-dir {dir:?}: {e}");
-            std::process::exit(1);
-        }
+        output("--trace-dir", dir, std::fs::create_dir_all);
     }
 
-    let result = match &trace_dir {
+    let result = exit_on_error(match &trace_dir {
         None => zoo::run(&opts),
         Some(dir) => zoo::run_with_recorder(&opts, |policy| {
-            let path = capture_path(dir, policy, "jsonl");
-            match JsonlSink::create(&path) {
-                Ok(sink) => Recorder::new(Arc::new(sink)),
-                Err(e) => {
-                    eprintln!("capture {path:?} not writable ({e}); telemetry off for {policy}");
-                    Recorder::disabled()
-                }
-            }
+            let trace = capture_path(dir, policy, "trace.json");
+            output("--trace-dir", &trace, File::create);
+            let capture = capture_path(dir, policy, "jsonl");
+            Recorder::new(Arc::new(output("--trace-dir", &capture, JsonlSink::create)))
         }),
-    };
-    let result = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    });
 
     println!("{result}");
 
     if let Some(dir) = &trace_dir {
         for row in &result.rows {
-            export_chrome(dir, &row.policy);
+            let capture = capture_path(dir, row.policy, "jsonl");
+            let trace = capture_path(dir, row.policy, "trace.json");
+            exit_on_error(export_chrome_trace(
+                ("--trace-dir", capture.as_os_str()),
+                ("--trace-dir", trace.as_os_str()),
+            ));
         }
     }
     if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, result.to_json()) {
-            eprintln!("cannot write --json {path:?}: {e}");
-            std::process::exit(1);
-        }
+        output("--json", path, |path| {
+            std::fs::write(path, result.to_json())
+        });
         eprintln!("json: {path:?}");
     }
-    exit_on_capture_error(dump_timeline_artifacts());
+    exit_on_error(dump_timeline_artifacts());
 }

@@ -22,16 +22,12 @@
 //!   telemetry capture as a Chrome trace (requires
 //!   `POLLUX_TELEMETRY_OUT`); open it in <https://ui.perfetto.dev>.
 
-use pollux_cluster::ClusterSpec;
-use pollux_core::{run_trace_recorded, ConfigChoice};
+use pollux_experiments::cell::{run_cells, Cell};
 use pollux_experiments::common::{
-    capture_recorder, dump_timeline_artifacts, exit_on_capture_error,
+    capture_recorder, dump_timeline_artifacts, exit_on_error, flag_value,
 };
-use pollux_experiments::zoo;
-use pollux_simulator::SimConfig;
-use pollux_telemetry::Recorder;
-use pollux_workload::{JobSpec, TraceConfig, TraceGenerator};
-use std::time::Instant;
+use pollux_simulator::SimResult;
+use std::time::{Duration, Instant};
 
 /// Writes an output file the environment asked for. The path is user
 /// input: an unwritable one is reported and exits 2, like a bad seed.
@@ -42,6 +38,11 @@ fn write_or_exit(path: &str, contents: String) {
     }
 }
 
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}; usage: pollux-sim [pollux|optimus|tiresias|all] [seed]");
+    std::process::exit(2);
+}
+
 /// The paper's three policies in run order: the name this CLI prints
 /// and accepts, and the zoo registry entry that builds it.
 const POLICIES: [(&str, &str); 3] = [
@@ -50,29 +51,15 @@ const POLICIES: [(&str, &str); 3] = [
     ("pollux", "pollux"),
 ];
 
-fn run_one(name: &str, zoo_name: &str, trace: &[JobSpec], seed: u64, recorder: Recorder) {
-    let policy = zoo::lookup(zoo_name)
-        .expect("the paper's policies are registered")
-        .build()
-        .into_policy();
-    let spec = ClusterSpec::homogeneous(16, 4).expect("valid cluster");
-    let sim = SimConfig {
-        max_sim_time: 96.0 * 3600.0,
-        seed,
-        ..Default::default()
-    };
-    let t0 = Instant::now();
-    let res = run_trace_recorded(policy, trace, ConfigChoice::Tuned, spec, sim, recorder)
-        .expect("valid simulation inputs");
+fn report(name: &str, res: &SimResult, wall: Duration) {
     if let Ok(path) = std::env::var("POLLUX_JSON_OUT") {
         write_or_exit(&format!("{path}.{name}.json"), format!("{res:#?}"));
     }
     let s = res.summary();
     let h = |v: Option<f64>| v.unwrap_or(0.0) / 3600.0;
     println!(
-        "{name:<10} wall {:>8.2?}  jobs {}  unfinished {}  avg JCT {:.2}h  p99 {:.1}h  \
+        "{name:<10} wall {wall:>8.2?}  jobs {}  unfinished {}  avg JCT {:.2}h  p99 {:.1}h  \
          makespan {:.1}h  stat-eff {:.1}%  digest {:016x}",
-        t0.elapsed(),
         res.records.len(),
         res.unfinished(),
         s.avg_jct.unwrap_or(0.0) / 3600.0,
@@ -100,42 +87,34 @@ fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
     let seed = match std::env::args().nth(2) {
         None => 1u64,
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("invalid seed {v:?}; usage: pollux-sim [policy] [seed]");
-                std::process::exit(2);
-            }
-        },
+        v => flag_value("seed", v, 0..=u64::MAX).unwrap_or_else(|e| fail(e)),
     };
     if which != "all" && !POLICIES.iter().any(|(name, _)| *name == which) {
-        eprintln!("usage: pollux-sim [pollux|optimus|tiresias|all] [seed]");
-        std::process::exit(2);
+        fail(format_args!("unknown policy {which:?}"));
     }
-    let recorder = exit_on_capture_error(capture_recorder());
-    let mut trace_cfg = TraceConfig {
-        seed,
-        ..Default::default()
+    let recorder = exit_on_error(capture_recorder());
+    // The standard evaluation cell, with the one seed for both the
+    // trace and the simulator.
+    let mut cell = Cell {
+        trace_seed: seed,
+        sim_seed: seed,
+        ..Cell::evaluation("pollux", 0)
     };
     if let Ok(jobs) = std::env::var("POLLUX_SIM_JOBS") {
-        match jobs.parse() {
-            Ok(n) if n > 0 => trace_cfg.num_jobs = n,
-            _ => {
-                eprintln!("invalid POLLUX_SIM_JOBS {jobs:?}; expected a positive integer");
-                std::process::exit(2);
-            }
-        }
+        cell.jobs =
+            flag_value("POLLUX_SIM_JOBS", Some(jobs), 1..=usize::MAX).unwrap_or_else(|e| fail(e));
     }
-    let trace = TraceGenerator::new(trace_cfg)
-        .expect("valid trace config")
-        .generate();
     if let Ok(path) = std::env::var("POLLUX_TRACE_OUT") {
-        write_or_exit(&path, format!("{trace:#?}"));
+        write_or_exit(&path, format!("{:#?}", exit_on_error(cell.trace())));
     }
-    for (name, zoo_name) in POLICIES {
+    // One policy at a time: each summary line times its own run, and a
+    // result is written out before the next policy starts.
+    for (name, policy) in POLICIES {
         if which == "all" || which == name {
-            run_one(name, zoo_name, &trace, seed, recorder.clone());
+            let t0 = Instant::now();
+            let results = run_cells(&[Cell { policy, ..cell }], |_| recorder.clone());
+            report(name, &exit_on_error(results)[0], t0.elapsed());
         }
     }
-    exit_on_capture_error(dump_timeline_artifacts());
+    exit_on_error(dump_timeline_artifacts());
 }

@@ -1,11 +1,12 @@
-//! Shared experiment infrastructure: table printing, standard
-//! configurations, and multi-trace averaging.
+//! Shared experiment infrastructure: the standard configurations, the
+//! process-wide telemetry capture, the command-line rules the three
+//! binaries share, and table / chart printing.
 
 use pollux_cluster::ClusterSpec;
+use pollux_core::PolluxConfig;
 use pollux_sched::GaConfig;
 use pollux_simulator::SimConfig;
 use pollux_telemetry::{chrome, Event, JsonlSink, Recorder};
-use pollux_workload::{JobSpec, TraceConfig, TraceGenerator};
 use std::ffi::{OsStr, OsString};
 use std::sync::{Arc, OnceLock};
 
@@ -25,6 +26,14 @@ pub fn experiment_ga() -> GaConfig {
     }
 }
 
+/// The Pollux configuration every experiment starts from: defaults,
+/// with the GA at [`experiment_ga`].
+pub fn experiment_pollux() -> PolluxConfig {
+    let mut config = PolluxConfig::default();
+    config.sched.ga = experiment_ga();
+    config
+}
+
 /// Default simulation settings for workload experiments.
 pub fn experiment_sim(seed: u64) -> SimConfig {
     SimConfig {
@@ -34,27 +43,15 @@ pub fn experiment_sim(seed: u64) -> SimConfig {
     }
 }
 
-/// Generates the `i`-th evaluation trace (the paper averages 8
-/// different traces with the same distributions, Sec. 5.3).
-pub fn evaluation_trace(i: u64, load: f64) -> Vec<JobSpec> {
-    TraceGenerator::new(TraceConfig {
-        seed: 1000 + i,
-        load_multiplier: load,
-        ..Default::default()
-    })
-    .expect("static config is valid")
-    .generate()
-}
-
-/// A capture setting the process cannot honour. The environment is
-/// user input: the binaries print this on one line and exit 2 before
-/// simulating anything.
+/// An output setting the process cannot honour. The environment and
+/// the command line are user input: the binaries print this on one
+/// line and exit 2 before simulating anything.
 #[derive(Debug)]
 pub enum CaptureError {
     /// The file `var` names cannot be written (or, for the capture a
     /// Chrome trace is exported from, read back).
     Io {
-        /// The environment variable that named the file.
+        /// The environment variable or flag that named the file.
         var: &'static str,
         /// Its value.
         path: OsString,
@@ -80,7 +77,8 @@ impl std::fmt::Display for CaptureError {
 impl std::error::Error for CaptureError {}
 
 impl CaptureError {
-    fn io<'a>(var: &'static str, path: &'a OsStr) -> impl FnOnce(std::io::Error) -> Self + 'a {
+    /// The error for `path`, which `var` named, failing with `source`.
+    pub fn io<'a>(var: &'static str, path: &'a OsStr) -> impl FnOnce(std::io::Error) -> Self + 'a {
         move |source| Self::Io {
             var,
             path: path.to_owned(),
@@ -133,23 +131,47 @@ pub(crate) fn recorder() -> Recorder {
     CAPTURE.get().cloned().unwrap_or_default()
 }
 
-/// Unwraps a capture result, or prints the error on one line and exits
-/// with status 2.
-pub fn exit_on_capture_error<T>(result: Result<T, CaptureError>) -> T {
+/// Unwraps a result whose error is the user's doing — a capture path, a
+/// flag, a cell that cannot be built — or prints the error on one line
+/// and exits with status 2: the one rule every binary keeps.
+pub fn exit_on_error<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     })
 }
 
+/// Parses a flag's value and checks it against the accepted range (NaN
+/// is in no range).
+///
+/// # Errors
+///
+/// One line naming the flag and the range, when the value is missing,
+/// unparseable or out of range.
+pub fn flag_value<T>(
+    flag: &str,
+    v: Option<String>,
+    range: std::ops::RangeInclusive<T>,
+) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    match v.as_deref().map(T::from_str) {
+        Some(Ok(x)) if range.contains(&x) => Ok(x),
+        _ => Err(format!(
+            "invalid or missing value for {flag} (expected {}..={})",
+            range.start(),
+            range.end()
+        )),
+    }
+}
+
 /// Dumps end-of-run timeline artifacts from the process capture.
 ///
 /// When `POLLUX_CHROME_TRACE` names an output file, the JSONL capture
-/// written via [`capture_recorder`] is flushed, re-read, and exported
-/// as a Chrome trace — per-node placement slices, goodput/queue counter
-/// tracks, restart instants — loadable in Perfetto or
-/// `chrome://tracing`. Call this once, after every simulation in the
-/// process has finished; it is a no-op when the variable is unset.
+/// written via [`capture_recorder`] is flushed and exported with
+/// [`export_chrome_trace`]. Call this once, after every simulation in
+/// the process has finished; it is a no-op when the variable is unset.
 ///
 /// # Errors
 ///
@@ -161,15 +183,30 @@ pub fn dump_timeline_artifacts() -> Result<(), CaptureError> {
     };
     let capture = std::env::var_os(TELEMETRY_OUT).ok_or(CaptureError::ChromeTraceWithoutCapture)?;
     recorder().flush();
-    let text =
-        std::fs::read_to_string(&capture).map_err(CaptureError::io(TELEMETRY_OUT, &capture))?;
+    export_chrome_trace((TELEMETRY_OUT, &capture), (CHROME_TRACE, &out))
+}
+
+/// Re-reads a flushed JSONL capture and writes it as a Chrome trace —
+/// per-node placement slices, goodput/queue counter tracks, restart
+/// instants — loadable in Perfetto or `chrome://tracing`. Each path
+/// comes with the variable or flag that named it, for the error.
+///
+/// # Errors
+///
+/// [`CaptureError`] when the capture cannot be read or the trace
+/// cannot be written.
+pub fn export_chrome_trace(
+    (capture_var, capture): (&'static str, &OsStr),
+    (out_var, out): (&'static str, &OsStr),
+) -> Result<(), CaptureError> {
+    let text = std::fs::read_to_string(capture).map_err(CaptureError::io(capture_var, capture))?;
     let events: Vec<Event> = text
         .lines()
         .filter(|l| !l.trim().is_empty())
         .filter_map(Event::parse_jsonl)
         .collect();
     let (trace, stats) = chrome::export_with_stats(&events);
-    std::fs::write(&out, &trace).map_err(CaptureError::io(CHROME_TRACE, &out))?;
+    std::fs::write(out, &trace).map_err(CaptureError::io(out_var, out))?;
     eprintln!(
         "chrome trace: {out:?} ({} slices, {} counter samples, {} instants)",
         stats.slices, stats.counters, stats.instants
@@ -336,17 +373,23 @@ mod tests {
     }
 
     #[test]
-    fn mean_of_values() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
+    fn flag_values_are_parsed_and_range_checked() {
+        let v = |s: &str| Some(s.to_string());
+        assert_eq!(flag_value("--traces", v("8"), 1..=16), Ok(8u64));
+        assert_eq!(flag_value("--load", v("0.5"), 0.01..=8.0), Ok(0.5));
+        for bad in ["0", "17", "-1", "eight", ""] {
+            let err = flag_value("--traces", v(bad), 1..=16u64).unwrap_err();
+            assert!(err.contains("--traces") && err.contains("1..=16"), "{err}");
+        }
+        for bad in ["nan", "inf", "-inf", "0", "9"] {
+            assert!(flag_value("--load", v(bad), 0.01..=8.0).is_err(), "{bad}");
+        }
+        assert!(flag_value("--jobs", None, 1..=9usize).is_err());
     }
 
     #[test]
-    fn traces_differ_by_index() {
-        let a = evaluation_trace(0, 1.0);
-        let b = evaluation_trace(1, 1.0);
-        assert_ne!(a, b);
-        assert_eq!(a.len(), 160);
-        assert_eq!(evaluation_trace(0, 0.5).len(), 80);
+    fn mean_of_values() {
+        assert_eq!(mean(&[]), None);
+        assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
     }
 }

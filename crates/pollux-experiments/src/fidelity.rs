@@ -6,7 +6,7 @@
 //! (testbed: 25 % and 50 %). This module derives the same reduction
 //! factors from a [`crate::table2`] run.
 
-use crate::table2::{Policy, Table2Result};
+use crate::table2::Table2Result;
 
 /// JCT-reduction factors relative to the baselines.
 #[derive(Debug, Clone, Copy)]
@@ -17,17 +17,10 @@ pub struct FidelityResult {
     pub reduction_vs_tiresias: f64,
 }
 
-/// Derives the reductions from a Table-2 result.
+/// Derives the reductions from a Table-2 result; `None` when a
+/// baseline has no JCT to reduce.
 pub fn from_table2(t: &Table2Result) -> Option<FidelityResult> {
-    let jct = |p: Policy| {
-        t.outcomes
-            .iter()
-            .find(|o| o.policy == p)
-            .map(|o| o.avg_jct_hours)
-    };
-    let pollux = jct(Policy::Pollux)?;
-    let optimus = jct(Policy::OptimusOracle)?;
-    let tiresias = jct(Policy::Tiresias)?;
+    let [pollux, optimus, tiresias] = t.outcomes.map(|o| o.avg_jct_hours);
     if optimus <= 0.0 || tiresias <= 0.0 {
         return None;
     }
@@ -59,42 +52,27 @@ impl std::fmt::Display for FidelityResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table2::PolicyOutcome;
+    use crate::cell::Summary;
 
-    fn outcome(policy: Policy, jct: f64) -> PolicyOutcome {
-        PolicyOutcome {
-            policy,
-            avg_jct_hours: jct,
-            p99_jct_hours: 0.0,
-            makespan_hours: 0.0,
-            avg_efficiency: 0.0,
-            job_throughput: 0.0,
-            job_goodput: 0.0,
-            unfinished: 0,
+    fn table(jcts: [f64; 3]) -> Table2Result {
+        Table2Result {
+            outcomes: jcts.map(|avg_jct_hours| Summary {
+                avg_jct_hours,
+                ..Default::default()
+            }),
+            traces: 1,
         }
     }
 
     #[test]
     fn reductions_from_synthetic_table() {
-        let t = Table2Result {
-            outcomes: vec![
-                outcome(Policy::Pollux, 1.2),
-                outcome(Policy::OptimusOracle, 1.6),
-                outcome(Policy::Tiresias, 2.4),
-            ],
-            traces: 1,
-        };
-        let f = from_table2(&t).unwrap();
+        let f = from_table2(&table([1.2, 1.6, 2.4])).unwrap();
         assert!((f.reduction_vs_optimus - 0.25).abs() < 1e-9);
         assert!((f.reduction_vs_tiresias - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn degenerate_tables_rejected() {
-        let t = Table2Result {
-            outcomes: vec![outcome(Policy::Pollux, 1.0)],
-            traces: 1,
-        };
-        assert!(from_table2(&t).is_none());
+        assert!(from_table2(&table([1.0, 0.0, 0.0])).is_none());
     }
 }

@@ -8,10 +8,11 @@
 //! reports Pollux trains ImageNet ~25 % cheaper at ~6 % longer
 //! completion time.
 
-use crate::common::render_table;
+use crate::cell::simulate;
+use crate::common::{recorder, render_table};
 use pollux_baselines::or_etal;
 use pollux_cluster::{ClusterSpec, JobId};
-use pollux_core::{run_trace_recorded, ConfigChoice, PolluxConfig, PolluxPolicy};
+use pollux_core::{ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux_sched::{AutoscaleConfig, GaConfig};
 use pollux_simulator::{SimConfig, SimResult};
 use pollux_workload::{JobSpec, ModelKind, UserConfig};
@@ -140,13 +141,13 @@ pub fn run(work_scale: f64, max_nodes: u32) -> Fig10Result {
         });
         let policy = PolluxPolicy::new(cfg).expect("valid config");
         extract(
-            run_trace_recorded(
+            simulate(
                 policy,
                 std::slice::from_ref(&job),
                 ConfigChoice::Tuned,
                 start.clone(),
                 sim,
-                crate::common::recorder(),
+                recorder(),
             )
             .expect("valid inputs"),
         )
@@ -159,13 +160,13 @@ pub fn run(work_scale: f64, max_nodes: u32) -> Fig10Result {
         };
         let policy = or_etal(cfg);
         extract(
-            run_trace_recorded(
+            simulate(
                 policy,
                 std::slice::from_ref(&job),
                 ConfigChoice::Tuned,
                 start,
                 sim,
-                crate::common::recorder(),
+                recorder(),
             )
             .expect("valid inputs"),
         )

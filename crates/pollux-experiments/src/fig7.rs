@@ -5,8 +5,9 @@
 //! idealized tuned configurations, and reports each baseline's average
 //! JCT normalized to Pollux's.
 
-use crate::common::{mean, render_table};
-use crate::table2::{run_one, Policy, Table2Options};
+use crate::cell::{run_averaged, Cell, CellError};
+use crate::common::render_table;
+use crate::table2::POLICIES;
 use pollux_core::ConfigChoice;
 
 /// One sweep point.
@@ -14,7 +15,7 @@ use pollux_core::ConfigChoice;
 pub struct Fig7Point {
     /// Fraction of user-configured jobs.
     pub user_fraction: f64,
-    /// Average JCT per policy (hours), `Policy::ALL` order.
+    /// Average JCT per policy (hours), [`POLICIES`] order.
     pub avg_jct_hours: [f64; 3],
     /// Average JCT normalized to Pollux.
     pub normalized: [f64; 3],
@@ -42,57 +43,62 @@ pub struct Fig7Result {
 pub const DEFAULT_LOAD: f64 = 0.6;
 
 /// Runs the sweep with `traces` traces per cell at `DEFAULT_LOAD`.
-pub fn run(traces: u64) -> Fig7Result {
+///
+/// # Errors
+///
+/// As [`run_at_load`].
+pub fn run(traces: u64) -> Result<Fig7Result, CellError> {
     run_at_load(traces, DEFAULT_LOAD)
 }
 
 /// Runs the sweep at an explicit workload scale.
-pub fn run_at_load(traces: u64, load: f64) -> Fig7Result {
+///
+/// # Errors
+///
+/// [`CellError`] for `traces == 0` or a `load` that describes no trace.
+pub fn run_at_load(traces: u64, load: f64) -> Result<Fig7Result, CellError> {
     let fractions = [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0];
+    let mut cells = Vec::new();
+    for &frac in &fractions {
+        for (policy, _) in POLICIES {
+            for t in 0..traces {
+                let choice = if frac <= 0.0 {
+                    ConfigChoice::Tuned
+                } else if frac >= 1.0 {
+                    ConfigChoice::Realistic
+                } else {
+                    ConfigChoice::Mixed {
+                        fraction: frac,
+                        seed: 500 + t,
+                    }
+                };
+                cells.push(Cell {
+                    load,
+                    choice,
+                    ..Cell::evaluation(policy, t)
+                });
+            }
+        }
+    }
+    let summaries = run_averaged(&cells, traces)?;
     let points = fractions
         .iter()
-        .map(|&frac| {
-            let mut jct = [0.0f64; 3];
-            for (pi, &policy) in Policy::ALL.iter().enumerate() {
-                let per_trace: Vec<f64> = (0..traces.max(1))
-                    .map(|t| {
-                        let opts = Table2Options {
-                            traces: 1,
-                            load,
-                            choice: if frac <= 0.0 {
-                                ConfigChoice::Tuned
-                            } else if frac >= 1.0 {
-                                ConfigChoice::Realistic
-                            } else {
-                                ConfigChoice::Mixed {
-                                    fraction: frac,
-                                    seed: 500 + t,
-                                }
-                            },
-                            ..Default::default()
-                        };
-                        run_one(policy, t, &opts)
-                            .avg_jct()
-                            .map(|v| v / 3600.0)
-                            .unwrap_or(f64::NAN)
-                    })
-                    .filter(|v| v.is_finite())
-                    .collect();
-                jct[pi] = mean(&per_trace).unwrap_or(0.0);
-            }
+        .zip(summaries.chunks(POLICIES.len()))
+        .map(|(&frac, row)| {
+            let jct = [0, 1, 2].map(|p| row[p].avg_jct_hours);
             let base = jct[0].max(1e-9);
             Fig7Point {
                 user_fraction: frac,
                 avg_jct_hours: jct,
-                normalized: [jct[0] / base, jct[1] / base, jct[2] / base],
+                normalized: jct.map(|v| v / base),
             }
         })
         .collect();
-    Fig7Result {
+    Ok(Fig7Result {
         points,
-        traces: traces.max(1),
+        traces,
         load,
-    }
+    })
 }
 
 impl std::fmt::Display for Fig7Result {

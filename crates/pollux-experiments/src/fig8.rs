@@ -4,16 +4,16 @@
 //! and reports average JCT per policy. The paper's observation: every
 //! policy degrades under load, but Pollux degrades most gracefully.
 
-use crate::common::{mean, render_table};
-use crate::sweep::sweep;
-use crate::table2::{run_one, Policy, Table2Options};
+use crate::cell::{run_averaged, Cell, CellError};
+use crate::common::render_table;
+use crate::table2::POLICIES;
 
 /// One sweep point.
 #[derive(Debug, Clone)]
 pub struct Fig8Point {
     /// Load multiplier (relative job submission count).
     pub load: f64,
-    /// Average JCT (hours) per policy, `Policy::ALL` order.
+    /// Average JCT (hours) per policy, [`POLICIES`] order.
     pub avg_jct_hours: [f64; 3],
 }
 
@@ -27,39 +27,33 @@ pub struct Fig8Result {
 }
 
 /// Runs the sweep with `traces` traces per cell.
-pub fn run(traces: u64) -> Fig8Result {
+///
+/// # Errors
+///
+/// [`CellError::NoTraces`] for `traces == 0`.
+pub fn run(traces: u64) -> Result<Fig8Result, CellError> {
     let loads = [0.5, 1.0, 1.5, 2.0];
+    let mut cells = Vec::new();
+    for &load in &loads {
+        for (policy, _) in POLICIES {
+            for t in 0..traces {
+                cells.push(Cell {
+                    load,
+                    ..Cell::evaluation(policy, t)
+                });
+            }
+        }
+    }
+    let summaries = run_averaged(&cells, traces)?;
     let points = loads
         .iter()
-        .map(|&load| {
-            let mut jct = [0.0f64; 3];
-            for (pi, &policy) in Policy::ALL.iter().enumerate() {
-                let per_trace: Vec<f64> = sweep(traces.max(1), |t| {
-                    let opts = Table2Options {
-                        traces: 1,
-                        load,
-                        ..Default::default()
-                    };
-                    run_one(policy, t, &opts)
-                        .avg_jct()
-                        .map(|v| v / 3600.0)
-                        .unwrap_or(f64::NAN)
-                })
-                .into_iter()
-                .filter(|v| v.is_finite())
-                .collect();
-                jct[pi] = mean(&per_trace).unwrap_or(0.0);
-            }
-            Fig8Point {
-                load,
-                avg_jct_hours: jct,
-            }
+        .zip(summaries.chunks(POLICIES.len()))
+        .map(|(&load, row)| Fig8Point {
+            load,
+            avg_jct_hours: [0, 1, 2].map(|p| row[p].avg_jct_hours),
         })
         .collect();
-    Fig8Result {
-        points,
-        traces: traces.max(1),
-    }
+    Ok(Fig8Result { points, traces })
 }
 
 impl std::fmt::Display for Fig8Result {

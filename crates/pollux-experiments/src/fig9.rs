@@ -6,8 +6,8 @@
 //! across slowdowns (conflicts never happen); disabled, JCT grows up
 //! to 1.4×; with zero slowdown, disabling buys only ~2 %.
 
-use crate::common::{mean, render_table};
-use crate::table2::{run_one, Policy, Table2Options};
+use crate::cell::{run_averaged, Cell, CellError};
+use crate::common::render_table;
 
 /// One slowdown × avoidance cell.
 #[derive(Debug, Clone)]
@@ -30,38 +30,34 @@ pub struct Fig9Result {
 }
 
 /// Runs the sweep.
-pub fn run(traces: u64) -> Fig9Result {
+///
+/// # Errors
+///
+/// [`CellError::NoTraces`] for `traces == 0`.
+pub fn run(traces: u64) -> Result<Fig9Result, CellError> {
     let slowdowns = [0.0, 0.25, 0.5];
-    let cell = |slowdown: f64, disable_avoidance: bool| -> f64 {
-        let per_trace: Vec<f64> = (0..traces.max(1))
-            .map(|t| {
-                let opts = Table2Options {
-                    traces: 1,
-                    interference: slowdown,
-                    disable_avoidance,
-                    ..Default::default()
-                };
-                run_one(Policy::Pollux, t, &opts)
-                    .avg_jct()
-                    .map(|v| v / 3600.0)
-                    .unwrap_or(f64::NAN)
-            })
-            .filter(|v| v.is_finite())
-            .collect();
-        mean(&per_trace).unwrap_or(0.0)
-    };
+    let mut cells = Vec::new();
+    for &interference in &slowdowns {
+        for avoidance in [true, false] {
+            let mut point = Cell {
+                interference,
+                ..Cell::evaluation("pollux", 0)
+            };
+            point.pollux.sched.ga.interference_avoidance = avoidance;
+            cells.extend((0..traces).map(|t| point.at("pollux", t)));
+        }
+    }
+    let summaries = run_averaged(&cells, traces)?;
     let points = slowdowns
         .iter()
-        .map(|&s| Fig9Point {
-            slowdown: s,
-            enabled_jct_hours: cell(s, false),
-            disabled_jct_hours: cell(s, true),
+        .zip(summaries.chunks(2))
+        .map(|(&slowdown, pair)| Fig9Point {
+            slowdown,
+            enabled_jct_hours: pair[0].avg_jct_hours,
+            disabled_jct_hours: pair[1].avg_jct_hours,
         })
         .collect();
-    Fig9Result {
-        points,
-        traces: traces.max(1),
-    }
+    Ok(Fig9Result { points, traces })
 }
 
 impl std::fmt::Display for Fig9Result {

@@ -25,11 +25,16 @@
 //! | [`ext_accum`] | extension: gradient accumulation in the goodput search |
 //! | [`zoo`] | policy-zoo head-to-head across every registered scheduler |
 //!
-//! Multi-trace averages run their independent `(policy, trace)` cells
-//! on a worker pool via [`sweep`]; results are byte-identical to the
-//! serial loop at any thread count.
+//! Every simulated table and figure runs through one path, [`cell`]:
+//! an experiment declares its `(point × policy × trace)` grid as
+//! [`cell::Cell`] data, [`cell::run_cells`] simulates the whole grid on
+//! one order-preserving worker pool (results are byte-identical to the
+//! serial loop at any worker count), and [`cell::Summary::mean_of`]
+//! averages the traces of each table cell. The `policy-zoo` and
+//! `pollux-sim` binaries run their cells the same way.
 
 pub mod ablations;
+pub mod cell;
 pub mod common;
 pub mod ext_accum;
 pub mod fidelity;
@@ -41,7 +46,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod sweep;
 pub mod table2;
 pub mod table3;
 pub mod zoo;

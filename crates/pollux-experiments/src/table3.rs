@@ -4,9 +4,8 @@
 //! relative to λ = 0. The paper: larger λ strongly improves the median
 //! JCT (small jobs finish first), mildly hurts the tail.
 
-use crate::common::{mean, render_table};
-use crate::sweep::sweep;
-use crate::table2::{run_one, Policy, Table2Options};
+use crate::cell::{run_averaged, Cell, CellError};
+use crate::common::render_table;
 
 /// One λ row.
 #[derive(Debug, Clone)]
@@ -31,44 +30,31 @@ pub struct Table3Result {
 }
 
 /// Runs the sweep.
-pub fn run(traces: u64) -> Table3Result {
-    let rows = [0.0, 0.5, 1.0]
+///
+/// # Errors
+///
+/// [`CellError::NoTraces`] for `traces == 0`.
+pub fn run(traces: u64) -> Result<Table3Result, CellError> {
+    let lambdas = [0.0, 0.5, 1.0];
+    let cells: Vec<Cell> = lambdas
         .iter()
-        .map(|&lambda| {
-            let mut avg = Vec::new();
-            let mut p50 = Vec::new();
-            let mut p99 = Vec::new();
-            let cells = sweep(traces.max(1), |t| {
-                let opts = Table2Options {
-                    traces: 1,
-                    lambda,
-                    ..Default::default()
-                };
-                run_one(Policy::Pollux, t, &opts)
-            });
-            for r in cells {
-                if let Some(v) = r.avg_jct() {
-                    avg.push(v / 3600.0);
-                }
-                if let Some(v) = r.percentile_jct(50.0) {
-                    p50.push(v / 3600.0);
-                }
-                if let Some(v) = r.percentile_jct(99.0) {
-                    p99.push(v / 3600.0);
-                }
-            }
-            Table3Row {
-                lambda,
-                avg_jct_hours: mean(&avg).unwrap_or(0.0),
-                p50_jct_hours: mean(&p50).unwrap_or(0.0),
-                p99_jct_hours: mean(&p99).unwrap_or(0.0),
-            }
+        .flat_map(|&lambda| {
+            let mut point = Cell::evaluation("pollux", 0);
+            point.pollux.sched.weights.lambda = lambda;
+            (0..traces).map(move |t| point.at("pollux", t))
         })
         .collect();
-    Table3Result {
-        rows,
-        traces: traces.max(1),
-    }
+    let rows = lambdas
+        .iter()
+        .zip(run_averaged(&cells, traces)?)
+        .map(|(&lambda, s)| Table3Row {
+            lambda,
+            avg_jct_hours: s.avg_jct_hours,
+            p50_jct_hours: s.p50_jct_hours,
+            p99_jct_hours: s.p99_jct_hours,
+        })
+        .collect();
+    Ok(Table3Result { rows, traces })
 }
 
 impl std::fmt::Display for Table3Result {

@@ -13,17 +13,16 @@
 //!
 //! The `policy-zoo` bin wraps this module in a CLI; per-policy
 //! telemetry captures and Chrome traces hang off the same run via
-//! [`run_with_recorder`].
+//! [`run_with_recorder`]. The cells themselves are [`crate::cell`]'s.
 
-use crate::common::{experiment_ga, experiment_sim, mean, render_table, testbed_cluster};
-use crate::sweep::sweep;
+use crate::cell::{run_cells, Cell, CellError, Summary};
+use crate::common::{experiment_pollux, render_table};
 use pollux_baselines::{
     fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias, TiresiasConfig,
 };
-use pollux_core::{run_trace_recorded, ConfigChoice, PolluxConfig, PolluxPolicy};
-use pollux_simulator::{SchedulingPolicy, SimResult, StagedScheduler};
+use pollux_core::{PolluxConfig, PolluxPolicy};
+use pollux_simulator::{SchedulingPolicy, StagedScheduler};
 use pollux_telemetry::Recorder;
-use pollux_workload::{JobSpec, TraceConfig, TraceGenerator};
 
 /// A freshly-built zoo policy: either the Pollux GA scheduler on its
 /// direct [`SchedulingPolicy`] implementation, or a staged
@@ -62,43 +61,48 @@ pub struct ZooEntry {
     pub name: &'static str,
     /// One-line description for `policy-zoo --list` and the README.
     pub summary: &'static str,
-    ctor: fn() -> ZooPolicy,
+    ctor: fn(&PolluxConfig) -> Option<ZooPolicy>,
 }
 
 impl ZooEntry {
-    /// Builds a fresh policy instance.
+    /// Builds a fresh policy instance, `pollux` at
+    /// [`experiment_pollux`].
     pub fn build(&self) -> ZooPolicy {
-        (self.ctor)()
+        self.build_with(&experiment_pollux())
+            .expect("the experiment default is valid")
+    }
+
+    /// Builds a fresh policy instance, `pollux` from `pollux` (the
+    /// staged baselines have nothing to configure). `None` when
+    /// `PolluxPolicy::new` refuses the configuration.
+    pub fn build_with(&self, pollux: &PolluxConfig) -> Option<ZooPolicy> {
+        (self.ctor)(pollux)
     }
 }
 
-fn build_pollux() -> ZooPolicy {
-    let mut cfg = PolluxConfig::default();
-    cfg.sched.ga = experiment_ga();
-    ZooPolicy::Direct(Box::new(
-        PolluxPolicy::new(cfg).expect("default config is valid"),
-    ))
+fn build_pollux(config: &PolluxConfig) -> Option<ZooPolicy> {
+    Some(ZooPolicy::Direct(Box::new(PolluxPolicy::new(*config)?)))
 }
-fn build_tiresias() -> ZooPolicy {
-    ZooPolicy::Staged(tiresias(TiresiasConfig::default()))
+fn build_tiresias(_: &PolluxConfig) -> Option<ZooPolicy> {
+    Some(ZooPolicy::Staged(tiresias(TiresiasConfig::default())))
 }
-fn build_optimus() -> ZooPolicy {
-    ZooPolicy::Staged(optimus(4))
+fn build_optimus(_: &PolluxConfig) -> Option<ZooPolicy> {
+    Some(ZooPolicy::Staged(optimus(4)))
 }
-fn build_or_etal() -> ZooPolicy {
-    ZooPolicy::Staged(or_etal(Default::default()))
+fn build_or_etal(_: &PolluxConfig) -> Option<ZooPolicy> {
+    Some(ZooPolicy::Staged(or_etal(Default::default())))
 }
-fn build_srtf() -> ZooPolicy {
-    ZooPolicy::Staged(srtf())
+fn build_srtf(_: &PolluxConfig) -> Option<ZooPolicy> {
+    Some(ZooPolicy::Staged(srtf()))
 }
-fn build_srsf() -> ZooPolicy {
-    ZooPolicy::Staged(srsf())
+fn build_srsf(_: &PolluxConfig) -> Option<ZooPolicy> {
+    Some(ZooPolicy::Staged(srsf()))
 }
-fn build_fifo() -> ZooPolicy {
-    ZooPolicy::Staged(fifo_backfill())
+fn build_fifo(_: &PolluxConfig) -> Option<ZooPolicy> {
+    Some(ZooPolicy::Staged(fifo_backfill()))
 }
-fn build_gandiva() -> ZooPolicy {
-    ZooPolicy::Staged(gandiva_packing())
+fn build_gandiva(_: &PolluxConfig) -> Option<ZooPolicy> {
+    Some(ZooPolicy::Staged(gandiva_packing()))
 }
 
 static REGISTRY: &[ZooEntry] = &[
@@ -179,14 +183,10 @@ pub struct ZooOptions {
     pub policies: Vec<String>,
     /// Independently-seeded traces averaged per policy.
     pub traces: u64,
-    /// Jobs per trace (`None` = the standard 160-job workload).
-    pub jobs: Option<usize>,
-    /// Workload scale (1.0 = the paper's 8-hour submission window).
-    pub load: f64,
-    /// Per-job configuration source.
-    pub choice: ConfigChoice,
-    /// Interference slowdown injected (0 = none).
-    pub interference: f64,
+    /// The cell every policy plays: its `jobs`, `load`, `choice`,
+    /// `interference` and `pollux` as given, its policy and seeds set
+    /// per `(policy, trace)`.
+    pub cell: Cell,
 }
 
 impl Default for ZooOptions {
@@ -194,10 +194,7 @@ impl Default for ZooOptions {
         Self {
             policies: Vec::new(),
             traces: 2,
-            jobs: None,
-            load: 1.0,
-            choice: ConfigChoice::Tuned,
-            interference: 0.0,
+            cell: Cell::evaluation("pollux", 0),
         }
     }
 }
@@ -206,29 +203,11 @@ impl Default for ZooOptions {
 #[derive(Debug, Clone)]
 pub struct ZooRow {
     /// Registry name.
-    pub policy: String,
+    pub policy: &'static str,
     /// `(admission, placement, preemption)` for staged policies.
-    pub stages: Option<(String, String, String)>,
-    /// Mean of per-trace average JCTs (hours).
-    pub avg_jct_hours: f64,
-    /// Mean median JCT (hours).
-    pub p50_jct_hours: f64,
-    /// Mean 95th-percentile JCT (hours).
-    pub p95_jct_hours: f64,
-    /// Mean 99th-percentile JCT (hours).
-    pub p99_jct_hours: f64,
-    /// Mean queueing delay (hours).
-    pub avg_wait_hours: f64,
-    /// Mean 99th-percentile queueing delay (hours).
-    pub p99_wait_hours: f64,
-    /// Mean makespan (hours).
-    pub makespan_hours: f64,
-    /// Mean time-averaged cluster statistical efficiency.
-    pub avg_efficiency: f64,
-    /// Mean per-job lifetime goodput (useful examples/s).
-    pub job_goodput: f64,
-    /// Jobs unfinished at the horizon, summed over traces.
-    pub unfinished: usize,
+    pub stages: Option<(&'static str, &'static str, &'static str)>,
+    /// The policy's cells, averaged over the traces.
+    pub summary: Summary,
 }
 
 /// The full head-to-head result.
@@ -256,9 +235,9 @@ impl ZooResult {
                 out.push(',');
             }
             out.push_str("{\"policy\":");
-            write_str(&mut out, &row.policy);
+            write_str(&mut out, row.policy);
             out.push_str(",\"stages\":");
-            match &row.stages {
+            match row.stages {
                 Some((adm, plc, pre)) => {
                     out.push('[');
                     write_str(&mut out, adm);
@@ -270,16 +249,17 @@ impl ZooResult {
                 }
                 None => out.push_str("null"),
             }
+            let s = &row.summary;
             let nums: &[(&str, f64)] = &[
-                ("avg_jct_hours", row.avg_jct_hours),
-                ("p50_jct_hours", row.p50_jct_hours),
-                ("p95_jct_hours", row.p95_jct_hours),
-                ("p99_jct_hours", row.p99_jct_hours),
-                ("avg_wait_hours", row.avg_wait_hours),
-                ("p99_wait_hours", row.p99_wait_hours),
-                ("makespan_hours", row.makespan_hours),
-                ("avg_efficiency", row.avg_efficiency),
-                ("job_goodput", row.job_goodput),
+                ("avg_jct_hours", s.avg_jct_hours),
+                ("p50_jct_hours", s.p50_jct_hours),
+                ("p95_jct_hours", s.p95_jct_hours),
+                ("p99_jct_hours", s.p99_jct_hours),
+                ("avg_wait_hours", s.avg_wait_hours),
+                ("p99_wait_hours", s.p99_wait_hours),
+                ("makespan_hours", s.makespan_hours),
+                ("avg_efficiency", s.avg_efficiency),
+                ("job_goodput", s.job_goodput),
             ];
             for (key, v) in nums {
                 out.push(',');
@@ -287,7 +267,7 @@ impl ZooResult {
                 out.push(':');
                 write_f64(&mut out, *v);
             }
-            out.push_str(&format!(",\"unfinished\":{}}}", row.unfinished));
+            out.push_str(&format!(",\"unfinished\":{}}}", s.unfinished));
         }
         out.push_str(&format!(
             "],\"traces\":{},\"jobs\":{}}}\n",
@@ -313,64 +293,6 @@ pub fn table_headers() -> &'static [&'static str] {
     ]
 }
 
-/// Generates the `i`-th zoo trace (the standard evaluation trace,
-/// optionally resized).
-pub fn zoo_trace(i: u64, opts: &ZooOptions) -> Vec<JobSpec> {
-    let mut cfg = TraceConfig {
-        seed: 1000 + i,
-        load_multiplier: opts.load,
-        ..Default::default()
-    };
-    if let Some(jobs) = opts.jobs {
-        cfg.num_jobs = jobs;
-    }
-    TraceGenerator::new(cfg)
-        .expect("static config is valid")
-        .generate()
-}
-
-/// Runs one `(policy, trace index)` cell.
-fn run_cell(entry: &ZooEntry, i: u64, opts: &ZooOptions, recorder: Recorder) -> SimResult {
-    let trace = zoo_trace(i, opts);
-    let mut sim = experiment_sim(i);
-    sim.interference_slowdown = opts.interference;
-    run_trace_recorded(
-        entry.build().into_policy(),
-        &trace,
-        opts.choice,
-        testbed_cluster(),
-        sim,
-        recorder,
-    )
-    .expect("valid simulation inputs")
-}
-
-fn summarize(entry: &ZooEntry, results: &[SimResult]) -> ZooRow {
-    let collect = |f: &dyn Fn(&SimResult) -> Option<f64>| -> f64 {
-        let vals: Vec<f64> = results.iter().filter_map(f).collect();
-        mean(&vals).unwrap_or(0.0)
-    };
-    let h = 1.0 / 3600.0;
-    let stages = entry
-        .build()
-        .stage_names()
-        .map(|(a, p, y)| (a.to_string(), p.to_string(), y.to_string()));
-    ZooRow {
-        policy: entry.name.to_string(),
-        stages,
-        avg_jct_hours: collect(&|r| r.avg_jct().map(|v| v * h)),
-        p50_jct_hours: collect(&|r| r.percentile_jct(50.0).map(|v| v * h)),
-        p95_jct_hours: collect(&|r| r.percentile_jct(95.0).map(|v| v * h)),
-        p99_jct_hours: collect(&|r| r.percentile_jct(99.0).map(|v| v * h)),
-        avg_wait_hours: collect(&|r| r.summary().avg_wait.map(|v| v * h)),
-        p99_wait_hours: collect(&|r| r.summary().p99_wait.map(|v| v * h)),
-        makespan_hours: collect(&|r| Some(r.makespan() * h)),
-        avg_efficiency: collect(&|r| r.avg_cluster_efficiency()),
-        job_goodput: collect(&|r| r.mean_job_goodput()),
-        unfinished: results.iter().map(|r| r.unfinished()).sum(),
-    }
-}
-
 /// Resolves `opts.policies` against the registry (empty = all).
 ///
 /// # Errors
@@ -391,41 +313,55 @@ pub fn resolve(opts: &ZooOptions) -> Result<Vec<&'static ZooEntry>, UnknownPolic
 ///
 /// # Errors
 ///
-/// [`UnknownPolicy`] when `opts.policies` names an unregistered
-/// policy.
-pub fn run(opts: &ZooOptions) -> Result<ZooResult, UnknownPolicy> {
+/// As [`run_with_recorder`].
+pub fn run(opts: &ZooOptions) -> Result<ZooResult, CellError> {
     run_with_recorder(opts, |_| crate::common::recorder())
 }
 
 /// [`run`] with a caller-supplied recorder per policy, so each policy's
-/// telemetry (and Chrome trace) can land in its own capture file.
-/// Per-trace cells run on the [`sweep`] worker pool; cells are
-/// independent, so the table is identical to a serial loop.
+/// telemetry (and Chrome trace) can land in its own capture file:
+/// `recorder_for` is called once per policy, before anything is
+/// simulated. The `(policy, trace)` cells are one [`run_cells`] grid.
 ///
 /// # Errors
 ///
-/// [`UnknownPolicy`] when `opts.policies` names an unregistered
-/// policy.
+/// [`CellError`] when `opts.policies` names an unregistered policy,
+/// `opts.traces` is 0 or `opts.cell` cannot be simulated; nothing has
+/// run.
 pub fn run_with_recorder(
     opts: &ZooOptions,
     recorder_for: impl Fn(&'static str) -> Recorder,
-) -> Result<ZooResult, UnknownPolicy> {
-    let entries = resolve(opts)?;
-    let traces = opts.traces.max(1);
+) -> Result<ZooResult, CellError> {
+    let entries = resolve(opts).map_err(CellError::UnknownPolicy)?;
+    if opts.traces == 0 {
+        return Err(CellError::NoTraces);
+    }
+    let recorders: Vec<Recorder> = entries.iter().map(|e| recorder_for(e.name)).collect();
+    let cells: Vec<Cell> = entries
+        .iter()
+        .flat_map(|entry| (0..opts.traces).map(|i| opts.cell.at(entry.name, i)))
+        .collect();
+    let results = run_cells(&cells, |cell| {
+        let at = entries.iter().position(|e| e.name == cell.policy);
+        recorders[at.expect("every cell was built from an entry")].clone()
+    })?;
     let rows = entries
         .iter()
-        .map(|entry| {
-            let recorder = recorder_for(entry.name);
-            let results: Vec<SimResult> =
-                sweep(traces, |i| run_cell(entry, i, opts, recorder.clone()));
+        .zip(results.chunks(opts.traces as usize))
+        .zip(&recorders)
+        .map(|((entry, results), recorder)| {
             recorder.flush();
-            summarize(entry, &results)
+            ZooRow {
+                policy: entry.name,
+                stages: entry.build().stage_names(),
+                summary: Summary::mean_of(results),
+            }
         })
         .collect();
     Ok(ZooResult {
         rows,
-        traces: traces as usize,
-        jobs: zoo_trace(0, opts).len(),
+        traces: opts.traces as usize,
+        jobs: results.first().map_or(0, |r| r.records.len()),
     })
 }
 
@@ -441,20 +377,21 @@ impl std::fmt::Display for ZooResult {
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
-            .map(|r| {
+            .map(|row| {
+                let s = &row.summary;
                 vec![
-                    r.policy.clone(),
-                    format!("{:.2}", r.avg_jct_hours),
+                    row.policy.to_string(),
+                    format!("{:.2}", s.avg_jct_hours),
                     format!(
                         "{:.2}/{:.1}/{:.1}",
-                        r.p50_jct_hours, r.p95_jct_hours, r.p99_jct_hours
+                        s.p50_jct_hours, s.p95_jct_hours, s.p99_jct_hours
                     ),
-                    format!("{:.2}", r.avg_wait_hours),
-                    format!("{:.1}", r.p99_wait_hours),
-                    format!("{:.1}", r.makespan_hours),
-                    format!("{:.1}%", r.avg_efficiency * 100.0),
-                    format!("{:.1}", r.job_goodput),
-                    format!("{}", r.unfinished),
+                    format!("{:.2}", s.avg_wait_hours),
+                    format!("{:.1}", s.p99_wait_hours),
+                    format!("{:.1}", s.makespan_hours),
+                    format!("{:.1}%", s.avg_efficiency * 100.0),
+                    format!("{:.1}", s.job_goodput),
+                    format!("{}", s.unfinished),
                 ]
             })
             .collect();
@@ -463,9 +400,9 @@ impl std::fmt::Display for ZooResult {
         let stage_rows: Vec<Vec<String>> = self
             .rows
             .iter()
-            .map(|r| match &r.stages {
-                Some((a, p, y)) => vec![r.policy.clone(), a.clone(), p.clone(), y.clone()],
-                None => vec![r.policy.clone(), "-".into(), "-".into(), "-".into()],
+            .map(|r| {
+                let (a, p, y) = r.stages.unwrap_or(("-", "-", "-"));
+                [r.policy, a, p, y].map(String::from).to_vec()
             })
             .collect();
         write!(
@@ -538,6 +475,31 @@ mod tests {
     }
 
     #[test]
+    fn run_is_the_cell_grid_averaged_per_policy() {
+        let opts = ZooOptions {
+            policies: vec!["srtf".into(), "tiresias".into()],
+            traces: 2,
+            cell: Cell {
+                jobs: 3,
+                ..Cell::evaluation("pollux", 0)
+            },
+        };
+        let result = run(&opts).unwrap();
+        assert_eq!((result.traces, result.jobs), (2, 3));
+        let names: Vec<&str> = result.rows.iter().map(|r| r.policy).collect();
+        assert_eq!(names, ["srtf", "tiresias"]);
+        for row in &result.rows {
+            let cells = [opts.cell.at(row.policy, 0), opts.cell.at(row.policy, 1)];
+            let alone = run_cells(&cells, |_| Recorder::disabled()).unwrap();
+            assert_eq!(row.summary, Summary::mean_of(&alone), "{}", row.policy);
+            assert!(row.summary.avg_jct_hours > 0.0);
+            assert!(row.stages.is_some());
+        }
+        let none = ZooOptions { traces: 0, ..opts };
+        assert_eq!(run(&none).unwrap_err(), CellError::NoTraces);
+    }
+
+    #[test]
     fn table_schema_is_stable() {
         // CI and downstream parsers pin this schema; change it
         // deliberately (update EXPERIMENTS.md and the README) or not
@@ -565,22 +527,21 @@ mod tests {
         // pinned key present.
         let result = ZooResult {
             rows: vec![ZooRow {
-                policy: "optimus+oracle".into(),
-                stages: Some((
-                    "marginal-gain".into(),
-                    "consolidated-largest-first".into(),
-                    "preempt-all".into(),
-                )),
-                avg_jct_hours: 0.5,
-                p50_jct_hours: 0.25,
-                p95_jct_hours: 1.5,
-                p99_jct_hours: 2.0,
-                avg_wait_hours: 0.1,
-                p99_wait_hours: 0.4,
-                makespan_hours: 6.0,
-                avg_efficiency: 0.9,
-                job_goodput: 1234.5,
-                unfinished: 3,
+                policy: "optimus+oracle",
+                stages: Some(("marginal-gain", "consolidated-largest-first", "preempt-all")),
+                summary: Summary {
+                    avg_jct_hours: 0.5,
+                    p50_jct_hours: 0.25,
+                    p95_jct_hours: 1.5,
+                    p99_jct_hours: 2.0,
+                    avg_wait_hours: 0.1,
+                    p99_wait_hours: 0.4,
+                    makespan_hours: 6.0,
+                    avg_efficiency: 0.9,
+                    job_throughput: 2345.6,
+                    job_goodput: 1234.5,
+                    unfinished: 3,
+                },
             }],
             traces: 2,
             jobs: 64,

@@ -1,8 +1,10 @@
 //! The `experiments` runner: its registry is the table in `lib.rs`,
 //! its flags are user input (one line on stderr and exit status 2,
-//! the `pollux-sim` contract), and a runner prints what its module's
-//! `Display` renders.
+//! the `pollux-sim` contract, which `policy-zoo` keeps through the
+//! same flag parser), and a runner prints what its module's `Display`
+//! renders.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn experiments(args: &[&str]) -> Output {
@@ -34,16 +36,51 @@ fn list_is_the_lib_rs_table_minus_the_zoo() {
 
 #[test]
 fn bad_arguments_exit_2_with_one_line() {
+    let refused = |bin: &str, args: &[&str]| {
+        let out = Command::new(bin).args(args).output().expect("the bin runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{bin} {args:?}: ran before rejecting"
+        );
+    };
     for args in [
         &["fig99"][..],
         &["fig1", "--traces", "many"],
+        &["fig1", "--traces", "0"],
         &["fig10", "--imagenet-scale", "1.5"],
     ] {
-        let out = experiments(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}: ran before rejecting");
+        refused(env!("CARGO_BIN_EXE_experiments"), args);
+    }
+
+    // A directory squats on the capture `--trace-dir` would create for
+    // tiresias, so the directory is usable and that one file is not.
+    let trace_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("zoo-squatted-capture");
+    std::fs::create_dir_all(trace_dir.join("tiresias.jsonl")).unwrap();
+    let trace_dir = trace_dir.to_str().unwrap();
+    let quick = ["--traces", "1", "--jobs", "2", "--policies", "tiresias"];
+    for args in [
+        &["--interference", "2"][..],
+        &["--interference", "nan"],
+        &["--load", "-1"],
+        &["--load", "nan"],
+        &["--load", "inf"],
+        &["--jobs", "0"],
+        &["--jobs", "-3"],
+        &["--traces", "0"],
+        &["--traces"],
+        &["--policies", "nope"],
+        &["--frobnicate"],
+        &["--json", "/nonexistent-dir/zoo.json"],
+        &["--trace-dir", "/dev/null/zoo-traces"],
+        &["--trace-dir", trace_dir],
+    ] {
+        refused(
+            env!("CARGO_BIN_EXE_policy-zoo"),
+            &[&quick[..], args].concat(),
+        );
     }
 }
 

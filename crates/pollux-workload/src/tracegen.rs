@@ -98,11 +98,15 @@ pub struct TraceGenerator {
 }
 
 impl TraceGenerator {
-    /// Creates a generator. Returns `None` for degenerate configs.
+    /// Creates a generator. Returns `None` for degenerate configs: a
+    /// zero count, or a window or load that is not positive and finite
+    /// (a NaN load would round to a one-job trace, an infinite one to
+    /// `usize::MAX` jobs).
     pub fn new(config: TraceConfig) -> Option<Self> {
+        let positive = |v: f64| v > 0.0 && v.is_finite();
         if config.num_jobs == 0
-            || config.duration_hours <= 0.0
-            || config.load_multiplier <= 0.0
+            || !positive(config.duration_hours)
+            || !positive(config.load_multiplier)
             || config.max_gpus == 0
             || config.gpus_per_node == 0
         {
@@ -263,16 +267,18 @@ mod tests {
             ..Default::default()
         })
         .is_none());
-        assert!(TraceGenerator::new(TraceConfig {
-            duration_hours: 0.0,
-            ..Default::default()
-        })
-        .is_none());
-        assert!(TraceGenerator::new(TraceConfig {
-            load_multiplier: 0.0,
-            ..Default::default()
-        })
-        .is_none());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(TraceGenerator::new(TraceConfig {
+                duration_hours: bad,
+                ..Default::default()
+            })
+            .is_none());
+            assert!(TraceGenerator::new(TraceConfig {
+                load_multiplier: bad,
+                ..Default::default()
+            })
+            .is_none());
+        }
         assert!(TraceGenerator::new(TraceConfig::default()).is_some());
     }
 
