@@ -17,6 +17,8 @@
 //!   policy over the views, clamp the returned matrix to capacity, and
 //!   diff old vs new placements into explicit [`Reallocation`]
 //!   decisions which the caller applies to its own job store;
+//! - [`resize_placement`]: what a cluster resize does to a job's
+//!   placement (a job on a removed node is preempted whole);
 //! - [`StagedScheduler`] + the [`stages`] module: the Blox-style
 //!   decomposition of a policy into admission / placement / preemption
 //!   stages, composed back into a [`SchedulingPolicy`] (DESIGN.md §10).
@@ -35,7 +37,7 @@ pub mod stages;
 
 pub use lifecycle::{JobLifecycle, JobState};
 pub use policy::{PlacementDelta, PolicyJobView, SchedIntervalSample, SchedulingPolicy};
-pub use round::{Reallocation, RoundError, RoundOutcome, RoundPlanner};
+pub use round::{resize_placement, Reallocation, RoundError, RoundOutcome, RoundPlanner};
 pub use sched_jobs::{bootstrap_sched_job, sched_jobs_from_views, SchedJobCache};
 pub use stages::{
     keep_placement, pack_consolidated, AdmissionPolicy, Admitted, ConsolidatedPlacement,

@@ -42,6 +42,21 @@ impl Reallocation {
     }
 }
 
+/// Fits one job's placement row to a cluster resized to `nodes` nodes:
+/// the row is cut or zero-padded to the new width, and a job that held
+/// GPUs on a removed node loses its whole placement (a partial one
+/// would change its world size silently). Returns whether GPUs were
+/// lost — the caller then preempts the job. Both drivers resize
+/// through this one rule.
+pub fn resize_placement(row: &mut Vec<u32>, nodes: usize) -> bool {
+    let lost = row.iter().skip(nodes).any(|&g| g > 0);
+    row.resize(nodes, 0);
+    if lost {
+        row.fill(0);
+    }
+    lost
+}
+
 /// The result of one scheduling round, applied by the caller.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundOutcome {
@@ -351,6 +366,22 @@ mod tests {
     use pollux_models::BatchSizeLimits;
     use pollux_workload::UserConfig;
     use rand::SeedableRng;
+
+    #[test]
+    fn resize_keeps_loses_or_pads_a_row() {
+        // Shrink past empty nodes: the job keeps its GPUs.
+        let mut row = vec![2, 1, 0, 0];
+        assert!(!resize_placement(&mut row, 2));
+        assert_eq!(row, [2, 1]);
+        // Shrink past a held node: the whole row goes.
+        let mut row = vec![2, 0, 1];
+        assert!(resize_placement(&mut row, 2));
+        assert_eq!(row, [0, 0]);
+        // Grow: the row is padded with empty nodes.
+        let mut row = vec![0, 3];
+        assert!(!resize_placement(&mut row, 4));
+        assert_eq!(row, [0, 3, 0, 0]);
+    }
 
     /// A scripted policy: returns the preloaded matrix for each round.
     struct Scripted {

@@ -170,7 +170,7 @@ mod tests {
         assert_eq!(err, Some(SimBuildError::EmptyWorkload));
 
         let bad = SimConfig {
-            tick_seconds: 0.0,
+            max_sim_time: 0.0,
             ..Default::default()
         };
         let err = run_trace(

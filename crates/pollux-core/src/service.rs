@@ -23,16 +23,20 @@
 //! restart and GPU-time accounting) lives in the shared
 //! [`JobLifecycle`] state machine.
 //!
-//! All state is behind `parking_lot` locks; the scheduler thread is
-//! driven by a bounded `std::sync::mpsc` command channel whose
-//! `recv_timeout` doubles as the periodic ticker, so the service shuts
-//! down deterministically.
+//! All state is behind `std::sync` locks, taken through `lock`,
+//! `read` and `write`: a lock poisoned by a panicked holder is
+//! taken over as it stands (`PoisonError::into_inner`) rather than
+//! turned into a second panic. The scheduler thread is driven by a
+//! bounded `std::sync::mpsc` command channel whose `recv_timeout`
+//! doubles as the periodic ticker, so the service shuts down
+//! deterministically.
 
 use crate::policy::{PolluxConfig, PolluxPolicy};
-use parking_lot::{Mutex, RwLock};
 use pollux_agent::{AgentReport, PolluxAgent, TuningDecision};
 use pollux_cluster::{ClusterSpec, JobId, NodeId};
-use pollux_control::{JobLifecycle, JobState, PolicyJobView, RoundPlanner, SchedulingPolicy};
+use pollux_control::{
+    resize_placement, JobLifecycle, JobState, PolicyJobView, RoundPlanner, SchedulingPolicy,
+};
 use pollux_models::{BatchSizeLimits, GradientStats, PlacementShape};
 use pollux_sched::SpeedupTableStats;
 use pollux_telemetry::Recorder;
@@ -41,9 +45,23 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The service's three ways into a lock, each of which takes over a
+/// poisoned lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Errors surfaced by the service API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +209,7 @@ impl Shared {
         let _span = self.recorder.span("service", "round");
         self.recorder.incr("service", "rounds", 1);
         {
-            let mut jobs = self.jobs.lock();
+            let mut jobs = lock(&self.jobs);
             for entry in jobs.values_mut() {
                 entry.lifecycle.wake(now);
             }
@@ -199,14 +217,14 @@ impl Shared {
         let mut snaps = self.snapshot_jobs();
         if snaps.is_empty() {
             self.recorder.incr("service", "empty_rounds", 1);
-            *self.rounds.write() += 1;
+            *write(&self.rounds) += 1;
             return;
         }
 
         // Optional cloud auto-scaling before allocation. Resizing
         // mutates placements, so the snapshot is rebuilt.
         {
-            let spec = self.spec.read().clone();
+            let spec = read(&self.spec).clone();
             let views = views_of(&snaps);
             let desired = planner.desired_nodes(policy, now, &views, &spec, rng);
             drop(views);
@@ -219,7 +237,7 @@ impl Shared {
 
         self.recorder
             .incr("service", "jobs_scheduled", snaps.len() as u64);
-        let spec = self.spec.read().clone();
+        let spec = read(&self.spec).clone();
         let views = views_of(&snaps);
         // The planner itself stays span-free (it sits on the
         // simulator's hot path too); the service wraps it here where
@@ -234,7 +252,7 @@ impl Shared {
 
         // Re-acquire to apply; jobs completed mid-round are skipped.
         {
-            let mut jobs = self.jobs.lock();
+            let mut jobs = lock(&self.jobs);
             for r in outcome.reallocations {
                 let Some(entry) = jobs.get_mut(&r.job) else {
                     continue;
@@ -254,16 +272,16 @@ impl Shared {
                 }
             }
         }
-        *self.speedup_stats.write() = policy.speedup_stats();
-        *self.rounds.write() += 1;
+        *write(&self.speedup_stats) = policy.speedup_stats();
+        *write(&self.rounds) += 1;
     }
 
     /// Snapshots every registered job (in ascending id order, the
     /// planner's required view order) with placements normalized to
     /// the current cluster width.
     fn snapshot_jobs(&self) -> Vec<JobSnapshot> {
-        let num_nodes = self.spec.read().num_nodes();
-        let jobs = self.jobs.lock();
+        let num_nodes = read(&self.spec).num_nodes();
+        let jobs = lock(&self.jobs);
         let mut ids: Vec<JobId> = jobs.keys().copied().collect();
         ids.sort();
         ids.into_iter()
@@ -285,13 +303,13 @@ impl Shared {
     }
 
     /// Resizes the cluster to `nodes` homogeneous nodes, preempting
-    /// jobs that held GPUs on removed nodes (the same whole-job
-    /// preemption rule as the simulator's engine). Returns whether the
+    /// jobs that held GPUs on removed nodes ([`resize_placement`], the
+    /// rule the simulator's engine applies too). Returns whether the
     /// cluster actually changed.
     fn resize_cluster(&self, nodes: u32, now: f64) -> bool {
         let new_n = nodes as usize;
         {
-            let mut spec = self.spec.write();
+            let mut spec = write(&self.spec);
             if new_n == spec.num_nodes() {
                 return false;
             }
@@ -301,12 +319,9 @@ impl Shared {
             };
             *spec = new_spec;
         }
-        let mut jobs = self.jobs.lock();
+        let mut jobs = lock(&self.jobs);
         for entry in jobs.values_mut() {
-            let loses_gpus = entry.placement.iter().skip(new_n).any(|&g| g > 0);
-            entry.placement.resize(new_n, 0);
-            if loses_gpus {
-                entry.placement.iter_mut().for_each(|g| *g = 0);
+            if resize_placement(&mut entry.placement, new_n) {
                 entry.lifecycle.preempt(now);
             }
         }
@@ -335,7 +350,7 @@ impl JobHandle {
     /// profiling hook). Attained GPU-time advances for fairness
     /// weighting.
     pub fn record_iteration(&self, shape: PlacementShape, batch_size: u64, t_iter: f64) {
-        let mut jobs = self.shared.jobs.lock();
+        let mut jobs = lock(&self.shared.jobs);
         if let Some(entry) = jobs.get_mut(&self.id) {
             entry.agent.observe_iteration(shape, batch_size, t_iter);
             entry.lifecycle.accrue_gputime(t_iter * shape.gpus as f64);
@@ -344,7 +359,7 @@ impl JobHandle {
 
     /// Reports fresh gradient statistics (noise-scale inputs).
     pub fn record_gradient_stats(&self, stats: GradientStats) {
-        let mut jobs = self.shared.jobs.lock();
+        let mut jobs = lock(&self.shared.jobs);
         if let Some(entry) = jobs.get_mut(&self.id) {
             entry.agent.observe_gradient_stats(stats);
         }
@@ -353,7 +368,7 @@ impl JobHandle {
     /// Re-fits the job's θsys model from everything profiled so far.
     /// Returns `false` when no observations exist yet.
     pub fn refit(&self) -> bool {
-        let mut jobs = self.shared.jobs.lock();
+        let mut jobs = lock(&self.shared.jobs);
         let recorder = &self.shared.recorder;
         jobs.get_mut(&self.id)
             .map(|e| e.agent.refit_recorded(recorder))
@@ -363,9 +378,7 @@ impl JobHandle {
     /// The placement currently assigned by the scheduler (GPUs per
     /// node; empty vector before the first round).
     pub fn placement(&self) -> Vec<u32> {
-        self.shared
-            .jobs
-            .lock()
+        lock(&self.shared.jobs)
             .get(&self.id)
             .map(|e| e.placement.clone())
             .unwrap_or_default()
@@ -374,18 +387,14 @@ impl JobHandle {
     /// The job's lifecycle state as tracked by the shared control
     /// plane, or `None` once deregistered.
     pub fn state(&self) -> Option<JobState> {
-        self.shared
-            .jobs
-            .lock()
+        lock(&self.shared.jobs)
             .get(&self.id)
             .map(|e| e.lifecycle.state())
     }
 
     /// Checkpoint-restarts this job has paid so far.
     pub fn num_restarts(&self) -> u32 {
-        self.shared
-            .jobs
-            .lock()
+        lock(&self.shared.jobs)
             .get(&self.id)
             .map(|e| e.lifecycle.num_restarts())
             .unwrap_or(0)
@@ -394,7 +403,7 @@ impl JobHandle {
     /// The agent's `(m*, η)` decision for the current placement, or
     /// `None` while unallocated or before the first fit.
     pub fn tuning(&self) -> Option<TuningDecision> {
-        let jobs = self.shared.jobs.lock();
+        let jobs = lock(&self.shared.jobs);
         let entry = jobs.get(&self.id)?;
         let gpus: u32 = entry.placement.iter().sum();
         if gpus == 0 {
@@ -473,14 +482,14 @@ impl ClusterService {
     ) -> Result<JobHandle, ServiceError> {
         let agent = PolluxAgent::new(m0, eta0, limits).ok_or(ServiceError::InvalidLimits)?;
         let id = {
-            let mut next = self.next_id.lock();
+            let mut next = lock(&self.next_id);
             let id = JobId(*next);
             *next += 1;
             id
         };
-        let num_nodes = self.shared.spec.read().num_nodes();
+        let num_nodes = read(&self.shared.spec).num_nodes();
         let submit_time = self.shared.now();
-        self.shared.jobs.lock().insert(
+        lock(&self.shared.jobs).insert(
             id,
             JobEntry {
                 agent,
@@ -498,7 +507,7 @@ impl ClusterService {
     /// Deregisters a completed (or cancelled) job, freeing its GPUs at
     /// the next scheduling round.
     pub fn complete(&self, id: JobId) {
-        self.shared.jobs.lock().remove(&id);
+        lock(&self.shared.jobs).remove(&id);
     }
 
     /// Requests an immediate scheduling round (in addition to the
@@ -517,7 +526,7 @@ impl ClusterService {
     /// Blocks until at least `n` scheduling rounds have completed.
     pub fn wait_for_rounds(&self, n: u64, timeout: Duration) -> bool {
         let start = std::time::Instant::now();
-        while *self.shared.rounds.read() < n {
+        while *read(&self.shared.rounds) < n {
             if start.elapsed() > timeout {
                 return false;
             }
@@ -528,17 +537,17 @@ impl ClusterService {
 
     /// Number of completed scheduling rounds.
     pub fn rounds(&self) -> u64 {
-        *self.shared.rounds.read()
+        *read(&self.shared.rounds)
     }
 
     /// The current cluster specification (autoscaling may change it).
     pub fn cluster_spec(&self) -> ClusterSpec {
-        self.shared.spec.read().clone()
+        read(&self.shared.spec).clone()
     }
 
     /// Number of registered jobs.
     pub fn num_jobs(&self) -> usize {
-        self.shared.jobs.lock().len()
+        lock(&self.shared.jobs).len()
     }
 
     /// Cumulative dense speedup-table counters across all completed
@@ -546,7 +555,7 @@ impl ClusterService {
     /// in the table, out-of-range misses, and batch-size solves
     /// spent precomputing the per-round tables.
     pub fn speedup_stats(&self) -> SpeedupTableStats {
-        *self.shared.speedup_stats.read()
+        *read(&self.shared.speedup_stats)
     }
 
     /// Stops the scheduler thread and drops the service.

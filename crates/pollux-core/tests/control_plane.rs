@@ -9,11 +9,12 @@ use pollux_control::{PolicyJobView, Reallocation, RoundPlanner};
 use pollux_core::{ClusterService, PolluxConfig, PolluxPolicy, ServiceConfig};
 use pollux_models::BatchSizeLimits;
 use pollux_sched::GaConfig;
-use pollux_simulator::metrics::EventKind;
 use pollux_simulator::{SimConfig, Simulation};
+use pollux_telemetry::{Event, MemorySink, Recorder};
 use pollux_workload::{JobSpec, ModelKind, UserConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 11;
@@ -201,14 +202,17 @@ fn simulator_first_interval_matches_direct_planner_outcome() {
         ..Default::default()
     };
     let policy = PolluxPolicy::new(quick_pollux_config()).unwrap();
-    let result = Simulation::try_new(
+    let sink = Arc::new(MemorySink::new(1 << 16));
+    Simulation::try_new(
         sim,
         ClusterSpec::homogeneous(NODES, GPUS_PER_NODE).unwrap(),
         policy,
         workload,
     )
     .unwrap()
+    .with_recorder(Recorder::new(sink.clone()))
     .run();
+    let events = sink.drain();
 
     for id in [JobId(0), JobId(1)] {
         let expected_gpus = rounds[0]
@@ -216,14 +220,30 @@ fn simulator_first_interval_matches_direct_planner_outcome() {
             .find(|r| r.job == id)
             .map(|r| r.gpus())
             .unwrap_or(0);
-        let first_event_gpus = result
-            .events
+        // The engine's first round, as the capture's placement diffs
+        // at t = 0 record it.
+        let first_round_gpus: u32 = events
             .iter()
-            .find(|e| e.time == 0.0 && e.job == id && e.kind == EventKind::Started)
-            .map(|e| e.gpus)
+            .find_map(|e| match e {
+                Event::Timeline {
+                    subsystem,
+                    name,
+                    time,
+                    job,
+                    new,
+                    ..
+                } if subsystem == "round"
+                    && name == "placement"
+                    && *time == 0.0
+                    && *job == u64::from(id.0) =>
+                {
+                    Some(new.iter().sum())
+                }
+                _ => None,
+            })
             .unwrap_or(0);
         assert_eq!(
-            first_event_gpus, expected_gpus,
+            first_round_gpus, expected_gpus,
             "job {id} first-interval allocation"
         );
     }

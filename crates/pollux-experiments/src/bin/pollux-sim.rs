@@ -13,11 +13,6 @@
 //!   counters, histograms, the goodput time-series) to a JSONL file;
 //!   summarize it with `telemetry_report`. `/dev/stderr` streams the
 //!   events while the simulation runs.
-//! - `POLLUX_JSON_OUT=<path>` — also dump the full `SimResult` (per-job
-//!   records, cluster series, allocation timeline) as pretty `Debug`
-//!   text per policy, to `<path>.<policy>.json`.
-//! - `POLLUX_TRACE_OUT=<path>` — save the generated workload trace as
-//!   pretty `Debug` text, once, before the first run.
 //! - `POLLUX_CHROME_TRACE=<path>` — after all runs, export the
 //!   telemetry capture as a Chrome trace (requires
 //!   `POLLUX_TELEMETRY_OUT`); open it in <https://ui.perfetto.dev>.
@@ -28,15 +23,6 @@ use pollux_experiments::common::{
 };
 use pollux_simulator::SimResult;
 use std::time::{Duration, Instant};
-
-/// Writes an output file the environment asked for. The path is user
-/// input: an unwritable one is reported and exits 2, like a bad seed.
-fn write_or_exit(path: &str, contents: String) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    }
-}
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("{msg}; usage: pollux-sim [pollux|optimus|tiresias|all] [seed]");
@@ -52,9 +38,6 @@ const POLICIES: [(&str, &str); 3] = [
 ];
 
 fn report(name: &str, res: &SimResult, wall: Duration) {
-    if let Ok(path) = std::env::var("POLLUX_JSON_OUT") {
-        write_or_exit(&format!("{path}.{name}.json"), format!("{res:#?}"));
-    }
     let s = res.summary();
     let h = |v: Option<f64>| v.unwrap_or(0.0) / 3600.0;
     println!(
@@ -104,11 +87,7 @@ fn main() {
         cell.jobs =
             flag_value("POLLUX_SIM_JOBS", Some(jobs), 1..=usize::MAX).unwrap_or_else(|e| fail(e));
     }
-    if let Ok(path) = std::env::var("POLLUX_TRACE_OUT") {
-        write_or_exit(&path, format!("{:#?}", exit_on_error(cell.trace())));
-    }
-    // One policy at a time: each summary line times its own run, and a
-    // result is written out before the next policy starts.
+    // One policy at a time: each summary line times its own run.
     for (name, policy) in POLICIES {
         if which == "all" || which == name {
             let t0 = Instant::now();

@@ -19,7 +19,6 @@ use pollux_sched::parallel_map;
 use pollux_simulator::{SchedulingPolicy, SimBuildError, SimConfig, SimResult};
 use pollux_telemetry::Recorder;
 use pollux_workload::{JobSpec, TraceConfig, TraceGenerator};
-use std::sync::OnceLock;
 
 /// One simulation of the evaluation: a registered policy on a seeded
 /// trace of the standard workload, on the paper's testbed.
@@ -165,24 +164,6 @@ pub fn simulate<P: SchedulingPolicy>(
         .map_err(CellError::Simulation)
 }
 
-/// Worker threads of [`run_cells`]: `POLLUX_SWEEP_THREADS` when set to
-/// a positive integer, otherwise the machine's available parallelism.
-/// Read once and cached for the process lifetime.
-fn workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("POLLUX_SWEEP_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-    })
-}
-
 /// Simulates every cell and returns the results in cell order.
 ///
 /// Each cell is an isolated simulation — its trace, policy and RNG
@@ -199,7 +180,8 @@ pub fn run_cells(
     cells: &[Cell],
     recorder: impl Fn(&Cell) -> Recorder + Sync,
 ) -> Result<Vec<SimResult>, CellError> {
-    run_cells_on(workers(), cells, recorder)
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_cells_on(workers, cells, recorder)
 }
 
 fn run_cells_on(

@@ -37,20 +37,6 @@ fn digests(out: &Output) -> Vec<String> {
 }
 
 #[test]
-fn unwritable_output_paths_exit_2_with_one_line() {
-    for var in ["POLLUX_TRACE_OUT", "POLLUX_JSON_OUT"] {
-        let out = pollux_sim(&["tiresias", "1"], &[(var, UNWRITABLE)]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{var}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{var}: {stderr}");
-        assert!(
-            stderr.starts_with("cannot write /nonexistent-dir/"),
-            "{var}: {stderr}"
-        );
-    }
-}
-
-#[test]
 fn telemetry_out_dev_stderr_streams_parseable_jsonl() {
     let out = pollux_sim(
         &["tiresias", "1"],
@@ -115,24 +101,6 @@ fn unusable_capture_settings_exit_2_before_simulating() {
             assert!(out.stdout.is_empty(), "{bin} {names}: something ran");
         }
     }
-}
-
-/// `pollux-sim all` writes the trace once, before the first policy
-/// runs: it is there even when a later output path stops the run.
-#[test]
-fn the_trace_is_dumped_once_before_the_first_run() {
-    let trace = scratch("trace-before-first-run.txt");
-    let out = pollux_sim(
-        &["all", "1"],
-        &[
-            ("POLLUX_TRACE_OUT", trace.to_str().unwrap()),
-            ("POLLUX_JSON_OUT", UNWRITABLE),
-        ],
-    );
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(out.stdout.is_empty(), "no policy got to its summary line");
-    let text = std::fs::read_to_string(&trace).expect("the trace was written");
-    assert!(text.starts_with('['), "a pretty-Debug job list: {text}");
 }
 
 /// The summary line's digest answers "did these two runs diverge":

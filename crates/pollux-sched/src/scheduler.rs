@@ -21,26 +21,15 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Configuration of the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Configuration of the scheduler. How often it runs is its driver's
+/// business (the simulator's `SCHED_INTERVAL`, the live service's
+/// `ServiceConfig::interval`).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedConfig {
     /// Genetic-algorithm settings.
     pub ga: GaConfig,
     /// Job-weight decay settings (Eqn 16).
     pub weights: WeightConfig,
-    /// Scheduling interval in seconds (60 s in the paper). Stored here
-    /// for the driving loop; the scheduler itself is invoked externally.
-    pub interval_seconds: u64,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        Self {
-            ga: GaConfig::default(),
-            weights: WeightConfig::default(),
-            interval_seconds: 60,
-        }
-    }
 }
 
 /// Evaluation-count breakdown of one scheduling interval.

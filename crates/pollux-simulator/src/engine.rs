@@ -26,16 +26,14 @@
 //! `tests/engine_identity.rs` pin this with golden digests and
 //! reference-equality proptests.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, PHI_NOISE, REPORT_INTERVAL, SCHED_INTERVAL, TICK_SECONDS};
 use crate::interference::InterferenceIndex;
 use crate::job::{JobState, SimJob};
-use crate::metrics::{
-    ClusterSample, EventKind, JobRecord, JobSample, SchedIntervalSample, SchedulingEvent, SimResult,
-};
+use crate::metrics::{ClusterSample, JobRecord, SchedIntervalSample, SimResult};
 use crate::policy::SchedulingPolicy;
 use pollux_agent::ObservationRun;
-use pollux_cluster::{ClusterSpec, JobId, NodeId, Topology};
-use pollux_control::{Reallocation, RoundPlanner};
+use pollux_cluster::{ClusterSpec, NodeId, Topology};
+use pollux_control::{resize_placement, Reallocation, RoundPlanner};
 use pollux_models::{GradientStats, PlacementShape};
 use pollux_telemetry::{Counter, HistogramHandle, Recorder};
 use pollux_workload::{JobSpec, UserConfig};
@@ -46,6 +44,11 @@ use rand::{Rng, SeedableRng};
 // state without any of it being widened for its sake.
 #[path = "reference.rs"]
 mod reference;
+
+/// Ticks from one scheduling round to the next.
+const SCHED_EVERY: u64 = (SCHED_INTERVAL / TICK_SECONDS) as u64;
+/// Ticks from one report round to the next.
+const REPORT_EVERY: u64 = (REPORT_INTERVAL / TICK_SECONDS) as u64;
 
 /// A job submission handed to the simulation: the trace record plus
 /// the user configuration in effect (tuned or realistic).
@@ -130,8 +133,6 @@ pub struct Simulation<P: SchedulingPolicy> {
     active: Vec<usize>,
     rng: StdRng,
     series: Vec<ClusterSample>,
-    events: Vec<SchedulingEvent>,
-    job_series: Vec<JobSample>,
     sched_stats: Vec<SchedIntervalSample>,
     node_seconds: f64,
     /// Interference slowdown per job, as of the last
@@ -334,14 +335,14 @@ fn put_sorted<T>(list: &mut Vec<T>, at: Result<usize, usize>, entry: Option<T>) 
 /// `finished` because finishes are detected in ascending job order),
 /// so a two-pointer sweep replaces the old O(active × finished)
 /// `retain(.. any ..)` scan.
-fn remove_finished_from_active(active: &mut Vec<usize>, finished: &[(usize, JobId)]) {
-    debug_assert!(finished.windows(2).all(|w| w[0].0 < w[1].0));
+fn remove_finished_from_active(active: &mut Vec<usize>, finished: &[usize]) {
+    debug_assert!(finished.windows(2).all(|w| w[0] < w[1]));
     let mut f = 0;
     active.retain(|&i| {
-        while f < finished.len() && finished[f].0 < i {
+        while f < finished.len() && finished[f] < i {
             f += 1;
         }
-        f >= finished.len() || finished[f].0 != i
+        f >= finished.len() || finished[f] != i
     });
 }
 
@@ -367,8 +368,9 @@ fn first_tick_at_or_after(time: f64, dt: f64, lo: u64) -> u64 {
 /// Why a [`Simulation`] could not be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimBuildError {
-    /// The [`SimConfig`] failed validation (non-positive tick size,
-    /// intervals, horizon, or restart delay).
+    /// The [`SimConfig`] failed validation (a non-positive horizon, a
+    /// negative restart delay, or a noise or slowdown fraction outside
+    /// `[0, 1)`).
     InvalidConfig,
     /// The workload contains no submissions.
     EmptyWorkload,
@@ -444,8 +446,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
             active: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             series: Vec::new(),
-            events: Vec::new(),
-            job_series: Vec::new(),
             sched_stats: Vec::new(),
             node_seconds: 0.0,
             slowdown: Vec::new(),
@@ -499,18 +499,16 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// `Self::advance_chunk` over the persistent run contexts.
     /// Bit-identical to [`Self::run_reference`] for any fixed seed.
     pub fn run(mut self) -> SimResult {
-        let dt = self.config.tick_seconds;
-        let sched_every = (self.config.sched_interval / dt).round().max(1.0) as u64;
-        let report_every = (self.config.report_interval / dt).round().max(1.0) as u64;
+        let dt = TICK_SECONDS;
         let max_ticks = (self.config.max_sim_time / dt).ceil() as u64;
 
         let mut now = 0.0;
         let mut tick = 0u64;
         while tick < max_ticks {
             now = tick as f64 * dt;
-            self.tick_boundaries(tick, now, report_every, sched_every);
-            let horizon = self.next_horizon(tick, dt, report_every, sched_every, max_ticks);
-            let chunk = self.advance_chunk(tick, horizon, dt);
+            self.tick_boundaries(tick, now);
+            let horizon = self.next_horizon(tick, max_ticks);
+            let chunk = self.advance_chunk(tick, horizon);
             tick += chunk.ticks;
             now = (tick - 1) as f64 * dt;
             if chunk.exit {
@@ -528,14 +526,14 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// to call on non-boundary ticks (each action no-ops when not
     /// due), which is what makes resuming after a chunk that a finish
     /// ended early trivial.
-    fn tick_boundaries(&mut self, tick: u64, now: f64, report_every: u64, sched_every: u64) {
+    fn tick_boundaries(&mut self, tick: u64, now: f64) {
         self.spawn_arrivals(now);
         self.wake_restarts(now);
 
-        if tick.is_multiple_of(report_every) {
-            self.report_and_tune(now);
+        if tick.is_multiple_of(REPORT_EVERY) {
+            self.report_and_tune();
         }
-        if tick.is_multiple_of(sched_every) {
+        if tick.is_multiple_of(SCHED_EVERY) {
             self.reschedule(now);
             self.sample(now);
         }
@@ -551,22 +549,16 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// source won (strictly earliest; ties go to the first candidate
     /// in end → report → sched → arrival → restart order). Counter
     /// handles use interior mutability, so `&self` suffices.
-    fn next_horizon(
-        &self,
-        tick: u64,
-        dt: f64,
-        report_every: u64,
-        sched_every: u64,
-        max_ticks: u64,
-    ) -> u64 {
+    fn next_horizon(&self, tick: u64, max_ticks: u64) -> u64 {
+        let dt = TICK_SECONDS;
         let mut horizon = max_ticks;
         let mut fired = &self.telem.horizon_end;
-        let report = (tick / report_every + 1) * report_every;
+        let report = (tick / REPORT_EVERY + 1) * REPORT_EVERY;
         if report < horizon {
             horizon = report;
             fired = &self.telem.horizon_report;
         }
-        let sched = (tick / sched_every + 1) * sched_every;
+        let sched = (tick / SCHED_EVERY + 1) * SCHED_EVERY;
         if sched < horizon {
             horizon = sched;
             fired = &self.telem.horizon_sched;
@@ -601,7 +593,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
         if !self.contexts_live {
             return;
         }
-        let dt = self.config.tick_seconds;
+        let dt = TICK_SECONDS;
         let job = &mut self.jobs[i];
 
         let at = self.running.binary_search_by_key(&i, |c| c.idx);
@@ -693,7 +685,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 JobState::Restarting { until } => {
                     let ctx = restarting.next().expect("restarting job without an entry");
                     assert_eq!((ctx.idx, ctx.until), (i, until));
-                    assert_eq!(ctx.gpu_dt, job.gpus() as f64 * self.config.tick_seconds);
+                    assert_eq!(ctx.gpu_dt, job.gpus() as f64 * TICK_SECONDS);
                 }
                 _ => {}
             }
@@ -729,7 +721,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
     ///   are written back absolutely, and an open profiler run starts
     ///   from the profiler's own aggregate and is written back
     ///   absolutely, so when either is committed cannot matter.
-    fn advance_chunk(&mut self, start: u64, horizon: u64, dt: f64) -> ChunkOutcome {
+    fn advance_chunk(&mut self, start: u64, horizon: u64) -> ChunkOutcome {
+        let dt = TICK_SECONDS;
         self.refresh_slowdowns();
         if cfg!(debug_assertions) {
             self.assert_contexts_current();
@@ -781,13 +774,13 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let mut exit = false;
         if any_finished {
             let finish_time = (start + executed - 1) as f64 * dt + dt;
-            let finished: Vec<(usize, JobId)> = self
+            let finished: Vec<usize> = self
                 .running
                 .iter()
                 .filter(|ctx| ctx.progress >= ctx.work)
-                .map(|ctx| (ctx.idx, self.jobs[ctx.idx].spec.id))
+                .map(|ctx| ctx.idx)
                 .collect();
-            for &(i, id) in &finished {
+            for &i in &finished {
                 let job = &mut self.jobs[i];
                 job.lifecycle.finish(finish_time);
                 self.interference.clear_job(i, job.placement());
@@ -796,12 +789,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 // stepper records up to and including the finish tick
                 // too) and drops its context.
                 self.sync_context(i);
-                self.events.push(SchedulingEvent {
-                    time: finish_time,
-                    job: id,
-                    kind: EventKind::Finished,
-                    gpus: 0,
-                });
             }
             self.slowdowns_stale = true;
             remove_finished_from_active(&mut self.active, &finished);
@@ -889,10 +876,9 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// The round reads every running job's profiler, so the open runs
     /// are committed first; a job whose batch size the round changed
     /// gets its context reopened under the new `(shape, batch)` key.
-    fn report_and_tune(&mut self, _now: f64) {
+    fn report_and_tune(&mut self) {
         self.flush_runs();
         let adapt = self.policy.adapts_batch_size();
-        let phi_noise = self.config.phi_noise;
         let mut round_span = None;
         let mut rekeyed = Vec::new();
         for &i in &self.active {
@@ -902,7 +888,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
             }
             // Noisy measurement of the true noise scale, fed to the
             // agent in (variance, |grad|²) form.
-            let eps: f64 = self.rng.gen_range(-phi_noise..=phi_noise);
+            let eps: f64 = self.rng.gen_range(-PHI_NOISE..=PHI_NOISE);
             let phi_obs = (job.true_phi() * (1.0 + eps)).max(0.0);
             if let Some(stats) = GradientStats::new(phi_obs / job.profile.m0 as f64, 1.0) {
                 job.agent.observe_gradient_stats(stats);
@@ -1010,7 +996,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
 
     /// Applies one planned reallocation: the placement row itself, the
     /// engine-owned consequences (agent allocation note, batch-size
-    /// clamp), the lifecycle transition, and the timeline event.
+    /// clamp), and the lifecycle transition (which emits the timeline
+    /// event when a recorder is attached).
     fn apply_reallocation(&mut self, i: usize, r: Reallocation, now: f64) {
         // Index delta from the authoritative old row, before it is
         // overwritten.
@@ -1019,8 +1006,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let job = &mut self.jobs[i];
         debug_assert_eq!(job.spec.id, r.job, "view order matches active order");
         job.edit_placement(|row| *row = r.new);
-        let event_kind;
-        let event_gpus;
         if let Some(shape) = job.shape() {
             job.agent.note_allocation(shape);
 
@@ -1035,29 +1020,18 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 .grant(r.triggers_restart, now, self.config.restart_delay);
             if r.triggers_restart {
                 self.restarts_total += 1;
-                event_kind = EventKind::Restarted;
-            } else {
-                event_kind = EventKind::Started;
             }
-            event_gpus = shape.gpus;
         } else {
             // Preempted: progress is checkpointed, the job waits. The
             // planner only emits zero-GPU decisions for placed jobs.
             job.lifecycle.preempt(now);
-            event_kind = EventKind::Preempted;
-            event_gpus = 0;
         }
         self.sync_context(i);
-        self.events.push(SchedulingEvent {
-            time: now,
-            job: r.job,
-            kind: event_kind,
-            gpus: event_gpus,
-        });
     }
 
     /// Resizes the cluster to `nodes` homogeneous nodes, preempting
-    /// jobs that held GPUs on removed nodes.
+    /// jobs that held GPUs on removed nodes (the rule is
+    /// [`resize_placement`]'s, shared with the live service).
     fn resize_cluster(&mut self, nodes: u32, now: f64) {
         let old_n = self.spec.num_nodes();
         let new_n = nodes as usize;
@@ -1069,16 +1043,9 @@ impl<P: SchedulingPolicy> Simulation<P> {
             ClusterSpec::homogeneous(nodes, gpus_per_node).expect("nodes >= 1 enforced by caller");
         for i in 0..self.jobs.len() {
             let job = &mut self.jobs[i];
-            let loses_gpus = job.placement().iter().skip(new_n).any(|&g| g > 0);
-            job.edit_placement(|row| {
-                row.resize(new_n, 0);
-                if loses_gpus {
-                    // The whole job is preempted (partial placements
-                    // would change its world silently).
-                    row.fill(0);
-                }
-            });
-            if loses_gpus && job.lifecycle.preempt(now) {
+            let mut lost = false;
+            job.edit_placement(|row| lost = resize_placement(row, new_n));
+            if lost && job.lifecycle.preempt(now) {
                 self.sync_context(i);
             }
         }
@@ -1123,18 +1090,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 }
                 JobState::Pending => pending += 1,
                 _ => {}
-            }
-        }
-        if self.config.record_job_series {
-            for &i in &self.active {
-                let job = &self.jobs[i];
-                self.job_series.push(JobSample {
-                    time: now,
-                    job: job.spec.id,
-                    gpus: job.gpus(),
-                    batch_size: job.batch_size,
-                    progress: job.progress_fraction(),
-                });
             }
         }
         let mean_efficiency = if running > 0 {
@@ -1196,8 +1151,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
             policy: self.policy.name().to_string(),
             records,
             series: self.series,
-            events: self.events,
-            job_series: self.job_series,
             end_time,
             node_seconds: self.node_seconds,
             sched_stats: self.sched_stats,
@@ -1289,7 +1242,6 @@ mod tests {
 
     fn quick_config() -> SimConfig {
         SimConfig {
-            tick_seconds: 1.0,
             max_sim_time: 12.0 * 3600.0,
             ..Default::default()
         }
@@ -1430,37 +1382,6 @@ mod tests {
     }
 
     #[test]
-    fn job_series_recording() {
-        let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let wl = small_workload(3);
-        let mut cfg = quick_config();
-        cfg.record_job_series = true;
-        let res = Simulation::new(cfg, spec, FcfsPacked { gpus: 2 }, wl)
-            .unwrap()
-            .run();
-        assert!(!res.job_series.is_empty());
-        for r in &res.records {
-            let series = res.job_series_of(r.id);
-            assert!(!series.is_empty(), "no samples for {}", r.id);
-            // Progress is monotone and ends near 1 for finished jobs.
-            for w in series.windows(2) {
-                assert!(w[0].time <= w[1].time);
-                assert!(w[0].progress <= w[1].progress + 1e-12);
-            }
-        }
-        // Off by default: no samples.
-        let res2 = Simulation::new(
-            quick_config(),
-            ClusterSpec::homogeneous(2, 4).unwrap(),
-            FcfsPacked { gpus: 2 },
-            small_workload(3),
-        )
-        .unwrap()
-        .run();
-        assert!(res2.job_series.is_empty());
-    }
-
-    #[test]
     fn agents_learn_during_simulation() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let wl = small_workload(2);
@@ -1486,18 +1407,13 @@ mod tests {
             let spec = ClusterSpec::homogeneous(1, 4).unwrap();
             Simulation::new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap()
         };
-        let (dt, report_every, sched_every) = (1.0, 30, 60);
-
         let mut stepped = sim();
-        stepped.tick_boundaries(0, 0.0, report_every, sched_every);
-        assert_eq!(
-            stepped.next_horizon(0, dt, report_every, sched_every, 1000),
-            7
-        );
-        assert_eq!(stepped.advance_chunk(0, 7, dt).ticks, 7);
-        stepped.tick_boundaries(7, 7.0, report_every, sched_every);
+        stepped.tick_boundaries(0, 0.0);
+        assert_eq!(stepped.next_horizon(0, 1000), 7);
+        assert_eq!(stepped.advance_chunk(0, 7).ticks, 7);
+        stepped.tick_boundaries(7, 7.0);
         assert_eq!(stepped.jobs.len(), 2, "the arrival was a boundary");
-        assert_eq!(stepped.advance_chunk(7, 20, dt).ticks, 13);
+        assert_eq!(stepped.advance_chunk(7, 20).ticks, 13);
         let run = &stepped.running[0].obs;
         assert_eq!(run.accepted(), 20, "no boundary so far reads the profiler");
         assert_eq!(stepped.jobs[0].agent.profiler().num_samples(), 0);
@@ -1506,9 +1422,9 @@ mod tests {
         let mut reference = sim();
         reference.contexts_live = false;
         for tick in 0..20 {
-            let now = tick as f64 * dt;
-            reference.tick_boundaries(tick, now, report_every, sched_every);
-            reference.advance_tick_reference(now, dt);
+            let now = tick as f64 * TICK_SECONDS;
+            reference.tick_boundaries(tick, now);
+            reference.advance_tick_reference(now);
         }
 
         let (batched, per_sample) = (
@@ -1534,18 +1450,17 @@ mod tests {
             let spec = ClusterSpec::homogeneous(1, 4).unwrap();
             Simulation::new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap()
         };
-        let (dt, report_every, sched_every) = (1.0, 30, 60);
         let (mut kept, mut reopened) = (sim(), sim());
         for s in [&mut kept, &mut reopened] {
-            s.tick_boundaries(0, 0.0, report_every, sched_every);
-            s.advance_chunk(0, 7, dt);
+            s.tick_boundaries(0, 0.0);
+            s.advance_chunk(0, 7);
         }
         let job = &kept.jobs[0];
         assert!(0.0 < job.progress && job.progress + 20.0 * kept.running[0].step < job.hold_end());
 
         reopened.sync_context(0);
         for s in [&mut kept, &mut reopened] {
-            s.advance_chunk(7, 25, dt);
+            s.advance_chunk(7, 25);
         }
         let (a, b) = (&kept.jobs[0], &reopened.jobs[0]);
         assert_eq!(a.progress.to_bits(), b.progress.to_bits());

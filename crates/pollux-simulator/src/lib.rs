@@ -29,7 +29,7 @@ pub mod job;
 pub mod metrics;
 pub mod policy;
 
-pub use config::SimConfig;
+pub use config::{SimConfig, PHI_NOISE, REPORT_INTERVAL, SCHED_INTERVAL, TICK_SECONDS};
 pub use engine::{SimBuildError, Simulation};
 pub use interference::InterferenceIndex;
 pub use job::{JobLifecycle, JobState, SimJob};

@@ -75,81 +75,10 @@ pub struct ClusterSample {
     pub total_goodput: f64,
 }
 
-/// What happened to a job at a scheduling boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// First allocation: the job began training.
-    Started,
-    /// Re-allocated: checkpoint-restart delay incurred.
-    Restarted,
-    /// GPUs revoked: the job returned to the pending queue.
-    Preempted,
-    /// Training reached its total work.
-    Finished,
-}
-
-/// One entry of the allocation timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedulingEvent {
-    /// Simulation time (s).
-    pub time: f64,
-    /// The affected job.
-    pub job: JobId,
-    /// What happened.
-    pub kind: EventKind,
-    /// GPUs held after the event.
-    pub gpus: u32,
-}
-
-/// One per-job state sample (recorded when
-/// `SimConfig::record_job_series` is set).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobSample {
-    /// Sample time (s).
-    pub time: f64,
-    /// The job.
-    pub job: JobId,
-    /// GPUs held.
-    pub gpus: u32,
-    /// Total batch size in effect.
-    pub batch_size: u64,
-    /// Normalized training progress in [0, 1].
-    pub progress: f64,
-}
-
 /// Per-interval scheduler cost breakdown; defined in the shared
 /// control-plane core and re-exported here because it participates in
 /// the serialized (golden-digested) [`SimResult`].
 pub use pollux_control::SchedIntervalSample;
-
-/// One point of the derived per-interval cluster time-series
-/// ([`SimResult::cluster_timeseries`]): the goodput/efficiency/
-/// allocation view of the cluster plus cumulative restarts.
-///
-/// Computed on demand from `series` and `events`; deliberately **not**
-/// stored in [`SimResult`], so the serialized (golden-digested) form
-/// of a run is unchanged by its existence.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterIntervalPoint {
-    /// Sample time (s).
-    pub time: f64,
-    /// Aggregate true goodput (useful examples/s).
-    pub total_goodput: f64,
-    /// Aggregate true throughput (examples/s).
-    pub total_throughput: f64,
-    /// Mean statistical efficiency across running jobs.
-    pub mean_efficiency: f64,
-    /// GPUs currently allocated.
-    pub used_gpus: u32,
-    /// Total GPUs in the cluster.
-    pub total_gpus: u32,
-    /// Jobs currently running.
-    pub running_jobs: u32,
-    /// Jobs currently pending.
-    pub pending_jobs: u32,
-    /// Checkpoint-restarts that occurred at or before this sample.
-    pub restarts: u64,
-}
 
 /// Percentile summary of a run's completion and waiting behavior
 /// ([`SimResult::summary`]). Percentiles are nearest-rank; wait-time
@@ -192,7 +121,11 @@ fn percentile_of(mut vals: Vec<f64>, p: f64) -> Option<f64> {
     Some(vals[rank - 1])
 }
 
-/// Complete result of one simulation run.
+/// Complete result of one simulation run. The allocation timeline —
+/// arrivals, starts, restarts, preemptions, finishes and placement
+/// diffs — is not part of it: that is the telemetry capture's
+/// `lifecycle/*` and `round/placement` events
+/// ([`Simulation::with_recorder`](crate::Simulation::with_recorder)).
 #[derive(Debug, Clone, Default)]
 pub struct SimResult {
     /// Policy name the run used.
@@ -201,10 +134,6 @@ pub struct SimResult {
     pub records: Vec<JobRecord>,
     /// Cluster time series.
     pub series: Vec<ClusterSample>,
-    /// Allocation timeline (starts, restarts, preemptions, finishes).
-    pub events: Vec<SchedulingEvent>,
-    /// Per-job state series (empty unless requested).
-    pub job_series: Vec<JobSample>,
     /// Simulation end time (s).
     pub end_time: f64,
     /// Integral of cluster size over time, in node-seconds (cloud cost
@@ -312,37 +241,6 @@ impl SimResult {
         }
     }
 
-    /// The derived per-interval cluster time-series: every
-    /// [`ClusterSample`] joined with the cumulative restart count from
-    /// the event timeline. Both inputs are time-sorted by
-    /// construction, so the join is a linear merge.
-    pub fn cluster_timeseries(&self) -> Vec<ClusterIntervalPoint> {
-        let mut restarts = 0u64;
-        let mut next_event = 0usize;
-        self.series
-            .iter()
-            .map(|s| {
-                while next_event < self.events.len() && self.events[next_event].time <= s.time {
-                    if self.events[next_event].kind == EventKind::Restarted {
-                        restarts += 1;
-                    }
-                    next_event += 1;
-                }
-                ClusterIntervalPoint {
-                    time: s.time,
-                    total_goodput: s.total_goodput,
-                    total_throughput: s.total_throughput,
-                    mean_efficiency: s.mean_efficiency,
-                    used_gpus: s.used_gpus,
-                    total_gpus: s.total_gpus,
-                    running_jobs: s.running_jobs,
-                    pending_jobs: s.pending_jobs,
-                    restarts,
-                }
-            })
-            .collect()
-    }
-
     /// Makespan: last finish time minus first submission, if all jobs
     /// finished; otherwise the simulation end time is used.
     pub fn makespan(&self) -> f64 {
@@ -411,15 +309,6 @@ impl SimResult {
         }
     }
 
-    /// The recorded series of one job, in time order.
-    pub fn job_series_of(&self, id: JobId) -> Vec<JobSample> {
-        self.job_series
-            .iter()
-            .filter(|s| s.job == id)
-            .copied()
-            .collect()
-    }
-
     /// The JCT CDF as `(jct_seconds, fraction ≤ jct)` points over
     /// finished jobs, sorted ascending — ready for plotting.
     pub fn jct_cdf(&self) -> Vec<(f64, f64)> {
@@ -470,8 +359,8 @@ mod tests {
         let empty = SimResult::default();
         assert_eq!(
             empty.canonical_text(),
-            "SimResult { policy: \"\", records: [], series: [], events: [], job_series: [], \
-             end_time: 0.0, node_seconds: 0.0, sched_stats: [], }"
+            "SimResult { policy: \"\", records: [], series: [], end_time: 0.0, \
+             node_seconds: 0.0, sched_stats: [], }"
         );
         let one = SimResult {
             records: vec![record(0, 10.0, Some(110.0))],
@@ -589,45 +478,6 @@ mod tests {
         assert_eq!(s.p99_jct, None);
         assert_eq!(s.avg_wait, None);
         assert_eq!(s.p50_wait, None);
-    }
-
-    #[test]
-    fn cluster_timeseries_accumulates_restarts() {
-        let sample = |time: f64| ClusterSample {
-            time,
-            nodes: 1,
-            total_gpus: 4,
-            used_gpus: 2,
-            running_jobs: 1,
-            pending_jobs: 0,
-            mean_efficiency: 0.9,
-            total_throughput: 10.0,
-            total_goodput: 9.0,
-        };
-        let event = |time: f64, kind: EventKind| SchedulingEvent {
-            time,
-            job: JobId(0),
-            kind,
-            gpus: 1,
-        };
-        let res = SimResult {
-            series: vec![sample(0.0), sample(60.0), sample(120.0)],
-            events: vec![
-                event(0.0, EventKind::Started),
-                event(60.0, EventKind::Restarted),
-                event(90.0, EventKind::Restarted),
-                event(125.0, EventKind::Restarted), // after the last sample
-            ],
-            ..Default::default()
-        };
-        let ts = res.cluster_timeseries();
-        assert_eq!(ts.len(), 3);
-        assert_eq!(ts[0].restarts, 0);
-        assert_eq!(ts[1].restarts, 1, "same-time restart counts");
-        assert_eq!(ts[2].restarts, 2);
-        assert_eq!(ts[2].total_goodput, 9.0);
-        assert_eq!(ts[2].used_gpus, 2);
-        assert!(SimResult::default().cluster_timeseries().is_empty());
     }
 
     #[test]

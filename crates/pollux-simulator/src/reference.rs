@@ -12,8 +12,9 @@
 //! `tests/engine_identity.rs` compare byte for byte.
 
 use super::{remove_finished_from_active, Simulation};
+use crate::config::TICK_SECONDS;
 use crate::job::{JobState, SimJob};
-use crate::metrics::{EventKind, SchedulingEvent, SimResult};
+use crate::metrics::SimResult;
 use crate::policy::SchedulingPolicy;
 use rand::Rng;
 
@@ -22,16 +23,14 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// Same result as [`Self::run`], bit for bit, for any fixed seed.
     pub fn run_reference(mut self) -> SimResult {
         self.contexts_live = false;
-        let dt = self.config.tick_seconds;
-        let sched_every = (self.config.sched_interval / dt).round().max(1.0) as u64;
-        let report_every = (self.config.report_interval / dt).round().max(1.0) as u64;
+        let dt = TICK_SECONDS;
         let max_ticks = (self.config.max_sim_time / dt).ceil() as u64;
 
         let mut now = 0.0;
         for tick in 0..max_ticks {
             now = tick as f64 * dt;
-            self.tick_boundaries(tick, now, report_every, sched_every);
-            self.advance_tick_reference(now, dt);
+            self.tick_boundaries(tick, now);
+            self.advance_tick_reference(now);
             self.node_seconds += self.spec.num_nodes() as f64 * dt;
 
             if self.arrivals.is_empty() && self.jobs.iter().all(SimJob::is_finished) {
@@ -49,7 +48,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// Finished jobs are also pruned from `self.active`, which the
     /// shared boundary code iterates; that runs only on finish ticks
     /// and never changes the trajectory.
-    pub(super) fn advance_tick_reference(&mut self, now: f64, dt: f64) {
+    pub(super) fn advance_tick_reference(&mut self, now: f64) {
+        let dt = TICK_SECONDS;
         let slowdown = self.interference_slowdowns_reference();
         let noise = self.config.measurement_noise;
         let mut finished = Vec::new();
@@ -83,16 +83,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 job.lifecycle.finish(now + dt);
                 self.interference.clear_job(idx, job.placement());
                 job.edit_placement(|row| row.fill(0));
-                finished.push((idx, job.spec.id));
+                finished.push(idx);
             }
-        }
-        for &(_, id) in finished.iter() {
-            self.events.push(SchedulingEvent {
-                time: now + dt,
-                job: id,
-                kind: EventKind::Finished,
-                gpus: 0,
-            });
         }
         if !finished.is_empty() {
             remove_finished_from_active(&mut self.active, &finished);

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId};
-use pollux_simulator::{PolicyJobView, SchedulingPolicy, SimConfig, Simulation};
+use pollux_simulator::{PolicyJobView, SchedulingPolicy, SimConfig, Simulation, REPORT_INTERVAL};
 use pollux_telemetry::{chrome, Event, MemorySink, Recorder, Sink};
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator, UserConfig};
 use rand::rngs::StdRng;
@@ -305,7 +305,7 @@ fn report_rounds_emit_one_span_around_their_refits() {
         }
     }
     assert!(open_refits.is_empty(), "refits after the last round span");
-    let report_ticks = (3.0 * 3600.0 / SimConfig::default().report_interval) as u64;
+    let report_ticks = (3.0 * 3600.0 / REPORT_INTERVAL) as u64;
     assert!(
         0 < rounds && rounds < report_ticks,
         "{rounds} spans over {report_ticks} rounds: quiet rounds must emit none"

@@ -7,14 +7,14 @@
 //! requires `run()` to equal `run_reference()` byte for byte.
 
 use pollux::cluster::{AllocationMatrix, ClusterSpec};
-use pollux::simulator::{
-    metrics::EventKind, PolicyJobView, SchedulingPolicy, SimConfig, Simulation,
-};
+use pollux::simulator::{PolicyJobView, SchedulingPolicy, SimConfig, SimResult, Simulation};
 use pollux::workload::{ModelKind, TraceConfig, TraceGenerator};
+use pollux_telemetry::{Event, MemorySink, Recorder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Emits uniformly random matrices, ignoring capacities entirely, and
 /// random cluster sizes and batch sizes.
@@ -65,14 +65,14 @@ impl SchedulingPolicy for ChaosPolicy {
 }
 
 /// One chaos run through `run()` or, with `reference`, through the
-/// per-tick `run_reference()`.
+/// per-tick `run_reference()`, with the telemetry it captured.
 fn run_chaos(
     seed: u64,
     max_cell: u32,
     jobs: usize,
     interference: f64,
     reference: bool,
-) -> pollux::simulator::SimResult {
+) -> (SimResult, Vec<Event>) {
     let trace: Vec<_> = TraceGenerator::new(TraceConfig {
         num_jobs: 40,
         duration_hours: 1.0,
@@ -104,12 +104,16 @@ fn run_chaos(
         max_gpus_per_cell: max_cell,
         rng: RefCell::new(StdRng::seed_from_u64(seed ^ 0xC0FFEE)),
     };
-    let sim = Simulation::new(sim, ClusterSpec::homogeneous(3, 4).unwrap(), policy, trace).unwrap();
-    if reference {
+    let sink = Arc::new(MemorySink::new(1 << 20));
+    let sim = Simulation::new(sim, ClusterSpec::homogeneous(3, 4).unwrap(), policy, trace)
+        .unwrap()
+        .with_recorder(Recorder::new(sink.clone()));
+    let res = if reference {
         sim.run_reference()
     } else {
         sim.run()
-    }
+    };
+    (res, sink.drain())
 }
 
 proptest! {
@@ -121,8 +125,8 @@ proptest! {
         jobs in 2usize..6,
         interference in 0.0f64..0.6,
     ) {
-        let res = run_chaos(seed, max_cell, jobs, interference, false);
-        let oracle = run_chaos(seed, max_cell, jobs, interference, true);
+        let (res, events) = run_chaos(seed, max_cell, jobs, interference, false);
+        let (oracle, _) = run_chaos(seed, max_cell, jobs, interference, true);
         prop_assert_eq!(
             res.canonical_text(),
             oracle.canonical_text(),
@@ -146,15 +150,27 @@ proptest! {
             }
         }
 
-        // Events are ordered and structurally consistent.
-        for w in res.events.windows(2) {
-            prop_assert!(w[0].time <= w[1].time);
+        // The captured timeline is ordered and structurally
+        // consistent. Arrivals are left out of the ordering: they carry
+        // the submit time, not the boundary that spawned them.
+        let timeline: Vec<(f64, u64, &str)> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Timeline { name, time, job, .. } if name != "arrival" => {
+                    Some((*time, *job, name.as_ref()))
+                }
+                _ => None,
+            })
+            .collect();
+        prop_assert!(!timeline.is_empty());
+        for w in timeline.windows(2) {
+            prop_assert!(w[0].0 <= w[1].0, "{:?} before {:?}", w[0], w[1]);
         }
         for r in &res.records {
-            let started = res
-                .events
+            let job = u64::from(r.id.0);
+            let started = timeline
                 .iter()
-                .filter(|e| e.job == r.id && e.kind == EventKind::Started)
+                .filter(|&&(_, j, name)| j == job && name == "start")
                 .count();
             prop_assert!(started <= 1, "job {} started {started} times", r.id);
         }

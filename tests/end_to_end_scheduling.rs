@@ -174,54 +174,85 @@ fn restarts_stay_bounded() {
     }
 }
 
+/// The allocation timeline is the telemetry capture's `lifecycle/*`
+/// and `round/placement` events; they must tell each job's story as
+/// its record does.
 #[test]
 fn event_timeline_is_consistent() {
-    use pollux::simulator::metrics::EventKind;
+    use pollux::core::run_trace_recorded;
+    use pollux_telemetry::{Event, MemorySink, Recorder};
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     let trace = small_trace(8, 77);
     let spec = ClusterSpec::homogeneous(4, 4).unwrap();
-    let res = run_trace(
+    let sink = Arc::new(MemorySink::new(1 << 20));
+    let res = run_trace_recorded(
         quick_pollux(),
         &trace,
         ConfigChoice::Tuned,
         spec,
         quick_sim(6),
+        Recorder::new(sink.clone()),
     )
     .unwrap();
-    assert!(!res.events.is_empty());
 
-    // Events are time-ordered.
-    for w in res.events.windows(2) {
-        assert!(w[0].time <= w[1].time);
+    // (time, subsystem, name, GPUs held after) of every timeline event
+    // but the arrivals, which carry the submit time rather than the
+    // boundary that spawned the job.
+    let mut per_job: HashMap<u64, Vec<(f64, &str, &str, u32)>> = HashMap::new();
+    let mut last = f64::NEG_INFINITY;
+    let events = sink.drain();
+    for e in &events {
+        let Event::Timeline {
+            subsystem,
+            name,
+            time,
+            job,
+            new,
+            ..
+        } = e
+        else {
+            continue;
+        };
+        if name == "arrival" {
+            continue;
+        }
+        // Events are time-ordered.
+        assert!(last <= *time, "{name} of job {job} at {time} after {last}");
+        last = *time;
+        let gpus = new.iter().sum();
+        per_job
+            .entry(*job)
+            .or_default()
+            .push((*time, subsystem.as_ref(), name.as_ref(), gpus));
     }
+    assert!(!per_job.is_empty());
 
-    let mut per_job: HashMap<_, Vec<_>> = HashMap::new();
-    for e in &res.events {
-        per_job.entry(e.job).or_default().push(*e);
-    }
     for r in &res.records {
-        let events = per_job.get(&r.id).expect("every job has events");
-        // Exactly one Started, as the first event; exactly one Finished,
-        // as the last.
-        assert_eq!(events.first().unwrap().kind, EventKind::Started);
-        assert_eq!(events.last().unwrap().kind, EventKind::Finished);
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.kind == EventKind::Started)
-                .count(),
-            1
-        );
-        // The restart count matches the record.
-        let restarts = events
+        let events = per_job
+            .get(&u64::from(r.id.0))
+            .expect("every job has events");
+        let lifecycle: Vec<_> = events
             .iter()
-            .filter(|e| e.kind == EventKind::Restarted)
-            .count() as u32;
-        assert_eq!(restarts, r.num_restarts, "job {}", r.id);
+            .filter(|&&(_, subsystem, _, _)| subsystem == "lifecycle")
+            .collect();
+        let count = |kind: &str| lifecycle.iter().filter(|e| e.2 == kind).count();
+        // Exactly one start, as the first transition; one finish, as
+        // the last.
+        assert_eq!(lifecycle.first().unwrap().2, "start", "job {}", r.id);
+        assert_eq!(lifecycle.last().unwrap().2, "finish", "job {}", r.id);
+        assert_eq!(count("start"), 1, "job {}", r.id);
+        assert_eq!(count("finish"), 1, "job {}", r.id);
+        // The restart count matches the record.
+        assert_eq!(count("restart") as u32, r.num_restarts, "job {}", r.id);
         // Timestamps line up with the record.
-        assert_eq!(events.first().unwrap().time, r.start_time.unwrap());
-        assert_eq!(events.last().unwrap().time, r.finish_time.unwrap());
+        assert_eq!(Some(lifecycle.first().unwrap().0), r.start_time);
+        assert_eq!(Some(lifecycle.last().unwrap().0), r.finish_time);
+        // The job's first placement diff is the one that started it.
+        let placed = events.iter().find(|e| e.1 == "round").unwrap();
+        assert_eq!(Some(placed.0), r.start_time, "job {}", r.id);
+        assert!(placed.3 > 0, "job {} started on no GPUs", r.id);
     }
 }
 

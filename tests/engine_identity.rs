@@ -15,7 +15,12 @@
 //! in both steppers at once, so every trajectory in which a job trains
 //! above its `m0` moved in its low digits. Twelve of the thirteen
 //! digests moved; the finish ladder's jobs train at `m0`, where the
-//! efficiency is 1 whatever φ is, and kept theirs.
+//! efficiency is 1 whatever φ is, and kept theirs. All thirteen were
+//! re-pinned once more, with no trajectory moving, when `SimResult`
+//! lost its event log and its per-job series (the capture's
+//! `lifecycle/*` and `round/placement` events are the one timeline):
+//! the digested text lost two fields, and each new constant is what
+//! the old code printed for the same run rendered without them.
 //!
 //! The cases are the events that invalidate a run context, and the
 //! places a finish can fall: fixed-batch and batch-adaptive policies,
@@ -35,7 +40,9 @@ use pollux::core::{PolluxConfig, PolluxPolicy};
 use pollux::models::PlacementShape;
 use pollux::sched::GaConfig;
 use pollux::simulator::engine::Submission;
-use pollux::simulator::{PolicyJobView, SchedulingPolicy, SimConfig, SimResult, Simulation};
+use pollux::simulator::{
+    PolicyJobView, SchedulingPolicy, SimConfig, SimResult, Simulation, SCHED_INTERVAL,
+};
 use pollux::workload::{ModelKind, TraceConfig, TraceGenerator};
 use rand::rngs::StdRng;
 
@@ -240,7 +247,7 @@ fn staged_tiresias_with_a_fixed_batch() {
     let spec = ClusterSpec::homogeneous(4, 4).unwrap();
     let res = check(
         "tiresias",
-        0xd5be_409d_17b7_1369,
+        0x91c9_e54f_965f_f9d9,
         cfg,
         &spec,
         &jobs(14, 240.0, 9, 1.0),
@@ -275,7 +282,7 @@ fn pollux_policy_adapting_the_batch() {
     };
     check(
         "pollux",
-        0x4704_1db5_08de_6111,
+        0xae3c_d55e_0d01_3c7b,
         cfg,
         &spec,
         &jobs(8, 300.0, 5, 1.0),
@@ -292,12 +299,12 @@ fn interference_levels_and_restart_delays() {
     let spec = ClusterSpec::homogeneous(3, 4).unwrap();
     let workload = jobs(8, 200.0, 3, 1.0);
     for (interference, restart_delay, golden) in [
-        (0.0, 30.0, 0x3988_140b_a324_a67eu64),
-        (0.1, 30.0, 0x7c79_5298_b5d3_fc98),
-        (0.5, 30.0, 0x760e_aaea_7224_25ae),
-        (0.0, 0.0, 0xb1a9_423f_7b0c_0208),
-        (0.1, 0.0, 0x9cb0_328c_49f0_3f3b),
-        (0.5, 0.0, 0x2e6f_011f_c67f_db49),
+        (0.0, 30.0, 0x929a_5e0d_09c8_06e7u64),
+        (0.1, 30.0, 0xcdc9_3fde_8d0f_64cc),
+        (0.5, 30.0, 0x6491_7119_80c7_1fd9),
+        (0.0, 0.0, 0x1763_10a1_490b_60f4),
+        (0.1, 0.0, 0x4c63_dc42_a9c8_d61a),
+        (0.5, 0.0, 0xc908_7228_c409_91c3),
     ] {
         let cfg = SimConfig {
             max_sim_time: 3.0 * 3600.0,
@@ -330,7 +337,7 @@ fn no_measurement_noise() {
     let spec = ClusterSpec::homogeneous(3, 4).unwrap();
     check(
         "noise=0",
-        0x7153_a58a_e129_978d,
+        0xb93b_ce99_e863_7e34,
         cfg,
         &spec,
         &jobs(8, 200.0, 3, 1.0),
@@ -349,7 +356,7 @@ fn cluster_shrinks_under_running_jobs() {
     let spec = ClusterSpec::homogeneous(4, 4).unwrap();
     let res = check(
         "autoscaling",
-        0x2c39_c81f_0087_67bd,
+        0x4c8e_763e_d184_ef1b,
         cfg,
         &spec,
         &jobs(7, 60.0, 3, 1.0),
@@ -375,7 +382,7 @@ fn a_job_finishes_on_its_first_tick() {
     let spec = ClusterSpec::homogeneous(2, 4).unwrap();
     let res = check(
         "first-tick finish",
-        0x0e19_fed6_4171_d09a,
+        0x0874_84ad_17de_a5cd,
         cfg,
         &spec,
         &workload,
@@ -400,7 +407,7 @@ fn two_jobs_finish_in_the_same_tick() {
     let spec = ClusterSpec::homogeneous(2, 4).unwrap();
     let res = check(
         "twin finish",
-        0xbe73_032f_d17b_19f2,
+        0xc257_c72d_ef7f_7037,
         cfg,
         &spec,
         &workload,
@@ -446,7 +453,7 @@ fn finishes_on_report_and_scheduling_ticks() {
     let spec = ClusterSpec::homogeneous(16, 4).unwrap();
     let res = check(
         "finish ladder",
-        0xb930_dd2e_a0ca_2fbe,
+        0x9cb7_db36_5bc0_5180,
         cfg,
         &spec,
         &workload,
@@ -507,7 +514,7 @@ fn shifting_every_submit_time_leaves_the_jcts_alone() {
         let base = sorted_jcts(0.0, policy());
         assert!(base.len() >= 15, "{name}: {} finished", base.len());
         for intervals in [1.0, 977.0] {
-            let shifted = sorted_jcts(intervals * SimConfig::default().sched_interval, policy());
+            let shifted = sorted_jcts(intervals * SCHED_INTERVAL, policy());
             assert_eq!(shifted.len(), base.len(), "{name} +{intervals}");
             for (a, b) in base.iter().zip(&shifted) {
                 assert!((a - b).abs() <= 1e-6, "{name} +{intervals}: {a} vs {b}");
