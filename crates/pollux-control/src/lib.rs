@@ -13,12 +13,13 @@
 //! - [`sched_jobs_from_views`] / [`bootstrap_sched_job`]: the single
 //!   home for fairness weights (Eqn 16) and the prior-driven
 //!   exploration bootstrap (Sec. 4.1);
-//! - [`RoundPlanner`]: the pure reschedule-round pipeline — invoke the
-//!   policy over the views, clamp the returned matrix to capacity, and
-//!   diff old vs new placements into explicit [`Reallocation`]
-//!   decisions which the caller applies to its own job store;
-//! - [`resize_placement`]: what a cluster resize does to a job's
-//!   placement (a job on a removed node is preempted whole);
+//! - [`RoundPlanner::round`] over a [`JobStore`]: the one scheduling
+//!   round the engine and the service both run — views, autoscale and
+//!   resize (a job on a removed node is preempted whole),
+//!   [`RoundPlanner::plan`] (invoke the policy, clamp its matrix to
+//!   capacity, diff old vs new placements into [`Reallocation`]s), one
+//!   apply rule, and the stamped decision audit. A store lends its jobs
+//!   ([`JobMut`]); the rules live here;
 //! - [`StagedScheduler`] + the [`stages`] module: the Blox-style
 //!   decomposition of a policy into admission / placement / preemption
 //!   stages, composed back into a [`SchedulingPolicy`] (DESIGN.md §10).
@@ -37,7 +38,7 @@ pub mod stages;
 
 pub use lifecycle::{JobLifecycle, JobState};
 pub use policy::{PlacementDelta, PolicyJobView, SchedIntervalSample, SchedulingPolicy};
-pub use round::{resize_placement, Reallocation, RoundError, RoundOutcome, RoundPlanner};
+pub use round::{JobMut, JobStore, Reallocation, RoundError, RoundOutcome, RoundPlanner};
 pub use sched_jobs::{bootstrap_sched_job, sched_jobs_from_views, SchedJobCache};
 pub use stages::{
     keep_placement, pack_consolidated, AdmissionPolicy, Admitted, ConsolidatedPlacement,

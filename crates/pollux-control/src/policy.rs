@@ -4,8 +4,8 @@
 //! of all active (non-finished) jobs. It returns the allocation matrix
 //! to apply; optionally it can also resize the cluster (cloud
 //! auto-scaling). Both the simulator engine and the live
-//! `ClusterService` build the views and drive the policy through the
-//! same [`crate::RoundPlanner`].
+//! `ClusterService` drive the policy through the same
+//! [`crate::RoundPlanner::round`].
 
 use pollux_agent::AgentReport;
 use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId, Topology};
@@ -184,8 +184,8 @@ pub trait SchedulingPolicy {
     /// seed).
     fn configure_parallelism(&mut self, _threads: usize) {}
 
-    /// Topology hint: drivers call this at startup (and again after a
-    /// cluster resize) with the rack layout, or `None` when the
+    /// Topology hint: a simulation calls this at startup (and the round
+    /// again after a cluster resize) with the rack layout, or `None` when the
     /// cluster is flat. Rack-aware policies (Pollux's two-phase GA)
     /// decompose their placement search along the racks; the default
     /// is a no-op, so flat policies need not care. Implementations
@@ -213,10 +213,10 @@ pub trait SchedulingPolicy {
 
     /// Drains the decision audit of the most recent `schedule` call,
     /// if the policy built one (Pollux does, and only while a recorder
-    /// is attached — see `pollux_telemetry::RoundExplain`). The driver
-    /// calls this after applying a round, stamps the record with the
-    /// round time and interference co-residents, and emits it through
-    /// the recorder. Purely observational: implementations must derive
+    /// is attached — see `pollux_telemetry::RoundExplain`).
+    /// [`crate::RoundPlanner::round`] calls this after applying a
+    /// round, stamps the record with the round time and interference
+    /// co-residents, and emits it through the recorder. Purely observational: implementations must derive
     /// the record without drawing RNG or perturbing cached state. The
     /// default reports nothing.
     fn take_round_explain(&mut self) -> Option<pollux_telemetry::RoundExplain> {

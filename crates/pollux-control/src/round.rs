@@ -1,15 +1,20 @@
-//! The reschedule-round pipeline.
+//! The scheduling round.
 //!
-//! One [`RoundPlanner::plan`] call is one scheduling round: invoke the
-//! [`SchedulingPolicy`] over immutable job views, clamp the returned
-//! allocation matrix to cluster capacity, and diff old vs new
-//! placements into explicit [`Reallocation`] decisions. The planner is
-//! pure with respect to its caller's state — it mutates nothing but
-//! the policy and the RNG — so the simulator engine and the live
-//! service apply the same [`RoundOutcome`] to their own job stores.
+//! One [`RoundPlanner::round`] call is one scheduling round, and the
+//! simulator's engine and the live service both run it, each over its
+//! own [`JobStore`]: build the views, let the policy resize the
+//! cluster, [`RoundPlanner::plan`] (invoke the [`SchedulingPolicy`],
+//! clamp its matrix to capacity, diff old against new placements into
+//! [`Reallocation`]s), apply each reallocation through one rule, and
+//! emit the round's decision audit. The planning step is pure with
+//! respect to the caller's state — it mutates nothing but the policy
+//! and the RNG.
 
-use crate::policy::{PlacementDelta, PolicyJobView, SchedIntervalSample, SchedulingPolicy};
-use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId};
+use crate::lifecycle::JobLifecycle;
+use crate::policy::{PolicyJobView, SchedIntervalSample, SchedulingPolicy};
+use pollux_agent::PolluxAgent;
+use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId, NodeId, Topology};
+use pollux_models::PlacementShape;
 use pollux_telemetry::{Counter, Recorder};
 use rand::rngs::StdRng;
 
@@ -24,8 +29,6 @@ pub struct Reallocation {
     /// Index of the job in the round's view slice (callers that keep
     /// jobs in view order can apply by index instead of id lookup).
     pub row: usize,
-    /// The placement row that was in effect (cluster-width).
-    pub old: Vec<u32>,
     /// The placement row to apply (cluster-width).
     pub new: Vec<u32>,
     /// Whether applying this decision pays the checkpoint-restart
@@ -42,13 +45,54 @@ impl Reallocation {
     }
 }
 
+/// One job's control-plane state, lent by a [`JobStore`] to the round
+/// for one edit.
+pub struct JobMut<'a> {
+    /// The placement row in effect (GPUs per node).
+    pub placement: &'a mut Vec<u32>,
+    /// The job's agent, told of every allocation it is granted.
+    pub agent: &'a mut PolluxAgent,
+    /// The job's lifecycle.
+    pub lifecycle: &'a mut JobLifecycle,
+}
+
+/// The jobs of a simulation or a live service, as
+/// [`RoundPlanner::round`] reads and writes them.
+///
+/// The store lends its jobs; the round owns the rules it applies to
+/// them (what a resize does to a placement, what a reallocation does
+/// to a job), so a store adds only what is its own around each edit:
+/// an index to update, a lock to take, a job that left to skip.
+pub trait JobStore {
+    /// Views of the jobs this round schedules, in row order, with
+    /// unique ids.
+    fn views(&self) -> Vec<PolicyJobView<'_>>;
+
+    /// The cluster became `spec`: lend every job, scheduled this round
+    /// or not, to `fit`, which answers whether it preempted the job.
+    /// Returns the rack layout to hand the policy, if the store keeps
+    /// one.
+    fn resize(
+        &mut self,
+        spec: &ClusterSpec,
+        fit: impl FnMut(JobMut<'_>) -> bool,
+    ) -> Option<Topology>;
+
+    /// Lends the job at `r.row` to `rule`, the round's one apply rule.
+    /// A store whose jobs may leave mid-round skips a job that left.
+    fn apply(&mut self, r: &Reallocation, rule: impl FnOnce(JobMut<'_>));
+
+    /// Ids of the jobs sharing a node with the job at `row` after the
+    /// round, ascending: the audit's interference co-residents.
+    fn co_residents(&self, row: usize) -> Vec<u64>;
+}
+
 /// Fits one job's placement row to a cluster resized to `nodes` nodes:
 /// the row is cut or zero-padded to the new width, and a job that held
 /// GPUs on a removed node loses its whole placement (a partial one
 /// would change its world size silently). Returns whether GPUs were
-/// lost — the caller then preempts the job. Both drivers resize
-/// through this one rule.
-pub fn resize_placement(row: &mut Vec<u32>, nodes: usize) -> bool {
+/// lost — the round then preempts the job.
+fn resize_placement(row: &mut Vec<u32>, nodes: usize) -> bool {
     let lost = row.iter().skip(nodes).any(|&g| g > 0);
     row.resize(nodes, 0);
     if lost {
@@ -57,7 +101,8 @@ pub fn resize_placement(row: &mut Vec<u32>, nodes: usize) -> bool {
     lost
 }
 
-/// The result of one scheduling round, applied by the caller.
+/// What [`RoundPlanner::plan`] decided for one round, which
+/// [`RoundPlanner::round`] then applies.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundOutcome {
     /// Placement changes, in view (row) order.
@@ -87,12 +132,11 @@ impl std::fmt::Display for RoundError {
 
 impl std::error::Error for RoundError {}
 
-/// The shared reschedule-round pipeline.
+/// The shared scheduling round.
 ///
-/// Holds only a hoisted telemetry counter (disabled by default) plus
-/// a recycled scratch buffer; all per-round inputs arrive as
-/// arguments, so one planner serves any number of rounds
-/// deterministically.
+/// Holds only telemetry handles (disabled by default) plus recycled
+/// scratch; all per-round inputs arrive as arguments, so one planner
+/// serves any number of rounds deterministically.
 #[derive(Default)]
 pub struct RoundPlanner {
     /// Hoisted `control/reallocations` counter: `plan` runs every
@@ -100,13 +144,13 @@ pub struct RoundPlanner {
     /// `Recorder::incr` is paid once at attach time instead. The
     /// planner deliberately emits no spans of its own — it sits on
     /// the simulator's hot path, already bracketed by the driver's
-    /// span (`engine/reschedule` in the simulator, `control/plan` in
+    /// span (`engine/reschedule` in the simulator, `service/round` in
     /// the live service).
     reallocations_ctr: Counter,
-    /// Recorder for per-reallocation `"placement"` timeline diffs.
-    /// Disabled by default; emission happens only where a
-    /// [`Reallocation`] is materialized, which is already O(churn) —
-    /// quiet rounds emit nothing.
+    /// Recorder for per-reallocation `"placement"` timeline diffs and
+    /// the round's decision audit. Disabled by default; a placement
+    /// diff is emitted only where a [`Reallocation`] is materialized,
+    /// which is already O(churn) — quiet rounds emit none.
     recorder: Recorder,
     /// Recycled duplicate-check scratch.
     ids_buf: Vec<JobId>,
@@ -143,31 +187,88 @@ impl RoundPlanner {
         self.rows_materialized
     }
 
-    /// The auto-scaling phase of a round: asks the policy for a
-    /// desired cluster size. The caller performs the actual resize
-    /// (and rebuilds its views) because node removal touches
-    /// driver-owned placements.
-    pub fn desired_nodes<P: SchedulingPolicy + ?Sized>(
-        &self,
+    /// Runs one scheduling round over `store`, the one round the engine
+    /// and the live service both run:
+    ///
+    /// 1. the policy's `desired_nodes` over the store's views; a size
+    ///    other than the current one (at least 1 node) becomes `spec`,
+    ///    every job's placement is cut or padded to it (a job that held
+    ///    GPUs on a removed node loses them all and is preempted), the
+    ///    policy is handed the store's new rack layout, and the views
+    ///    are rebuilt;
+    /// 2. [`Self::plan`];
+    /// 3. each reallocation is applied through the store by one rule:
+    ///    write the placement, then note the allocation with the agent
+    ///    and grant it (a restart pays `restart_delay`), or preempt;
+    /// 4. the policy's decision audit, if a recorder is attached, is
+    ///    stamped with `now` and each job's co-residents and emitted.
+    ///
+    /// Returns the policy's cost breakdown for the round, stamped with
+    /// `now`, if it reports one. The round draws from `rng` only
+    /// through the policy, in the order above.
+    ///
+    /// # Errors
+    ///
+    /// [`RoundError::DuplicateJobId`] when two views share an id; the
+    /// round then applies nothing (a resize already made stands).
+    pub fn round<P: SchedulingPolicy + ?Sized, S: JobStore>(
+        &mut self,
         policy: &mut P,
+        store: &mut S,
+        spec: &mut ClusterSpec,
         now: f64,
-        views: &[PolicyJobView<'_>],
-        spec: &ClusterSpec,
+        restart_delay: f64,
         rng: &mut StdRng,
-    ) -> Option<u32> {
-        policy.desired_nodes(now, views, spec, rng)
+    ) -> Result<Option<SchedIntervalSample>, RoundError> {
+        let mut views = store.views();
+        if let Some(nodes) = policy.desired_nodes(now, &views, spec, rng) {
+            let nodes = nodes.max(1);
+            if nodes as usize != spec.num_nodes() {
+                drop(views);
+                *spec = ClusterSpec::homogeneous(nodes, spec.gpus_on(NodeId(0)))
+                    .expect("at least one node, as many GPUs as the cluster's first");
+                let width = spec.num_nodes();
+                let fit = |job: JobMut<'_>| {
+                    resize_placement(job.placement, width) && job.lifecycle.preempt(now)
+                };
+                if let Some(topology) = store.resize(spec, fit) {
+                    policy.configure_topology(Some(&topology));
+                }
+                views = store.views();
+            }
+        }
+        let outcome = self.plan(policy, now, &views, spec, rng)?;
+        drop(views);
+        for r in &outcome.reallocations {
+            store.apply(r, |job| apply_reallocation(job, r, now, restart_delay));
+        }
+        if self.recorder.is_enabled() {
+            if let Some(mut explain) = policy.take_round_explain() {
+                explain.time = now;
+                for (row, job) in explain.jobs.iter_mut().enumerate() {
+                    job.co_residents = store.co_residents(row);
+                }
+                self.recorder.round_explain(explain);
+            }
+        }
+        Ok(outcome.stats)
     }
 
     /// Plans one scheduling round over `views`.
     ///
-    /// Pipeline: consult `policy.schedule_sparse` (policies that can
-    /// name just their changed rows skip the dense matrix entirely —
-    /// see `Self::plan_sparse`); otherwise invoke `policy.schedule`,
-    /// drain and time-stamp its interval stats, clamp the matrix to
-    /// `spec` capacity, then diff each view's current placement
-    /// against its new row. An empty view slice short-circuits to an
-    /// empty outcome without invoking the policy (both drivers skip
-    /// empty rounds).
+    /// Pipeline: consult `policy.schedule_sparse`; otherwise invoke
+    /// `policy.schedule` and clamp the matrix to `spec` capacity; diff
+    /// each view's current placement against its new row; drain and
+    /// time-stamp the policy's interval stats. An empty view slice
+    /// short-circuits to an empty outcome without invoking the policy.
+    ///
+    /// A policy that answers sparsely named only its changed rows, so
+    /// the round never touches — let alone materializes — a dense
+    /// `jobs × nodes` matrix: each delta is padded to cluster width and
+    /// diffed, and no-op deltas and out-of-range rows are dropped. The
+    /// dense defensive clamp is skipped (the sparse contract makes the
+    /// policy responsible for feasibility — see
+    /// [`SchedulingPolicy::schedule_sparse`]).
     ///
     /// Every RNG draw made during the round comes from `policy` via
     /// `rng`, in view order — the planner itself never draws — which
@@ -185,33 +286,40 @@ impl RoundPlanner {
         }
         self.check_unique_ids(views)?;
 
+        let num_nodes = spec.num_nodes();
+        let mut reallocations = Vec::new();
         if let Some(deltas) = policy.schedule_sparse(now, views, spec, rng) {
-            return Ok(self.plan_sparse(policy, now, views, spec, deltas));
+            for delta in deltas {
+                let Some(view) = views.get(delta.row) else {
+                    continue;
+                };
+                let mut new_row = delta.gpus;
+                new_row.resize(num_nodes, 0);
+                reallocations.extend(self.diff_row(now, delta.row, view, new_row, num_nodes));
+            }
+        } else {
+            let mut matrix = policy.schedule(now, views, spec, rng);
+            clamp_matrix(&mut matrix, spec);
+            for (row, view) in views.iter().enumerate() {
+                // Post-clamp the matrix is cluster-width, so a view's
+                // row (or the implicit all-zero row when the policy
+                // returned too few) can be compared in place; rows are
+                // copied out only once known to differ, keeping a quiet
+                // round's diff cost O(changed) instead of O(jobs ×
+                // nodes).
+                let matrix_row: &[u32] = if row < matrix.num_jobs() {
+                    matrix.row(row)
+                } else {
+                    &[]
+                };
+                reallocations.extend(self.diff_row(now, row, view, matrix_row, num_nodes));
+            }
         }
-
-        let mut matrix = policy.schedule(now, views, spec, rng);
+        self.reallocations_ctr.add(reallocations.len() as u64);
         let stats = policy.take_interval_stats().map(|mut s| {
             s.time = now;
             s
         });
-        clamp_matrix(&mut matrix, spec);
-
-        let num_nodes = spec.num_nodes();
-        let mut reallocations = Vec::new();
-        for (row, view) in views.iter().enumerate() {
-            // Post-clamp the matrix is cluster-width, so a view's row
-            // (or the implicit all-zero row when the policy returned
-            // too few) can be compared in place; rows are copied out
-            // only once known to differ, keeping a quiet round's diff
-            // cost O(changed) instead of O(jobs × nodes).
-            let matrix_row: &[u32] = if row < matrix.num_jobs() {
-                matrix.row(row)
-            } else {
-                &[]
-            };
-            reallocations.extend(self.diff_row(now, row, view, matrix_row, num_nodes));
-        }
-        self.reallocations_ctr.add(reallocations.len() as u64);
         Ok(RoundOutcome {
             reallocations,
             stats,
@@ -239,42 +347,6 @@ impl RoundPlanner {
         self.last_ids.clear();
         self.last_ids.extend(views.iter().map(|v| v.id));
         Ok(())
-    }
-
-    /// The sparse round path: the policy named only its changed rows,
-    /// so this never touches — let alone materializes — a dense
-    /// `jobs × nodes` matrix. Each delta is padded to cluster width
-    /// and diffed against its view's current placement; no-op deltas
-    /// and out-of-range rows are dropped. The dense defensive clamp is
-    /// skipped (the sparse contract makes the policy responsible for
-    /// feasibility — see [`SchedulingPolicy::schedule_sparse`]).
-    fn plan_sparse<P: SchedulingPolicy + ?Sized>(
-        &mut self,
-        policy: &mut P,
-        now: f64,
-        views: &[PolicyJobView<'_>],
-        spec: &ClusterSpec,
-        deltas: Vec<PlacementDelta>,
-    ) -> RoundOutcome {
-        let stats = policy.take_interval_stats().map(|mut s| {
-            s.time = now;
-            s
-        });
-        let num_nodes = spec.num_nodes();
-        let mut reallocations = Vec::with_capacity(deltas.len());
-        for delta in deltas {
-            let Some(view) = views.get(delta.row) else {
-                continue;
-            };
-            let mut new_row = delta.gpus;
-            new_row.resize(num_nodes, 0);
-            reallocations.extend(self.diff_row(now, delta.row, view, new_row, num_nodes));
-        }
-        self.reallocations_ctr.add(reallocations.len() as u64);
-        RoundOutcome {
-            reallocations,
-            stats,
-        }
     }
 
     /// The diff both paths share: `proposed` (a borrowed matrix row on
@@ -312,10 +384,26 @@ impl RoundPlanner {
         Some(Reallocation {
             job: view.id,
             row,
-            old: view.current_placement.to_vec(),
             new: new_row,
             triggers_restart: gpus > 0 && view.started,
         })
+    }
+}
+
+/// The one apply rule: the job takes the new placement; a grant is
+/// noted with the agent and moves the lifecycle (a restart pays
+/// `restart_delay`), a zero-GPU placement preempts.
+fn apply_reallocation(job: JobMut<'_>, r: &Reallocation, now: f64, restart_delay: f64) {
+    job.placement.clone_from(&r.new);
+    let nodes = r.new.iter().filter(|&&g| g > 0).count() as u32;
+    match PlacementShape::new(r.gpus(), nodes) {
+        Some(shape) => {
+            job.agent.note_allocation(shape);
+            job.lifecycle.grant(r.triggers_restart, now, restart_delay);
+        }
+        None => {
+            job.lifecycle.preempt(now);
+        }
     }
 }
 
@@ -363,6 +451,7 @@ fn clamp_matrix(m: &mut AllocationMatrix, spec: &ClusterSpec) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PlacementDelta;
     use pollux_models::BatchSizeLimits;
     use pollux_workload::UserConfig;
     use rand::SeedableRng;
@@ -445,6 +534,193 @@ mod tests {
         m
     }
 
+    struct OwnedJob {
+        id: u32,
+        placement: Vec<u32>,
+        agent: PolluxAgent,
+        lifecycle: JobLifecycle,
+    }
+
+    impl OwnedJob {
+        fn new(id: u32, placement: Vec<u32>, started: bool) -> Self {
+            let limits = BatchSizeLimits::new(128, 1024, 512).unwrap();
+            let mut lifecycle = JobLifecycle::new();
+            if started {
+                lifecycle.grant(false, 0.0, 30.0);
+            }
+            Self {
+                id,
+                placement,
+                agent: PolluxAgent::new(128, 0.1, limits).unwrap(),
+                lifecycle,
+            }
+        }
+
+        fn lend(&mut self) -> JobMut<'_> {
+            JobMut {
+                placement: &mut self.placement,
+                agent: &mut self.agent,
+                lifecycle: &mut self.lifecycle,
+            }
+        }
+    }
+
+    /// Jobs owned in row order, lent to the round as they are.
+    struct Owned(Vec<OwnedJob>);
+
+    impl JobStore for Owned {
+        fn views(&self) -> Vec<PolicyJobView<'_>> {
+            let started = |j: &OwnedJob| j.lifecycle.has_started();
+            self.0
+                .iter()
+                .map(|j| view(j.id, &j.placement, started(j)))
+                .collect()
+        }
+
+        fn resize(
+            &mut self,
+            spec: &ClusterSpec,
+            mut fit: impl FnMut(JobMut<'_>) -> bool,
+        ) -> Option<Topology> {
+            for job in &mut self.0 {
+                fit(job.lend());
+            }
+            Topology::grouped(spec.num_nodes() as u32, 1)
+        }
+
+        fn apply(&mut self, r: &Reallocation, rule: impl FnOnce(JobMut<'_>)) {
+            rule(self.0[r.row].lend());
+        }
+
+        fn co_residents(&self, row: usize) -> Vec<u64> {
+            let mine = &self.0[row].placement;
+            let shares = |other: &[u32]| mine.iter().zip(other).any(|(&a, &b)| a > 0 && b > 0);
+            let others = self.0.iter().enumerate().filter(|&(k, _)| k != row);
+            others
+                .filter(|(_, j)| shares(&j.placement))
+                .map(|(_, j)| u64::from(j.id))
+                .collect()
+        }
+    }
+
+    /// Shrinks the cluster, then schedules what is left, and explains
+    /// the round; remembers the topology it was handed.
+    struct Shrinking {
+        topology: Option<Topology>,
+    }
+
+    impl SchedulingPolicy for Shrinking {
+        fn name(&self) -> &'static str {
+            "shrinking"
+        }
+        fn desired_nodes(
+            &mut self,
+            _now: f64,
+            _jobs: &[PolicyJobView<'_>],
+            _spec: &ClusterSpec,
+            _rng: &mut StdRng,
+        ) -> Option<u32> {
+            Some(2)
+        }
+        fn schedule(
+            &mut self,
+            _now: f64,
+            jobs: &[PolicyJobView<'_>],
+            spec: &ClusterSpec,
+            _rng: &mut StdRng,
+        ) -> AllocationMatrix {
+            assert_eq!(
+                (jobs.len(), spec.num_nodes()),
+                (3, 2),
+                "views of the resized cluster"
+            );
+            assert_eq!(jobs[0].current_placement, [0, 0], "job 0 lost node 2");
+            matrix(&[&[0, 2], &[1, 0], &[0, 1]])
+        }
+        fn configure_topology(&mut self, topology: Option<&Topology>) {
+            self.topology = topology.cloned();
+        }
+        fn take_round_explain(&mut self) -> Option<pollux_telemetry::RoundExplain> {
+            let job = |job| pollux_telemetry::JobExplain {
+                job,
+                weight: 1.0,
+                speedup_before: 0.0,
+                speedup_after: 0.0,
+                restart_penalty: 0.0,
+                rack_before: -1,
+                rack_after: -1,
+                gpus_before: 0,
+                gpus_after: 0,
+                co_residents: Vec::new(),
+            };
+            Some(pollux_telemetry::RoundExplain {
+                time: 0.0,
+                fitness: 0.0,
+                fitness_before: 0.0,
+                racked: false,
+                jobs: (0..3).map(job).collect(),
+            })
+        }
+    }
+
+    #[test]
+    fn round_resizes_applies_and_stamps_the_audit() {
+        use pollux_telemetry::{Event, MemorySink};
+        use std::sync::Arc;
+
+        // Job 0 runs on node 2, which the shrink removes; job 1 runs on
+        // node 0; job 2 waits.
+        let mut store = Owned(vec![
+            OwnedJob::new(0, vec![0, 0, 1], true),
+            OwnedJob::new(1, vec![1, 0, 0], true),
+            OwnedJob::new(2, vec![0, 0, 0], false),
+        ]);
+        let sink = Arc::new(MemorySink::new(64));
+        let mut planner = RoundPlanner::new();
+        planner.attach_telemetry(Recorder::new(sink.clone()));
+        let mut policy = Shrinking { topology: None };
+        let mut spec = ClusterSpec::homogeneous(3, 4).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        planner
+            .round(&mut policy, &mut store, &mut spec, 60.0, 30.0, &mut rng)
+            .unwrap();
+
+        assert_eq!(spec.num_nodes(), 2);
+        assert_eq!(policy.topology, Topology::grouped(2, 1));
+        let [restarted, kept, started] = &store.0[..] else {
+            unreachable!("three jobs")
+        };
+        // Preempted by the shrink, granted again: a restart.
+        assert_eq!(restarted.placement, [0, 2]);
+        let resumes_at = crate::JobState::Restarting { until: 90.0 };
+        assert_eq!(restarted.lifecycle.state(), resumes_at);
+        assert_eq!(restarted.lifecycle.num_restarts(), 1);
+        // Kept its row: nothing applied, still running.
+        assert_eq!(kept.placement, [1, 0]);
+        assert_eq!(kept.lifecycle.state(), crate::JobState::Running);
+        // First grant: a start, no restart.
+        assert_eq!(started.placement, [0, 1]);
+        assert_eq!(started.lifecycle.state(), crate::JobState::Running);
+        assert_eq!(started.lifecycle.num_restarts(), 0);
+
+        let audits: Vec<_> = sink
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Round(explain) => Some(explain),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(audits.len(), 1);
+        assert_eq!(audits[0].time, 60.0);
+        let co: Vec<Vec<u64>> = audits[0]
+            .jobs
+            .iter()
+            .map(|j| j.co_residents.clone())
+            .collect();
+        assert_eq!(co, [vec![2], vec![], vec![0]]);
+    }
+
     #[test]
     fn empty_round_plans_nothing_without_invoking_policy() {
         struct Panicky;
@@ -512,12 +788,11 @@ mod tests {
         assert_eq!(outcome.reallocations.len(), 1);
         let r = &outcome.reallocations[0];
         assert_eq!(r.job, JobId(0));
-        assert_eq!(r.old, vec![2, 0]);
         assert_eq!(r.new, vec![0, 0]);
         assert_eq!(r.gpus(), 0);
         assert!(!r.triggers_restart, "preemption must not restart");
 
-        // The caller applies the preemption through the lifecycle.
+        // Applying the preemption moves the lifecycle, as `round` does.
         let mut lifecycle = crate::JobLifecycle::new();
         lifecycle.grant(false, 0.0, 30.0);
         assert!(lifecycle.preempt(60.0));
@@ -739,7 +1014,6 @@ mod tests {
         assert_eq!(outcome.reallocations.len(), 1);
         let r = &outcome.reallocations[0];
         assert_eq!(r.job, JobId(1));
-        assert_eq!(r.old, vec![0, 2, 0]);
         assert_eq!(r.new, vec![0, 0, 2]);
         assert!(r.triggers_restart);
         assert_eq!(planner.rows_materialized(), 1);

@@ -12,15 +12,14 @@
 //!   iteration timings and gradient statistics through it, and reads
 //!   back its current placement and `(m*, η)` tuning decision.
 //!
-//! Each scheduling round is one pass through the shared control-plane
-//! pipeline ([`pollux_control::RoundPlanner`]): the service snapshots
-//! its jobs into [`pollux_control::PolicyJobView`]s, the planner
-//! invokes [`PolluxPolicy`] and diffs placements into
-//! [`pollux_control::Reallocation`]s, and the service applies them to
-//! its job table — the **same** planner, bootstrap priors, fairness
-//! weights, and restart semantics the simulator's engine drives.
-//! Per-job lifecycle (pending → running → restarting → finished,
-//! restart and GPU-time accounting) lives in the shared
+//! Each scheduling round is the round the simulator's engine runs
+//! ([`RoundPlanner::round`]) over the service's own
+//! [`JobStore`]: a snapshot of its jobs, taken under the jobs lock,
+//! from which the round builds its views, and the job table it writes
+//! back to — the **same** autoscale and resize rule, planner,
+//! bootstrap priors, fairness weights, restart semantics and decision
+//! audit. Per-job lifecycle (pending → running → restarting →
+//! finished, restart and GPU-time accounting) lives in the shared
 //! [`JobLifecycle`] state machine.
 //!
 //! All state is behind `std::sync` locks, taken through `lock`,
@@ -32,10 +31,11 @@
 //! deterministically.
 
 use crate::policy::{PolluxConfig, PolluxPolicy};
-use pollux_agent::{AgentReport, PolluxAgent, TuningDecision};
-use pollux_cluster::{ClusterSpec, JobId, NodeId};
+use pollux_agent::{PolluxAgent, TuningDecision};
+use pollux_cluster::{ClusterSpec, JobId, Topology};
 use pollux_control::{
-    resize_placement, JobLifecycle, JobState, PolicyJobView, RoundPlanner, SchedulingPolicy,
+    JobLifecycle, JobMut, JobState, JobStore, PolicyJobView, Reallocation, RoundPlanner,
+    SchedulingPolicy,
 };
 use pollux_models::{BatchSizeLimits, GradientStats, PlacementShape};
 use pollux_sched::SpeedupTableStats;
@@ -43,7 +43,7 @@ use pollux_telemetry::Recorder;
 use pollux_workload::UserConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
@@ -140,48 +140,82 @@ struct JobEntry {
     submit_time: f64,
 }
 
-/// An owned per-job snapshot taken under the jobs lock, so the
-/// (potentially long) scheduling round can build its
-/// [`PolicyJobView`]s without blocking training threads.
+impl JobEntry {
+    /// Lends the job to a round's resize or apply rule.
+    fn lend(&mut self) -> JobMut<'_> {
+        JobMut {
+            placement: &mut self.placement,
+            agent: &mut self.agent,
+            lifecycle: &mut self.lifecycle,
+        }
+    }
+}
+
+/// One job's view, taken under the jobs lock so that the (potentially
+/// long) scheduling round builds its views without blocking training
+/// threads, with the placement it borrows owned beside it.
 struct JobSnapshot {
-    id: JobId,
-    limits: BatchSizeLimits,
-    report: Option<AgentReport>,
-    gputime: f64,
-    started: bool,
-    submit_time: f64,
+    view: PolicyJobView<'static>,
     placement: Vec<u32>,
 }
 
-/// Builds borrowed policy views over a snapshot. The live service has
-/// no ground-truth model profile (`profile: None`) and no oracle
-/// remaining-work estimate; policies that need either (Optimus+Oracle)
-/// are simulator-only.
-fn views_of(snaps: &[JobSnapshot]) -> Vec<PolicyJobView<'_>> {
-    snaps
-        .iter()
-        .map(|s| PolicyJobView {
-            id: s.id,
-            user: UserConfig {
-                gpus: 1,
-                batch_size: s.limits.min,
-            },
-            profile: None,
-            limits: s.limits,
-            report: s.report,
-            gputime: s.gputime,
-            submit_time: s.submit_time,
-            current_placement: &s.placement,
-            started: s.started,
-            batch_size: s.limits.min,
-            remaining_work: f64::INFINITY,
-        })
-        .collect()
+/// The service's jobs as one round sees them: the views come from a
+/// snapshot, the writes go to the job table under its lock.
+struct RoundJobs<'a> {
+    shared: &'a Shared,
+    snaps: Vec<JobSnapshot>,
+}
+
+impl JobStore for RoundJobs<'_> {
+    fn views(&self) -> Vec<PolicyJobView<'_>> {
+        self.snaps
+            .iter()
+            .map(|s| PolicyJobView {
+                current_placement: &s.placement,
+                ..s.view.clone()
+            })
+            .collect()
+    }
+
+    fn resize(
+        &mut self,
+        spec: &ClusterSpec,
+        mut fit: impl FnMut(JobMut<'_>) -> bool,
+    ) -> Option<Topology> {
+        *write(&self.shared.spec) = spec.clone();
+        for entry in lock(&self.shared.jobs).values_mut() {
+            fit(entry.lend());
+        }
+        self.snaps = self.shared.snapshot_jobs();
+        None
+    }
+
+    /// A job completed mid-round is skipped.
+    fn apply(&mut self, r: &Reallocation, rule: impl FnOnce(JobMut<'_>)) {
+        if let Some(entry) = lock(&self.shared.jobs).get_mut(&r.job) {
+            rule(entry.lend());
+        }
+    }
+
+    fn co_residents(&self, row: usize) -> Vec<u64> {
+        let jobs = lock(&self.shared.jobs);
+        let id = self.snaps[row].view.id;
+        let Some(held) = jobs.get(&id).map(|e| &e.placement) else {
+            return Vec::new();
+        };
+        let shares = |other: &[u32]| held.iter().zip(other).any(|(&a, &b)| a > 0 && b > 0);
+        jobs.iter()
+            .filter(|&(&other, e)| other != id && shares(&e.placement))
+            .map(|(other, _)| u64::from(other.0))
+            .collect()
+    }
 }
 
 struct Shared {
     spec: RwLock<ClusterSpec>,
-    jobs: Mutex<HashMap<JobId, JobEntry>>,
+    /// The registered jobs, in ascending id order: the order of a
+    /// round's views.
+    jobs: Mutex<BTreeMap<JobId, JobEntry>>,
     /// Monotone counter of completed scheduling rounds.
     rounds: RwLock<u64>,
     /// Cumulative dense speedup-table counters, mirrored out of the
@@ -195,10 +229,9 @@ struct Shared {
 }
 
 impl Shared {
-    /// One scheduling round through the shared control-plane pipeline:
-    /// wake expired restarts, snapshot job state, let the
-    /// [`RoundPlanner`] run the policy (autoscale + GA + placement
-    /// diff), apply the resulting reallocations.
+    /// One scheduling round: wake expired restarts, then the shared
+    /// round ([`RoundPlanner::round`]) over a snapshot of the jobs,
+    /// then mirror the policy's table counters.
     fn schedule_once(
         &self,
         policy: &mut PolluxPolicy,
@@ -208,124 +241,53 @@ impl Shared {
     ) {
         let _span = self.recorder.span("service", "round");
         self.recorder.incr("service", "rounds", 1);
-        {
-            let mut jobs = lock(&self.jobs);
-            for entry in jobs.values_mut() {
-                entry.lifecycle.wake(now);
-            }
+        for entry in lock(&self.jobs).values_mut() {
+            entry.lifecycle.wake(now);
         }
-        let mut snaps = self.snapshot_jobs();
-        if snaps.is_empty() {
-            self.recorder.incr("service", "empty_rounds", 1);
-            *write(&self.rounds) += 1;
-            return;
-        }
-
-        // Optional cloud auto-scaling before allocation. Resizing
-        // mutates placements, so the snapshot is rebuilt.
-        {
-            let spec = read(&self.spec).clone();
-            let views = views_of(&snaps);
-            let desired = planner.desired_nodes(policy, now, &views, &spec, rng);
-            drop(views);
-            if let Some(nodes) = desired {
-                if self.resize_cluster(nodes.max(1), now) {
-                    snaps = self.snapshot_jobs();
-                }
-            }
-        }
-
-        self.recorder
-            .incr("service", "jobs_scheduled", snaps.len() as u64);
-        let spec = read(&self.spec).clone();
-        let views = views_of(&snaps);
-        // The planner itself stays span-free (it sits on the
-        // simulator's hot path too); the service wraps it here where
-        // rounds are seconds apart.
-        let outcome = {
-            let _plan_span = self.recorder.span("control", "plan");
-            planner
-                .plan(policy, now, &views, &spec, rng)
-                .expect("service job ids are unique")
+        let mut spec = read(&self.spec).clone();
+        let mut jobs = RoundJobs {
+            shared: self,
+            snaps: self.snapshot_jobs(),
         };
-        drop(views);
-
-        // Re-acquire to apply; jobs completed mid-round are skipped.
-        {
-            let mut jobs = lock(&self.jobs);
-            for r in outcome.reallocations {
-                let Some(entry) = jobs.get_mut(&r.job) else {
-                    continue;
-                };
-                let gpus = r.gpus();
-                entry.placement = r.new;
-                if gpus > 0 {
-                    let nodes = entry.placement.iter().filter(|&&g| g > 0).count() as u32;
-                    if let Some(shape) = PlacementShape::new(gpus, nodes) {
-                        entry.agent.note_allocation(shape);
-                    }
-                    entry
-                        .lifecycle
-                        .grant(r.triggers_restart, now, self.restart_delay);
-                } else {
-                    entry.lifecycle.preempt(now);
-                }
-            }
-        }
+        planner
+            .round(policy, &mut jobs, &mut spec, now, self.restart_delay, rng)
+            .expect("the snapshot's ids are the job map's keys");
         *write(&self.speedup_stats) = policy.speedup_stats();
         *write(&self.rounds) += 1;
     }
 
-    /// Snapshots every registered job (in ascending id order, the
-    /// planner's required view order) with placements normalized to
-    /// the current cluster width.
+    /// Snapshots every registered job with its placement normalized to
+    /// the current cluster width. The live service has no ground-truth
+    /// model profile (`profile: None`) and no oracle remaining-work
+    /// estimate; policies that need either (Optimus+Oracle) are
+    /// simulator-only.
     fn snapshot_jobs(&self) -> Vec<JobSnapshot> {
         let num_nodes = read(&self.spec).num_nodes();
         let jobs = lock(&self.jobs);
-        let mut ids: Vec<JobId> = jobs.keys().copied().collect();
-        ids.sort();
-        ids.into_iter()
-            .map(|id| {
-                let entry = &jobs[&id];
+        jobs.iter()
+            .map(|(&id, entry)| {
                 let mut placement = entry.placement.clone();
                 placement.resize(num_nodes, 0);
-                JobSnapshot {
+                let limits = entry.agent.limits();
+                let view = PolicyJobView {
                     id,
-                    limits: entry.agent.limits(),
+                    user: UserConfig {
+                        gpus: 1,
+                        batch_size: limits.min,
+                    },
+                    profile: None,
+                    limits,
                     report: entry.agent.report(),
                     gputime: entry.lifecycle.gputime(),
-                    started: entry.lifecycle.has_started(),
                     submit_time: entry.submit_time,
-                    placement,
-                }
+                    current_placement: &[],
+                    started: entry.lifecycle.has_started(),
+                    batch_size: limits.min,
+                    remaining_work: f64::INFINITY,
+                };
+                JobSnapshot { view, placement }
             })
             .collect()
-    }
-
-    /// Resizes the cluster to `nodes` homogeneous nodes, preempting
-    /// jobs that held GPUs on removed nodes ([`resize_placement`], the
-    /// rule the simulator's engine applies too). Returns whether the
-    /// cluster actually changed.
-    fn resize_cluster(&self, nodes: u32, now: f64) -> bool {
-        let new_n = nodes as usize;
-        {
-            let mut spec = write(&self.spec);
-            if new_n == spec.num_nodes() {
-                return false;
-            }
-            let gpus_per_node = spec.gpus_on(NodeId(0));
-            let Some(new_spec) = ClusterSpec::homogeneous(nodes, gpus_per_node) else {
-                return false;
-            };
-            *spec = new_spec;
-        }
-        let mut jobs = lock(&self.jobs);
-        for entry in jobs.values_mut() {
-            if resize_placement(&mut entry.placement, new_n) {
-                entry.lifecycle.preempt(now);
-            }
-        }
-        true
     }
 
     fn now(&self) -> f64 {
@@ -406,9 +368,6 @@ impl JobHandle {
         let jobs = lock(&self.shared.jobs);
         let entry = jobs.get(&self.id)?;
         let gpus: u32 = entry.placement.iter().sum();
-        if gpus == 0 {
-            return None;
-        }
         let nodes = entry.placement.iter().filter(|&&g| g > 0).count() as u32;
         let shape = PlacementShape::new(gpus, nodes)?;
         entry.agent.tune(shape)
@@ -438,7 +397,7 @@ impl ClusterService {
         planner.attach_telemetry(config.telemetry.clone());
         let shared = Arc::new(Shared {
             spec: RwLock::new(spec),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             rounds: RwLock::new(0),
             speedup_stats: RwLock::new(SpeedupTableStats::default()),
             epoch: Instant::now(),
@@ -837,7 +796,14 @@ mod tests {
             })
         };
         assert!(span("service", "round"), "no service/round span");
-        assert!(span("control", "plan"), "no control/plan span");
+        assert!(!span("control", "plan"), "service/round brackets the round");
+        // The round's decision audit, stamped with the round time.
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, Event::Round(r) if r.time > 0.0 && r.jobs.len() == 1)),
+            "no stamped round audit"
+        );
         assert!(span("agent", "refit"), "no agent/refit span");
         assert!(span("sched", "ga_evolve"), "no sched/ga_evolve span");
         // The drop-time flush snapshots counters into the capture.

@@ -8,7 +8,7 @@
 //! currently holds), its hot accumulators, and an open profiler run.
 //! Placement, batch size and interference change only at scheduling
 //! rounds, report rounds, restart wake-ups and finishes, so a context
-//! is rebuilt by exactly those events (`Simulation::sync_context`) and
+//! is rebuilt by exactly those events (`JobTable::sync_context`) and
 //! by nothing else; the step is recomputed when the job's progress
 //! leaves the sub-interval its φ is held over
 //! (`SimJob::held_efficiency_at`), a few hundred times a lifetime. Time
@@ -30,15 +30,16 @@ use crate::config::{SimConfig, PHI_NOISE, REPORT_INTERVAL, SCHED_INTERVAL, TICK_
 use crate::interference::InterferenceIndex;
 use crate::job::{JobState, SimJob};
 use crate::metrics::{ClusterSample, JobRecord, SchedIntervalSample, SimResult};
-use crate::policy::SchedulingPolicy;
+use crate::policy::{PolicyJobView, SchedulingPolicy};
 use pollux_agent::ObservationRun;
-use pollux_cluster::{ClusterSpec, NodeId, Topology};
-use pollux_control::{resize_placement, Reallocation, RoundPlanner};
+use pollux_cluster::{ClusterSpec, JobId, Topology};
+use pollux_control::{JobMut, JobStore, Reallocation, RoundPlanner};
 use pollux_models::{GradientStats, PlacementShape};
 use pollux_telemetry::{Counter, HistogramHandle, Recorder};
 use pollux_workload::{JobSpec, UserConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 // A child of this module, so that the oracle reads the engine's private
 // state without any of it being widened for its sake.
@@ -116,13 +117,32 @@ pub struct Simulation<P: SchedulingPolicy> {
     config: SimConfig,
     spec: ClusterSpec,
     policy: P,
-    /// The shared control-plane round pipeline (also driven by the
-    /// live `ClusterService` in `pollux-core`): invokes the policy,
-    /// clamps its matrix, and diffs placements into reallocation
-    /// decisions the engine applies.
+    /// The shared control-plane round (also run by the live
+    /// `ClusterService` in `pollux-core`) over [`Self::table`].
     planner: RoundPlanner,
     /// Not-yet-submitted jobs, sorted by ascending submit time.
     arrivals: Vec<Submission>,
+    /// The spawned jobs, their run contexts and the interference index:
+    /// the job store each scheduling round reads and writes.
+    table: JobTable,
+    rng: StdRng,
+    series: Vec<ClusterSample>,
+    sched_stats: Vec<SchedIntervalSample>,
+    node_seconds: f64,
+    /// Telemetry handle (disabled by default; see
+    /// [`Simulation::with_recorder`]). Purely observational: the
+    /// determinism suite proves a `SimResult` is bit-identical with
+    /// recording on and off.
+    recorder: Recorder,
+    /// Hoisted counter/histogram handles for the engine hot path.
+    telem: EngineTelemetry,
+}
+
+/// The spawned jobs and what the engine keeps current about them.
+/// A scheduling round reaches them through [`JobStore`]; ticks,
+/// arrivals and reports reach them directly.
+#[derive(Default)]
+struct JobTable {
     /// Spawned jobs (active and finished).
     jobs: Vec<SimJob>,
     /// Indices of non-finished jobs, ascending. Maintained
@@ -131,13 +151,9 @@ pub struct Simulation<P: SchedulingPolicy> {
     /// what keeps the per-job RNG draw sequence identical to a full
     /// index-order scan.
     active: Vec<usize>,
-    rng: StdRng,
-    series: Vec<ClusterSample>,
-    sched_stats: Vec<SchedIntervalSample>,
-    node_seconds: f64,
     /// Interference slowdown per job, as of the last
-    /// [`Self::refresh_slowdowns`]. Jobs spawned since are past its
-    /// end and read as 0 — they hold no GPUs yet.
+    /// [`Simulation::refresh_slowdowns`]. Jobs spawned since are past
+    /// its end and read as 0 — they hold no GPUs yet.
     slowdown: Vec<f64>,
     /// The [`InterferenceIndex`] changed since `slowdown` was computed.
     slowdowns_stale: bool,
@@ -153,21 +169,23 @@ pub struct Simulation<P: SchedulingPolicy> {
     /// One entry per `Restarting` job, ascending by job index.
     restarting: Vec<RestartCtx>,
     /// The one switch between the steppers: false under
-    /// [`Self::run_reference`], which keeps no contexts (`running` and
-    /// `restarting` stay empty) and scans the jobs instead, so that the
-    /// oracle shares none of this bookkeeping with what it checks.
+    /// [`Simulation::run_reference`], which keeps no contexts
+    /// (`running` and `restarting` stay empty) and scans the jobs
+    /// instead, so that the oracle shares none of this bookkeeping with
+    /// what it checks.
     contexts_live: bool,
-    /// Telemetry handle (disabled by default; see
-    /// [`Simulation::with_recorder`]). Purely observational: the
-    /// determinism suite proves a `SimResult` is bit-identical with
-    /// recording on and off.
-    recorder: Recorder,
-    /// Hoisted counter/histogram handles for the engine hot path.
-    telem: EngineTelemetry,
     /// Cumulative restart count across all jobs (feeds the
     /// `engine/cluster_sample` time-series; per-job counts live on
     /// the job records).
     restarts_total: u64,
+    /// Racks of this many nodes, handed to the policy after a resize
+    /// (0: a flat cluster).
+    nodes_per_rack: u32,
+    /// Run contexts opened or reopened (a grant, a wake-up, a new
+    /// batch size, a changed slowdown).
+    ctx_rebuilds: Counter,
+    /// Open profiler runs written back with new samples in them.
+    profiler_flushes: Counter,
 }
 
 /// Counter and histogram handles hoisted out of the engine hot path:
@@ -185,11 +203,6 @@ struct EngineTelemetry {
     /// change to the interference index, none while interference is
     /// switched off.
     interference_recomputes: Counter,
-    /// Run contexts opened or reopened (a grant, a wake-up, a new
-    /// batch size, a changed slowdown).
-    ctx_rebuilds: Counter,
-    /// Open profiler runs written back with new samples in them.
-    profiler_flushes: Counter,
     /// Which event horizon bounded each chunk.
     horizon_report: Counter,
     horizon_sched: Counter,
@@ -207,8 +220,6 @@ impl EngineTelemetry {
             ticks: rec.counter("engine", "ticks"),
             mid_chunk_aborts: rec.counter("engine", "mid_chunk_aborts"),
             interference_recomputes: rec.counter("engine", "interference_recomputes"),
-            ctx_rebuilds: rec.counter("engine", "ctx_rebuilds"),
-            profiler_flushes: rec.counter("engine", "profiler_flushes"),
             horizon_report: rec.counter("engine", "horizon_report"),
             horizon_sched: rec.counter("engine", "horizon_sched"),
             horizon_arrival: rec.counter("engine", "horizon_arrival"),
@@ -221,7 +232,7 @@ impl EngineTelemetry {
 
 /// What one running job's tick needs, kept from the event that opened
 /// it to the next event that changes one of its inputs (see
-/// [`Simulation::sync_context`]). Statistical efficiency is not an
+/// `JobTable::sync_context`). Statistical efficiency is not an
 /// invariant — it follows the job's own progress — but the job holds
 /// it over sub-intervals of progress, so the context carries the step
 /// under the current hold and the progress at which to ask again.
@@ -377,6 +388,9 @@ pub enum SimBuildError {
     /// A submission's submit time is NaN or infinite, so it has no
     /// meaningful position in the arrival order.
     NonFiniteSubmitTime,
+    /// Two submissions share this job id: a scheduling round could
+    /// not tell them apart.
+    DuplicateJobId(JobId),
 }
 
 impl std::fmt::Display for SimBuildError {
@@ -385,6 +399,7 @@ impl std::fmt::Display for SimBuildError {
             Self::InvalidConfig => write!(f, "invalid simulation config"),
             Self::EmptyWorkload => write!(f, "workload has no submissions"),
             Self::NonFiniteSubmitTime => write!(f, "submission with non-finite submit time"),
+            Self::DuplicateJobId(id) => write!(f, "two submissions share job id {id}"),
         }
     }
 }
@@ -413,7 +428,9 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// - [`SimBuildError::EmptyWorkload`] when no jobs are submitted;
     /// - [`SimBuildError::NonFiniteSubmitTime`] when a submit time is
     ///   NaN or infinite (the old `partial_cmp(..).unwrap_or(Equal)`
-    ///   sort silently produced an arbitrary arrival order).
+    ///   sort silently produced an arbitrary arrival order);
+    /// - [`SimBuildError::DuplicateJobId`] when two submissions share
+    ///   an id, which is what lets every round expect unique ids.
     pub fn try_new(
         config: SimConfig,
         spec: ClusterSpec,
@@ -427,36 +444,34 @@ impl<P: SchedulingPolicy> Simulation<P> {
         if workload.iter().any(|(s, _)| !s.submit_time.is_finite()) {
             return Err(SimBuildError::NonFiniteSubmitTime);
         }
-        if config.nodes_per_rack > 0 {
-            if let Some(topo) = Topology::grouped(spec.num_nodes() as u32, config.nodes_per_rack) {
-                policy.configure_topology(Some(&topo));
-            }
+        let mut ids = HashSet::new();
+        if let Some((twin, _)) = workload.iter().find(|(s, _)| !ids.insert(s.id)) {
+            return Err(SimBuildError::DuplicateJobId(twin.id));
+        }
+        if let Some(topo) = Topology::grouped(spec.num_nodes() as u32, config.nodes_per_rack) {
+            policy.configure_topology(Some(&topo));
         }
         workload.sort_by(|a, b| a.0.submit_time.total_cmp(&b.0.submit_time));
         workload.reverse(); // Pop from the back in time order.
-        let seed = config.seed;
-        let num_nodes = spec.num_nodes();
+        let table = JobTable {
+            interference: InterferenceIndex::new(spec.num_nodes()),
+            contexts_live: true,
+            nodes_per_rack: config.nodes_per_rack,
+            ..JobTable::default()
+        };
         Ok(Self {
+            rng: StdRng::seed_from_u64(config.seed),
             config,
             spec,
             policy,
             planner: RoundPlanner::new(),
             arrivals: workload,
-            jobs: Vec::new(),
-            active: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
+            table,
             series: Vec::new(),
             sched_stats: Vec::new(),
             node_seconds: 0.0,
-            slowdown: Vec::new(),
-            slowdowns_stale: false,
-            interference: InterferenceIndex::new(num_nodes),
-            running: Vec::new(),
-            restarting: Vec::new(),
-            contexts_live: true,
             recorder: Recorder::disabled(),
             telem: EngineTelemetry::default(),
-            restarts_total: 0,
         })
     }
 
@@ -469,6 +484,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// `tests/macro_step.rs`).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.telem = EngineTelemetry::new(&recorder);
+        self.table.ctx_rebuilds = recorder.counter("engine", "ctx_rebuilds");
+        self.table.profiler_flushes = recorder.counter("engine", "profiler_flushes");
         // Identify the policy in the capture so reports and Chrome
         // traces from different zoo runs are self-describing; staged
         // policies additionally emit their per-stage names from
@@ -528,7 +545,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// ended early trivial.
     fn tick_boundaries(&mut self, tick: u64, now: f64) {
         self.spawn_arrivals(now);
-        self.wake_restarts(now);
+        self.table.wake_restarts(now);
 
         if tick.is_multiple_of(REPORT_EVERY) {
             self.report_and_tune();
@@ -570,7 +587,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 fired = &self.telem.horizon_arrival;
             }
         }
-        for r in &self.restarting {
+        for r in &self.table.restarting {
             let wake = first_tick_at_or_after(r.until, dt, tick + 1);
             if wake < horizon {
                 horizon = wake;
@@ -579,59 +596,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
         }
         fired.add(1);
         horizon.max(tick + 1)
-    }
-
-    /// Brings job `i`'s context in line with the job: the one place
-    /// contexts are opened, reopened and dropped. Every event that
-    /// changes an input of a context calls it after the change —
-    /// `apply_reallocation` and `resize_cluster` (shape, state), the
-    /// report round (batch size), `wake_restarts` (Restarting →
-    /// Running), a finish, and `refresh_slowdowns` (slowdown). A
-    /// running job's open profiler run is committed first, since its
-    /// `(shape, batch)` key may be about to change.
-    fn sync_context(&mut self, i: usize) {
-        if !self.contexts_live {
-            return;
-        }
-        let dt = TICK_SECONDS;
-        let job = &mut self.jobs[i];
-
-        let at = self.running.binary_search_by_key(&i, |c| c.idx);
-        if let Ok(k) = at {
-            if job.agent.record_observation_run(&mut self.running[k].obs) {
-                self.telem.profiler_flushes.add(1);
-            }
-        }
-        let shape = if job.is_running() { job.shape() } else { None };
-        debug_assert_eq!(shape.is_some(), job.is_running(), "running jobs hold GPUs");
-        let ctx = shape.map(|shape| {
-            let slow = self.slowdown.get(i).copied().unwrap_or(0.0);
-            self.telem.ctx_rebuilds.add(1);
-            RunCtx::open(i, job, shape, slow, dt)
-        });
-        put_sorted(&mut self.running, at, ctx);
-
-        let at = self.restarting.binary_search_by_key(&i, |r| r.idx);
-        let entry = match job.state() {
-            JobState::Restarting { until } => Some(RestartCtx {
-                idx: i,
-                gpu_dt: job.gpus() as f64 * dt,
-                until,
-            }),
-            _ => None,
-        };
-        put_sorted(&mut self.restarting, at, entry);
-    }
-
-    /// Commits every open profiler run that holds new samples. Called
-    /// before the report round reads the profilers.
-    fn flush_runs(&mut self) {
-        let mut flushed = 0;
-        for ctx in &mut self.running {
-            let agent = &mut self.jobs[ctx.idx].agent;
-            flushed += u64::from(agent.record_observation_run(&mut ctx.obs));
-        }
-        self.telem.profiler_flushes.add(flushed);
     }
 
     /// Recomputes the per-job interference slowdowns if the
@@ -643,18 +607,19 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// against the full rescan in debug builds.
     fn refresh_slowdowns(&mut self) {
         let factor = self.config.interference_slowdown;
-        if !self.slowdowns_stale || factor <= 0.0 {
+        let t = &mut self.table;
+        if !t.slowdowns_stale || factor <= 0.0 {
             return;
         }
-        self.slowdowns_stale = false;
+        t.slowdowns_stale = false;
         self.telem.interference_recomputes.add(1);
-        self.slowdown.clear();
-        self.slowdown.resize(self.jobs.len(), 0.0);
-        self.interference.mark_slowdowns(factor, &mut self.slowdown);
-        for k in 0..self.running.len() {
-            let i = self.running[k].idx;
-            if self.running[k].slow != self.slowdown[i] {
-                self.sync_context(i);
+        t.slowdown.clear();
+        t.slowdown.resize(t.jobs.len(), 0.0);
+        t.interference.mark_slowdowns(factor, &mut t.slowdown);
+        for k in 0..t.running.len() {
+            let i = t.running[k].idx;
+            if t.running[k].slow != t.slowdown[i] {
+                t.sync_context(i);
             }
         }
     }
@@ -666,10 +631,11 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// mismatch at the end of a run.
     fn assert_contexts_current(&self) {
         let slowdown = self.interference_slowdowns_reference();
-        let mut running = self.running.iter();
-        let mut restarting = self.restarting.iter();
-        for &i in &self.active {
-            let job = &self.jobs[i];
+        let t = &self.table;
+        let mut running = t.running.iter();
+        let mut restarting = t.restarting.iter();
+        for &i in &t.active {
+            let job = &t.jobs[i];
             match job.state() {
                 JobState::Running => {
                     let ctx = running.next().expect("running job without a context");
@@ -730,14 +696,15 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let noise = self.config.measurement_noise;
         let node_dt = self.spec.num_nodes() as f64 * dt;
         let max_len = horizon - start;
+        let t = &mut self.table;
 
         let mut executed = 0u64;
         let mut any_finished = false;
         while executed < max_len && !any_finished {
             executed += 1;
-            for ctx in &mut self.running {
+            for ctx in &mut t.running {
                 if ctx.progress >= ctx.refresh_at {
-                    ctx.refresh_step(&mut self.jobs[ctx.idx], dt);
+                    ctx.refresh_step(&mut t.jobs[ctx.idx], dt);
                 }
                 debug_assert!(
                     ctx.step >= 0.0,
@@ -758,14 +725,14 @@ impl<P: SchedulingPolicy> Simulation<P> {
             self.node_seconds += node_dt;
         }
 
-        for ctx in &self.running {
-            let job = &mut self.jobs[ctx.idx];
+        for ctx in &t.running {
+            let job = &mut t.jobs[ctx.idx];
             job.progress = ctx.progress;
             job.examples_processed = ctx.examples;
             job.lifecycle.set_gputime(ctx.gputime);
         }
-        for r in &self.restarting {
-            let lifecycle = &mut self.jobs[r.idx].lifecycle;
+        for r in &t.restarting {
+            let lifecycle = &mut t.jobs[r.idx].lifecycle;
             for _ in 0..executed {
                 lifecycle.accrue_gputime(r.gpu_dt);
             }
@@ -774,25 +741,25 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let mut exit = false;
         if any_finished {
             let finish_time = (start + executed - 1) as f64 * dt + dt;
-            let finished: Vec<usize> = self
+            let finished: Vec<usize> = t
                 .running
                 .iter()
                 .filter(|ctx| ctx.progress >= ctx.work)
                 .map(|ctx| ctx.idx)
                 .collect();
             for &i in &finished {
-                let job = &mut self.jobs[i];
+                let job = &mut t.jobs[i];
                 job.lifecycle.finish(finish_time);
-                self.interference.clear_job(i, job.placement());
+                t.interference.clear_job(i, job.placement());
                 job.edit_placement(|row| row.fill(0));
                 // Commits the job's profiler run (the reference
                 // stepper records up to and including the finish tick
                 // too) and drops its context.
-                self.sync_context(i);
+                t.sync_context(i);
             }
-            self.slowdowns_stale = true;
-            remove_finished_from_active(&mut self.active, &finished);
-            exit = self.arrivals.is_empty() && self.active.is_empty();
+            t.slowdowns_stale = true;
+            remove_finished_from_active(&mut t.active, &finished);
+            exit = self.arrivals.is_empty() && t.active.is_empty();
         }
 
         self.telem.chunks.add(1);
@@ -813,8 +780,9 @@ impl<P: SchedulingPolicy> Simulation<P> {
         while let Some((spec, _)) = self.arrivals.last() {
             if spec.submit_time <= now {
                 let (spec, user) = self.arrivals.pop().expect("checked non-empty");
-                self.active.push(self.jobs.len());
-                self.interference.push_job(); // Spawns with no placement.
+                let t = &mut self.table;
+                t.active.push(t.jobs.len());
+                t.interference.push_job(); // Spawns with no placement.
                 let mut job = SimJob::new(spec, user, self.spec.num_nodes());
                 if self.recorder.is_enabled() {
                     // The job's lifecycle emits its own transitions
@@ -831,29 +799,9 @@ impl<P: SchedulingPolicy> Simulation<P> {
                         &[],
                     );
                 }
-                self.jobs.push(job);
+                self.table.jobs.push(job);
             } else {
                 break;
-            }
-        }
-    }
-
-    /// Wakes jobs whose restart delay elapsed, in ascending job order.
-    fn wake_restarts(&mut self, now: f64) {
-        if !self.contexts_live {
-            for &i in &self.active {
-                self.jobs[i].lifecycle.wake(now);
-            }
-            return;
-        }
-        let mut k = 0;
-        while k < self.restarting.len() {
-            let i = self.restarting[k].idx;
-            if self.jobs[i].lifecycle.wake(now) {
-                // Drops entry `k` and opens the job's run context.
-                self.sync_context(i);
-            } else {
-                k += 1;
             }
         }
     }
@@ -877,12 +825,13 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// are committed first; a job whose batch size the round changed
     /// gets its context reopened under the new `(shape, batch)` key.
     fn report_and_tune(&mut self) {
-        self.flush_runs();
+        let t = &mut self.table;
+        t.flush_runs();
         let adapt = self.policy.adapts_batch_size();
         let mut round_span = None;
         let mut rekeyed = Vec::new();
-        for &i in &self.active {
-            let job = &mut self.jobs[i];
+        for &i in &t.active {
+            let job = &mut t.jobs[i];
             if !job.is_running() {
                 continue;
             }
@@ -931,134 +880,29 @@ impl<P: SchedulingPolicy> Simulation<P> {
             }
         }
         for i in rekeyed {
-            self.sync_context(i);
+            t.sync_context(i);
         }
     }
 
-    /// Scheduling interval: one round of the shared control-plane
-    /// pipeline. The engine builds views over the active jobs, lets
-    /// the [`RoundPlanner`] invoke the policy and diff placements,
-    /// then applies each [`Reallocation`] to its job store. The view
-    /// vector is shared by the `desired_nodes` and `plan` calls when
-    /// no resize happens.
+    /// Scheduling interval: the shared control-plane round over the
+    /// engine's [`JobTable`]. The decision audit it emits is
+    /// observational — nothing in it feeds back into scheduling or the
+    /// digested `SimResult`.
     fn reschedule(&mut self, now: f64) {
         let _span = self.recorder.span("engine", "reschedule");
-        // Auto-scaling phase.
-        let mut views = Vec::with_capacity(self.active.len());
-        views.extend(self.active.iter().map(|&i| self.jobs[i].policy_view()));
-        let desired =
-            self.planner
-                .desired_nodes(&mut self.policy, now, &views, &self.spec, &mut self.rng);
-        if let Some(nodes) = desired {
-            // Resizing mutates placements, so the views are rebuilt.
-            drop(views);
-            self.resize_cluster(nodes.max(1), now);
-            views = Vec::with_capacity(self.active.len());
-            views.extend(self.active.iter().map(|&i| self.jobs[i].policy_view()));
-        }
-        let outcome = self
+        let delay = self.config.restart_delay;
+        let stats = self
             .planner
-            .plan(&mut self.policy, now, &views, &self.spec, &mut self.rng)
-            .expect("active jobs have unique ids");
-        if let Some(stats) = outcome.stats {
-            self.sched_stats.push(stats);
-        }
-        for r in outcome.reallocations {
-            let i = self.active[r.row];
-            self.apply_reallocation(i, r, now);
-        }
-        // Round decision audit: the policy builds it only while a
-        // recorder is attached; the engine owns the clock and the
-        // post-round node occupancies, so it stamps both here. The
-        // audit is observational — nothing below feeds back into
-        // scheduling or the digested SimResult.
-        if self.recorder.is_enabled() {
-            if let Some(mut explain) = self.policy.take_round_explain() {
-                explain.time = now;
-                for (k, je) in explain.jobs.iter_mut().enumerate() {
-                    let i = self.active[k];
-                    debug_assert_eq!(
-                        je.job,
-                        u64::from(self.jobs[i].spec.id.0),
-                        "explain rows follow view order"
-                    );
-                    je.co_residents = self
-                        .interference
-                        .co_residents(i)
-                        .into_iter()
-                        .map(|idx| u64::from(self.jobs[idx as usize].spec.id.0))
-                        .collect();
-                }
-                self.recorder.round_explain(explain);
-            }
-        }
-    }
-
-    /// Applies one planned reallocation: the placement row itself, the
-    /// engine-owned consequences (agent allocation note, batch-size
-    /// clamp), and the lifecycle transition (which emits the timeline
-    /// event when a recorder is attached).
-    fn apply_reallocation(&mut self, i: usize, r: Reallocation, now: f64) {
-        // Index delta from the authoritative old row, before it is
-        // overwritten.
-        self.interference.apply(i, self.jobs[i].placement(), &r.new);
-        self.slowdowns_stale = true;
-        let job = &mut self.jobs[i];
-        debug_assert_eq!(job.spec.id, r.job, "view order matches active order");
-        job.edit_placement(|row| *row = r.new);
-        if let Some(shape) = job.shape() {
-            job.agent.note_allocation(shape);
-
-            // Clamp the batch size into the feasible range for the
-            // new placement (a batch tuned for many GPUs may not
-            // fit on few).
-            if let Some((lo, hi)) = job.profile.limits.range(shape) {
-                job.batch_size = job.batch_size.clamp(lo, hi);
-            }
-
-            job.lifecycle
-                .grant(r.triggers_restart, now, self.config.restart_delay);
-            if r.triggers_restart {
-                self.restarts_total += 1;
-            }
-        } else {
-            // Preempted: progress is checkpointed, the job waits. The
-            // planner only emits zero-GPU decisions for placed jobs.
-            job.lifecycle.preempt(now);
-        }
-        self.sync_context(i);
-    }
-
-    /// Resizes the cluster to `nodes` homogeneous nodes, preempting
-    /// jobs that held GPUs on removed nodes (the rule is
-    /// [`resize_placement`]'s, shared with the live service).
-    fn resize_cluster(&mut self, nodes: u32, now: f64) {
-        let old_n = self.spec.num_nodes();
-        let new_n = nodes as usize;
-        if new_n == old_n {
-            return;
-        }
-        let gpus_per_node = self.spec.gpus_on(NodeId(0));
-        self.spec =
-            ClusterSpec::homogeneous(nodes, gpus_per_node).expect("nodes >= 1 enforced by caller");
-        for i in 0..self.jobs.len() {
-            let job = &mut self.jobs[i];
-            let mut lost = false;
-            job.edit_placement(|row| lost = resize_placement(row, new_n));
-            if lost && job.lifecycle.preempt(now) {
-                self.sync_context(i);
-            }
-        }
-        // Placements were edited wholesale, bypassing the index's
-        // delta updates: rebuild it from the rows now in effect.
-        self.interference
-            .rebuild(new_n, self.jobs.iter().map(|j| j.placement()));
-        self.slowdowns_stale = true;
-        if self.config.nodes_per_rack > 0 {
-            if let Some(topo) = Topology::grouped(nodes, self.config.nodes_per_rack) {
-                self.policy.configure_topology(Some(&topo));
-            }
-        }
+            .round(
+                &mut self.policy,
+                &mut self.table,
+                &mut self.spec,
+                now,
+                delay,
+                &mut self.rng,
+            )
+            .expect("try_new rejects duplicate job ids");
+        self.sched_stats.extend(stats);
     }
 
     /// Records one cluster-state sample.
@@ -1069,8 +913,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let mut eff_sum = 0.0;
         let mut tput = 0.0;
         let mut goodput = 0.0;
-        for &i in &self.active {
-            let job = &self.jobs[i];
+        for &i in &self.table.active {
+            let job = &self.table.jobs[i];
             match job.state() {
                 JobState::Running | JobState::Restarting { .. } => {
                     used += job.gpus();
@@ -1123,7 +967,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 ("total_gpus", self.spec.total_gpus() as f64),
                 ("running_jobs", running as f64),
                 ("pending_jobs", pending as f64),
-                ("restarts", self.restarts_total as f64),
+                ("restarts", self.table.restarts_total as f64),
             ],
         );
     }
@@ -1133,6 +977,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
     fn finalize(self, end_time: f64) -> SimResult {
         self.recorder.flush();
         let records = self
+            .table
             .jobs
             .iter()
             .map(|job| JobRecord {
@@ -1158,11 +1003,143 @@ impl<P: SchedulingPolicy> Simulation<P> {
     }
 }
 
+impl JobTable {
+    /// Brings job `i`'s context in line with the job: the one place
+    /// contexts are opened, reopened and dropped. Every event that
+    /// changes an input of a context calls it after the change — a
+    /// round's resize and apply (shape, state), the report round
+    /// (batch size), `wake_restarts` (Restarting → Running), a finish,
+    /// and `refresh_slowdowns` (slowdown). A running job's open
+    /// profiler run is committed first, since its `(shape, batch)` key
+    /// may be about to change.
+    fn sync_context(&mut self, i: usize) {
+        if !self.contexts_live {
+            return;
+        }
+        let dt = TICK_SECONDS;
+        let job = &mut self.jobs[i];
+
+        let at = self.running.binary_search_by_key(&i, |c| c.idx);
+        if let Ok(k) = at {
+            if job.agent.record_observation_run(&mut self.running[k].obs) {
+                self.profiler_flushes.add(1);
+            }
+        }
+        let shape = if job.is_running() { job.shape() } else { None };
+        debug_assert_eq!(shape.is_some(), job.is_running(), "running jobs hold GPUs");
+        let ctx = shape.map(|shape| {
+            let slow = self.slowdown.get(i).copied().unwrap_or(0.0);
+            self.ctx_rebuilds.add(1);
+            RunCtx::open(i, job, shape, slow, dt)
+        });
+        put_sorted(&mut self.running, at, ctx);
+
+        let at = self.restarting.binary_search_by_key(&i, |r| r.idx);
+        let entry = match job.state() {
+            JobState::Restarting { until } => Some(RestartCtx {
+                idx: i,
+                gpu_dt: job.gpus() as f64 * dt,
+                until,
+            }),
+            _ => None,
+        };
+        put_sorted(&mut self.restarting, at, entry);
+    }
+
+    /// Commits every open profiler run that holds new samples. Called
+    /// before the report round reads the profilers.
+    fn flush_runs(&mut self) {
+        let mut flushed = 0;
+        for ctx in &mut self.running {
+            let agent = &mut self.jobs[ctx.idx].agent;
+            flushed += u64::from(agent.record_observation_run(&mut ctx.obs));
+        }
+        self.profiler_flushes.add(flushed);
+    }
+
+    /// Wakes jobs whose restart delay elapsed, in ascending job order.
+    fn wake_restarts(&mut self, now: f64) {
+        if !self.contexts_live {
+            for &i in &self.active {
+                self.jobs[i].lifecycle.wake(now);
+            }
+            return;
+        }
+        let mut k = 0;
+        while k < self.restarting.len() {
+            let i = self.restarting[k].idx;
+            if self.jobs[i].lifecycle.wake(now) {
+                // Drops entry `k` and opens the job's run context.
+                self.sync_context(i);
+            } else {
+                k += 1;
+            }
+        }
+    }
+}
+
+/// What a scheduling round does to the engine's jobs beyond the
+/// round's own rules: keep the interference index and the run
+/// contexts current, clamp a re-placed job's batch size, count
+/// restarts. Rows are the active jobs, in ascending job order.
+impl JobStore for JobTable {
+    fn views(&self) -> Vec<PolicyJobView<'_>> {
+        self.active
+            .iter()
+            .map(|&i| self.jobs[i].policy_view())
+            .collect()
+    }
+
+    fn resize(
+        &mut self,
+        spec: &ClusterSpec,
+        mut fit: impl FnMut(JobMut<'_>) -> bool,
+    ) -> Option<Topology> {
+        for i in 0..self.jobs.len() {
+            if self.jobs[i].edit(&mut fit) {
+                self.sync_context(i);
+            }
+        }
+        // Placements were edited wholesale, bypassing the index's
+        // delta updates: rebuild it from the rows now in effect.
+        let nodes = spec.num_nodes();
+        self.interference
+            .rebuild(nodes, self.jobs.iter().map(|j| j.placement()));
+        self.slowdowns_stale = true;
+        Topology::grouped(nodes as u32, self.nodes_per_rack)
+    }
+
+    fn apply(&mut self, r: &Reallocation, rule: impl FnOnce(JobMut<'_>)) {
+        let i = self.active[r.row];
+        // Index delta from the authoritative old row, before it is
+        // overwritten.
+        self.interference.apply(i, self.jobs[i].placement(), &r.new);
+        self.slowdowns_stale = true;
+        let job = &mut self.jobs[i];
+        debug_assert_eq!(job.spec.id, r.job, "view order matches active order");
+        job.edit(rule);
+        // A batch tuned for many GPUs may not fit on few: clamp it into
+        // the new placement's range.
+        if let Some((lo, hi)) = job.shape().and_then(|s| job.profile.limits.range(s)) {
+            job.batch_size = job.batch_size.clamp(lo, hi);
+        }
+        self.restarts_total += u64::from(r.triggers_restart);
+        self.sync_context(i);
+    }
+
+    fn co_residents(&self, row: usize) -> Vec<u64> {
+        let sharers = self.interference.co_residents(self.active[row]);
+        sharers
+            .into_iter()
+            .map(|i| u64::from(self.jobs[i as usize].spec.id.0))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyJobView;
-    use pollux_cluster::{AllocationMatrix, JobId};
+    use pollux_cluster::AllocationMatrix;
     use pollux_workload::{ModelKind, TraceConfig, TraceGenerator};
 
     /// A trivial policy: every active job gets `gpus` GPUs packed onto
@@ -1412,15 +1389,15 @@ mod tests {
         assert_eq!(stepped.next_horizon(0, 1000), 7);
         assert_eq!(stepped.advance_chunk(0, 7).ticks, 7);
         stepped.tick_boundaries(7, 7.0);
-        assert_eq!(stepped.jobs.len(), 2, "the arrival was a boundary");
+        assert_eq!(stepped.table.jobs.len(), 2, "the arrival was a boundary");
         assert_eq!(stepped.advance_chunk(7, 20).ticks, 13);
-        let run = &stepped.running[0].obs;
+        let run = &stepped.table.running[0].obs;
         assert_eq!(run.accepted(), 20, "no boundary so far reads the profiler");
-        assert_eq!(stepped.jobs[0].agent.profiler().num_samples(), 0);
-        stepped.flush_runs();
+        assert_eq!(stepped.table.jobs[0].agent.profiler().num_samples(), 0);
+        stepped.table.flush_runs();
 
         let mut reference = sim();
-        reference.contexts_live = false;
+        reference.table.contexts_live = false;
         for tick in 0..20 {
             let now = tick as f64 * TICK_SECONDS;
             reference.tick_boundaries(tick, now);
@@ -1428,8 +1405,8 @@ mod tests {
         }
 
         let (batched, per_sample) = (
-            stepped.jobs[0].agent.profiler(),
-            reference.jobs[0].agent.profiler(),
+            stepped.table.jobs[0].agent.profiler(),
+            reference.table.jobs[0].agent.profiler(),
         );
         assert_eq!(per_sample.num_samples(), 20);
         assert_eq!(batched, per_sample);
@@ -1455,19 +1432,20 @@ mod tests {
             s.tick_boundaries(0, 0.0);
             s.advance_chunk(0, 7);
         }
-        let job = &kept.jobs[0];
-        assert!(0.0 < job.progress && job.progress + 20.0 * kept.running[0].step < job.hold_end());
+        let job = &kept.table.jobs[0];
+        let step = kept.table.running[0].step;
+        assert!(0.0 < job.progress && job.progress + 20.0 * step < job.hold_end());
 
-        reopened.sync_context(0);
+        reopened.table.sync_context(0);
         for s in [&mut kept, &mut reopened] {
             s.advance_chunk(7, 25);
         }
-        let (a, b) = (&kept.jobs[0], &reopened.jobs[0]);
+        let (a, b) = (&kept.table.jobs[0], &reopened.table.jobs[0]);
         assert_eq!(a.progress.to_bits(), b.progress.to_bits());
         assert_eq!(a.hold_end().to_bits(), b.hold_end().to_bits());
         assert_eq!(
-            kept.running[0].step.to_bits(),
-            reopened.running[0].step.to_bits()
+            kept.table.running[0].step.to_bits(),
+            reopened.table.running[0].step.to_bits()
         );
     }
 

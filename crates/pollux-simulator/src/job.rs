@@ -5,6 +5,7 @@ use pollux_agent::PolluxAgent;
 use pollux_models::{EfficiencyModel, PlacementShape};
 use pollux_workload::{GnsProfile, JobSpec, ModelProfile, UserConfig};
 
+use pollux_control::JobMut;
 pub use pollux_control::{JobLifecycle, JobState};
 
 /// One job inside the simulation: ground truth + the agent's noisy view.
@@ -131,12 +132,23 @@ impl SimJob {
         &self.placement
     }
 
-    /// The one placement writer: applies `edit` to the row and
-    /// re-derives the `(gpus, nodes)` that [`Self::shape`] and
+    /// The one placement writer: lends the row, with the agent and the
+    /// lifecycle, to `edit` (a scheduling round's resize or apply rule)
+    /// and re-derives the `(gpus, nodes)` that [`Self::shape`] and
     /// [`Self::gpus`] serve, so neither rescans the row per call.
-    pub fn edit_placement(&mut self, edit: impl FnOnce(&mut Vec<u32>)) {
-        edit(&mut self.placement);
+    pub fn edit<R>(&mut self, edit: impl FnOnce(JobMut<'_>) -> R) -> R {
+        let out = edit(JobMut {
+            placement: &mut self.placement,
+            agent: &mut self.agent,
+            lifecycle: &mut self.lifecycle,
+        });
         self.held = scan_placement(&self.placement);
+        out
+    }
+
+    /// [`Self::edit`] of the placement row alone.
+    pub fn edit_placement(&mut self, edit: impl FnOnce(&mut Vec<u32>)) {
+        self.edit(|job| edit(job.placement));
     }
 
     /// The job's current placement shape, if it holds any GPUs.

@@ -22,7 +22,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// Runs the simulation through the per-tick reference stepper.
     /// Same result as [`Self::run`], bit for bit, for any fixed seed.
     pub fn run_reference(mut self) -> SimResult {
-        self.contexts_live = false;
+        self.table.contexts_live = false;
         let dt = TICK_SECONDS;
         let max_ticks = (self.config.max_sim_time / dt).ceil() as u64;
 
@@ -33,7 +33,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
             self.advance_tick_reference(now);
             self.node_seconds += self.spec.num_nodes() as f64 * dt;
 
-            if self.arrivals.is_empty() && self.jobs.iter().all(SimJob::is_finished) {
+            if self.arrivals.is_empty() && self.table.jobs.iter().all(SimJob::is_finished) {
                 now += dt;
                 break;
             }
@@ -45,7 +45,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
 
     /// Advances training for one tick by a scan over every job.
     ///
-    /// Finished jobs are also pruned from `self.active`, which the
+    /// Finished jobs are also pruned from the active list, which the
     /// shared boundary code iterates; that runs only on finish ticks
     /// and never changes the trajectory.
     pub(super) fn advance_tick_reference(&mut self, now: f64) {
@@ -53,7 +53,8 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let slowdown = self.interference_slowdowns_reference();
         let noise = self.config.measurement_noise;
         let mut finished = Vec::new();
-        for (idx, job) in self.jobs.iter_mut().enumerate() {
+        let t = &mut self.table;
+        for (idx, job) in t.jobs.iter_mut().enumerate() {
             match job.state() {
                 JobState::Running => {}
                 JobState::Restarting { .. } => {
@@ -81,13 +82,13 @@ impl<P: SchedulingPolicy> Simulation<P> {
 
             if job.progress >= job.spec.work {
                 job.lifecycle.finish(now + dt);
-                self.interference.clear_job(idx, job.placement());
+                t.interference.clear_job(idx, job.placement());
                 job.edit_placement(|row| row.fill(0));
                 finished.push(idx);
             }
         }
         if !finished.is_empty() {
-            remove_finished_from_active(&mut self.active, &finished);
+            remove_finished_from_active(&mut t.active, &finished);
         }
     }
 
@@ -97,7 +98,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
     /// [`Self::refresh_slowdowns`], whose outcome
     /// `assert_contexts_current` checks against this in debug builds.
     pub(super) fn interference_slowdowns_reference(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.jobs.len()];
+        let mut out = vec![0.0; self.table.jobs.len()];
         let factor = self.config.interference_slowdown;
         if factor <= 0.0 {
             return out;
@@ -105,7 +106,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
         let n = self.spec.num_nodes();
         for node in 0..n {
             let mut distributed = Vec::new();
-            for (i, job) in self.jobs.iter().enumerate() {
+            for (i, job) in self.table.jobs.iter().enumerate() {
                 let row = job.placement();
                 if job.is_finished() || node >= row.len() {
                     continue;

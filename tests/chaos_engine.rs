@@ -4,10 +4,13 @@
 //! intact — and, since every round rewrites every placement, resizes
 //! the cluster and re-keys every profiler run, its persistent run
 //! contexts must survive the worst churn there is: each case also
-//! requires `run()` to equal `run_reference()` byte for byte.
+//! requires `run()` to equal `run_reference()` byte for byte. A
+//! workload whose job ids collide is refused before anything runs.
 
-use pollux::cluster::{AllocationMatrix, ClusterSpec};
-use pollux::simulator::{PolicyJobView, SchedulingPolicy, SimConfig, SimResult, Simulation};
+use pollux::cluster::{AllocationMatrix, ClusterSpec, JobId};
+use pollux::simulator::{
+    PolicyJobView, SchedulingPolicy, SimBuildError, SimConfig, SimResult, Simulation,
+};
 use pollux::workload::{ModelKind, TraceConfig, TraceGenerator};
 use pollux_telemetry::{Event, MemorySink, Recorder};
 use proptest::prelude::*;
@@ -114,6 +117,38 @@ fn run_chaos(
         sim.run()
     };
     (res, sink.drain())
+}
+
+/// Two submissions with one id would make a round's views ambiguous:
+/// the simulation refuses to be built, instead of panicking at the
+/// first round that holds both.
+#[test]
+fn duplicate_job_ids_are_a_build_error() {
+    let mut trace = TraceGenerator::new(TraceConfig {
+        num_jobs: 2,
+        seed: 1,
+        ..Default::default()
+    })
+    .unwrap()
+    .generate();
+    for job in &mut trace {
+        job.id = JobId(0);
+        job.submit_time = 0.0;
+    }
+    let workload = trace
+        .into_iter()
+        .map(|j| {
+            let user = j.tuned;
+            (j, user)
+        })
+        .collect();
+    let policy = ChaosPolicy {
+        max_gpus_per_cell: 2,
+        rng: RefCell::new(StdRng::seed_from_u64(1)),
+    };
+    let spec = ClusterSpec::homogeneous(2, 4).unwrap();
+    let built = Simulation::try_new(SimConfig::default(), spec, policy, workload);
+    assert_eq!(built.err(), Some(SimBuildError::DuplicateJobId(JobId(0))));
 }
 
 proptest! {
