@@ -38,7 +38,7 @@ pub mod stages;
 
 pub use lifecycle::{JobLifecycle, JobState};
 pub use policy::{PlacementDelta, PolicyJobView, SchedIntervalSample, SchedulingPolicy};
-pub use round::{JobMut, JobStore, Reallocation, RoundError, RoundOutcome, RoundPlanner};
+pub use round::{JobMut, JobStore, Reallocation, RoundError, RoundPlanner};
 pub use sched_jobs::{bootstrap_sched_job, sched_jobs_from_views, SchedJobCache};
 pub use stages::{
     keep_placement, pack_consolidated, AdmissionPolicy, Admitted, ConsolidatedPlacement,

@@ -60,16 +60,12 @@ impl PolicyJobView<'_> {
     }
 }
 
-/// Per-interval scheduler cost breakdown, reported by policies that
-/// implement [`SchedulingPolicy::take_interval_stats`] (the Pollux
-/// policy does; baselines report nothing).
+/// The return type of [`SchedulingPolicy::take_interval_stats`].
 ///
-/// Every field is deterministic for a fixed seed and thread count, so
-/// the whole struct participates in the serialized (golden-digested)
-/// `SimResult`. Wall-clock timings of the interval are deliberately
-/// *not* here: they are machine-dependent and flow through the
-/// telemetry sink instead (spans `sched/table_build` and
-/// `sched/ga_evolve`) — see DESIGN.md § Telemetry.
+/// Nothing in this workspace builds one: a scheduler's counters leave
+/// through the telemetry recorder (`sched/*`, see
+/// `PolluxSched::set_recorder`). The type and the trait method stay
+/// only because the frozen `benchmark/` compiles against them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SchedIntervalSample {
     /// Simulation time of the interval (s).
@@ -194,11 +190,10 @@ pub trait SchedulingPolicy {
     /// Pollux.
     fn configure_topology(&mut self, _topology: Option<&Topology>) {}
 
-    /// Drains the cost breakdown of the most recent `schedule` call,
-    /// if the policy records one. The round pipeline calls this after
-    /// every round, stamps the sample with the round time, and returns
-    /// it in the [`crate::RoundOutcome`] (the simulator appends it to
-    /// `SimResult::sched_stats`). The default reports nothing.
+    /// Kept only because the frozen `benchmark/` compiles against it:
+    /// no policy in this workspace overrides it and nothing calls it.
+    /// A policy's counters leave through the [`Recorder`] handed to
+    /// [`Self::attach_telemetry`].
     fn take_interval_stats(&mut self) -> Option<SchedIntervalSample> {
         None
     }
@@ -273,10 +268,6 @@ impl<P: SchedulingPolicy + ?Sized> SchedulingPolicy for Box<P> {
 
     fn configure_topology(&mut self, topology: Option<&Topology>) {
         (**self).configure_topology(topology)
-    }
-
-    fn take_interval_stats(&mut self) -> Option<SchedIntervalSample> {
-        (**self).take_interval_stats()
     }
 
     fn attach_telemetry(&mut self, recorder: Recorder) {

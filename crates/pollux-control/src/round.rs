@@ -11,7 +11,7 @@
 //! and the RNG.
 
 use crate::lifecycle::JobLifecycle;
-use crate::policy::{PolicyJobView, SchedIntervalSample, SchedulingPolicy};
+use crate::policy::{PolicyJobView, SchedulingPolicy};
 use pollux_agent::PolluxAgent;
 use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId, NodeId, Topology};
 use pollux_models::PlacementShape;
@@ -101,17 +101,6 @@ fn resize_placement(row: &mut Vec<u32>, nodes: usize) -> bool {
     lost
 }
 
-/// What [`RoundPlanner::plan`] decided for one round, which
-/// [`RoundPlanner::round`] then applies.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RoundOutcome {
-    /// Placement changes, in view (row) order.
-    pub reallocations: Vec<Reallocation>,
-    /// The policy's cost breakdown for this round, stamped with the
-    /// round time, if the policy reports one.
-    pub stats: Option<SchedIntervalSample>,
-}
-
 /// A round could not be planned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundError {
@@ -159,11 +148,6 @@ pub struct RoundPlanner {
     /// quiet-round case), uniqueness was already proven and the
     /// O(n log n) sort is skipped for one O(n) equality scan.
     last_ids: Vec<JobId>,
-    /// Cumulative count of placement rows materialized by the diff
-    /// phase. A quiet round (policy returns every current placement)
-    /// materializes zero rows — round cost scales with churn, not
-    /// cluster size; the regression test pins this.
-    rows_materialized: u64,
 }
 
 impl RoundPlanner {
@@ -177,14 +161,6 @@ impl RoundPlanner {
     pub fn attach_telemetry(&mut self, recorder: Recorder) {
         self.reallocations_ctr = recorder.counter("control", "reallocations");
         self.recorder = recorder;
-    }
-
-    /// Cumulative number of placement rows the diff phase has copied
-    /// out of policy matrices across all rounds. Unchanged rows are
-    /// compared in place and never allocated, so this grows O(churn)
-    /// per round, independent of job and node counts.
-    pub fn rows_materialized(&self) -> u64 {
-        self.rows_materialized
     }
 
     /// Runs one scheduling round over `store`, the one round the engine
@@ -203,9 +179,8 @@ impl RoundPlanner {
     /// 4. the policy's decision audit, if a recorder is attached, is
     ///    stamped with `now` and each job's co-residents and emitted.
     ///
-    /// Returns the policy's cost breakdown for the round, stamped with
-    /// `now`, if it reports one. The round draws from `rng` only
-    /// through the policy, in the order above.
+    /// The round draws from `rng` only through the policy, in the
+    /// order above.
     ///
     /// # Errors
     ///
@@ -219,7 +194,7 @@ impl RoundPlanner {
         now: f64,
         restart_delay: f64,
         rng: &mut StdRng,
-    ) -> Result<Option<SchedIntervalSample>, RoundError> {
+    ) -> Result<(), RoundError> {
         let mut views = store.views();
         if let Some(nodes) = policy.desired_nodes(now, &views, spec, rng) {
             let nodes = nodes.max(1);
@@ -237,9 +212,9 @@ impl RoundPlanner {
                 views = store.views();
             }
         }
-        let outcome = self.plan(policy, now, &views, spec, rng)?;
+        let reallocations = self.plan(policy, now, &views, spec, rng)?;
         drop(views);
-        for r in &outcome.reallocations {
+        for r in &reallocations {
             store.apply(r, |job| apply_reallocation(job, r, now, restart_delay));
         }
         if self.recorder.is_enabled() {
@@ -251,16 +226,16 @@ impl RoundPlanner {
                 self.recorder.round_explain(explain);
             }
         }
-        Ok(outcome.stats)
+        Ok(())
     }
 
-    /// Plans one scheduling round over `views`.
+    /// Plans one scheduling round over `views`: the placement changes,
+    /// in view (row) order, that [`Self::round`] then applies.
     ///
     /// Pipeline: consult `policy.schedule_sparse`; otherwise invoke
     /// `policy.schedule` and clamp the matrix to `spec` capacity; diff
-    /// each view's current placement against its new row; drain and
-    /// time-stamp the policy's interval stats. An empty view slice
-    /// short-circuits to an empty outcome without invoking the policy.
+    /// each view's current placement against its new row. An empty
+    /// view slice plans nothing without invoking the policy.
     ///
     /// A policy that answers sparsely named only its changed rows, so
     /// the round never touches — let alone materializes — a dense
@@ -280,9 +255,9 @@ impl RoundPlanner {
         views: &[PolicyJobView<'_>],
         spec: &ClusterSpec,
         rng: &mut StdRng,
-    ) -> Result<RoundOutcome, RoundError> {
+    ) -> Result<Vec<Reallocation>, RoundError> {
         if views.is_empty() {
-            return Ok(RoundOutcome::default());
+            return Ok(Vec::new());
         }
         self.check_unique_ids(views)?;
 
@@ -316,14 +291,7 @@ impl RoundPlanner {
             }
         }
         self.reallocations_ctr.add(reallocations.len() as u64);
-        let stats = policy.take_interval_stats().map(|mut s| {
-            s.time = now;
-            s
-        });
-        Ok(RoundOutcome {
-            reallocations,
-            stats,
-        })
+        Ok(reallocations)
     }
 
     /// Validates that every view carries a unique job id. A round over
@@ -353,10 +321,11 @@ impl RoundPlanner {
     /// the dense path, an owned padded delta on the sparse one) against
     /// `view`'s current placement. Unchanged rows and pending →
     /// pending rows yield nothing; a changed row is materialized at
-    /// cluster width — copied out of the matrix only now — counted,
-    /// put on the timeline, and returned.
+    /// cluster width — copied out of the matrix only now — put on the
+    /// timeline, and returned (and counted, as a reallocation, by the
+    /// caller).
     fn diff_row<R: AsRef<[u32]> + Into<Vec<u32>>>(
-        &mut self,
+        &self,
         now: f64,
         row: usize,
         view: &PolicyJobView<'_>,
@@ -372,7 +341,6 @@ impl RoundPlanner {
         }
         let mut new_row: Vec<u32> = proposed.into();
         new_row.resize(num_nodes, 0);
-        self.rows_materialized += 1;
         self.recorder.timeline(
             "round",
             "placement",
@@ -521,6 +489,14 @@ mod tests {
             batch_size: 128,
             remaining_work: f64::INFINITY,
         }
+    }
+
+    /// A planner recording into a fresh sink, and its recorder.
+    fn counted_planner() -> (RoundPlanner, Recorder) {
+        let rec = Recorder::new(std::sync::Arc::new(pollux_telemetry::MemorySink::new(64)));
+        let mut planner = RoundPlanner::new();
+        planner.attach_telemetry(rec.clone());
+        (planner, rec)
     }
 
     fn matrix(rows: &[&[u32]]) -> AllocationMatrix {
@@ -741,10 +717,10 @@ mod tests {
         let mut planner = RoundPlanner::new();
         let mut rng = StdRng::seed_from_u64(0);
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let outcome = planner
+        let plan = planner
             .plan(&mut Panicky, 0.0, &[], &spec, &mut rng)
             .unwrap();
-        assert_eq!(outcome, RoundOutcome::default());
+        assert!(plan.is_empty());
     }
 
     #[test]
@@ -782,11 +758,11 @@ mod tests {
 
         let held = vec![2u32, 0];
         let views = [view(0, &held, true)];
-        let outcome = planner
+        let plan = planner
             .plan(&mut policy, 60.0, &views, &spec, &mut rng)
             .unwrap();
-        assert_eq!(outcome.reallocations.len(), 1);
-        let r = &outcome.reallocations[0];
+        assert_eq!(plan.len(), 1);
+        let r = &plan[0];
         assert_eq!(r.job, JobId(0));
         assert_eq!(r.new, vec![0, 0]);
         assert_eq!(r.gpus(), 0);
@@ -800,11 +776,11 @@ mod tests {
 
         let idle = vec![0u32, 0];
         let views = [view(0, &idle, true)];
-        let outcome = planner
+        let plan = planner
             .plan(&mut policy, 120.0, &views, &spec, &mut rng)
             .unwrap();
-        assert_eq!(outcome.reallocations.len(), 1);
-        let r = &outcome.reallocations[0];
+        assert_eq!(plan.len(), 1);
+        let r = &plan[0];
         assert_eq!(r.new, vec![0, 2]);
         assert!(r.triggers_restart, "resuming a started job restarts it");
         lifecycle.grant(r.triggers_restart, 120.0, 30.0);
@@ -829,11 +805,11 @@ mod tests {
             view(2, &idle, false),
         ];
         let m = matrix(&[&[1, 0], &[0, 0], &[0, 1]]);
-        let outcome = planner
+        let plan = planner
             .plan(&mut Scripted::new(vec![m]), 0.0, &views, &spec, &mut rng)
             .unwrap();
-        assert_eq!(outcome.reallocations.len(), 1);
-        let r = &outcome.reallocations[0];
+        assert_eq!(plan.len(), 1);
+        let r = &plan[0];
         assert_eq!(r.job, JobId(2));
         assert_eq!(r.row, 2);
         assert!(!r.triggers_restart, "first start is not a restart");
@@ -865,27 +841,27 @@ mod tests {
         churned_rows[0][1] = 1;
         let churned = AllocationMatrix::from_rows(churned_rows, jobs).unwrap();
 
-        let mut planner = RoundPlanner::new();
+        let (mut planner, rec) = counted_planner();
         let mut rng = StdRng::seed_from_u64(0);
         let mut policy = Scripted::new(vec![quiet, churned]);
 
-        let outcome = planner
+        let plan = planner
             .plan(&mut policy, 60.0, &views, &spec, &mut rng)
             .unwrap();
-        assert!(outcome.reallocations.is_empty());
+        assert!(plan.is_empty());
         assert_eq!(
-            planner.rows_materialized(),
+            rec.counter_value("control", "reallocations"),
             0,
             "a quiet round must not materialize any placement rows"
         );
 
-        let outcome = planner
+        let plan = planner
             .plan(&mut policy, 120.0, &views, &spec, &mut rng)
             .unwrap();
-        assert_eq!(outcome.reallocations.len(), 1);
-        assert_eq!(outcome.reallocations[0].job, JobId(0));
+        assert_eq!(plan.len(), 1);
+        assert_eq!(plan[0].job, JobId(0));
         assert_eq!(
-            planner.rows_materialized(),
+            rec.counter_value("control", "reallocations"),
             1,
             "round cost must scale with churn, not job count"
         );
@@ -901,16 +877,16 @@ mod tests {
         // 4 GPUs demanded on a 2-GPU node: round-robin decrement trims
         // to capacity.
         let m = matrix(&[&[2], &[2]]);
-        let outcome = planner
+        let plan = planner
             .plan(&mut Scripted::new(vec![m]), 0.0, &views, &spec, &mut rng)
             .unwrap();
-        let total: u32 = outcome.reallocations.iter().map(|r| r.gpus()).sum();
+        let total: u32 = plan.iter().map(|r| r.gpus()).sum();
         assert!(total <= 2, "clamped total {total}");
         // A matrix narrower than the cluster is widened with zeros.
         let spec_wide = ClusterSpec::homogeneous(3, 2).unwrap();
         let idle3 = vec![0u32, 0, 0];
         let views = [view(0, &idle3, false)];
-        let outcome = planner
+        let plan = planner
             .plan(
                 &mut Scripted::new(vec![matrix(&[&[1]])]),
                 0.0,
@@ -919,7 +895,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap();
-        assert_eq!(outcome.reallocations[0].new, vec![1, 0, 0]);
+        assert_eq!(plan[0].new, vec![1, 0, 0]);
     }
 
     /// A sparse policy: returns preloaded deltas per round and panics
@@ -958,7 +934,7 @@ mod tests {
     #[test]
     fn sparse_quiet_round_materializes_zero_rows() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let mut planner = RoundPlanner::new();
+        let (mut planner, rec) = counted_planner();
         let mut rng = StdRng::seed_from_u64(0);
         let p0 = vec![2u32, 0];
         let p1 = vec![0u32, 2];
@@ -967,17 +943,17 @@ mod tests {
             rounds: vec![vec![]],
             next: 0,
         };
-        let outcome = planner
+        let plan = planner
             .plan(&mut policy, 0.0, &views, &spec, &mut rng)
             .unwrap();
-        assert!(outcome.reallocations.is_empty());
-        assert_eq!(planner.rows_materialized(), 0);
+        assert!(plan.is_empty());
+        assert_eq!(rec.counter_value("control", "reallocations"), 0);
     }
 
     #[test]
     fn sparse_deltas_are_padded_diffed_and_noop_dropped() {
         let spec = ClusterSpec::homogeneous(3, 4).unwrap();
-        let mut planner = RoundPlanner::new();
+        let (mut planner, rec) = counted_planner();
         let mut rng = StdRng::seed_from_u64(0);
         let p0 = vec![2u32, 0, 0];
         let p1 = vec![0u32, 2, 0];
@@ -1008,15 +984,15 @@ mod tests {
             ]],
             next: 0,
         };
-        let outcome = planner
+        let plan = planner
             .plan(&mut policy, 5.0, &views, &spec, &mut rng)
             .unwrap();
-        assert_eq!(outcome.reallocations.len(), 1);
-        let r = &outcome.reallocations[0];
+        assert_eq!(plan.len(), 1);
+        let r = &plan[0];
         assert_eq!(r.job, JobId(1));
         assert_eq!(r.new, vec![0, 0, 2]);
         assert!(r.triggers_restart);
-        assert_eq!(planner.rows_materialized(), 1);
+        assert_eq!(rec.counter_value("control", "reallocations"), 1);
     }
 
     #[test]

@@ -44,26 +44,24 @@ pub fn bootstrap_sched_job(
 /// otherwise.
 pub fn sched_jobs_from_views(weights: &WeightConfig, jobs: &[PolicyJobView<'_>]) -> Vec<SchedJob> {
     jobs.iter()
-        .map(|view| {
-            let weight = job_weight(weights, view.gputime);
-            match &view.report {
-                Some(report) => SchedJob {
-                    id: view.id,
-                    model: report.model,
-                    min_gpus: report.min_gpus,
-                    gpu_cap: report.gpu_cap,
-                    weight,
-                    current_placement: view.current_placement.to_vec(),
-                },
-                None => bootstrap_sched_job(
-                    view.id,
-                    view.limits,
-                    weight,
-                    view.current_placement.to_vec(),
-                ),
-            }
-        })
+        .map(|view| sched_job(view, job_weight(weights, view.gputime)))
         .collect()
+}
+
+/// One view's scheduler job at fairness weight `weight`.
+fn sched_job(view: &PolicyJobView<'_>, weight: f64) -> SchedJob {
+    let current_placement = view.current_placement.to_vec();
+    match &view.report {
+        Some(report) => SchedJob {
+            id: view.id,
+            model: report.model,
+            min_gpus: report.min_gpus,
+            gpu_cap: report.gpu_cap,
+            weight,
+            current_placement,
+        },
+        None => bootstrap_sched_job(view.id, view.limits, weight, current_placement),
+    }
 }
 
 /// Cross-round cache of the view → [`SchedJob`] conversion, so a quiet
@@ -95,9 +93,6 @@ pub struct SchedJobCache {
     /// The limits a bootstrap entry was derived from.
     limits: Vec<BatchSizeLimits>,
     last_rebuilt: u64,
-    last_reused: u64,
-    total_rebuilt: u64,
-    total_reused: u64,
 }
 
 impl SchedJobCache {
@@ -109,15 +104,12 @@ impl SchedJobCache {
         self.from_report.truncate(views.len());
         self.limits.truncate(views.len());
         let mut rebuilt = 0u64;
-        let mut reused = 0u64;
         for (k, view) in views.iter().enumerate() {
             let weight = job_weight(weights, view.gputime);
             if k < prior && self.entry_matches(k, view) {
                 let job = &mut self.jobs[k];
                 job.weight = weight;
-                if job.current_placement.as_slice() == view.current_placement {
-                    reused += 1;
-                } else {
+                if job.current_placement.as_slice() != view.current_placement {
                     job.current_placement.clear();
                     job.current_placement
                         .extend_from_slice(view.current_placement);
@@ -125,22 +117,7 @@ impl SchedJobCache {
                 }
                 continue;
             }
-            let entry = match &view.report {
-                Some(report) => SchedJob {
-                    id: view.id,
-                    model: report.model,
-                    min_gpus: report.min_gpus,
-                    gpu_cap: report.gpu_cap,
-                    weight,
-                    current_placement: view.current_placement.to_vec(),
-                },
-                None => bootstrap_sched_job(
-                    view.id,
-                    view.limits,
-                    weight,
-                    view.current_placement.to_vec(),
-                ),
-            };
+            let entry = sched_job(view, weight);
             let from_report = view.report.is_some();
             if k < self.jobs.len() {
                 self.jobs[k] = entry;
@@ -154,9 +131,6 @@ impl SchedJobCache {
             rebuilt += 1;
         }
         self.last_rebuilt = rebuilt;
-        self.last_reused = reused;
-        self.total_rebuilt += rebuilt;
-        self.total_reused += reused;
         debug_assert_eq!(
             self.jobs,
             sched_jobs_from_views(weights, views),
@@ -188,24 +162,10 @@ impl SchedJobCache {
         &self.jobs
     }
 
-    /// Entries rebuilt by the most recent [`Self::refresh`].
+    /// Entries rebuilt by the most recent [`Self::refresh`] (a policy
+    /// reports them as `control/views_rebuilt`); the rest were reused.
     pub fn last_rebuilt(&self) -> u64 {
         self.last_rebuilt
-    }
-
-    /// Entries reused untouched by the most recent [`Self::refresh`].
-    pub fn last_reused(&self) -> u64 {
-        self.last_reused
-    }
-
-    /// Entries rebuilt across the cache's lifetime.
-    pub fn total_rebuilt(&self) -> u64 {
-        self.total_rebuilt
-    }
-
-    /// Entries reused across the cache's lifetime.
-    pub fn total_reused(&self) -> u64 {
-        self.total_reused
     }
 }
 
@@ -305,12 +265,12 @@ mod tests {
         let views = [bare_view(1, &p0, 0.0), bare_view(2, &p1, 0.0)];
         // Round 1: everything is new.
         cache.refresh(&weights, &views);
-        assert_eq!((cache.last_rebuilt(), cache.last_reused()), (2, 0));
+        assert_eq!(cache.last_rebuilt(), 2);
         // Round 2: same views but more attained service — a weight
         // update is not a rebuild.
         let views = [bare_view(1, &p0, 60.0), bare_view(2, &p1, 60.0)];
         let jobs = cache.refresh(&weights, &views).to_vec();
-        assert_eq!((cache.last_rebuilt(), cache.last_reused()), (0, 2));
+        assert_eq!(cache.last_rebuilt(), 0);
         assert_eq!(jobs, sched_jobs_from_views(&weights, &views));
         assert_eq!(jobs[0].weight, job_weight(&weights, 60.0));
     }
@@ -327,15 +287,13 @@ mod tests {
         let moved = vec![2u32, 0];
         let views = [bare_view(1, &moved, 0.0), bare_view(3, &idle, 0.0)];
         cache.refresh(&weights, &views);
-        assert_eq!((cache.last_rebuilt(), cache.last_reused()), (2, 0));
+        assert_eq!(cache.last_rebuilt(), 2);
         assert_eq!(cache.jobs(), &sched_jobs_from_views(&weights, &views)[..]);
         // Shrink: only job 1 remains, untouched since last round.
         let views = [bare_view(1, &moved, 0.0)];
         cache.refresh(&weights, &views);
-        assert_eq!((cache.last_rebuilt(), cache.last_reused()), (0, 1));
+        assert_eq!(cache.last_rebuilt(), 0);
         assert_eq!(cache.jobs().len(), 1);
-        assert_eq!(cache.total_rebuilt(), 4);
-        assert_eq!(cache.total_reused(), 1);
     }
 
     #[test]
@@ -378,10 +336,10 @@ mod tests {
         cache.refresh(&weights, &[mk_view(None)]);
         let views = [mk_view(report)];
         cache.refresh(&weights, &views);
-        assert_eq!((cache.last_rebuilt(), cache.last_reused()), (1, 0));
+        assert_eq!(cache.last_rebuilt(), 1);
         assert_eq!(cache.jobs(), &sched_jobs_from_views(&weights, &views)[..]);
         // The refit is sticky: the next round reuses the entry.
         cache.refresh(&weights, &views);
-        assert_eq!((cache.last_rebuilt(), cache.last_reused()), (0, 1));
+        assert_eq!(cache.last_rebuilt(), 0);
     }
 }

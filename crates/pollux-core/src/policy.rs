@@ -2,13 +2,8 @@
 //! `SchedulingPolicy` interface.
 
 use pollux_cluster::{AllocationMatrix, ClusterSpec, Topology};
-use pollux_control::{
-    sched_jobs_from_views, PolicyJobView, SchedIntervalSample, SchedJobCache, SchedulingPolicy,
-};
-use pollux_sched::{
-    AutoscaleConfig, Autoscaler, PolluxSched, SchedConfig, SchedJob, SpeedupTableStats,
-    WeightConfig,
-};
+use pollux_control::{sched_jobs_from_views, PolicyJobView, SchedJobCache, SchedulingPolicy};
+use pollux_sched::{AutoscaleConfig, Autoscaler, PolluxSched, SchedConfig, SchedJob, WeightConfig};
 use rand::rngs::StdRng;
 
 /// Configuration of the full Pollux policy.
@@ -76,13 +71,6 @@ impl PolluxPolicy {
     fn sched_jobs(&self, jobs: &[PolicyJobView<'_>]) -> Vec<SchedJob> {
         sched_jobs_from_views(&self.weights, jobs)
     }
-
-    /// Cumulative dense speedup-table counters across every interval
-    /// scheduled so far (backs the `pollux.sched.speedup.stats`
-    /// service key).
-    pub fn speedup_stats(&self) -> SpeedupTableStats {
-        self.sched.speedup_stats()
-    }
 }
 
 impl SchedulingPolicy for PolluxPolicy {
@@ -119,25 +107,6 @@ impl SchedulingPolicy for PolluxPolicy {
 
     fn configure_topology(&mut self, topology: Option<&Topology>) {
         self.sched.set_topology(topology.cloned());
-    }
-
-    fn take_interval_stats(&mut self) -> Option<SchedIntervalSample> {
-        // Wall-clock build/evolve timings are NOT part of the sample:
-        // they flow through the telemetry recorder (sched/table_build
-        // and sched/ga_evolve spans) so the deterministic serialized
-        // output stays machine-independent.
-        self.sched
-            .take_interval_stats()
-            .map(|s| SchedIntervalSample {
-                time: 0.0, // Stamped by the engine.
-                generations_run: s.ga.generations_run,
-                fitness_evals: s.ga.fitness_evals,
-                incremental_evals: s.ga.incremental_evals,
-                rows_recomputed: s.ga.rows_recomputed,
-                table_hits: s.speedup.hits,
-                table_misses: s.speedup.misses,
-                table_solves: s.speedup.solves,
-            })
     }
 
     fn take_round_explain(&mut self) -> Option<pollux_telemetry::RoundExplain> {

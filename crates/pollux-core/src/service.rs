@@ -38,7 +38,6 @@ use pollux_control::{
     SchedulingPolicy,
 };
 use pollux_models::{BatchSizeLimits, GradientStats, PlacementShape};
-use pollux_sched::SpeedupTableStats;
 use pollux_telemetry::Recorder;
 use pollux_workload::UserConfig;
 use rand::rngs::StdRng;
@@ -218,10 +217,6 @@ struct Shared {
     jobs: Mutex<BTreeMap<JobId, JobEntry>>,
     /// Monotone counter of completed scheduling rounds.
     rounds: RwLock<u64>,
-    /// Cumulative dense speedup-table counters, mirrored out of the
-    /// scheduler thread after every round (the
-    /// `pollux.sched.speedup.stats` service key).
-    speedup_stats: RwLock<SpeedupTableStats>,
     /// Service birth; `now` for lifecycle stamps is seconds since this.
     epoch: Instant,
     restart_delay: f64,
@@ -230,8 +225,7 @@ struct Shared {
 
 impl Shared {
     /// One scheduling round: wake expired restarts, then the shared
-    /// round ([`RoundPlanner::round`]) over a snapshot of the jobs,
-    /// then mirror the policy's table counters.
+    /// round ([`RoundPlanner::round`]) over a snapshot of the jobs.
     fn schedule_once(
         &self,
         policy: &mut PolluxPolicy,
@@ -252,7 +246,6 @@ impl Shared {
         planner
             .round(policy, &mut jobs, &mut spec, now, self.restart_delay, rng)
             .expect("the snapshot's ids are the job map's keys");
-        *write(&self.speedup_stats) = policy.speedup_stats();
         *write(&self.rounds) += 1;
     }
 
@@ -399,7 +392,6 @@ impl ClusterService {
             spec: RwLock::new(spec),
             jobs: Mutex::new(BTreeMap::new()),
             rounds: RwLock::new(0),
-            speedup_stats: RwLock::new(SpeedupTableStats::default()),
             epoch: Instant::now(),
             restart_delay: config.restart_delay.as_secs_f64(),
             recorder: config.telemetry,
@@ -509,14 +501,6 @@ impl ClusterService {
         lock(&self.shared.jobs).len()
     }
 
-    /// Cumulative dense speedup-table counters across all completed
-    /// rounds (service key `pollux.sched.speedup.stats`): lookups hit
-    /// in the table, out-of-range misses, and batch-size solves
-    /// spent precomputing the per-round tables.
-    pub fn speedup_stats(&self) -> SpeedupTableStats {
-        *read(&self.shared.speedup_stats)
-    }
-
     /// Stops the scheduler thread and drops the service.
     pub fn shutdown(mut self) {
         let _ = self.commands.send(Command::Shutdown);
@@ -544,26 +528,42 @@ impl Drop for ClusterService {
 mod tests {
     use super::*;
     use pollux_sched::GaConfig;
+    use pollux_telemetry::{Event, MemorySink};
     use pollux_workload::ModelKind;
 
-    fn quick_service(spec: ClusterSpec) -> ClusterService {
+    fn quick_config() -> ServiceConfig {
         let mut pollux = PolluxConfig::default();
         pollux.sched.ga = GaConfig {
             population: 12,
             generations: 6,
             ..Default::default()
         };
-        ClusterService::start(
-            ServiceConfig {
-                pollux,
-                interval: Duration::from_millis(5),
-                restart_delay: Duration::from_millis(1),
-                seed: 1,
-                ..Default::default()
-            },
-            spec,
-        )
-        .expect("valid service config")
+        ServiceConfig {
+            pollux,
+            interval: Duration::from_millis(5),
+            restart_delay: Duration::from_millis(1),
+            seed: 1,
+            ..Default::default()
+        }
+    }
+
+    fn quick_service(spec: ClusterSpec) -> ClusterService {
+        ClusterService::start(quick_config(), spec).expect("valid service config")
+    }
+
+    /// The last snapshot of counter `sub/name` in a capture (0 if none).
+    fn count(events: &[Event], sub: &str, name: &str) -> u64 {
+        let named = |e: &&Event| e.subsystem() == sub && e.name() == name;
+        let value = |e: &Event| match e {
+            Event::Count { value, .. } => Some(*value),
+            _ => None,
+        };
+        events
+            .iter()
+            .rev()
+            .filter(named)
+            .find_map(value)
+            .unwrap_or(0)
     }
 
     fn feed_profile(handle: &JobHandle, kind: ModelKind) {
@@ -578,7 +578,16 @@ mod tests {
 
     #[test]
     fn service_allocates_submitted_jobs() {
-        let service = quick_service(ClusterSpec::homogeneous(2, 4).unwrap());
+        let sink = Arc::new(MemorySink::new(1 << 12));
+        // An hour-long ticker: the test's two triggered rounds are the
+        // only ones, and both see the two jobs.
+        let config = ServiceConfig {
+            interval: Duration::from_secs(3600),
+            telemetry: Recorder::new(sink.clone()),
+            ..quick_config()
+        };
+        let service = ClusterService::start(config, ClusterSpec::homogeneous(2, 4).unwrap())
+            .expect("valid service config");
         let profile = ModelKind::ResNet18Cifar10.profile();
         let a = service
             .submit(profile.m0, profile.eta0, profile.limits)
@@ -590,9 +599,9 @@ mod tests {
         assert_eq!(service.num_jobs(), 2);
         assert_eq!(a.state(), Some(JobState::Pending));
 
-        let before = service.rounds();
         service.trigger_schedule().unwrap();
-        assert!(service.wait_for_rounds(before + 2, Duration::from_secs(10)));
+        service.trigger_schedule().unwrap();
+        assert!(service.wait_for_rounds(2, Duration::from_secs(10)));
 
         // Fresh jobs are bootstrapped: each gets 1-2 GPUs and starts
         // (never restarts — a first grant pays no delay).
@@ -602,12 +611,13 @@ mod tests {
             assert_eq!(h.num_restarts(), 0);
             assert_ne!(h.state(), Some(JobState::Pending));
         }
-        // Rounds with jobs build dense tables: the service key reports
-        // accumulated solves and lookups.
-        let stats = service.speedup_stats();
-        assert!(stats.solves > 0, "no table solves recorded: {stats:?}");
-        assert!(stats.hits > 0, "no table lookups recorded: {stats:?}");
+        // The scheduler's counters reach the capture: every round with
+        // jobs is one scheduler interval and builds a dense table.
         service.shutdown();
+        let events = sink.drain();
+        assert!(count(&events, "sched", "table_solves") > 0);
+        assert_eq!(count(&events, "service", "rounds"), 2);
+        assert_eq!(count(&events, "sched", "intervals"), 2);
     }
 
     #[test]
@@ -761,25 +771,13 @@ mod tests {
 
     #[test]
     fn service_rounds_emit_telemetry() {
-        use pollux_telemetry::{Event, MemorySink};
         let sink = Arc::new(MemorySink::new(8192));
-        let mut pollux = PolluxConfig::default();
-        pollux.sched.ga = GaConfig {
-            population: 12,
-            generations: 6,
-            ..Default::default()
+        let config = ServiceConfig {
+            telemetry: Recorder::new(sink.clone()),
+            ..quick_config()
         };
-        let service = ClusterService::start(
-            ServiceConfig {
-                pollux,
-                interval: Duration::from_millis(5),
-                seed: 1,
-                telemetry: Recorder::new(sink.clone()),
-                ..Default::default()
-            },
-            ClusterSpec::homogeneous(2, 4).unwrap(),
-        )
-        .unwrap();
+        let service =
+            ClusterService::start(config, ClusterSpec::homogeneous(2, 4).unwrap()).unwrap();
         let profile = ModelKind::ResNet18Cifar10.profile();
         let h = service
             .submit(profile.m0, profile.eta0, profile.limits)
@@ -808,11 +806,7 @@ mod tests {
         assert!(span("sched", "ga_evolve"), "no sched/ga_evolve span");
         // The drop-time flush snapshots counters into the capture.
         assert!(
-            events
-                .iter()
-                .any(|e| matches!(e, Event::Count { value, .. } if *value > 0)
-                    && e.subsystem() == "service"
-                    && e.name() == "rounds"),
+            count(&events, "service", "rounds") > 0,
             "no service/rounds counter snapshot"
         );
     }

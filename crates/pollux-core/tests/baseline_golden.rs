@@ -73,7 +73,13 @@ fn digest_of<P: SchedulingPolicy>(policy: P) -> u64 {
 /// `SimResult` lost its event log and its per-job series: the digested
 /// text lost two fields, and each new constant is what the old code
 /// printed for the same run rendered without them.
-const GOLDEN_TIRESIAS: u64 = 0xc55b_f0a6_d43e_4e46;
+///
+/// All three were re-pinned once more (this one from
+/// `0xc55b_f0a6_d43e_4e46`), with no trajectory moving, when `SimResult`
+/// lost its per-interval scheduler counters (they leave through the
+/// telemetry recorder alone): each new constant is what the old code
+/// printed for the same run rendered without that field.
+const GOLDEN_TIRESIAS: u64 = 0xc63c_92f8_864c_acd1;
 /// Captured from the monolithic `Optimus` (pre-decomposition) as
 /// `0x5355_e002_7cdd_e804`; re-pinned once by the exact-gradient θsys
 /// solve (issue 12). Optimus estimates remaining time from the fitted
@@ -83,16 +89,18 @@ const GOLDEN_TIRESIAS: u64 = 0xc55b_f0a6_d43e_4e46;
 /// Re-pinned once more (from `0x4064_4aec_d583_d64c`) by PR 20, φ held
 /// ≤ 1 % per sub-interval: see `GOLDEN_TIRESIAS`. Re-pinned from
 /// `0xe7a2_b5e9_aaa7_9cdf` with the shorter `SimResult`: see
-/// `GOLDEN_TIRESIAS`.
-const GOLDEN_OPTIMUS: u64 = 0xf488_850d_efeb_2d41;
+/// `GOLDEN_TIRESIAS`. Re-pinned from `0xf488_850d_efeb_2d41` without
+/// the scheduler counters: see `GOLDEN_TIRESIAS`.
+const GOLDEN_OPTIMUS: u64 = 0x2f69_0af6_1c62_7f9c;
 /// Captured from the monolithic `OrEtAlAutoscaler` (pre-decomposition)
 /// as `0x6903_56cd_ceb4_d6aa`; re-pinned once with `GOLDEN_OPTIMUS`,
 /// for the same reason (it too plans from the reported θsys), and
 /// once more (from `0x21c2_b432_48af_b11e`) by PR 20, φ held ≤ 1 % per
 /// sub-interval: see `GOLDEN_TIRESIAS`. Re-pinned from
 /// `0xbc47_4be2_42c8_a4d3` with the shorter `SimResult`: see
-/// `GOLDEN_TIRESIAS`.
-const GOLDEN_OR_ETAL: u64 = 0x44e1_c1e6_f7d6_f439;
+/// `GOLDEN_TIRESIAS`. Re-pinned from `0x44e1_c1e6_f7d6_f439` without
+/// the scheduler counters: see `GOLDEN_TIRESIAS`.
+const GOLDEN_OR_ETAL: u64 = 0x9fa6_4a8d_fba3_fd84;
 
 #[test]
 fn tiresias_reproduces_the_monolith_digest() {

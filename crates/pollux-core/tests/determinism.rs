@@ -7,9 +7,10 @@
 //! these tests vary the worker count:
 //!
 //! - `PolluxSched::optimize` on a racked cluster must return the same
-//!   `best`, fitness bits and `SchedIntervalStats` round after round,
-//!   and leave the master RNG in the same state, at 1 / 2 / 3 / 8
-//!   workers and at the host's own default;
+//!   `best`, fitness bits and `GaOutcome::stats`, and record the same
+//!   table and rack counters, round after round, and leave the master
+//!   RNG in the same state, at 1 / 2 / 3 / 8 workers and at the host's
+//!   own default;
 //! - `assign_racks` must equal itself across worker counts;
 //! - a full racked `Simulation::run` must produce an identical
 //!   `SimResult` (compared through its serialized form, which covers
@@ -27,9 +28,11 @@ use pollux_models::{
 };
 use pollux_sched::{GaConfig, PolluxSched, SchedConfig, SchedJob};
 use pollux_simulator::{SchedulingPolicy, SimConfig};
+use pollux_telemetry::{MemorySink, Recorder};
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::sync::Arc;
 
 fn goodput_model(phi: f64) -> GoodputModel {
     let tp = ThroughputParams::new(0.05, 5.0e-4, 0.05, 0.002, 0.2, 0.01, 2.0).unwrap();
@@ -131,7 +134,6 @@ fn run_racked_sim(workers: usize) -> String {
 /// never touches the simulation's RNG or float accumulation order.
 #[test]
 fn simulation_result_is_identical_with_telemetry_enabled() {
-    use std::sync::Arc;
     let run = |recorded: bool| -> String {
         let mut c = PolluxConfig::default();
         c.sched.ga = GaConfig {
@@ -147,8 +149,8 @@ fn simulation_result_is_identical_with_telemetry_enabled() {
             ..Default::default()
         };
         let result = if recorded {
-            let sink = Arc::new(pollux_telemetry::MemorySink::new(1 << 16));
-            let recorder = pollux_telemetry::Recorder::new(sink.clone());
+            let sink = Arc::new(MemorySink::new(1 << 16));
+            let recorder = Recorder::new(sink.clone());
             let res = pollux_core::run_trace_recorded(
                 policy,
                 &trace,
@@ -335,12 +337,21 @@ fn racked_optimize_is_identical_across_worker_counts() {
             sched.set_threads(workers);
         }
         sched.set_topology(Some(topo.clone()));
+        let rec = Recorder::new(Arc::new(MemorySink::new(64)));
+        sched.set_recorder(rec.clone());
         let mut rng = StdRng::seed_from_u64(17);
         let mut jobs = racked_jobs();
+        // Per round: the outcome and the counters summed so far.
         let mut round = |jobs: &[SchedJob]| {
             let outcome = sched.optimize(jobs, &spec, &mut rng);
-            let stats = sched.take_interval_stats().expect("interval recorded");
-            (outcome.best, outcome.best_fitness.to_bits(), stats)
+            let counts = ["table_solves", "table_rows_reused", "racks_evolved"]
+                .map(|name| rec.counter_value("sched", name));
+            (
+                outcome.best,
+                outcome.best_fitness.to_bits(),
+                outcome.stats,
+                counts,
+            )
         };
         // Cold: every rack searches. Verbatim again: every rack is
         // quiet and replays its carry.
@@ -374,17 +385,16 @@ fn racked_optimize_is_identical_across_worker_counts() {
     };
 
     let (reference, next_draw) = run(Some(1));
-    assert_eq!(reference[0].2.speedup.rows_reused, 0, "round 0 is cold");
+    let [solves, reused, evolved] = reference[0].3;
+    assert_eq!(reused, 0, "round 0 is cold");
+    // Replayed racks solve nothing, evolve nothing, reuse every row.
     assert_eq!(
-        (
-            reference[1].2.ga.generations_run,
-            reference[1].2.speedup.rows_reused
-        ),
-        (0, 600),
+        (reference[1].2.generations_run, reference[1].3),
+        (0, [solves, 600, evolved]),
         "round 1 must replay every rack"
     );
-    for stats in [&reference[2].2, &reference[4].2] {
-        assert!(stats.ga.generations_run > 0, "a changed rack must search");
+    for round in [&reference[2], &reference[4]] {
+        assert!(round.2.generations_run > 0, "a changed rack must search");
     }
     for workers in [Some(2), Some(3), Some(8), None] {
         let (rounds, draw) = run(workers);
@@ -394,7 +404,8 @@ fn racked_optimize_is_identical_across_worker_counts() {
                 base.1, got.1,
                 "fitness bits differ at {workers:?}, round {i}"
             );
-            assert_eq!(base.2, got.2, "counters differ at {workers:?}, round {i}");
+            assert_eq!(base.2, got.2, "GA stats differ at {workers:?}, round {i}");
+            assert_eq!(base.3, got.3, "counters differ at {workers:?}, round {i}");
         }
         assert_eq!(next_draw, draw, "master RNG diverged at {workers:?}");
     }

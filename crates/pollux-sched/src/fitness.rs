@@ -83,10 +83,9 @@ pub(crate) fn row_shape(row: &[u32]) -> Option<PlacementShape> {
 /// [`contribution`] of one placement row whose shape
 /// ([`row_shape`]) and whose job's [`SchedJob::is_running`] the caller
 /// already knows — the GA's repair keeps the first current and the
-/// second holds for a whole `evolve` — with the table read left to the
-/// caller too: the GA tallies its lookups per worker, and debug
-/// cross-checks must not count theirs at all
-/// ([`SpeedupTable::lookup`]).
+/// second holds for a whole `evolve` — with `speedup` the job's
+/// [`SpeedupTable::speedup`] or anything with its bits
+/// ([`crate::speedup::pure_speedup`]).
 #[inline]
 pub(crate) fn row_contribution(
     job: &SchedJob,

@@ -156,15 +156,12 @@ struct Member {
 /// building a member allocates nothing once the buffers have grown.
 /// One per `evolve` call; what carries meaning between calls is
 /// [`Self::touched`], which the caller resets with [`Self::track`],
-/// and the tallies `evolve` reads at its end.
+/// and the tally `evolve` reads at its end.
 #[derive(Debug, Default)]
 pub struct GaWorkspace {
     touched: Vec<bool>,
-    /// Contribution rows recomputed and the table lookups that took,
-    /// tallied here so the hot loop never touches a shared atomic.
+    /// Contribution rows recomputed.
     rows_recomputed: u64,
-    table_hits: u64,
-    table_misses: u64,
     /// `K_j` and `N_j`: GPUs and occupied nodes of each row, current
     /// when repair returns, so the caller need not rescan the rows.
     row_gpus: Vec<u32>,
@@ -309,42 +306,29 @@ impl GeneticAlgorithm {
         let avoid = self.config.interference_avoidance;
         repair_matrix(&mut child.matrix, ctx.jobs, ctx.spec, avoid, &mut rng, ws);
 
-        // Uncounted reads, tallied in the workspace: the table's own
-        // counters are part of the serialized `SimResult`, so they get
-        // the run's totals once and nothing from the debug-only check.
-        let (mut hits, mut misses) = (0, 0);
-        let mut evaluate = |j: usize, shape: Option<PlacementShape>, tally: bool| {
-            let (job, row) = (&ctx.jobs[j], child.matrix.row(j));
-            let lookup = |shape| {
-                let v = ctx.table.lookup(j, shape);
-                hits += u64::from(tally && v.is_some());
-                misses += u64::from(tally && v.is_none());
-                v.unwrap_or(0.0)
-            };
+        let evaluate = |j: usize, shape: Option<PlacementShape>, row: &[u32]| {
             row_contribution(
-                job,
+                &ctx.jobs[j],
                 row,
                 shape,
                 ctx.running[j],
                 &self.config.fitness,
-                lookup,
+                |shape| ctx.table.speedup(j, shape),
             )
         };
         // Repair left every row's `K` and `N` in the workspace.
         for j in (0..ctx.jobs.len()).filter(|&j| initial || ws.touched[j]) {
             let shape = PlacementShape::new(ws.row_gpus[j], ws.row_nodes[j]);
-            child.contrib[j] = evaluate(j, shape, true);
+            child.contrib[j] = evaluate(j, shape, child.matrix.row(j));
             ws.rows_recomputed += 1;
         }
         debug_assert!(
             (0..ctx.jobs.len()).all(|j| {
-                let shape = row_shape(child.matrix.row(j));
-                evaluate(j, shape, false).to_bits() == child.contrib[j].to_bits()
+                let row = child.matrix.row(j);
+                evaluate(j, row_shape(row), row).to_bits() == child.contrib[j].to_bits()
             }),
             "incremental contributions diverged from a full recompute"
         );
-        ws.table_hits += hits;
-        ws.table_misses += misses;
         child.fitness = fitness_of(&child.contrib, ctx.weight_sum);
     }
 
@@ -485,7 +469,6 @@ impl GeneticAlgorithm {
             }
         }
         run_stats.rows_recomputed = ws.rows_recomputed;
-        table.record_lookups(ws.table_hits, ws.table_misses);
 
         let best_idx = fitnesses
             .iter()

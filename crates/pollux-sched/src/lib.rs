@@ -60,6 +60,6 @@ pub use ga::{repair_matrix, GaConfig, GaOutcome, GaRunStats, GaWorkspace, Geneti
 pub use local_search::{LocalSearch, LocalSearchConfig};
 pub use par::parallel_map;
 pub use rackga::{assign_racks, home_rack};
-pub use scheduler::{PolluxSched, SchedConfig, SchedIntervalStats};
+pub use scheduler::{PolluxSched, SchedConfig};
 pub use speedup::{SchedJob, SpeedupTable, SpeedupTableStats};
 pub use weights::{job_weight, WeightConfig};

@@ -32,30 +32,11 @@ pub struct SchedConfig {
     pub weights: WeightConfig,
 }
 
-/// Evaluation-count breakdown of one scheduling interval.
-///
-/// Every field is deterministic for a fixed seed at any worker count.
-/// Wall-clock timings of the interval are *not* part of this struct:
-/// they leave as the telemetry spans [`PolluxSched::set_recorder`]
-/// lists, keeping every deterministic output free of
-/// machine-dependent values.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedIntervalStats {
-    /// GA evaluation counters (generations, full vs. incremental
-    /// fitness evaluations, contribution rows recomputed).
-    pub ga: GaRunStats,
-    /// Speedup-table counters (lookups served vs. batch-size
-    /// solves spent building the table).
-    pub speedup: SpeedupTableStats,
-}
-
 /// Cluster-wide resource optimizer with population persistence.
 #[derive(Debug)]
 pub struct PolluxSched {
     config: SchedConfig,
     ga: GeneticAlgorithm,
-    last_interval: Option<SchedIntervalStats>,
-    cumulative_speedup: SpeedupTableStats,
     recorder: Recorder,
     /// The decision audit of the most recent interval, built only
     /// while a recorder is attached (see [`Self::take_round_explain`]).
@@ -142,8 +123,6 @@ impl PolluxSched {
         Self {
             config,
             ga: GeneticAlgorithm::new(config.ga),
-            last_interval: None,
-            cumulative_speedup: SpeedupTableStats::default(),
             recorder: Recorder::disabled(),
             last_explain: None,
             topology: None,
@@ -181,8 +160,13 @@ impl PolluxSched {
     /// Attaches a telemetry recorder: each interval emits its
     /// wall-clock spans (`sched/table_build` and `sched/ga_evolve` on
     /// the flat path, `sched/rack_assign` and `sched/rack_evolve` on
-    /// the racked path) and evaluation counters through it. Telemetry
-    /// is observational only — schedules are bit-identical with or
+    /// the racked path) and its counters through it — the one way the
+    /// scheduler's counts leave it: `sched/intervals`, the
+    /// [`GaRunStats`] sums (`sched/generations`, `fitness_evals`,
+    /// `incremental_evals`, `rows_recomputed`), the table builds'
+    /// `sched/table_solves` and `table_rows_reused`, and on the racked
+    /// path `sched/racks_evolved` and `racks_reused`. Telemetry is
+    /// observational only — schedules are bit-identical with or
     /// without a recorder.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
@@ -264,19 +248,12 @@ impl PolluxSched {
                 }
             }
         };
-        self.cumulative_speedup.accumulate(speedup);
-        self.last_interval = Some(SchedIntervalStats { ga: stats, speedup });
-        // Wall-clock timings leave through the telemetry sink only
-        // (each round emits its own spans); everything deterministic
-        // ships via SchedIntervalStats.
         let rec = &self.recorder;
         rec.incr("sched", "intervals", 1);
         rec.incr("sched", "generations", stats.generations_run);
         rec.incr("sched", "fitness_evals", stats.fitness_evals);
         rec.incr("sched", "incremental_evals", stats.incremental_evals);
         rec.incr("sched", "rows_recomputed", stats.rows_recomputed);
-        rec.incr("sched", "table_hits", speedup.hits);
-        rec.incr("sched", "table_misses", speedup.misses);
         rec.incr("sched", "table_solves", speedup.solves);
         rec.incr("sched", "table_rows_reused", speedup.rows_reused);
         self.last_explain = self.recorder.is_enabled().then(|| {
@@ -486,7 +463,7 @@ impl PolluxSched {
                     stats.rows_recomputed += search.rows_recomputed;
                 }
                 // A quiet rack's rows were all reused (nothing was
-                // solved or looked up this interval).
+                // solved this interval).
                 None => speedup.rows_reused += rack.carry.sub_jobs.len() as u64,
             }
             let (_, fitness) = rack.carry.best.as_ref().expect("searched or carried");
@@ -515,13 +492,6 @@ impl PolluxSched {
         }
     }
 
-    /// Drains the hot-path breakdown of the most recent
-    /// [`Self::optimize`] call (`None` before the first interval or
-    /// when already taken).
-    pub fn take_interval_stats(&mut self) -> Option<SchedIntervalStats> {
-        self.last_interval.take()
-    }
-
     /// Drains the decision audit of the most recent
     /// [`Self::optimize`] call. Built only while an *enabled* recorder
     /// is attached ([`Self::set_recorder`]) so the audit costs nothing
@@ -531,13 +501,6 @@ impl PolluxSched {
     /// before emitting the record.
     pub fn take_round_explain(&mut self) -> Option<RoundExplain> {
         self.last_explain.take()
-    }
-
-    /// Cumulative speedup-table counters across every interval since
-    /// construction — the backing value of the
-    /// `pollux.sched.speedup.stats` service key.
-    pub fn speedup_stats(&self) -> SpeedupTableStats {
-        self.cumulative_speedup
     }
 
     /// Computes the allocation matrix for this interval.
@@ -636,11 +599,10 @@ fn run_rack(
 
 /// [`pure_speedup`] of `job` — row `row` of `table` — under `shape`,
 /// read from the table where it holds the value
-/// ([`SpeedupTable::stored`]: the same bits, no solve, no counter
-/// touched) and solved only where it does not. This is how the audit
-/// prices placements: its reads never perturb the golden-digested
-/// table statistics, and a round of 10 000 jobs does not pay 40 000
-/// batch-size solves to be explained.
+/// ([`SpeedupTable::stored`]: the same bits, no solve) and solved only
+/// where it does not. This is how the audit prices placements: a round
+/// of 10 000 jobs does not pay 40 000 batch-size solves to be
+/// explained.
 fn stored_speedup(
     table: Option<&SpeedupTable>,
     row: usize,
@@ -815,6 +777,18 @@ mod tests {
         PolluxSched::new(config)
     }
 
+    /// Attaches a recorder to `s` and returns it, to read the counters.
+    fn record(s: &mut PolluxSched) -> Recorder {
+        let rec = Recorder::new(std::sync::Arc::new(pollux_telemetry::MemorySink::new(64)));
+        s.set_recorder(rec.clone());
+        rec
+    }
+
+    /// The table counters `rec` has summed so far: solves, rows reused.
+    fn table_counts(rec: &Recorder) -> [u64; 2] {
+        ["table_solves", "table_rows_reused"].map(|name| rec.counter_value("sched", name))
+    }
+
     #[test]
     fn schedules_feasible_allocations() {
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
@@ -864,31 +838,31 @@ mod tests {
         let topo = Topology::grouped(4, 2).unwrap();
         let mut s = sched();
         s.set_topology(Some(topo));
+        let rec = record(&mut s);
         let mut rng = StdRng::seed_from_u64(5);
         let jobs: Vec<SchedJob> = (0..4).map(job).collect();
 
-        let first = s.schedule(&jobs, &spec, &mut rng);
-        let cold = s.take_interval_stats().expect("cold interval ran");
-        assert!(cold.ga.generations_run > 0);
+        let cold = s.optimize(&jobs, &spec, &mut rng);
+        assert!(cold.stats.generations_run > 0);
+        let [solves, reused] = table_counts(&rec);
 
         // Identical inputs: every rack replays its carried answer —
         // same plan, zero generations, zero solves, every row reused.
-        let second = s.schedule(&jobs, &spec, &mut rng);
-        assert_eq!(second, first, "a quiet interval must replay the plan");
-        let quiet = s.take_interval_stats().expect("quiet interval ran");
-        assert_eq!(quiet.ga.generations_run, 0);
-        assert_eq!(quiet.ga.fitness_evals, 0);
-        assert_eq!(quiet.speedup.solves, 0);
-        assert_eq!(quiet.speedup.rows_reused, jobs.len() as u64);
+        let quiet = s.optimize(&jobs, &spec, &mut rng);
+        assert_eq!(
+            quiet.best, cold.best,
+            "a quiet interval must replay the plan"
+        );
+        assert_eq!(quiet.stats, GaRunStats::default());
+        assert_eq!(table_counts(&rec), [solves, reused + jobs.len() as u64]);
 
         // Touch one job's weight: its rack re-searches, work resumes.
         let mut churned = jobs.clone();
         churned[0].weight = 2.0;
-        let a = s.schedule(&churned, &spec, &mut rng);
-        assert!(a.is_feasible(&spec));
-        let stats = s.take_interval_stats().expect("churned interval ran");
+        let out = s.optimize(&churned, &spec, &mut rng);
+        assert!(out.best.is_feasible(&spec));
         assert!(
-            stats.ga.generations_run > 0,
+            out.stats.generations_run > 0,
             "a changed rack must re-search"
         );
     }
@@ -918,12 +892,14 @@ mod tests {
             s.set_topology(topology.clone());
             let mut fresh = sched();
             fresh.set_topology(topology);
+            let (rec, fresh_rec) = (record(&mut s), record(&mut fresh));
             let mut fresh_rng = rng.clone();
             let cold = fresh.optimize(&jobs, spec, &mut fresh_rng);
             let out = s.optimize(&jobs, spec, &mut rng);
             assert_eq!(out.best, cold.best, "round {i}");
             assert_eq!(out.best_fitness.to_bits(), cold.best_fitness.to_bits());
-            assert_eq!(s.take_interval_stats(), fresh.take_interval_stats());
+            assert_eq!(out.stats, cold.stats, "round {i}");
+            assert_eq!(table_counts(&rec), table_counts(&fresh_rec), "round {i}");
             assert_eq!(rng.next_u64(), fresh_rng.next_u64(), "round {i}");
         }
 
@@ -988,25 +964,29 @@ mod tests {
     }
 
     #[test]
-    fn interval_stats_are_recorded_and_drained() {
+    fn interval_counters_reach_the_recorder() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let jobs: Vec<SchedJob> = (0..2).map(job).collect();
         let mut s = sched();
+        let rec = record(&mut s);
+        let count = |name| rec.counter_value("sched", name);
         let mut rng = StdRng::seed_from_u64(9);
-        assert!(s.take_interval_stats().is_none());
-        s.schedule(&jobs, &spec, &mut rng);
-        let stats = s.take_interval_stats().expect("stats recorded");
-        assert!(stats.ga.fitness_evals > 0);
-        assert!(stats.ga.generations_run > 0);
-        assert!(stats.speedup.solves > 0);
-        assert!(stats.speedup.hits > 0, "GA must hit the dense table");
-        assert!(s.take_interval_stats().is_none(), "stats drain once");
-        // Cumulative speedup counters keep growing across intervals.
-        let before = s.speedup_stats();
-        s.schedule(&jobs, &spec, &mut rng);
-        let after = s.speedup_stats();
-        assert!(after.hits > before.hits);
-        assert!(after.solves > before.solves);
+        let mut outcomes = Vec::new();
+        for interval in 1..=2 {
+            outcomes.push(s.optimize(&jobs, &spec, &mut rng).stats);
+            assert_eq!(count("intervals"), interval);
+        }
+        let sum = |f: fn(&GaRunStats) -> u64| outcomes.iter().map(f).sum::<u64>();
+        assert!(sum(|s| s.fitness_evals) > 0 && sum(|s| s.generations_run) > 0);
+        assert_eq!(count("fitness_evals"), sum(|s| s.fitness_evals));
+        assert_eq!(count("generations"), sum(|s| s.generations_run));
+        assert_eq!(count("incremental_evals"), sum(|s| s.incremental_evals));
+        assert_eq!(count("rows_recomputed"), sum(|s| s.rows_recomputed));
+        // The second interval copies every row forward: same jobs, same
+        // models.
+        let [solves, reused] = table_counts(&rec);
+        assert!(solves > 0);
+        assert_eq!(reused, jobs.len() as u64);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! unsynchronized array index — no hashing, no locking, no lazy solve.
 //!
 //! [`pure_speedup`] evaluates one `(job, shape)` straight from the
-//! goodput model, for callers that query a handful of shapes or must
-//! not touch the table's counters.
+//! goodput model, for callers that query a handful of shapes.
 //!
 //! # Determinism
 //!
@@ -21,14 +20,12 @@
 //! (`max_goodput(shape) / max_goodput(reference_shape())`, zero outside
 //! the feasible range). Table construction reassembles worker results
 //! in job order, so the table contents never depend on the thread
-//! count; lookup counters use relaxed atomics and count totals that are
-//! likewise thread-count-invariant.
+//! count.
 
 use crate::par::parallel_map;
 use pollux_cluster::{ClusterSpec, JobId};
 use pollux_models::{GoodputModel, PlacementShape};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The scheduler-facing view of one job at one scheduling interval.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,13 +52,9 @@ impl SchedJob {
     }
 }
 
-/// Counter-free `SPEEDUP_j` evaluation: the same feasibility gates and
-/// canonicalization as [`SpeedupTable`], but computed directly from
-/// the goodput model with **no** hit/miss accounting. The table
-/// counters flow into the golden-digested `SchedIntervalSample`, so
-/// observational consumers — the per-round decision audit
-/// (`RoundExplain`) above all — must use this instead of the counted
-/// lookups to keep digests byte-identical with telemetry on and off.
+/// `SPEEDUP_j` computed directly from the goodput model, with the same
+/// feasibility gates and canonicalization as [`SpeedupTable`] and the
+/// same bits.
 pub fn pure_speedup(job: &SchedJob, shape: PlacementShape) -> f64 {
     if shape.gpus < job.min_gpus || shape.gpus > job.gpu_cap {
         return 0.0;
@@ -71,37 +64,25 @@ pub fn pure_speedup(job: &SchedJob, shape: PlacementShape) -> f64 {
     job.model.speedup(shape)
 }
 
-/// Counters of a [`SpeedupTable`]: where did speedup values come from?
-///
-/// `solves` is fixed at build time (one Eqn-13 batch-size solve
-/// per feasible table entry plus one reference denominator per job);
-/// `hits`/`misses` accumulate per lookup with relaxed atomics. Exposed
-/// through the `pollux.sched.speedup.stats` service key.
+/// Build counters of a [`SpeedupTable`], fixed when it is built; a
+/// round reports them as `sched/table_solves` and
+/// `sched/table_rows_reused`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpeedupTableStats {
-    /// Lookups answered from the dense table (in-range shapes,
-    /// including stored zeros for infeasible `K`).
-    pub hits: u64,
-    /// Lookups outside the table bounds (answered 0 without touching
-    /// memory; only reachable through unrepaired candidate matrices).
-    pub misses: u64,
-    /// Batch-size solves (Eqn 13) the table's entries stand for.
+    /// Batch-size solves (Eqn 13) the table's entries stand for: one
+    /// per feasible entry plus one reference denominator per job.
     /// Reused rows carry their original per-row solve count forward, so
-    /// this total is identical to a from-scratch build — it
-    /// participates in the golden-digested `SchedIntervalSample`.
+    /// this total is identical to a from-scratch build.
     pub solves: u64,
     /// Rows copied verbatim from the previous interval's table by
-    /// [`SpeedupTable::build_reusing`] instead of being re-solved.
-    /// Purely observational (never serialized into golden output):
-    /// reuse is bit-exact by construction.
+    /// [`SpeedupTable::build_reusing`] instead of being re-solved
+    /// (reuse is bit-exact by construction).
     pub rows_reused: u64,
 }
 
 impl SpeedupTableStats {
-    /// Adds another interval's counters into this accumulator.
+    /// Adds another table's counters into this accumulator.
     pub fn accumulate(&mut self, other: SpeedupTableStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
         self.solves += other.solves;
         self.rows_reused += other.rows_reused;
     }
@@ -144,10 +125,7 @@ pub struct SpeedupTable {
     /// Per-row batch-size solve counts, carried forward with
     /// reused rows so the `solves` total always equals a fresh build.
     row_solves: Vec<u64>,
-    solves: u64,
-    rows_reused: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    stats: SpeedupTableStats,
 }
 
 /// The inputs one table row is a pure function of. A previous row is
@@ -260,15 +238,14 @@ impl SpeedupTable {
         let mut values = Vec::with_capacity(jobs.len() * 2 * cols);
         let mut row_keys = Vec::with_capacity(jobs.len());
         let mut row_solves = Vec::with_capacity(jobs.len());
-        let mut solves = 0;
-        let mut rows_reused = 0;
+        let mut stats = SpeedupTableStats::default();
         for stripe in stripes {
             debug_assert_eq!(stripe.colocated.len(), cols);
             debug_assert_eq!(stripe.distributed.len(), cols);
             values.extend_from_slice(&stripe.colocated);
             values.extend_from_slice(&stripe.distributed);
-            solves += stripe.solves;
-            rows_reused += u64::from(stripe.reused);
+            stats.solves += stripe.solves;
+            stats.rows_reused += u64::from(stripe.reused);
             row_keys.push(stripe.key);
             row_solves.push(stripe.solves);
         }
@@ -279,16 +256,13 @@ impl SpeedupTable {
             include_distributed,
             row_keys,
             row_solves,
-            solves,
-            rows_reused,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            stats,
         };
         #[cfg(debug_assertions)]
-        if table.rows_reused > 0 {
+        if table.stats.rows_reused > 0 {
             let fresh = Self::build(jobs, spec, 1);
             debug_assert_eq!(
-                fresh.solves, table.solves,
+                fresh.stats.solves, table.stats.solves,
                 "incremental build must carry exact solve counts"
             );
             debug_assert!(
@@ -304,54 +278,28 @@ impl SpeedupTable {
     }
 
     /// `SPEEDUP` of job `job_idx` (its index in the `jobs` slice the
-    /// table was built from) under `shape`: one relaxed counter bump
-    /// and one array read. Returns 0 for out-of-table shapes.
+    /// table was built from) under `shape`: one array read. Returns 0
+    /// for out-of-table shapes.
     #[inline]
     pub fn speedup(&self, job_idx: usize, shape: PlacementShape) -> f64 {
-        match self.lookup(job_idx, shape) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                v
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                0.0
-            }
-        }
-    }
-
-    /// The uncounted read behind [`Self::speedup`]: `None` for an
-    /// out-of-table shape (a miss). The hit/miss counters flow into the
-    /// golden-digested `SchedIntervalSample`, so debug-only cross-checks
-    /// must read through here, and a caller that tallies its own
-    /// lookups reports them once via [`Self::record_lookups`].
-    #[inline]
-    pub fn lookup(&self, job_idx: usize, shape: PlacementShape) -> Option<f64> {
         if job_idx >= self.num_jobs || shape.gpus == 0 || shape.gpus > self.max_gpus {
-            return None;
+            return 0.0;
         }
         let cols = self.max_gpus as usize;
         let locality = usize::from(shape.nodes >= 2);
-        Some(self.values[job_idx * 2 * cols + locality * cols + (shape.gpus as usize - 1)])
+        self.values[job_idx * 2 * cols + locality * cols + (shape.gpus as usize - 1)]
     }
 
     /// [`pure_speedup`] of the job in row `job_idx` under `shape`, read
-    /// instead of solved, for observers that must leave the counters
-    /// alone. `None` where the table does not hold that value: a shape
-    /// beyond its columns, or a cross-node shape in a table built for a
-    /// single node, whose distributed rows are zeros nobody solved.
+    /// instead of solved. `None` where the table does not hold that
+    /// value: a row or a shape beyond it, or a cross-node shape in a
+    /// table built for a single node, whose distributed rows are zeros
+    /// nobody solved.
     pub fn stored(&self, job_idx: usize, shape: PlacementShape) -> Option<f64> {
-        if shape.nodes >= 2 && !self.include_distributed {
-            return None;
-        }
-        self.lookup(job_idx, shape)
-    }
-
-    /// Adds lookups a caller made through [`Self::lookup`] and counted
-    /// itself to the table's counters.
-    pub fn record_lookups(&self, hits: u64, misses: u64) {
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
+        let held = job_idx < self.num_jobs
+            && (1..=self.max_gpus).contains(&shape.gpus)
+            && (shape.nodes < 2 || self.include_distributed);
+        held.then(|| self.speedup(job_idx, shape))
     }
 
     /// Number of jobs the table covers.
@@ -374,20 +322,9 @@ impl SpeedupTable {
         self.values.is_empty()
     }
 
-    /// Rows copied forward from a previous table by
-    /// [`Self::build_reusing`] (0 for a fresh build).
-    pub fn rows_reused(&self) -> u64 {
-        self.rows_reused
-    }
-
-    /// Lookup and build counters since construction.
+    /// The counters of this table's build.
     pub fn stats(&self) -> SpeedupTableStats {
-        SpeedupTableStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            solves: self.solves,
-            rows_reused: self.rows_reused,
-        }
+        self.stats
     }
 }
 
@@ -441,32 +378,19 @@ mod tests {
     }
 
     #[test]
-    fn pure_speedup_matches_counted_lookups_without_counting() {
+    fn pure_speedup_matches_table_reads() {
         let mut j = job(1, 16);
         j.min_gpus = 2;
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
         let table = SpeedupTable::build(std::slice::from_ref(&j), &spec, 1);
-        let before = table.stats();
         for gpus in 1u32..=16 {
             for nodes in 1u32..=4.min(gpus) {
                 let shape = PlacementShape::new(gpus, nodes).unwrap();
-                assert_eq!(
-                    pure_speedup(&j, shape).to_bits(),
-                    table.speedup(0, shape).to_bits(),
-                    "shape ({gpus},{nodes})"
-                );
+                let pure = pure_speedup(&j, shape).to_bits();
+                assert_eq!(pure, table.speedup(0, shape).to_bits(), "({gpus},{nodes})");
+                assert_eq!(Some(pure), table.stored(0, shape).map(f64::to_bits));
             }
         }
-        // The table counted the comparison lookups; pure_speedup itself
-        // must have added nothing beyond them.
-        let after = table.stats();
-        assert_eq!(after.hits + after.misses - before.hits - before.misses, {
-            let mut n = 0;
-            for gpus in 1u32..=16 {
-                n += 4.min(gpus) as u64;
-            }
-            n
-        });
     }
 
     #[test]
@@ -526,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn table_counts_hits_misses_and_solves() {
+    fn table_counts_solves_and_reads_zero_outside() {
         let jobs = vec![job(0, 8)];
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let table = SpeedupTable::build(&jobs, &spec, 1);
@@ -536,14 +460,17 @@ mod tests {
         // 1 reference + 8 colocated + 7 distributed solves.
         assert_eq!(table.stats().solves, 16);
         assert!(table.speedup(0, PlacementShape::new(4, 1).unwrap()) > 0.0);
-        assert_eq!(table.speedup(0, PlacementShape::new(9, 2).unwrap()), 0.0);
-        assert_eq!(table.speedup(1, PlacementShape::single()), 0.0);
-        let stats = table.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
+        let outside = [
+            (0, PlacementShape::new(9, 2).unwrap()),
+            (1, PlacementShape::single()),
+        ];
+        for (row, shape) in outside {
+            assert_eq!(table.speedup(row, shape), 0.0);
+            assert_eq!(table.stored(row, shape), None);
+        }
         let mut acc = SpeedupTableStats::default();
-        acc.accumulate(stats);
-        acc.accumulate(stats);
-        assert_eq!(acc.hits, 2);
+        acc.accumulate(table.stats());
+        acc.accumulate(table.stats());
         assert_eq!(acc.solves, 32);
     }
 
@@ -556,6 +483,10 @@ mod tests {
         assert_eq!(table.max_gpus(), 4);
         assert_eq!(table.stats().solves, 5);
         assert!(table.speedup(0, PlacementShape::new(2, 1).unwrap()) > 0.0);
+        // The unsolved cross-node rows read 0 but are not held.
+        let spread = PlacementShape::new(2, 2).unwrap();
+        assert_eq!(table.speedup(0, spread), 0.0);
+        assert_eq!(table.stored(0, spread), None);
     }
 
     #[test]
@@ -581,12 +512,12 @@ mod tests {
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
         let mut jobs = vec![job(1, 8), job(2, 8), job(3, 8)];
         let prev = SpeedupTable::build(&jobs, &spec, 1);
-        assert_eq!(prev.rows_reused(), 0);
+        assert_eq!(prev.stats().rows_reused, 0);
         // Dirty job 2's model: its row must be re-solved, the others
         // copied forward.
         jobs[1].model = test_model(128, 9000.0);
         let table = SpeedupTable::build_reusing(&jobs, &spec, 1, Some(&prev));
-        assert_eq!(table.rows_reused(), 2);
+        assert_eq!(table.stats().rows_reused, 2);
         let fresh = SpeedupTable::build(&jobs, &spec, 1);
         assert!(tables_bit_identical(&table, &fresh));
         assert_eq!(table.stats().solves, fresh.stats().solves);
@@ -598,7 +529,7 @@ mod tests {
         let jobs = vec![job(1, 8), job(2, 12)];
         let prev = SpeedupTable::build(&jobs, &spec, 1);
         let table = SpeedupTable::build_reusing(&jobs, &spec, 1, Some(&prev));
-        assert_eq!(table.rows_reused(), 2);
+        assert_eq!(table.stats().rows_reused, 2);
         // Reused rows keep their original solve counts so the
         // (golden-digested) totals match a fresh build exactly.
         assert_eq!(table.stats().solves, prev.stats().solves);
@@ -615,7 +546,7 @@ mod tests {
         jobs[0].weight = 0.25;
         jobs[0].current_placement = vec![2, 0, 0, 0];
         let table = SpeedupTable::build_reusing(&jobs, &spec, 1, Some(&prev));
-        assert_eq!(table.rows_reused(), 1);
+        assert_eq!(table.stats().rows_reused, 1);
     }
 
     #[test]
@@ -626,7 +557,7 @@ mod tests {
         // positions: row reuse is keyed by id, not index).
         let jobs = vec![job(4, 8), job(2, 8), job(3, 8)];
         let table = SpeedupTable::build_reusing(&jobs, &spec, 1, Some(&prev));
-        assert_eq!(table.rows_reused(), 2);
+        assert_eq!(table.stats().rows_reused, 2);
         assert!(tables_bit_identical(
             &table,
             &SpeedupTable::build(&jobs, &spec, 1)
@@ -642,7 +573,7 @@ mod tests {
         // columns no longer line up, so nothing is copied.
         let widened = vec![job(1, 8), job(2, 12)];
         let table = SpeedupTable::build_reusing(&widened, &spec, 1, Some(&prev));
-        assert_eq!(table.rows_reused(), 0);
+        assert_eq!(table.stats().rows_reused, 0);
         // A gpu_cap change also moves the job's own feasible range
         // (the `hi` bound), dirtying just that row.
         let capped = vec![{
@@ -651,7 +582,7 @@ mod tests {
             j
         }];
         let recapped = SpeedupTable::build_reusing(&capped, &spec, 1, Some(&prev));
-        assert_eq!(recapped.rows_reused(), 0);
+        assert_eq!(recapped.stats().rows_reused, 0);
     }
 
     #[test]
@@ -664,7 +595,7 @@ mod tests {
         for threads in [2usize, 4] {
             let parallel = SpeedupTable::build_reusing(&jobs, &spec, threads, Some(&prev));
             assert!(tables_bit_identical(&serial, &parallel));
-            assert_eq!(serial.rows_reused(), parallel.rows_reused());
+            assert_eq!(serial.stats().rows_reused, parallel.stats().rows_reused);
             assert_eq!(serial.stats().solves, parallel.stats().solves);
         }
     }

@@ -29,7 +29,7 @@
 use crate::config::{SimConfig, PHI_NOISE, REPORT_INTERVAL, SCHED_INTERVAL, TICK_SECONDS};
 use crate::interference::InterferenceIndex;
 use crate::job::{JobState, SimJob};
-use crate::metrics::{ClusterSample, JobRecord, SchedIntervalSample, SimResult};
+use crate::metrics::{ClusterSample, JobRecord, SimResult};
 use crate::policy::{PolicyJobView, SchedulingPolicy};
 use pollux_agent::ObservationRun;
 use pollux_cluster::{ClusterSpec, JobId, Topology};
@@ -127,7 +127,6 @@ pub struct Simulation<P: SchedulingPolicy> {
     table: JobTable,
     rng: StdRng,
     series: Vec<ClusterSample>,
-    sched_stats: Vec<SchedIntervalSample>,
     node_seconds: f64,
     /// Telemetry handle (disabled by default; see
     /// [`Simulation::with_recorder`]). Purely observational: the
@@ -468,7 +467,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
             arrivals: workload,
             table,
             series: Vec::new(),
-            sched_stats: Vec::new(),
             node_seconds: 0.0,
             recorder: Recorder::disabled(),
             telem: EngineTelemetry::default(),
@@ -891,8 +889,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
     fn reschedule(&mut self, now: f64) {
         let _span = self.recorder.span("engine", "reschedule");
         let delay = self.config.restart_delay;
-        let stats = self
-            .planner
+        self.planner
             .round(
                 &mut self.policy,
                 &mut self.table,
@@ -902,7 +899,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 &mut self.rng,
             )
             .expect("try_new rejects duplicate job ids");
-        self.sched_stats.extend(stats);
     }
 
     /// Records one cluster-state sample.
@@ -998,7 +994,6 @@ impl<P: SchedulingPolicy> Simulation<P> {
             series: self.series,
             end_time,
             node_seconds: self.node_seconds,
-            sched_stats: self.sched_stats,
         }
     }
 }

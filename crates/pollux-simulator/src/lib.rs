@@ -33,7 +33,7 @@ pub use config::{SimConfig, PHI_NOISE, REPORT_INTERVAL, SCHED_INTERVAL, TICK_SEC
 pub use engine::{SimBuildError, Simulation};
 pub use interference::InterferenceIndex;
 pub use job::{JobLifecycle, JobState, SimJob};
-pub use metrics::{ClusterSample, JobRecord, SchedIntervalSample, SimResult};
+pub use metrics::{ClusterSample, JobRecord, SimResult};
 pub use policy::{
     AdmissionPolicy, Admitted, ConsolidatedPlacement, NoPreemption, PlacementPolicy, PreemptAll,
     PreemptionPolicy, StagedScheduler,

@@ -75,11 +75,6 @@ pub struct ClusterSample {
     pub total_goodput: f64,
 }
 
-/// Per-interval scheduler cost breakdown; defined in the shared
-/// control-plane core and re-exported here because it participates in
-/// the serialized (golden-digested) [`SimResult`].
-pub use pollux_control::SchedIntervalSample;
-
 /// Percentile summary of a run's completion and waiting behavior
 /// ([`SimResult::summary`]). Percentiles are nearest-rank; wait-time
 /// statistics cover every job that started (finished or not), while
@@ -139,9 +134,6 @@ pub struct SimResult {
     /// Integral of cluster size over time, in node-seconds (cloud cost
     /// proxy for the Fig 10 experiment).
     pub node_seconds: f64,
-    /// Per-interval scheduler cost breakdowns (empty for policies that
-    /// do not report them).
-    pub sched_stats: Vec<SchedIntervalSample>,
 }
 
 /// FNV-1a, 64-bit.
@@ -360,7 +352,7 @@ mod tests {
         assert_eq!(
             empty.canonical_text(),
             "SimResult { policy: \"\", records: [], series: [], end_time: 0.0, \
-             node_seconds: 0.0, sched_stats: [], }"
+             node_seconds: 0.0, }"
         );
         let one = SimResult {
             records: vec![record(0, 10.0, Some(110.0))],

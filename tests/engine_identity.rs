@@ -20,7 +20,10 @@
 //! lost its event log and its per-job series (the capture's
 //! `lifecycle/*` and `round/placement` events are the one timeline):
 //! the digested text lost two fields, and each new constant is what
-//! the old code printed for the same run rendered without them.
+//! the old code printed for the same run rendered without them. And
+//! all thirteen once more, again with no trajectory moving, when
+//! `SimResult` lost its per-interval scheduler counters (they leave
+//! through the telemetry recorder alone), by the same method.
 //!
 //! The cases are the events that invalidate a run context, and the
 //! places a finish can fall: fixed-batch and batch-adaptive policies,
@@ -247,7 +250,7 @@ fn staged_tiresias_with_a_fixed_batch() {
     let spec = ClusterSpec::homogeneous(4, 4).unwrap();
     let res = check(
         "tiresias",
-        0x91c9_e54f_965f_f9d9,
+        0x2844_8811_9889_0064,
         cfg,
         &spec,
         &jobs(14, 240.0, 9, 1.0),
@@ -282,7 +285,7 @@ fn pollux_policy_adapting_the_batch() {
     };
     check(
         "pollux",
-        0xae3c_d55e_0d01_3c7b,
+        0xefcc_786f_6b04_4ad4,
         cfg,
         &spec,
         &jobs(8, 300.0, 5, 1.0),
@@ -299,12 +302,12 @@ fn interference_levels_and_restart_delays() {
     let spec = ClusterSpec::homogeneous(3, 4).unwrap();
     let workload = jobs(8, 200.0, 3, 1.0);
     for (interference, restart_delay, golden) in [
-        (0.0, 30.0, 0x929a_5e0d_09c8_06e7u64),
-        (0.1, 30.0, 0xcdc9_3fde_8d0f_64cc),
-        (0.5, 30.0, 0x6491_7119_80c7_1fd9),
-        (0.0, 0.0, 0x1763_10a1_490b_60f4),
-        (0.1, 0.0, 0x4c63_dc42_a9c8_d61a),
-        (0.5, 0.0, 0xc908_7228_c409_91c3),
+        (0.0, 30.0, 0x6afd_eef9_5c0d_f0f2u64),
+        (0.1, 30.0, 0xde9a_9d7c_73d2_87e7),
+        (0.5, 30.0, 0xae00_c5bb_55d5_c264),
+        (0.0, 0.0, 0x8564_576a_559d_65ff),
+        (0.1, 0.0, 0x698a_de1a_fa14_22f5),
+        (0.5, 0.0, 0x6492_5149_5063_452e),
     ] {
         let cfg = SimConfig {
             max_sim_time: 3.0 * 3600.0,
@@ -337,7 +340,7 @@ fn no_measurement_noise() {
     let spec = ClusterSpec::homogeneous(3, 4).unwrap();
     check(
         "noise=0",
-        0xb93b_ce99_e863_7e34,
+        0xd9a6_cf0a_2d9a_fe3f,
         cfg,
         &spec,
         &jobs(8, 200.0, 3, 1.0),
@@ -356,7 +359,7 @@ fn cluster_shrinks_under_running_jobs() {
     let spec = ClusterSpec::homogeneous(4, 4).unwrap();
     let res = check(
         "autoscaling",
-        0x4c8e_763e_d184_ef1b,
+        0xdb7f_e193_b6c8_ef76,
         cfg,
         &spec,
         &jobs(7, 60.0, 3, 1.0),
@@ -382,7 +385,7 @@ fn a_job_finishes_on_its_first_tick() {
     let spec = ClusterSpec::homogeneous(2, 4).unwrap();
     let res = check(
         "first-tick finish",
-        0x0874_84ad_17de_a5cd,
+        0xe022_0e51_76b4_c1b8,
         cfg,
         &spec,
         &workload,
@@ -407,7 +410,7 @@ fn two_jobs_finish_in_the_same_tick() {
     let spec = ClusterSpec::homogeneous(2, 4).unwrap();
     let res = check(
         "twin finish",
-        0xc257_c72d_ef7f_7037,
+        0x79b7_80d9_d249_e9c2,
         cfg,
         &spec,
         &workload,
@@ -453,7 +456,7 @@ fn finishes_on_report_and_scheduling_ticks() {
     let spec = ClusterSpec::homogeneous(16, 4).unwrap();
     let res = check(
         "finish ladder",
-        0x9cb7_db36_5bc0_5180,
+        0xfc99_3957_ccd8_b05b,
         cfg,
         &spec,
         &workload,

@@ -4,8 +4,13 @@
 //!
 //! - `evolve_outcomes_match_pinned_digests`: FNV-1a64 digests of whole
 //!   `evolve` outcomes over a grid, captured at the commit before the
-//!   flat matrix landed (release build — debug builds inflated the
-//!   table hit counter there) and asserted unchanged.
+//!   flat matrix landed and asserted unchanged since. All 36 were
+//!   re-pinned once, with no outcome moving, when the speedup table
+//!   stopped counting its reads: the digests no longer hash the
+//!   table's hit and miss counts, and each new constant is what the old
+//!   code hashed for the same grid point without them. The four 1 × 1
+//!   points now share one value: the hit count was all that told them
+//!   apart.
 //! - `debug_text_matches_the_derived_rendering`: `SimResult::digest`
 //!   hashes `Debug` text, so every golden digests this rendering.
 //! - `matrix_ops_match_the_nested_vec_model`: the flat storage against
@@ -146,9 +151,6 @@ fn evolve_digest(
     h.u64(out.stats.fitness_evals);
     h.u64(out.stats.incremental_evals);
     h.u64(out.stats.rows_recomputed);
-    let stats = table.stats();
-    h.u64(stats.hits);
-    h.u64(stats.misses);
     h.u64(rng.next_u64());
     h.0
 }
@@ -156,42 +158,42 @@ fn evolve_digest(
 /// `(jobs, nodes, interference avoidance, warm seed population)` →
 /// digest, in grid order.
 const PINNED: [(usize, usize, bool, bool, u64); 36] = [
-    (1, 1, true, false, 0xb23d_69ea_58b6_e0b9),
-    (1, 1, true, true, 0x8a92_a8b0_d71c_c958),
-    (1, 1, false, false, 0xb23d_69ea_58b6_e0b9),
-    (1, 1, false, true, 0x8a92_a8b0_d71c_c958),
-    (1, 4, true, false, 0xa4e7_413f_062d_868a),
-    (1, 4, true, true, 0xa410_e392_4adb_3f24),
-    (1, 4, false, false, 0xa4e7_413f_062d_868a),
-    (1, 4, false, true, 0xa410_e392_4adb_3f24),
-    (1, 16, true, false, 0x89ab_bdab_df0e_dca7),
-    (1, 16, true, true, 0xd7c6_f9b1_6d8c_f263),
-    (1, 16, false, false, 0x89ab_bdab_df0e_dca7),
-    (1, 16, false, true, 0xd7c6_f9b1_6d8c_f263),
-    (13, 1, true, false, 0x8522_461a_03d5_4bdd),
-    (13, 1, true, true, 0x7c34_b875_91ac_947f),
-    (13, 1, false, false, 0x8522_461a_03d5_4bdd),
-    (13, 1, false, true, 0x7c34_b875_91ac_947f),
-    (13, 4, true, false, 0xd1b7_ed5c_b086_2141),
-    (13, 4, true, true, 0xce07_f904_f1d7_80e2),
-    (13, 4, false, false, 0xd743_cb16_a78a_d3f6),
-    (13, 4, false, true, 0x61ad_ebab_7a0e_a55f),
-    (13, 16, true, false, 0xd0f0_abe5_f707_4cb2),
-    (13, 16, true, true, 0x192c_0c74_98f7_b7eb),
-    (13, 16, false, false, 0x1fde_890b_8adb_f3fe),
-    (13, 16, false, true, 0xb936_9ef2_9ed5_0da3),
-    (60, 1, true, false, 0xaf02_2565_f3a9_6d37),
-    (60, 1, true, true, 0x7200_6777_b42a_4a3a),
-    (60, 1, false, false, 0xaf02_2565_f3a9_6d37),
-    (60, 1, false, true, 0x7200_6777_b42a_4a3a),
-    (60, 4, true, false, 0x9401_c514_4e8b_18e7),
-    (60, 4, true, true, 0x2669_bfd6_6067_d5b2),
-    (60, 4, false, false, 0x3c88_e133_f2dc_a8a7),
-    (60, 4, false, true, 0xfc8f_f7a0_c651_4aa7),
-    (60, 16, true, false, 0x1b7b_ca73_3129_a484),
-    (60, 16, true, true, 0xbd35_2c27_c75e_f298),
-    (60, 16, false, false, 0xd555_6a7e_024f_8b79),
-    (60, 16, false, true, 0x135f_7240_c981_61a6),
+    (1, 1, true, false, 0x13e1_9833_77f7_5648),
+    (1, 1, true, true, 0x13e1_9833_77f7_5648),
+    (1, 1, false, false, 0x13e1_9833_77f7_5648),
+    (1, 1, false, true, 0x13e1_9833_77f7_5648),
+    (1, 4, true, false, 0x6e6e_fce8_1c11_ddaa),
+    (1, 4, true, true, 0x0eb9_56f4_5396_76a0),
+    (1, 4, false, false, 0x6e6e_fce8_1c11_ddaa),
+    (1, 4, false, true, 0x0eb9_56f4_5396_76a0),
+    (1, 16, true, false, 0xa194_b85f_a3cd_c86a),
+    (1, 16, true, true, 0xac65_20ba_3c8c_086a),
+    (1, 16, false, false, 0xa194_b85f_a3cd_c86a),
+    (1, 16, false, true, 0xac65_20ba_3c8c_086a),
+    (13, 1, true, false, 0xc3fb_f7a6_adda_2bcc),
+    (13, 1, true, true, 0xad53_dfe9_7a0a_7124),
+    (13, 1, false, false, 0xc3fb_f7a6_adda_2bcc),
+    (13, 1, false, true, 0xad53_dfe9_7a0a_7124),
+    (13, 4, true, false, 0x98d4_1907_0269_83d2),
+    (13, 4, true, true, 0x412d_daec_1f1d_9a5a),
+    (13, 4, false, false, 0xeaf6_6cc4_43a0_5b6a),
+    (13, 4, false, true, 0x6efb_8151_085d_7125),
+    (13, 16, true, false, 0x8545_92f5_b344_bf56),
+    (13, 16, true, true, 0x579e_5f61_bd8f_2c02),
+    (13, 16, false, false, 0xe5c6_dece_f76b_b6fe),
+    (13, 16, false, true, 0x41f3_eeaf_7aa1_23dc),
+    (60, 1, true, false, 0x7634_5aaa_6dc6_2031),
+    (60, 1, true, true, 0x79e5_9f14_24b8_0df5),
+    (60, 1, false, false, 0x7634_5aaa_6dc6_2031),
+    (60, 1, false, true, 0x79e5_9f14_24b8_0df5),
+    (60, 4, true, false, 0x7b32_a08a_b2cf_b867),
+    (60, 4, true, true, 0x02d4_82bb_9527_259e),
+    (60, 4, false, false, 0x0954_11e1_885d_c5cf),
+    (60, 4, false, true, 0xe5e5_8046_45db_9f75),
+    (60, 16, true, false, 0x5604_76d8_22b2_9ea1),
+    (60, 16, true, true, 0xb522_48ea_6481_4906),
+    (60, 16, false, false, 0xb3e9_3d8c_0441_68d5),
+    (60, 16, false, true, 0xcd56_fd6c_b116_806a),
 ];
 
 #[test]
