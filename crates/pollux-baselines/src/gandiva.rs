@@ -21,7 +21,6 @@ use pollux_simulator::{Admitted, PlacementPolicy, PolicyJobView, PreemptAll, Sta
 use rand::rngs::StdRng;
 
 use crate::tiresias::TiresiasAdmission;
-use crate::TiresiasConfig;
 
 /// Best-fit single-node packing: each admitted job goes to the node
 /// with the *least* free capacity that still fits it whole (ties to
@@ -88,7 +87,7 @@ impl PlacementPolicy for BestFitPacking {
 pub fn gandiva_packing() -> StagedScheduler {
     StagedScheduler::new(
         "gandiva-packing",
-        TiresiasAdmission::new(TiresiasConfig::default()),
+        TiresiasAdmission,
         BestFitPacking,
         PreemptAll,
     )

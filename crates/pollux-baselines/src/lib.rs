@@ -38,4 +38,4 @@ pub use gandiva::{gandiva_packing, BestFitPacking};
 pub use optimus::{optimus, OptimusAdmission};
 pub use or_etal::{or_etal, OrEtAlAdmission};
 pub use shortest::{srsf, srtf, ShortestRemainingAdmission};
-pub use tiresias::{tiresias, TiresiasAdmission, TiresiasConfig};
+pub use tiresias::{tiresias, TiresiasAdmission};

@@ -30,24 +30,15 @@ use rand::rngs::StdRng;
 /// The Optimus+Oracle admission stage: every job gets the fewest GPUs
 /// its user batch size fits on (in submission order while capacity
 /// lasts), then spare GPUs go one at a time to the job with the best
-/// marginal remaining-time reduction.
-#[derive(Debug, Clone, Default)]
-pub struct OptimusAdmission {
-    /// GPUs per node, used to predict the shape of a K-GPU packed
-    /// placement when estimating marginal gains.
-    gpus_per_node_hint: u32,
-}
+/// marginal remaining-time reduction. Marginal gains assume a K-GPU
+/// job is packed onto the cluster's widest nodes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OptimusAdmission;
 
 impl OptimusAdmission {
-    /// Creates the stage. `gpus_per_node_hint` lets marginal-gain
-    /// estimation assume consolidated placements (0 = derive from the
-    /// cluster at schedule time).
-    pub fn new(gpus_per_node_hint: u32) -> Self {
-        Self { gpus_per_node_hint }
-    }
-
     /// Estimated time to completion with `k` GPUs at the user batch
-    /// size, or `f64::INFINITY` when infeasible/unknown.
+    /// size on `gpus_per_node`-GPU nodes, or `f64::INFINITY` when
+    /// infeasible/unknown.
     fn remaining_time(&self, job: &PolicyJobView<'_>, k: u32, gpus_per_node: u32) -> f64 {
         if k == 0 {
             return f64::INFINITY;
@@ -95,11 +86,7 @@ impl AdmissionPolicy for OptimusAdmission {
         spec: &ClusterSpec,
         _rng: &mut StdRng,
     ) -> Vec<Admitted> {
-        let gpus_per_node = if self.gpus_per_node_hint > 0 {
-            self.gpus_per_node_hint
-        } else {
-            spec.iter().map(|(_, s)| s.gpus).max().unwrap_or(1)
-        };
+        let gpus_per_node = spec.iter().map(|(_, s)| s.gpus).max().unwrap_or(1);
 
         // Give every job its minimum (in submission order while
         // capacity lasts), then add GPUs one at a time to the job with
@@ -157,10 +144,10 @@ impl AdmissionPolicy for OptimusAdmission {
 
 /// The Optimus+Oracle scheduling policy: marginal-gain admission,
 /// consolidated placement largest-first, full preemption.
-pub fn optimus(gpus_per_node_hint: u32) -> StagedScheduler {
+pub fn optimus() -> StagedScheduler {
     StagedScheduler::new(
         "optimus+oracle",
-        OptimusAdmission::new(gpus_per_node_hint),
+        OptimusAdmission,
         ConsolidatedPlacement::largest_first(),
         PreemptAll,
     )
@@ -237,7 +224,7 @@ mod tests {
         let b = Owned::new(ModelKind::ResNet18Cifar10, 4000.0, 2);
         let jobs = vec![a.view(0, 2.0e6, 1024), b.view(1, 2.0e5, 1024)];
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let mut opt = optimus(4);
+        let mut opt = optimus();
         let mut rng = StdRng::seed_from_u64(0);
         let m = opt.schedule(0.0, &jobs, &spec, &mut rng);
         assert!(
@@ -256,7 +243,7 @@ mod tests {
         let a = Owned::new(ModelKind::DeepSpeech2Arctic, 300.0, 2);
         let jobs = vec![a.view(0, 1e6, 256)];
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let mut opt = optimus(4);
+        let mut opt = optimus();
         let mut rng = StdRng::seed_from_u64(0);
         let m = opt.schedule(0.0, &jobs, &spec, &mut rng);
         assert!(m.gpus_of(0) >= 4, "got {} GPUs", m.gpus_of(0));
@@ -269,7 +256,7 @@ mod tests {
         let a = Owned::new(ModelKind::Yolov3Voc, 100.0, 4);
         let jobs = vec![a.view(0, 1e6, 8)];
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
-        let mut opt = optimus(4);
+        let mut opt = optimus();
         let mut rng = StdRng::seed_from_u64(0);
         let m = opt.schedule(0.0, &jobs, &spec, &mut rng);
         assert!(
@@ -300,7 +287,7 @@ mod tests {
             remaining_work: 1e6,
         }];
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let mut opt = optimus(4);
+        let mut opt = optimus();
         let mut rng = StdRng::seed_from_u64(0);
         let m = opt.schedule(0.0, &jobs, &spec, &mut rng);
         assert_eq!(m.gpus_of(0), 1);
@@ -312,7 +299,7 @@ mod tests {
         // Pretend the job currently runs with the count Optimus would
         // assign; its placement must be preserved.
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let mut opt = optimus(4);
+        let mut opt = optimus();
         let mut rng = StdRng::seed_from_u64(0);
         let first = {
             let jobs = vec![a.view(0, 1e6, 8)];
@@ -328,7 +315,7 @@ mod tests {
 
     #[test]
     fn stage_names_identify_the_decomposition() {
-        let opt = optimus(4);
+        let opt = optimus();
         assert_eq!(opt.name(), "optimus+oracle");
         assert_eq!(
             opt.stage_names(),

@@ -19,50 +19,32 @@
 //! pre-decomposition monolith by
 //! `pollux-core/tests/baseline_golden.rs`.
 
-use pollux_cluster::ClusterSpec;
+use pollux_cluster::{ClusterSpec, NodeId};
 use pollux_models::PlacementShape;
 use pollux_simulator::{
     AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll, StagedScheduler,
 };
 use rand::rngs::StdRng;
 
-/// Or et al. autoscaler configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OrEtAlConfig {
-    /// Minimum acceptable throughput-scaling efficiency
-    /// `THROUGHPUT(K·g) / (K · THROUGHPUT(g))`.
-    pub scaling_threshold: f64,
-    /// GPUs per provisioned node.
-    pub gpus_per_node: u32,
-    /// Largest allowed cluster size.
-    pub max_nodes: u32,
-    /// Smallest allowed cluster size.
-    pub min_nodes: u32,
-}
-
-impl Default for OrEtAlConfig {
-    fn default() -> Self {
-        Self {
-            scaling_threshold: 0.7,
-            gpus_per_node: 4,
-            max_nodes: 16,
-            min_nodes: 1,
-        }
-    }
-}
+/// Minimum acceptable throughput-scaling efficiency
+/// `THROUGHPUT(K·g) / (K · THROUGHPUT(g))`.
+const SCALING_THRESHOLD: f64 = 0.7;
+/// Smallest cluster size recommended (nodes).
+const MIN_NODES: u32 = 1;
 
 /// The Or et al. admission stage: single-tenant — the first job gets
 /// every free GPU — plus the throughput-driven node recommendation and
 /// linear batch scaling hooks.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OrEtAlAdmission {
-    config: OrEtAlConfig,
+    /// Largest allowed cluster size (nodes).
+    max_nodes: u32,
 }
 
 impl OrEtAlAdmission {
-    /// Creates the stage.
-    pub fn new(config: OrEtAlConfig) -> Self {
-        Self { config }
+    /// Creates the stage with a budget of `max_nodes` nodes.
+    pub fn new(max_nodes: u32) -> Self {
+        Self { max_nodes }
     }
 
     /// The batch size the policy would use on `gpus` GPUs: linear
@@ -73,29 +55,36 @@ impl OrEtAlAdmission {
             .max(job.limits.min)
     }
 
-    /// Throughput at `nodes` nodes with the scaled batch, from the
-    /// job's fitted model (or `None` before a report exists).
-    fn throughput_at(&self, job: &PolicyJobView<'_>, nodes: u32) -> Option<f64> {
+    /// Throughput at `nodes` nodes of `gpus_per_node` GPUs with the
+    /// scaled batch, from the job's fitted model (or `None` before a
+    /// report exists).
+    fn throughput_at(
+        &self,
+        job: &PolicyJobView<'_>,
+        nodes: u32,
+        gpus_per_node: u32,
+    ) -> Option<f64> {
         let report = job.report.as_ref()?;
-        let gpus = nodes * self.config.gpus_per_node;
+        let gpus = nodes * gpus_per_node;
         let shape = PlacementShape::new(gpus, nodes)?;
         let m = self.batch_for(job, gpus);
         Some(report.model.throughput.throughput(shape, m))
     }
 
-    /// The largest node count whose throughput-scaling efficiency
-    /// versus one node stays above the threshold.
-    pub fn recommend_nodes(&self, job: &PolicyJobView<'_>) -> u32 {
-        let Some(base) = self.throughput_at(job, 1) else {
-            return self.config.min_nodes;
+    /// The largest count of `gpus_per_node`-GPU nodes whose
+    /// throughput-scaling efficiency versus one node stays above the
+    /// threshold.
+    pub fn recommend_nodes(&self, job: &PolicyJobView<'_>, gpus_per_node: u32) -> u32 {
+        let Some(base) = self.throughput_at(job, 1, gpus_per_node) else {
+            return MIN_NODES;
         };
         if base <= 0.0 {
-            return self.config.min_nodes;
+            return MIN_NODES;
         }
-        let mut best = self.config.min_nodes.max(1);
-        for n in (self.config.min_nodes.max(1))..=self.config.max_nodes {
-            match self.throughput_at(job, n) {
-                Some(t) if t / (n as f64 * base) >= self.config.scaling_threshold => best = n,
+        let mut best = MIN_NODES;
+        for n in MIN_NODES..=self.max_nodes {
+            match self.throughput_at(job, n, gpus_per_node) {
+                Some(t) if t / (n as f64 * base) >= SCALING_THRESHOLD => best = n,
                 _ => {}
             }
         }
@@ -133,11 +122,13 @@ impl AdmissionPolicy for OrEtAlAdmission {
         &mut self,
         _now: f64,
         jobs: &[PolicyJobView<'_>],
-        _spec: &ClusterSpec,
+        spec: &ClusterSpec,
         _rng: &mut StdRng,
     ) -> Option<u32> {
-        // Single-tenant: size the cluster for the (first) job.
-        jobs.first().map(|j| self.recommend_nodes(j))
+        // Single-tenant: size the cluster for the (first) job, in nodes
+        // as wide as the ones the round resizes to.
+        jobs.first()
+            .map(|j| self.recommend_nodes(j, spec.gpus_on(NodeId(0))))
     }
 
     fn choose_batch_size(&self, job: &PolicyJobView<'_>) -> Option<u64> {
@@ -150,11 +141,12 @@ impl AdmissionPolicy for OrEtAlAdmission {
     }
 }
 
-/// The Or et al. policy: single-tenant throughput-driven autoscaling.
-pub fn or_etal(config: OrEtAlConfig) -> StagedScheduler {
+/// The Or et al. policy: single-tenant throughput-driven autoscaling
+/// up to `max_nodes` nodes.
+pub fn or_etal(max_nodes: u32) -> StagedScheduler {
     StagedScheduler::new(
         "or-etal",
-        OrEtAlAdmission::new(config),
+        OrEtAlAdmission::new(max_nodes),
         ConsolidatedPlacement::admitted_order(),
         PreemptAll,
     )
@@ -238,8 +230,8 @@ mod tests {
         // the recommendation lands near the maximum — Fig 10a's flat
         // high line.
         let owned = Owned::new(16);
-        let stage = OrEtAlAdmission::default();
-        let n = stage.recommend_nodes(&owned.view());
+        let stage = OrEtAlAdmission::new(16);
+        let n = stage.recommend_nodes(&owned.view(), 4);
         assert!(n >= 8, "recommended only {n} nodes");
     }
 
@@ -248,9 +240,9 @@ mod tests {
         // Throughput-based scaling ignores training progress by
         // construction: same report, same recommendation.
         let owned = Owned::new(16);
-        let stage = OrEtAlAdmission::default();
-        let a = stage.recommend_nodes(&owned.view());
-        let b = stage.recommend_nodes(&owned.view());
+        let stage = OrEtAlAdmission::new(16);
+        let a = stage.recommend_nodes(&owned.view(), 4);
+        let b = stage.recommend_nodes(&owned.view(), 4);
         assert_eq!(a, b);
     }
 
@@ -274,14 +266,14 @@ mod tests {
             batch_size: profile.m0,
             remaining_work: 1e8,
         };
-        let stage = OrEtAlAdmission::default();
-        assert_eq!(stage.recommend_nodes(&view), 1);
+        let stage = OrEtAlAdmission::new(16);
+        assert_eq!(stage.recommend_nodes(&view, 4), 1);
     }
 
     #[test]
     fn batch_scales_linearly_with_gpus_up_to_cap() {
         let owned = Owned::new(4);
-        let stage = OrEtAlAdmission::default();
+        let stage = OrEtAlAdmission::new(16);
         let v = owned.view();
         assert_eq!(stage.batch_for(&v, 1), v.limits.max_per_gpu);
         assert_eq!(stage.batch_for(&v, 4), v.limits.max_per_gpu * 4);
@@ -293,7 +285,7 @@ mod tests {
     #[test]
     fn schedule_gives_job_the_whole_cluster() {
         let owned = Owned::new(2);
-        let mut policy = or_etal(OrEtAlConfig::default());
+        let mut policy = or_etal(16);
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let views = vec![owned.view()];
@@ -306,7 +298,7 @@ mod tests {
     fn choose_batch_size_uses_current_gpus() {
         let mut owned = Owned::new(2);
         owned.placement = vec![4, 4];
-        let policy = or_etal(OrEtAlConfig::default());
+        let policy = or_etal(16);
         let v = owned.view();
         assert_eq!(policy.choose_batch_size(&v), Some(v.limits.max_per_gpu * 8));
         // Unplaced jobs: no choice.
@@ -318,12 +310,41 @@ mod tests {
     #[test]
     fn desired_nodes_sizes_for_the_first_job() {
         let owned = Owned::new(16);
-        let mut policy = or_etal(OrEtAlConfig::default());
+        let mut policy = or_etal(16);
         let spec = ClusterSpec::homogeneous(16, 4).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
         let views = vec![owned.view()];
         let n = policy.desired_nodes(0.0, &views, &spec, &mut rng).unwrap();
         assert!(n >= 8, "recommended only {n} nodes");
         assert!(policy.desired_nodes(0.0, &[], &spec, &mut rng).is_none());
+    }
+
+    #[test]
+    fn desired_nodes_prices_the_clusters_node_width() {
+        // On 8-GPU nodes, n nodes are 8n GPUs: the recommendation is the
+        // largest n whose 8n-GPU throughput keeps the scaling threshold.
+        let owned = Owned::new(1);
+        let view = owned.view();
+        let stage = OrEtAlAdmission::new(16);
+        let model = &view.report.as_ref().unwrap().model.throughput;
+        let tput = |n: u32| {
+            let gpus = 8 * n;
+            model.throughput(
+                PlacementShape::new(gpus, n).unwrap(),
+                stage.batch_for(&view, gpus),
+            )
+        };
+        let expected = (1..=16)
+            .filter(|&n| tput(n) / (f64::from(n) * tput(1)) >= SCALING_THRESHOLD)
+            .max()
+            .unwrap();
+        let mut policy = or_etal(16);
+        let spec = ClusterSpec::homogeneous(1, 8).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let views = std::slice::from_ref(&view);
+        assert_eq!(
+            policy.desired_nodes(0.0, views, &spec, &mut rng),
+            Some(expected)
+        );
     }
 }

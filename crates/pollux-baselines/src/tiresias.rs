@@ -23,38 +23,16 @@ use pollux_simulator::{
 };
 use rand::rngs::StdRng;
 
-/// Tiresias configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TiresiasConfig {
-    /// Attained-service threshold (GPU-seconds) splitting the two
-    /// priority queues.
-    pub queue_threshold: f64,
-}
-
-impl Default for TiresiasConfig {
-    fn default() -> Self {
-        Self {
-            // One GPU-hour: small jobs finish entirely in the high
-            // priority queue.
-            queue_threshold: 3600.0,
-        }
-    }
-}
+/// Attained-service threshold (GPU-seconds) splitting the two priority
+/// queues: one GPU-hour, so small jobs finish entirely in the high
+/// priority queue.
+const QUEUE_THRESHOLD: f64 = 3600.0;
 
 /// The Tiresias admission stage: discretized least-attained-service
 /// priorities (two queues, FIFO within each), then the backfilled
 /// prefix of jobs whose user GPU counts fit the free capacity.
-#[derive(Debug, Clone, Default)]
-pub struct TiresiasAdmission {
-    config: TiresiasConfig,
-}
-
-impl TiresiasAdmission {
-    /// Creates the stage.
-    pub fn new(config: TiresiasConfig) -> Self {
-        Self { config }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TiresiasAdmission;
 
 impl AdmissionPolicy for TiresiasAdmission {
     fn name(&self) -> &'static str {
@@ -72,11 +50,10 @@ impl AdmissionPolicy for TiresiasAdmission {
     ) -> Vec<Admitted> {
         // Priority order: high queue (attained < threshold) first,
         // FIFO within queue.
+        let low_queue: Vec<bool> = jobs.iter().map(|j| j.gputime >= QUEUE_THRESHOLD).collect();
         let mut order: Vec<usize> = (0..jobs.len()).filter(|&j| !held[j]).collect();
         order.sort_by(|&a, &b| {
-            let qa = jobs[a].gputime >= self.config.queue_threshold;
-            let qb = jobs[b].gputime >= self.config.queue_threshold;
-            qa.cmp(&qb).then(
+            low_queue[a].cmp(&low_queue[b]).then(
                 jobs[a]
                     .submit_time
                     .partial_cmp(&jobs[b].submit_time)
@@ -101,10 +78,10 @@ impl AdmissionPolicy for TiresiasAdmission {
 
 /// The Tiresias scheduling policy: LAS two-queue admission,
 /// consolidated placement in priority order, full preemption.
-pub fn tiresias(config: TiresiasConfig) -> StagedScheduler {
+pub fn tiresias() -> StagedScheduler {
     StagedScheduler::new(
         "tiresias",
-        TiresiasAdmission::new(config),
+        TiresiasAdmission,
         ConsolidatedPlacement::admitted_order(),
         PreemptAll,
     )
@@ -171,7 +148,7 @@ mod tests {
             ctx.view(1, 4, 0.0, 10.0, &empty),
         ];
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let mut t = tiresias(TiresiasConfig::default());
+        let mut t = tiresias();
         let mut rng = StdRng::seed_from_u64(0);
         let m = t.schedule(0.0, &jobs, &spec, &mut rng);
         assert_eq!(m.gpus_of(0), 2);
@@ -191,7 +168,7 @@ mod tests {
             ctx.view(1, 4, 0.0, 100.0, &empty),
         ];
         let spec = ClusterSpec::homogeneous(1, 4).unwrap();
-        let mut t = tiresias(TiresiasConfig::default());
+        let mut t = tiresias();
         let mut rng = StdRng::seed_from_u64(0);
         let m = t.schedule(200.0, &jobs, &spec, &mut rng);
         assert_eq!(m.gpus_of(1), 4, "new job should preempt:\n{m}");
@@ -207,7 +184,7 @@ mod tests {
             ctx.view(1, 4, 0.0, 10.0, &empty),
         ];
         let spec = ClusterSpec::homogeneous(1, 4).unwrap();
-        let mut t = tiresias(TiresiasConfig::default());
+        let mut t = tiresias();
         let mut rng = StdRng::seed_from_u64(0);
         let m = t.schedule(100.0, &jobs, &spec, &mut rng);
         // Earlier submission wins.
@@ -221,7 +198,7 @@ mod tests {
         let placed = vec![0u32, 2];
         let jobs = vec![ctx.view(0, 2, 100.0, 0.0, &placed)];
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let mut t = tiresias(TiresiasConfig::default());
+        let mut t = tiresias();
         let mut rng = StdRng::seed_from_u64(0);
         let m = t.schedule(60.0, &jobs, &spec, &mut rng);
         assert_eq!(m.row(0), &[0, 2], "placement should be preserved");
@@ -238,7 +215,7 @@ mod tests {
             ctx.view(1, 2, 0.0, 10.0, &empty),
         ];
         let spec = ClusterSpec::homogeneous(1, 4).unwrap();
-        let mut t = tiresias(TiresiasConfig::default());
+        let mut t = tiresias();
         let mut rng = StdRng::seed_from_u64(0);
         let m = t.schedule(0.0, &jobs, &spec, &mut rng);
         assert_eq!(m.gpus_of(0), 0);
@@ -251,7 +228,7 @@ mod tests {
         let empty = vec![0u32; 4];
         let jobs = vec![ctx.view(0, 4, 0.0, 0.0, &empty)];
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
-        let mut t = tiresias(TiresiasConfig::default());
+        let mut t = tiresias();
         let mut rng = StdRng::seed_from_u64(0);
         let m = t.schedule(0.0, &jobs, &spec, &mut rng);
         // All 4 GPUs on one node.
@@ -261,7 +238,7 @@ mod tests {
 
     #[test]
     fn stage_names_identify_the_decomposition() {
-        let t = tiresias(TiresiasConfig::default());
+        let t = tiresias();
         assert_eq!(t.name(), "tiresias");
         assert_eq!(
             t.stage_names(),

@@ -67,29 +67,6 @@ impl ClusterSpec {
             .enumerate()
             .map(|(i, &s)| (NodeId(i as u32), s))
     }
-
-    /// Returns a new spec with `count` extra nodes of `gpus` GPUs each
-    /// appended (cloud scale-out).
-    pub fn grown(&self, count: u32, gpus: u32) -> Option<Self> {
-        if gpus == 0 {
-            return None;
-        }
-        let mut nodes = self.nodes.clone();
-        nodes.extend(std::iter::repeat_n(NodeSpec { gpus }, count as usize));
-        Some(Self { nodes })
-    }
-
-    /// Returns a new spec with the last `count` nodes removed
-    /// (cloud scale-in), or `None` when that would empty the cluster.
-    pub fn shrunk(&self, count: u32) -> Option<Self> {
-        let keep = self.nodes.len().checked_sub(count as usize)?;
-        if keep == 0 {
-            return None;
-        }
-        Some(Self {
-            nodes: self.nodes[..keep].to_vec(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -118,19 +95,6 @@ mod tests {
         assert_eq!(c.total_gpus(), 10);
         assert_eq!(c.gpus_on(NodeId(0)), 8);
         assert_eq!(c.gpus_on(NodeId(1)), 2);
-    }
-
-    #[test]
-    fn grow_and_shrink() {
-        let c = ClusterSpec::homogeneous(4, 4).unwrap();
-        let g = c.grown(2, 4).unwrap();
-        assert_eq!(g.num_nodes(), 6);
-        assert_eq!(g.total_gpus(), 24);
-        let s = g.shrunk(5).unwrap();
-        assert_eq!(s.num_nodes(), 1);
-        assert!(g.shrunk(6).is_none());
-        assert!(g.shrunk(7).is_none());
-        assert!(c.grown(1, 0).is_none());
     }
 
     #[test]

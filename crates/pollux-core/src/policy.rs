@@ -134,11 +134,7 @@ impl SchedulingPolicy for PolluxPolicy {
             return None;
         }
         let sched_jobs = self.sched_jobs(jobs);
-        Some(
-            autoscaler
-                .recommend(&sched_jobs, spec.num_nodes() as u32, rng)
-                .nodes,
-        )
+        Some(autoscaler.recommend(&sched_jobs, spec, rng).nodes)
     }
 }
 
@@ -324,7 +320,6 @@ mod tests {
                 generations: 8,
                 ..Default::default()
             },
-            ..Default::default()
         });
         let owned = Owned::fitted(ModelKind::ResNet18Cifar10, 100_000.0, 4);
         let jobs = vec![owned.view(0)];
@@ -343,8 +338,7 @@ mod tests {
     fn invalid_autoscale_config_rejected() {
         let mut config = quick_config();
         config.autoscale = Some(AutoscaleConfig {
-            low_util: 0.9,
-            high_util: 0.1,
+            max_nodes: 0,
             ..Default::default()
         });
         assert!(PolluxPolicy::new(config).is_none());

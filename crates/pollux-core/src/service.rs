@@ -65,8 +65,8 @@ fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// Errors surfaced by the service API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The Pollux configuration is invalid (e.g. inconsistent
-    /// autoscale thresholds).
+    /// The Pollux configuration is invalid (an autoscaler with a
+    /// `max_nodes` of 0).
     InvalidConfig,
     /// A submission's agent parameters are invalid (`limits.min != m0`
     /// or a non-positive `η0` — the contract of `PolluxAgent::new`).
@@ -381,7 +381,7 @@ impl ClusterService {
     /// # Errors
     ///
     /// [`ServiceError::InvalidConfig`] when the Pollux configuration
-    /// is invalid (e.g. inconsistent autoscale thresholds).
+    /// is invalid (an autoscaler with a `max_nodes` of 0).
     pub fn start(config: ServiceConfig, spec: ClusterSpec) -> Result<Self, ServiceError> {
         let mut policy = PolluxPolicy::new(config.pollux).ok_or(ServiceError::InvalidConfig)?;
         config.telemetry.meta("sched", "policy", policy.name());
@@ -737,7 +737,6 @@ mod tests {
                 generations: 6,
                 ..Default::default()
             },
-            ..Default::default()
         });
         let service = ClusterService::start(
             ServiceConfig {
@@ -833,8 +832,7 @@ mod tests {
         use pollux_sched::AutoscaleConfig;
         let pollux = PolluxConfig {
             autoscale: Some(AutoscaleConfig {
-                low_util: 0.9,
-                high_util: 0.1,
+                max_nodes: 0,
                 ..Default::default()
             }),
             ..Default::default()

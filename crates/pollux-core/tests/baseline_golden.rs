@@ -14,7 +14,7 @@
 //! uses), which exercises preemptions, restarts, backfill, and
 //! consolidated placement in all three policies.
 
-use pollux_baselines::{optimus, or_etal, tiresias, TiresiasConfig};
+use pollux_baselines::{optimus, or_etal, tiresias};
 use pollux_cluster::{ClusterSpec, JobId};
 use pollux_core::{run_trace, ConfigChoice};
 use pollux_simulator::{SchedulingPolicy, SimConfig};
@@ -104,7 +104,7 @@ const GOLDEN_OR_ETAL: u64 = 0x9fa6_4a8d_fba3_fd84;
 
 #[test]
 fn tiresias_reproduces_the_monolith_digest() {
-    let d = digest_of(tiresias(TiresiasConfig::default()));
+    let d = digest_of(tiresias());
     assert_eq!(
         d, GOLDEN_TIRESIAS,
         "Tiresias trajectory drifted: 0x{d:016x}"
@@ -113,18 +113,14 @@ fn tiresias_reproduces_the_monolith_digest() {
 
 #[test]
 fn optimus_reproduces_the_monolith_digest() {
-    let d = digest_of(optimus(4));
+    let d = digest_of(optimus());
     assert_eq!(d, GOLDEN_OPTIMUS, "Optimus trajectory drifted: 0x{d:016x}");
 }
 
 #[test]
 fn or_etal_reproduces_the_monolith_digest() {
-    let d = digest_of(or_etal(or_etal_config()));
+    let d = digest_of(or_etal(16));
     assert_eq!(d, GOLDEN_OR_ETAL, "Or-et-al trajectory drifted: 0x{d:016x}");
-}
-
-fn or_etal_config() -> pollux_baselines::or_etal::OrEtAlConfig {
-    pollux_baselines::or_etal::OrEtAlConfig::default()
 }
 
 /// Telemetry is observational: with a live recorder attached (stage
@@ -160,13 +156,7 @@ fn digests_are_unchanged_with_telemetry_attached() {
         result.digest()
     };
 
-    assert_eq!(
-        digest_recorded(Box::new(tiresias(TiresiasConfig::default()))),
-        GOLDEN_TIRESIAS
-    );
-    assert_eq!(digest_recorded(Box::new(optimus(4))), GOLDEN_OPTIMUS);
-    assert_eq!(
-        digest_recorded(Box::new(or_etal(or_etal_config()))),
-        GOLDEN_OR_ETAL
-    );
+    assert_eq!(digest_recorded(Box::new(tiresias())), GOLDEN_TIRESIAS);
+    assert_eq!(digest_recorded(Box::new(optimus())), GOLDEN_OPTIMUS);
+    assert_eq!(digest_recorded(Box::new(or_etal(16))), GOLDEN_OR_ETAL);
 }

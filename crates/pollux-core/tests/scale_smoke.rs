@@ -38,7 +38,6 @@ fn datacenter_scale_trace_completes_within_budget() {
         num_jobs: 1_000,
         duration_hours: 1.0,
         max_gpus: 8,
-        gpus_per_node: 4,
         seed: 2025,
         ..Default::default()
     })

@@ -17,9 +17,7 @@
 //!   one out-of-order admit (an unordered map walk, say) would flip
 //!   the serialized `SimResult`.
 
-use pollux_baselines::{
-    fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias, TiresiasConfig,
-};
+use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_cluster::{ClusterSpec, JobId};
 use pollux_control::pack_consolidated;
 use pollux_core::{run_trace, ConfigChoice};
@@ -90,9 +88,9 @@ fn views<'a>(raw: &[RawJob], placements: &'a [Vec<u32>]) -> Vec<PolicyJobView<'a
 /// Every staged policy in the zoo, freshly built.
 fn zoo() -> Vec<StagedScheduler> {
     vec![
-        tiresias(TiresiasConfig::default()),
-        optimus(4),
-        or_etal(Default::default()),
+        tiresias(),
+        optimus(),
+        or_etal(16),
         srtf(),
         srsf(),
         fifo_backfill(),

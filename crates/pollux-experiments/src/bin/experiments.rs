@@ -108,7 +108,7 @@ static REGISTRY: &[Experiment] = &[
         banner: "Fig 10 — goodput-driven cloud auto-scaling (ImageNet)",
         run: |s| {
             println!("(ImageNet job scaled to {} of full size)", s.imagenet_scale);
-            println!("{}", fig10::run(s.imagenet_scale, 16));
+            println!("{}", fig10::run(s.imagenet_scale));
         },
     },
     Experiment {

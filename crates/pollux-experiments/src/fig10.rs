@@ -17,6 +17,9 @@ use pollux_sched::{AutoscaleConfig, GaConfig};
 use pollux_simulator::{SimConfig, SimResult};
 use pollux_workload::{JobSpec, ModelKind, UserConfig};
 
+/// The node budget of both autoscalers.
+const MAX_NODES: u32 = 16;
+
 /// One time-series sample.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalePoint {
@@ -112,7 +115,7 @@ fn extract(res: SimResult) -> AutoscaleOutcome {
 
 /// Runs the comparison. `work_scale` shrinks the ImageNet job for
 /// faster experimentation (1.0 = the full ~130 M effective examples).
-pub fn run(work_scale: f64, max_nodes: u32) -> Fig10Result {
+pub fn run(work_scale: f64) -> Fig10Result {
     let job = imagenet_job(work_scale);
     let sim = SimConfig {
         max_sim_time: 48.0 * 3600.0,
@@ -131,13 +134,12 @@ pub fn run(work_scale: f64, max_nodes: u32) -> Fig10Result {
             ..Default::default()
         };
         cfg.autoscale = Some(AutoscaleConfig {
-            max_nodes,
+            max_nodes: MAX_NODES,
             ga: GaConfig {
                 population: 20,
                 generations: 10,
                 ..Default::default()
             },
-            ..Default::default()
         });
         let policy = PolluxPolicy::new(cfg).expect("valid config");
         extract(
@@ -154,11 +156,7 @@ pub fn run(work_scale: f64, max_nodes: u32) -> Fig10Result {
     };
 
     let or_etal = {
-        let cfg = pollux_baselines::or_etal::OrEtAlConfig {
-            max_nodes,
-            ..Default::default()
-        };
-        let policy = or_etal(cfg);
+        let policy = or_etal(MAX_NODES);
         extract(
             simulate(
                 policy,

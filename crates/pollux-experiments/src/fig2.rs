@@ -91,9 +91,7 @@ pub fn run_prediction() -> Vec<PredictionPoint> {
             batch_size: m0,
             m0,
             eta0: 0.04,
-            gns_smoothing: 0.05,
             use_adascale: true,
-            momentum: 0.0,
             seed: 1234,
         },
     )

@@ -17,9 +17,7 @@
 
 use crate::cell::{run_cells, Cell, CellError, Summary};
 use crate::common::{experiment_pollux, render_table};
-use pollux_baselines::{
-    fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias, TiresiasConfig,
-};
+use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_core::{PolluxConfig, PolluxPolicy};
 use pollux_simulator::{SchedulingPolicy, StagedScheduler};
 use pollux_telemetry::Recorder;
@@ -84,13 +82,13 @@ fn build_pollux(config: &PolluxConfig) -> Option<ZooPolicy> {
     Some(ZooPolicy::Direct(Box::new(PolluxPolicy::new(*config)?)))
 }
 fn build_tiresias(_: &PolluxConfig) -> Option<ZooPolicy> {
-    Some(ZooPolicy::Staged(tiresias(TiresiasConfig::default())))
+    Some(ZooPolicy::Staged(tiresias()))
 }
 fn build_optimus(_: &PolluxConfig) -> Option<ZooPolicy> {
-    Some(ZooPolicy::Staged(optimus(4)))
+    Some(ZooPolicy::Staged(optimus()))
 }
 fn build_or_etal(_: &PolluxConfig) -> Option<ZooPolicy> {
-    Some(ZooPolicy::Staged(or_etal(Default::default())))
+    Some(ZooPolicy::Staged(or_etal(16)))
 }
 fn build_srtf(_: &PolluxConfig) -> Option<ZooPolicy> {
     Some(ZooPolicy::Staged(srtf()))

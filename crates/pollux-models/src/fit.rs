@@ -41,7 +41,7 @@
 //! `∂T/∂γ = 0`.
 
 use crate::throughput::{PlacementShape, ThroughputParams};
-use pollux_opt::{lbfgsb_minimize, Bounds, LbfgsbOptions};
+use pollux_opt::{lbfgsb_minimize, Bounds};
 
 /// One throughput observation collected during training.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -396,12 +396,6 @@ fn fit_impl(
     }
     let objective = Objective::new(obs, priors)?;
     let bounds = objective.bounds(gamma_range);
-    let lb_opts = LbfgsbOptions {
-        // 7 parameters: quasi-Newton converges in a few dozen steps;
-        // the agent refits often, so the budget is kept tight.
-        max_iters: 80,
-        ..Default::default()
-    };
     let mut work = FitWork::default();
     // One quasi-Newton solve from a full θsys seed: `(x, MSLE)`, or
     // `None` when the objective is not finite at the projected seed.
@@ -410,7 +404,9 @@ fn fit_impl(
             |x, g| objective.msle_and_grad(x, g),
             &objective.to_free(seed_full),
             &bounds,
-            &lb_opts,
+            // 7 parameters: quasi-Newton converges in a few dozen
+            // steps; the agent refits often, so the budget is tight.
+            80,
         )
         .ok()?;
         work.evals += r.evals as u64;

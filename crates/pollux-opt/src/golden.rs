@@ -114,21 +114,6 @@ where
     Ok(best)
 }
 
-/// Minimizes a unimodal function by maximizing its negation.
-pub fn golden_section_min<F>(
-    mut f: F,
-    lo: f64,
-    hi: f64,
-    tol: f64,
-    max_iters: usize,
-) -> Result<(f64, f64), OptError>
-where
-    F: FnMut(f64) -> f64,
-{
-    let (x, neg) = golden_section_max(|x| -f(x), lo, hi, tol, max_iters)?;
-    Ok((x, -neg))
-}
-
 /// Maximizes a unimodal function over the **integers** in `[lo, hi]`.
 ///
 /// Batch sizes are integer sample counts; this wrapper runs the
@@ -181,14 +166,6 @@ mod tests {
         let (x, fx) = golden_section_max(|x| -(x - 3.0) * (x - 3.0), 0.0, 10.0, 1e-8, 200).unwrap();
         assert!((x - 3.0).abs() < 1e-6, "x = {x}");
         assert!(fx.abs() < 1e-10);
-    }
-
-    #[test]
-    fn finds_minimum_via_min_wrapper() {
-        let (x, fx) =
-            golden_section_min(|x| (x - 1.5).powi(2) + 2.0, -10.0, 10.0, 1e-9, 200).unwrap();
-        assert!((x - 1.5).abs() < 1e-6);
-        assert!((fx - 2.0).abs() < 1e-10);
     }
 
     #[test]

@@ -11,29 +11,12 @@
 use crate::bounds::Bounds;
 use crate::OptError;
 
-/// Options controlling [`lbfgsb_minimize`].
-#[derive(Debug, Clone)]
-pub struct LbfgsbOptions {
-    /// Maximum outer iterations.
-    pub max_iters: usize,
-    /// History length for the limited-memory Hessian approximation.
-    pub history: usize,
-    /// Convergence tolerance on the projected-gradient infinity norm.
-    pub grad_tol: f64,
-    /// Convergence tolerance on the relative objective decrease.
-    pub f_tol: f64,
-}
-
-impl Default for LbfgsbOptions {
-    fn default() -> Self {
-        Self {
-            max_iters: 200,
-            history: 8,
-            grad_tol: 1e-8,
-            f_tol: 1e-12,
-        }
-    }
-}
+/// History length for the limited-memory Hessian approximation.
+const HISTORY: usize = 8;
+/// Convergence tolerance on the projected-gradient infinity norm.
+const GRAD_TOL: f64 = 1e-8;
+/// Convergence tolerance on the relative objective decrease.
+const F_TOL: f64 = 1e-12;
 
 /// Result of a bound-constrained minimization.
 #[derive(Debug, Clone)]
@@ -50,7 +33,8 @@ pub struct LbfgsbResult {
     pub converged: bool,
 }
 
-/// Minimizes over the box `bounds` starting from `x0`.
+/// Minimizes over the box `bounds` starting from `x0`, for at most
+/// `max_iters` outer iterations.
 ///
 /// `fg(x, grad)` returns the objective at `x` and writes its gradient
 /// into `grad`. It is only ever called on points inside the box.
@@ -64,7 +48,7 @@ pub fn lbfgsb_minimize<F>(
     mut fg: F,
     x0: &[f64],
     bounds: &Bounds,
-    opts: &LbfgsbOptions,
+    max_iters: usize,
 ) -> Result<LbfgsbResult, OptError>
 where
     F: FnMut(&[f64], &mut [f64]) -> f64,
@@ -91,15 +75,14 @@ where
     let mut grad_new = vec![0.0; n];
     let mut s = vec![0.0; n];
     let mut y = vec![0.0; n];
-    let history = opts.history.max(1);
-    let mut alphas = vec![0.0; history];
-    let mut s_hist: Vec<Vec<f64>> = Vec::with_capacity(history);
-    let mut y_hist: Vec<Vec<f64>> = Vec::with_capacity(history);
-    let mut rho_hist: Vec<f64> = Vec::with_capacity(history);
+    let mut alphas = vec![0.0; HISTORY];
+    let mut s_hist: Vec<Vec<f64>> = Vec::with_capacity(HISTORY);
+    let mut y_hist: Vec<Vec<f64>> = Vec::with_capacity(HISTORY);
+    let mut rho_hist: Vec<f64> = Vec::with_capacity(HISTORY);
     let mut converged = false;
     let mut iters = 0;
 
-    for iter in 0..opts.max_iters {
+    for iter in 0..max_iters {
         iters = iter + 1;
 
         // Projected-gradient stationarity check: || P(x - g) - x ||_inf.
@@ -108,7 +91,7 @@ where
             let stepped = (x[i] - grad[i]).clamp(bounds.lo(i), bounds.hi(i));
             pg_norm = pg_norm.max((stepped - x[i]).abs());
         }
-        if pg_norm < opts.grad_tol {
+        if pg_norm < GRAD_TOL {
             converged = true;
             break;
         }
@@ -181,7 +164,7 @@ where
         }
         let sy = dot(&s, &y);
         if sy > 1e-12 && sy.is_finite() {
-            if s_hist.len() == history {
+            if s_hist.len() == HISTORY {
                 rho_hist.remove(0);
                 let (old_s, old_y) = (s_hist.remove(0), y_hist.remove(0));
                 s_hist.push(std::mem::replace(&mut s, old_s));
@@ -198,7 +181,7 @@ where
         std::mem::swap(&mut x, &mut x_new);
         std::mem::swap(&mut grad, &mut grad_new);
         fx = f_new;
-        if f_decrease / f_scale < opts.f_tol {
+        if f_decrease / f_scale < F_TOL {
             converged = true;
             break;
         }
@@ -267,9 +250,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn default_opts() -> LbfgsbOptions {
-        LbfgsbOptions::default()
-    }
+    /// The iteration budget of the tests that do not set their own.
+    const MAX_ITERS: usize = 200;
 
     /// `Σ w_i (x_i − c_i)²` with its gradient.
     fn quadratic<'a>(
@@ -290,7 +272,7 @@ mod tests {
     #[test]
     fn minimizes_unconstrained_quadratic() {
         let f = quadratic(&[1.0, -2.0], &[1.0, 10.0]);
-        let r = lbfgsb_minimize(f, &[5.0, 5.0], &Bounds::unbounded(2), &default_opts()).unwrap();
+        let r = lbfgsb_minimize(f, &[5.0, 5.0], &Bounds::unbounded(2), MAX_ITERS).unwrap();
         assert!(r.converged);
         assert!((r.x[0] - 1.0).abs() < 1e-4, "{:?}", r.x);
         assert!((r.x[1] + 2.0).abs() < 1e-4, "{:?}", r.x);
@@ -301,7 +283,7 @@ mod tests {
         // Unconstrained minimum at (-3, -3); feasible minimum at (0, 0).
         let f = quadratic(&[-3.0, -3.0], &[1.0, 1.0]);
         let b = Bounds::uniform(2, 0.0, 10.0).unwrap();
-        let r = lbfgsb_minimize(f, &[5.0, 5.0], &b, &default_opts()).unwrap();
+        let r = lbfgsb_minimize(f, &[5.0, 5.0], &b, MAX_ITERS).unwrap();
         assert!(r.x[0].abs() < 1e-5 && r.x[1].abs() < 1e-5, "{:?}", r.x);
     }
 
@@ -309,7 +291,7 @@ mod tests {
     fn respects_active_upper_bound() {
         let f = quadratic(&[100.0], &[1.0]);
         let b = Bounds::new(vec![0.0], vec![7.0]).unwrap();
-        let r = lbfgsb_minimize(f, &[1.0], &b, &default_opts()).unwrap();
+        let r = lbfgsb_minimize(f, &[1.0], &b, MAX_ITERS).unwrap();
         assert!((r.x[0] - 7.0).abs() < 1e-6, "{:?}", r.x);
     }
 
@@ -318,7 +300,7 @@ mod tests {
         // Min at (-5, 2): x0 pinned to its lower bound 0, x1 free.
         let f = quadratic(&[-5.0, 2.0], &[1.0, 1.0]);
         let b = Bounds::new(vec![0.0, -10.0], vec![10.0, 10.0]).unwrap();
-        let r = lbfgsb_minimize(f, &[3.0, -3.0], &b, &default_opts()).unwrap();
+        let r = lbfgsb_minimize(f, &[3.0, -3.0], &b, MAX_ITERS).unwrap();
         assert!(r.x[0].abs() < 1e-5);
         assert!((r.x[1] - 2.0).abs() < 1e-4);
     }
@@ -333,9 +315,7 @@ mod tests {
             a * a + 100.0 * b * b
         };
         let b = Bounds::uniform(2, -2.0, 2.0).unwrap();
-        let mut opts = default_opts();
-        opts.max_iters = 2000;
-        let r = lbfgsb_minimize(f, &[-1.5, 1.5], &b, &opts).unwrap();
+        let r = lbfgsb_minimize(f, &[-1.5, 1.5], &b, 2000).unwrap();
         assert!(
             (r.x[0] - 1.0).abs() < 1e-3 && (r.x[1] - 1.0).abs() < 1e-3,
             "{:?}",
@@ -348,18 +328,16 @@ mod tests {
     fn short_history_recycles_its_buffers_and_still_converges() {
         // More iterations than history slots, so pairs are evicted and
         // their buffers reused: the solve must still reach the optimum.
-        let centre = [1.0, -2.0, 3.0, -4.0, 5.0, -6.0];
-        let weight = [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0];
-        let mut opts = default_opts();
-        opts.history = 2;
+        let centre: Vec<f64> = (0..16).map(|i| f64::from(i) - 7.5).collect();
+        let weight: Vec<f64> = (0..16).map(|i| 1.6f64.powi(i)).collect();
         let r = lbfgsb_minimize(
             quadratic(&centre, &weight),
-            &[0.0; 6],
-            &Bounds::unbounded(6),
-            &opts,
+            &[0.0; 16],
+            &Bounds::unbounded(16),
+            MAX_ITERS,
         )
         .unwrap();
-        assert!(r.iters > 3, "iters = {}", r.iters);
+        assert!(r.iters > HISTORY, "iters = {}", r.iters);
         for (xi, ci) in r.x.iter().zip(&centre) {
             assert!((xi - ci).abs() < 1e-4, "{:?}", r.x);
         }
@@ -369,7 +347,7 @@ mod tests {
     fn infeasible_start_is_projected() {
         let f = quadratic(&[0.0], &[1.0]);
         let b = Bounds::new(vec![1.0], vec![5.0]).unwrap();
-        let r = lbfgsb_minimize(f, &[-100.0], &b, &default_opts()).unwrap();
+        let r = lbfgsb_minimize(f, &[-100.0], &b, MAX_ITERS).unwrap();
         assert!((r.x[0] - 1.0).abs() < 1e-6);
     }
 
@@ -378,7 +356,7 @@ mod tests {
         let f = |_: &[f64], _: &mut [f64]| 0.0;
         let b = Bounds::unbounded(3);
         assert!(matches!(
-            lbfgsb_minimize(f, &[0.0], &b, &default_opts()),
+            lbfgsb_minimize(f, &[0.0], &b, MAX_ITERS),
             Err(OptError::DimensionMismatch {
                 point: 1,
                 bounds: 3
@@ -391,12 +369,12 @@ mod tests {
         let f = |_: &[f64], _: &mut [f64]| f64::NAN;
         let b = Bounds::unbounded(1);
         assert!(matches!(
-            lbfgsb_minimize(f, &[0.0], &b, &default_opts()),
+            lbfgsb_minimize(f, &[0.0], &b, MAX_ITERS),
             Err(OptError::NonFiniteObjective)
         ));
         // A NaN start stays NaN under projection and is refused too.
         assert!(matches!(
-            lbfgsb_minimize(quadratic(&[0.0], &[1.0]), &[f64::NAN], &b, &default_opts()),
+            lbfgsb_minimize(quadratic(&[0.0], &[1.0]), &[f64::NAN], &b, MAX_ITERS),
             Err(OptError::NonFiniteObjective)
         ));
     }
@@ -404,7 +382,7 @@ mod tests {
     #[test]
     fn already_optimal_converges_immediately() {
         let f = quadratic(&[0.0], &[1.0]);
-        let r = lbfgsb_minimize(f, &[0.0], &Bounds::unbounded(1), &default_opts()).unwrap();
+        let r = lbfgsb_minimize(f, &[0.0], &Bounds::unbounded(1), MAX_ITERS).unwrap();
         assert!(r.converged);
         assert!(r.iters <= 2);
         assert_eq!(r.evals, 1);
@@ -418,13 +396,7 @@ mod tests {
         let lo = vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0];
         let hi = vec![f64::INFINITY; 6].into_iter().chain([10.0]).collect();
         let b = Bounds::new(lo, hi).unwrap();
-        let r = lbfgsb_minimize(
-            quadratic(&target, &[1.0; 7]),
-            &[1.0; 7],
-            &b,
-            &default_opts(),
-        )
-        .unwrap();
+        let r = lbfgsb_minimize(quadratic(&target, &[1.0; 7]), &[1.0; 7], &b, MAX_ITERS).unwrap();
         for (xi, ti) in r.x.iter().zip(&target) {
             assert!((xi - ti).abs() < 1e-4, "{:?}", r.x);
         }
@@ -444,7 +416,7 @@ mod tests {
                 quadratic(&shift[..dim], &ones),
                 &start[..dim],
                 &b,
-                &default_opts(),
+                MAX_ITERS,
             )
             .unwrap();
             prop_assert!(b.contains(&r.x));

@@ -23,8 +23,8 @@ pub mod lbfgsb;
 pub mod numgrad;
 
 pub use bounds::Bounds;
-pub use golden::{golden_section_max, golden_section_max_int, golden_section_min};
-pub use lbfgsb::{lbfgsb_minimize, LbfgsbOptions, LbfgsbResult};
+pub use golden::{golden_section_max, golden_section_max_int};
+pub use lbfgsb::{lbfgsb_minimize, LbfgsbResult};
 pub use numgrad::central_gradient;
 
 /// Error type for optimizer misuse (invalid domains, NaN objectives).

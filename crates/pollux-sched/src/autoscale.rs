@@ -7,12 +7,14 @@
 //! ```
 //!
 //! drives node provisioning: when utility is above
-//! `HIGH_UTIL_THRES`, jobs would put additional GPUs to good use, so
-//! nodes are requested; when it falls below `LOW_UTIL_THRES`, nodes
-//! are released. The desired cluster size is found by binary search
-//! under the assumption that utility decreases with cluster size, each
-//! probe running the genetic algorithm to (re-)optimize allocations
-//! for the probed size.
+//! `HIGH_UTIL_THRES` (0.85), jobs would put additional GPUs to good
+//! use, so nodes are requested; when it falls below `LOW_UTIL_THRES`
+//! (0.45), nodes are released. The desired cluster size is found by
+//! binary search under the assumption that utility decreases with
+//! cluster size, each probe running the genetic algorithm to
+//! (re-)optimize allocations for the probed size. A probed cluster has
+//! nodes as wide as the current cluster's first, the width the round
+//! resizes to.
 //!
 //! Because `SPEEDUP_j` is computed from the *goodput*, a job whose
 //! statistical efficiency currently tolerates only small batches shows
@@ -23,22 +25,21 @@
 use crate::fitness::utility;
 use crate::ga::{GaConfig, GeneticAlgorithm};
 use crate::speedup::{SchedJob, SpeedupTable};
-use pollux_cluster::{AllocationMatrix, ClusterSpec};
+use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
 use rand::Rng;
+
+/// Release nodes when utility falls below this.
+const LOW_UTIL: f64 = 0.45;
+/// Request nodes when utility rises above this.
+const HIGH_UTIL: f64 = 0.85;
+/// Smallest cluster size the autoscaler recommends (nodes).
+const MIN_NODES: u32 = 1;
 
 /// Configuration of the autoscaler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
-    /// Release nodes when utility falls below this.
-    pub low_util: f64,
-    /// Request nodes when utility rises above this.
-    pub high_util: f64,
-    /// Smallest allowed cluster size (nodes).
-    pub min_nodes: u32,
     /// Largest allowed cluster size (nodes).
     pub max_nodes: u32,
-    /// GPUs per provisioned node.
-    pub gpus_per_node: u32,
     /// Genetic-algorithm settings used for the per-size probes.
     pub ga: GaConfig,
 }
@@ -46,11 +47,7 @@ pub struct AutoscaleConfig {
 impl Default for AutoscaleConfig {
     fn default() -> Self {
         Self {
-            low_util: 0.45,
-            high_util: 0.85,
-            min_nodes: 1,
             max_nodes: 16,
-            gpus_per_node: 4,
             ga: GaConfig {
                 population: 40,
                 generations: 25,
@@ -79,16 +76,10 @@ pub struct Autoscaler {
 }
 
 impl Autoscaler {
-    /// Creates an autoscaler. Returns `None` for inconsistent
-    /// thresholds or an empty node range.
+    /// Creates an autoscaler. Returns `None` for an empty node range
+    /// (`max_nodes` of 0).
     pub fn new(config: AutoscaleConfig) -> Option<Self> {
-        if config.low_util < 0.0
-            || config.high_util > 1.0
-            || config.low_util > config.high_util
-            || config.min_nodes == 0
-            || config.min_nodes > config.max_nodes
-            || config.gpus_per_node == 0
-        {
+        if config.max_nodes < MIN_NODES {
             return None;
         }
         Some(Self {
@@ -97,43 +88,48 @@ impl Autoscaler {
         })
     }
 
-    /// The target utility: the midpoint of the configured band.
+    /// The target utility: the midpoint of the utility band.
     pub fn target_utility(&self) -> f64 {
-        0.5 * (self.config.low_util + self.config.high_util)
+        0.5 * (LOW_UTIL + HIGH_UTIL)
     }
 
-    /// Optimizes allocations for a cluster of `nodes` nodes and
-    /// returns `(best allocation, utility)`.
+    /// Optimizes allocations for the cluster `spec` and returns
+    /// `(best allocation, utility)`.
     pub fn probe<R: Rng>(
         &self,
         jobs: &[SchedJob],
-        nodes: u32,
+        spec: &ClusterSpec,
         rng: &mut R,
     ) -> (AllocationMatrix, f64) {
-        let spec = ClusterSpec::homogeneous(nodes, self.config.gpus_per_node)
-            .expect("nodes and gpus_per_node validated at construction");
-        let table = SpeedupTable::build(jobs, &spec, 1);
-        let outcome = self.ga.evolve(jobs, &spec, vec![], &table, rng);
+        let table = SpeedupTable::build(jobs, spec, 1);
+        let outcome = self.ga.evolve(jobs, spec, vec![], &table, rng);
         let u = utility(jobs, &outcome.best, &table, spec.total_gpus());
         (outcome.best, u)
     }
 
-    /// Recommends a cluster size for the current jobs.
+    /// Recommends a cluster size for the current jobs on `spec`, the
+    /// current cluster; every probed size has nodes as wide as its
+    /// first.
     ///
-    /// When the utility at `current_nodes` is already inside the
-    /// configured band, the current size is kept (hysteresis).
-    /// Otherwise a binary search over `[min_nodes, max_nodes]` finds
-    /// the size whose utility is closest to the band midpoint
-    /// (Sec. 4.2.2).
+    /// When the utility at the current size is already inside the
+    /// band, the current size is kept (hysteresis). Otherwise a binary
+    /// search over `[1, max_nodes]` finds the size whose utility is
+    /// closest to the band midpoint (Sec. 4.2.2).
     pub fn recommend<R: Rng>(
         &self,
         jobs: &[SchedJob],
-        current_nodes: u32,
+        spec: &ClusterSpec,
         rng: &mut R,
     ) -> ScaleDecision {
-        let current = current_nodes.clamp(self.config.min_nodes, self.config.max_nodes);
-        let (cur_alloc, cur_util) = self.probe(jobs, current, rng);
-        if cur_util >= self.config.low_util && cur_util <= self.config.high_util {
+        let gpus_per_node = spec.gpus_on(NodeId(0));
+        let probe = |nodes: u32, rng: &mut R| {
+            let spec = ClusterSpec::homogeneous(nodes, gpus_per_node)
+                .expect("at least one node, as wide as an existing one");
+            self.probe(jobs, &spec, rng)
+        };
+        let current = (spec.num_nodes() as u32).clamp(MIN_NODES, self.config.max_nodes);
+        let (cur_alloc, cur_util) = probe(current, rng);
+        if (LOW_UTIL..=HIGH_UTIL).contains(&cur_util) {
             return ScaleDecision {
                 nodes: current,
                 alloc: cur_alloc,
@@ -142,7 +138,7 @@ impl Autoscaler {
         }
 
         let target = self.target_utility();
-        let mut lo = self.config.min_nodes;
+        let mut lo = MIN_NODES;
         let mut hi = self.config.max_nodes;
         let mut best = ScaleDecision {
             nodes: current,
@@ -152,7 +148,7 @@ impl Autoscaler {
         let mut best_dist = (cur_util - target).abs();
         while lo <= hi {
             let mid = lo + (hi - lo) / 2;
-            let (alloc, u) = self.probe(jobs, mid, rng);
+            let (alloc, u) = probe(mid, rng);
             let dist = (u - target).abs();
             if dist < best_dist {
                 best_dist = dist;
@@ -166,14 +162,10 @@ impl Autoscaler {
             // means the cluster is too small.
             if u > target {
                 lo = mid + 1;
+            } else if mid == MIN_NODES {
+                break;
             } else {
-                if mid == 0 {
-                    break;
-                }
-                hi = mid.saturating_sub(1);
-                if hi < self.config.min_nodes {
-                    break;
-                }
+                hi = mid - 1;
             }
         }
         best
@@ -210,31 +202,35 @@ mod tests {
         Autoscaler::new(cfg).unwrap()
     }
 
+    /// A cluster of `n` 4-GPU nodes.
+    fn nodes(n: u32) -> ClusterSpec {
+        ClusterSpec::homogeneous(n, 4).unwrap()
+    }
+
     #[test]
     fn config_validation() {
         let c = AutoscaleConfig {
-            low_util: 0.9,
-            high_util: 0.5,
-            ..Default::default()
-        };
-        assert!(Autoscaler::new(c).is_none());
-        let c = AutoscaleConfig {
-            min_nodes: 0,
-            ..Default::default()
-        };
-        assert!(Autoscaler::new(c).is_none());
-        let c = AutoscaleConfig {
-            min_nodes: 9,
-            max_nodes: 8,
-            ..Default::default()
-        };
-        assert!(Autoscaler::new(c).is_none());
-        let c = AutoscaleConfig {
-            gpus_per_node: 0,
+            max_nodes: 0,
             ..Default::default()
         };
         assert!(Autoscaler::new(c).is_none());
         assert!(Autoscaler::new(AutoscaleConfig::default()).is_some());
+    }
+
+    #[test]
+    fn recommended_alloc_fits_eight_gpu_nodes() {
+        // The probes are as wide as the cluster's nodes: a scalable job
+        // on 8-GPU nodes is handed more than 4 GPUs of one node, and
+        // the allocation fits the recommended number of 8-GPU nodes.
+        let a = autoscaler();
+        let jobs = vec![job(0, 100_000.0, 64)];
+        let mut rng = StdRng::seed_from_u64(7);
+        let d = a.recommend(&jobs, &ClusterSpec::homogeneous(2, 8).unwrap(), &mut rng);
+        assert!(d
+            .alloc
+            .is_feasible(&ClusterSpec::homogeneous(d.nodes, 8).unwrap()));
+        let widest = d.alloc.row(0).iter().max().copied().unwrap_or(0);
+        assert!(widest > 4, "at most {widest} GPUs on a node:\n{}", d.alloc);
     }
 
     #[test]
@@ -244,7 +240,7 @@ mod tests {
         let a = autoscaler();
         let jobs = vec![job(0, 50.0, 64)];
         let mut rng = StdRng::seed_from_u64(1);
-        let d = a.recommend(&jobs, 8, &mut rng);
+        let d = a.recommend(&jobs, &nodes(8), &mut rng);
         assert!(d.nodes <= 2, "nodes = {} (util {})", d.nodes, d.utility);
     }
 
@@ -256,12 +252,12 @@ mod tests {
         let low = {
             let jobs = vec![job(0, 50.0, 64)];
             let mut rng = StdRng::seed_from_u64(2);
-            a.recommend(&jobs, 4, &mut rng).nodes
+            a.recommend(&jobs, &nodes(4), &mut rng).nodes
         };
         let high = {
             let jobs = vec![job(0, 100_000.0, 64)];
             let mut rng = StdRng::seed_from_u64(2);
-            a.recommend(&jobs, 4, &mut rng).nodes
+            a.recommend(&jobs, &nodes(4), &mut rng).nodes
         };
         assert!(high > low, "high-φ nodes {high} <= low-φ nodes {low}");
     }
@@ -274,9 +270,9 @@ mod tests {
         let a = autoscaler();
         let jobs = vec![job(0, 20_000.0, 64)];
         let mut rng = StdRng::seed_from_u64(3);
-        let d = a.recommend(&jobs, 4, &mut rng);
+        let d = a.recommend(&jobs, &nodes(4), &mut rng);
         let mut rng2 = StdRng::seed_from_u64(4);
-        let d2 = a.recommend(&jobs, d.nodes, &mut rng2);
+        let d2 = a.recommend(&jobs, &nodes(d.nodes), &mut rng2);
         assert!(
             d2.nodes.abs_diff(d.nodes) <= 1,
             "unstable recommendation: {} then {}",
@@ -290,7 +286,7 @@ mod tests {
         let a = autoscaler();
         let jobs: Vec<SchedJob> = (0..4).map(|i| job(i, 100_000.0, 64)).collect();
         let mut rng = StdRng::seed_from_u64(5);
-        let d = a.recommend(&jobs, 1, &mut rng);
+        let d = a.recommend(&jobs, &nodes(1), &mut rng);
         assert!(d.nodes >= 1 && d.nodes <= 8);
         assert!(d.utility >= 0.0 && d.utility <= 1.0 + 1e-9);
         assert_eq!(d.alloc.num_jobs(), 4);
@@ -301,9 +297,8 @@ mod tests {
         let a = autoscaler();
         let jobs = vec![job(0, 5000.0, 64)];
         let mut rng = StdRng::seed_from_u64(6);
-        let (alloc, u) = a.probe(&jobs, 2, &mut rng);
-        let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        assert!(alloc.is_feasible(&spec));
+        let (alloc, u) = a.probe(&jobs, &nodes(2), &mut rng);
+        assert!(alloc.is_feasible(&nodes(2)));
         assert!((0.0..=1.0 + 1e-9).contains(&u));
     }
 }

@@ -52,6 +52,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+/// Members drawn per crossover parent selection (Sec. 4.2.1's
+/// tournament).
+const TOURNAMENT_SIZE: usize = 2;
+
 /// Configuration of the genetic algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaConfig {
@@ -59,8 +63,6 @@ pub struct GaConfig {
     pub population: usize,
     /// Generations per scheduling interval (the paper uses 100).
     pub generations: usize,
-    /// Tournament size for crossover parent selection.
-    pub tournament_size: usize,
     /// Enforce the interference-avoidance constraint during repair.
     pub interference_avoidance: bool,
     /// Stop early after this many generations without improvement of
@@ -76,7 +78,6 @@ impl Default for GaConfig {
         Self {
             population: 100,
             generations: 100,
-            tournament_size: 2,
             interference_avoidance: true,
             early_stop_gens: 8,
             fitness: FitnessConfig::default(),
@@ -253,11 +254,10 @@ impl GeneticAlgorithm {
     }
 
     /// Tournament selection: returns the index of the best of
-    /// `tournament_size` uniformly sampled members.
-    pub fn tournament_select<R: Rng>(&self, fitnesses: &[f64], rng: &mut R) -> usize {
-        let k = self.config.tournament_size.max(1);
+    /// two uniformly sampled members.
+    pub fn tournament_select<R: Rng>(fitnesses: &[f64], rng: &mut R) -> usize {
         let mut best = rng.gen_range(0..fitnesses.len());
-        for _ in 1..k {
+        for _ in 1..TOURNAMENT_SIZE {
             let c = rng.gen_range(0..fitnesses.len());
             if fitnesses[c] > fitnesses[best] {
                 best = c;
@@ -295,8 +295,8 @@ impl GeneticAlgorithm {
             child.contrib.copy_from_slice(&parent.contrib);
             true
         } else {
-            let a = self.tournament_select(ctx.fitnesses, &mut rng);
-            let b = self.tournament_select(ctx.fitnesses, &mut rng);
+            let a = Self::tournament_select(ctx.fitnesses, &mut rng);
+            let b = Self::tournament_select(ctx.fitnesses, &mut rng);
             Self::crossover(&parents[a], &parents[b], child, &mut rng);
             false
         };
@@ -792,15 +792,11 @@ mod tests {
 
     #[test]
     fn tournament_prefers_fitter_members() {
-        let g = GeneticAlgorithm::new(GaConfig {
-            tournament_size: 4,
-            ..Default::default()
-        });
         let mut rng = StdRng::seed_from_u64(7);
         let fit = vec![0.1, 0.9, 0.2, 0.3];
         let mut wins = [0usize; 4];
         for _ in 0..500 {
-            wins[g.tournament_select(&fit, &mut rng)] += 1;
+            wins[GeneticAlgorithm::tournament_select(&fit, &mut rng)] += 1;
         }
         assert!(wins[1] > wins[0] && wins[1] > wins[2] && wins[1] > wins[3]);
     }

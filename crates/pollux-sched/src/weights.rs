@@ -9,22 +9,20 @@
 //! finish quickly ahead of long-running large jobs. `λ = 0` disables
 //! the decay (every job weighs 1), larger `λ` decays faster.
 
+/// GPU-time below which jobs keep full weight: the paper's 4 GPU-hours,
+/// in GPU-seconds.
+const GPUTIME_THRES: f64 = 4.0 * 3600.0;
+
 /// Configuration of the weight decay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightConfig {
-    /// GPU-time threshold below which jobs keep full weight
-    /// (GPU-seconds; the paper uses 4 GPU-hours).
-    pub gputime_thres: f64,
     /// Decay exponent λ ≥ 0 (the paper's default is 0.5).
     pub lambda: f64,
 }
 
 impl Default for WeightConfig {
     fn default() -> Self {
-        Self {
-            gputime_thres: 4.0 * 3600.0,
-            lambda: 0.5,
-        }
+        Self { lambda: 0.5 }
     }
 }
 
@@ -50,10 +48,10 @@ pub fn job_weight(config: &WeightConfig, gputime: f64) -> f64 {
     } else {
         0.0
     };
-    if gputime <= config.gputime_thres {
+    if gputime <= GPUTIME_THRES {
         1.0
     } else {
-        (config.gputime_thres / gputime).powf(config.lambda)
+        (GPUTIME_THRES / gputime).powf(config.lambda)
     }
 }
 
@@ -63,10 +61,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn cfg(lambda: f64) -> WeightConfig {
-        WeightConfig {
-            gputime_thres: 4.0 * 3600.0,
-            lambda,
-        }
+        WeightConfig { lambda }
     }
 
     #[test]

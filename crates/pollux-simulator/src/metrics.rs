@@ -300,18 +300,6 @@ impl SimResult {
             Some(vals.iter().sum::<f64>() / vals.len() as f64)
         }
     }
-
-    /// The JCT CDF as `(jct_seconds, fraction ≤ jct)` points over
-    /// finished jobs, sorted ascending — ready for plotting.
-    pub fn jct_cdf(&self) -> Vec<(f64, f64)> {
-        let mut j = self.jcts();
-        j.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let n = j.len() as f64;
-        j.into_iter()
-            .enumerate()
-            .map(|(i, v)| (v, (i + 1) as f64 / n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -396,27 +384,6 @@ mod tests {
         assert_eq!(res.percentile_jct(100.0), Some(100.0));
         assert_eq!(res.percentile_jct(1.0), Some(1.0));
         assert_eq!(res.percentile_jct(150.0), None);
-    }
-
-    #[test]
-    fn jct_cdf_is_monotone_and_normalized() {
-        let res = SimResult {
-            records: vec![
-                record(0, 0.0, Some(300.0)),
-                record(1, 0.0, Some(100.0)),
-                record(2, 0.0, Some(200.0)),
-                record(3, 0.0, None),
-            ],
-            ..Default::default()
-        };
-        let cdf = res.jct_cdf();
-        assert_eq!(cdf.len(), 3);
-        assert_eq!(cdf[0], (100.0, 1.0 / 3.0));
-        assert_eq!(cdf[2], (300.0, 1.0));
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0 && w[0].1 <= w[1].1);
-        }
-        assert!(SimResult::default().jct_cdf().is_empty());
     }
 
     #[test]

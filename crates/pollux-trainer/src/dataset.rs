@@ -1,4 +1,4 @@
-//! Synthetic supervised datasets with deterministic generation.
+//! A synthetic supervised dataset with deterministic generation.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,70 +72,6 @@ impl Dataset {
         ))
     }
 
-    /// Synthetic binary classification: two Gaussian blobs centered at
-    /// `±center` along every coordinate, labels in {0, 1}.
-    pub fn two_gaussians(n: usize, dim: usize, center: f64, seed: u64) -> Option<Self> {
-        if n == 0 || dim == 0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let normal = Normal::new(0.0, 1.0).ok()?;
-        let mut features = Vec::with_capacity(n * dim);
-        let mut targets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let label = rng.gen_bool(0.5);
-            let mu = if label { center } else { -center };
-            for _ in 0..dim {
-                features.push(mu + normal.sample(&mut rng));
-            }
-            targets.push(if label { 1.0 } else { 0.0 });
-        }
-        Some(Self {
-            dim,
-            features,
-            targets,
-        })
-    }
-
-    /// Synthetic multiclass classification: `classes` Gaussian blobs
-    /// whose centers are spaced on a circle of radius `spread` in the
-    /// first two feature dimensions; labels are class indices `0..classes`
-    /// stored as `f64`.
-    pub fn gaussian_blobs(
-        n: usize,
-        dim: usize,
-        classes: usize,
-        spread: f64,
-        seed: u64,
-    ) -> Option<Self> {
-        if n == 0 || dim < 2 || classes < 2 || spread <= 0.0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let normal = Normal::new(0.0, 1.0).ok()?;
-        let mut features = Vec::with_capacity(n * dim);
-        let mut targets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let label = rng.gen_range(0..classes);
-            let angle = 2.0 * std::f64::consts::PI * label as f64 / classes as f64;
-            let (cx, cy) = (spread * angle.cos(), spread * angle.sin());
-            for j in 0..dim {
-                let center = match j {
-                    0 => cx,
-                    1 => cy,
-                    _ => 0.0,
-                };
-                features.push(center + normal.sample(&mut rng));
-            }
-            targets.push(label as f64);
-        }
-        Some(Self {
-            dim,
-            features,
-            targets,
-        })
-    }
-
     /// Number of examples.
     pub fn len(&self) -> usize {
         self.targets.len()
@@ -203,31 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn two_gaussians_separable_means() {
-        let d = Dataset::two_gaussians(4000, 3, 2.0, 7).unwrap();
-        let mut pos_mean = 0.0;
-        let mut neg_mean = 0.0;
-        let mut pos_n = 0.0;
-        let mut neg_n = 0.0;
-        for i in 0..d.len() {
-            let m: f64 = d.x(i).iter().sum::<f64>() / 3.0;
-            if d.y(i) > 0.5 {
-                pos_mean += m;
-                pos_n += 1.0;
-            } else {
-                neg_mean += m;
-                neg_n += 1.0;
-            }
-        }
-        pos_mean /= pos_n;
-        neg_mean /= neg_n;
-        assert!(pos_mean > 1.5, "positive blob mean {pos_mean}");
-        assert!(neg_mean < -1.5, "negative blob mean {neg_mean}");
-        // Roughly balanced labels.
-        assert!((pos_n / d.len() as f64 - 0.5).abs() < 0.1);
-    }
-
-    #[test]
     fn sampling_is_in_range() {
         let (d, _) = Dataset::linear_regression(50, 2, 0.1, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
@@ -241,7 +152,5 @@ mod tests {
         assert!(Dataset::linear_regression(0, 2, 0.1, 0).is_none());
         assert!(Dataset::linear_regression(10, 0, 0.1, 0).is_none());
         assert!(Dataset::linear_regression(10, 2, -1.0, 0).is_none());
-        assert!(Dataset::two_gaussians(0, 2, 1.0, 0).is_none());
-        assert!(Dataset::two_gaussians(10, 0, 1.0, 0).is_none());
     }
 }

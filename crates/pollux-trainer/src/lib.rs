@@ -5,10 +5,9 @@
 //! equivalent that exercises the same code paths with **real
 //! stochastic gradients**:
 //!
-//! - synthetic supervised tasks ([`dataset`]): linear regression,
-//!   two-Gaussian logistic classification;
-//! - differentiable models ([`model`]): linear, logistic, and a small
-//!   tanh MLP, with analytically computed per-batch gradients;
+//! - a synthetic supervised task ([`dataset`]): linear regression;
+//! - its model ([`model`]): linear, with an analytically computed
+//!   per-batch gradient;
 //! - a data-parallel SGD loop ([`train`]) that splits each mini-batch
 //!   across `K` simulated replicas, measures the gradient noise scale
 //!   from the inter-replica spread (`pollux-agent`'s estimators), and
@@ -19,11 +18,9 @@
 //! large-batch run needs to reach the same loss (the Fig 2b check).
 
 pub mod dataset;
-pub mod loader;
 pub mod model;
 pub mod train;
 
 pub use dataset::Dataset;
-pub use loader::EpochLoader;
-pub use model::{GradModel, LinearModel, LogisticModel, MlpModel, SoftmaxModel};
+pub use model::LinearModel;
 pub use train::{AdaptiveTrainer, StepStats, TrainerConfig};

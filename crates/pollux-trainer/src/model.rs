@@ -1,33 +1,6 @@
-//! Differentiable models with analytic gradients.
+//! The trained model, with an analytic gradient.
 
 use crate::dataset::Dataset;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A model trainable by mini-batch SGD.
-pub trait GradModel {
-    /// Number of trainable parameters.
-    fn num_params(&self) -> usize;
-
-    /// Read access to the flat parameter vector.
-    fn params(&self) -> &[f64];
-
-    /// Applies `w ← w − η · g`.
-    fn sgd_step(&mut self, grad: &[f64], lr: f64);
-
-    /// Mean gradient over the given examples, written into `out`
-    /// (length `num_params`, zeroed by the callee).
-    fn grad_mean(&self, data: &Dataset, indices: &[usize], out: &mut [f64]);
-
-    /// Mean loss over the given examples.
-    fn mean_loss(&self, data: &Dataset, indices: &[usize]) -> f64;
-
-    /// Mean loss over the full dataset.
-    fn full_loss(&self, data: &Dataset) -> f64 {
-        let all: Vec<usize> = (0..data.len()).collect();
-        self.mean_loss(data, &all)
-    }
-}
 
 /// Linear regression with squared loss `½(x·w − y)²`.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,24 +18,27 @@ impl LinearModel {
     pub fn predict(&self, x: &[f64]) -> f64 {
         x.iter().zip(&self.w).map(|(a, b)| a * b).sum()
     }
-}
 
-impl GradModel for LinearModel {
-    fn num_params(&self) -> usize {
+    /// Number of trainable parameters.
+    pub fn num_params(&self) -> usize {
         self.w.len()
     }
 
-    fn params(&self) -> &[f64] {
+    /// Read access to the parameter vector.
+    pub fn params(&self) -> &[f64] {
         &self.w
     }
 
-    fn sgd_step(&mut self, grad: &[f64], lr: f64) {
+    /// Applies `w ← w − η · g`.
+    pub fn sgd_step(&mut self, grad: &[f64], lr: f64) {
         for (w, g) in self.w.iter_mut().zip(grad) {
             *w -= lr * g;
         }
     }
 
-    fn grad_mean(&self, data: &Dataset, indices: &[usize], out: &mut [f64]) {
+    /// Mean gradient over the given examples, written into `out`
+    /// (length `num_params`, zeroed here).
+    pub fn grad_mean(&self, data: &Dataset, indices: &[usize], out: &mut [f64]) {
         out.iter_mut().for_each(|v| *v = 0.0);
         let scale = 1.0 / indices.len().max(1) as f64;
         for &i in indices {
@@ -74,7 +50,8 @@ impl GradModel for LinearModel {
         }
     }
 
-    fn mean_loss(&self, data: &Dataset, indices: &[usize]) -> f64 {
+    /// Mean loss over the given examples.
+    pub fn mean_loss(&self, data: &Dataset, indices: &[usize]) -> f64 {
         let mut acc = 0.0;
         for &i in indices {
             let err = self.predict(data.x(i)) - data.y(i);
@@ -82,369 +59,48 @@ impl GradModel for LinearModel {
         }
         acc / indices.len().max(1) as f64
     }
-}
 
-/// Logistic regression with binary cross-entropy loss.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogisticModel {
-    w: Vec<f64>,
-    bias: f64,
-}
-
-impl LogisticModel {
-    /// Zero-initialized logistic model of dimension `dim`.
-    pub fn new(dim: usize) -> Self {
-        Self {
-            w: vec![0.0; dim + 1],
-            bias: 0.0,
-        }
-    }
-
-    /// The predicted probability `σ(x·w + b)`.
-    pub fn predict_proba(&self, x: &[f64]) -> f64 {
-        let z: f64 = x
-            .iter()
-            .zip(&self.w[..x.len()])
-            .map(|(a, b)| a * b)
-            .sum::<f64>()
-            + self.w[x.len()];
-        sigmoid(z)
-    }
-
-    /// Classification accuracy over a dataset.
-    pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let mut hits = 0usize;
-        for i in 0..data.len() {
-            let p = self.predict_proba(data.x(i));
-            let pred = if p >= 0.5 { 1.0 } else { 0.0 };
-            if (pred - data.y(i)).abs() < 0.5 {
-                hits += 1;
-            }
-        }
-        hits as f64 / data.len() as f64
-    }
-}
-
-fn sigmoid(z: f64) -> f64 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
-    }
-}
-
-impl GradModel for LogisticModel {
-    fn num_params(&self) -> usize {
-        self.w.len()
-    }
-
-    fn params(&self) -> &[f64] {
-        &self.w
-    }
-
-    fn sgd_step(&mut self, grad: &[f64], lr: f64) {
-        for (w, g) in self.w.iter_mut().zip(grad) {
-            *w -= lr * g;
-        }
-    }
-
-    fn grad_mean(&self, data: &Dataset, indices: &[usize], out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let dim = data.dim();
-        let scale = 1.0 / indices.len().max(1) as f64;
-        for &i in indices {
-            let x = data.x(i);
-            let err = self.predict_proba(x) - data.y(i);
-            for j in 0..dim {
-                out[j] += scale * err * x[j];
-            }
-            out[dim] += scale * err; // Bias term.
-        }
-    }
-
-    fn mean_loss(&self, data: &Dataset, indices: &[usize]) -> f64 {
-        let mut acc = 0.0;
-        for &i in indices {
-            let p = self.predict_proba(data.x(i)).clamp(1e-12, 1.0 - 1e-12);
-            let y = data.y(i);
-            acc -= y * p.ln() + (1.0 - y) * (1.0 - p).ln();
-        }
-        acc / indices.len().max(1) as f64
-    }
-}
-
-/// A one-hidden-layer tanh MLP with squared loss (regression).
-///
-/// Parameters are packed as `[W1 (h×d), b1 (h), W2 (h), b2 (1)]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpModel {
-    dim: usize,
-    hidden: usize,
-    theta: Vec<f64>,
-}
-
-impl MlpModel {
-    /// Randomly initialized MLP (`N(0, 1/√d)` weights), deterministic
-    /// per seed. Returns `None` for zero sizes.
-    pub fn new(dim: usize, hidden: usize, seed: u64) -> Option<Self> {
-        if dim == 0 || hidden == 0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = hidden * dim + hidden + hidden + 1;
-        let scale = 1.0 / (dim as f64).sqrt();
-        let theta: Vec<f64> = (0..n).map(|_| rng.gen_range(-scale..scale)).collect();
-        Some(Self { dim, hidden, theta })
-    }
-
-    /// Forward pass returning (hidden activations, output).
-    fn forward(&self, x: &[f64]) -> (Vec<f64>, f64) {
-        let (d, h) = (self.dim, self.hidden);
-        let w1 = &self.theta[..h * d];
-        let b1 = &self.theta[h * d..h * d + h];
-        let w2 = &self.theta[h * d + h..h * d + h + h];
-        let b2 = self.theta[h * d + h + h];
-        let mut act = Vec::with_capacity(h);
-        let mut out = b2;
-        for k in 0..h {
-            let z: f64 = x
-                .iter()
-                .zip(&w1[k * d..(k + 1) * d])
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-                + b1[k];
-            let a = z.tanh();
-            out += w2[k] * a;
-            act.push(a);
-        }
-        (act, out)
-    }
-
-    /// The model's prediction for a feature row.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        self.forward(x).1
-    }
-}
-
-impl GradModel for MlpModel {
-    fn num_params(&self) -> usize {
-        self.theta.len()
-    }
-
-    fn params(&self) -> &[f64] {
-        &self.theta
-    }
-
-    fn sgd_step(&mut self, grad: &[f64], lr: f64) {
-        for (w, g) in self.theta.iter_mut().zip(grad) {
-            *w -= lr * g;
-        }
-    }
-
-    fn grad_mean(&self, data: &Dataset, indices: &[usize], out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let (d, h) = (self.dim, self.hidden);
-        let w2_off = h * d + h;
-        let scale = 1.0 / indices.len().max(1) as f64;
-        for &i in indices {
-            let x = data.x(i);
-            let (act, pred) = self.forward(x);
-            let err = (pred - data.y(i)) * scale;
-            // Output layer.
-            for k in 0..h {
-                out[w2_off + k] += err * act[k];
-            }
-            out[w2_off + h] += err; // b2.
-                                    // Hidden layer through tanh'(z) = 1 − a².
-            let w2 = &self.theta[w2_off..w2_off + h];
-            for k in 0..h {
-                let delta = err * w2[k] * (1.0 - act[k] * act[k]);
-                for j in 0..d {
-                    out[k * d + j] += delta * x[j];
-                }
-                out[h * d + k] += delta; // b1[k].
-            }
-        }
-    }
-
-    fn mean_loss(&self, data: &Dataset, indices: &[usize]) -> f64 {
-        let mut acc = 0.0;
-        for &i in indices {
-            let err = self.predict(data.x(i)) - data.y(i);
-            acc += 0.5 * err * err;
-        }
-        acc / indices.len().max(1) as f64
-    }
-}
-
-/// Multiclass softmax (multinomial logistic) regression with
-/// cross-entropy loss. Targets are class indices stored as `f64`.
-///
-/// Parameters are packed row-major: `[W (classes x dim), b (classes)]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoftmaxModel {
-    dim: usize,
-    classes: usize,
-    theta: Vec<f64>,
-}
-
-impl SoftmaxModel {
-    /// Zero-initialized softmax classifier. Returns `None` for fewer
-    /// than two classes or zero dimension.
-    pub fn new(dim: usize, classes: usize) -> Option<Self> {
-        if dim == 0 || classes < 2 {
-            return None;
-        }
-        Some(Self {
-            dim,
-            classes,
-            theta: vec![0.0; classes * dim + classes],
-        })
-    }
-
-    /// Class probabilities for a feature row.
-    pub fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
-        let (d, c) = (self.dim, self.classes);
-        let mut logits = Vec::with_capacity(c);
-        for k in 0..c {
-            let z: f64 = x
-                .iter()
-                .zip(&self.theta[k * d..(k + 1) * d])
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-                + self.theta[c * d + k];
-            logits.push(z);
-        }
-        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut probs: Vec<f64> = logits.iter().map(|z| (z - max).exp()).collect();
-        let sum: f64 = probs.iter().sum();
-        for p in &mut probs {
-            *p /= sum;
-        }
-        probs
-    }
-
-    /// The most likely class for a feature row.
-    pub fn predict(&self, x: &[f64]) -> usize {
-        self.predict_proba(x)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(k, _)| k)
-            .unwrap_or(0)
-    }
-
-    /// Classification accuracy over a dataset.
-    pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let mut hits = 0usize;
-        for i in 0..data.len() {
-            if self.predict(data.x(i)) == data.y(i) as usize {
-                hits += 1;
-            }
-        }
-        hits as f64 / data.len() as f64
-    }
-}
-
-impl GradModel for SoftmaxModel {
-    fn num_params(&self) -> usize {
-        self.theta.len()
-    }
-
-    fn params(&self) -> &[f64] {
-        &self.theta
-    }
-
-    fn sgd_step(&mut self, grad: &[f64], lr: f64) {
-        for (w, g) in self.theta.iter_mut().zip(grad) {
-            *w -= lr * g;
-        }
-    }
-
-    fn grad_mean(&self, data: &Dataset, indices: &[usize], out: &mut [f64]) {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let (d, c) = (self.dim, self.classes);
-        let scale = 1.0 / indices.len().max(1) as f64;
-        for &i in indices {
-            let x = data.x(i);
-            let y = data.y(i) as usize;
-            let probs = self.predict_proba(x);
-            for (k, &p) in probs.iter().enumerate() {
-                let err = (p - if k == y { 1.0 } else { 0.0 }) * scale;
-                for j in 0..d {
-                    out[k * d + j] += err * x[j];
-                }
-                out[c * d + k] += err;
-            }
-        }
-    }
-
-    fn mean_loss(&self, data: &Dataset, indices: &[usize]) -> f64 {
-        let mut acc = 0.0;
-        for &i in indices {
-            let y = data.y(i) as usize;
-            let p = self.predict_proba(data.x(i))[y].clamp(1e-12, 1.0);
-            acc -= p.ln();
-        }
-        acc / indices.len().max(1) as f64
+    /// Mean loss over the full dataset.
+    pub fn full_loss(&self, data: &Dataset) -> f64 {
+        let all: Vec<usize> = (0..data.len()).collect();
+        self.mean_loss(data, &all)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Central-difference gradient check for any model.
-    fn check_gradients<M>(model: &M, data: &Dataset, tol: f64)
-    where
-        M: GradModel + Clone + std::fmt::Debug,
-    {
-        let indices: Vec<usize> = (0..data.len().min(16)).collect();
-        let mut analytic = vec![0.0; model.num_params()];
-        model.grad_mean(data, &indices, &mut analytic);
-
-        let eps = 1e-6;
-        for p in 0..model.num_params() {
-            let mut plus = model.clone();
-            let mut delta = vec![0.0; model.num_params()];
-            delta[p] = -1.0; // sgd_step subtracts lr*grad; use lr=eps.
-            plus.sgd_step(&delta, eps);
-            let mut minus = model.clone();
-            delta[p] = 1.0;
-            minus.sgd_step(&delta, eps);
-            let numeric =
-                (plus.mean_loss(data, &indices) - minus.mean_loss(data, &indices)) / (2.0 * eps);
-            assert!(
-                (numeric - analytic[p]).abs() < tol * analytic[p].abs().max(1.0),
-                "param {p}: numeric {numeric} vs analytic {}",
-                analytic[p]
-            );
-        }
-    }
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn linear_gradcheck() {
         let (data, _) = Dataset::linear_regression(64, 4, 0.3, 11).unwrap();
-        let mut m = LinearModel::new(4);
+        let mut model = LinearModel::new(4);
         // Move off the zero point.
-        m.sgd_step(&[0.3, -0.2, 0.5, 0.1], 1.0);
-        check_gradients(&m, &data, 1e-4);
-    }
+        model.sgd_step(&[0.3, -0.2, 0.5, 0.1], 1.0);
+        let indices: Vec<usize> = (0..16).collect();
+        let mut analytic = vec![0.0; model.num_params()];
+        model.grad_mean(&data, &indices, &mut analytic);
 
-    #[test]
-    fn logistic_gradcheck() {
-        let data = Dataset::two_gaussians(64, 3, 1.0, 12).unwrap();
-        let mut m = LogisticModel::new(3);
-        m.sgd_step(&[0.2, -0.4, 0.1, 0.05], 1.0);
-        check_gradients(&m, &data, 1e-4);
-    }
-
-    #[test]
-    fn mlp_gradcheck() {
-        let (data, _) = Dataset::linear_regression(32, 3, 0.1, 13).unwrap();
-        let m = MlpModel::new(3, 4, 5).unwrap();
-        check_gradients(&m, &data, 1e-3);
+        let eps = 1e-6;
+        for p in 0..model.num_params() {
+            let mut delta = vec![0.0; model.num_params()];
+            // sgd_step subtracts lr·grad; with lr = eps, ∓1 moves ±eps.
+            delta[p] = -1.0;
+            let mut plus = model.clone();
+            plus.sgd_step(&delta, eps);
+            delta[p] = 1.0;
+            let mut minus = model.clone();
+            minus.sgd_step(&delta, eps);
+            let numeric =
+                (plus.mean_loss(&data, &indices) - minus.mean_loss(&data, &indices)) / (2.0 * eps);
+            assert!(
+                (numeric - analytic[p]).abs() < 1e-4 * analytic[p].abs().max(1.0),
+                "param {p}: numeric {numeric} vs analytic {}",
+                analytic[p]
+            );
+        }
     }
 
     #[test]
@@ -462,110 +118,4 @@ mod tests {
             assert!((w - t).abs() < 0.05, "{:?} vs {:?}", m.params(), w_star);
         }
     }
-
-    #[test]
-    fn logistic_learns_separable_blobs() {
-        let data = Dataset::two_gaussians(2000, 4, 2.0, 15).unwrap();
-        let mut m = LogisticModel::new(4);
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut grad = vec![0.0; m.num_params()];
-        for _ in 0..1500 {
-            let idx = data.sample_indices(32, &mut rng);
-            m.grad_mean(&data, &idx, &mut grad);
-            m.sgd_step(&grad, 0.5);
-        }
-        let acc = m.accuracy(&data);
-        assert!(acc > 0.97, "accuracy = {acc}");
-    }
-
-    #[test]
-    fn mlp_fits_nonlinear_target_better_than_linear() {
-        // Target y = tanh(x0) + noise: the MLP must beat linear.
-        let (mut raw, _) = Dataset::linear_regression(1500, 2, 0.0, 16).unwrap();
-        // Rebuild targets as a nonlinear function of the features.
-        let features: Vec<f64> = (0..raw.len()).flat_map(|i| raw.x(i).to_vec()).collect();
-        let targets: Vec<f64> = (0..raw.len())
-            .map(|i| (2.0 * raw.x(i)[0]).tanh() + 0.3 * raw.x(i)[1] * raw.x(i)[1])
-            .collect();
-        raw = Dataset::new(2, features, targets).unwrap();
-
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut lin = LinearModel::new(2);
-        let mut grad = vec![0.0; lin.num_params()];
-        for _ in 0..3000 {
-            let idx = raw.sample_indices(32, &mut rng);
-            lin.grad_mean(&raw, &idx, &mut grad);
-            lin.sgd_step(&grad, 0.05);
-        }
-
-        let mut mlp = MlpModel::new(2, 16, 2).unwrap();
-        let mut grad = vec![0.0; mlp.num_params()];
-        for _ in 0..6000 {
-            let idx = raw.sample_indices(32, &mut rng);
-            mlp.grad_mean(&raw, &idx, &mut grad);
-            mlp.sgd_step(&grad, 0.05);
-        }
-
-        let lin_loss = lin.full_loss(&raw);
-        let mlp_loss = mlp.full_loss(&raw);
-        assert!(
-            mlp_loss < 0.5 * lin_loss,
-            "mlp {mlp_loss} should beat linear {lin_loss}"
-        );
-    }
-
-    #[test]
-    fn mlp_validation() {
-        assert!(MlpModel::new(0, 4, 0).is_none());
-        assert!(MlpModel::new(4, 0, 0).is_none());
-        let m = MlpModel::new(3, 4, 0).unwrap();
-        assert_eq!(m.num_params(), 3 * 4 + 4 + 4 + 1);
-        // Deterministic init per seed.
-        assert_eq!(
-            MlpModel::new(3, 4, 9).unwrap(),
-            MlpModel::new(3, 4, 9).unwrap()
-        );
-    }
-
-    #[test]
-    fn softmax_validation_and_gradcheck() {
-        assert!(SoftmaxModel::new(0, 3).is_none());
-        assert!(SoftmaxModel::new(3, 1).is_none());
-        let data = Dataset::gaussian_blobs(48, 3, 3, 2.0, 31).unwrap();
-        let mut m = SoftmaxModel::new(3, 3).unwrap();
-        // Move off the symmetric zero point before checking gradients.
-        let nudge: Vec<f64> = (0..m.num_params())
-            .map(|i| 0.05 * (i as f64 % 7.0 - 3.0))
-            .collect();
-        m.sgd_step(&nudge, -1.0);
-        check_gradients(&m, &data, 1e-3);
-    }
-
-    #[test]
-    fn softmax_learns_separable_blobs() {
-        let data = Dataset::gaussian_blobs(3000, 4, 3, 3.0, 32).unwrap();
-        let mut m = SoftmaxModel::new(4, 3).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut grad = vec![0.0; m.num_params()];
-        for _ in 0..1500 {
-            let idx = data.sample_indices(32, &mut rng);
-            m.grad_mean(&data, &idx, &mut grad);
-            m.sgd_step(&grad, 0.3);
-        }
-        let acc = m.accuracy(&data);
-        assert!(acc > 0.92, "accuracy = {acc}");
-    }
-
-    #[test]
-    fn softmax_probabilities_normalize() {
-        let m = SoftmaxModel::new(2, 4).unwrap();
-        let p = m.predict_proba(&[0.3, -0.7]);
-        assert_eq!(p.len(), 4);
-        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        // Zero weights: uniform distribution.
-        assert!(p.iter().all(|&v| (v - 0.25).abs() < 1e-12));
-    }
-
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 }

@@ -9,11 +9,14 @@
 //! iterations, i.e. "statistical epochs".
 
 use crate::dataset::Dataset;
-use crate::model::GradModel;
+use crate::model::LinearModel;
 use pollux_agent::{DifferencedGns, ReplicaGns};
 use pollux_models::{AdaScale, EfficiencyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// EWMA smoothing of the noise-scale estimators.
+const GNS_SMOOTHING: f64 = 0.05;
 
 /// Trainer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,15 +29,9 @@ pub struct TrainerConfig {
     pub m0: u64,
     /// Base learning rate η0 (the rate used at `m0`).
     pub eta0: f64,
-    /// EWMA smoothing for the noise-scale estimators.
-    pub gns_smoothing: f64,
     /// Scale the learning rate by AdaScale's gain (`false` = fixed
     /// η0, the naive large-batch baseline).
     pub use_adascale: bool,
-    /// Heavy-ball momentum coefficient `µ ∈ [0, 1)` (0 = plain SGD).
-    /// AdaScale was designed for momentum SGD; the gain accounting is
-    /// unchanged, the velocity just low-passes the scaled updates.
-    pub momentum: f64,
     /// RNG seed for batch sampling.
     pub seed: u64,
 }
@@ -46,9 +43,7 @@ impl Default for TrainerConfig {
             batch_size: 32,
             m0: 32,
             eta0: 0.05,
-            gns_smoothing: 0.05,
             use_adascale: true,
-            momentum: 0.0,
             seed: 0,
         }
     }
@@ -98,8 +93,8 @@ pub struct StepStats {
 /// assert!(trainer.scale_invariant_iters() > 201.0); // batch 128 > m0 gains
 /// ```
 #[derive(Clone)]
-pub struct AdaptiveTrainer<M: GradModel> {
-    model: M,
+pub struct AdaptiveTrainer {
+    model: LinearModel,
     data: Dataset,
     config: TrainerConfig,
     replica_gns: ReplicaGns,
@@ -108,36 +103,30 @@ pub struct AdaptiveTrainer<M: GradModel> {
     rng: StdRng,
     total_examples: u64,
     steps: u64,
-    velocity: Vec<f64>,
 }
 
-impl<M: GradModel> AdaptiveTrainer<M> {
+impl AdaptiveTrainer {
     /// Creates a trainer. Returns `None` for degenerate configs
     /// (`replicas = 0`, `batch < replicas`, `m0 = 0`, `η0 ≤ 0`).
-    pub fn new(model: M, data: Dataset, config: TrainerConfig) -> Option<Self> {
-        if config.replicas == 0
-            || config.batch_size < config.replicas as u64
-            || !(0.0..1.0).contains(&config.momentum)
-        {
+    pub fn new(model: LinearModel, data: Dataset, config: TrainerConfig) -> Option<Self> {
+        if config.replicas == 0 || config.batch_size < config.replicas as u64 {
             return None;
         }
-        let dim = model.num_params();
         Some(Self {
             model,
             data,
-            replica_gns: ReplicaGns::new(config.m0, config.gns_smoothing)?,
-            diff_gns: DifferencedGns::new(config.m0, config.gns_smoothing)?,
+            replica_gns: ReplicaGns::new(config.m0, GNS_SMOOTHING)?,
+            diff_gns: DifferencedGns::new(config.m0, GNS_SMOOTHING)?,
             adascale: AdaScale::new(config.eta0, config.m0)?,
             rng: StdRng::seed_from_u64(config.seed),
             total_examples: 0,
             steps: 0,
-            velocity: vec![0.0; dim],
             config,
         })
     }
 
     /// The trained model.
-    pub fn model(&self) -> &M {
+    pub fn model(&self) -> &LinearModel {
         &self.model
     }
 
@@ -258,15 +247,7 @@ impl<M: GradModel> AdaptiveTrainer<M> {
         };
 
         let loss = self.model.mean_loss(&self.data, &indices);
-        if self.config.momentum > 0.0 {
-            // Heavy-ball momentum: v ← µ·v + g; w ← w − η·v.
-            for (v, g) in self.velocity.iter_mut().zip(&grad) {
-                *v = self.config.momentum * *v + g;
-            }
-            self.model.sgd_step(&self.velocity, lr);
-        } else {
-            self.model.sgd_step(&grad, lr);
-        }
+        self.model.sgd_step(&grad, lr);
         self.adascale.step(&eff, m);
         self.total_examples += (per * k) as u64;
         self.steps += 1;
@@ -308,18 +289,12 @@ impl<M: GradModel> AdaptiveTrainer<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{LinearModel, LogisticModel};
 
     fn regression_data(seed: u64) -> Dataset {
         Dataset::linear_regression(4000, 8, 0.5, seed).unwrap().0
     }
 
-    fn trainer(
-        replicas: usize,
-        batch: u64,
-        adascale: bool,
-        seed: u64,
-    ) -> AdaptiveTrainer<LinearModel> {
+    fn trainer(replicas: usize, batch: u64, adascale: bool, seed: u64) -> AdaptiveTrainer {
         let data = regression_data(100);
         AdaptiveTrainer::new(
             LinearModel::new(8),
@@ -329,9 +304,7 @@ mod tests {
                 batch_size: batch,
                 m0: 32,
                 eta0: 0.05,
-                gns_smoothing: 0.05,
                 use_adascale: adascale,
-                momentum: 0.0,
                 seed,
             },
         )
@@ -514,89 +487,5 @@ mod tests {
         }
         assert_eq!(a.model().params(), b.model().params());
         assert_eq!(a.phi(), b.phi());
-    }
-
-    #[test]
-    fn momentum_validation() {
-        let data = regression_data(1);
-        let bad = TrainerConfig {
-            momentum: 1.0,
-            ..Default::default()
-        };
-        assert!(AdaptiveTrainer::new(LinearModel::new(8), data.clone(), bad).is_none());
-        let bad = TrainerConfig {
-            momentum: -0.1,
-            ..Default::default()
-        };
-        assert!(AdaptiveTrainer::new(LinearModel::new(8), data.clone(), bad).is_none());
-        let ok = TrainerConfig {
-            momentum: 0.9,
-            ..Default::default()
-        };
-        assert!(AdaptiveTrainer::new(LinearModel::new(8), data, ok).is_some());
-    }
-
-    #[test]
-    fn momentum_converges_with_lower_lr() {
-        // Heavy-ball with mu = 0.9 effectively multiplies the step by
-        // 1/(1-mu); with eta0 scaled down accordingly it converges at
-        // least comparably per example to plain SGD.
-        let data = regression_data(100);
-        let mut plain = AdaptiveTrainer::new(
-            LinearModel::new(8),
-            data.clone(),
-            TrainerConfig {
-                replicas: 2,
-                batch_size: 64,
-                eta0: 0.05,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut heavy = AdaptiveTrainer::new(
-            LinearModel::new(8),
-            data,
-            TrainerConfig {
-                replicas: 2,
-                batch_size: 64,
-                eta0: 0.005,
-                momentum: 0.9,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let p = plain.train_until_loss(0.2, 20_000, 10);
-        let h = heavy.train_until_loss(0.2, 20_000, 10);
-        assert!(p.is_some(), "plain SGD must converge");
-        assert!(h.is_some(), "momentum SGD must converge");
-        let (_, ex_p) = p.unwrap();
-        let (_, ex_h) = h.unwrap();
-        // Within 2x of each other per example (roughly equivalent tuning).
-        assert!(ex_h < 2 * ex_p, "momentum {ex_h} vs plain {ex_p}");
-    }
-
-    #[test]
-    fn logistic_end_to_end_with_adascale() {
-        let data = Dataset::two_gaussians(3000, 4, 1.5, 21).unwrap();
-        let mut t = AdaptiveTrainer::new(
-            LogisticModel::new(4),
-            data.clone(),
-            TrainerConfig {
-                replicas: 4,
-                batch_size: 128,
-                m0: 32,
-                eta0: 0.3,
-                gns_smoothing: 0.05,
-                use_adascale: true,
-                momentum: 0.0,
-                seed: 8,
-            },
-        )
-        .unwrap();
-        for _ in 0..800 {
-            t.step();
-        }
-        let acc = t.model().accuracy(&data);
-        assert!(acc > 0.9, "accuracy = {acc}");
     }
 }

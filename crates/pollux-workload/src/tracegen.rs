@@ -26,6 +26,13 @@ const MODEL_MIX: [(ModelKind, f64); 5] = [
     (ModelKind::ResNet50ImageNet, 0.02),
 ];
 
+/// GPUs per node the users' configurations are tuned for: the paper's
+/// 4-GPU nodes.
+const GPUS_PER_NODE: u32 = 4;
+
+/// Log-normal σ of per-job work-size variation.
+const WORK_SIGMA: f64 = 0.45;
+
 /// Configuration of the trace generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
@@ -38,10 +45,6 @@ pub struct TraceConfig {
     pub load_multiplier: f64,
     /// Largest GPU count considered when tuning configs.
     pub max_gpus: u32,
-    /// GPUs per node (placement packing assumption).
-    pub gpus_per_node: u32,
-    /// Log-normal σ of per-job work-size variation.
-    pub work_sigma: f64,
     /// RNG seed; each seed is one "trace" (the paper averages 8).
     pub seed: u64,
 }
@@ -53,8 +56,6 @@ impl Default for TraceConfig {
             duration_hours: 8.0,
             load_multiplier: 1.0,
             max_gpus: 16,
-            gpus_per_node: 4,
-            work_sigma: 0.45,
             seed: 0,
         }
     }
@@ -108,7 +109,6 @@ impl TraceGenerator {
             || !positive(config.duration_hours)
             || !positive(config.load_multiplier)
             || config.max_gpus == 0
-            || config.gpus_per_node == 0
         {
             None
         } else {
@@ -138,8 +138,7 @@ impl TraceGenerator {
         let total_weight: f64 = HOURLY_WEIGHTS.iter().sum();
         let window = self.config.duration_hours * 3600.0;
         let hour_len = window / HOURLY_WEIGHTS.len() as f64;
-        let work_dist = LogNormal::new(0.0, self.config.work_sigma.max(1e-9))
-            .expect("sigma > 0 enforced above");
+        let work_dist = LogNormal::new(0.0, WORK_SIGMA).expect("a positive constant sigma");
 
         let mut jobs: Vec<JobSpec> = (0..n)
             .map(|i| {
@@ -172,11 +171,8 @@ impl TraceGenerator {
                     Some(at) => &mut models[at],
                     None => {
                         let profile = kind.profile();
-                        let configs = UserConfigTable::new(
-                            &profile,
-                            self.config.max_gpus,
-                            self.config.gpus_per_node,
-                        );
+                        let configs =
+                            UserConfigTable::new(&profile, self.config.max_gpus, GPUS_PER_NODE);
                         models.push((profile, configs));
                         models.last_mut().expect("just pushed")
                     }

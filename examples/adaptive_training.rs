@@ -32,9 +32,7 @@ fn main() {
             batch_size: m0,
             m0,
             eta0: 0.04,
-            gns_smoothing: 0.05,
             use_adascale: true,
-            momentum: 0.0,
             seed: 1,
         },
     )

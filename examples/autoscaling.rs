@@ -11,7 +11,7 @@ use pollux::experiments::fig10;
 fn main() {
     // A quarter-size ImageNet job keeps the example fast; pass 1.0 in
     // fig10::run for the full-size experiment.
-    let result = fig10::run(0.15, 16);
+    let result = fig10::run(0.15);
     println!("{result}");
 
     println!();

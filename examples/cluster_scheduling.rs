@@ -6,7 +6,7 @@
 //! cargo run --release --example cluster_scheduling
 //! ```
 
-use pollux::baselines::{optimus, tiresias, TiresiasConfig};
+use pollux::baselines::{optimus, tiresias};
 use pollux::cluster::ClusterSpec;
 use pollux::core::{run_trace, ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux::sched::GaConfig;
@@ -49,8 +49,8 @@ fn main() {
     };
     let policies: Vec<Box<dyn SchedulingPolicy>> = vec![
         Box::new(PolluxPolicy::new(pollux_cfg).expect("valid config")),
-        Box::new(optimus(4)),
-        Box::new(tiresias(TiresiasConfig::default())),
+        Box::new(optimus()),
+        Box::new(tiresias()),
     ];
 
     println!(

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: workload generation → simulation →
 //! the Pollux policy and baselines, across crate boundaries.
 
-use pollux::baselines::{tiresias, TiresiasConfig};
+use pollux::baselines::tiresias;
 use pollux::cluster::ClusterSpec;
 use pollux::core::{run_trace, ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux::sched::GaConfig;
@@ -91,14 +91,7 @@ fn pollux_beats_tiresias_on_scalable_workload() {
         quick_sim(2),
     )
     .unwrap();
-    let tiresias = run_trace(
-        tiresias(TiresiasConfig::default()),
-        &trace,
-        ConfigChoice::Tuned,
-        spec,
-        quick_sim(2),
-    )
-    .unwrap();
+    let tiresias = run_trace(tiresias(), &trace, ConfigChoice::Tuned, spec, quick_sim(2)).unwrap();
     assert_eq!(pollux.unfinished(), 0);
     assert_eq!(tiresias.unfinished(), 0);
     let pj = pollux.avg_jct().unwrap();

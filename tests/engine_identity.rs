@@ -37,7 +37,7 @@
 //! moving a whole workload later by whole scheduling intervals moves
 //! nothing else, so neither stepper nor the φ hold reads absolute time.
 
-use pollux::baselines::{tiresias, TiresiasConfig};
+use pollux::baselines::tiresias;
 use pollux::cluster::{AllocationMatrix, ClusterSpec, JobId};
 use pollux::core::{PolluxConfig, PolluxPolicy};
 use pollux::models::PlacementShape;
@@ -254,7 +254,7 @@ fn staged_tiresias_with_a_fixed_batch() {
         cfg,
         &spec,
         &jobs(14, 240.0, 9, 1.0),
-        || tiresias(TiresiasConfig::default()),
+        tiresias,
     );
     assert!(
         res.records
@@ -510,7 +510,7 @@ fn shifting_every_submit_time_leaves_the_jcts_alone() {
     };
     type MakePolicy = fn() -> Box<dyn SchedulingPolicy>;
     let policies: [(&str, MakePolicy); 2] = [
-        ("tiresias", || Box::new(tiresias(TiresiasConfig::default()))),
+        ("tiresias", || Box::new(tiresias())),
         ("fcfs", || Box::new(Fcfs { gpus: 4 })),
     ];
     for (name, policy) in policies {

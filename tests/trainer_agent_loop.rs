@@ -18,9 +18,7 @@ fn measured_stats(batch: u64, steps: usize) -> GradientStats {
             batch_size: batch,
             m0: 32,
             eta0: 0.03,
-            gns_smoothing: 0.05,
             use_adascale: true,
-            momentum: 0.0,
             seed: 9,
         },
     )
@@ -78,9 +76,7 @@ fn efficiency_prediction_consistency_between_crates() {
             batch_size: 64,
             m0: 32,
             eta0: 0.03,
-            gns_smoothing: 0.05,
             use_adascale: true,
-            momentum: 0.0,
             seed: 13,
         },
     )
