@@ -210,7 +210,7 @@ pub fn search_ablation(seed: u64) -> SearchAblation {
     // search strategies themselves.
     let table = SpeedupTable::build(&jobs, &spec, 1);
     let mut rng = StdRng::seed_from_u64(seed);
-    let out = ga.evolve(&jobs, &spec, vec![], &table, &mut rng);
+    let (out, _) = ga.evolve(&jobs, &spec, vec![], &table, &mut rng);
 
     // Local search: same evaluation budget, first-improvement moves.
     let ls = pollux_sched::LocalSearch::new(pollux_sched::LocalSearchConfig {

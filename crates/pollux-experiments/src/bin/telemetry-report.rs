@@ -34,8 +34,8 @@
 //!   uses the full capture, unaffected by the filters below.
 //! - `--prefix <p>`: only report `subsystem/name` entries starting
 //!   with `p`.
-//! - `--kind <span|count|hist|point|timeline|meta|round>`: only report
-//!   one event kind (repeatable).
+//! - `--kind <k>`: only report one event kind, one of `Event::KINDS`
+//!   (repeatable).
 
 use pollux_experiments::common::render_table;
 use pollux_telemetry::{chrome, Event, HistogramSnapshot, RoundExplain};
@@ -70,29 +70,18 @@ fn ms(ns: u64) -> String {
     format!("{:.2}", ns as f64 / 1e6)
 }
 
-fn event_kind(e: &Event) -> &'static str {
-    match e {
-        Event::Span { .. } => "span",
-        Event::Count { .. } => "count",
-        Event::Hist { .. } => "hist",
-        Event::Point { .. } => "point",
-        Event::Timeline { .. } => "timeline",
-        Event::Meta { .. } => "meta",
-        Event::Round(_) => "round",
-    }
-}
-
 struct Options {
     path: String,
     chrome_out: Option<String>,
     prefix: Option<String>,
-    kinds: Vec<String>,
+    kinds: Vec<&'static str>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: telemetry-report <capture.jsonl> [--chrome-trace <out.json>] \
-         [--prefix <p>] [--kind <span|count|hist|point|timeline|meta|round>]"
+         [--prefix <p>] [--kind <{}>]",
+        Event::KINDS.join("|")
     );
     std::process::exit(2);
 }
@@ -109,14 +98,8 @@ fn parse_args() -> Options {
             "--prefix" => prefix = Some(args.next().unwrap_or_else(|| usage())),
             "--kind" => {
                 let k = args.next().unwrap_or_else(|| usage());
-                if ![
-                    "span", "count", "hist", "point", "timeline", "meta", "round",
-                ]
-                .contains(&k.as_str())
-                {
-                    usage();
-                }
-                kinds.push(k);
+                let kind = Event::KINDS.into_iter().find(|&kind| kind == k);
+                kinds.push(kind.unwrap_or_else(|| usage()));
             }
             _ if path.is_none() && !a.starts_with("--") => path = Some(a),
             _ => usage(),
@@ -179,7 +162,7 @@ fn main() {
                 continue;
             }
         }
-        if !opts.kinds.is_empty() && !opts.kinds.iter().any(|k| k == event_kind(&event)) {
+        if !opts.kinds.is_empty() && !opts.kinds.contains(&event.kind()) {
             filtered += 1;
             continue;
         }

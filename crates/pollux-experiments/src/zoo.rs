@@ -20,7 +20,7 @@ use crate::common::{experiment_pollux, render_table};
 use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_core::{PolluxConfig, PolluxPolicy};
 use pollux_simulator::{SchedulingPolicy, StagedScheduler};
-use pollux_telemetry::Recorder;
+use pollux_telemetry::{json, Recorder};
 
 /// A freshly-built zoo policy: either the Pollux GA scheduler on its
 /// direct [`SchedulingPolicy`] implementation, or a staged
@@ -220,57 +220,36 @@ pub struct ZooResult {
 }
 
 impl ZooResult {
-    /// Renders the result as JSON, hand-rolled on the telemetry
-    /// codec's encoders like the JSONL capture and the Chrome
-    /// exporter. The row schema is pinned by the CI zoo smoke, which
-    /// parses this output with Python's `json`.
+    /// Renders the result as JSON through the telemetry codec's one
+    /// writer, like the JSONL capture and the Chrome exporter. The row
+    /// schema is pinned by the CI zoo smoke, which parses this output
+    /// with Python's `json`.
     pub fn to_json(&self) -> String {
-        use pollux_telemetry::json::{write_f64, write_str};
         let mut out = String::with_capacity(256 * self.rows.len() + 64);
-        out.push_str("{\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"policy\":");
-            write_str(&mut out, row.policy);
-            out.push_str(",\"stages\":");
-            match row.stages {
-                Some((adm, plc, pre)) => {
-                    out.push('[');
-                    write_str(&mut out, adm);
-                    out.push(',');
-                    write_str(&mut out, plc);
-                    out.push(',');
-                    write_str(&mut out, pre);
-                    out.push(']');
+        json::write_obj(&mut out, |o| {
+            o.arr("rows", |rows| {
+                for row in &self.rows {
+                    let s = &row.summary;
+                    rows.obj(|o| {
+                        o.field("policy", row.policy)
+                            .field("stages", row.stages.map(|(a, p, y)| [a, p, y]))
+                            .field("avg_jct_hours", s.avg_jct_hours)
+                            .field("p50_jct_hours", s.p50_jct_hours)
+                            .field("p95_jct_hours", s.p95_jct_hours)
+                            .field("p99_jct_hours", s.p99_jct_hours)
+                            .field("avg_wait_hours", s.avg_wait_hours)
+                            .field("p99_wait_hours", s.p99_wait_hours)
+                            .field("makespan_hours", s.makespan_hours)
+                            .field("avg_efficiency", s.avg_efficiency)
+                            .field("job_goodput", s.job_goodput)
+                            .field("unfinished", s.unfinished);
+                    });
                 }
-                None => out.push_str("null"),
-            }
-            let s = &row.summary;
-            let nums: &[(&str, f64)] = &[
-                ("avg_jct_hours", s.avg_jct_hours),
-                ("p50_jct_hours", s.p50_jct_hours),
-                ("p95_jct_hours", s.p95_jct_hours),
-                ("p99_jct_hours", s.p99_jct_hours),
-                ("avg_wait_hours", s.avg_wait_hours),
-                ("p99_wait_hours", s.p99_wait_hours),
-                ("makespan_hours", s.makespan_hours),
-                ("avg_efficiency", s.avg_efficiency),
-                ("job_goodput", s.job_goodput),
-            ];
-            for (key, v) in nums {
-                out.push(',');
-                write_str(&mut out, key);
-                out.push(':');
-                write_f64(&mut out, *v);
-            }
-            out.push_str(&format!(",\"unfinished\":{}}}", s.unfinished));
-        }
-        out.push_str(&format!(
-            "],\"traces\":{},\"jobs\":{}}}\n",
-            self.traces, self.jobs
-        ));
+            })
+            .field("traces", self.traces)
+            .field("jobs", self.jobs);
+        });
+        out.push('\n');
         out
     }
 }

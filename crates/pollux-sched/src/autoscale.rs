@@ -102,7 +102,7 @@ impl Autoscaler {
         rng: &mut R,
     ) -> (AllocationMatrix, f64) {
         let table = SpeedupTable::build(jobs, spec, 1);
-        let outcome = self.ga.evolve(jobs, spec, vec![], &table, rng);
+        let (outcome, _) = self.ga.evolve(jobs, spec, vec![], &table, rng);
         let u = utility(jobs, &outcome.best, &table, spec.total_gpus());
         (outcome.best, u)
     }

@@ -109,11 +109,6 @@ pub struct GaOutcome {
     pub best: AllocationMatrix,
     /// Its fitness value.
     pub best_fitness: f64,
-    /// The final population, for bootstrapping the next interval
-    /// (Sec. 4.3: "the entire population is saved and used to
-    /// bootstrap the genetic algorithm in the next scheduling
-    /// interval").
-    pub population: Vec<AllocationMatrix>,
     /// Evaluation counters for this run.
     pub stats: GaRunStats,
 }
@@ -346,6 +341,11 @@ impl GeneticAlgorithm {
     /// `rng` is the master RNG: it is advanced by exactly one seed
     /// draw per population slot, so the outcome — and the stream a
     /// later consumer of `rng` sees — depends only on the master seed.
+    ///
+    /// Returns the outcome and, beside it, the final population, for
+    /// bootstrapping the next interval (Sec. 4.3: "the entire
+    /// population is saved and used to bootstrap the genetic algorithm
+    /// in the next scheduling interval").
     pub fn evolve<R: Rng>(
         &self,
         jobs: &[SchedJob],
@@ -353,7 +353,7 @@ impl GeneticAlgorithm {
         seed: Vec<AllocationMatrix>,
         table: &SpeedupTable,
         rng: &mut R,
-    ) -> GaOutcome {
+    ) -> (GaOutcome, Vec<AllocationMatrix>) {
         let num_jobs = jobs.len();
         let num_nodes = spec.num_nodes();
         let pop_size = self.config.population.max(2);
@@ -477,12 +477,12 @@ impl GeneticAlgorithm {
             .map(|(i, _)| i)
             .unwrap_or(0);
         members.truncate(live);
-        GaOutcome {
+        let outcome = GaOutcome {
             best: members[best_idx].matrix.clone(),
             best_fitness: fitnesses[best_idx],
-            population: members.into_iter().map(|m| m.matrix).collect(),
             stats: run_stats,
-        }
+        };
+        (outcome, members.into_iter().map(|m| m.matrix).collect())
     }
 }
 
@@ -809,13 +809,13 @@ mod tests {
         let jobs: Vec<SchedJob> = (0..2).map(|i| job(i, 5000.0)).collect();
         let mut rng = StdRng::seed_from_u64(8);
         let t = table(&jobs, &spec);
-        let out = ga(30).evolve(&jobs, &spec, vec![], &t, &mut rng);
+        let (out, population) = ga(30).evolve(&jobs, &spec, vec![], &t, &mut rng);
         assert!(out.best.is_feasible(&spec));
         assert!(out.best_fitness > 1.0, "fitness = {}", out.best_fitness);
         for j in 0..2 {
             assert!(out.best.gpus_of(j) >= 1, "job {j} starved:\n{}", out.best);
         }
-        assert_eq!(out.population.len(), 30);
+        assert_eq!(population.len(), 30);
     }
 
     #[test]
@@ -829,7 +829,7 @@ mod tests {
         let jobs = vec![scalable, rigid];
         let mut rng = StdRng::seed_from_u64(9);
         let t = table(&jobs, &spec);
-        let out = ga(40).evolve(&jobs, &spec, vec![], &t, &mut rng);
+        let (out, _) = ga(40).evolve(&jobs, &spec, vec![], &t, &mut rng);
         assert!(
             out.best.gpus_of(0) > out.best.gpus_of(1),
             "scalable {} vs rigid {}\n{}",
@@ -846,7 +846,7 @@ mod tests {
         let jobs: Vec<SchedJob> = (0..3).map(|i| job(i, 20_000.0)).collect();
         let mut rng = StdRng::seed_from_u64(10);
         let t = table(&jobs, &spec);
-        let out = ga(30).evolve(&jobs, &spec, vec![], &t, &mut rng);
+        let (out, _) = ga(30).evolve(&jobs, &spec, vec![], &t, &mut rng);
         assert!(out.best.satisfies_interference_avoidance());
     }
 
@@ -857,8 +857,8 @@ mod tests {
         let t = table(&jobs, &spec);
 
         let mut rng = StdRng::seed_from_u64(11);
-        let first = ga(20).evolve(&jobs, &spec, vec![], &t, &mut rng);
-        let resumed = ga(5).evolve(&jobs, &spec, first.population.clone(), &t, &mut rng);
+        let (first, population) = ga(20).evolve(&jobs, &spec, vec![], &t, &mut rng);
+        let (resumed, _) = ga(5).evolve(&jobs, &spec, population, &t, &mut rng);
         assert!(
             resumed.best_fitness >= first.best_fitness - 1e-9,
             "resumed {} < first {}",
@@ -875,8 +875,8 @@ mod tests {
         let t2 = table(&jobs, &spec);
         let mut r1 = StdRng::seed_from_u64(42);
         let mut r2 = StdRng::seed_from_u64(42);
-        let o1 = ga(10).evolve(&jobs, &spec, vec![], &t1, &mut r1);
-        let o2 = ga(10).evolve(&jobs, &spec, vec![], &t2, &mut r2);
+        let (o1, _) = ga(10).evolve(&jobs, &spec, vec![], &t1, &mut r1);
+        let (o2, _) = ga(10).evolve(&jobs, &spec, vec![], &t2, &mut r2);
         assert_eq!(o1.best, o2.best);
         assert_eq!(o1.best_fitness, o2.best_fitness);
         assert_eq!(o1.stats, o2.stats);
@@ -901,7 +901,7 @@ mod tests {
         let t = table(&jobs, &spec);
         let g = ga(15);
         let mut rng = StdRng::seed_from_u64(13);
-        let out = g.evolve(&jobs, &spec, vec![], &t, &mut rng);
+        let (out, _) = g.evolve(&jobs, &spec, vec![], &t, &mut rng);
         let full = crate::fitness::fitness(&jobs, &out.best, &t, &g.config().fitness);
         assert_eq!(out.best_fitness.to_bits(), full.to_bits());
         assert!(out.stats.fitness_evals > 0);
@@ -931,7 +931,7 @@ mod tests {
         let jobs = vec![j];
         let mut rng = StdRng::seed_from_u64(12);
         let t = table(&jobs, &spec);
-        let out = ga(30).evolve(&jobs, &spec, vec![], &t, &mut rng);
+        let (out, _) = ga(30).evolve(&jobs, &spec, vec![], &t, &mut rng);
         assert_eq!(
             out.best.row(0),
             &[4, 0],
@@ -1043,7 +1043,7 @@ mod tests {
                     (0..num_jobs).map(|i| job(i as u32, 2000.0)).collect();
                 let t = SpeedupTable::build(&jobs, &spec, 1);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let out = ga(5).evolve(&jobs, &spec, vec![], &t, &mut rng);
+                let (out, _) = ga(5).evolve(&jobs, &spec, vec![], &t, &mut rng);
                 prop_assert!(out.best.is_feasible(&spec));
                 prop_assert!(out.best.satisfies_interference_avoidance());
                 prop_assert!(out.best_fitness.is_finite());

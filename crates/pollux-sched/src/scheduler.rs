@@ -196,7 +196,7 @@ impl PolluxSched {
     /// Runs one full optimization for this interval and returns the
     /// [`GaOutcome`] (best matrix, fitness, counters). The population
     /// stays inside the scheduler, where it bootstraps the next
-    /// interval; the outcome's `population` is empty.
+    /// interval.
     pub fn optimize<R: Rng>(
         &mut self,
         jobs: &[SchedJob],
@@ -298,7 +298,6 @@ impl PolluxSched {
         GaOutcome {
             best,
             best_fitness,
-            population: Vec::new(),
             stats,
         }
     }
@@ -537,12 +536,12 @@ fn search<R: Rng>(
     let table = SpeedupTable::build_reusing(jobs, spec, 1, prev.table.as_ref());
     let build_nanos = build_start.elapsed().as_nanos() as u64;
     let evolve_start = Instant::now();
-    let outcome = ga.evolve(jobs, spec, seed, &table, rng);
+    let (outcome, population) = ga.evolve(jobs, spec, seed, &table, rng);
     let evolve_nanos = evolve_start.elapsed().as_nanos() as u64;
     let speedup = table.stats();
     let carry = RackCarry {
         job_ids: jobs.iter().map(|j| j.id).collect(),
-        population: outcome.population,
+        population,
         table: Some(table),
         sub_jobs: Vec::new(),
         best: Some((outcome.best, outcome.best_fitness)),

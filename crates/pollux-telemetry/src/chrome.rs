@@ -182,21 +182,24 @@ pub fn node_slices(events: &[Event]) -> Vec<NodeSlice> {
     done
 }
 
-fn push_meta(rows: &mut Vec<Row>, pid: u64, tid: Option<u64>, which: &str, name: &str) {
-    let mut body = format!(
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"name\":",
-        tid.unwrap_or(0)
-    );
-    json::write_str(&mut body, which);
-    body.push_str(",\"args\":{\"name\":");
-    json::write_str(&mut body, name);
-    body.push_str("}}");
-    rows.push(Row {
-        pid,
-        tid: tid.unwrap_or(0),
-        ts: -1.0,
-        body,
-    });
+impl Row {
+    /// A row whose body opens with the `ph`, `pid` and `tid` every row
+    /// carries; `members` writes the phase's own members after them.
+    fn new(ph: &str, pid: u64, tid: u64, ts: f64, members: impl FnOnce(&mut json::Obj<'_>)) -> Row {
+        let mut body = String::with_capacity(96);
+        json::write_obj(&mut body, |o| {
+            members(o.field("ph", ph).field("pid", pid).field("tid", tid));
+        });
+        Row { pid, tid, ts, body }
+    }
+}
+
+fn push_meta(rows: &mut Vec<Row>, pid: u64, tid: u64, which: &str, name: &str) {
+    rows.push(Row::new("M", pid, tid, -1.0, |o| {
+        o.field("name", which).obj("args", |args| {
+            args.field("name", name);
+        });
+    }));
 }
 
 /// Renders `events` as Chrome trace JSON. Pure and deterministic: the
@@ -236,7 +239,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
     // echoed under `otherData`. Values are deduplicated and joined
     // sorted, so a capture holding several sequential runs stays
     // order-independent.
-    let mut metas: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
+    let mut meta_values: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
     for e in events {
         if let Event::Meta {
             subsystem,
@@ -244,18 +247,17 @@ pub fn chrome_trace(events: &[Event]) -> String {
             value,
         } = e
         {
-            metas
+            meta_values
                 .entry((subsystem.to_string(), name.to_string()))
                 .or_default()
                 .insert(value.to_string());
         }
     }
-    let joined = |key: (&str, &str)| -> Option<String> {
-        metas
-            .get(&(key.0.to_string(), key.1.to_string()))
-            .map(|vs| vs.iter().cloned().collect::<Vec<_>>().join(", "))
-    };
-    let cluster_name = match joined(("sched", "policy")) {
+    let metas: BTreeMap<(String, String), String> = meta_values
+        .into_iter()
+        .map(|(key, vs)| (key, vs.into_iter().collect::<Vec<_>>().join(", ")))
+        .collect();
+    let cluster_name = match metas.get(&("sched".into(), "policy".into())) {
         Some(p) => format!("cluster ({p})"),
         None => "cluster".to_string(),
     };
@@ -263,7 +265,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
     let mut rows: Vec<Row> = Vec::new();
 
     // Process / thread names.
-    push_meta(&mut rows, CLUSTER_PID, None, "process_name", &cluster_name);
+    push_meta(&mut rows, CLUSTER_PID, 0, "process_name", &cluster_name);
     let num_racks = if num_nodes == 0 {
         0
     } else {
@@ -273,16 +275,17 @@ pub fn chrome_trace(events: &[Event]) -> String {
         push_meta(
             &mut rows,
             RACK_PID0 + r,
-            None,
+            0,
             "process_name",
             &format!("rack {r}"),
         );
     }
     for n in 0..num_nodes {
+        let pid = RACK_PID0 + rack_of(n);
         push_meta(
             &mut rows,
-            RACK_PID0 + rack_of(n),
-            Some(n as u64),
+            pid,
+            n.into(),
             "thread_name",
             &format!("node {n}"),
         );
@@ -293,22 +296,15 @@ pub fn chrome_trace(events: &[Event]) -> String {
         let pid = RACK_PID0 + rack_of(s.node);
         let ts = s.start * 1e6;
         let dur = (s.end - s.start).max(0.0) * 1e6;
-        let mut body = format!("{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":", s.node);
-        json::write_f64(&mut body, ts);
-        body.push_str(",\"dur\":");
-        json::write_f64(&mut body, dur);
-        body.push_str(",\"name\":");
-        json::write_str(&mut body, &format!("job {}", s.job));
-        body.push_str(&format!(
-            ",\"cat\":\"placement\",\"args\":{{\"job\":{},\"gpus\":{}}}}}",
-            s.job, s.gpus
-        ));
-        rows.push(Row {
-            pid,
-            tid: s.node as u64,
-            ts,
-            body,
-        });
+        rows.push(Row::new("X", pid, s.node.into(), ts, |o| {
+            o.field("ts", ts)
+                .field("dur", dur)
+                .field("name", format!("job {}", s.job).as_str())
+                .field("cat", "placement")
+                .obj("args", |args| {
+                    args.field("job", s.job).field("gpus", s.gpus);
+                });
+        }));
     }
 
     // Cluster counter tracks + instant markers.
@@ -329,39 +325,24 @@ pub fn chrome_trace(events: &[Event]) -> String {
                     let Some(v) = fields.iter().find(|(k, _)| k == field).map(|&(_, v)| v) else {
                         continue;
                     };
-                    let mut body =
-                        format!("{{\"ph\":\"C\",\"pid\":{CLUSTER_PID},\"tid\":0,\"ts\":");
-                    json::write_f64(&mut body, ts);
-                    body.push_str(",\"name\":");
-                    json::write_str(&mut body, counter);
-                    body.push_str(",\"args\":{");
-                    json::write_str(&mut body, field);
-                    body.push(':');
-                    json::write_f64(&mut body, v);
-                    body.push_str("}}");
-                    rows.push(Row {
-                        pid: CLUSTER_PID,
-                        tid: 0,
-                        ts,
-                        body,
-                    });
+                    rows.push(Row::new("C", CLUSTER_PID, 0, ts, |o| {
+                        o.field("ts", ts)
+                            .field("name", counter)
+                            .obj("args", |args| {
+                                args.field(field, v);
+                            });
+                    }));
                 }
             }
             Event::Timeline {
                 name, time, job, ..
             } if matches!(name.as_ref(), "arrival" | "restart" | "finish") => {
                 let ts = *time * 1e6;
-                let mut body = format!("{{\"ph\":\"i\",\"pid\":{CLUSTER_PID},\"tid\":0,\"ts\":");
-                json::write_f64(&mut body, ts);
-                body.push_str(",\"s\":\"p\",\"name\":");
-                json::write_str(&mut body, &format!("{name} job {job}"));
-                body.push('}');
-                rows.push(Row {
-                    pid: CLUSTER_PID,
-                    tid: 0,
-                    ts,
-                    body,
-                });
+                rows.push(Row::new("i", CLUSTER_PID, 0, ts, |o| {
+                    o.field("ts", ts)
+                        .field("s", "p")
+                        .field("name", format!("{name} job {job}").as_str());
+                }));
             }
             _ => {}
         }
@@ -376,15 +357,9 @@ pub fn chrome_trace(events: &[Event]) -> String {
         }
     }
     if !span_tids.is_empty() {
-        push_meta(
-            &mut rows,
-            WALL_PID,
-            None,
-            "process_name",
-            "host (wall clock)",
-        );
+        push_meta(&mut rows, WALL_PID, 0, "process_name", "host (wall clock)");
         for (sub, tid) in &span_tids {
-            push_meta(&mut rows, WALL_PID, Some(*tid), "thread_name", sub);
+            push_meta(&mut rows, WALL_PID, *tid, "thread_name", sub);
         }
         for e in events {
             if let Event::Span {
@@ -396,19 +371,11 @@ pub fn chrome_trace(events: &[Event]) -> String {
             {
                 let tid = span_tids[subsystem.as_ref()];
                 let ts = *start_ns as f64 / 1e3;
-                let mut body = format!("{{\"ph\":\"X\",\"pid\":{WALL_PID},\"tid\":{tid},\"ts\":");
-                json::write_f64(&mut body, ts);
-                body.push_str(",\"dur\":");
-                json::write_f64(&mut body, *dur_ns as f64 / 1e3);
-                body.push_str(",\"name\":");
-                json::write_str(&mut body, name);
-                body.push('}');
-                rows.push(Row {
-                    pid: WALL_PID,
-                    tid,
-                    ts,
-                    body,
-                });
+                rows.push(Row::new("X", WALL_PID, tid, ts, |o| {
+                    o.field("ts", ts)
+                        .field("dur", *dur_ns as f64 / 1e3)
+                        .field("name", &**name);
+                }));
             }
         }
     }
@@ -422,29 +389,17 @@ pub fn chrome_trace(events: &[Event]) -> String {
     });
 
     let mut out = String::with_capacity(rows.len() * 96 + 32);
-    out.push_str("{\"traceEvents\":[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    json::write_obj(&mut out, |o| {
+        o.lines("traceEvents", rows.iter().map(|row| row.body.as_str()));
+        if !metas.is_empty() {
+            o.obj("otherData", |other| {
+                for ((sub, name), joined) in &metas {
+                    other.field(&format!("{sub}/{name}"), joined.as_str());
+                }
+            });
         }
-        out.push('\n');
-        out.push_str(&row.body);
-    }
-    out.push_str("\n]");
-    if !metas.is_empty() {
-        out.push_str(",\"otherData\":{");
-        for (i, ((sub, name), vs)) in metas.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, &format!("{sub}/{name}"));
-            out.push(':');
-            let joined = vs.iter().cloned().collect::<Vec<_>>().join(", ");
-            json::write_str(&mut out, &joined);
-        }
-        out.push('}');
-    }
-    out.push_str("}\n");
+    });
+    out.push('\n');
     out
 }
 

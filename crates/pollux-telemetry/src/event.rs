@@ -1,5 +1,6 @@
 //! The telemetry event vocabulary and its JSONL form.
 
+use crate::histogram::NUM_BUCKETS;
 use crate::json::{self, JsonValue};
 use std::borrow::Cow;
 
@@ -146,17 +147,6 @@ pub struct JobExplain {
     pub co_residents: Vec<u64>,
 }
 
-fn write_u32_arr(out: &mut String, vals: &[u32]) {
-    out.push('[');
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{v}"));
-    }
-    out.push(']');
-}
-
 fn parse_u32_arr(v: &JsonValue) -> Option<Vec<u32>> {
     v.as_arr()?
         .iter()
@@ -164,7 +154,35 @@ fn parse_u32_arr(v: &JsonValue) -> Option<Vec<u32>> {
         .collect()
 }
 
+/// An `f64` slot: a number, or `null` — the writer's spelling of a
+/// non-finite value — as NaN, so a line rewrites to itself.
+fn f64_of(v: &JsonValue) -> Option<f64> {
+    match v {
+        JsonValue::Null => Some(f64::NAN),
+        v => v.as_f64(),
+    }
+}
+
 impl Event {
+    /// Every [`Event::kind`], in variant order.
+    pub const KINDS: [&'static str; 7] = [
+        "span", "count", "hist", "point", "timeline", "meta", "round",
+    ];
+
+    /// The event's kind: its variant, as the capture's `"t"` tag
+    /// spells it and report tooling filters by it.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Event::Span { .. } => "span",
+            Event::Count { .. } => "count",
+            Event::Hist { .. } => "hist",
+            Event::Point { .. } => "point",
+            Event::Timeline { .. } => "timeline",
+            Event::Meta { .. } => "meta",
+            Event::Round(_) => "round",
+        }
+    }
+
     /// The subsystem this event belongs to.
     pub fn subsystem(&self) -> &str {
         match self {
@@ -194,136 +212,62 @@ impl Event {
     /// Renders the event as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(96);
-        let header = |out: &mut String, t: &str, sub: &str, name: &str| {
-            out.push_str("{\"t\":\"");
-            out.push_str(t);
-            out.push_str("\",\"sub\":");
-            json::write_str(out, sub);
-            out.push_str(",\"name\":");
-            json::write_str(out, name);
-        };
-        match self {
-            Event::Span {
-                subsystem,
-                name,
-                start_ns,
-                dur_ns,
-            } => {
-                header(&mut out, "span", subsystem, name);
-                out.push_str(&format!(",\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}}}"));
-            }
-            Event::Count {
-                subsystem,
-                name,
-                value,
-            } => {
-                header(&mut out, "count", subsystem, name);
-                out.push_str(&format!(",\"value\":{value}}}"));
-            }
-            Event::Hist {
-                subsystem,
-                name,
-                count,
-                buckets,
-            } => {
-                header(&mut out, "hist", subsystem, name);
-                out.push_str(&format!(",\"count\":{count},\"buckets\":["));
-                for (i, (b, c)) in buckets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("[{b},{c}]"));
-                }
-                out.push_str("]}");
-            }
-            Event::Point {
-                subsystem,
-                name,
-                time,
-                fields,
-            } => {
-                header(&mut out, "point", subsystem, name);
-                out.push_str(",\"time\":");
-                json::write_f64(&mut out, *time);
-                out.push_str(",\"fields\":{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::write_str(&mut out, k);
-                    out.push(':');
-                    json::write_f64(&mut out, *v);
-                }
-                out.push_str("}}");
-            }
-            Event::Timeline {
-                subsystem,
-                name,
-                time,
-                job,
-                old,
-                new,
-            } => {
-                header(&mut out, "timeline", subsystem, name);
-                out.push_str(",\"time\":");
-                json::write_f64(&mut out, *time);
-                out.push_str(&format!(",\"job\":{job},\"old\":"));
-                write_u32_arr(&mut out, old);
-                out.push_str(",\"new\":");
-                write_u32_arr(&mut out, new);
-                out.push('}');
-            }
-            Event::Meta {
-                subsystem,
-                name,
-                value,
-            } => {
-                header(&mut out, "meta", subsystem, name);
-                out.push_str(",\"value\":");
-                json::write_str(&mut out, value);
-                out.push('}');
-            }
-            Event::Round(ex) => {
-                header(&mut out, "round", "sched", "round_explain");
-                out.push_str(",\"time\":");
-                json::write_f64(&mut out, ex.time);
-                out.push_str(",\"fitness\":");
-                json::write_f64(&mut out, ex.fitness);
-                out.push_str(",\"fitness_before\":");
-                json::write_f64(&mut out, ex.fitness_before);
-                out.push_str(if ex.racked {
-                    ",\"racked\":true"
-                } else {
-                    ",\"racked\":false"
-                });
-                out.push_str(",\"jobs\":[");
-                for (i, j) in ex.jobs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{{\"job\":{},\"weight\":", j.job));
-                    json::write_f64(&mut out, j.weight);
-                    out.push_str(",\"su_before\":");
-                    json::write_f64(&mut out, j.speedup_before);
-                    out.push_str(",\"su_after\":");
-                    json::write_f64(&mut out, j.speedup_after);
-                    out.push_str(",\"penalty\":");
-                    json::write_f64(&mut out, j.restart_penalty);
-                    out.push_str(&format!(
-                        ",\"rack_before\":{},\"rack_after\":{},\"gpus_before\":{},\"gpus_after\":{},\"co\":[",
-                        j.rack_before, j.rack_after, j.gpus_before, j.gpus_after
-                    ));
-                    for (k, c) in j.co_residents.iter().enumerate() {
-                        if k > 0 {
-                            out.push(',');
+        json::write_obj(&mut out, |o| {
+            o.field("t", self.kind())
+                .field("sub", self.subsystem())
+                .field("name", self.name());
+            match self {
+                Event::Span {
+                    start_ns, dur_ns, ..
+                } => o.field("start_ns", start_ns).field("dur_ns", dur_ns),
+                Event::Count { value, .. } => o.field("value", value),
+                Event::Hist { count, buckets, .. } => {
+                    o.field("count", count).arr("buckets", |arr| {
+                        for &(bucket, n) in buckets {
+                            arr.item([u64::from(bucket), n]);
                         }
-                        out.push_str(&format!("{c}"));
-                    }
-                    out.push_str("]}");
+                    })
                 }
-                out.push_str("]}");
-            }
-        }
+                Event::Point { time, fields, .. } => o.field("time", time).obj("fields", |o| {
+                    for (key, v) in fields {
+                        o.field(key, v);
+                    }
+                }),
+                Event::Timeline {
+                    time,
+                    job,
+                    old,
+                    new,
+                    ..
+                } => o
+                    .field("time", time)
+                    .field("job", job)
+                    .field("old", old.as_slice())
+                    .field("new", new.as_slice()),
+                Event::Meta { value, .. } => o.field("value", &**value),
+                Event::Round(ex) => o
+                    .field("time", ex.time)
+                    .field("fitness", ex.fitness)
+                    .field("fitness_before", ex.fitness_before)
+                    .field("racked", ex.racked)
+                    .arr("jobs", |arr| {
+                        for j in &ex.jobs {
+                            arr.obj(|o| {
+                                o.field("job", j.job)
+                                    .field("weight", j.weight)
+                                    .field("su_before", j.speedup_before)
+                                    .field("su_after", j.speedup_after)
+                                    .field("penalty", j.restart_penalty)
+                                    .field("rack_before", j.rack_before)
+                                    .field("rack_after", j.rack_after)
+                                    .field("gpus_before", j.gpus_before)
+                                    .field("gpus_after", j.gpus_after)
+                                    .field("co", j.co_residents.as_slice());
+                            });
+                        }
+                    }),
+            };
+        });
         out
     }
 
@@ -357,7 +301,10 @@ impl Event {
                     if pair.len() != 2 {
                         return None;
                     }
-                    buckets.push((pair[0].as_u64()?.min(255) as u8, pair[1].as_u64()?));
+                    // Only buckets below `NUM_BUCKETS` exist; a line naming
+                    // another is not one this writer wrote.
+                    let bucket = pair[0].as_u64().filter(|&b| b < NUM_BUCKETS as u64)?;
+                    buckets.push((bucket as u8, pair[1].as_u64()?));
                 }
                 Some(Event::Hist {
                     subsystem: sub,
@@ -370,21 +317,21 @@ impl Event {
                 let fields = match v.get("fields")? {
                     JsonValue::Obj(pairs) => pairs
                         .iter()
-                        .map(|(k, val)| Some((Cow::Owned(k.clone()), val.as_f64().unwrap_or(0.0))))
-                        .collect::<Option<Vec<_>>>()?,
+                        .map(|(k, val)| (Cow::Owned(k.clone()), f64_of(val).unwrap_or(0.0)))
+                        .collect(),
                     _ => return None,
                 };
                 Some(Event::Point {
                     subsystem: sub,
                     name,
-                    time: v.get("time")?.as_f64().unwrap_or(0.0),
+                    time: f64_of(v.get("time")?).unwrap_or(0.0),
                     fields,
                 })
             }
             "timeline" => Some(Event::Timeline {
                 subsystem: sub,
                 name,
-                time: v.get("time")?.as_f64().unwrap_or(0.0),
+                time: f64_of(v.get("time")?).unwrap_or(0.0),
                 job: v.get("job")?.as_u64()?,
                 old: parse_u32_arr(v.get("old")?)?,
                 new: parse_u32_arr(v.get("new")?)?,
@@ -403,10 +350,10 @@ impl Event {
                     }
                     jobs.push(JobExplain {
                         job: j.get("job")?.as_u64()?,
-                        weight: j.get("weight")?.as_f64()?,
-                        speedup_before: j.get("su_before")?.as_f64()?,
-                        speedup_after: j.get("su_after")?.as_f64()?,
-                        restart_penalty: j.get("penalty")?.as_f64()?,
+                        weight: f64_of(j.get("weight")?)?,
+                        speedup_before: f64_of(j.get("su_before")?)?,
+                        speedup_after: f64_of(j.get("su_after")?)?,
+                        restart_penalty: f64_of(j.get("penalty")?)?,
                         rack_before: j.get("rack_before")?.as_f64()? as i64,
                         rack_after: j.get("rack_after")?.as_f64()? as i64,
                         gpus_before: j.get("gpus_before")?.as_u64()?.min(u32::MAX as u64) as u32,
@@ -415,9 +362,9 @@ impl Event {
                     });
                 }
                 Some(Event::Round(RoundExplain {
-                    time: v.get("time")?.as_f64().unwrap_or(0.0),
-                    fitness: v.get("fitness")?.as_f64().unwrap_or(0.0),
-                    fitness_before: v.get("fitness_before")?.as_f64().unwrap_or(0.0),
+                    time: f64_of(v.get("time")?).unwrap_or(0.0),
+                    fitness: f64_of(v.get("fitness")?).unwrap_or(0.0),
+                    fitness_before: f64_of(v.get("fitness_before")?).unwrap_or(0.0),
                     racked: matches!(v.get("racked")?, JsonValue::Bool(true)),
                     jobs,
                 }))
@@ -499,8 +446,13 @@ mod tests {
                 }],
             }),
         ];
+        let mut kinds: Vec<&str> = events.iter().map(Event::kind).collect();
+        kinds.dedup();
+        assert_eq!(kinds, Event::KINDS, "one sample per kind, in variant order");
         for e in events {
             let line = e.to_jsonl();
+            let tag = json::parse(&line).and_then(|v| v.get("t")?.as_str().map(String::from));
+            assert_eq!(tag.as_deref(), Some(e.kind()));
             assert_eq!(Event::parse_jsonl(&line).as_ref(), Some(&e), "{line}");
         }
     }

@@ -1,9 +1,15 @@
-//! A minimal JSON reader/writer for telemetry capture files.
+//! The workspace's one JSON codec: a reader into [`JsonValue`] and a
+//! compact, streaming writer.
 //!
 //! Nothing can be downloaded and the workspace carries no JSON
-//! library, so JSONL capture files are written and read by hand here.
-//! Only the subset the [`crate::Event`] schema needs is supported: objects, arrays, strings (with `\"`, `\\`,
-//! `\n`, `\t`, `\r`, `\uXXXX` escapes), numbers, booleans, and null.
+//! library, so every JSON text the workspace writes — JSONL captures,
+//! Chrome traces, the zoo table — goes through [`write_obj`], which
+//! places the braces, brackets, commas and escaped keys and builds no
+//! intermediate tree. Only the subset those texts need is supported:
+//! objects, arrays, strings (with `\"`, `\\`, `\n`, `\t`, `\r`, `\uXXXX`
+//! escapes), numbers, booleans, and null.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,12 +71,18 @@ impl JsonValue {
     }
 }
 
-/// Parses one JSON document. Returns `None` on any syntax error or
-/// trailing garbage.
+/// How deep arrays and objects may nest before [`parse`] gives up: far
+/// above the four levels a capture line, a Chrome trace or the
+/// benchmark's config use, far below what overflows a thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document. Returns `None` on any syntax error,
+/// trailing garbage, or arrays and objects nested more than 128 deep.
 pub fn parse(input: &str) -> Option<JsonValue> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -93,7 +105,7 @@ pub fn write_str(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -104,20 +116,179 @@ pub fn write_str(out: &mut String, s: &str) {
 /// Appends a finite `f64` to `out` in shortest round-trip form
 /// (Rust's `Display`); non-finite values — which the recorder never
 /// produces but a caller-supplied field might contain — degrade to
-/// `null`, which reads back as 0.
+/// `null`, which [`crate::Event::parse_jsonl`] reads back as NaN.
 pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // `Display` for floats omits the ".0" on integral values,
         // which is still valid JSON.
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
+    }
+}
+
+/// A value [`Obj::field`] and [`Arr::item`] can write: a string, an
+/// integer, an `f64` (non-finite → `null`), a bool, `None` as `null`,
+/// or a slice or array of these as a JSON array.
+pub trait ToJson {
+    /// Appends `self` to `out` as JSON text.
+    fn write_json(&self, out: &mut String);
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self);
+    }
+}
+
+/// Integers and bools: their `Display` text is their JSON text.
+macro_rules! display_to_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_to_json!(u32, u64, usize, i64, bool);
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        write_arr(out, |arr| {
+            for v in self {
+                arr.item(v);
+            }
+        });
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn write_json(&self, out: &mut String) {
+        self[..].write_json(out);
+    }
+}
+
+/// Appends one JSON object to `out`; `members` adds its members.
+pub fn write_obj(out: &mut String, members: impl FnOnce(&mut Obj<'_>)) {
+    out.push('{');
+    members(&mut Obj {
+        out: &mut *out,
+        first: true,
+    });
+    out.push('}');
+}
+
+/// Appends one JSON array to `out`; `items` adds its elements.
+fn write_arr(out: &mut String, items: impl FnOnce(&mut Arr<'_>)) {
+    out.push('[');
+    items(&mut Arr {
+        out: &mut *out,
+        first: true,
+    });
+    out.push(']');
+}
+
+/// The object [`write_obj`] is writing: each call appends one member.
+pub struct Obj<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Obj<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::replace(&mut self.first, false) {
+            self.out.push(',');
+        }
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Adds the member `key` with a scalar or array value.
+    pub fn field(&mut self, key: &str, value: impl ToJson) -> &mut Self {
+        value.write_json(self.key(key));
+        self
+    }
+
+    /// Adds the member `key` holding a nested object.
+    pub fn obj(&mut self, key: &str, members: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+        write_obj(self.key(key), members);
+        self
+    }
+
+    /// Adds the member `key` holding a nested array.
+    pub fn arr(&mut self, key: &str, items: impl FnOnce(&mut Arr<'_>)) -> &mut Self {
+        write_arr(self.key(key), items);
+        self
+    }
+
+    /// Adds the member `key` holding an array of pre-rendered JSON
+    /// texts, one element per line (the Chrome trace's layout).
+    pub fn lines<'s>(&mut self, key: &str, items: impl IntoIterator<Item = &'s str>) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            out.push_str(item);
+        }
+        out.push_str("\n]");
+        self
+    }
+}
+
+/// The array [`Obj::arr`] is writing: each call appends one element.
+pub struct Arr<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Arr<'_> {
+    fn next(&mut self) -> &mut String {
+        if !std::mem::replace(&mut self.first, false) {
+            self.out.push(',');
+        }
+        self.out
+    }
+
+    /// Adds a scalar or array element.
+    pub fn item(&mut self, value: impl ToJson) -> &mut Self {
+        value.write_json(self.next());
+        self
+    }
+
+    /// Adds a nested object element.
+    pub fn obj(&mut self, members: impl FnOnce(&mut Obj<'_>)) -> &mut Self {
+        write_obj(self.next(), members);
+        self
     }
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -144,14 +315,22 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Option<JsonValue> {
         self.skip_ws();
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' | b'[' if self.depth == MAX_DEPTH => None,
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => self.string().map(JsonValue::Str),
             b't' => self.literal("true", JsonValue::Bool(true)),
             b'f' => self.literal("false", JsonValue::Bool(false)),
             b'n' => self.literal("null", JsonValue::Null),
             _ => self.number(),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Option<JsonValue>) -> Option<JsonValue> {
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Option<JsonValue> {
@@ -340,6 +519,35 @@ mod tests {
         // A high surrogate followed by a non-surrogate escape keeps
         // the follower intact.
         assert_eq!(parse(r#""\ud83dA""#).unwrap().as_str(), Some("\u{fffd}A"));
+    }
+
+    #[test]
+    fn writer_places_separators_and_escapes_keys() {
+        let mut out = String::new();
+        write_obj(&mut out, |o| {
+            o.field("a\"", -3i64)
+                .field("b", [Some(1u64), None])
+                .obj("c", |_| {})
+                .arr("d", |arr| {
+                    arr.item(f64::NAN).obj(|o| {
+                        o.field("e", true);
+                    });
+                })
+                .lines("f", ["1", "\"x\""]);
+        });
+        assert_eq!(
+            out,
+            "{\"a\\\"\":-3,\"b\":[1,null],\"c\":{},\"d\":[null,{\"e\":true}],\"f\":[\n1,\n\"x\"\n]}"
+        );
+        assert!(parse(&out).is_some());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_bound = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&at_bound).is_some());
+        let past = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&past), None);
     }
 
     #[test]

@@ -138,13 +138,13 @@ fn evolve_digest(
     };
     let table = SpeedupTable::build(&jobs, &spec, 1);
     let mut rng = StdRng::seed_from_u64(0xa11c ^ (num_jobs * 31 + num_nodes) as u64);
-    let out = ga.evolve(&jobs, &spec, seed, &table, &mut rng);
+    let (out, population) = ga.evolve(&jobs, &spec, seed, &table, &mut rng);
 
     let mut h = Fnv::new();
     h.matrix(&out.best);
     h.u64(out.best_fitness.to_bits());
-    h.u64(out.population.len() as u64);
-    for m in &out.population {
+    h.u64(population.len() as u64);
+    for m in &population {
         h.matrix(m);
     }
     h.u64(out.stats.generations_run);

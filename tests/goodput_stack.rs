@@ -109,7 +109,7 @@ fn scheduler_prefers_jobs_that_scale() {
     });
     let table = SpeedupTable::build(&jobs, &spec, 1);
     let mut rng = StdRng::seed_from_u64(5);
-    let out = ga.evolve(&jobs, &spec, vec![], &table, &mut rng);
+    let (out, _) = ga.evolve(&jobs, &spec, vec![], &table, &mut rng);
     assert!(
         out.best.gpus_of(0) > out.best.gpus_of(1),
         "resnet {} vs speech {}\n{}",
