@@ -2,64 +2,21 @@
 //!
 //! The classic HPC baseline: jobs start in arrival order, each as an
 //! all-or-nothing gang of its requested GPU count, and once running
-//! are never preempted ([`pollux_simulator::NoPreemption`] — the only
-//! non-preemptive policy in the zoo). When the head of the queue does
-//! not fit the free GPUs, later jobs that do fit backfill around it,
-//! which keeps utilization up at the cost of possibly delaying the
-//! head further (no reservation).
+//! are never preempted ([`NoPreemption`] — the only non-preemptive
+//! policy in the zoo). When the head of the queue does not fit the
+//! free GPUs, later jobs that do fit backfill around it, which keeps
+//! utilization up at the cost of possibly delaying the head further
+//! (no reservation). Admission is the shared [`RankedBackfill`] with
+//! every job ranked alike, so submission time alone orders it.
 
-use pollux_cluster::ClusterSpec;
-use pollux_simulator::{
-    AdmissionPolicy, Admitted, ConsolidatedPlacement, NoPreemption, PolicyJobView, StagedScheduler,
-};
-use rand::rngs::StdRng;
-
-/// FIFO-with-backfill admission over the free GPUs: arrival order,
-/// skipping jobs that do not fit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FifoAdmission;
-
-impl AdmissionPolicy for FifoAdmission {
-    fn name(&self) -> &'static str {
-        "fifo-backfill"
-    }
-
-    fn admit(
-        &mut self,
-        _now: f64,
-        jobs: &[PolicyJobView<'_>],
-        held: &[bool],
-        free: &[u32],
-        _spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Vec<Admitted> {
-        let mut order: Vec<usize> = (0..jobs.len()).filter(|&j| !held[j]).collect();
-        order.sort_by(|&a, &b| {
-            jobs[a]
-                .submit_time
-                .partial_cmp(&jobs[b].submit_time)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut budget: u32 = free.iter().sum();
-        let mut admitted = Vec::new();
-        for &j in &order {
-            let need = jobs[j].user.gpus.max(1);
-            if need <= budget {
-                admitted.push(Admitted { row: j, gpus: need });
-                budget -= need;
-            }
-        }
-        admitted
-    }
-}
+use pollux_control::{ConsolidatedPlacement, NoPreemption, RankedBackfill, StagedScheduler};
 
 /// Gang-scheduled FIFO with backfill: arrival-order admission over the
 /// free GPUs, consolidated placement, and no preemption.
 pub fn fifo_backfill() -> StagedScheduler {
     StagedScheduler::new(
         "fifo+backfill",
-        FifoAdmission,
+        RankedBackfill::new("fifo-backfill", |_| 0.0),
         ConsolidatedPlacement::admitted_order(),
         NoPreemption,
     )
@@ -68,10 +25,11 @@ pub fn fifo_backfill() -> StagedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pollux_cluster::JobId;
+    use pollux_cluster::{ClusterSpec, JobId};
+    use pollux_control::{PolicyJobView, SchedulingPolicy};
     use pollux_models::BatchSizeLimits;
-    use pollux_simulator::SchedulingPolicy;
     use pollux_workload::UserConfig;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn view<'a>(id: u32, gpus: u32, submit: f64, placement: &'a [u32]) -> PolicyJobView<'a> {

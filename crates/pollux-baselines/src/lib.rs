@@ -2,6 +2,9 @@
 //! plus a zoo of classic DL scheduling policies — each built from the
 //! Blox-style admission / placement / preemption stages in
 //! `pollux_control::stages` (DESIGN.md §10) rather than as a monolith.
+//! Four of them differ only in the rank of the one ranked-backfill
+//! admission (`RankedBackfill`), and every one places through the one
+//! keep-then-pack stage (`ConsolidatedPlacement`).
 //!
 //! - [`tiresias()`] — **Tiresias(+TunedJobs)**: non-resource-adaptive.
 //!   Jobs run with their user-submitted GPU count; scheduling uses
@@ -17,25 +20,22 @@
 //!   nodes while throughput scaling efficiency stays above a
 //!   threshold — the Fig 10 comparison point.
 //! - [`shortest`] — **SRTF / SRSF**: oracle shortest-remaining-time /
-//!   shortest-remaining-service admission with backfill.
+//!   shortest-remaining-service ranks of the backfilled admission.
 //! - [`fifo`] — **gang FIFO + backfill**: non-preemptive arrival-order
 //!   gang scheduling; small jobs backfill around blocked heads.
-//! - [`gandiva`] — a Gandiva-style best-fit packing *placement* stage,
-//!   composable with any admission policy.
-//! - [`placement`] — the shared consolidated-placement stage and
-//!   helpers (re-exported from `pollux_control`).
+//! - [`gandiva`] — Tiresias' admission with Gandiva-style best-fit
+//!   packing, one placement stage away from [`tiresias()`].
 
 pub mod fifo;
 pub mod gandiva;
 pub mod optimus;
 pub mod or_etal;
-pub mod placement;
 pub mod shortest;
 pub mod tiresias;
 
-pub use fifo::{fifo_backfill, FifoAdmission};
-pub use gandiva::{gandiva_packing, BestFitPacking};
+pub use fifo::fifo_backfill;
+pub use gandiva::gandiva_packing;
 pub use optimus::{optimus, OptimusAdmission};
 pub use or_etal::{or_etal, OrEtAlAdmission};
-pub use shortest::{srsf, srtf, ShortestRemainingAdmission};
-pub use tiresias::{tiresias, TiresiasAdmission};
+pub use shortest::{srsf, srtf};
+pub use tiresias::{las_two_queue, tiresias};

@@ -21,10 +21,11 @@
 //! `pollux-core/tests/baseline_golden.rs`.
 
 use pollux_cluster::ClusterSpec;
-use pollux_models::PlacementShape;
-use pollux_simulator::{
-    AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll, StagedScheduler,
+use pollux_control::{
+    ranked_backfill, AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll,
+    StagedScheduler,
 };
+use pollux_models::PlacementShape;
 use rand::rngs::StdRng;
 
 /// The Optimus+Oracle admission stage: every job gets the fewest GPUs
@@ -88,24 +89,15 @@ impl AdmissionPolicy for OptimusAdmission {
     ) -> Vec<Admitted> {
         let gpus_per_node = spec.iter().map(|(_, s)| s.gpus).max().unwrap_or(1);
 
-        // Give every job its minimum (in submission order while
-        // capacity lasts), then add GPUs one at a time to the job with
-        // the best marginal remaining-time reduction.
+        // Give every job its minimum (the shared backfill, every job
+        // ranked alike, so in submission order while capacity lasts),
+        // then add GPUs one at a time to the job with the best marginal
+        // remaining-time reduction.
         let mut assigned: Vec<u32> = vec![0; jobs.len()];
         let mut budget: u32 = free.iter().sum();
-        let mut order: Vec<usize> = (0..jobs.len()).filter(|&j| !held[j]).collect();
-        order.sort_by(|&a, &b| {
-            jobs[a]
-                .submit_time
-                .partial_cmp(&jobs[b].submit_time)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for &j in &order {
-            let need = self.min_gpus(&jobs[j]);
-            if need <= budget {
-                assigned[j] = need;
-                budget -= need;
-            }
+        let minimums = ranked_backfill(jobs, held, |_| 0.0, |j| self.min_gpus(j), &mut budget);
+        for a in minimums {
+            assigned[a.row] = a.gpus;
         }
         while budget > 0 {
             let mut best: Option<(usize, f64)> = None;
@@ -158,8 +150,8 @@ mod tests {
     use super::*;
     use pollux_agent::PolluxAgent;
     use pollux_cluster::JobId;
+    use pollux_control::SchedulingPolicy;
     use pollux_models::GradientStats;
-    use pollux_simulator::SchedulingPolicy;
     use pollux_workload::{ModelKind, ModelProfile, UserConfig};
     use rand::SeedableRng;
 

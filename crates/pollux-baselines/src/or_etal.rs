@@ -20,10 +20,10 @@
 //! `pollux-core/tests/baseline_golden.rs`.
 
 use pollux_cluster::{ClusterSpec, NodeId};
-use pollux_models::PlacementShape;
-use pollux_simulator::{
+use pollux_control::{
     AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll, StagedScheduler,
 };
+use pollux_models::PlacementShape;
 use rand::rngs::StdRng;
 
 /// Minimum acceptable throughput-scaling efficiency
@@ -157,8 +157,8 @@ mod tests {
     use super::*;
     use pollux_agent::PolluxAgent;
     use pollux_cluster::JobId;
+    use pollux_control::SchedulingPolicy;
     use pollux_models::GradientStats;
-    use pollux_simulator::SchedulingPolicy;
     use pollux_workload::{ModelKind, ModelProfile, UserConfig};
     use rand::SeedableRng;
 

@@ -10,113 +10,31 @@
 //!   flavor) ranks by remaining work × requested GPUs, so a short but
 //!   wide job does not starve many narrow ones.
 //!
-//! Both admit the backfilled prefix that fits free capacity, preempt
-//! freely, and place consolidated — i.e. they differ from Tiresias
-//! only in the admission stage, which is exactly the kind of
-//! one-stage-at-a-time comparison the Blox decomposition exists for.
+//! Both are the shared [`RankedBackfill`] admission under their own
+//! rank (ties break by submission time, then row), preempt freely, and
+//! place consolidated — i.e. they differ from Tiresias only in the
+//! rank, which is exactly the kind of one-stage-at-a-time comparison
+//! the Blox decomposition exists for.
 
-use pollux_cluster::ClusterSpec;
-use pollux_simulator::{
-    AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll, StagedScheduler,
-};
-use rand::rngs::StdRng;
-
-/// Admission by ascending remaining work, optionally weighted by the
-/// job's requested GPU count (SRSF). Ties break by submission time,
-/// then row, so the order is total and deterministic.
-#[derive(Debug, Clone, Copy)]
-pub struct ShortestRemainingAdmission {
-    /// `false` = SRTF (remaining time), `true` = SRSF (remaining
-    /// service = time × GPUs).
-    weight_by_gpus: bool,
-}
-
-impl ShortestRemainingAdmission {
-    /// Shortest remaining time first.
-    pub fn srtf() -> Self {
-        Self {
-            weight_by_gpus: false,
-        }
-    }
-
-    /// Shortest remaining service (time × GPUs) first.
-    pub fn srsf() -> Self {
-        Self {
-            weight_by_gpus: true,
-        }
-    }
-}
-
-impl AdmissionPolicy for ShortestRemainingAdmission {
-    fn name(&self) -> &'static str {
-        if self.weight_by_gpus {
-            "srsf"
-        } else {
-            "srtf"
-        }
-    }
-
-    fn admit(
-        &mut self,
-        _now: f64,
-        jobs: &[PolicyJobView<'_>],
-        held: &[bool],
-        free: &[u32],
-        _spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Vec<Admitted> {
-        let key = |j: usize| {
-            let need = jobs[j].user.gpus.max(1);
-            if self.weight_by_gpus {
-                jobs[j].remaining_work * need as f64
-            } else {
-                jobs[j].remaining_work
-            }
-        };
-        let mut order: Vec<usize> = (0..jobs.len()).filter(|&j| !held[j]).collect();
-        order.sort_by(|&a, &b| {
-            key(a)
-                .partial_cmp(&key(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(
-                    jobs[a]
-                        .submit_time
-                        .partial_cmp(&jobs[b].submit_time)
-                        .unwrap_or(std::cmp::Ordering::Equal),
-                )
-                .then(a.cmp(&b))
-        });
-
-        let mut budget: u32 = free.iter().sum();
-        let mut admitted = Vec::new();
-        for &j in &order {
-            let need = jobs[j].user.gpus.max(1);
-            if need <= budget {
-                admitted.push(Admitted { row: j, gpus: need });
-                budget -= need;
-            }
-        }
-        admitted
-    }
-}
+use pollux_control::{ConsolidatedPlacement, PreemptAll, RankedBackfill, StagedScheduler};
 
 /// Shortest-remaining-time-first: oracle SRTF admission, consolidated
 /// placement, full preemption.
 pub fn srtf() -> StagedScheduler {
     StagedScheduler::new(
         "srtf",
-        ShortestRemainingAdmission::srtf(),
+        RankedBackfill::new("srtf", |j| j.remaining_work),
         ConsolidatedPlacement::admitted_order(),
         PreemptAll,
     )
 }
 
-/// Shortest-remaining-service-first: oracle SRSF admission,
-/// consolidated placement, full preemption.
+/// Shortest-remaining-service-first: oracle SRSF admission (remaining
+/// work × requested GPUs), consolidated placement, full preemption.
 pub fn srsf() -> StagedScheduler {
     StagedScheduler::new(
         "srsf",
-        ShortestRemainingAdmission::srsf(),
+        RankedBackfill::new("srsf", |j| j.remaining_work * j.user.gpus.max(1) as f64),
         ConsolidatedPlacement::admitted_order(),
         PreemptAll,
     )
@@ -125,10 +43,11 @@ pub fn srsf() -> StagedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pollux_cluster::JobId;
+    use pollux_cluster::{ClusterSpec, JobId};
+    use pollux_control::{PolicyJobView, SchedulingPolicy};
     use pollux_models::BatchSizeLimits;
-    use pollux_simulator::SchedulingPolicy;
     use pollux_workload::UserConfig;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn view<'a>(

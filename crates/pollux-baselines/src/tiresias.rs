@@ -9,19 +9,15 @@
 //! preempted when higher-priority jobs need their GPUs, and replicas
 //! are placed consolidated (fewest nodes).
 //!
-//! Decomposed Blox-style (DESIGN.md §10): [`TiresiasAdmission`] owns
-//! the two-queue LAS priority and backfill prefix selection; placement
-//! is the shared [`ConsolidatedPlacement`] in admitted order;
-//! preemption is [`PreemptAll`] (any running job yields to a higher
-//! priority). [`tiresias`] composes the three. The staged form is
-//! pinned byte-identical to the pre-decomposition monolith by
+//! Decomposed Blox-style (DESIGN.md §10): admission is the shared
+//! [`RankedBackfill`] ranked by [`las_two_queue`]'s two queues;
+//! placement is the shared [`ConsolidatedPlacement`] in admitted
+//! order; preemption is [`PreemptAll`] (any running job yields to a
+//! higher priority). [`tiresias`] composes the three. The staged form
+//! is pinned byte-identical to the pre-decomposition monolith by
 //! `pollux-core/tests/baseline_golden.rs`.
 
-use pollux_cluster::ClusterSpec;
-use pollux_simulator::{
-    AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll, StagedScheduler,
-};
-use rand::rngs::StdRng;
+use pollux_control::{ConsolidatedPlacement, PreemptAll, RankedBackfill, StagedScheduler};
 
 /// Attained-service threshold (GPU-seconds) splitting the two priority
 /// queues: one GPU-hour, so small jobs finish entirely in the high
@@ -29,51 +25,13 @@ use rand::rngs::StdRng;
 const QUEUE_THRESHOLD: f64 = 3600.0;
 
 /// The Tiresias admission stage: discretized least-attained-service
-/// priorities (two queues, FIFO within each), then the backfilled
-/// prefix of jobs whose user GPU counts fit the free capacity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TiresiasAdmission;
-
-impl AdmissionPolicy for TiresiasAdmission {
-    fn name(&self) -> &'static str {
-        "las-two-queue"
-    }
-
-    fn admit(
-        &mut self,
-        _now: f64,
-        jobs: &[PolicyJobView<'_>],
-        held: &[bool],
-        free: &[u32],
-        _spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Vec<Admitted> {
-        // Priority order: high queue (attained < threshold) first,
-        // FIFO within queue.
-        let low_queue: Vec<bool> = jobs.iter().map(|j| j.gputime >= QUEUE_THRESHOLD).collect();
-        let mut order: Vec<usize> = (0..jobs.len()).filter(|&j| !held[j]).collect();
-        order.sort_by(|&a, &b| {
-            low_queue[a].cmp(&low_queue[b]).then(
-                jobs[a]
-                    .submit_time
-                    .partial_cmp(&jobs[b].submit_time)
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-        });
-
-        // Admit the prefix of jobs that fit in total capacity
-        // (backfilling past jobs that do not fit).
-        let mut budget: u32 = free.iter().sum();
-        let mut admitted = Vec::new();
-        for &j in &order {
-            let need = jobs[j].user.gpus.max(1);
-            if need <= budget {
-                admitted.push(Admitted { row: j, gpus: need });
-                budget -= need;
-            }
-        }
-        admitted
-    }
+/// priorities — the high queue (attained service below the threshold)
+/// ranks 0, the low queue 1, FIFO within each — then the backfilled
+/// jobs whose user GPU counts fit the free capacity.
+pub fn las_two_queue() -> RankedBackfill {
+    RankedBackfill::new("las-two-queue", |j| {
+        f64::from(u8::from(j.gputime >= QUEUE_THRESHOLD))
+    })
 }
 
 /// The Tiresias scheduling policy: LAS two-queue admission,
@@ -81,7 +39,7 @@ impl AdmissionPolicy for TiresiasAdmission {
 pub fn tiresias() -> StagedScheduler {
     StagedScheduler::new(
         "tiresias",
-        TiresiasAdmission,
+        las_two_queue(),
         ConsolidatedPlacement::admitted_order(),
         PreemptAll,
     )
@@ -91,9 +49,10 @@ pub fn tiresias() -> StagedScheduler {
 mod tests {
     use super::*;
     use pollux_cluster::{ClusterSpec, JobId};
+    use pollux_control::{PolicyJobView, SchedulingPolicy};
     use pollux_models::BatchSizeLimits;
-    use pollux_simulator::SchedulingPolicy;
     use pollux_workload::{ModelKind, UserConfig};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     struct Ctx {

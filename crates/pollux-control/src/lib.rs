@@ -22,7 +22,10 @@
 //!   ([`JobMut`]); the rules live here;
 //! - [`StagedScheduler`] + the [`stages`] module: the Blox-style
 //!   decomposition of a policy into admission / placement / preemption
-//!   stages, composed back into a [`SchedulingPolicy`] (DESIGN.md §10).
+//!   stages, composed back into a [`SchedulingPolicy`] (DESIGN.md §10),
+//!   with the one ranked-backfill admission ([`RankedBackfill`]) and
+//!   the one keep-then-pack placement ([`ConsolidatedPlacement`]) the
+//!   zoo's baselines share.
 //!
 //! Nothing here reads clocks, sleeps, or touches global state: `now`
 //! is always an input and the RNG is caller-owned, so the same core is
@@ -41,6 +44,7 @@ pub use policy::{PlacementDelta, PolicyJobView, SchedIntervalSample, SchedulingP
 pub use round::{JobMut, JobStore, Reallocation, RoundError, RoundPlanner};
 pub use sched_jobs::{bootstrap_sched_job, sched_jobs_from_views, SchedJobCache};
 pub use stages::{
-    keep_placement, pack_consolidated, AdmissionPolicy, Admitted, ConsolidatedPlacement,
-    NoPreemption, PlacementPolicy, PreemptAll, PreemptionPolicy, StagedScheduler,
+    keep_placement, pack_consolidated, ranked_backfill, AdmissionPolicy, Admitted,
+    ConsolidatedPlacement, NoPreemption, PlacementPolicy, PreemptAll, PreemptionPolicy, Rank,
+    RankedBackfill, StagedScheduler,
 };

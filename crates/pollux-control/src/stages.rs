@@ -41,6 +41,15 @@
 //! (gang FIFO) use [`NoPreemption`], so running jobs are never
 //! disturbed and admission fills only the free GPUs.
 //!
+//! ## Shared stages
+//!
+//! Two stages here serve most of the zoo. [`RankedBackfill`] is the one
+//! rank-then-backfill admission (gang FIFO, Tiresias' LAS, SRTF and
+//! SRSF are four [`Rank`]s of it, and Optimus' minimum pass runs
+//! [`ranked_backfill`] too); [`ConsolidatedPlacement`] is the one
+//! keep-then-pack placement, with fullest-first, largest-first and
+//! Gandiva best-fit packings.
+//!
 //! ## Determinism contract
 //!
 //! Stages draw RNG only through the `rng` argument and are invoked in
@@ -199,6 +208,85 @@ impl PreemptionPolicy for NoPreemption {
     }
 }
 
+/// A row's key in a [`RankedBackfill`]: lower ranks are admitted
+/// first.
+pub type Rank = fn(&PolicyJobView<'_>) -> f64;
+
+/// The rank-and-backfill body: the rows not `held`, ordered by
+/// (`rank`, submit time, row), each admitted at `need` GPUs while
+/// `budget` lasts. A row that does not fit is skipped, so smaller rows
+/// backfill around it; `budget` is left at what nobody took. Keys
+/// compare by `partial_cmp` (an incomparable pair ties), and each
+/// row's rank is computed once, never inside the comparator.
+pub fn ranked_backfill(
+    jobs: &[PolicyJobView<'_>],
+    held: &[bool],
+    rank: impl Fn(&PolicyJobView<'_>) -> f64,
+    need: impl Fn(&PolicyJobView<'_>) -> u32,
+    budget: &mut u32,
+) -> Vec<Admitted> {
+    let mut order: Vec<(f64, f64, usize)> = jobs
+        .iter()
+        .enumerate()
+        .filter(|&(row, _)| !held[row])
+        .map(|(row, job)| (rank(job), job.submit_time, row))
+        .collect();
+    let by = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
+    order.sort_by(|a, b| {
+        by(a.0, b.0)
+            .then_with(|| by(a.1, b.1))
+            .then_with(|| a.2.cmp(&b.2))
+    });
+    let mut admitted = Vec::new();
+    for (_, _, row) in order {
+        let need = need(&jobs[row]);
+        if need <= *budget {
+            admitted.push(Admitted { row, gpus: need });
+            *budget -= need;
+        }
+    }
+    admitted
+}
+
+/// The one ranked-backfill admission stage: every row that is not held
+/// asks for its user GPU count (at least 1), and rows are admitted in
+/// [`ranked_backfill`] order over the free GPUs. The zoo's four orders
+/// differ only in the [`Rank`]: gang FIFO ranks every row alike (submit
+/// time decides), Tiresias' LAS puts rows past its attained-service
+/// threshold second, SRTF ranks by remaining work and SRSF by
+/// remaining work × GPUs.
+#[derive(Debug, Clone, Copy)]
+pub struct RankedBackfill {
+    name: &'static str,
+    rank: Rank,
+}
+
+impl RankedBackfill {
+    /// The stage `name`, admitting in `rank` order.
+    pub fn new(name: &'static str, rank: Rank) -> Self {
+        Self { name, rank }
+    }
+}
+
+impl AdmissionPolicy for RankedBackfill {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn admit(
+        &mut self,
+        _now: f64,
+        jobs: &[PolicyJobView<'_>],
+        held: &[bool],
+        free: &[u32],
+        _spec: &ClusterSpec,
+        _rng: &mut StdRng,
+    ) -> Vec<Admitted> {
+        let mut budget = free.iter().sum();
+        ranked_backfill(jobs, held, self.rank, |j| j.user.gpus.max(1), &mut budget)
+    }
+}
+
 /// Attempts to place `need` GPUs onto the nodes with free capacities
 /// `free`, using as few nodes as possible (fullest-free-first).
 ///
@@ -251,28 +339,56 @@ pub fn keep_placement(current: &[u32], free: &mut [u32]) -> bool {
     true
 }
 
-/// The shared consolidated-placement stage: admitted jobs whose
-/// current placement already matches their entitlement keep it (no
-/// gratuitous checkpoint-restart); everyone else is packed onto as few
-/// nodes as possible, fullest-free-first.
+/// Gandiva's best fit: the whole gang on the node with the *least*
+/// free capacity that still fits it (ties to the lowest index), else
+/// the [`pack_consolidated`] spread. On success `free` is updated in
+/// place.
+fn pack_best_fit(need: u32, free: &mut [u32]) -> Option<Vec<u32>> {
+    let tightest = free
+        .iter()
+        .enumerate()
+        .filter(|&(_, &f)| f >= need)
+        .min_by_key(|&(n, &f)| (f, n));
+    let Some((n, _)) = tightest else {
+        return pack_consolidated(need, free);
+    };
+    let mut row = vec![0u32; free.len()];
+    row[n] = need;
+    free[n] -= need;
+    Some(row)
+}
+
+/// How [`ConsolidatedPlacement`] packs the jobs its keep pass did not
+/// keep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Packing {
+    /// Admitted order, fullest-free node first.
+    FullestFirst,
+    /// Largest entitlement first (ties in admitted order), fullest-free
+    /// node first.
+    LargestFirst,
+    /// Admitted order, tightest single node that fits.
+    BestFit,
+}
+
+/// The one keep-then-pack placement stage: admitted jobs whose current
+/// placement already matches their entitlement keep it (no gratuitous
+/// checkpoint-restart); everyone else is packed onto the free GPUs.
 ///
-/// This is the one placement heuristic Tiresias and Optimus both used
-/// inline pre-decomposition; the only degree of freedom between them
-/// is the packing order, so it is a constructor choice here rather
-/// than two copies of the loop.
+/// The keep pass is shared; the packing is a constructor choice:
+/// fullest-first in admitted order (Tiresias), largest job first
+/// (Optimus), or Gandiva's best fit.
 #[derive(Debug, Clone, Copy)]
 pub struct ConsolidatedPlacement {
-    /// Pack jobs largest-entitlement-first (Optimus) instead of in
-    /// admitted order (Tiresias). Ties keep admitted order either way
-    /// (stable sort).
-    largest_first: bool,
+    packing: Packing,
 }
 
 impl ConsolidatedPlacement {
-    /// Packs in admitted (priority) order — Tiresias's choice.
+    /// Packs in admitted (priority) order onto the fullest-free nodes —
+    /// Tiresias's choice.
     pub fn admitted_order() -> Self {
         Self {
-            largest_first: false,
+            packing: Packing::FullestFirst,
         }
     }
 
@@ -280,17 +396,26 @@ impl ConsolidatedPlacement {
     /// contiguous capacity, small jobs fill the gaps).
     pub fn largest_first() -> Self {
         Self {
-            largest_first: true,
+            packing: Packing::LargestFirst,
+        }
+    }
+
+    /// Packs each job whole onto the tightest node that fits it, and
+    /// spreads a job wider than any node fullest-first — Gandiva's best
+    /// fit, which keeps whole nodes free for wide gangs.
+    pub fn best_fit() -> Self {
+        Self {
+            packing: Packing::BestFit,
         }
     }
 }
 
 impl PlacementPolicy for ConsolidatedPlacement {
     fn name(&self) -> &'static str {
-        if self.largest_first {
-            "consolidated-largest-first"
-        } else {
-            "consolidated"
+        match self.packing {
+            Packing::FullestFirst => "consolidated",
+            Packing::LargestFirst => "consolidated-largest-first",
+            Packing::BestFit => "best-fit-packing",
         }
     }
 
@@ -318,12 +443,16 @@ impl PlacementPolicy for ConsolidatedPlacement {
             }
         }
 
-        // Second pass: consolidated packing for the rest.
-        if self.largest_first {
+        // Second pass: pack the rest.
+        if self.packing == Packing::LargestFirst {
             needs_placing.sort_by_key(|a| std::cmp::Reverse(a.gpus));
         }
+        let pack = match self.packing {
+            Packing::BestFit => pack_best_fit,
+            Packing::FullestFirst | Packing::LargestFirst => pack_consolidated,
+        };
         for a in needs_placing {
-            if let Some(row) = pack_consolidated(a.gpus, free) {
+            if let Some(row) = pack(a.gpus, free) {
                 matrix.copy_row(a.row, &row);
             }
         }
@@ -513,40 +642,163 @@ mod tests {
         }
     }
 
-    /// FIFO admission over free GPUs: the minimal test stage.
-    struct FifoTest;
+    /// FIFO admission over free GPUs: every row ranks alike.
+    fn fifo() -> RankedBackfill {
+        RankedBackfill::new("fifo-test", |_| 0.0)
+    }
 
-    impl AdmissionPolicy for FifoTest {
-        fn name(&self) -> &'static str {
-            "fifo-test"
-        }
-        fn admit(
-            &mut self,
-            _now: f64,
-            jobs: &[PolicyJobView<'_>],
-            held: &[bool],
-            free: &[u32],
-            _spec: &ClusterSpec,
-            _rng: &mut StdRng,
-        ) -> Vec<Admitted> {
-            let mut budget: u32 = free.iter().sum();
-            let mut order: Vec<usize> = (0..jobs.len()).filter(|&r| !held[r]).collect();
-            order.sort_by(|&a, &b| {
-                jobs[a]
-                    .submit_time
-                    .total_cmp(&jobs[b].submit_time)
-                    .then(a.cmp(&b))
-            });
-            let mut admitted = Vec::new();
-            for row in order {
-                let need = jobs[row].user.gpus.max(1);
-                if need <= budget {
-                    admitted.push(Admitted { row, gpus: need });
-                    budget -= need;
-                }
-            }
-            admitted
-        }
+    #[test]
+    fn ranked_backfill_orders_by_rank_then_submit_then_row() {
+        let idle = vec![0u32];
+        let mut views = [
+            view(0, &idle, 5.0),
+            view(1, &idle, 1.0),
+            view(2, &idle, 1.0),
+            view(3, &idle, 0.0),
+        ];
+        views[0].user.gpus = 4;
+        views[3].remaining_work = 2e6;
+        let by_work: Rank = |j| j.remaining_work;
+        // Rows 0-2 tie on rank, so submit time, then row, orders them;
+        // row 3 has the most work left and comes last. Row 1 is held.
+        // Row 0's 4 GPUs do not fit the 3 row 2 leaves, so row 3
+        // backfills around it.
+        let mut budget = 5;
+        let admitted = ranked_backfill(
+            &views,
+            &[false, true, false, false],
+            by_work,
+            |j| j.user.gpus,
+            &mut budget,
+        );
+        assert_eq!(
+            admitted,
+            [Admitted { row: 2, gpus: 2 }, Admitted { row: 3, gpus: 2 }]
+        );
+        assert_eq!(budget, 1);
+        // An incomparable rank ties with every other: row 3 submitted
+        // first, so it goes first.
+        views[3].remaining_work = f64::NAN;
+        let mut budget = 8;
+        let rows: Vec<usize> = ranked_backfill(&views, &[false; 4], by_work, |_| 1, &mut budget)
+            .iter()
+            .map(|a| a.row)
+            .collect();
+        assert_eq!(rows, [3, 1, 2, 0]);
+    }
+
+    #[test]
+    fn packs_onto_fullest_nodes_first() {
+        let mut free = vec![2, 4, 3];
+        let row = pack_consolidated(5, &mut free).unwrap();
+        // Fullest first: node 1 (4), then node 2 (1).
+        assert_eq!(row, vec![0, 4, 1]);
+        assert_eq!(free, vec![2, 0, 2]);
+    }
+
+    #[test]
+    fn single_node_when_it_fits() {
+        let mut free = vec![4, 4];
+        let row = pack_consolidated(3, &mut free).unwrap();
+        assert_eq!(row.iter().filter(|&&g| g > 0).count(), 1);
+    }
+
+    #[test]
+    fn spreads_across_nodes_only_when_forced() {
+        // 6 GPUs cannot fit one 4-GPU node: spill onto the next
+        // fullest, touching as few nodes as possible.
+        let mut free = vec![4, 4, 4];
+        let row = pack_consolidated(6, &mut free).unwrap();
+        assert_eq!(row.iter().filter(|&&g| g > 0).count(), 2);
+        assert_eq!(row.iter().sum::<u32>(), 6);
+    }
+
+    #[test]
+    fn fails_when_insufficient() {
+        let mut free = vec![1, 1];
+        assert!(pack_consolidated(3, &mut free).is_none());
+        // Free capacities untouched on failure.
+        assert_eq!(free, vec![1, 1]);
+    }
+
+    #[test]
+    fn zero_need_is_trivial() {
+        let mut free = vec![1, 2];
+        assert_eq!(pack_consolidated(0, &mut free).unwrap(), vec![0, 0]);
+        assert_eq!(free, vec![1, 2]);
+    }
+
+    #[test]
+    fn keep_placement_reserves_capacity() {
+        let mut free = vec![4, 2];
+        assert!(keep_placement(&[2, 1], &mut free));
+        assert_eq!(free, vec![2, 1]);
+    }
+
+    #[test]
+    fn keep_placement_fails_without_capacity() {
+        let mut free = vec![1, 2];
+        assert!(!keep_placement(&[2, 0], &mut free));
+        assert_eq!(free, vec![1, 2]);
+        assert!(!keep_placement(&[1], &mut free), "width mismatch");
+    }
+
+    #[test]
+    fn deterministic_tiebreak_by_index() {
+        let mut free = vec![4, 4, 4];
+        let row = pack_consolidated(4, &mut free).unwrap();
+        assert_eq!(row, vec![4, 0, 0]);
+    }
+
+    /// Places `gpus` (one admitted job per entry, rows in order) from
+    /// `free` with `stage`, returning the matrix.
+    fn place_all(stage: ConsolidatedPlacement, free: &mut [u32], gpus: &[u32]) -> AllocationMatrix {
+        let idle = vec![0u32; free.len()];
+        let views: Vec<PolicyJobView<'_>> = (0..gpus.len())
+            .map(|i| view(i as u32, &idle, i as f64))
+            .collect();
+        let admitted: Vec<Admitted> = gpus
+            .iter()
+            .enumerate()
+            .map(|(row, &gpus)| Admitted { row, gpus })
+            .collect();
+        let mut matrix = AllocationMatrix::zeros(gpus.len(), free.len());
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut stage = stage;
+        stage.place(0.0, &views, &admitted, free, &mut matrix, &mut rng);
+        matrix
+    }
+
+    #[test]
+    fn best_fit_picks_the_tightest_fitting_node() {
+        let mut free = vec![4u32, 2, 3];
+        let m = place_all(ConsolidatedPlacement::best_fit(), &mut free, &[2]);
+        // Node 1 (2 free) is the tightest fit — NOT the fullest (node 0).
+        assert_eq!(m.row(0), &[0, 2, 0]);
+        assert_eq!(free, vec![4, 0, 3]);
+    }
+
+    #[test]
+    fn best_fit_keeps_whole_nodes_free_for_wide_jobs() {
+        // Fullest-first drops the 1-GPU job onto the empty node and
+        // then has to split the 4-GPU gang; best fit tucks it next to
+        // the running job instead.
+        let mut free = vec![1u32, 4];
+        let m = place_all(ConsolidatedPlacement::best_fit(), &mut free, &[1, 4]);
+        assert_eq!(m.row(0), &[1, 0]);
+        assert_eq!(m.row(1), &[0, 4], "whole node preserved for the gang");
+        let mut free = vec![1u32, 4];
+        let m = place_all(ConsolidatedPlacement::admitted_order(), &mut free, &[1, 4]);
+        assert_eq!(m.row(0), &[0, 1]);
+        assert_eq!(m.row(1), &[1, 3]);
+    }
+
+    #[test]
+    fn best_fit_spreads_jobs_wider_than_a_node() {
+        let mut free = vec![4u32, 4];
+        let m = place_all(ConsolidatedPlacement::best_fit(), &mut free, &[6]);
+        assert_eq!(m.gpus_of(0), 6);
+        assert_eq!(m.nodes_of(0), 2);
     }
 
     #[test]
@@ -559,7 +811,7 @@ mod tests {
         let views = [view(0, &held_row, 100.0), view(1, &idle, 0.0)];
         let mut staged = StagedScheduler::new(
             "fifo-preemptive",
-            FifoTest,
+            fifo(),
             ConsolidatedPlacement::admitted_order(),
             PreemptAll,
         );
@@ -582,7 +834,7 @@ mod tests {
         let views = [view(0, &held_row, 100.0), view(1, &idle, 0.0)];
         let mut staged = StagedScheduler::new(
             "fifo-nonpreemptive",
-            FifoTest,
+            fifo(),
             ConsolidatedPlacement::admitted_order(),
             NoPreemption,
         );
@@ -603,7 +855,7 @@ mod tests {
         let views = [view(0, &stale, 0.0)];
         let mut staged = StagedScheduler::new(
             "fifo-nonpreemptive",
-            FifoTest,
+            fifo(),
             ConsolidatedPlacement::admitted_order(),
             NoPreemption,
         );
@@ -675,7 +927,7 @@ mod tests {
         let views = [view(0, &held_row, 100.0), view(1, &idle, 0.0)];
         let mut staged = StagedScheduler::new(
             "fifo-preemptive",
-            FifoTest,
+            fifo(),
             ConsolidatedPlacement::admitted_order(),
             PreemptAll,
         );

@@ -2,8 +2,8 @@
 //! `SchedulingPolicy` interface.
 
 use pollux_cluster::{AllocationMatrix, ClusterSpec, Topology};
-use pollux_control::{sched_jobs_from_views, PolicyJobView, SchedJobCache, SchedulingPolicy};
-use pollux_sched::{AutoscaleConfig, Autoscaler, PolluxSched, SchedConfig, SchedJob, WeightConfig};
+use pollux_control::{PolicyJobView, SchedJobCache, SchedulingPolicy};
+use pollux_sched::{AutoscaleConfig, Autoscaler, PolluxSched, SchedConfig, WeightConfig};
 use rand::rngs::StdRng;
 
 /// Configuration of the full Pollux policy.
@@ -36,9 +36,10 @@ pub struct PolluxPolicy {
     weights: WeightConfig,
     autoscaler: Option<Autoscaler>,
     adapt_batch_size: bool,
-    /// Cross-round view → `SchedJob` cache: a quiet round reuses every
-    /// entry instead of re-deriving models and re-allocating placement
-    /// rows. Bit-identical to a fresh conversion by construction.
+    /// Cross-round view → `SchedJob` cache, read by both the autoscaler
+    /// and the scheduler: a quiet round reuses every entry instead of
+    /// re-deriving models and re-allocating placement rows.
+    /// Bit-identical to a fresh conversion by construction.
     cache: SchedJobCache,
     /// Hoisted `control/views_rebuilt` counter (no-op until telemetry
     /// is attached).
@@ -64,12 +65,13 @@ impl PolluxPolicy {
         })
     }
 
-    /// Converts the policy views into scheduler jobs via the shared
-    /// control-plane helper, which synthesizes the prior-driven
-    /// bootstrap model ([`pollux_control::bootstrap_sched_job`]) for
-    /// jobs without an agent report.
-    fn sched_jobs(&self, jobs: &[PolicyJobView<'_>]) -> Vec<SchedJob> {
-        sched_jobs_from_views(&self.weights, jobs)
+    /// Brings the view → `SchedJob` cache in line with `jobs` (jobs
+    /// without an agent report get the prior-driven bootstrap model,
+    /// [`pollux_control::bootstrap_sched_job`]) and counts the entries
+    /// it rebuilt. Read the result back with `self.cache.jobs()`.
+    fn refresh_cache(&mut self, jobs: &[PolicyJobView<'_>]) {
+        self.cache.refresh(&self.weights, jobs);
+        self.views_rebuilt_ctr.add(self.cache.last_rebuilt());
     }
 }
 
@@ -93,11 +95,10 @@ impl SchedulingPolicy for PolluxPolicy {
         spec: &ClusterSpec,
         rng: &mut StdRng,
     ) -> AllocationMatrix {
-        // The cached conversion is bit-identical to `self.sched_jobs`
+        // The cached conversion is bit-identical to a fresh one
         // (debug_assert-checked inside `refresh`); a quiet round
         // rebuilds zero entries.
-        self.cache.refresh(&self.weights, jobs);
-        self.views_rebuilt_ctr.add(self.cache.last_rebuilt());
+        self.refresh_cache(jobs);
         self.sched.schedule(self.cache.jobs(), spec, rng)
     }
 
@@ -129,12 +130,12 @@ impl SchedulingPolicy for PolluxPolicy {
         spec: &ClusterSpec,
         rng: &mut StdRng,
     ) -> Option<u32> {
-        let autoscaler = self.autoscaler.as_ref()?;
-        if jobs.is_empty() {
+        if self.autoscaler.is_none() || jobs.is_empty() {
             return None;
         }
-        let sched_jobs = self.sched_jobs(jobs);
-        Some(autoscaler.recommend(&sched_jobs, spec, rng).nodes)
+        self.refresh_cache(jobs);
+        let autoscaler = self.autoscaler.as_ref()?;
+        Some(autoscaler.recommend(self.cache.jobs(), spec, rng).nodes)
     }
 }
 

@@ -7,22 +7,29 @@
 //! of the pre-refactor monolith. These digests were captured from the
 //! monolithic implementations at the commit introducing the staged
 //! scheduler and move only when the model under the schedulers does,
-//! with the cause written beside each constant.
+//! with the cause written beside each constant. The other four staged
+//! zoo policies (gang FIFO, SRTF, SRSF, Gandiva packing) are pinned on
+//! the same run, so a refactor that reorders their admission or
+//! placement fails here rather than passing every suite that only
+//! compares two runs.
 //!
 //! Workload: the repo's standard 64-job × 16-node churn anchor (the
 //! same staggered, work-scaled trace the timeline-fidelity suite
 //! uses), which exercises preemptions, restarts, backfill, and
-//! consolidated placement in all three policies.
+//! consolidated placement in every policy.
 
-use pollux_baselines::{optimus, or_etal, tiresias};
+use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_cluster::{ClusterSpec, JobId};
-use pollux_core::{run_trace, ConfigChoice};
+use pollux_core::{run_trace_recorded, ConfigChoice};
 use pollux_simulator::{SchedulingPolicy, SimConfig};
+use pollux_telemetry::{MemorySink, Recorder};
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator};
+use std::sync::Arc;
 
-/// 64 staggered jobs drawn from the trace generator, work scaled down
-/// so a healthy fraction finishes inside the horizon.
-fn churn_trace_64() -> Vec<JobSpec> {
+/// 64 staggered jobs drawn from the trace generator, their work scaled
+/// by `work_scale` (the anchor's 0.05 lets a healthy fraction finish
+/// inside the horizon).
+fn churn_trace_64(work_scale: f64) -> Vec<JobSpec> {
     let trace = TraceGenerator::new(TraceConfig {
         num_jobs: 200,
         seed: 13,
@@ -38,7 +45,7 @@ fn churn_trace_64() -> Vec<JobSpec> {
         .map(|(i, mut spec)| {
             spec.id = JobId(i as u32);
             spec.submit_time = i as f64 * 90.0;
-            spec.work *= 0.05;
+            spec.work *= work_scale;
             spec
         })
         .collect();
@@ -46,17 +53,29 @@ fn churn_trace_64() -> Vec<JobSpec> {
     jobs
 }
 
-fn digest_of<P: SchedulingPolicy>(policy: P) -> u64 {
-    let spec = ClusterSpec::homogeneous(16, 4).unwrap();
+/// The digest of `trace` under `policy` on `nodes` × 4 GPUs, with
+/// `recorder` attached.
+fn digest_on<P: SchedulingPolicy>(
+    policy: P,
+    trace: &[JobSpec],
+    nodes: u32,
+    recorder: Recorder,
+) -> u64 {
+    let spec = ClusterSpec::homogeneous(nodes, 4).unwrap();
     let sim = SimConfig {
         max_sim_time: 24.0 * 3600.0,
         interference_slowdown: 0.3,
         seed: 17,
         ..Default::default()
     };
-    let result = run_trace(policy, &churn_trace_64(), ConfigChoice::Tuned, spec, sim)
+    let result = run_trace_recorded(policy, trace, ConfigChoice::Tuned, spec, sim, recorder)
         .expect("valid simulation inputs");
     result.digest()
+}
+
+/// The digest of the churn anchor: 64 jobs on 16 × 4 GPUs.
+fn digest_of<P: SchedulingPolicy>(policy: P) -> u64 {
+    digest_on(policy, &churn_trace_64(0.05), 16, Recorder::disabled())
 }
 
 /// Captured from the monolithic `Tiresias` (pre-decomposition) as
@@ -101,6 +120,40 @@ const GOLDEN_OPTIMUS: u64 = 0x2f69_0af6_1c62_7f9c;
 /// `GOLDEN_TIRESIAS`. Re-pinned from `0x44e1_c1e6_f7d6_f439` without
 /// the scheduler counters: see `GOLDEN_TIRESIAS`.
 const GOLDEN_OR_ETAL: u64 = 0x9fa6_4a8d_fba3_fd84;
+/// Gang FIFO with backfill. This and the three below were captured
+/// from the separate FIFO, LAS and SRTF/SRSF admission loops and the
+/// separate best-fit placement, before admission became one ranked
+/// backfill and placement one keep-then-pack pass; neither fold moved
+/// them.
+const GOLDEN_FIFO_BACKFILL: u64 = 0x1afe_74f2_02f0_d6aa;
+/// Oracle shortest remaining time first: see `GOLDEN_FIFO_BACKFILL`.
+const GOLDEN_SRTF: u64 = 0x180b_0e1d_be25_6484;
+/// Oracle shortest remaining service first: see `GOLDEN_FIFO_BACKFILL`.
+const GOLDEN_SRSF: u64 = 0x1c5a_2791_1386_1267;
+/// LAS admission with Gandiva's best-fit packing: see
+/// `GOLDEN_FIFO_BACKFILL`.
+const GOLDEN_GANDIVA_PACKING: u64 = 0x990a_83b8_8339_600d;
+
+/// Every staged zoo policy with its pinned digest.
+fn pinned() -> [(&'static str, Box<dyn SchedulingPolicy>, u64); 7] {
+    [
+        ("tiresias", Box::new(tiresias()), GOLDEN_TIRESIAS),
+        ("optimus+oracle", Box::new(optimus()), GOLDEN_OPTIMUS),
+        ("or-etal", Box::new(or_etal(16)), GOLDEN_OR_ETAL),
+        (
+            "fifo+backfill",
+            Box::new(fifo_backfill()),
+            GOLDEN_FIFO_BACKFILL,
+        ),
+        ("srtf", Box::new(srtf()), GOLDEN_SRTF),
+        ("srsf", Box::new(srsf()), GOLDEN_SRSF),
+        (
+            "gandiva-packing",
+            Box::new(gandiva_packing()),
+            GOLDEN_GANDIVA_PACKING,
+        ),
+    ]
+}
 
 #[test]
 fn tiresias_reproduces_the_monolith_digest() {
@@ -109,6 +162,14 @@ fn tiresias_reproduces_the_monolith_digest() {
         d, GOLDEN_TIRESIAS,
         "Tiresias trajectory drifted: 0x{d:016x}"
     );
+}
+
+#[test]
+fn fifo_backfill_srtf_srsf_and_gandiva_packing_hold_their_digests() {
+    for (name, policy, golden) in pinned().into_iter().skip(3) {
+        let d = digest_of(policy);
+        assert_eq!(d, golden, "{name} trajectory drifted: 0x{d:016x}");
+    }
 }
 
 #[test]
@@ -125,38 +186,49 @@ fn or_etal_reproduces_the_monolith_digest() {
 
 /// Telemetry is observational: with a live recorder attached (stage
 /// metas and `control/admitted` / `control/preempted` counters all
-/// firing), the staged ports still reproduce the monolith digests
+/// firing), every staged policy still reproduces its digest
 /// byte-for-byte.
 #[test]
 fn digests_are_unchanged_with_telemetry_attached() {
-    use pollux_core::run_trace_recorded;
-    use pollux_telemetry::{MemorySink, Recorder};
-    use std::sync::Arc;
-
-    let digest_recorded = |policy: Box<dyn SchedulingPolicy>| -> u64 {
-        let spec = ClusterSpec::homogeneous(16, 4).unwrap();
-        let sim = SimConfig {
-            max_sim_time: 24.0 * 3600.0,
-            interference_slowdown: 0.3,
-            seed: 17,
-            ..Default::default()
-        };
+    let trace = churn_trace_64(0.05);
+    for (name, policy, golden) in pinned() {
         let sink = Arc::new(MemorySink::new(1 << 20));
         let recorder = Recorder::new(sink.clone() as Arc<dyn pollux_telemetry::Sink>);
-        let result = run_trace_recorded(
-            policy,
-            &churn_trace_64(),
-            ConfigChoice::Tuned,
-            spec,
-            sim,
-            recorder,
-        )
-        .expect("valid simulation inputs");
-        assert!(!sink.is_empty(), "live recorder captured nothing");
-        result.digest()
-    };
+        assert_eq!(digest_on(policy, &trace, 16, recorder), golden, "{name}");
+        assert!(!sink.is_empty(), "{name}: live recorder captured nothing");
+    }
+}
 
-    assert_eq!(digest_recorded(Box::new(tiresias())), GOLDEN_TIRESIAS);
-    assert_eq!(digest_recorded(Box::new(optimus())), GOLDEN_OPTIMUS);
-    assert_eq!(digest_recorded(Box::new(or_etal(16))), GOLDEN_OR_ETAL);
+/// The same 64 jobs with ten times the work on a quarter of the nodes
+/// (4 × 4 GPUs). On the anchor nearly every job starts on arrival, so
+/// admission order and packing barely reach a digest there: reversing
+/// SRTF's order or packing Gandiva fullest-first moves none of the
+/// constants above. Here jobs queue, and each of those, reversing
+/// FIFO's order, or weighting SRSF by GPUs + 1 moves its policy's
+/// digest. Captured with `GOLDEN_FIFO_BACKFILL`, before the same fold.
+fn contended() -> [(&'static str, Box<dyn SchedulingPolicy>, u64); 5] {
+    [
+        ("tiresias", Box::new(tiresias()), 0xa215_7d9b_3d52_b669),
+        (
+            "fifo+backfill",
+            Box::new(fifo_backfill()),
+            0x9750_3ec5_57d6_3140,
+        ),
+        ("srtf", Box::new(srtf()), 0x5792_ef9a_2f86_e155),
+        ("srsf", Box::new(srsf()), 0xb723_8032_510d_ee27),
+        (
+            "gandiva-packing",
+            Box::new(gandiva_packing()),
+            0x10c4_a36e_ef62_89b8,
+        ),
+    ]
+}
+
+#[test]
+fn ranked_admissions_and_best_fit_hold_their_digests_under_contention() {
+    let trace = churn_trace_64(0.5);
+    for (name, policy, golden) in contended() {
+        let d = digest_on(policy, &trace, 4, Recorder::disabled());
+        assert_eq!(d, golden, "{name} contended trajectory drifted: 0x{d:016x}");
+    }
 }

@@ -19,13 +19,13 @@
 
 use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_cluster::{ClusterSpec, JobId};
-use pollux_control::pack_consolidated;
-use pollux_core::{run_trace, ConfigChoice};
-use pollux_models::BatchSizeLimits;
-use pollux_simulator::{
-    NoPreemption, PolicyJobView, PreemptAll, PreemptionPolicy, SchedulingPolicy, SimConfig,
+use pollux_control::{
+    pack_consolidated, NoPreemption, PolicyJobView, PreemptAll, PreemptionPolicy, SchedulingPolicy,
     StagedScheduler,
 };
+use pollux_core::{run_trace, ConfigChoice};
+use pollux_models::BatchSizeLimits;
+use pollux_simulator::SimConfig;
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator, UserConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -10,7 +10,8 @@
 //! ```
 //!
 //! - `--list`: print the registry (name, stages, summary) and exit.
-//! - `--policies`: comma-separated registry names (default: all).
+//! - `--policies`: comma-separated registry names, each at most once
+//!   (default: all).
 //! - `--traces`: independently-seeded traces averaged per policy,
 //!   1–16 (default 2).
 //! - `--jobs`: jobs per trace, 1–100000 (default: the standard 160-job
@@ -27,11 +28,11 @@
 //!   policy in the run.
 //! - `--json PATH`: also dump the structured `ZooResult` as JSON.
 //!
-//! Flags are user input: a bad value, an unknown policy or an output
-//! path that cannot be written is one line on stderr and exit status
-//! 2, before anything is simulated. Without `--trace-dir`, telemetry
-//! follows the process-wide `POLLUX_TELEMETRY_OUT` capture like every
-//! other experiment driver.
+//! Flags are user input: a bad value, an unknown, blank or repeated
+//! policy name or an output path that cannot be written is one line on
+//! stderr and exit status 2, before anything is simulated. Without
+//! `--trace-dir`, telemetry follows the process-wide
+//! `POLLUX_TELEMETRY_OUT` capture like every other experiment driver.
 
 use pollux_core::ConfigChoice;
 use pollux_experiments::common::{
@@ -92,11 +93,11 @@ fn main() {
         match arg.as_str() {
             "--list" => list = true,
             "--policies" => {
+                // A blank name is kept, so `--policies ""` is refused
+                // rather than read as "all".
                 opts.policies = text("--policies", args.next())
                     .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
+                    .map(|name| name.trim().to_string())
                     .collect();
             }
             "--traces" => opts.traces = number("--traces", args.next(), 1..=16),

@@ -112,6 +112,8 @@ impl Cell {
 pub enum CellError {
     /// The policy name is not in the zoo registry.
     UnknownPolicy(UnknownPolicy),
+    /// A run's policy list names this policy twice.
+    RepeatedPolicy(&'static str),
     /// `jobs` / `load` describe no trace (zero, negative, NaN, ∞).
     Workload {
         /// Jobs per trace asked for.
@@ -133,6 +135,7 @@ impl std::fmt::Display for CellError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::UnknownPolicy(e) => e.fmt(f),
+            Self::RepeatedPolicy(name) => write!(f, "policy {name:?} is named twice"),
             Self::Workload { jobs, load } => {
                 write!(f, "no trace has {jobs} jobs at {load}x load")
             }

@@ -18,8 +18,8 @@
 use crate::cell::{run_cells, Cell, CellError, Summary};
 use crate::common::{experiment_pollux, render_table};
 use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
+use pollux_control::{SchedulingPolicy, StagedScheduler};
 use pollux_core::{PolluxConfig, PolluxPolicy};
-use pollux_simulator::{SchedulingPolicy, StagedScheduler};
 use pollux_telemetry::{json, Recorder};
 
 /// A freshly-built zoo policy: either the Pollux GA scheduler on its
@@ -274,15 +274,23 @@ pub fn table_headers() -> &'static [&'static str] {
 ///
 /// # Errors
 ///
-/// [`UnknownPolicy`] naming the first unrecognized entry.
-pub fn resolve(opts: &ZooOptions) -> Result<Vec<&'static ZooEntry>, UnknownPolicy> {
+/// [`CellError::UnknownPolicy`] naming the first entry that names no
+/// policy (a blank one included), or [`CellError::RepeatedPolicy`]
+/// naming the first entry given twice.
+pub fn resolve(opts: &ZooOptions) -> Result<Vec<&'static ZooEntry>, CellError> {
     if opts.policies.is_empty() {
         return Ok(registry().iter().collect());
     }
-    opts.policies
-        .iter()
-        .map(|n| lookup(n).ok_or_else(|| UnknownPolicy(n.clone())))
-        .collect()
+    let mut entries: Vec<&'static ZooEntry> = Vec::with_capacity(opts.policies.len());
+    for name in &opts.policies {
+        let entry =
+            lookup(name).ok_or_else(|| CellError::UnknownPolicy(UnknownPolicy(name.clone())))?;
+        if entries.iter().any(|e| e.name == entry.name) {
+            return Err(CellError::RepeatedPolicy(entry.name));
+        }
+        entries.push(entry);
+    }
+    Ok(entries)
 }
 
 /// Runs the head-to-head sweep with the process-wide capture recorder
@@ -302,14 +310,14 @@ pub fn run(opts: &ZooOptions) -> Result<ZooResult, CellError> {
 ///
 /// # Errors
 ///
-/// [`CellError`] when `opts.policies` names an unregistered policy,
-/// `opts.traces` is 0 or `opts.cell` cannot be simulated; nothing has
-/// run.
+/// [`CellError`] when `opts.policies` names an unregistered policy or
+/// one twice, `opts.traces` is 0 or `opts.cell` cannot be simulated;
+/// nothing has run.
 pub fn run_with_recorder(
     opts: &ZooOptions,
     recorder_for: impl Fn(&'static str) -> Recorder,
 ) -> Result<ZooResult, CellError> {
-    let entries = resolve(opts).map_err(CellError::UnknownPolicy)?;
+    let entries = resolve(opts)?;
     if opts.traces == 0 {
         return Err(CellError::NoTraces);
     }
@@ -447,8 +455,32 @@ mod tests {
             ..Default::default()
         };
         let err = resolve(&opts).unwrap_err();
-        assert_eq!(err, UnknownPolicy("nope".into()));
+        assert_eq!(err, CellError::UnknownPolicy(UnknownPolicy("nope".into())));
         assert!(err.to_string().contains("registered"));
+    }
+
+    #[test]
+    fn resolve_refuses_blank_and_repeated_names() {
+        let resolved = |names: &[&str]| {
+            resolve(&ZooOptions {
+                policies: names.iter().map(|&n| n.into()).collect(),
+                ..Default::default()
+            })
+        };
+        // What `--policies ""` and `--policies ,` parse to.
+        for blank in [&[""][..], &["", ""]] {
+            assert_eq!(
+                resolved(blank).unwrap_err(),
+                CellError::UnknownPolicy(UnknownPolicy(String::new()))
+            );
+        }
+        let err = resolved(&["tiresias", "srtf", "tiresias"]).unwrap_err();
+        assert_eq!(err, CellError::RepeatedPolicy("tiresias"));
+        assert_eq!(err.to_string(), "policy \"tiresias\" is named twice");
+        let entries = resolved(&["srtf", "tiresias"]).unwrap();
+        let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["srtf", "tiresias"]);
+        assert_eq!(resolved(&[]).unwrap().len(), registry().len());
     }
 
     #[test]

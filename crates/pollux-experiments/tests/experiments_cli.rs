@@ -72,6 +72,9 @@ fn bad_arguments_exit_2_with_one_line() {
         &["--traces", "0"],
         &["--traces"],
         &["--policies", "nope"],
+        &["--policies", ""],
+        &["--policies", ","],
+        &["--policies", "tiresias,tiresias"],
         &["--frobnicate"],
         &["--json", "/nonexistent-dir/zoo.json"],
         &["--trace-dir", "/dev/null/zoo-traces"],

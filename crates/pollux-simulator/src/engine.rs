@@ -30,10 +30,11 @@ use crate::config::{SimConfig, PHI_NOISE, REPORT_INTERVAL, SCHED_INTERVAL, TICK_
 use crate::interference::InterferenceIndex;
 use crate::job::{JobState, SimJob};
 use crate::metrics::{ClusterSample, JobRecord, SimResult};
-use crate::policy::{PolicyJobView, SchedulingPolicy};
 use pollux_agent::ObservationRun;
 use pollux_cluster::{ClusterSpec, JobId, Topology};
-use pollux_control::{JobMut, JobStore, Reallocation, RoundPlanner};
+use pollux_control::{
+    JobMut, JobStore, PolicyJobView, Reallocation, RoundPlanner, SchedulingPolicy,
+};
 use pollux_models::{GradientStats, PlacementShape};
 use pollux_telemetry::{Counter, HistogramHandle, Recorder};
 use pollux_workload::{JobSpec, UserConfig};

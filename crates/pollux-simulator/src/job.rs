@@ -1,12 +1,11 @@
 //! Simulated job state.
 
-use crate::policy::PolicyJobView;
 use pollux_agent::PolluxAgent;
 use pollux_models::{EfficiencyModel, PlacementShape};
 use pollux_workload::{GnsProfile, JobSpec, ModelProfile, UserConfig};
 
-use pollux_control::JobMut;
 pub use pollux_control::{JobLifecycle, JobState};
+use pollux_control::{JobMut, PolicyJobView};
 
 /// One job inside the simulation: ground truth + the agent's noisy view.
 ///

@@ -17,8 +17,8 @@
 //!   (Fig 10).
 //!
 //! Entry point: [`engine::Simulation`]. Scheduling policies implement
-//! [`policy::SchedulingPolicy`]; Pollux itself lives in `pollux-core`
-//! and the baselines in `pollux-baselines`.
+//! [`SchedulingPolicy`] (from `pollux-control`); Pollux itself lives in
+//! `pollux-core` and the baselines in `pollux-baselines`.
 
 #![forbid(unsafe_code)]
 
@@ -27,15 +27,12 @@ pub mod engine;
 pub mod interference;
 pub mod job;
 pub mod metrics;
-pub mod policy;
 
 pub use config::{SimConfig, PHI_NOISE, REPORT_INTERVAL, SCHED_INTERVAL, TICK_SECONDS};
 pub use engine::{SimBuildError, Simulation};
 pub use interference::InterferenceIndex;
 pub use job::{JobLifecycle, JobState, SimJob};
 pub use metrics::{ClusterSample, JobRecord, SimResult};
-pub use policy::{
-    AdmissionPolicy, Admitted, ConsolidatedPlacement, NoPreemption, PlacementPolicy, PreemptAll,
-    PreemptionPolicy, StagedScheduler,
-};
-pub use policy::{PolicyJobView, SchedulingPolicy};
+// The policy interface the engine drives, from the shared control
+// plane (the live `ClusterService` drives the very same one).
+pub use pollux_control::{PolicyJobView, SchedulingPolicy};

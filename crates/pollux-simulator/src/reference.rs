@@ -15,7 +15,7 @@ use super::{remove_finished_from_active, Simulation};
 use crate::config::TICK_SECONDS;
 use crate::job::{JobState, SimJob};
 use crate::metrics::SimResult;
-use crate::policy::SchedulingPolicy;
+use pollux_control::SchedulingPolicy;
 use rand::Rng;
 
 impl<P: SchedulingPolicy> Simulation<P> {
