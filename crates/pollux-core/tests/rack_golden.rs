@@ -139,8 +139,9 @@ fn single_rack_topology_is_byte_identical_to_flat() {
 /// and those hits were part of the serialized `SimResult`, so they were
 /// inflated in debug builds (first sample: 341 against 93 in release)
 /// and nothing else differed. The trajectory itself did not move, and
-/// CI runs this suite under both profiles. (The table no longer counts
-/// its reads at all; see the seventh re-pin.)
+/// `cargo test -q` and `cargo test --release -q` both run this suite.
+/// (The table no longer counts its reads at all; see the seventh
+/// re-pin.)
 ///
 /// Re-pinned a fifth time (from `0x884b_9fba_2898_4dd2`) by PR 20 — φ
 /// held ≤ 1 % per sub-interval of progress. The engine's ground-truth

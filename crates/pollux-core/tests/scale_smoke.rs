@@ -1,18 +1,19 @@
 //! Datacenter-scale smoke test: the full Pollux stack (engine +
 //! agents + racked two-phase GA + planner) over a 256-node × 1 000-job
-//! trace, `#[ignore]`d so the default `cargo test` stays fast.
+//! trace, `#[ignore]`d so the debug `cargo test` stays fast.
 //!
 //! Run with:
 //!
 //! ```text
-//! cargo test --release -p pollux-core --test scale_smoke -- --ignored
+//! cargo test --release -q -- --include-ignored
 //! ```
 //!
-//! CI runs exactly that. Besides completing at all — which the dense
-//! structures did not at this size within any reasonable budget — the
-//! run must fit a generous wall-clock envelope, so gross scaling
-//! regressions (an accidental O(nodes · jobs) rescan per chunk, a
-//! dense table at cluster width) fail loudly rather than slowly.
+//! which runs every ignored test of the workspace. Besides completing at
+//! all — which the dense structures did not at this size within any
+//! reasonable budget — the run must fit a generous wall-clock envelope,
+//! so gross scaling regressions (an accidental O(nodes · jobs) rescan
+//! per chunk, a dense table at cluster width) fail loudly rather than
+//! slowly.
 
 use pollux_cluster::ClusterSpec;
 use pollux_core::{ConfigChoice, PolluxConfig, PolluxPolicy};
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 const BUDGET: Duration = Duration::from_secs(300);
 
 #[test]
-#[ignore = "datacenter-scale; run with --release -- --ignored"]
+#[ignore = "datacenter-scale; run by `cargo test --release -q -- --include-ignored`"]
 fn datacenter_scale_trace_completes_within_budget() {
     if cfg!(debug_assertions) {
         eprintln!("scale smoke wants --release (the budget assumes it)");
@@ -92,7 +93,7 @@ fn datacenter_scale_trace_completes_within_budget() {
 /// reallocation rows and the view → `SchedJob` cache rebuilds zero
 /// entries, even at 256 nodes × 1 000 jobs.
 #[test]
-#[ignore = "datacenter-scale; run with --release -- --ignored"]
+#[ignore = "datacenter-scale; run by `cargo test --release -q -- --include-ignored`"]
 fn quiet_round_materializes_no_rows_and_rebuilds_no_views() {
     use pollux_cluster::{AllocationMatrix, JobId};
     use pollux_control::{

@@ -450,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "runs three full simulations; exercised by `experiments ablations`"]
+    #[ignore = "runs three full simulations; run by `cargo test --release -q -- --include-ignored`"]
     fn restart_penalty_reduces_restarts() {
         let pts = restart_penalty_ablation(2);
         assert_eq!(pts.len(), 3);

@@ -243,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "trains many SGD runs; exercised by the fig2 bench"]
+    #[ignore = "trains many SGD runs; run by `cargo test --release -q -- --include-ignored`"]
     fn prediction_matches_measurement() {
         let pts = run_prediction();
         for p in &pts {

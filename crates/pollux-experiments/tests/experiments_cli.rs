@@ -88,11 +88,15 @@ fn bad_arguments_exit_2_with_one_line() {
 }
 
 #[test]
-fn fig6_prints_its_banner_then_the_module_rows() {
-    let out = experiments(&["fig6"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.starts_with("====="), "{stdout}");
-    let rows = format!("{}\n", pollux_experiments::fig6::run(8));
-    assert!(stdout.ends_with(&rows), "{stdout}");
+fn fig1_and_fig6_print_their_banner_then_the_module_rows() {
+    for (name, rows) in [
+        ("fig1", pollux_experiments::fig1::run().to_string()),
+        ("fig6", pollux_experiments::fig6::run(8).to_string()),
+    ] {
+        let out = experiments(&[name]);
+        assert!(out.status.success(), "{name}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("====="), "{stdout}");
+        assert!(stdout.ends_with(&format!("{rows}\n")), "{stdout}");
+    }
 }

@@ -6,7 +6,8 @@
 //! `run_reference()` — and the two serialized `SimResult`s must agree
 //! byte for byte. The FNV-1a64 digest of that text is then compared
 //! with a pinned constant (the digests do not depend on the build
-//! profile, and CI runs this file under both).
+//! profile: `cargo test -q` and `cargo test --release -q` both run this
+//! file).
 //!
 //! The constants were captured at the commit before the persistent run
 //! contexts landed and re-pinned once since, by PR 20 — φ held ≤ 1 %

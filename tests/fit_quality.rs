@@ -1,7 +1,7 @@
 //! θsys fit quality and hostile inputs, under the tier-1 command.
 //!
 //! The quality half mirrors the assertions of `pollux-models`' own
-//! `fit.rs` tests (which run only under `--workspace`) at thresholds no
+//! `fit.rs` tests through the umbrella's public API, at thresholds no
 //! looser than theirs. The hostile half pins the contract of the three
 //! public fit entry points on inputs no profiler would produce: valid
 //! parameters or `None`, never NaN, never a panic.
