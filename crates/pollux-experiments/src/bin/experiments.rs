@@ -17,12 +17,11 @@
 //! - `--imagenet-scale F`: fraction of the full ImageNet job `fig10`
 //!   runs, 0.01–1.0 (default 0.25).
 //!
-//! Telemetry follows the process-wide `POLLUX_TELEMETRY_OUT` /
-//! `POLLUX_CHROME_TRACE` capture like every other experiment driver.
+//! Telemetry follows the process-wide `POLLUX_TELEMETRY_OUT` capture
+//! like every other experiment driver; `telemetry-report` summarizes
+//! it.
 
-use pollux_experiments::common::{
-    capture_recorder, dump_timeline_artifacts, exit_on_error, flag_value,
-};
+use pollux_experiments::common::{capture_recorder, exit_on_error, flag_value};
 use pollux_experiments::ext_accum::{self, ModelKind};
 use pollux_experiments::{
     ablations, fidelity, fig1, fig10, fig2, fig3, fig6, fig7, fig8, fig9, table2, table3,
@@ -194,5 +193,4 @@ fn main() {
         println!("==============================================================");
         (e.run)(&settings);
     }
-    exit_on_error(dump_timeline_artifacts());
 }

@@ -22,10 +22,10 @@
 //!   (default 0).
 //! - `--realistic`: submit trace-derived user configs instead of
 //!   idealized tuned configs.
-//! - `--trace-dir DIR`: per-policy telemetry — writes
-//!   `DIR/<policy>.jsonl` (JSONL capture) and `DIR/<policy>.trace.json`
-//!   (Chrome trace, open in <https://ui.perfetto.dev>) for every
-//!   policy in the run.
+//! - `--trace-dir DIR`: per-policy telemetry — writes the JSONL capture
+//!   `DIR/<policy>.jsonl` for every policy in the run; at `--traces 1`,
+//!   `telemetry-report DIR/<policy>.jsonl --chrome-trace <out.json>`
+//!   turns one into a Chrome trace (open in <https://ui.perfetto.dev>).
 //! - `--json PATH`: also dump the structured `ZooResult` as JSON.
 //!
 //! Flags are user input: a bad value, an unknown, blank or repeated
@@ -36,8 +36,7 @@
 
 use pollux_core::ConfigChoice;
 use pollux_experiments::common::{
-    capture_recorder, dump_timeline_artifacts, exit_on_error, export_chrome_trace, flag_value,
-    render_table, CaptureError,
+    capture_recorder, exit_on_error, flag_value, render_table, CaptureError,
 };
 use pollux_experiments::zoo::{self, ZooOptions};
 use pollux_telemetry::{JsonlSink, Recorder};
@@ -74,12 +73,6 @@ fn output<'a, T>(
     open: impl FnOnce(&'a Path) -> std::io::Result<T>,
 ) -> T {
     exit_on_error(open(path).map_err(CaptureError::io(flag, path.as_os_str())))
-}
-
-/// Registry names are filesystem-safe except for `+` aesthetics; keep
-/// them verbatim but make that decision explicit here.
-fn capture_path(dir: &Path, policy: &str, ext: &str) -> PathBuf {
-    dir.join(format!("{policy}.{ext}"))
 }
 
 fn main() {
@@ -145,31 +138,19 @@ fn main() {
 
     let result = exit_on_error(match &trace_dir {
         None => zoo::run(&opts),
+        // Registry names are kept verbatim as file names (`+` included).
         Some(dir) => zoo::run_with_recorder(&opts, |policy| {
-            let trace = capture_path(dir, policy, "trace.json");
-            output("--trace-dir", &trace, File::create);
-            let capture = capture_path(dir, policy, "jsonl");
+            let capture = dir.join(format!("{policy}.jsonl"));
             Recorder::new(Arc::new(output("--trace-dir", &capture, JsonlSink::create)))
         }),
     });
 
     println!("{result}");
 
-    if let Some(dir) = &trace_dir {
-        for row in &result.rows {
-            let capture = capture_path(dir, row.policy, "jsonl");
-            let trace = capture_path(dir, row.policy, "trace.json");
-            exit_on_error(export_chrome_trace(
-                ("--trace-dir", capture.as_os_str()),
-                ("--trace-dir", trace.as_os_str()),
-            ));
-        }
-    }
     if let Some(path) = &json_out {
         output("--json", path, |path| {
             std::fs::write(path, result.to_json())
         });
         eprintln!("json: {path:?}");
     }
-    exit_on_error(dump_timeline_artifacts());
 }

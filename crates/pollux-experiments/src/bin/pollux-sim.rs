@@ -11,16 +11,12 @@
 //!   jobs; e.g. 64 for a quick capture).
 //! - `POLLUX_TELEMETRY_OUT=<path>` — capture telemetry (spans,
 //!   counters, histograms, the goodput time-series) to a JSONL file;
-//!   summarize it with `telemetry_report`. `/dev/stderr` streams the
-//!   events while the simulation runs.
-//! - `POLLUX_CHROME_TRACE=<path>` — after all runs, export the
-//!   telemetry capture as a Chrome trace (requires
-//!   `POLLUX_TELEMETRY_OUT`); open it in <https://ui.perfetto.dev>.
+//!   summarize it, or export one policy's run as a Chrome trace, with
+//!   `telemetry-report`. `/dev/stderr` streams the events while the
+//!   simulation runs.
 
 use pollux_experiments::cell::{run_cells, Cell};
-use pollux_experiments::common::{
-    capture_recorder, dump_timeline_artifacts, exit_on_error, flag_value,
-};
+use pollux_experiments::common::{capture_recorder, exit_on_error, flag_value};
 use pollux_simulator::SimResult;
 use std::time::{Duration, Instant};
 
@@ -95,5 +91,4 @@ fn main() {
             report(name, &exit_on_error(results)[0], t0.elapsed());
         }
     }
-    exit_on_error(dump_timeline_artifacts());
 }

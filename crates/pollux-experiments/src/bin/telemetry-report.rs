@@ -30,16 +30,27 @@
 //!
 //! Flags:
 //! - `--chrome-trace <out.json>`: also export the capture as a Chrome
-//!   trace (open in Perfetto / `chrome://tracing`). The export always
-//!   uses the full capture, unaffected by the filters below.
+//!   trace (open in Perfetto / `chrome://tracing`) — the one exporter
+//!   of the workspace. The export always uses the full capture,
+//!   unaffected by the filters below. A capture that holds more than
+//!   one simulation (more than one `engine/topology` point, as
+//!   `pollux-sim all` or a multi-trace sweep writes) is refused: job
+//!   ids repeat across runs, so their node slices would overwrite one
+//!   another.
 //! - `--prefix <p>`: only report `subsystem/name` entries starting
 //!   with `p`.
 //! - `--kind <k>`: only report one event kind, one of `Event::KINDS`
 //!   (repeatable).
+//!
+//! An unreadable capture, an unwritable trace or a capture refused for
+//! export is one line on stderr and exit status 2, before the report
+//! prints.
 
-use pollux_experiments::common::render_table;
+use pollux_experiments::common::{exit_on_error, render_table, CaptureError};
 use pollux_telemetry::{chrome, Event, HistogramSnapshot, RoundExplain};
 use std::collections::BTreeMap;
+use std::ffi::OsStr;
+use std::fs::File;
 use std::io::{BufRead, BufReader};
 
 #[derive(Default)]
@@ -113,15 +124,19 @@ fn parse_args() -> Options {
     }
 }
 
+/// Whether `event` is the point `Simulation::with_recorder` stamps once
+/// per run.
+fn starts_a_run(event: &Event) -> bool {
+    matches!(
+        event,
+        Event::Point { subsystem, name, .. } if subsystem == "engine" && name == "topology"
+    )
+}
+
 fn main() {
     let opts = parse_args();
-    let file = match std::fs::File::open(&opts.path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot open {}: {e}", opts.path);
-            std::process::exit(1);
-        }
-    };
+    let capture_error = || CaptureError::io("capture", OsStr::new(&opts.path));
+    let file = exit_on_error(File::open(&opts.path).map_err(capture_error()));
 
     let mut spans: BTreeMap<(String, String), SpanAgg> = BTreeMap::new();
     let mut counters: BTreeMap<(String, String), u64> = BTreeMap::new();
@@ -135,14 +150,10 @@ fn main() {
     let mut skipped = 0u64;
     let mut filtered = 0u64;
 
-    for line in BufReader::new(file).lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("read error after {lines} lines: {e}");
-                break;
-            }
-        };
+    for (n, line) in BufReader::new(file).lines().enumerate() {
+        let at_line =
+            |e: std::io::Error| std::io::Error::new(e.kind(), format!("line {}: {e}", n + 1));
+        let line = exit_on_error(line.map_err(at_line).map_err(capture_error()));
         if line.trim().is_empty() {
             continue;
         }
@@ -208,6 +219,24 @@ fn main() {
             Event::Round(explain) => rounds.push(explain),
         }
     }
+
+    // The trace is written once the capture is read (so it can never
+    // truncate the capture it exports) and before the report prints.
+    let chrome_out = opts.chrome_out.as_ref().map(|out| {
+        let runs = all_events.iter().filter(|e| starts_a_run(e)).count();
+        if runs > 1 {
+            eprintln!(
+                "--chrome-trace: {} holds {runs} simulations; a Chrome trace shows one \
+                 (capture a single run, e.g. `pollux-sim <policy>` or `policy-zoo --traces 1`)",
+                opts.path
+            );
+            std::process::exit(2);
+        }
+        let trace = chrome::chrome_trace(&all_events);
+        let written = std::fs::write(out, &trace);
+        exit_on_error(written.map_err(CaptureError::io("--chrome-trace", OsStr::new(out))));
+        (out, chrome::stats(&trace).unwrap_or_default())
+    });
 
     print!(
         "capture: {} ({lines} events, {skipped} unparseable",
@@ -397,12 +426,7 @@ fn main() {
         println!();
     }
 
-    if let Some(out) = &opts.chrome_out {
-        let (trace, stats) = chrome::export_with_stats(&all_events);
-        if let Err(e) = std::fs::write(out, &trace) {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        }
+    if let Some((out, stats)) = chrome_out {
         println!(
             "chrome trace: {out} ({} slices, {} counter samples, {} instants) — \
              open in https://ui.perfetto.dev or chrome://tracing",

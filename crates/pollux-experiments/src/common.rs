@@ -6,7 +6,7 @@ use pollux_cluster::ClusterSpec;
 use pollux_core::PolluxConfig;
 use pollux_sched::GaConfig;
 use pollux_simulator::SimConfig;
-use pollux_telemetry::{chrome, Event, JsonlSink, Recorder};
+use pollux_telemetry::{JsonlSink, Recorder};
 use std::ffi::{OsStr, OsString};
 use std::sync::{Arc, OnceLock};
 
@@ -43,34 +43,24 @@ pub fn experiment_sim(seed: u64) -> SimConfig {
     }
 }
 
-/// An output setting the process cannot honour. The environment and
-/// the command line are user input: the binaries print this on one
-/// line and exit 2 before simulating anything.
+/// A file the process cannot write (or, for a capture being reported,
+/// read). The environment and the command line are user input: the
+/// binaries print this on one line and exit 2 before simulating or
+/// reporting anything.
 #[derive(Debug)]
-pub enum CaptureError {
-    /// The file `var` names cannot be written (or, for the capture a
-    /// Chrome trace is exported from, read back).
-    Io {
-        /// The environment variable or flag that named the file.
-        var: &'static str,
-        /// Its value.
-        path: OsString,
-        /// What the file system said.
-        source: std::io::Error,
-    },
-    /// `POLLUX_CHROME_TRACE` is set and `POLLUX_TELEMETRY_OUT` is not:
-    /// there is no capture to export.
-    ChromeTraceWithoutCapture,
+pub struct CaptureError {
+    /// The environment variable or flag that named the file.
+    var: &'static str,
+    /// Its value.
+    path: OsString,
+    /// What the file system said.
+    source: std::io::Error,
 }
 
 impl std::fmt::Display for CaptureError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Io { var, path, source } => write!(f, "{var} {path:?} is unusable: {source}"),
-            Self::ChromeTraceWithoutCapture => {
-                f.write_str("POLLUX_CHROME_TRACE is set but POLLUX_TELEMETRY_OUT is not")
-            }
-        }
+        let Self { var, path, source } = self;
+        write!(f, "{var} {path:?} is unusable: {source}")
     }
 }
 
@@ -79,7 +69,7 @@ impl std::error::Error for CaptureError {}
 impl CaptureError {
     /// The error for `path`, which `var` named, failing with `source`.
     pub fn io<'a>(var: &'static str, path: &'a OsStr) -> impl FnOnce(std::io::Error) -> Self + 'a {
-        move |source| Self::Io {
+        move |source| Self {
             var,
             path: path.to_owned(),
             source,
@@ -88,7 +78,6 @@ impl CaptureError {
 }
 
 const TELEMETRY_OUT: &str = "POLLUX_TELEMETRY_OUT";
-const CHROME_TRACE: &str = "POLLUX_CHROME_TRACE";
 
 static CAPTURE: OnceLock<Recorder> = OnceLock::new();
 
@@ -102,20 +91,12 @@ static CAPTURE: OnceLock<Recorder> = OnceLock::new();
 ///
 /// # Errors
 ///
-/// [`CaptureError`] when either output path cannot be created, or
-/// `POLLUX_CHROME_TRACE` is set without a capture to export.
+/// [`CaptureError`] when the capture file cannot be created.
 pub fn capture_recorder() -> Result<Recorder, CaptureError> {
     if let Some(recorder) = CAPTURE.get() {
         return Ok(recorder.clone());
     }
-    let capture = std::env::var_os(TELEMETRY_OUT);
-    if let Some(out) = std::env::var_os(CHROME_TRACE) {
-        if capture.is_none() {
-            return Err(CaptureError::ChromeTraceWithoutCapture);
-        }
-        std::fs::File::create(&out).map_err(CaptureError::io(CHROME_TRACE, &out))?;
-    }
-    let recorder = match capture {
+    let recorder = match std::env::var_os(TELEMETRY_OUT) {
         Some(path) => {
             let sink = JsonlSink::create(&path).map_err(CaptureError::io(TELEMETRY_OUT, &path))?;
             Recorder::new(Arc::new(sink))
@@ -164,54 +145,6 @@ where
             range.end()
         )),
     }
-}
-
-/// Dumps end-of-run timeline artifacts from the process capture.
-///
-/// When `POLLUX_CHROME_TRACE` names an output file, the JSONL capture
-/// written via [`capture_recorder`] is flushed and exported with
-/// [`export_chrome_trace`]. Call this once, after every simulation in
-/// the process has finished; it is a no-op when the variable is unset.
-///
-/// # Errors
-///
-/// [`CaptureError`] when the capture cannot be read back or the trace
-/// cannot be written.
-pub fn dump_timeline_artifacts() -> Result<(), CaptureError> {
-    let Some(out) = std::env::var_os(CHROME_TRACE) else {
-        return Ok(());
-    };
-    let capture = std::env::var_os(TELEMETRY_OUT).ok_or(CaptureError::ChromeTraceWithoutCapture)?;
-    recorder().flush();
-    export_chrome_trace((TELEMETRY_OUT, &capture), (CHROME_TRACE, &out))
-}
-
-/// Re-reads a flushed JSONL capture and writes it as a Chrome trace —
-/// per-node placement slices, goodput/queue counter tracks, restart
-/// instants — loadable in Perfetto or `chrome://tracing`. Each path
-/// comes with the variable or flag that named it, for the error.
-///
-/// # Errors
-///
-/// [`CaptureError`] when the capture cannot be read or the trace
-/// cannot be written.
-pub fn export_chrome_trace(
-    (capture_var, capture): (&'static str, &OsStr),
-    (out_var, out): (&'static str, &OsStr),
-) -> Result<(), CaptureError> {
-    let text = std::fs::read_to_string(capture).map_err(CaptureError::io(capture_var, capture))?;
-    let events: Vec<Event> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(Event::parse_jsonl)
-        .collect();
-    let (trace, stats) = chrome::export_with_stats(&events);
-    std::fs::write(out, &trace).map_err(CaptureError::io(out_var, out))?;
-    eprintln!(
-        "chrome trace: {out:?} ({} slices, {} counter samples, {} instants)",
-        stats.slices, stats.counters, stats.instants
-    );
-    Ok(())
 }
 
 /// Mean of a slice (None when empty).

@@ -12,8 +12,7 @@
 //! as controlled comparisons.
 //!
 //! The `policy-zoo` bin wraps this module in a CLI; per-policy
-//! telemetry captures and Chrome traces hang off the same run via
-//! [`run_with_recorder`]. The cells themselves are [`crate::cell`]'s.
+//! telemetry captures hang off the same run via [`run_with_recorder`]. The cells themselves are [`crate::cell`]'s.
 
 use crate::cell::{run_cells, Cell, CellError, Summary};
 use crate::common::{experiment_pollux, render_table};
@@ -304,7 +303,7 @@ pub fn run(opts: &ZooOptions) -> Result<ZooResult, CellError> {
 }
 
 /// [`run`] with a caller-supplied recorder per policy, so each policy's
-/// telemetry (and Chrome trace) can land in its own capture file:
+/// telemetry can land in its own capture file:
 /// `recorder_for` is called once per policy, before anything is
 /// simulated. The `(policy, trace)` cells are one [`run_cells`] grid.
 ///

@@ -1,8 +1,8 @@
 //! The `experiments` runner: its registry is the table in `lib.rs`,
 //! its flags are user input (one line on stderr and exit status 2,
 //! the `pollux-sim` contract, which `policy-zoo` keeps through the
-//! same flag parser), and a runner prints what its module's `Display`
-//! renders.
+//! same flag parser and `telemetry-report` for the files it reads and
+//! writes), and a runner prints what its module's `Display` renders.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -84,6 +84,28 @@ fn bad_arguments_exit_2_with_one_line() {
             env!("CARGO_BIN_EXE_policy-zoo"),
             &[&quick[..], args].concat(),
         );
+    }
+
+    // A capture of one event, and the same event followed by a line
+    // that is not UTF-8.
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let line = pollux_telemetry::Event::Count {
+        subsystem: "engine".into(),
+        name: "chunks".into(),
+        value: 1,
+    }
+    .to_jsonl();
+    let capture = tmp.join("one-event.jsonl");
+    std::fs::write(&capture, format!("{line}\n")).unwrap();
+    let garbled = tmp.join("garbled.jsonl");
+    std::fs::write(&garbled, [line.as_bytes(), b"\n\xff\xfe\n"].concat()).unwrap();
+    let (capture, garbled) = (capture.to_str().unwrap(), garbled.to_str().unwrap());
+    for args in [
+        &["/nonexistent-dir/capture.jsonl"][..],
+        &[capture, "--chrome-trace", "/nonexistent-dir/trace.json"],
+        &[garbled],
+    ] {
+        refused(env!("CARGO_BIN_EXE_telemetry-report"), args);
     }
 }
 

@@ -3,7 +3,7 @@
 //! panic or a run that quietly goes without. Live event streaming is
 //! the one capture path pointed at `/dev/stderr`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const UNWRITABLE: &str = "/nonexistent-dir/pollux-sim-out";
@@ -57,25 +57,6 @@ fn telemetry_out_dev_stderr_streams_parseable_jsonl() {
 /// simulated — by every binary that reads the capture settings.
 #[test]
 fn unusable_capture_settings_exit_2_before_simulating() {
-    let capture = scratch("refused-capture.jsonl");
-    let capture = capture.to_str().unwrap();
-    let cases: [(&str, &[(&str, &str)]); 3] = [
-        (
-            "POLLUX_TELEMETRY_OUT",
-            &[("POLLUX_TELEMETRY_OUT", UNWRITABLE)],
-        ),
-        (
-            "POLLUX_CHROME_TRACE",
-            &[
-                ("POLLUX_TELEMETRY_OUT", capture),
-                ("POLLUX_CHROME_TRACE", UNWRITABLE),
-            ],
-        ),
-        (
-            "POLLUX_CHROME_TRACE is set but POLLUX_TELEMETRY_OUT is not",
-            &[("POLLUX_CHROME_TRACE", "unused-trace.json")],
-        ),
-    ];
     let bins: [(&str, &[&str]); 3] = [
         (env!("CARGO_BIN_EXE_pollux-sim"), &["tiresias", "1"]),
         (
@@ -85,22 +66,57 @@ fn unusable_capture_settings_exit_2_before_simulating() {
         (env!("CARGO_BIN_EXE_experiments"), &["fig6"]),
     ];
     for (bin, args) in bins {
-        for (names, env) in cases {
-            let out = Command::new(bin)
-                .args(args)
-                .env("POLLUX_SIM_JOBS", "2")
-                .env_remove("POLLUX_TELEMETRY_OUT")
-                .env_remove("POLLUX_CHROME_TRACE")
-                .envs(env.iter().copied())
-                .output()
-                .expect("the binary runs");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{bin} {names}: {stderr}");
-            assert_eq!(stderr.lines().count(), 1, "{bin} {names}: {stderr}");
-            assert!(stderr.contains(names), "{bin} {names}: {stderr}");
-            assert!(out.stdout.is_empty(), "{bin} {names}: something ran");
-        }
+        let out = Command::new(bin)
+            .args(args)
+            .env("POLLUX_SIM_JOBS", "2")
+            .env("POLLUX_TELEMETRY_OUT", UNWRITABLE)
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{bin}: {stderr}");
+        assert!(stderr.contains("POLLUX_TELEMETRY_OUT"), "{bin}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin}: something ran");
     }
+}
+
+/// `telemetry-report --chrome-trace` draws one simulation. The runs of
+/// `pollux-sim all` share one capture and repeat each other's job ids,
+/// so their trace is refused — one line, exit 2, nothing written —
+/// while the report of the same capture still prints.
+#[test]
+fn a_chrome_trace_is_one_run_of_the_capture() {
+    let report = |capture: &Path, args: &[&Path]| {
+        Command::new(env!("CARGO_BIN_EXE_telemetry-report"))
+            .arg(capture)
+            .args(args)
+            .output()
+            .expect("telemetry-report runs")
+    };
+    let one = scratch("one-run.jsonl");
+    let one_trace = scratch("one-run.trace.json");
+    let env = [("POLLUX_TELEMETRY_OUT", one.to_str().unwrap())];
+    assert_eq!(digests(&pollux_sim(&["tiresias", "1"], &env)).len(), 1);
+    let out = report(&one, &["--chrome-trace".as_ref(), &one_trace]);
+    assert!(out.status.success(), "{out:?}");
+    let trace = std::fs::read_to_string(&one_trace).expect("the trace is written");
+    assert!(pollux_telemetry::chrome::stats(&trace).is_some(), "{trace}");
+
+    let all = scratch("three-runs.jsonl");
+    let all_trace = scratch("three-runs.trace.json");
+    let env = [("POLLUX_TELEMETRY_OUT", all.to_str().unwrap())];
+    assert_eq!(digests(&pollux_sim(&["all", "1"], &env)).len(), 3);
+    let out = report(&all, &["--chrome-trace".as_ref(), &all_trace]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("3 simulations"), "{stderr}");
+    assert!(out.stdout.is_empty(), "reported before refusing");
+    assert!(!all_trace.exists(), "a refused trace was written");
+
+    let out = report(&all, &[]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("capture: "));
 }
 
 /// The summary line's digest answers "did these two runs diverge":

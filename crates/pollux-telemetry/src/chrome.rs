@@ -403,14 +403,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
     out
 }
 
-/// Convenience for tooling: render `events` and count phases without
-/// re-parsing.
-pub fn export_with_stats(events: &[Event]) -> (String, ChromeStats) {
-    let text = chrome_trace(events);
-    let s = stats(&text).unwrap_or_default();
-    (text, s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,7 +509,8 @@ mod tests {
                 dur_ns: 5_000,
             },
         ];
-        let (text, s) = export_with_stats(&events);
+        let text = chrome_trace(&events);
+        let s = stats(&text).expect("trace is valid JSON");
         assert_eq!(s.slices, 3, "2 sim occupancies + 1 wall span:\n{text}");
         assert_eq!(s.counters, 6, "3 counters × 2 samples");
         assert_eq!(s.instants, 3, "arrival + restart + finish");

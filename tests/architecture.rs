@@ -2,11 +2,11 @@
 //!
 //! Each guard reads the files with `std::fs` and fails with the lines
 //! that broke it, so a second JSON writer, a second scheduling round, a
-//! retired setting coming back or a vendored stub nobody uses fails
-//! `cargo test` instead of lingering. The frozen `benchmark/` stays
-//! outside the paths searched; only its manifest is read, as a user of
-//! the vendored stubs. This file names every needle it looks for, so it
-//! is skipped.
+//! second Chrome exporter, a retired setting coming back or a vendored
+//! stub nobody uses fails `cargo test` instead of lingering. The frozen
+//! `benchmark/` stays outside the paths searched; only its manifest is
+//! read, as a user of the vendored stubs. This file names every needle
+//! it looks for, so it is skipped.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs;
@@ -150,7 +150,8 @@ fn one_simresult_digest() {
 // A run takes what is set and returns what is read: the removed event
 // log, job series, scheduler interval and Debug dumps stay gone, and so
 // do the second scheduler-stats channel, the settings every caller left
-// at the default and the trainer's unused models.
+// at the default, the trainer's unused models and the Chrome exporters
+// beside `telemetry-report --chrome-trace`.
 #[test]
 fn retired_identifiers_stay_gone() {
     const RETIRED: &[&str] = &[
@@ -178,15 +179,37 @@ fn retired_identifiers_stay_gone() {
         "MlpModel",
         "SoftmaxModel",
         "EpochLoader",
+        "POLLUX_CHROME_TRACE",
+        "dump_timeline_artifacts",
+        "export_chrome_trace",
+        "ChromeTraceWithoutCapture",
+        "export_with_stats",
     ];
     let hits = grep(&files(&["crates", "src", "tests", "examples"]), |line| {
         RETIRED.iter().any(|name| line.contains(name))
     });
     assert!(
         hits.is_empty(),
-        "the capture is the one timeline, the recorder the one counter channel; \
-         settings are what a caller sets\n{}",
+        "the capture is the one timeline, the recorder the one counter channel, \
+         telemetry-report the one Chrome exporter; settings are what a caller sets\n{}",
         hits.join("\n")
+    );
+}
+
+// A Chrome trace is written in one place, `telemetry-report <capture>
+// --chrome-trace <out>`; a second exporter starts with a second call to
+// the renderer.
+#[test]
+fn one_chrome_exporter() {
+    let sources: Vec<String> = crate_sources()
+        .into_iter()
+        .filter(|f| f != "crates/pollux-telemetry/src/chrome.rs")
+        .collect();
+    let hits = grep(&sources, |line| line.contains("chrome_trace("));
+    assert_once_in(
+        &hits,
+        "crates/pollux-experiments/src/bin/telemetry-report.rs",
+        "one Chrome exporter: only telemetry-report's --chrome-trace calls chrome::chrome_trace",
     );
 }
 
