@@ -168,13 +168,13 @@ impl AllocationMatrix {
 
     /// Number of distinct nodes occupied by job `j`.
     pub fn nodes_of(&self, j: usize) -> u32 {
-        self.row(j).iter().filter(|&&g| g > 0).count() as u32
+        self.shape_of(j).map_or(0, |shape| shape.nodes)
     }
 
     /// The `(K, N)` placement shape of job `j`, or `None` when the job
     /// holds no GPUs.
     pub fn shape_of(&self, j: usize) -> Option<PlacementShape> {
-        PlacementShape::new(self.gpus_of(j), self.nodes_of(j))
+        row_shape(self.row(j))
     }
 
     /// True when job `j` spans more than one node.
@@ -182,10 +182,12 @@ impl AllocationMatrix {
         self.nodes_of(j) > 1
     }
 
-    /// Total GPUs allocated on node `n` across all jobs.
+    /// Total GPUs allocated on node `n` across all jobs, saturating at
+    /// `u32::MAX` (a column of hostile cells can sum past it).
     pub fn gpus_used_on(&self, n: usize) -> u32 {
         assert!(n < self.num_nodes, "node {n} out of {}", self.num_nodes);
-        self.cells.iter().skip(n).step_by(self.num_nodes).sum()
+        let column = self.cells.iter().skip(n).step_by(self.num_nodes);
+        u32::try_from(column.map(|&g| u64::from(g)).sum::<u64>()).unwrap_or(u32::MAX)
     }
 
     /// Total GPUs allocated across the whole matrix.
@@ -193,15 +195,16 @@ impl AllocationMatrix {
         self.cells.iter().sum()
     }
 
-    /// Node columns whose usage exceeds the cluster capacity.
+    /// Node columns whose usage exceeds the cluster capacity. Columns
+    /// are summed in `u64`, so hostile cells cannot wrap one.
     pub fn over_capacity_nodes(&self, spec: &ClusterSpec) -> Vec<NodeId> {
-        let mut used = vec![0; self.num_nodes];
+        let mut used = vec![0u64; self.num_nodes];
         for (_, row) in self.iter_rows() {
-            used.iter_mut().zip(row).for_each(|(u, &g)| *u += g);
+            used.iter_mut().zip(row).for_each(|(u, &g)| *u += g as u64);
         }
         let nodes = (0..spec.num_nodes() as u32).map(NodeId);
-        let over = nodes.zip(used).filter(|&(node, u)| u > spec.gpus_on(node));
-        over.map(|(node, _)| node).collect()
+        let over = nodes.zip(used).filter(|&(n, u)| u > spec.gpus_on(n).into());
+        over.map(|(n, _)| n).collect()
     }
 
     /// True when every node is within its GPU capacity and the matrix
@@ -246,6 +249,24 @@ impl AllocationMatrix {
     pub fn rows_mut(&mut self) -> impl ExactSizeIterator<Item = &mut [u32]> + '_ {
         self.cells.chunks_exact_mut(self.num_nodes)
     }
+}
+
+/// The `(K, N)` shape of one placement row — its GPUs and the nodes
+/// holding any — or `None` for an empty row. The one row kernel: a fold
+/// with no early exit, so the compiler vectorizes it, where an `any` or
+/// a `filter().count()` would scan a cell at a time.
+#[inline]
+pub fn row_shape(row: &[u32]) -> Option<PlacementShape> {
+    let add = |(gpus, nodes): (u32, u32), &g: &u32| (gpus + g, nodes + u32::from(g > 0));
+    let (gpus, nodes) = row.iter().fold((0, 0), add);
+    PlacementShape::new(gpus, nodes)
+}
+
+/// True when `row` holds no GPU: [`row_shape`]'s branch-free fold, for
+/// callers that need only whether a job runs.
+#[inline]
+pub fn row_is_empty(row: &[u32]) -> bool {
+    row.iter().fold(0, |any, &g| any | g) == 0
 }
 
 impl std::fmt::Display for AllocationMatrix {
@@ -411,6 +432,34 @@ mod tests {
                     None => prop_assert_eq!(a.gpus_of(j), 0),
                 }
             }
+        }
+
+        #[test]
+        fn the_row_kernel_matches_a_sum_and_a_count(
+            row in proptest::collection::vec((0u32..40).prop_map(|g| g.saturating_sub(24)), 0..=300)
+        ) {
+            // Most cells empty, the rest 1-16 GPUs: a placement row.
+            let gpus = row.iter().sum();
+            let nodes = row.iter().filter(|&&g| g > 0).count() as u32;
+            prop_assert_eq!(row_shape(&row), PlacementShape::new(gpus, nodes));
+            prop_assert_eq!(row_is_empty(&row), row.iter().all(|&g| g == 0));
+        }
+
+        #[test]
+        fn over_capacity_columns_are_judged_by_their_exact_sums(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0u32..8, 0u32..4).prop_map(|(g, huge)| {
+                    // One cell in four is near 2³¹, so columns wrap a u32.
+                    if huge == 0 { (1 << 31) - 3 + g } else { g }
+                }), 3), 1..6)
+        ) {
+            let a = AllocationMatrix::from_rows(rows.clone(), 3).unwrap();
+            let spec = ClusterSpec::homogeneous(3, 4).unwrap();
+            let exact: Vec<NodeId> = (0..3)
+                .filter(|&n| rows.iter().map(|r| u64::from(r[n])).sum::<u64>() > 4)
+                .map(|n| NodeId(n as u32))
+                .collect();
+            prop_assert_eq!(a.over_capacity_nodes(&spec), exact);
         }
 
         #[test]

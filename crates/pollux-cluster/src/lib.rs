@@ -18,7 +18,7 @@ pub mod ids;
 pub mod spec;
 pub mod topology;
 
-pub use alloc::AllocationMatrix;
+pub use alloc::{row_is_empty, row_shape, AllocationMatrix};
 pub use ids::{JobId, NodeId};
 pub use spec::{ClusterSpec, NodeSpec};
 pub use topology::Topology;

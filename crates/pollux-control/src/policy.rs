@@ -8,7 +8,7 @@
 //! [`crate::RoundPlanner::round`].
 
 use pollux_agent::AgentReport;
-use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId, Topology};
+use pollux_cluster::{row_is_empty, AllocationMatrix, ClusterSpec, JobId, Topology};
 use pollux_models::BatchSizeLimits;
 use pollux_telemetry::Recorder;
 use pollux_workload::{ModelProfile, UserConfig};
@@ -56,7 +56,7 @@ pub struct PolicyJobView<'a> {
 impl PolicyJobView<'_> {
     /// True when the job currently holds GPUs.
     pub fn is_running(&self) -> bool {
-        self.current_placement.iter().any(|&g| g > 0)
+        !row_is_empty(self.current_placement)
     }
 }
 

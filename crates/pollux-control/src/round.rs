@@ -13,8 +13,9 @@
 use crate::lifecycle::JobLifecycle;
 use crate::policy::{PolicyJobView, SchedulingPolicy};
 use pollux_agent::PolluxAgent;
-use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId, NodeId, Topology};
-use pollux_models::PlacementShape;
+use pollux_cluster::{
+    row_is_empty, row_shape, AllocationMatrix, ClusterSpec, JobId, NodeId, Topology,
+};
 use pollux_telemetry::{Counter, Recorder};
 use rand::rngs::StdRng;
 
@@ -93,7 +94,7 @@ pub trait JobStore {
 /// would change its world size silently). Returns whether GPUs were
 /// lost — the round then preempts the job.
 fn resize_placement(row: &mut Vec<u32>, nodes: usize) -> bool {
-    let lost = row.iter().skip(nodes).any(|&g| g > 0);
+    let lost = row.get(nodes..).is_some_and(|cut| !row_is_empty(cut));
     row.resize(nodes, 0);
     if lost {
         row.fill(0);
@@ -335,8 +336,8 @@ impl RoundPlanner {
         if rows_equal_padded(proposed.as_ref(), view.current_placement, num_nodes) {
             return None;
         }
-        let gpus: u32 = proposed.as_ref().iter().sum();
-        if gpus == 0 && !view.current_placement.iter().any(|&g| g > 0) {
+        let granted = !row_is_empty(proposed.as_ref());
+        if !granted && row_is_empty(view.current_placement) {
             return None; // Pending -> pending: nothing happened.
         }
         let mut new_row: Vec<u32> = proposed.into();
@@ -353,7 +354,7 @@ impl RoundPlanner {
             job: view.id,
             row,
             new: new_row,
-            triggers_restart: gpus > 0 && view.started,
+            triggers_restart: granted && view.started,
         })
     }
 }
@@ -363,8 +364,7 @@ impl RoundPlanner {
 /// `restart_delay`), a zero-GPU placement preempts.
 fn apply_reallocation(job: JobMut<'_>, r: &Reallocation, now: f64, restart_delay: f64) {
     job.placement.clone_from(&r.new);
-    let nodes = r.new.iter().filter(|&&g| g > 0).count() as u32;
-    match PlacementShape::new(r.gpus(), nodes) {
+    match row_shape(&r.new) {
         Some(shape) => {
             job.agent.note_allocation(shape);
             job.lifecycle.grant(r.triggers_restart, now, restart_delay);
@@ -378,40 +378,40 @@ fn apply_reallocation(job: JobMut<'_>, r: &Reallocation, now: f64, restart_delay
 /// Whether a policy matrix row equals a view's current placement,
 /// treating cells past `matrix_row.len()` as zero. `current` narrower
 /// or wider than the cluster (a transient width mismatch around a
-/// resize) always diffs as changed, matching the strict slice
-/// comparison this replaces.
+/// resize) always diffs as changed.
 fn rows_equal_padded(matrix_row: &[u32], current: &[u32], width: usize) -> bool {
-    if current.len() != width {
-        return false;
-    }
-    if matrix_row.len() == width {
-        // Equal-width rows (the common case on the sparse path, which
-        // pads every delta to cluster width) compare as a straight
-        // slice equality — one memcmp instead of a per-cell loop.
-        return matrix_row == current;
-    }
-    current
-        .iter()
-        .enumerate()
-        .all(|(n, &g)| matrix_row.get(n).copied().unwrap_or(0) == g)
+    let cut = matrix_row.len().min(width);
+    current.len() == width && current[..cut] == matrix_row[..cut] && row_is_empty(&current[cut..])
 }
 
 /// Defensively trims an infeasible policy matrix to capacity: the
 /// matrix is first brought to cluster width, then over-capacity nodes
-/// shed GPUs round-robin across jobs until feasible.
+/// shed GPUs round-robin across jobs until feasible — one GPU from each
+/// non-zero cell a turn, in row order, every turn starting at row 0.
+///
+/// The turns are taken in bulk: as many whole turns as leave every
+/// non-zero cell standing, and once fewer are left, the last ones with
+/// the partial turn's extra GPU from the first cells. A hostile cell of
+/// `u32::MAX` GPUs costs a few passes over the column, not one per GPU.
 fn clamp_matrix(m: &mut AllocationMatrix, spec: &ClusterSpec) {
     if m.num_nodes() != spec.num_nodes() {
         m.resize_nodes(spec.num_nodes());
     }
     for node in m.over_capacity_nodes(spec) {
         let n = node.index();
-        let cap = spec.gpus_on(node);
-        let mut j = 0;
-        while m.gpus_used_on(n) > cap {
-            if m.get(j, n) > 0 {
-                m.set(j, n, m.get(j, n) - 1);
+        let used: u64 = (0..m.num_jobs()).map(|j| u64::from(m.get(j, n))).sum();
+        let mut excess = used - u64::from(spec.gpus_on(node));
+        while excess > 0 {
+            let live: Vec<usize> = (0..m.num_jobs()).filter(|&j| m.get(j, n) > 0).collect();
+            let cells = live.len() as u64;
+            let smallest = live.iter().map(|&j| m.get(j, n)).min().map_or(0, u64::from);
+            let turns = smallest.min(excess / cells);
+            let rest = if turns < smallest { excess % cells } else { 0 };
+            for (i, &j) in live.iter().enumerate() {
+                let take = turns + u64::from((i as u64) < rest);
+                m.set(j, n, m.get(j, n) - take as u32);
+                excess -= take;
             }
-            j = (j + 1) % m.num_jobs().max(1);
         }
     }
 }
@@ -420,8 +420,10 @@ fn clamp_matrix(m: &mut AllocationMatrix, spec: &ClusterSpec) {
 mod tests {
     use super::*;
     use crate::policy::PlacementDelta;
+    use pollux_cluster::NodeSpec;
     use pollux_models::BatchSizeLimits;
     use pollux_workload::UserConfig;
+    use proptest::prelude::Strategy;
     use rand::SeedableRng;
 
     #[test]
@@ -896,6 +898,86 @@ mod tests {
             )
             .unwrap();
         assert_eq!(plan[0].new, vec![1, 0, 0]);
+    }
+
+    /// The clamp as it was before it took whole turns: one GPU a step,
+    /// re-summing the column before each. Quadratic in the excess, and
+    /// it overflows a `u32` column; the oracle for small matrices.
+    fn clamp_one_gpu_a_step(m: &mut AllocationMatrix, spec: &ClusterSpec) {
+        if m.num_nodes() != spec.num_nodes() {
+            m.resize_nodes(spec.num_nodes());
+        }
+        for node in m.over_capacity_nodes(spec) {
+            let n = node.index();
+            let cap = spec.gpus_on(node);
+            let mut j = 0;
+            while m.gpus_used_on(n) > cap {
+                if m.get(j, n) > 0 {
+                    m.set(j, n, m.get(j, n) - 1);
+                }
+                j = (j + 1) % m.num_jobs().max(1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_column_past_u32_max_is_clamped_not_wrapped() {
+        // Two rows of 2³¹ + 1 GPUs sum to 2³² + 2, which a u32 column
+        // wraps to 2: a 2-GPU node would look exactly full.
+        let spec = ClusterSpec::homogeneous(1, 2).unwrap();
+        let huge = (1u32 << 31) + 1;
+        let m = matrix(&[&[huge], &[huge]]);
+        assert!(!m.is_feasible(&spec));
+        assert_eq!(m.gpus_used_on(0), u32::MAX, "saturates, not wraps");
+        let idle = vec![0u32];
+        let views = [view(0, &idle, false), view(1, &idle, false)];
+        let plan = RoundPlanner::new()
+            .plan(
+                &mut Scripted::new(vec![m]),
+                0.0,
+                &views,
+                &spec,
+                &mut StdRng::seed_from_u64(0),
+            )
+            .unwrap();
+        let rows: Vec<&[u32]> = plan.iter().map(|r| r.new.as_slice()).collect();
+        assert_eq!(rows, [&[1], &[1]]);
+    }
+
+    #[test]
+    fn a_u32_max_cell_is_clamped_in_whole_turns() {
+        let spec = ClusterSpec::homogeneous(2, 4).unwrap();
+        let mut m = matrix(&[&[u32::MAX, 1], &[3, 0]]);
+        clamp_matrix(&mut m, &spec);
+        // Three whole turns empty row 1's cell; the one live cell left
+        // is then u32::MAX − 7 over, taken off in one step of as many
+        // turns.
+        assert_eq!(m.row(0), &[4, 1]);
+        assert_eq!(m.row(1), &[0, 0]);
+        assert!(m.is_feasible(&spec));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn whole_turns_clamp_cell_for_cell_like_one_gpu_a_step(
+            (nodes, rows) in (1usize..4, 1usize..6).prop_flat_map(|(nodes, jobs)| {
+                (
+                    proptest::strategy::Just(nodes),
+                    proptest::collection::vec(proptest::collection::vec(0u32..9, nodes), jobs),
+                )
+            }),
+            caps in proptest::collection::vec(1u32..6, 4),
+        ) {
+            let nodes: Vec<_> = caps[..nodes].iter().map(|&gpus| NodeSpec { gpus }).collect();
+            let spec = ClusterSpec::new(nodes).unwrap();
+            let width = spec.num_nodes();
+            let mut fast = AllocationMatrix::from_rows(rows, width).unwrap();
+            let mut slow = fast.clone();
+            clamp_matrix(&mut fast, &spec);
+            clamp_one_gpu_a_step(&mut slow, &spec);
+            proptest::prop_assert_eq!(&fast, &slow);
+            proptest::prop_assert!(fast.is_feasible(&spec));
+        }
     }
 
     /// A sparse policy: returns preloaded deltas per round and panics

@@ -58,9 +58,11 @@
 //! pure function of its inputs (all in-repo stages are; none draw).
 
 use crate::policy::{PolicyJobView, SchedulingPolicy};
-use pollux_cluster::{AllocationMatrix, ClusterSpec};
-use pollux_telemetry::{Counter, Recorder};
+use pollux_cluster::{row_is_empty, row_shape, AllocationMatrix, ClusterSpec};
+use pollux_telemetry::{Counter, HistogramHandle, Recorder};
 use rand::rngs::StdRng;
+use std::cmp::Reverse;
+use std::time::Instant;
 
 /// One admission decision: the job at view index `row` may hold
 /// `gpus` GPUs this round. Order is meaningful — placement stages
@@ -293,33 +295,27 @@ impl AdmissionPolicy for RankedBackfill {
 /// Returns the per-node allocation row, or `None` when the total free
 /// capacity is insufficient. On success the `free` vector is updated
 /// in place.
+///
+/// Each take empties the fullest node (lowest index on ties) but the
+/// last, and changes no other node, so taking the fullest node again
+/// visits the nodes in the order a stable sort by free capacity would
+/// — without building or sorting an index of the cluster.
 pub fn pack_consolidated(need: u32, free: &mut [u32]) -> Option<Vec<u32>> {
-    if need == 0 {
-        return Some(vec![0; free.len()]);
-    }
-    let total: u32 = free.iter().sum();
-    if total < need {
+    let total: u64 = free.iter().map(|&f| u64::from(f)).sum();
+    if total < u64::from(need) {
         return None;
     }
-    // Nodes sorted by free capacity descending (stable on index for
-    // determinism).
-    let mut order: Vec<usize> = (0..free.len()).collect();
-    order.sort_by(|&a, &b| free[b].cmp(&free[a]).then(a.cmp(&b)));
-
     let mut row = vec![0u32; free.len()];
     let mut remaining = need;
-    for &n in &order {
-        if remaining == 0 {
-            break;
-        }
+    while remaining > 0 {
+        // The fullest node, lowest index on ties (the total covers
+        // what is left, so one has GPUs).
+        let n = (0..free.len()).max_by_key(|&n| (free[n], Reverse(n)))?;
         let take = remaining.min(free[n]);
-        if take > 0 {
-            row[n] = take;
-            free[n] -= take;
-            remaining -= take;
-        }
+        row[n] = take;
+        free[n] -= take;
+        remaining -= take;
     }
-    debug_assert_eq!(remaining, 0, "total capacity was checked upfront");
     Some(row)
 }
 
@@ -327,16 +323,13 @@ pub fn pack_consolidated(need: u32, free: &mut [u32]) -> Option<Vec<u32>> {
 /// still has the required free capacity. On success, capacity is
 /// deducted from `free`.
 pub fn keep_placement(current: &[u32], free: &mut [u32]) -> bool {
-    if current.len() != free.len() {
-        return false;
+    let pairs = current.iter().zip(&*free);
+    let over = pairs.fold(false, |over, (&c, &f)| over | (c > f));
+    let fits = current.len() == free.len() && !over;
+    if fits {
+        free.iter_mut().zip(current).for_each(|(f, &c)| *f -= c);
     }
-    if current.iter().zip(free.iter()).any(|(&c, &f)| c > f) {
-        return false;
-    }
-    for (f, &c) in free.iter_mut().zip(current) {
-        *f -= c;
-    }
-    true
+    fits
 }
 
 /// Gandiva's best fit: the whole gang on the node with the *least*
@@ -432,13 +425,13 @@ impl PlacementPolicy for ConsolidatedPlacement {
         // the entitlement, to avoid gratuitous checkpoint-restarts.
         let mut needs_placing: Vec<Admitted> = Vec::new();
         for &a in admitted {
-            let Some(view) = jobs.get(a.row) else {
+            let Some(view) = jobs.get(a.row).filter(|_| a.gpus > 0) else {
                 continue;
             };
-            let current: u32 = view.current_placement.iter().sum();
-            if a.gpus > 0 && current == a.gpus && keep_placement(view.current_placement, free) {
+            let entitled = row_shape(view.current_placement).is_some_and(|s| s.gpus == a.gpus);
+            if entitled && keep_placement(view.current_placement, free) {
                 matrix.copy_row(a.row, view.current_placement);
-            } else if a.gpus > 0 {
+            } else {
                 needs_placing.push(a);
             }
         }
@@ -468,12 +461,22 @@ pub struct StagedScheduler {
     admission: Box<dyn AdmissionPolicy>,
     placement: Box<dyn PlacementPolicy>,
     preemption: Box<dyn PreemptionPolicy>,
+    /// Per-node free GPUs and per-row holds, refilled every round and
+    /// kept so that a round allocates neither.
+    free: Vec<u32>,
+    held: Vec<bool>,
     /// Hoisted per-round counters: pending jobs granted GPUs /
     /// running jobs stripped of them. Disabled (free) by default.
     admitted_ctr: Counter,
     preempted_ctr: Counter,
-    /// Whether a live recorder is attached — gates the O(jobs)
-    /// post-round counter scan so recorder-free runs pay nothing.
+    /// Per-round stage times (ns): `control/preempt_ns` (the matrix,
+    /// preemption and the held scan), `control/admit_ns` and
+    /// `control/place_ns`. Histograms, not spans, so the stages stay
+    /// inside whatever span brackets `schedule`.
+    stage_ns: [HistogramHandle; 3],
+    /// Whether a live recorder is attached — gates the stage clock and
+    /// the O(jobs) post-round counter scan so recorder-free runs pay
+    /// nothing.
     telemetry_live: bool,
 }
 
@@ -501,8 +504,11 @@ impl StagedScheduler {
             admission: Box::new(admission),
             placement: Box::new(placement),
             preemption: Box::new(preemption),
+            free: Vec::new(),
+            held: Vec::new(),
             admitted_ctr: Counter::detached(),
             preempted_ctr: Counter::detached(),
+            stage_ns: Default::default(),
             telemetry_live: false,
         }
     }
@@ -529,16 +535,19 @@ impl SchedulingPolicy for StagedScheduler {
         spec: &ClusterSpec,
         rng: &mut StdRng,
     ) -> AllocationMatrix {
-        let num_nodes = spec.num_nodes();
-        let mut matrix = AllocationMatrix::zeros(jobs.len(), num_nodes);
-        let mut free: Vec<u32> = spec.iter().map(|(_, s)| s.gpus).collect();
+        let mut clock = self.telemetry_live.then(Instant::now);
+        let mut matrix = AllocationMatrix::zeros(jobs.len(), spec.num_nodes());
+        let (free, held) = (&mut self.free, &mut self.held);
+        free.clear();
+        free.extend(spec.iter().map(|(_, s)| s.gpus));
 
-        // Stage 1: preemption eligibility.
-        let victims = self.preemption.yield_rows(now, jobs, spec, rng);
-        let mut may_yield = vec![false; jobs.len()];
-        for &row in &victims {
-            if row < jobs.len() {
-                may_yield[row] = true;
+        // Stage 1: preemption eligibility, marked in `held` until the
+        // scan below overwrites each row's mark with its hold.
+        held.clear();
+        held.resize(jobs.len(), false);
+        for row in self.preemption.yield_rows(now, jobs, spec, rng) {
+            if let Some(may_yield) = held.get_mut(row) {
+                *may_yield = true;
             }
         }
 
@@ -546,27 +555,27 @@ impl SchedulingPolicy for StagedScheduler {
         // verbatim. A held placement that no longer fits (the cluster
         // shrank underneath it) falls through: the job is implicitly
         // preempted this round.
-        let mut held = vec![false; jobs.len()];
         for (row, view) in jobs.iter().enumerate() {
-            if view.is_running()
-                && !may_yield[row]
-                && keep_placement(view.current_placement, &mut free)
-            {
+            held[row] =
+                !held[row] && view.is_running() && keep_placement(view.current_placement, free);
+            if held[row] {
                 matrix.copy_row(row, view.current_placement);
-                held[row] = true;
             }
         }
+        lap(&self.stage_ns[0], &mut clock);
 
         // Stage 2: admission over everything not already held.
-        let admitted = self.admission.admit(now, jobs, &held, &free, spec, rng);
+        let admitted = self.admission.admit(now, jobs, held, free, spec, rng);
         debug_assert!(
             admitted.iter().all(|a| !held.get(a.row).unwrap_or(&false)),
             "admission must not re-admit held rows"
         );
+        lap(&self.stage_ns[1], &mut clock);
 
         // Stage 3: placement of the admitted jobs.
         self.placement
-            .place(now, jobs, &admitted, &mut free, &mut matrix, rng);
+            .place(now, jobs, &admitted, free, &mut matrix, rng);
+        lap(&self.stage_ns[2], &mut clock);
 
         // Observational round accounting: entrants (pending jobs that
         // now hold GPUs) and evictions (running jobs that lost all of
@@ -576,7 +585,7 @@ impl SchedulingPolicy for StagedScheduler {
             let mut entered = 0u64;
             let mut evicted = 0u64;
             for (row, view) in jobs.iter().enumerate() {
-                let has = matrix.gpus_of(row) > 0;
+                let has = !row_is_empty(matrix.row(row));
                 match (view.is_running(), has) {
                     (false, true) => entered += 1,
                     (true, false) => evicted += 1,
@@ -607,11 +616,22 @@ impl SchedulingPolicy for StagedScheduler {
     fn attach_telemetry(&mut self, recorder: Recorder) {
         self.admitted_ctr = recorder.counter("control", "admitted");
         self.preempted_ctr = recorder.counter("control", "preempted");
+        self.stage_ns = ["preempt_ns", "admit_ns", "place_ns"]
+            .map(|stage| recorder.histogram("control", stage));
         self.telemetry_live = recorder.is_enabled();
         // Stage identities, so captures name who made each decision.
         recorder.meta("sched", "admission", self.admission.name());
         recorder.meta("sched", "placement", self.placement.name());
         recorder.meta("sched", "preemption", self.preemption.name());
+    }
+}
+
+/// Observes the time since `*since` into `hist` and restarts the clock;
+/// does nothing while the clock is off.
+fn lap(hist: &HistogramHandle, since: &mut Option<Instant>) {
+    if let Some(start) = since {
+        hist.observe(start.elapsed().as_nanos() as u64);
+        *start = Instant::now();
     }
 }
 
@@ -621,6 +641,7 @@ mod tests {
     use pollux_cluster::JobId;
     use pollux_models::BatchSizeLimits;
     use pollux_workload::UserConfig;
+    use proptest::prelude::Strategy;
     use rand::SeedableRng;
 
     fn view<'a>(id: u32, placement: &'a [u32], submit: f64) -> PolicyJobView<'a> {
@@ -741,6 +762,97 @@ mod tests {
         assert!(!keep_placement(&[2, 0], &mut free));
         assert_eq!(free, vec![1, 2]);
         assert!(!keep_placement(&[1], &mut free), "width mismatch");
+    }
+
+    /// `pack_consolidated` as it was: an index of every node, stably
+    /// sorted by free capacity, then taken in that order.
+    fn pack_by_sorting(need: u32, free: &mut [u32]) -> Option<Vec<u32>> {
+        if need == 0 {
+            return Some(vec![0; free.len()]);
+        }
+        let total: u32 = free.iter().sum();
+        if total < need {
+            return None;
+        }
+        let mut order: Vec<usize> = (0..free.len()).collect();
+        order.sort_by(|&a, &b| free[b].cmp(&free[a]).then(a.cmp(&b)));
+        let mut row = vec![0u32; free.len()];
+        let mut remaining = need;
+        for &n in &order {
+            if remaining == 0 {
+                break;
+            }
+            let take = remaining.min(free[n]);
+            if take > 0 {
+                row[n] = take;
+                free[n] -= take;
+                remaining -= take;
+            }
+        }
+        Some(row)
+    }
+
+    /// `keep_placement` as it was: an `any` that stops at the first
+    /// node short of capacity.
+    fn keep_by_any(current: &[u32], free: &mut [u32]) -> bool {
+        if current.len() != free.len() {
+            return false;
+        }
+        if current.iter().zip(free.iter()).any(|(&c, &f)| c > f) {
+            return false;
+        }
+        for (f, &c) in free.iter_mut().zip(current) {
+            *f -= c;
+        }
+        true
+    }
+
+    /// Per-node free GPUs of a heterogeneous cluster of 1–300 nodes
+    /// with 0–16 free on each.
+    fn free_gpus() -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec(0u32..=16, 1..=300)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn packing_the_fullest_node_matches_the_sorted_order(
+            (free, needs) in free_gpus().prop_flat_map(|free| {
+                // Up to a little past the cluster's capacity.
+                let total: u32 = free.iter().sum();
+                let needs = proptest::collection::vec(0u32..=total / 2 + 8, 1..6);
+                (proptest::strategy::Just(free), needs)
+            }),
+        ) {
+            let (mut fast, mut slow) = (free.clone(), free);
+            for need in needs {
+                proptest::prop_assert_eq!(
+                    pack_consolidated(need, &mut fast),
+                    pack_by_sorting(need, &mut slow)
+                );
+                proptest::prop_assert_eq!(&fast, &slow);
+            }
+        }
+
+        #[test]
+        fn the_branch_free_keep_matches_the_short_circuiting_one(
+            (free, current) in free_gpus().prop_flat_map(|free| {
+                let width = free.len();
+                let current = (0u32..3).prop_flat_map(move |kind| match kind {
+                    // The cluster's width, empty or not, or a stale one.
+                    0 => proptest::collection::vec(0u32..=4, width),
+                    1 => proptest::collection::vec(0u32..=0, width),
+                    _ => proptest::collection::vec(0u32..=4, 0..=300),
+                });
+                (proptest::strategy::Just(free), current)
+            }),
+        ) {
+            let (mut fast, mut slow) = (free.clone(), free);
+            proptest::prop_assert_eq!(
+                keep_placement(&current, &mut fast),
+                keep_by_any(&current, &mut slow)
+            );
+            proptest::prop_assert_eq!(fast, slow);
+        }
     }
 
     #[test]

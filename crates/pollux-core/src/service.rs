@@ -32,7 +32,7 @@
 
 use crate::policy::{PolluxConfig, PolluxPolicy};
 use pollux_agent::{PolluxAgent, TuningDecision};
-use pollux_cluster::{ClusterSpec, JobId, Topology};
+use pollux_cluster::{row_shape, ClusterSpec, JobId, Topology};
 use pollux_control::{
     JobLifecycle, JobMut, JobState, JobStore, PolicyJobView, Reallocation, RoundPlanner,
     SchedulingPolicy,
@@ -360,10 +360,7 @@ impl JobHandle {
     pub fn tuning(&self) -> Option<TuningDecision> {
         let jobs = lock(&self.shared.jobs);
         let entry = jobs.get(&self.id)?;
-        let gpus: u32 = entry.placement.iter().sum();
-        let nodes = entry.placement.iter().filter(|&&g| g > 0).count() as u32;
-        let shape = PlacementShape::new(gpus, nodes)?;
-        entry.agent.tune(shape)
+        entry.agent.tune(row_shape(&entry.placement)?)
     }
 }
 

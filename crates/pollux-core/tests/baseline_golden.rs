@@ -21,7 +21,7 @@
 use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_cluster::{ClusterSpec, JobId};
 use pollux_core::{run_trace_recorded, ConfigChoice};
-use pollux_simulator::{SchedulingPolicy, SimConfig};
+use pollux_simulator::{SchedulingPolicy, SimConfig, SimResult};
 use pollux_telemetry::{MemorySink, Recorder};
 use pollux_workload::{JobSpec, ModelKind, TraceConfig, TraceGenerator};
 use std::sync::Arc;
@@ -53,14 +53,14 @@ fn churn_trace_64(work_scale: f64) -> Vec<JobSpec> {
     jobs
 }
 
-/// The digest of `trace` under `policy` on `nodes` × 4 GPUs, with
+/// The run of `trace` under `policy` on `nodes` × 4 GPUs, with
 /// `recorder` attached.
-fn digest_on<P: SchedulingPolicy>(
+fn run_on<P: SchedulingPolicy>(
     policy: P,
     trace: &[JobSpec],
     nodes: u32,
     recorder: Recorder,
-) -> u64 {
+) -> SimResult {
     let spec = ClusterSpec::homogeneous(nodes, 4).unwrap();
     let sim = SimConfig {
         max_sim_time: 24.0 * 3600.0,
@@ -68,9 +68,18 @@ fn digest_on<P: SchedulingPolicy>(
         seed: 17,
         ..Default::default()
     };
-    let result = run_trace_recorded(policy, trace, ConfigChoice::Tuned, spec, sim, recorder)
-        .expect("valid simulation inputs");
-    result.digest()
+    run_trace_recorded(policy, trace, ConfigChoice::Tuned, spec, sim, recorder)
+        .expect("valid simulation inputs")
+}
+
+/// The digest of [`run_on`].
+fn digest_on<P: SchedulingPolicy>(
+    policy: P,
+    trace: &[JobSpec],
+    nodes: u32,
+    recorder: Recorder,
+) -> u64 {
+    run_on(policy, trace, nodes, recorder).digest()
 }
 
 /// The digest of the churn anchor: 64 jobs on 16 × 4 GPUs.
@@ -230,5 +239,37 @@ fn ranked_admissions_and_best_fit_hold_their_digests_under_contention() {
     for (name, policy, golden) in contended() {
         let d = digest_on(policy, &trace, 4, Recorder::disabled());
         assert_eq!(d, golden, "{name} contended trajectory drifted: 0x{d:016x}");
+    }
+}
+
+/// A job's id names it and nothing more: relabel the contended twin's
+/// jobs (ids reversed, so id order runs against submit order) and
+/// every policy that ranks, backfills and packs them must finish the
+/// same jobs at the same instants — the multiset of `(submit, finish)`
+/// bit patterns is unchanged.
+#[test]
+fn relabelled_job_ids_leave_every_contended_finish_in_place() {
+    let trace = churn_trace_64(0.5);
+    let last = trace.len() as u32 - 1;
+    let relabelled: Vec<JobSpec> = trace
+        .iter()
+        .map(|spec| JobSpec {
+            id: JobId(last - spec.id.0),
+            ..spec.clone()
+        })
+        .collect();
+    let finishes = |result: SimResult| {
+        let mut times: Vec<(u64, Option<u64>)> = result
+            .records
+            .iter()
+            .map(|r| (r.submit_time.to_bits(), r.finish_time.map(f64::to_bits)))
+            .collect();
+        times.sort_unstable();
+        times
+    };
+    for ((name, policy, _), (_, twin, _)) in contended().into_iter().zip(contended()) {
+        let plain = finishes(run_on(policy, &trace, 4, Recorder::disabled()));
+        let relabelled = finishes(run_on(twin, &relabelled, 4, Recorder::disabled()));
+        assert_eq!(plain, relabelled, "{name} keys on the job id");
     }
 }

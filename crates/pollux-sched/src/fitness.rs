@@ -13,7 +13,7 @@
 //! Speedup lookups go through the dense per-interval [`SpeedupTable`].
 
 use crate::speedup::{SchedJob, SpeedupTable};
-use pollux_cluster::AllocationMatrix;
+use pollux_cluster::{row_shape, AllocationMatrix};
 use pollux_models::PlacementShape;
 
 /// Configuration of the fitness evaluation.
@@ -66,18 +66,6 @@ pub fn contribution(
         config,
         |shape| table.speedup(j, shape),
     )
-}
-
-/// The `(K, N)` shape of one placement row, from one pass over it;
-/// `None` for an empty row.
-#[inline]
-pub(crate) fn row_shape(row: &[u32]) -> Option<PlacementShape> {
-    let (mut gpus, mut nodes) = (0u32, 0u32);
-    for &g in row {
-        gpus += g;
-        nodes += u32::from(g > 0);
-    }
-    PlacementShape::new(gpus, nodes)
 }
 
 /// [`contribution`] of one placement row whose shape

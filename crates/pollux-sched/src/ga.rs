@@ -44,9 +44,9 @@
 //! pin. The racked round runs whole `evolve` calls side by side, one
 //! per rack ([`crate::scheduler`]); nothing inside a call is shared.
 
-use crate::fitness::{fitness_of, row_contribution, row_shape, weight_sum, FitnessConfig};
+use crate::fitness::{fitness_of, row_contribution, weight_sum, FitnessConfig};
 use crate::speedup::{SchedJob, SpeedupTable};
-use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
+use pollux_cluster::{row_shape, AllocationMatrix, ClusterSpec, NodeId};
 use pollux_models::PlacementShape;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

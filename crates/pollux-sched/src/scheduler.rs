@@ -6,13 +6,13 @@
 //! the scheduler reconciles the saved population with job arrivals and
 //! completions, evolves it, and returns the best allocation matrix.
 
-use crate::fitness::{row_shape, FitnessConfig};
+use crate::fitness::FitnessConfig;
 use crate::ga::{GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm};
 use crate::par::parallel_map;
 use crate::rackga;
 use crate::speedup::{pure_speedup, SchedJob, SpeedupTable, SpeedupTableStats};
 use crate::weights::WeightConfig;
-use pollux_cluster::{AllocationMatrix, ClusterSpec, JobId, NodeId, NodeSpec, Topology};
+use pollux_cluster::{row_shape, AllocationMatrix, ClusterSpec, JobId, NodeId, NodeSpec, Topology};
 use pollux_models::PlacementShape;
 use pollux_telemetry::{JobExplain, Recorder, RoundExplain};
 use rand::rngs::StdRng;

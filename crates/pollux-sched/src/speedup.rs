@@ -23,7 +23,7 @@
 //! count.
 
 use crate::par::parallel_map;
-use pollux_cluster::{ClusterSpec, JobId};
+use pollux_cluster::{row_is_empty, ClusterSpec, JobId};
 use pollux_models::{GoodputModel, PlacementShape};
 use std::collections::HashMap;
 
@@ -48,7 +48,7 @@ pub struct SchedJob {
 impl SchedJob {
     /// True when the job currently holds any GPUs.
     pub fn is_running(&self) -> bool {
-        self.current_placement.iter().any(|&g| g > 0)
+        !row_is_empty(&self.current_placement)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Simulated job state.
 
 use pollux_agent::PolluxAgent;
+use pollux_cluster::row_shape;
 use pollux_models::{EfficiencyModel, PlacementShape};
 use pollux_workload::{GnsProfile, JobSpec, ModelProfile, UserConfig};
 
@@ -34,9 +35,8 @@ pub struct SimJob {
     /// so that [`Self::edit_placement`] is the only writer and `held`
     /// can never go stale.
     placement: Vec<u32>,
-    /// `(gpus, nodes)` of `placement`, kept by
-    /// [`Self::edit_placement`].
-    held: (u32, u32),
+    /// [`row_shape`] of `placement`, kept by [`Self::edit_placement`].
+    held: Option<PlacementShape>,
     /// Current total batch size.
     pub batch_size: u64,
     /// Accumulated useful work (examples at m0-efficiency).
@@ -69,7 +69,7 @@ impl SimJob {
             agent,
             lifecycle: JobLifecycle::new(),
             placement: vec![0; num_nodes],
-            held: (0, 0),
+            held: None,
             batch_size,
             progress: 0.0,
             examples_processed: 0.0,
@@ -141,7 +141,7 @@ impl SimJob {
             agent: &mut self.agent,
             lifecycle: &mut self.lifecycle,
         });
-        self.held = scan_placement(&self.placement);
+        self.held = row_shape(&self.placement);
         out
     }
 
@@ -152,14 +152,14 @@ impl SimJob {
 
     /// The job's current placement shape, if it holds any GPUs.
     pub fn shape(&self) -> Option<PlacementShape> {
-        debug_assert_eq!(self.held, scan_placement(&self.placement));
-        PlacementShape::new(self.held.0, self.held.1)
+        debug_assert_eq!(self.held, row_shape(&self.placement));
+        self.held
     }
 
     /// GPUs currently held.
     pub fn gpus(&self) -> u32 {
-        debug_assert_eq!(self.held, scan_placement(&self.placement));
-        self.held.0
+        debug_assert_eq!(self.held, row_shape(&self.placement));
+        self.held.map_or(0, |shape| shape.gpus)
     }
 
     /// Normalized training progress in [0, 1].
@@ -231,13 +231,6 @@ impl SimJob {
     pub fn true_throughput(&self, shape: PlacementShape, m: u64) -> f64 {
         self.profile.params.throughput(shape, m)
     }
-}
-
-/// `(gpus, nodes)` of a placement row by a full scan.
-fn scan_placement(row: &[u32]) -> (u32, u32) {
-    let gpus = row.iter().sum();
-    let nodes = row.iter().filter(|&&g| g > 0).count() as u32;
-    (gpus, nodes)
 }
 
 /// φ may move by at most this factor across one hold, so the held

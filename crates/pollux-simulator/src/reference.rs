@@ -15,6 +15,7 @@ use super::{remove_finished_from_active, Simulation};
 use crate::config::TICK_SECONDS;
 use crate::job::{JobState, SimJob};
 use crate::metrics::SimResult;
+use pollux_cluster::row_shape;
 use pollux_control::SchedulingPolicy;
 use rand::Rng;
 
@@ -111,8 +112,7 @@ impl<P: SchedulingPolicy> Simulation<P> {
                 if job.is_finished() || node >= row.len() {
                     continue;
                 }
-                let nodes_used = row.iter().filter(|&&g| g > 0).count();
-                if row[node] > 0 && nodes_used > 1 {
+                if row[node] > 0 && row_shape(row).is_some_and(|s| s.is_distributed()) {
                     distributed.push(i);
                 }
             }

@@ -52,11 +52,22 @@ fn crate_sources() -> Vec<String> {
 
 /// `path:line: text` for every line of `files` that `hit` matches.
 fn grep(files: &[String], hit: impl Fn(&str) -> bool) -> Vec<String> {
+    grep_until(files, |_| false, hit)
+}
+
+/// [`grep`] over the lines of each file before the first that `end`
+/// matches.
+fn grep_until(
+    files: &[String],
+    end: impl Fn(&str) -> bool,
+    hit: impl Fn(&str) -> bool,
+) -> Vec<String> {
     let root = root();
     let mut hits = Vec::new();
     for file in files {
         let bytes = fs::read(root.join(file)).unwrap();
-        for (n, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
+        let text = String::from_utf8_lossy(&bytes);
+        for (n, line) in text.lines().take_while(|line| !end(line)).enumerate() {
             if hit(line) {
                 hits.push(format!("{file}:{}: {line}", n + 1));
             }
@@ -285,6 +296,42 @@ fn one_backfill_admission() {
     assert!(
         !on_simulator,
         "pollux-baselines depends on pollux-control, not on the simulator"
+    );
+}
+
+// A placement row is scanned by pollux-cluster's one row kernel,
+// `row_shape` / `row_is_empty`: folds with no early exit, which the
+// compiler vectorizes, where an `any`, an `all` or a `filter().count()`
+// scans a cell at a time. Test code (each file's `#[cfg(test)]` module,
+// at its foot) may scan as it likes; it holds the kernels' oracles.
+#[test]
+fn one_row_kernel() {
+    // rackga.rs folds the kernel's OR over the 16-cell blocks of a racked
+    // row to skip the empty ones: it asks of a block, not of a row, and
+    // walks the cells of every block it keeps.
+    const EXEMPT: [&str; 2] = [
+        "crates/pollux-cluster/src/alloc.rs",
+        "crates/pollux-sched/src/rackga.rs",
+    ];
+    const SCANS: [&str; 4] = [
+        ".any(|&g| g > 0)",
+        ".filter(|&&g| g > 0).count()",
+        ".all(|&g| g == 0)",
+        "fold(0, |any, &g| any | g)",
+    ];
+    let sources: Vec<String> = crate_sources()
+        .into_iter()
+        .filter(|f| !EXEMPT.contains(&f.as_str()))
+        .collect();
+    let hits = grep_until(
+        &sources,
+        |line| line.trim() == "#[cfg(test)]",
+        |line| SCANS.iter().any(|scan| line.contains(scan)),
+    );
+    assert!(
+        hits.is_empty(),
+        "scan a placement row with pollux_cluster::row_shape or row_is_empty\n{}",
+        hits.join("\n")
     );
 }
 
