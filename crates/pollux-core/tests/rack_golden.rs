@@ -10,7 +10,7 @@
 //!    may not perturb a single RNG draw or float accumulation.
 //! 2. **The multi-rack trajectory is pinned.** A 4-rack run (8 nodes,
 //!    `nodes_per_rack = 2`) exercises the two-phase search (rack
-//!    assignment GA + per-rack placement GAs); its digest is pinned so
+//!    pick + per-rack placement GAs); its digest is pinned so
 //!    the racked trajectory can only change deliberately, with the
 //!    constant updated in the same commit that changes the search.
 
@@ -88,7 +88,7 @@ fn single_rack_topology_is_byte_identical_to_flat() {
 /// GPUs, `nodes_per_rack = 2`). This run takes the two-phase path
 /// every scheduling round; if the constant changes, the racked search
 /// changed — update it only together with a deliberate change to the
-/// rack assignment or per-rack placement GA.
+/// rack pick or the per-rack placement GA.
 ///
 /// Re-pinned once (from `0xbe94_18a2_be53_5c35`) when the racked
 /// search went cross-round incremental, a package of deliberate
@@ -163,7 +163,18 @@ fn single_rack_topology_is_byte_identical_to_flat() {
 /// counters (they leave through the telemetry recorder alone): the new
 /// constant is what the old code printed for the same run rendered
 /// without that field.
-const GOLDEN_FOUR_RACK: u64 = 0x933a_7f47_ca75_ed26;
+///
+/// Re-pinned an eighth time (from `0x933a_7f47_ca75_ed26`) when phase
+/// 1's assignment GA became the pick it converged to (the greedy
+/// packing, or the carried assignment where that scores at least as
+/// high). On the old trajectory the pick equals the GA's answer in
+/// every racked round of this run, but the GA drew the interval RNG
+/// and the pick does not, so the rack seeds come from a different point
+/// of the stream and the trajectory moves from the first interval on.
+/// The mean JCT moved 1318.7 s → 1355.5 s, with
+/// no job left unfinished. Flat and single-rack runs never enter the
+/// racked path: every other golden is unchanged.
+const GOLDEN_FOUR_RACK: u64 = 0xa059_f45f_c444_783c;
 
 #[test]
 fn golden_trajectory_four_racks() {
@@ -175,8 +186,8 @@ fn golden_trajectory_four_racks() {
 }
 
 /// Same seed, same racked configuration → same bytes. The racked path
-/// must be as deterministic as the flat one (one serial RNG stream
-/// through phase 1 and the per-rack phase-2 searches).
+/// must be as deterministic as the flat one (phase 1 draws nothing, and
+/// each evolved rack's seed is drawn serially from the one stream).
 #[test]
 fn racked_run_is_repeatable() {
     assert_eq!(

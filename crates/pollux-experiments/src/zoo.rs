@@ -221,8 +221,8 @@ pub struct ZooResult {
 impl ZooResult {
     /// Renders the result as JSON through the telemetry codec's one
     /// writer, like the JSONL capture and the Chrome exporter. The row
-    /// schema is pinned by the CI zoo smoke, which parses this output
-    /// with Python's `json`.
+    /// schema is pinned by `experiments_cli`'s zoo test, which parses
+    /// the `--json` output of a `policy-zoo` run.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 * self.rows.len() + 64);
         json::write_obj(&mut out, |o| {
@@ -253,8 +253,8 @@ impl ZooResult {
     }
 }
 
-/// The head-to-head table's column headers. Pinned by the CI smoke
-/// test so downstream parsers can rely on the schema.
+/// The head-to-head table's column headers. Pinned by a test so
+/// downstream parsers can rely on the schema.
 pub fn table_headers() -> &'static [&'static str] {
     &[
         "policy",
@@ -509,7 +509,7 @@ mod tests {
 
     #[test]
     fn table_schema_is_stable() {
-        // CI and downstream parsers pin this schema; change it
+        // Tests and downstream parsers pin this schema; change it
         // deliberately (update EXPERIMENTS.md and the README) or not
         // at all.
         assert_eq!(
@@ -530,9 +530,9 @@ mod tests {
 
     #[test]
     fn to_json_parses_back_with_the_pinned_row_schema() {
-        // The CI zoo smoke feeds `--json` output to Python's `json`
-        // module; the in-repo parser must accept it too, with every
-        // pinned key present.
+        // `experiments_cli`'s zoo test parses a real run's `--json`
+        // output; the in-repo parser must accept this one too, with
+        // every pinned key present.
         let result = ZooResult {
             rows: vec![ZooRow {
                 policy: "optimus+oracle",

@@ -2,10 +2,14 @@
 //! its flags are user input (one line on stderr and exit status 2,
 //! the `pollux-sim` contract, which `policy-zoo` keeps through the
 //! same flag parser and `telemetry-report` for the files it reads and
-//! writes), and a runner prints what its module's `Display` renders.
+//! writes), a runner prints what its module's `Display` renders, and
+//! every `policy-zoo` row's capture renders into a Chrome trace.
 
+use pollux_telemetry::chrome;
+use pollux_telemetry::json::{self, JsonValue};
+use std::fs;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -120,5 +124,69 @@ fn fig1_and_fig6_print_their_banner_then_the_module_rows() {
         let stdout = String::from_utf8(out.stdout).unwrap();
         assert!(stdout.starts_with("====="), "{stdout}");
         assert!(stdout.ends_with(&format!("{rows}\n")), "{stdout}");
+    }
+}
+
+#[test]
+fn every_zoo_row_has_the_schema_and_a_chrome_trace() {
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("zoo-smoke");
+    let _ = fs::remove_dir_all(&tmp);
+    fs::create_dir_all(&tmp).unwrap();
+    let (table, traces) = (tmp.join("zoo.json"), tmp.join("traces"));
+    let out = Command::new(env!("CARGO_BIN_EXE_policy-zoo"))
+        .args(["--traces", "1", "--jobs", "24", "--json"])
+        .arg(&table)
+        .arg("--trace-dir")
+        .arg(&traces)
+        .output()
+        .expect("policy-zoo runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let table = json::parse(&fs::read_to_string(&table).unwrap()).expect("the table parses");
+    let rows = table.get("rows").and_then(JsonValue::as_arr).expect("rows");
+    assert!(rows.len() >= 7, "zoo shrank: {} policies", rows.len());
+    for row in rows {
+        for key in [
+            "policy",
+            "stages",
+            "avg_jct_hours",
+            "p50_jct_hours",
+            "p95_jct_hours",
+            "p99_jct_hours",
+            "avg_wait_hours",
+            "p99_wait_hours",
+            "makespan_hours",
+            "avg_efficiency",
+            "job_goodput",
+            "unfinished",
+        ] {
+            assert!(
+                row.get(key).is_some(),
+                "table schema drifted: missing {key}"
+            );
+        }
+        let policy = row.get("policy").and_then(JsonValue::as_str).unwrap();
+        let trace = traces.join(format!("{policy}.trace.json"));
+        let status = Command::new(env!("CARGO_BIN_EXE_telemetry-report"))
+            .arg(traces.join(format!("{policy}.jsonl")))
+            .arg("--chrome-trace")
+            .arg(&trace)
+            .stdout(Stdio::null())
+            .status()
+            .expect("telemetry-report runs");
+        assert!(status.success(), "{policy}: {status}");
+        let text = fs::read_to_string(&trace).unwrap();
+        let parsed = json::parse(&text).expect("the trace parses");
+        let named = parsed.get("otherData").and_then(|d| d.get("sched/policy"));
+        assert_eq!(named.and_then(JsonValue::as_str), Some(policy));
+        let stats = chrome::stats(&text).expect("a Chrome trace");
+        assert!(
+            stats.slices > 0 && stats.counters > 0 && stats.instants > 0,
+            "{policy}: {stats:?}"
+        );
     }
 }

@@ -372,13 +372,7 @@ impl GeneticAlgorithm {
             .take(pop_size)
             .map(template)
             .collect();
-        let mut current = AllocationMatrix::zeros(num_jobs, num_nodes);
-        for (j, job) in jobs.iter().enumerate() {
-            if job.current_placement.len() == num_nodes {
-                current.copy_row(j, &job.current_placement);
-            }
-        }
-        members.push(template(current));
+        members.push(template(incumbents(jobs, spec)));
         let first_fresh = members.len();
         while members.len() < pop_size {
             members.push(template(AllocationMatrix::zeros(num_jobs, num_nodes)));
@@ -484,6 +478,22 @@ impl GeneticAlgorithm {
         };
         (outcome, members.into_iter().map(|m| m.matrix).collect())
     }
+}
+
+/// The "current allocations" matrix: row `j` is `jobs[j]`'s current
+/// placement with each cell clamped to its node's GPUs, or empty when
+/// the placement's width is not the cluster's.
+pub(crate) fn incumbents(jobs: &[SchedJob], spec: &ClusterSpec) -> AllocationMatrix {
+    let caps: Vec<u32> = spec.iter().map(|(_, node)| node.gpus).collect();
+    let mut m = AllocationMatrix::zeros(jobs.len(), caps.len());
+    for (row, job) in m.rows_mut().zip(jobs) {
+        if job.current_placement.len() == caps.len() {
+            for ((cell, &g), &cap) in row.iter_mut().zip(&job.current_placement).zip(&caps) {
+                *cell = g.min(cap);
+            }
+        }
+    }
+    m
 }
 
 /// Repairs `m` into a feasible allocation (the Fig 5 repair step),

@@ -47,7 +47,7 @@ pub mod fitness;
 pub mod ga;
 pub mod local_search;
 pub mod par;
-pub mod rackga;
+pub mod racks;
 pub mod scheduler;
 pub mod speedup;
 pub mod weights;
@@ -59,7 +59,7 @@ pub use fitness::{
 pub use ga::{repair_matrix, GaConfig, GaOutcome, GaRunStats, GaWorkspace, GeneticAlgorithm};
 pub use local_search::{LocalSearch, LocalSearchConfig};
 pub use par::parallel_map;
-pub use rackga::{assign_racks, home_rack};
+pub use racks::{assign_racks, home_rack};
 pub use scheduler::{PolluxSched, SchedConfig};
 pub use speedup::{SchedJob, SpeedupTable, SpeedupTableStats};
 pub use weights::{job_weight, WeightConfig};

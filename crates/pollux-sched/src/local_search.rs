@@ -9,7 +9,7 @@
 //! climbing.
 
 use crate::fitness::{fitness, FitnessConfig};
-use crate::ga::{repair_matrix, GaWorkspace};
+use crate::ga::{incumbents, repair_matrix, GaWorkspace};
 use crate::speedup::{SchedJob, SpeedupTable};
 use pollux_cluster::{AllocationMatrix, ClusterSpec, NodeId};
 use rand::Rng;
@@ -79,13 +79,7 @@ impl LocalSearch {
         for restart in 0..self.config.restarts.max(1) {
             let mut current = if restart == 0 {
                 // Start from the currently applied placements.
-                let mut m = AllocationMatrix::zeros(num_jobs, num_nodes);
-                for (j, job) in jobs.iter().enumerate() {
-                    if job.current_placement.len() == num_nodes {
-                        m.copy_row(j, &job.current_placement);
-                    }
-                }
-                m
+                incumbents(jobs, spec)
             } else {
                 let mut m = AllocationMatrix::zeros(num_jobs, num_nodes);
                 for j in 0..num_jobs {

@@ -9,7 +9,7 @@
 use crate::fitness::FitnessConfig;
 use crate::ga::{GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm};
 use crate::par::parallel_map;
-use crate::rackga;
+use crate::racks;
 use crate::speedup::{pure_speedup, SchedJob, SpeedupTable, SpeedupTableStats};
 use crate::weights::WeightConfig;
 use pollux_cluster::{row_shape, AllocationMatrix, ClusterSpec, JobId, NodeId, NodeSpec, Topology};
@@ -51,10 +51,10 @@ pub struct PolluxSched {
     /// and when the topology changes under a racked carry.
     carry: Vec<RackCarry>,
     /// The previous interval's phase-1 rack assignment keyed by job
-    /// id. Seeds the next interval's assignment GA
-    /// ([`rackga::assign_racks`]) so quiet intervals keep rack
-    /// memberships stable — the precondition for the per-rack carries
-    /// above to hit. Cleared together with `carry`.
+    /// id. The next interval's rack pick ([`racks::assign_racks`])
+    /// keeps it wherever it scores no worse, so quiet intervals keep
+    /// rack memberships stable — the precondition for the per-rack
+    /// carries above to hit. Cleared together with `carry`.
     assign_carry: HashMap<JobId, u32>,
     /// Most threads a racked interval works on, the calling one
     /// included ([`Self::set_threads`]).
@@ -136,8 +136,8 @@ impl PolluxSched {
     /// single-rack topology the scheduler runs the flat search
     /// unchanged — same RNG draws, same schedule, bit for bit; with
     /// ≥ 2 racks each interval runs the two-phase search: a cheap
-    /// rack-assignment GA ([`crate::rackga`]) followed by the
-    /// placement GA independently inside each rack.
+    /// rack pick ([`crate::racks`]) followed by the placement GA
+    /// independently inside each rack.
     ///
     /// Changing the topology drops a racked round's carry-over state
     /// (saved populations and tables): rack indices renumber, so the
@@ -256,6 +256,11 @@ impl PolluxSched {
         rec.incr("sched", "rows_recomputed", stats.rows_recomputed);
         rec.incr("sched", "table_solves", speedup.solves);
         rec.incr("sched", "table_rows_reused", speedup.rows_reused);
+        let outcome = GaOutcome {
+            best,
+            best_fitness,
+            stats,
+        };
         self.last_explain = self.recorder.is_enabled().then(|| {
             // Each job's rack (the flat round's one rack is 0) and its
             // row in that rack's table: its rank among the members.
@@ -274,8 +279,8 @@ impl PolluxSched {
             build_explain(
                 &self.config.ga.fitness,
                 jobs,
-                &best,
-                best_fitness,
+                spec,
+                &outcome,
                 assignment.is_some(),
                 |j, job| {
                     let before = self.assign_carry.get(&job.id).map_or(-1, |&r| r as i64);
@@ -295,17 +300,14 @@ impl PolluxSched {
                 .map(|(j, &r)| (j.id, r))
                 .collect();
         }
-        GaOutcome {
-            best,
-            best_fitness,
-            stats,
-        }
+        outcome
     }
 
     /// The two-phase rack search: assign jobs to racks with the cheap
-    /// assignment GA, then evolve the placement GA independently per
-    /// rack over only that rack's nodes and jobs, and stitch the
-    /// sub-matrices back into a cluster-width allocation.
+    /// rack pick ([`racks::assign_racks`]), then evolve the placement
+    /// GA independently per rack over only that rack's nodes and jobs,
+    /// and stitch the sub-matrices back into a cluster-width
+    /// allocation.
     ///
     /// Feasibility and interference avoidance compose: racks partition
     /// the nodes, so per-rack-feasible sub-matrices are globally
@@ -330,10 +332,10 @@ impl PolluxSched {
     /// [`crate::par::parallel_map`] on up to [`Self::threads`] workers
     /// — by default the host's cores — of which the calling thread is
     /// one. Determinism uses the same seed-splitting discipline as the
-    /// GA's seed-per-slot: after phase 1 (whose search is serial and
-    /// whose input scan fans out the same way), the master RNG is
-    /// advanced once per *evolved* rack (in rack order) and each such
-    /// rack evolves under a private `StdRng` derived from its seed. A
+    /// GA's seed-per-slot: phase 1 draws nothing (its input scan fans
+    /// out the same way), and the master RNG is advanced once per
+    /// *evolved* rack (in rack order) and nowhere else; each such rack
+    /// evolves under a private `StdRng` derived from its seed. A
     /// worker owns everything it writes: its rack's carry and its
     /// member jobs' rows of the result matrix, which are disjoint from
     /// every other rack's. Workers never touch the recorder; their
@@ -344,12 +346,13 @@ impl PolluxSched {
     ///
     /// Each rack that evolves warm-starts from its own [`RackCarry`]
     /// through the same [`search`] step as the flat round, so the
-    /// paper's Sec. 4.3 warm start applies per rack. Phase 1 is seeded
-    /// with the previous interval's assignment, so quiet intervals keep
-    /// rack memberships stable; a rack whose subproblem is then
-    /// verbatim unchanged replays last interval's answer without
-    /// re-searching at all — interval cost scales with the racks that
-    /// changed (`sched/racks_evolved`, `sched/racks_reused`).
+    /// paper's Sec. 4.3 warm start applies per rack. Phase 1 keeps the
+    /// previous interval's assignment unless the greedy packing scores
+    /// higher, so quiet intervals keep rack memberships stable; a rack
+    /// whose subproblem is then verbatim unchanged replays last
+    /// interval's answer without re-searching at all — interval cost
+    /// scales with the racks that changed (`sched/racks_evolved`,
+    /// `sched/racks_reused`).
     fn racked_round<R: Rng>(
         &self,
         topo: &Topology,
@@ -361,7 +364,7 @@ impl PolluxSched {
         let assignment = {
             let _span = self.recorder.span("sched", "rack_assign");
             let prev = (!self.assign_carry.is_empty()).then_some(&self.assign_carry);
-            rackga::assign_racks(jobs, spec, topo, prev, self.threads, rng)
+            racks::assign_racks(jobs, spec, topo, prev, self.threads)
         };
 
         let num_racks = topo.num_racks() as usize;
@@ -389,13 +392,17 @@ impl PolluxSched {
                     .iter()
                     .map(|&j| {
                         let job = &jobs[j];
-                        // Slice the placement to the rack's columns; a job
+                        // Slice the placement to the rack's columns,
+                        // clamped (see `with_usable_weights`); a job
                         // currently placed elsewhere sees an empty row.
                         let placement: Vec<u32> = if job.current_placement.len() == spec.num_nodes()
                         {
                             rack_nodes
                                 .iter()
-                                .map(|&n| job.current_placement[n as usize])
+                                .map(|&n| {
+                                    let g = job.current_placement[n as usize];
+                                    g.min(spec.gpus_on(NodeId(n)))
+                                })
                                 .collect()
                         } else {
                             Vec::new()
@@ -613,15 +620,17 @@ fn stored_speedup(
         .unwrap_or_else(|| pure_speedup(job, shape))
 }
 
-/// Assembles the per-round decision audit: for every job, the SPEEDUP
-/// of its currently applied placement vs. the one just chosen, its
+/// Assembles the per-round decision audit of `outcome`: for every job,
+/// the SPEEDUP of its currently applied placement vs. the one chosen, its
 /// fairness weight, the restart penalty the fitness function charged
 /// (running jobs whose row changed — the same condition as
 /// [`crate::fitness::contribution`]), and the rack assignment diff
 /// supplied by `rack_of` (−1 = flat search / previously unassigned).
-/// `fitness_before` is the weighted mean SPEEDUP of the *incumbent*
-/// placements — keeping them charges no penalty — so `fitness −
-/// fitness_before` is the value the round's moves bought. `time` and
+/// Incumbents are read clamped, as the search reads them (see
+/// [`with_usable_weights`]); a cell past `spec`'s last node counts as
+/// zero. `fitness_before` is the weighted mean SPEEDUP of the
+/// *incumbent* placements — keeping them charges no penalty — so
+/// `fitness − fitness_before` is the value the round's moves bought. `time` and
 /// `co_residents` are left for the driver, which knows the clock and
 /// the node occupancies. `speedup(j, job, shape)` is [`pure_speedup`]
 /// or anything with its bits ([`stored_speedup`]); unallocated rows
@@ -629,8 +638,8 @@ fn stored_speedup(
 fn build_explain(
     fitness_config: &FitnessConfig,
     jobs: &[SchedJob],
-    best: &AllocationMatrix,
-    best_fitness: f64,
+    spec: &ClusterSpec,
+    outcome: &GaOutcome,
     racked: bool,
     rack_of: impl Fn(usize, &SchedJob) -> (i64, i64),
     speedup: impl Fn(usize, &SchedJob, PlacementShape) -> f64,
@@ -638,15 +647,27 @@ fn build_explain(
     let mut weight_total = 0.0;
     let mut before_weighted = 0.0;
     let mut rows = Vec::with_capacity(jobs.len());
+    let caps: Vec<u32> = spec.iter().map(|(_, node)| node.gpus).collect();
+    let mut current = Vec::new();
     for (j, job) in jobs.iter().enumerate() {
-        let new_row = best.row(j);
+        let new_row = outcome.best.row(j);
+        let placed = &job.current_placement;
+        let width = placed.len().min(caps.len());
+        current.clear();
+        current.extend(
+            placed[..width]
+                .iter()
+                .zip(&caps)
+                .map(|(&g, &cap)| g.min(cap)),
+        );
+        current.resize(placed.len(), 0);
         // One pass over each row: its shape carries its GPU count.
-        let (before, after) = (row_shape(&job.current_placement), row_shape(new_row));
+        let (before, after) = (row_shape(&current), row_shape(new_row));
         let row_speedup =
             |shape: Option<PlacementShape>| shape.map_or(0.0, |shape| speedup(j, job, shape));
         let speedup_before = row_speedup(before);
         let speedup_after = row_speedup(after);
-        let moved = before.is_some() && new_row != job.current_placement.as_slice();
+        let moved = before.is_some() && new_row != current.as_slice();
         let (rack_before, rack_after) = rack_of(j, job);
         weight_total += job.weight;
         before_weighted += job.weight * speedup_before;
@@ -674,7 +695,7 @@ fn build_explain(
     };
     RoundExplain {
         time: 0.0,
-        fitness: best_fitness,
+        fitness: outcome.best_fitness,
         fitness_before,
         racked,
         jobs: rows,
@@ -688,6 +709,15 @@ fn build_explain(
 /// gives a job whose GPU-time is non-finite) and a negative one as 0.
 /// Finite non-negative weights — every round but a hostile one — are
 /// borrowed as they are.
+///
+/// Incumbent placements are the other hostile input, and they are
+/// clamped where the round already copies them rather than here, which
+/// would cost a pass over every cell of every row: the search's
+/// "current allocations" member ([`GeneticAlgorithm::evolve`]), each
+/// rack's slice of a row and the audit ([`build_explain`]) read a cell
+/// as at most its node's GPUs. A row of `u32::MAX` cells then neither
+/// overflows a GPU sum nor walks a wrapped column one GPU at a time;
+/// phase 1 ([`racks::assign_racks`]) sums rows in `u64`.
 ///
 /// [`job_weight`]: crate::weights::job_weight
 fn with_usable_weights(jobs: &[SchedJob]) -> Cow<'_, [SchedJob]> {
@@ -829,6 +859,66 @@ mod tests {
         jobs[0].weight = -0.0;
         jobs[1].weight = 2.5;
         assert!(matches!(with_usable_weights(&jobs), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn hostile_placements_are_clamped_not_overflowed() {
+        // One incumbent cell of u32::MAX GPUs on a 4-GPU node: read as
+        // 4, it neither overflows a GPU sum nor leaves repair a column
+        // to walk down one GPU at a time.
+        let spec = ClusterSpec::homogeneous(4, 4).unwrap();
+        let mut jobs: Vec<SchedJob> = (0..2).map(job).collect();
+        jobs[0].current_placement = vec![u32::MAX, 1, 0, 0];
+        jobs[1].current_placement = vec![0, 0, 2, 0];
+        for topology in [None, Some(Topology::grouped(4, 2).unwrap())] {
+            let mut s = PolluxSched::new(SchedConfig::default());
+            s.set_topology(topology.clone());
+            record(&mut s);
+            let out = s.optimize(&jobs, &spec, &mut StdRng::seed_from_u64(13));
+            assert!(out.best.is_feasible(&spec), "{topology:?}:\n{}", out.best);
+            assert!(out.best.satisfies_interference_avoidance());
+            assert!(out.best_fitness.is_finite() && out.best_fitness > 0.0);
+            let audit = s.take_round_explain().expect("recording");
+            let gpus_before: Vec<u32> = audit.jobs.iter().map(|je| je.gpus_before).collect();
+            assert_eq!(
+                gpus_before,
+                [5, 2],
+                "{topology:?}: the audit reads clamped rows"
+            );
+        }
+    }
+
+    #[test]
+    fn racked_round_draws_the_master_rng_only_to_seed_racks() {
+        use rand::RngCore;
+
+        let spec = ClusterSpec::homogeneous(8, 4).unwrap();
+        let mut s = sched();
+        s.set_topology(Some(Topology::grouped(8, 2).unwrap()));
+        let rec = record(&mut s);
+        let count = |name| rec.counter_value("sched", name);
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut jobs: Vec<SchedJob> = (0..8).map(job).collect();
+        // A cold round, then two with one job replaced each: the racks
+        // the churn misses replay, the others search.
+        for round in 0..3u32 {
+            let (evolved, reused) = (count("racks_evolved"), count("racks_reused"));
+            let mut expected = rng.clone();
+            s.optimize(&jobs, &spec, &mut rng);
+            let evolved = count("racks_evolved") - evolved;
+            assert!(evolved > 0, "round {round}: something changed");
+            if round > 0 {
+                assert!(
+                    count("racks_reused") > reused,
+                    "round {round}: a rack replays"
+                );
+            }
+            for _ in 0..evolved {
+                expected.next_u64();
+            }
+            assert_eq!(rng.next_u64(), expected.next_u64(), "round {round}");
+            jobs[round as usize] = job(100 + round);
+        }
     }
 
     #[test]
@@ -1083,8 +1173,8 @@ mod tests {
                 let solved = build_explain(
                     &s.config.ga.fitness,
                     &jobs,
-                    &outcome.best,
-                    outcome.best_fitness,
+                    &spec,
+                    &outcome,
                     topology.is_some(),
                     |j, _| (read.jobs[j].rack_before, read.jobs[j].rack_after),
                     |_, job, shape| pure_speedup(job, shape),

@@ -161,8 +161,9 @@ fn one_simresult_digest() {
 // A run takes what is set and returns what is read: the removed event
 // log, job series, scheduler interval and Debug dumps stay gone, and so
 // do the second scheduler-stats channel, the settings every caller left
-// at the default, the trainer's unused models and the Chrome exporters
-// beside `telemetry-report --chrome-trace`.
+// at the default, the trainer's unused models, the Chrome exporters
+// beside `telemetry-report --chrome-trace` and the rack-assignment GA
+// whose pick phase 1 now makes outright.
 #[test]
 fn retired_identifiers_stay_gone() {
     const RETIRED: &[&str] = &[
@@ -195,6 +196,8 @@ fn retired_identifiers_stay_gone() {
         "export_chrome_trace",
         "ChromeTraceWithoutCapture",
         "export_with_stats",
+        "MUTATION_PROB",
+        "EARLY_STOP_GENS",
     ];
     let hits = grep(&files(&["crates", "src", "tests", "examples"]), |line| {
         RETIRED.iter().any(|name| line.contains(name))
@@ -202,7 +205,8 @@ fn retired_identifiers_stay_gone() {
     assert!(
         hits.is_empty(),
         "the capture is the one timeline, the recorder the one counter channel, \
-         telemetry-report the one Chrome exporter; settings are what a caller sets\n{}",
+         telemetry-report the one Chrome exporter, phase 1 a pick and no search; \
+         settings are what a caller sets\n{}",
         hits.join("\n")
     );
 }
@@ -306,13 +310,7 @@ fn one_backfill_admission() {
 // at its foot) may scan as it likes; it holds the kernels' oracles.
 #[test]
 fn one_row_kernel() {
-    // rackga.rs folds the kernel's OR over the 16-cell blocks of a racked
-    // row to skip the empty ones: it asks of a block, not of a row, and
-    // walks the cells of every block it keeps.
-    const EXEMPT: [&str; 2] = [
-        "crates/pollux-cluster/src/alloc.rs",
-        "crates/pollux-sched/src/rackga.rs",
-    ];
+    const EXEMPT: [&str; 1] = ["crates/pollux-cluster/src/alloc.rs"];
     const SCANS: [&str; 4] = [
         ".any(|&g| g > 0)",
         ".filter(|&&g| g > 0).count()",
