@@ -74,7 +74,7 @@ impl OrEtAlAdmission {
     /// The largest count of `gpus_per_node`-GPU nodes whose
     /// throughput-scaling efficiency versus one node stays above the
     /// threshold.
-    pub fn recommend_nodes(&self, job: &PolicyJobView<'_>, gpus_per_node: u32) -> u32 {
+    fn recommend_nodes(&self, job: &PolicyJobView<'_>, gpus_per_node: u32) -> u32 {
         let Some(base) = self.throughput_at(job, 1, gpus_per_node) else {
             return MIN_NODES;
         };

@@ -216,7 +216,7 @@ impl AllocationMatrix {
     /// Row indices of *distributed* jobs (spanning ≥ 2 nodes) that
     /// occupy node `n` — the quantity the interference-avoidance
     /// constraint bounds by 1 per node (Sec. 4.2.1).
-    pub fn distributed_jobs_on(&self, n: usize) -> Vec<usize> {
+    fn distributed_jobs_on(&self, n: usize) -> Vec<usize> {
         (0..self.num_jobs)
             .filter(|&j| self.get(j, n) > 0 && self.is_distributed(j))
             .collect()
@@ -225,12 +225,6 @@ impl AllocationMatrix {
     /// True when no node hosts two or more distributed jobs.
     pub fn satisfies_interference_avoidance(&self) -> bool {
         (0..self.num_nodes).all(|n| self.distributed_jobs_on(n).len() <= 1)
-    }
-
-    /// True when job `j` has an identical placement in `other`
-    /// (no restart needed when re-applying the matrix).
-    pub fn row_equals(&self, j: usize, other: &AllocationMatrix) -> bool {
-        j < other.num_jobs && self.row(j) == other.row(j)
     }
 
     /// Iterates over `(job_row, placement)` for all rows.
@@ -370,20 +364,6 @@ mod tests {
         assert_eq!(a.gpus_of(0), 3);
         a.resize_nodes(1);
         assert_eq!(a.gpus_of(0), 0);
-    }
-
-    #[test]
-    fn row_equality_for_restart_detection() {
-        let mut a = AllocationMatrix::zeros(2, 2);
-        let mut b = AllocationMatrix::zeros(2, 2);
-        a.set(0, 0, 2);
-        b.set(0, 0, 2);
-        b.set(1, 1, 1);
-        assert!(a.row_equals(0, &b));
-        assert!(!a.row_equals(1, &b));
-        // Out-of-range rows in `other` are never equal.
-        let small = AllocationMatrix::zeros(1, 2);
-        assert!(!a.row_equals(1, &small));
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! it.
 
 use pollux_experiments::common::{capture_recorder, exit_on_error, flag_value};
-use pollux_experiments::ext_accum::{self, ModelKind};
 use pollux_experiments::{
     ablations, fidelity, fig1, fig10, fig2, fig3, fig6, fig7, fig8, fig9, table2, table3,
 };
@@ -115,11 +114,6 @@ static REGISTRY: &[Experiment] = &[
         banner: "Ablations — overlap model, restart penalty, GA vs random search",
         run: |_| println!("{}", ablations::run(7)),
     },
-    Experiment {
-        name: "ext_accum",
-        banner: "Extension — gradient accumulation in the goodput search",
-        run: run_ext_accum,
-    },
 ];
 
 /// The Table 2 sweep, run at most once per process: `fidelity` derives
@@ -127,21 +121,6 @@ static REGISTRY: &[Experiment] = &[
 fn table2_result(s: &Settings) -> &'static table2::Table2Result {
     static RESULT: OnceLock<table2::Table2Result> = OnceLock::new();
     RESULT.get_or_init(|| exit_on_error(table2::run(s.traces(2))))
-}
-
-fn run_ext_accum(_: &Settings) {
-    println!("Calibrated profiles (memory cap rarely binds — honest negative result):\n");
-    for (kind, gpus, nodes) in [
-        (ModelKind::DeepSpeech2Arctic, 8u32, 2u32),
-        (ModelKind::ResNet50ImageNet, 16, 4),
-    ] {
-        println!("{}\n", ext_accum::run(kind, gpus, nodes));
-    }
-    println!("Memory-tight variant (per-GPU cap 64 — a larger model / smaller GPUs):\n");
-    println!(
-        "{}",
-        ext_accum::run_with_cap(ModelKind::ResNet50ImageNet, 16, 4, Some(64))
-    );
 }
 
 fn fail(msg: impl std::fmt::Display) -> ! {

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Environment:
-//! - `POLLUX_SIM_JOBS=<n>` — override the trace size (default 160
-//!   jobs; e.g. 64 for a quick capture).
+//! - `POLLUX_SIM_JOBS=<n>` — override the trace size, 1–100000
+//!   (default 160 jobs; e.g. 64 for a quick capture).
 //! - `POLLUX_TELEMETRY_OUT=<path>` — capture telemetry (spans,
 //!   counters, histograms, the goodput time-series) to a JSONL file;
 //!   summarize it, or export one policy's run as a Chrome trace, with
@@ -81,7 +81,7 @@ fn main() {
     };
     if let Ok(jobs) = std::env::var("POLLUX_SIM_JOBS") {
         cell.jobs =
-            flag_value("POLLUX_SIM_JOBS", Some(jobs), 1..=usize::MAX).unwrap_or_else(|e| fail(e));
+            flag_value("POLLUX_SIM_JOBS", Some(jobs), 1..=100_000).unwrap_or_else(|e| fail(e));
     }
     // One policy at a time: each summary line times its own run.
     for (name, policy) in POLICIES {

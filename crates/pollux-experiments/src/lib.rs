@@ -22,7 +22,6 @@
 //! | [`fig9`] | Fig 9 — interference-avoidance sweep |
 //! | [`fig10`] | Fig 10a/10b — cloud auto-scaling comparison |
 //! | [`ablations`] | extra ablations: γ-norm, restart penalty, search backends |
-//! | [`ext_accum`] | extension: gradient accumulation in the goodput search |
 //! | [`zoo`] | policy-zoo head-to-head across every registered scheduler |
 //!
 //! Every simulated table and figure runs through one path, [`cell`]:
@@ -36,7 +35,6 @@
 pub mod ablations;
 pub mod cell;
 pub mod common;
-pub mod ext_accum;
 pub mod fidelity;
 pub mod fig1;
 pub mod fig10;

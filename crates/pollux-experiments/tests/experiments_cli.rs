@@ -26,7 +26,7 @@ fn list_is_the_lib_rs_table_minus_the_zoo() {
         .filter_map(|l| l.strip_prefix("//! | [`")?.split('`').next())
         .filter(|&name| name != "zoo")
         .collect();
-    assert_eq!(documented.len(), 13, "{documented:?}");
+    assert_eq!(documented.len(), 12, "{documented:?}");
 
     let out = experiments(&["--list"]);
     assert!(out.status.success());

@@ -80,6 +80,21 @@ fn unusable_capture_settings_exit_2_before_simulating() {
     }
 }
 
+/// A trace size outside 1–100000, or not a number, is refused before
+/// anything is simulated — one line, exit 2 — never an allocation the
+/// process cannot survive.
+#[test]
+fn out_of_range_trace_sizes_exit_2() {
+    for jobs in ["0", "100000000000", "many"] {
+        let out = pollux_sim(&["tiresias", "1"], &[("POLLUX_SIM_JOBS", jobs)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{jobs}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{jobs}: {stderr}");
+        assert!(stderr.contains("POLLUX_SIM_JOBS"), "{jobs}: {stderr}");
+        assert!(out.stdout.is_empty(), "{jobs}: something ran");
+    }
+}
+
 /// `telemetry-report --chrome-trace` draws one simulation. The runs of
 /// `pollux-sim all` share one capture and repeat each other's job ids,
 /// so their trace is refused — one line, exit 2, nothing written —

@@ -24,8 +24,6 @@ pub struct AdaScale {
     m0: u64,
     /// Accumulated scale-invariant iterations Σ r_t.
     scale_invariant_iters: f64,
-    /// Accumulated real iterations.
-    real_iters: u64,
 }
 
 impl AdaScale {
@@ -37,7 +35,6 @@ impl AdaScale {
                 eta0,
                 m0,
                 scale_invariant_iters: 0.0,
-                real_iters: 0,
             })
         } else {
             None
@@ -76,26 +73,12 @@ impl AdaScale {
     /// `r_t` scale-invariant iterations.
     pub fn step(&mut self, eff: &EfficiencyModel, m: u64) {
         self.scale_invariant_iters += self.gain(eff, m);
-        self.real_iters += 1;
     }
 
     /// Accumulated scale-invariant iterations Σ r_t (progress measured
     /// in units of m0-iterations).
     pub fn scale_invariant_iters(&self) -> f64 {
         self.scale_invariant_iters
-    }
-
-    /// Accumulated real iterations.
-    pub fn real_iters(&self) -> u64 {
-        self.real_iters
-    }
-
-    /// Progress in units of *examples at m0 efficiency*: Σ r_t · m0.
-    ///
-    /// This is the quantity the simulator accumulates as
-    /// `GOODPUT · Δt`.
-    pub fn effective_examples(&self) -> f64 {
-        self.scale_invariant_iters * self.m0 as f64
     }
 }
 
@@ -162,9 +145,7 @@ mod tests {
         // gain(200) = (1 + 1)/(0.5 + 1) = 4/3.
         a.step(&e, 200);
         a.step(&e, 200);
-        assert_eq!(a.real_iters(), 2);
         assert!((a.scale_invariant_iters() - 8.0 / 3.0).abs() < 1e-9);
-        assert!((a.effective_examples() - 800.0 / 3.0).abs() < 1e-6);
     }
 
     #[test]

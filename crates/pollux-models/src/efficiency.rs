@@ -90,11 +90,6 @@ impl EfficiencyModel {
         }
     }
 
-    /// Builds the model from raw gradient statistics measured at `m0`.
-    pub fn from_gradient_stats(m0: u64, stats: GradientStats) -> Option<Self> {
-        Self::from_noise_scale(m0, stats.noise_scale(m0))
-    }
-
     /// The initial batch size `m0`.
     pub fn m0(&self) -> u64 {
         self.m0
@@ -159,7 +154,7 @@ mod tests {
     fn zero_norm_means_infinite_noise_scale() {
         let s = GradientStats::new(1.0, 0.0).unwrap();
         assert!(s.noise_scale(32).is_infinite());
-        let e = EfficiencyModel::from_gradient_stats(32, s).unwrap();
+        let e = EfficiencyModel::from_noise_scale(32, s.noise_scale(32)).unwrap();
         assert_eq!(e.efficiency(1 << 20), 1.0);
     }
 

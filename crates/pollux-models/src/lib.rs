@@ -22,14 +22,12 @@
 //!   triples by RMSLE minimization with the paper's prior-driven
 //!   exploration masks.
 
-pub mod accum;
 pub mod adascale;
 pub mod efficiency;
 pub mod fit;
 pub mod goodput;
 pub mod throughput;
 
-pub use accum::AccumulatedGoodput;
 pub use adascale::AdaScale;
 pub use efficiency::{EfficiencyModel, GradientStats};
 pub use fit::{

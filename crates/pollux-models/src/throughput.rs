@@ -204,7 +204,7 @@ impl ThroughputParams {
 ///
 /// Evaluated in a numerically stable way by factoring out the larger
 /// term, so `γ` up to 10 never overflows even for large iteration times.
-pub fn gamma_norm(a: f64, b: f64, gamma: f64) -> f64 {
+fn gamma_norm(a: f64, b: f64, gamma: f64) -> f64 {
     let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
     if hi <= 0.0 {
         return 0.0;

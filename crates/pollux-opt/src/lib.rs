@@ -10,9 +10,7 @@
 //!   root-mean-squared-logarithmic-error loss subject to box constraints
 //!   (`α, β ≥ 0`, `γ ∈ [1, 10]`). We provide an equivalent
 //!   bound-constrained quasi-Newton optimizer in [`lbfgsb`]; like the
-//!   SciPy call it is handed the exact gradient. [`numgrad`] keeps a
-//!   central-difference gradient as the oracle that tests check
-//!   analytic gradients against.
+//!   SciPy call it is handed the exact gradient.
 //!
 //! All optimizers are deterministic given their inputs; none of them
 //! allocate per-iteration beyond small work vectors.
@@ -20,12 +18,10 @@
 pub mod bounds;
 pub mod golden;
 pub mod lbfgsb;
-pub mod numgrad;
 
 pub use bounds::Bounds;
 pub use golden::{golden_section_max, golden_section_max_int};
 pub use lbfgsb::{lbfgsb_minimize, LbfgsbResult};
-pub use numgrad::central_gradient;
 
 /// Error type for optimizer misuse (invalid domains, NaN objectives).
 #[derive(Debug, Clone, PartialEq)]

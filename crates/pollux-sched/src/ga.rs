@@ -214,7 +214,7 @@ impl GeneticAlgorithm {
     /// Mutates `m` in place: each element flips with probability `1/N`
     /// to a uniform GPU count within the node's capacity. Every row
     /// that had a cell rewritten is marked in `ws`.
-    pub fn mutate<R: Rng>(
+    fn mutate<R: Rng>(
         &self,
         m: &mut AllocationMatrix,
         spec: &ClusterSpec,
@@ -250,7 +250,7 @@ impl GeneticAlgorithm {
 
     /// Tournament selection: returns the index of the best of
     /// two uniformly sampled members.
-    pub fn tournament_select<R: Rng>(fitnesses: &[f64], rng: &mut R) -> usize {
+    fn tournament_select<R: Rng>(fitnesses: &[f64], rng: &mut R) -> usize {
         let mut best = rng.gen_range(0..fitnesses.len());
         for _ in 1..TOURNAMENT_SIZE {
             let c = rng.gen_range(0..fitnesses.len());

@@ -8,7 +8,7 @@
 //! read, as a user of the vendored stubs. This file names every needle
 //! it looks for, so it is skipped.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -162,8 +162,9 @@ fn one_simresult_digest() {
 // log, job series, scheduler interval and Debug dumps stay gone, and so
 // do the second scheduler-stats channel, the settings every caller left
 // at the default, the trainer's unused models, the Chrome exporters
-// beside `telemetry-report --chrome-trace` and the rack-assignment GA
-// whose pick phase 1 now makes outright.
+// beside `telemetry-report --chrome-trace`, the rack-assignment GA
+// whose pick phase 1 now makes outright, the gradient-accumulation
+// extension the paper never uses and the public helpers nothing called.
 #[test]
 fn retired_identifiers_stay_gone() {
     const RETIRED: &[&str] = &[
@@ -198,6 +199,12 @@ fn retired_identifiers_stay_gone() {
         "export_with_stats",
         "MUTATION_PROB",
         "EARLY_STOP_GENS",
+        "AccumulatedGoodput",
+        "ext_accum",
+        "run_with_cap",
+        "row_equals",
+        "effective_examples",
+        "from_gradient_stats",
     ];
     let hits = grep(&files(&["crates", "src", "tests", "examples"]), |line| {
         RETIRED.iter().any(|name| line.contains(name))
@@ -205,8 +212,8 @@ fn retired_identifiers_stay_gone() {
     assert!(
         hits.is_empty(),
         "the capture is the one timeline, the recorder the one counter channel, \
-         telemetry-report the one Chrome exporter, phase 1 a pick and no search; \
-         settings are what a caller sets\n{}",
+         telemetry-report the one Chrome exporter, phase 1 a pick and no search, \
+         goodput the paper's; settings are what a caller sets\n{}",
         hits.join("\n")
     );
 }
@@ -391,6 +398,85 @@ fn every_vendored_crate_has_a_user() {
     }
     orphans.sort();
     assert!(orphans.is_empty(), "{}", orphans.join("\n"));
+}
+
+/// ROADMAP.md's open list: each numbered entry's text, from its `N. `
+/// line to the next, keyed by `N`. A retired stub is no open item.
+fn open_items(roadmap: &str) -> BTreeMap<u32, String> {
+    let list = roadmap
+        .split_once("## Open items")
+        .expect("ROADMAP.md has an open list")
+        .1;
+    let mut items: BTreeMap<u32, String> = BTreeMap::new();
+    let mut current = None;
+    for line in list.lines() {
+        let number = line.split_once(". ").and_then(|(n, _)| n.parse().ok());
+        if let Some(n) = number {
+            current = Some(n);
+        }
+        if let Some(n) = current {
+            let entry = items.entry(n).or_default();
+            entry.push_str(line);
+            entry.push('\n');
+        }
+    }
+    items.retain(|_, text| !text.contains("*Retired"));
+    items
+}
+
+/// Every `item N` or `item N(x)` of `doc`, joined across line breaks,
+/// that names no open item, or a part `(x)` its entry does not have.
+fn dead_item_references(items: &BTreeMap<u32, String>, doc: &str) -> Vec<String> {
+    let text = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+    let mut dead = Vec::new();
+    for (at, _) in text.match_indices("item ") {
+        if text[..at].ends_with(|c: char| c.is_alphanumeric()) {
+            continue;
+        }
+        let rest = &text[at + "item ".len()..];
+        let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        let Ok(n) = rest[..digits].parse::<u32>() else {
+            continue;
+        };
+        let part = rest[digits..].strip_prefix('(').and_then(|p| {
+            let mut chars = p.chars();
+            let (letter, close) = (chars.next()?, chars.next()?);
+            (letter.is_ascii_lowercase() && close == ')').then(|| format!("({letter})"))
+        });
+        let named = items
+            .get(&n)
+            .is_some_and(|entry| part.as_ref().is_none_or(|p| entry.contains(p.as_str())));
+        if !named {
+            dead.push(format!("item {n}{}", part.unwrap_or_default()));
+        }
+    }
+    dead
+}
+
+// The docs point at work by its ROADMAP number; a reference to an item
+// that was retired, renumbered or never had that part is caught here,
+// not by a reader.
+#[test]
+fn docs_cite_open_roadmap_items() {
+    let read = |file: &str| fs::read_to_string(root().join(file)).unwrap();
+    let items = open_items(&read("ROADMAP.md"));
+    let planted = dead_item_references(&items, "overshoots (ROADMAP item\n1(e) treats it)");
+    assert_eq!(
+        planted,
+        ["item 1(e)"],
+        "the checker finds a planted dead part"
+    );
+
+    let mut dead = Vec::new();
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let refs = dead_item_references(&items, &read(doc));
+        dead.extend(refs.into_iter().map(|r| format!("{doc}: {r}")));
+    }
+    assert!(
+        dead.is_empty(),
+        "cite a numbered entry of ROADMAP.md's open list (and a part it has)\n{}",
+        dead.join("\n")
+    );
 }
 
 #[test]
