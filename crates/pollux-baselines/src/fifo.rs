@@ -2,14 +2,14 @@
 //!
 //! The classic HPC baseline: jobs start in arrival order, each as an
 //! all-or-nothing gang of its requested GPU count, and once running
-//! are never preempted ([`NoPreemption`] — the only non-preemptive
+//! are never preempted ([`Preemption::Never`] — the only non-preemptive
 //! policy in the zoo). When the head of the queue does not fit the
 //! free GPUs, later jobs that do fit backfill around it, which keeps
 //! utilization up at the cost of possibly delaying the head further
 //! (no reservation). Admission is the shared [`RankedBackfill`] with
 //! every job ranked alike, so submission time alone orders it.
 
-use pollux_control::{ConsolidatedPlacement, NoPreemption, RankedBackfill, StagedScheduler};
+use pollux_control::{ConsolidatedPlacement, Preemption, RankedBackfill, StagedScheduler};
 
 /// Gang-scheduled FIFO with backfill: arrival-order admission over the
 /// free GPUs, consolidated placement, and no preemption.
@@ -18,7 +18,7 @@ pub fn fifo_backfill() -> StagedScheduler {
         "fifo+backfill",
         RankedBackfill::new("fifo-backfill", |_| 0.0),
         ConsolidatedPlacement::admitted_order(),
-        NoPreemption,
+        Preemption::Never,
     )
 }
 

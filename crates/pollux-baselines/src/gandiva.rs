@@ -15,7 +15,7 @@
 //! fullest-first spread; affinity (keeping an exact-count placement)
 //! is preserved like the default packing to avoid gratuitous restarts.
 
-use pollux_control::{ConsolidatedPlacement, PreemptAll, StagedScheduler};
+use pollux_control::{ConsolidatedPlacement, Preemption, StagedScheduler};
 
 use crate::tiresias::las_two_queue;
 
@@ -26,7 +26,7 @@ pub fn gandiva_packing() -> StagedScheduler {
         "gandiva-packing",
         las_two_queue(),
         ConsolidatedPlacement::best_fit(),
-        PreemptAll,
+        Preemption::All,
     )
 }
 

@@ -15,14 +15,14 @@
 //! Decomposed Blox-style (DESIGN.md §10): [`OptimusAdmission`] owns
 //! the minimum-allocation pass and the marginal-gain GPU auction;
 //! placement is the shared [`ConsolidatedPlacement`] packing largest
-//! jobs first; preemption is [`PreemptAll`]. [`optimus`] composes the
+//! jobs first; preemption is [`Preemption::All`]. [`optimus`] composes the
 //! three. The staged form is pinned byte-identical to the
 //! pre-decomposition monolith by
 //! `pollux-core/tests/baseline_golden.rs`.
 
 use pollux_cluster::ClusterSpec;
 use pollux_control::{
-    ranked_backfill, AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll,
+    ranked_backfill, AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, Preemption,
     StagedScheduler,
 };
 use pollux_models::PlacementShape;
@@ -141,7 +141,7 @@ pub fn optimus() -> StagedScheduler {
         "optimus+oracle",
         OptimusAdmission,
         ConsolidatedPlacement::largest_first(),
-        PreemptAll,
+        Preemption::All,
     )
 }
 

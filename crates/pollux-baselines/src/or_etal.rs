@@ -14,14 +14,14 @@
 //! `choose_batch_size` autoscaling hooks (admission controls cluster
 //! entry, so it owns sizing too); placement is the shared
 //! [`ConsolidatedPlacement`] (a whole-cluster grant packs to every
-//! node's full capacity); preemption is [`PreemptAll`]. [`or_etal`]
+//! node's full capacity); preemption is [`Preemption::All`]. [`or_etal`]
 //! composes the three. The staged form is pinned byte-identical to the
 //! pre-decomposition monolith by
 //! `pollux-core/tests/baseline_golden.rs`.
 
 use pollux_cluster::{ClusterSpec, NodeId};
 use pollux_control::{
-    AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, PreemptAll, StagedScheduler,
+    AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, Preemption, StagedScheduler,
 };
 use pollux_models::PlacementShape;
 use rand::rngs::StdRng;
@@ -148,7 +148,7 @@ pub fn or_etal(max_nodes: u32) -> StagedScheduler {
         "or-etal",
         OrEtAlAdmission::new(max_nodes),
         ConsolidatedPlacement::admitted_order(),
-        PreemptAll,
+        Preemption::All,
     )
 }
 

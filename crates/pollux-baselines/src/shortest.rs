@@ -16,7 +16,7 @@
 //! rank, which is exactly the kind of one-stage-at-a-time comparison
 //! the Blox decomposition exists for.
 
-use pollux_control::{ConsolidatedPlacement, PreemptAll, RankedBackfill, StagedScheduler};
+use pollux_control::{ConsolidatedPlacement, Preemption, RankedBackfill, StagedScheduler};
 
 /// Shortest-remaining-time-first: oracle SRTF admission, consolidated
 /// placement, full preemption.
@@ -25,7 +25,7 @@ pub fn srtf() -> StagedScheduler {
         "srtf",
         RankedBackfill::new("srtf", |j| j.remaining_work),
         ConsolidatedPlacement::admitted_order(),
-        PreemptAll,
+        Preemption::All,
     )
 }
 
@@ -36,7 +36,7 @@ pub fn srsf() -> StagedScheduler {
         "srsf",
         RankedBackfill::new("srsf", |j| j.remaining_work * j.user.gpus.max(1) as f64),
         ConsolidatedPlacement::admitted_order(),
-        PreemptAll,
+        Preemption::All,
     )
 }
 

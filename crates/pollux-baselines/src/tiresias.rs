@@ -12,12 +12,12 @@
 //! Decomposed Blox-style (DESIGN.md §10): admission is the shared
 //! [`RankedBackfill`] ranked by [`las_two_queue`]'s two queues;
 //! placement is the shared [`ConsolidatedPlacement`] in admitted
-//! order; preemption is [`PreemptAll`] (any running job yields to a
+//! order; preemption is [`Preemption::All`] (any running job yields to a
 //! higher priority). [`tiresias`] composes the three. The staged form
 //! is pinned byte-identical to the pre-decomposition monolith by
 //! `pollux-core/tests/baseline_golden.rs`.
 
-use pollux_control::{ConsolidatedPlacement, PreemptAll, RankedBackfill, StagedScheduler};
+use pollux_control::{ConsolidatedPlacement, Preemption, RankedBackfill, StagedScheduler};
 
 /// Attained-service threshold (GPU-seconds) splitting the two priority
 /// queues: one GPU-hour, so small jobs finish entirely in the high
@@ -41,7 +41,7 @@ pub fn tiresias() -> StagedScheduler {
         "tiresias",
         las_two_queue(),
         ConsolidatedPlacement::admitted_order(),
-        PreemptAll,
+        Preemption::All,
     )
 }
 

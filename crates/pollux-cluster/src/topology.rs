@@ -1,53 +1,35 @@
-//! Scheduling topology: racks as a partition of the cluster's nodes.
+//! Scheduling topology: racks of consecutive nodes.
 //!
-//! [`Topology`] enumerates the racks, with each rack's member nodes
-//! precomputed in ascending order, so a rack-aware optimizer can
-//! decompose a datacenter-scale placement problem into independent
-//! per-rack subproblems. A single-rack topology is the degenerate case
-//! in which that decomposition is exactly the flat search — the
-//! golden-digest suites pin this.
+//! [`Topology`] groups the cluster's nodes into racks of a fixed
+//! width, so a rack-aware optimizer can decompose a datacenter-scale
+//! placement problem into independent per-rack subproblems. A
+//! single-rack topology is the degenerate case in which that
+//! decomposition is exactly the flat search — the golden-digest suites
+//! pin this.
 
 use crate::ids::NodeId;
+use std::ops::Range;
 
-/// A partition of nodes into racks with per-rack member lists.
+/// `num_nodes` nodes grouped into consecutive racks of
+/// `nodes_per_rack` nodes; the last rack may be smaller.
 ///
-/// Invariants: every node belongs to exactly one rack, rack indices
-/// are contiguous from 0, every rack is non-empty, and
-/// `nodes_in(r)` is ascending for every rack `r`.
+/// Invariants: both counts are positive and `nodes_per_rack <=
+/// num_nodes`, so two topologies of the same racks compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
-    /// `rack_of[n]` is the rack index of node `n`.
-    rack_of: Vec<u32>,
-    /// `racks[r]` lists the node indices of rack `r`, ascending.
-    racks: Vec<Vec<u32>>,
+    num_nodes: u32,
+    nodes_per_rack: u32,
 }
 
 impl Topology {
-    /// Builds a topology from an explicit node → rack assignment.
-    ///
-    /// Returns `None` when the assignment is empty or rack indices are
-    /// not contiguous from 0 (every rack in `0..max+1` must own at
-    /// least one node).
-    pub fn from_rack_of(rack_of: Vec<u32>) -> Option<Self> {
-        let num_racks = rack_of.iter().max()? + 1;
-        let mut racks = vec![Vec::new(); num_racks as usize];
-        for (n, &r) in rack_of.iter().enumerate() {
-            racks[r as usize].push(n as u32);
-        }
-        racks
-            .iter()
-            .all(|nodes| !nodes.is_empty())
-            .then_some(Self { rack_of, racks })
-    }
-
     /// `num_nodes` nodes grouped into consecutive racks of
-    /// `nodes_per_rack` (the last rack may be smaller). `None` when
-    /// either count is zero.
+    /// `nodes_per_rack` (the last rack may be smaller; a width past the
+    /// node count is one rack). `None` when either count is zero.
     pub fn grouped(num_nodes: u32, nodes_per_rack: u32) -> Option<Self> {
-        if nodes_per_rack == 0 {
-            return None;
-        }
-        Self::from_rack_of((0..num_nodes).map(|n| n / nodes_per_rack).collect())
+        (num_nodes > 0 && nodes_per_rack > 0).then_some(Self {
+            num_nodes,
+            nodes_per_rack: nodes_per_rack.min(num_nodes),
+        })
     }
 
     /// The degenerate one-rack topology over `num_nodes` nodes.
@@ -57,22 +39,23 @@ impl Topology {
 
     /// Number of nodes covered by the topology.
     pub fn num_nodes(&self) -> usize {
-        self.rack_of.len()
+        self.num_nodes as usize
     }
 
     /// Number of racks.
     pub fn num_racks(&self) -> u32 {
-        self.racks.len() as u32
+        self.num_nodes.div_ceil(self.nodes_per_rack)
     }
 
     /// The rack of node `n`.
     pub fn rack_of(&self, n: NodeId) -> u32 {
-        self.rack_of[n.index()]
+        n.0 / self.nodes_per_rack
     }
 
     /// The nodes of rack `r`, ascending.
-    pub fn nodes_in(&self, r: u32) -> &[u32] {
-        &self.racks[r as usize]
+    pub fn nodes_in(&self, r: u32) -> Range<u32> {
+        let start = r * self.nodes_per_rack;
+        start..(start + self.nodes_per_rack).min(self.num_nodes)
     }
 }
 
@@ -85,9 +68,9 @@ mod tests {
         let t = Topology::grouped(10, 4).unwrap();
         assert_eq!(t.num_nodes(), 10);
         assert_eq!(t.num_racks(), 3);
-        assert_eq!(t.nodes_in(0), &[0, 1, 2, 3]);
-        assert_eq!(t.nodes_in(1), &[4, 5, 6, 7]);
-        assert_eq!(t.nodes_in(2), &[8, 9]);
+        assert_eq!(t.nodes_in(0), 0..4);
+        assert_eq!(t.nodes_in(1), 4..8);
+        assert_eq!(t.nodes_in(2), 8..10);
         let racks = [0, 3, 4, 5, 9].map(|n| t.rack_of(NodeId(n)));
         assert_eq!(racks, [0, 0, 1, 1, 2]);
     }
@@ -96,26 +79,13 @@ mod tests {
     fn single_rack_is_degenerate() {
         let t = Topology::single_rack(6).unwrap();
         assert_eq!(t.num_racks(), 1);
-        assert_eq!(t.nodes_in(0), &[0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn from_rack_of_handles_interleaved_assignment() {
-        let t = Topology::from_rack_of(vec![1, 0, 1, 0]).unwrap();
-        assert_eq!(t.nodes_in(0), &[1, 3]);
-        assert_eq!(t.nodes_in(1), &[0, 2]);
-        assert_eq!(
-            Topology::from_rack_of(vec![0, 0, 1, 1]),
-            Topology::grouped(4, 2)
-        );
+        assert_eq!(t.nodes_in(0), 0..6);
+        // A width past the node count is the same one rack.
+        assert_eq!(Topology::grouped(8, 16), Topology::grouped(8, 8));
     }
 
     #[test]
     fn rejects_invalid_assignments() {
-        assert!(Topology::from_rack_of(vec![]).is_none());
-        // Rack 1 missing: indices not contiguous.
-        assert!(Topology::from_rack_of(vec![0, 2]).is_none());
-        assert!(Topology::from_rack_of(vec![0, 0, 2]).is_none());
         assert!(Topology::grouped(0, 4).is_none());
         assert!(Topology::grouped(4, 0).is_none());
         assert!(Topology::single_rack(0).is_none());
@@ -126,7 +96,7 @@ mod tests {
         let t = Topology::grouped(13, 5).unwrap();
         let mut seen = vec![0u32; t.num_nodes()];
         for r in 0..t.num_racks() {
-            for &n in t.nodes_in(r) {
+            for n in t.nodes_in(r) {
                 seen[n as usize] += 1;
                 assert_eq!(t.rack_of(NodeId(n)), r);
             }

@@ -45,6 +45,5 @@ pub use round::{JobMut, JobStore, Reallocation, RoundError, RoundPlanner};
 pub use sched_jobs::{bootstrap_sched_job, sched_jobs_from_views, SchedJobCache};
 pub use stages::{
     keep_placement, pack_consolidated, ranked_backfill, AdmissionPolicy, Admitted,
-    ConsolidatedPlacement, NoPreemption, PlacementPolicy, PreemptAll, PreemptionPolicy, Rank,
-    RankedBackfill, StagedScheduler,
+    ConsolidatedPlacement, PlacementPolicy, Preemption, Rank, RankedBackfill, StagedScheduler,
 };

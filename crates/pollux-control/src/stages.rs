@@ -6,8 +6,8 @@
 //!
 //! 1. **admission** — which jobs may hold GPUs this round, and how
 //!    many ([`AdmissionPolicy`]);
-//! 2. **preemption** — which running jobs are eligible to yield their
-//!    GPUs to make room ([`PreemptionPolicy`]);
+//! 2. **preemption** — whether running jobs may yield their GPUs to
+//!    make room ([`Preemption`]);
 //! 3. **placement** — which concrete GPUs each admitted job gets
 //!    ([`PlacementPolicy`]).
 //!
@@ -22,23 +22,23 @@
 //!
 //! ```text
 //! schedule(now, jobs, spec, rng):
-//!   1. victims = preemption.yield_rows(...)        (running rows only)
-//!   2. running jobs NOT in victims are *held*: their current
-//!      placement is copied into the matrix verbatim and deducted
-//!      from free capacity (a held job whose placement no longer fits
-//!      a shrunken cluster is implicitly preempted this round)
-//!   3. admitted = admission.admit(..., held, free) (ordered rows+GPUs;
+//!   1. under Preemption::Never, running jobs are *held*: their
+//!      current placement is copied into the matrix verbatim and
+//!      deducted from free capacity (a held job whose placement no
+//!      longer fits a shrunken cluster is implicitly preempted this
+//!      round); under Preemption::All nothing is held
+//!   2. admitted = admission.admit(..., held, free) (ordered rows+GPUs;
 //!      held rows must not appear)
-//!   4. placement.place(..., admitted, free, matrix)
+//!   3. placement.place(..., admitted, free, matrix)
 //! ```
 //!
 //! Fully-preemptive policies (Tiresias, Optimus, SRTF) use
-//! [`PreemptAll`], which makes the held set empty: admission then
+//! [`Preemption::All`], which makes the held set empty: admission then
 //! ranks *every* job and placement rebuilds the whole matrix, which is
 //! exactly the shape of the monolithic baselines — the staged ports
 //! reproduce their pre-refactor trajectories byte-for-byte (pinned by
 //! `pollux-core/tests/baseline_golden.rs`). Non-preemptive policies
-//! (gang FIFO) use [`NoPreemption`], so running jobs are never
+//! (gang FIFO) use [`Preemption::Never`], so running jobs are never
 //! disturbed and admission fills only the free GPUs.
 //!
 //! ## Shared stages
@@ -75,23 +75,27 @@ pub struct Admitted {
     pub gpus: u32,
 }
 
-/// Stage 1 of a [`StagedScheduler`] round: which running jobs are
-/// eligible to yield their GPUs this round.
-pub trait PreemptionPolicy: Send {
-    /// Stage name (shown in telemetry metadata).
-    fn name(&self) -> &'static str;
+/// Stage 1 of a [`StagedScheduler`] round: whether running jobs may
+/// yield their GPUs this round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preemption {
+    /// Every running job may yield: the fully-preemptive rule of
+    /// Tiresias, Optimus, SRTF/SRSF, Gandiva and Or et al. Nothing is
+    /// held, so admission ranks every job.
+    All,
+    /// No running job yields: gang FIFO's rule. Running jobs hold their
+    /// placements, and admission sees only the GPUs they leave free.
+    Never,
+}
 
-    /// Returns the view rows of running jobs that may be preempted
-    /// this round, ascending, each at most once. Rows of non-running
-    /// jobs are ignored by the composer. A job NOT returned here keeps
-    /// its current placement untouched.
-    fn yield_rows(
-        &mut self,
-        now: f64,
-        jobs: &[PolicyJobView<'_>],
-        spec: &ClusterSpec,
-        rng: &mut StdRng,
-    ) -> Vec<usize>;
+impl Preemption {
+    /// The rule's name in telemetry metadata and the zoo table.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::All => "preempt-all",
+            Self::Never => "no-preemption",
+        }
+    }
 }
 
 /// Stage 2 of a [`StagedScheduler`] round: which jobs may hold GPUs
@@ -162,52 +166,6 @@ pub trait PlacementPolicy: Send {
         matrix: &mut AllocationMatrix,
         rng: &mut StdRng,
     );
-}
-
-/// Every running job may yield: the fully-preemptive stage used by
-/// Tiresias, Optimus, SRTF/SRSF, and Or et al.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PreemptAll;
-
-impl PreemptionPolicy for PreemptAll {
-    fn name(&self) -> &'static str {
-        "preempt-all"
-    }
-
-    fn yield_rows(
-        &mut self,
-        _now: f64,
-        jobs: &[PolicyJobView<'_>],
-        _spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Vec<usize> {
-        jobs.iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_running())
-            .map(|(row, _)| row)
-            .collect()
-    }
-}
-
-/// No running job ever yields: the non-preemptive stage used by gang
-/// FIFO. Admission sees only the GPUs left free by running jobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoPreemption;
-
-impl PreemptionPolicy for NoPreemption {
-    fn name(&self) -> &'static str {
-        "no-preemption"
-    }
-
-    fn yield_rows(
-        &mut self,
-        _now: f64,
-        _jobs: &[PolicyJobView<'_>],
-        _spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Vec<usize> {
-        Vec::new()
-    }
 }
 
 /// A row's key in a [`RankedBackfill`]: lower ranks are admitted
@@ -452,15 +410,15 @@ impl PlacementPolicy for ConsolidatedPlacement {
     }
 }
 
-/// Composes one admission, one placement, and one preemption stage
-/// into a [`SchedulingPolicy`] (see the module docs for the round
+/// Composes one admission stage, one placement stage and a preemption
+/// rule into a [`SchedulingPolicy`] (see the module docs for the round
 /// pipeline). Construct with [`StagedScheduler::new`]; the policy
 /// `name` is what experiment tables and `SimResult::policy` report.
 pub struct StagedScheduler {
     name: &'static str,
     admission: Box<dyn AdmissionPolicy>,
     placement: Box<dyn PlacementPolicy>,
-    preemption: Box<dyn PreemptionPolicy>,
+    preemption: Preemption,
     /// Per-node free GPUs and per-row holds, refilled every round and
     /// kept so that a round allocates neither.
     free: Vec<u32>,
@@ -469,8 +427,8 @@ pub struct StagedScheduler {
     /// running jobs stripped of them. Disabled (free) by default.
     admitted_ctr: Counter,
     preempted_ctr: Counter,
-    /// Per-round stage times (ns): `control/preempt_ns` (the matrix,
-    /// preemption and the held scan), `control/admit_ns` and
+    /// Per-round stage times (ns): `control/preempt_ns` (the matrix
+    /// and the held scan), `control/admit_ns` and
     /// `control/place_ns`. Histograms, not spans, so the stages stay
     /// inside whatever span brackets `schedule`.
     stage_ns: [HistogramHandle; 3],
@@ -492,18 +450,18 @@ impl std::fmt::Debug for StagedScheduler {
 }
 
 impl StagedScheduler {
-    /// Composes the three stages under a policy `name`.
+    /// Composes the stages under a policy `name`.
     pub fn new(
         name: &'static str,
         admission: impl AdmissionPolicy + 'static,
         placement: impl PlacementPolicy + 'static,
-        preemption: impl PreemptionPolicy + 'static,
+        preemption: Preemption,
     ) -> Self {
         Self {
             name,
             admission: Box::new(admission),
             placement: Box::new(placement),
-            preemption: Box::new(preemption),
+            preemption,
             free: Vec::new(),
             held: Vec::new(),
             admitted_ctr: Counter::detached(),
@@ -541,25 +499,18 @@ impl SchedulingPolicy for StagedScheduler {
         free.clear();
         free.extend(spec.iter().map(|(_, s)| s.gpus));
 
-        // Stage 1: preemption eligibility, marked in `held` until the
-        // scan below overwrites each row's mark with its hold.
-        held.clear();
-        held.resize(jobs.len(), false);
-        for row in self.preemption.yield_rows(now, jobs, spec, rng) {
-            if let Some(may_yield) = held.get_mut(row) {
-                *may_yield = true;
-            }
-        }
-
-        // Running jobs that may not yield hold their placement
+        // Stage 1: under `Never`, running jobs hold their placement
         // verbatim. A held placement that no longer fits (the cluster
         // shrank underneath it) falls through: the job is implicitly
-        // preempted this round.
-        for (row, view) in jobs.iter().enumerate() {
-            held[row] =
-                !held[row] && view.is_running() && keep_placement(view.current_placement, free);
-            if held[row] {
-                matrix.copy_row(row, view.current_placement);
+        // preempted this round. Under `All` nothing is held.
+        held.clear();
+        held.resize(jobs.len(), false);
+        if self.preemption == Preemption::Never {
+            for (row, view) in jobs.iter().enumerate() {
+                held[row] = view.is_running() && keep_placement(view.current_placement, free);
+                if held[row] {
+                    matrix.copy_row(row, view.current_placement);
+                }
             }
         }
         lap(&self.stage_ns[0], &mut clock);
@@ -918,14 +869,14 @@ mod tests {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let held_row = vec![2u32, 0];
         let idle = vec![0u32, 0];
-        // A running late job and a pending early job: with PreemptAll
+        // A running late job and a pending early job: with Preemption::All
         // and FIFO admission, the early job wins the GPUs.
         let views = [view(0, &held_row, 100.0), view(1, &idle, 0.0)];
         let mut staged = StagedScheduler::new(
             "fifo-preemptive",
             fifo(),
             ConsolidatedPlacement::admitted_order(),
-            PreemptAll,
+            Preemption::All,
         );
         let mut rng = StdRng::seed_from_u64(0);
         let m = staged.schedule(0.0, &views, &spec, &mut rng);
@@ -942,13 +893,13 @@ mod tests {
         let held_row = vec![4u32];
         let idle = vec![0u32];
         // The running job occupies the whole node; a higher-priority
-        // pending job must NOT displace it under NoPreemption.
+        // pending job must NOT displace it under Preemption::Never.
         let views = [view(0, &held_row, 100.0), view(1, &idle, 0.0)];
         let mut staged = StagedScheduler::new(
             "fifo-nonpreemptive",
             fifo(),
             ConsolidatedPlacement::admitted_order(),
-            NoPreemption,
+            Preemption::Never,
         );
         let mut rng = StdRng::seed_from_u64(0);
         let m = staged.schedule(0.0, &views, &spec, &mut rng);
@@ -969,7 +920,7 @@ mod tests {
             "fifo-nonpreemptive",
             fifo(),
             ConsolidatedPlacement::admitted_order(),
-            NoPreemption,
+            Preemption::Never,
         );
         let mut rng = StdRng::seed_from_u64(0);
         let m = staged.schedule(0.0, &views, &spec, &mut rng);
@@ -1041,7 +992,7 @@ mod tests {
             "fifo-preemptive",
             fifo(),
             ConsolidatedPlacement::admitted_order(),
-            PreemptAll,
+            Preemption::All,
         );
         staged.attach_telemetry(recorder.clone());
         let mut rng = StdRng::seed_from_u64(0);

@@ -99,7 +99,7 @@ impl SchedulingPolicy for PolluxPolicy {
         // (debug_assert-checked inside `refresh`); a quiet round
         // rebuilds zero entries.
         self.refresh_cache(jobs);
-        self.sched.schedule(self.cache.jobs(), spec, rng)
+        self.sched.optimize(self.cache.jobs(), spec, rng).best
     }
 
     fn configure_parallelism(&mut self, threads: usize) {

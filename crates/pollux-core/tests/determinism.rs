@@ -226,7 +226,7 @@ fn macro_stepped_engine_matches_reference_with_pollux_policy() {
             interference_slowdown: 0.3,
             ..Default::default()
         };
-        let sim = Simulation::new(sim, spec, policy, workload).unwrap();
+        let sim = Simulation::try_new(sim, spec, policy, workload).unwrap();
         let result = if reference {
             sim.run_reference()
         } else {
@@ -275,31 +275,29 @@ fn incremental_fitness_matches_full_recompute_on_optimize() {
 }
 
 #[test]
-fn dense_table_matches_model_bitwise_at_any_thread_count() {
+fn dense_table_matches_model_bitwise() {
     use pollux_sched::SpeedupTable;
     let spec = ClusterSpec::homogeneous(8, 4).unwrap();
     let jobs = sched_jobs(6, 8);
-    for threads in [1usize, 2, 4] {
-        let table = SpeedupTable::build(&jobs, &spec, threads);
-        for (j, job) in jobs.iter().enumerate() {
-            for gpus in 1..=spec.total_gpus() {
-                for nodes in [1u32, 2, 4] {
-                    if nodes > gpus {
-                        continue;
-                    }
-                    let shape = PlacementShape::new(gpus, nodes).unwrap();
-                    let expect = if gpus < job.min_gpus || gpus > job.gpu_cap {
-                        0.0
-                    } else {
-                        job.model
-                            .speedup(PlacementShape::new(gpus, nodes.min(2)).unwrap())
-                    };
-                    assert_eq!(
-                        table.speedup(j, shape).to_bits(),
-                        expect.to_bits(),
-                        "job {j} shape ({gpus},{nodes}) at {threads} threads"
-                    );
+    let table = SpeedupTable::build(&jobs, &spec, 1);
+    for (j, job) in jobs.iter().enumerate() {
+        for gpus in 1..=spec.total_gpus() {
+            for nodes in [1u32, 2, 4] {
+                if nodes > gpus {
+                    continue;
                 }
+                let shape = PlacementShape::new(gpus, nodes).unwrap();
+                let expect = if gpus < job.min_gpus || gpus > job.gpu_cap {
+                    0.0
+                } else {
+                    job.model
+                        .speedup(PlacementShape::new(gpus, nodes.min(2)).unwrap())
+                };
+                assert_eq!(
+                    table.speedup(j, shape).to_bits(),
+                    expect.to_bits(),
+                    "job {j} shape ({gpus},{nodes})"
+                );
             }
         }
     }
@@ -502,17 +500,14 @@ mod incremental_table_proptests {
         #[test]
         fn incremental_table_is_bit_identical_to_fresh_under_churn(
             steps in proptest::collection::vec(step_strategy(), 1..12),
-            threads in 1usize..4,
         ) {
             let spec = ClusterSpec::homogeneous(8, 4).unwrap();
             let mut jobs = sched_jobs(6, 8);
             let mut next_id = 100u32;
-            let mut prev = SpeedupTable::build(&jobs, &spec, threads);
+            let mut prev = SpeedupTable::build(&jobs, &spec, 1);
             for step in &steps {
                 apply(&mut jobs, &mut next_id, step);
-                let incr = SpeedupTable::build_reusing(
-                    &jobs, &spec, threads, Some(&prev),
-                );
+                let incr = SpeedupTable::build_reusing(&jobs, &spec, 1, Some(&prev));
                 let fresh = SpeedupTable::build(&jobs, &spec, 1);
                 prop_assert_eq!(incr.stats().solves, fresh.stats().solves);
                 prop_assert_eq!(incr.num_jobs(), fresh.num_jobs());
@@ -545,7 +540,7 @@ fn speedup_values_survive_shape_canonicalization_in_parallel() {
     use pollux_sched::{parallel_map, SpeedupTable};
     let jobs = sched_jobs(4, 8);
     let spec = ClusterSpec::homogeneous(8, 4).unwrap();
-    let table = SpeedupTable::build(&jobs, &spec, 4);
+    let table = SpeedupTable::build(&jobs, &spec, 1);
     let expect: Vec<f64> = (0..32)
         .map(|i| {
             let job = &jobs[i % jobs.len()];

@@ -8,10 +8,8 @@
 //!   this; the tests drive every zoo policy over random jobs, random
 //!   cluster shapes, and random pre-existing (collectively feasible)
 //!   placements.
-//! - **Preemption scope**: a preemption stage only yields *running*
-//!   rows, ascending and at most once — the composer indexes `held`
-//!   by them. A no-preemption composition keeps every running job's
-//!   placement byte-identical on a static cluster.
+//! - **Preemption scope**: a no-preemption composition keeps every
+//!   running job's placement byte-identical on a static cluster.
 //! - **Determinism**: the full simulated trajectory is a pure function
 //!   of the seed — the admission order feeds placement directly, so
 //!   one out-of-order admit (an unordered map walk, say) would flip
@@ -19,10 +17,7 @@
 
 use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_cluster::{ClusterSpec, JobId};
-use pollux_control::{
-    pack_consolidated, NoPreemption, PolicyJobView, PreemptAll, PreemptionPolicy, SchedulingPolicy,
-    StagedScheduler,
-};
+use pollux_control::{pack_consolidated, PolicyJobView, SchedulingPolicy, StagedScheduler};
 use pollux_core::{run_trace, ConfigChoice};
 use pollux_models::BatchSizeLimits;
 use pollux_simulator::SimConfig;
@@ -123,29 +118,8 @@ proptest! {
         }
     }
 
-    /// Preemption stages only ever yield running rows, ascending and
-    /// at most once (the composer's `held` bookkeeping indexes by
-    /// them).
-    #[test]
-    fn preemption_yields_are_running_rows(
-        raw in raw_jobs(),
-        nodes in 1u32..=6,
-        gpn in 1u32..=8,
-    ) {
-        let spec = ClusterSpec::homogeneous(nodes, gpn).unwrap();
-        let placements = seed_placements(&raw, &spec);
-        let jobs = views(&raw, &placements);
-        let mut rng = StdRng::seed_from_u64(7);
-        let victims = PreemptAll.yield_rows(0.0, &jobs, &spec, &mut rng);
-        let running: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_running()).collect();
-        prop_assert_eq!(victims, running, "preempt-all yields exactly the running rows");
-        let none = NoPreemption.yield_rows(0.0, &jobs, &spec, &mut rng);
-        prop_assert!(none.is_empty(), "no-preemption must yield nothing");
-    }
-
     /// A no-preemption composition on a static cluster keeps every
-    /// running job's placement row byte-identical: preempted ⊆
-    /// victims = ∅.
+    /// running job's placement row byte-identical.
     #[test]
     fn no_preemption_never_disturbs_running_jobs(
         raw in raw_jobs(),

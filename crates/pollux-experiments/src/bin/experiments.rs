@@ -21,7 +21,7 @@
 //! like every other experiment driver; `telemetry-report` summarizes
 //! it.
 
-use pollux_experiments::common::{capture_recorder, exit_on_error, flag_value};
+use pollux_experiments::common::{capture_recorder, exit_on_error, finish_capture, flag_value};
 use pollux_experiments::{
     ablations, fidelity, fig1, fig10, fig2, fig3, fig6, fig7, fig8, fig9, table2, table3,
 };
@@ -172,4 +172,5 @@ fn main() {
         println!("==============================================================");
         (e.run)(&settings);
     }
+    exit_on_error(finish_capture());
 }

@@ -30,16 +30,18 @@
 //!
 //! Flags are user input: a bad value, an unknown, blank or repeated
 //! policy name or an output path that cannot be written is one line on
-//! stderr and exit status 2, before anything is simulated. Without
+//! stderr and exit status 2, before anything is simulated; a capture
+//! whose writes failed is the same, after the table. Without
 //! `--trace-dir`, telemetry follows the process-wide
 //! `POLLUX_TELEMETRY_OUT` capture like every other experiment driver.
 
 use pollux_core::ConfigChoice;
 use pollux_experiments::common::{
-    capture_recorder, exit_on_error, flag_value, render_table, CaptureError,
+    capture_recorder, exit_on_error, finish_capture, flag_value, render_table, CaptureError,
 };
 use pollux_experiments::zoo::{self, ZooOptions};
 use pollux_telemetry::{JsonlSink, Recorder};
+use std::cell::RefCell;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -136,12 +138,15 @@ fn main() {
         output("--trace-dir", dir, std::fs::create_dir_all);
     }
 
+    let traces = RefCell::new(Vec::new());
     let result = exit_on_error(match &trace_dir {
         None => zoo::run(&opts),
         // Registry names are kept verbatim as file names (`+` included).
         Some(dir) => zoo::run_with_recorder(&opts, |policy| {
             let capture = dir.join(format!("{policy}.jsonl"));
-            Recorder::new(Arc::new(output("--trace-dir", &capture, JsonlSink::create)))
+            let sink = Arc::new(output("--trace-dir", &capture, JsonlSink::create));
+            traces.borrow_mut().push((capture, sink.clone()));
+            Recorder::new(sink)
         }),
     });
 
@@ -152,5 +157,9 @@ fn main() {
             std::fs::write(path, result.to_json())
         });
         eprintln!("json: {path:?}");
+    }
+    exit_on_error(finish_capture());
+    for (capture, sink) in traces.into_inner() {
+        output("--trace-dir", &capture, |_| sink.finish());
     }
 }

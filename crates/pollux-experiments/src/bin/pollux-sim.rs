@@ -13,10 +13,11 @@
 //!   counters, histograms, the goodput time-series) to a JSONL file;
 //!   summarize it, or export one policy's run as a Chrome trace, with
 //!   `telemetry-report`. `/dev/stderr` streams the events while the
-//!   simulation runs.
+//!   simulation runs. A capture whose writes failed is one line on
+//!   stderr and exit status 2, after the summaries.
 
 use pollux_experiments::cell::{run_cells, Cell};
-use pollux_experiments::common::{capture_recorder, exit_on_error, flag_value};
+use pollux_experiments::common::{capture_recorder, exit_on_error, finish_capture, flag_value};
 use pollux_simulator::SimResult;
 use std::time::{Duration, Instant};
 
@@ -63,11 +64,15 @@ fn report(name: &str, res: &SimResult, wall: Duration) {
 }
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let seed = match std::env::args().nth(2) {
+    let mut args = std::env::args().skip(1);
+    let which = args.next().unwrap_or_else(|| "all".into());
+    let seed = match args.next() {
         None => 1u64,
         v => flag_value("seed", v, 0..=u64::MAX).unwrap_or_else(|e| fail(e)),
     };
+    if let Some(arg) = args.next() {
+        fail(format_args!("unknown argument {arg:?}"));
+    }
     if which != "all" && !POLICIES.iter().any(|(name, _)| *name == which) {
         fail(format_args!("unknown policy {which:?}"));
     }
@@ -91,4 +96,5 @@ fn main() {
             report(name, &exit_on_error(results)[0], t0.elapsed());
         }
     }
+    exit_on_error(finish_capture());
 }

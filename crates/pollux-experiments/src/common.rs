@@ -81,13 +81,17 @@ const TELEMETRY_OUT: &str = "POLLUX_TELEMETRY_OUT";
 
 static CAPTURE: OnceLock<Recorder> = OnceLock::new();
 
+/// The file `CAPTURE` writes, if one was asked for, and its sink.
+static CAPTURE_FILE: OnceLock<(OsString, Arc<JsonlSink>)> = OnceLock::new();
+
 /// Opens the process-wide capture the environment asks for, once. When
 /// `POLLUX_TELEMETRY_OUT` names a file, telemetry from every simulation
 /// run through the experiment drivers is captured there as JSONL
 /// (summarize it with the `telemetry-report` bin), so sweeps over many
 /// traces append into one capture; unset, the recorder is disabled and
 /// every call site is a no-op. Binaries call this before simulating
-/// anything; the drivers then record through what it opened.
+/// anything, and [`finish_capture`] after their output; the drivers
+/// record through what it opened.
 ///
 /// # Errors
 ///
@@ -99,11 +103,24 @@ pub fn capture_recorder() -> Result<Recorder, CaptureError> {
     let recorder = match std::env::var_os(TELEMETRY_OUT) {
         Some(path) => {
             let sink = JsonlSink::create(&path).map_err(CaptureError::io(TELEMETRY_OUT, &path))?;
-            Recorder::new(Arc::new(sink))
+            let (_, sink) = CAPTURE_FILE.get_or_init(|| (path, Arc::new(sink)));
+            Recorder::new(sink.clone())
         }
         None => Recorder::disabled(),
     };
     Ok(CAPTURE.get_or_init(|| recorder).clone())
+}
+
+/// Flushes the capture [`capture_recorder`] opened, if it opened one.
+///
+/// # Errors
+///
+/// [`CaptureError`] when a write to the capture failed.
+pub fn finish_capture() -> Result<(), CaptureError> {
+    match CAPTURE_FILE.get() {
+        Some((path, sink)) => sink.finish().map_err(CaptureError::io(TELEMETRY_OUT, path)),
+        None => Ok(()),
+    }
 }
 
 /// The recorder [`capture_recorder`] opened; disabled in a process

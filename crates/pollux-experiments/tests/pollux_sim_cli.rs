@@ -80,6 +80,85 @@ fn unusable_capture_settings_exit_2_before_simulating() {
     }
 }
 
+/// A capture whose writes fail runs to the end and prints its normal
+/// output, then says so on one line naming the file and exits 2 — in
+/// every binary that writes one, `policy-zoo`'s `--trace-dir` files
+/// included.
+#[test]
+fn failed_capture_writes_exit_2_after_the_output() {
+    if !Path::new("/dev/full").exists() {
+        return;
+    }
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("full-trace-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("the trace dir");
+    let full_trace = dir.join("tiresias.jsonl");
+    std::os::unix::fs::symlink("/dev/full", &full_trace).expect("symlink");
+    let zoo = [
+        "--traces",
+        "1",
+        "--jobs",
+        "2",
+        "--policies",
+        "tiresias",
+        "--trace-dir",
+        dir.to_str().unwrap(),
+    ];
+    // Runs `bin` and checks it printed its output, then one line naming
+    // the capture `names`, and exited 2.
+    let fails_after_output = |bin: &str, args: &[&str], env: &[(&str, &str)], names: &str| {
+        let out = Command::new(bin)
+            .args(args)
+            .env("POLLUX_SIM_JOBS", "8")
+            .envs(env.iter().copied())
+            .output()
+            .expect("the binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{bin}: {stderr}");
+        assert!(stderr.contains(names), "{bin}: {stderr}");
+        assert!(!out.stdout.is_empty(), "{bin}: no output before the error");
+    };
+    let full = [("POLLUX_TELEMETRY_OUT", "/dev/full")];
+    let named = "POLLUX_TELEMETRY_OUT \"/dev/full\"";
+    fails_after_output(
+        env!("CARGO_BIN_EXE_pollux-sim"),
+        &["tiresias", "1"],
+        &full,
+        named,
+    );
+    fails_after_output(
+        env!("CARGO_BIN_EXE_policy-zoo"),
+        &["--traces", "1", "--jobs", "2", "--policies", "tiresias"],
+        &full,
+        named,
+    );
+    fails_after_output(
+        env!("CARGO_BIN_EXE_experiments"),
+        &["fig10", "--imagenet-scale", "0.01"],
+        &full,
+        named,
+    );
+    fails_after_output(
+        env!("CARGO_BIN_EXE_policy-zoo"),
+        &zoo,
+        &[],
+        full_trace.to_str().unwrap(),
+    );
+}
+
+/// Nothing follows the seed: a third argument is refused before
+/// anything is simulated — one line naming it, exit 2.
+#[test]
+fn arguments_past_the_seed_exit_2() {
+    let out = pollux_sim(&["tiresias", "1", "--jobs", "9"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("\"--jobs\""), "{stderr}");
+    assert!(out.stdout.is_empty(), "something ran");
+}
+
 /// A trace size outside 1–100000, or not a number, is refused before
 /// anything is simulated — one line, exit 2 — never an allocation the
 /// process cannot survive.

@@ -51,11 +51,6 @@ impl LocalSearch {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &LocalSearchConfig {
-        &self.config
-    }
-
     /// Optimizes an allocation for `jobs` on `spec`.
     ///
     /// `table` must be built from the same `jobs` slice (see

@@ -115,8 +115,7 @@ pub fn assign_racks(
     let caps: Vec<u64> = (0..topo.num_racks())
         .map(|r| {
             topo.nodes_in(r)
-                .iter()
-                .map(|&n| u64::from(spec.gpus_on(NodeId(n))))
+                .map(|n| u64::from(spec.gpus_on(NodeId(n))))
                 .sum()
         })
         .collect();

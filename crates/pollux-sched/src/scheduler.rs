@@ -152,11 +152,6 @@ impl PolluxSched {
         self.topology = topology;
     }
 
-    /// The active rack topology, if any.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
-    }
-
     /// Attaches a telemetry recorder: each interval emits its
     /// wall-clock spans (`sched/table_build` and `sched/ga_evolve` on
     /// the flat path, `sched/rack_assign` and `sched/rack_evolve` on
@@ -172,11 +167,6 @@ impl PolluxSched {
         self.recorder = recorder;
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &SchedConfig {
-        &self.config
-    }
-
     /// Caps the threads a racked interval works on (`1` = nothing is
     /// ever spawned); a new scheduler starts at the host's
     /// [`std::thread::available_parallelism`]. The rack is the one
@@ -188,15 +178,14 @@ impl PolluxSched {
         self.threads = threads.max(1);
     }
 
-    /// The active worker-count cap.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs one full optimization for this interval and returns the
     /// [`GaOutcome`] (best matrix, fitness, counters). The population
     /// stays inside the scheduler, where it bootstraps the next
     /// interval.
+    ///
+    /// `jobs[i]` is row `i` of the best matrix. The caller applies the
+    /// matrix (starting, stopping and restarting jobs) and sets each
+    /// job's `current_placement` and `weight` before the next call.
     pub fn optimize<R: Rng>(
         &mut self,
         jobs: &[SchedJob],
@@ -398,8 +387,8 @@ impl PolluxSched {
                         let placement: Vec<u32> = if job.current_placement.len() == spec.num_nodes()
                         {
                             rack_nodes
-                                .iter()
-                                .map(|&n| {
+                                .clone()
+                                .map(|n| {
                                     let g = job.current_placement[n as usize];
                                     g.min(spec.gpus_on(NodeId(n)))
                                 })
@@ -508,21 +497,6 @@ impl PolluxSched {
     pub fn take_round_explain(&mut self) -> Option<RoundExplain> {
         self.last_explain.take()
     }
-
-    /// Computes the allocation matrix for this interval.
-    ///
-    /// `jobs[i]` corresponds to row `i` of the returned matrix. The
-    /// caller is responsible for applying the matrix (starting,
-    /// stopping, and restarting jobs) and for setting each job's
-    /// `current_placement` and `weight` before the next call.
-    pub fn schedule<R: Rng>(
-        &mut self,
-        jobs: &[SchedJob],
-        spec: &ClusterSpec,
-        rng: &mut R,
-    ) -> AllocationMatrix {
-        self.optimize(jobs, spec, rng).best
-    }
 }
 
 /// The one search step, of the flat round and of every rack that
@@ -574,8 +548,8 @@ fn run_rack(
         Some(seed) => {
             let sub_spec = ClusterSpec::new(
                 rack_nodes
-                    .iter()
-                    .map(|&n| NodeSpec {
+                    .clone()
+                    .map(|n| NodeSpec {
                         gpus: spec.gpus_on(NodeId(n)),
                     })
                     .collect(),
@@ -590,7 +564,7 @@ fn run_rack(
     };
     let (best, _) = carry.best.as_ref().expect("searched or carried");
     for (row, (_, answer)) in task.rows.into_iter().zip(best.iter_rows()) {
-        for (&n, &g) in rack_nodes.iter().zip(answer) {
+        for (n, &g) in rack_nodes.clone().zip(answer) {
             if g > 0 {
                 row[n as usize] = g;
             }
@@ -824,7 +798,7 @@ mod tests {
         let jobs: Vec<SchedJob> = (0..3).map(job).collect();
         let mut s = sched();
         let mut rng = StdRng::seed_from_u64(1);
-        let a = s.schedule(&jobs, &spec, &mut rng);
+        let a = s.optimize(&jobs, &spec, &mut rng).best;
         assert_eq!(a.num_jobs(), 3);
         assert!(a.is_feasible(&spec));
         assert!(a.satisfies_interference_avoidance());
@@ -1019,12 +993,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
 
         let jobs2: Vec<SchedJob> = (0..2).map(job).collect();
-        s.schedule(&jobs2, &spec, &mut rng);
+        s.optimize(&jobs2, &spec, &mut rng);
         assert_eq!(s.carry[0].job_ids.len(), 2);
 
         // A third job arrives; the first departs.
         let jobs_next = vec![job(1), job(2)];
-        let a = s.schedule(&jobs_next, &spec, &mut rng);
+        let a = s.optimize(&jobs_next, &spec, &mut rng).best;
         assert_eq!(a.num_jobs(), 2);
         assert!(a.is_feasible(&spec));
         assert_eq!(s.carry[0].job_ids, vec![JobId(1), JobId(2)]);
@@ -1037,17 +1011,17 @@ mod tests {
         let jobs: Vec<SchedJob> = (0..2).map(job).collect();
 
         let spec4 = ClusterSpec::homogeneous(4, 4).unwrap();
-        s.schedule(&jobs, &spec4, &mut rng);
+        s.optimize(&jobs, &spec4, &mut rng);
 
         // Cluster shrinks to 2 nodes: allocations must stay feasible.
         let spec2 = ClusterSpec::homogeneous(2, 4).unwrap();
-        let a = s.schedule(&jobs, &spec2, &mut rng);
+        let a = s.optimize(&jobs, &spec2, &mut rng).best;
         assert_eq!(a.num_nodes(), 2);
         assert!(a.is_feasible(&spec2));
 
         // And grows to 6.
         let spec6 = ClusterSpec::homogeneous(6, 4).unwrap();
-        let a = s.schedule(&jobs, &spec6, &mut rng);
+        let a = s.optimize(&jobs, &spec6, &mut rng).best;
         assert_eq!(a.num_nodes(), 6);
         assert!(a.is_feasible(&spec6));
     }
@@ -1089,7 +1063,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
 
         // No recorder → no audit is built.
-        let first = s.schedule(&jobs, &spec, &mut rng);
+        let first = s.optimize(&jobs, &spec, &mut rng).best;
         assert!(s.take_round_explain().is_none());
 
         s.set_recorder(Recorder::new(Arc::new(MemorySink::new(64))));
@@ -1097,7 +1071,7 @@ mod tests {
         for (j, job) in jobs2.iter_mut().enumerate() {
             job.current_placement = first.row(j).to_vec();
         }
-        let second = s.schedule(&jobs2, &spec, &mut rng);
+        let second = s.optimize(&jobs2, &spec, &mut rng).best;
         let explain = s.take_round_explain().expect("audit built when recording");
         assert!(!explain.racked);
         assert_eq!(explain.jobs.len(), jobs2.len());
@@ -1122,14 +1096,14 @@ mod tests {
 
         // Racked path: rack columns carry the phase-1 assignment.
         s.set_topology(Some(Topology::grouped(4, 2).unwrap()));
-        s.schedule(&jobs2, &spec, &mut rng);
+        s.optimize(&jobs2, &spec, &mut rng);
         let racked = s.take_round_explain().expect("racked audit");
         assert!(racked.racked);
         for je in &racked.jobs {
             assert_eq!(je.rack_before, -1, "first racked interval has no carry");
             assert!((0..2).contains(&je.rack_after), "assigned to a real rack");
         }
-        s.schedule(&jobs2, &spec, &mut rng);
+        s.optimize(&jobs2, &spec, &mut rng);
         let again = s.take_round_explain().expect("second racked audit");
         for (prev, cur) in racked.jobs.iter().zip(&again.jobs) {
             assert_eq!(
@@ -1202,11 +1176,11 @@ mod tests {
         let mut s = sched();
         let mut rng = StdRng::seed_from_u64(4);
         let jobs = vec![job(0)];
-        let first = s.schedule(&jobs, &spec, &mut rng);
+        let first = s.optimize(&jobs, &spec, &mut rng).best;
 
         let mut jobs2 = vec![job(0)];
         jobs2[0].current_placement = first.row(0).to_vec();
-        let second = s.schedule(&jobs2, &spec, &mut rng);
+        let second = s.optimize(&jobs2, &spec, &mut rng).best;
         assert_eq!(second.row(0), first.row(0));
     }
 }

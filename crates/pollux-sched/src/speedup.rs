@@ -6,8 +6,7 @@
 //! co-located (`N = 1`) from cross-node (`N ≥ 2`) placements, so the
 //! whole feasible shape space of one job is two rows of `K ≤ gpu_cap`
 //! values. [`SpeedupTable`] precomputes those rows for every job at the
-//! start of a scheduling round (fanned out over jobs via
-//! [`crate::par::parallel_map`]); each fitness lookup thereafter is an
+//! start of a scheduling round; each fitness lookup thereafter is an
 //! unsynchronized array index — no hashing, no locking, no lazy solve.
 //!
 //! [`pure_speedup`] evaluates one `(job, shape)` straight from the
@@ -18,11 +17,8 @@
 //! Table entries are **pure** functions of `(job.model, shape)`,
 //! computed with bit-identical arithmetic
 //! (`max_goodput(shape) / max_goodput(reference_shape())`, zero outside
-//! the feasible range). Table construction reassembles worker results
-//! in job order, so the table contents never depend on the thread
-//! count.
+//! the feasible range), written in job order.
 
-use crate::par::parallel_map;
 use pollux_cluster::{row_is_empty, ClusterSpec, JobId};
 use pollux_models::{GoodputModel, PlacementShape};
 use std::collections::HashMap;
@@ -142,24 +138,11 @@ struct RowKey {
     hi: u32,
 }
 
-/// One worker's output for one job row: either a freshly solved
-/// profile or a verbatim copy of the previous interval's row.
-struct RowStripe {
-    colocated: Vec<f64>,
-    distributed: Vec<f64>,
-    solves: u64,
-    reused: bool,
-    key: RowKey,
-}
-
 impl SpeedupTable {
-    /// Precomputes the table for `jobs` on `spec`, fanning the per-job
-    /// batch-size solves out over `threads` workers. Worker results
-    /// are reassembled in job order, so the table contents are
-    /// independent of the thread count. Every caller in this workspace
-    /// passes 1 — the racked round's grain is the rack, whose worker
-    /// builds its rack's table itself — and the parameter remains for
-    /// the frozen `benchmark/`, which compiles against it.
+    /// Precomputes the table for `jobs` on `spec`, one job row after
+    /// another. Nothing reads `threads`: the frozen `benchmark/`
+    /// compiles against it and passes 1, so it stays until the
+    /// benchmark's next revision.
     ///
     /// Distributed rows are only solved when the cluster has at least
     /// two nodes — a single-node cluster can never produce an `N ≥ 2`
@@ -183,7 +166,7 @@ impl SpeedupTable {
     pub fn build_reusing(
         jobs: &[SchedJob],
         spec: &ClusterSpec,
-        threads: usize,
+        _threads: usize,
         prev: Option<&SpeedupTable>,
     ) -> Self {
         let total = spec.total_gpus();
@@ -201,53 +184,36 @@ impl SpeedupTable {
                     .collect()
             })
             .unwrap_or_default();
-        let stripes = parallel_map(jobs.iter(), threads, |job| {
-            let lo = job.min_gpus.max(1);
-            let hi = job.gpu_cap.min(total);
-            let key = RowKey {
-                id: job.id,
-                model: job.model,
-                lo,
-                hi,
-            };
-            if let Some(p) = prev {
-                if let Some(&pi) = prev_rows.get(&job.id) {
-                    if p.row_keys[pi] == key {
-                        let base = pi * 2 * cols;
-                        return RowStripe {
-                            colocated: p.values[base..base + cols].to_vec(),
-                            distributed: p.values[base + cols..base + 2 * cols].to_vec(),
-                            solves: p.row_solves[pi],
-                            reused: true,
-                            key,
-                        };
-                    }
-                }
-            }
-            let profile = job
-                .model
-                .speedup_profile(lo..=hi, max_gpus, include_distributed);
-            RowStripe {
-                colocated: profile.colocated,
-                distributed: profile.distributed,
-                solves: profile.solves,
-                reused: false,
-                key,
-            }
-        });
         let mut values = Vec::with_capacity(jobs.len() * 2 * cols);
         let mut row_keys = Vec::with_capacity(jobs.len());
         let mut row_solves = Vec::with_capacity(jobs.len());
         let mut stats = SpeedupTableStats::default();
-        for stripe in stripes {
-            debug_assert_eq!(stripe.colocated.len(), cols);
-            debug_assert_eq!(stripe.distributed.len(), cols);
-            values.extend_from_slice(&stripe.colocated);
-            values.extend_from_slice(&stripe.distributed);
-            stats.solves += stripe.solves;
-            stats.rows_reused += u64::from(stripe.reused);
-            row_keys.push(stripe.key);
-            row_solves.push(stripe.solves);
+        for job in jobs {
+            let key = RowKey {
+                id: job.id,
+                model: job.model,
+                lo: job.min_gpus.max(1),
+                hi: job.gpu_cap.min(total),
+            };
+            let clean = prev_rows.get(&job.id).copied().zip(prev);
+            let solves = if let Some((pi, p)) = clean.filter(|&(pi, p)| p.row_keys[pi] == key) {
+                let base = pi * 2 * cols;
+                values.extend_from_slice(&p.values[base..base + 2 * cols]);
+                stats.rows_reused += 1;
+                p.row_solves[pi]
+            } else {
+                let profile =
+                    job.model
+                        .speedup_profile(key.lo..=key.hi, max_gpus, include_distributed);
+                debug_assert_eq!(profile.colocated.len(), cols);
+                debug_assert_eq!(profile.distributed.len(), cols);
+                values.extend_from_slice(&profile.colocated);
+                values.extend_from_slice(&profile.distributed);
+                profile.solves
+            };
+            stats.solves += solves;
+            row_keys.push(key);
+            row_solves.push(solves);
         }
         let table = Self {
             values,
@@ -413,7 +379,7 @@ mod tests {
             })
             .collect();
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
-        let table = SpeedupTable::build(&jobs, &spec, 2);
+        let table = SpeedupTable::build(&jobs, &spec, 1);
         for (idx, j) in jobs.iter().enumerate() {
             for gpus in 1u32..=16 {
                 for nodes in 1u32..=4.min(gpus) {
@@ -422,27 +388,6 @@ mod tests {
                         table.speedup(idx, shape).to_bits(),
                         pure_speedup(j, shape).to_bits(),
                         "job {idx} shape ({gpus},{nodes})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn table_build_is_thread_count_invariant() {
-        let jobs: Vec<SchedJob> = (0..6).map(|i| job(i, 32)).collect();
-        let spec = ClusterSpec::homogeneous(8, 4).unwrap();
-        let serial = SpeedupTable::build(&jobs, &spec, 1);
-        let parallel = SpeedupTable::build(&jobs, &spec, 4);
-        assert_eq!(serial.len(), parallel.len());
-        assert_eq!(serial.stats().solves, parallel.stats().solves);
-        for gpus in 1u32..=32 {
-            for nodes in 1u32..=3.min(gpus) {
-                let shape = PlacementShape::new(gpus, nodes).unwrap();
-                for idx in 0..jobs.len() {
-                    assert_eq!(
-                        serial.speedup(idx, shape).to_bits(),
-                        parallel.speedup(idx, shape).to_bits()
                     );
                 }
             }
@@ -492,7 +437,7 @@ mod tests {
     #[test]
     fn empty_job_set_builds_empty_table() {
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
-        let table = SpeedupTable::build(&[], &spec, 4);
+        let table = SpeedupTable::build(&[], &spec, 1);
         assert!(table.is_empty());
         assert_eq!(table.stats().solves, 0);
         assert_eq!(table.speedup(0, PlacementShape::single()), 0.0);
@@ -586,18 +531,16 @@ mod tests {
     }
 
     #[test]
-    fn incremental_build_is_thread_count_invariant() {
+    fn incremental_build_of_varied_caps_equals_a_fresh_build() {
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
         let mut jobs: Vec<SchedJob> = (0..9).map(|i| job(i, 4 + i % 5)).collect();
         let prev = SpeedupTable::build(&jobs, &spec, 1);
         jobs[4].model = test_model(256, 500.0);
-        let serial = SpeedupTable::build_reusing(&jobs, &spec, 1, Some(&prev));
-        for threads in [2usize, 4] {
-            let parallel = SpeedupTable::build_reusing(&jobs, &spec, threads, Some(&prev));
-            assert!(tables_bit_identical(&serial, &parallel));
-            assert_eq!(serial.stats().rows_reused, parallel.stats().rows_reused);
-            assert_eq!(serial.stats().solves, parallel.stats().solves);
-        }
+        let table = SpeedupTable::build_reusing(&jobs, &spec, 1, Some(&prev));
+        let fresh = SpeedupTable::build(&jobs, &spec, 1);
+        assert!(tables_bit_identical(&table, &fresh));
+        assert_eq!(table.stats().rows_reused, 8);
+        assert_eq!(table.stats().solves, fresh.stats().solves);
     }
 
     mod table_proptests {
@@ -619,7 +562,6 @@ mod tests {
                 min_gpus in 1u32..4,
                 gpu_cap in 4u32..24,
                 nodes in 1u32..5,
-                threads in 1usize..4,
             ) {
                 let m0 = 1u64 << m0_exp;
                 let tp = ThroughputParams::new(
@@ -638,9 +580,7 @@ mod tests {
                     current_placement: vec![],
                 };
                 let spec = ClusterSpec::homogeneous(nodes, 4).unwrap();
-                let table = SpeedupTable::build(
-                    std::slice::from_ref(&job), &spec, threads,
-                );
+                let table = SpeedupTable::build(std::slice::from_ref(&job), &spec, 1);
                 let total = spec.total_gpus();
                 for gpus in 1..=total {
                     for n in 1..=nodes.min(gpus) {

@@ -108,7 +108,7 @@ pub type Submission = (JobSpec, UserConfig);
 ///     max_sim_time: 24.0 * 3600.0,
 ///     ..Default::default()
 /// };
-/// let result = Simulation::new(sim, ClusterSpec::homogeneous(2, 4).unwrap(), OneGpuEach, workload)
+/// let result = Simulation::try_new(sim, ClusterSpec::homogeneous(2, 4).unwrap(), OneGpuEach, workload)
 ///     .unwrap()
 ///     .run();
 /// assert_eq!(result.records.len(), 4);
@@ -407,18 +407,6 @@ impl std::fmt::Display for SimBuildError {
 impl std::error::Error for SimBuildError {}
 
 impl<P: SchedulingPolicy> Simulation<P> {
-    /// Creates a simulation. Returns `None` when [`Self::try_new`]
-    /// would fail; kept as the concise constructor for tests and
-    /// examples that don't care which input was bad.
-    pub fn new(
-        config: SimConfig,
-        spec: ClusterSpec,
-        policy: P,
-        workload: Vec<Submission>,
-    ) -> Option<Self> {
-        Self::try_new(config, spec, policy, workload).ok()
-    }
-
     /// Creates a simulation, reporting *why* the inputs were rejected.
     ///
     /// # Errors
@@ -1223,7 +1211,8 @@ mod tests {
     #[test]
     fn rejects_empty_workload() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        assert!(Simulation::new(quick_config(), spec, FcfsPacked { gpus: 1 }, vec![]).is_none());
+        let built = Simulation::try_new(quick_config(), spec, FcfsPacked { gpus: 1 }, vec![]);
+        assert!(matches!(built, Err(SimBuildError::EmptyWorkload)));
     }
 
     /// A policy's worker count is its own (Pollux: the host's cores on
@@ -1254,7 +1243,7 @@ mod tests {
         }
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let policy = Configured { threads: 4 };
-        let sim = Simulation::new(quick_config(), spec, policy, small_workload(2)).unwrap();
+        let sim = Simulation::try_new(quick_config(), spec, policy, small_workload(2)).unwrap();
         assert_eq!(sim.policy.threads, 4);
     }
 
@@ -1264,15 +1253,17 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut wl = small_workload(3);
             wl[1].0.submit_time = bad;
+            let built =
+                Simulation::try_new(quick_config(), spec.clone(), FcfsPacked { gpus: 1 }, wl);
             assert!(
-                Simulation::new(quick_config(), spec.clone(), FcfsPacked { gpus: 1 }, wl).is_none(),
+                matches!(built, Err(SimBuildError::NonFiniteSubmitTime)),
                 "submit_time {bad} must be rejected"
             );
         }
         // Negative-but-finite submit times stay legal (spawn at t=0).
         let mut wl = small_workload(3);
         wl[1].0.submit_time = -5.0;
-        assert!(Simulation::new(quick_config(), spec, FcfsPacked { gpus: 1 }, wl).is_some());
+        assert!(Simulation::try_new(quick_config(), spec, FcfsPacked { gpus: 1 }, wl).is_ok());
     }
 
     #[test]
@@ -1308,7 +1299,7 @@ mod tests {
         let spec = ClusterSpec::homogeneous(4, 4).unwrap();
         let wl = small_workload(6);
         assert_eq!(wl.len(), 6);
-        let sim = Simulation::new(quick_config(), spec, FcfsPacked { gpus: 2 }, wl).unwrap();
+        let sim = Simulation::try_new(quick_config(), spec, FcfsPacked { gpus: 2 }, wl).unwrap();
         let res = sim.run();
         assert_eq!(res.records.len(), 6);
         assert_eq!(res.unfinished(), 0, "records: {:#?}", res.records);
@@ -1327,7 +1318,7 @@ mod tests {
     fn no_oversubscription_in_series() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let wl = small_workload(8);
-        let sim = Simulation::new(quick_config(), spec, FcfsPacked { gpus: 2 }, wl).unwrap();
+        let sim = Simulation::try_new(quick_config(), spec, FcfsPacked { gpus: 2 }, wl).unwrap();
         let res = sim.run();
         for s in &res.series {
             assert!(s.used_gpus <= s.total_gpus, "{s:?}");
@@ -1344,7 +1335,7 @@ mod tests {
         for (s, _) in wl.iter_mut() {
             s.submit_time = 0.0;
         }
-        let sim = Simulation::new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap();
+        let sim = Simulation::try_new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap();
         let res = sim.run();
         assert_eq!(res.unfinished(), 0);
         let mut jcts: Vec<f64> = res.records.iter().map(|r| r.jct().unwrap()).collect();
@@ -1358,7 +1349,7 @@ mod tests {
     fn agents_learn_during_simulation() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let wl = small_workload(2);
-        let sim = Simulation::new(quick_config(), spec, FcfsPacked { gpus: 2 }, wl).unwrap();
+        let sim = Simulation::try_new(quick_config(), spec, FcfsPacked { gpus: 2 }, wl).unwrap();
         // Drive manually to inspect the job state: run and check records
         // got gputime; agent internals are covered by unit tests.
         let res = sim.run();
@@ -1378,7 +1369,7 @@ mod tests {
             wl[1].0.submit_time = 7.0;
             // One node, four GPUs, four asked: the second job waits.
             let spec = ClusterSpec::homogeneous(1, 4).unwrap();
-            Simulation::new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap()
+            Simulation::try_new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap()
         };
         let mut stepped = sim();
         stepped.tick_boundaries(0, 0.0);
@@ -1421,7 +1412,7 @@ mod tests {
             let mut wl = small_workload(1);
             wl[0].0.work *= 100.0; // Holds of hundreds of ticks.
             let spec = ClusterSpec::homogeneous(1, 4).unwrap();
-            Simulation::new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap()
+            Simulation::try_new(quick_config(), spec, FcfsPacked { gpus: 4 }, wl).unwrap()
         };
         let (mut kept, mut reopened) = (sim(), sim());
         for s in [&mut kept, &mut reopened] {
@@ -1472,14 +1463,14 @@ mod tests {
     fn restarts_are_counted_and_slow_jobs_down() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
         let wl = small_workload(1);
-        let sim = Simulation::new(quick_config(), spec, Shuffler, wl.clone()).unwrap();
+        let sim = Simulation::try_new(quick_config(), spec, Shuffler, wl.clone()).unwrap();
         let res = sim.run();
         let r = &res.records[0];
         assert!(r.num_restarts > 2, "restarts = {}", r.num_restarts);
 
         // The same job without shuffling finishes faster.
         let sim2 =
-            Simulation::new(quick_config(), spec_clone(), FcfsPacked { gpus: 1 }, wl).unwrap();
+            Simulation::try_new(quick_config(), spec_clone(), FcfsPacked { gpus: 1 }, wl).unwrap();
         let res2 = sim2.run();
         assert!(
             res2.records[0].jct().unwrap() < r.jct().unwrap(),
@@ -1523,12 +1514,14 @@ mod tests {
         let mut cfg = quick_config();
         cfg.interference_slowdown = 0.5;
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let slow = Simulation::new(cfg, spec.clone(), Overlapper, wl.clone())
+        let slow = Simulation::try_new(cfg, spec.clone(), Overlapper, wl.clone())
             .unwrap()
             .run();
         let mut cfg2 = quick_config();
         cfg2.interference_slowdown = 0.0;
-        let fast = Simulation::new(cfg2, spec, Overlapper, wl).unwrap().run();
+        let fast = Simulation::try_new(cfg2, spec, Overlapper, wl)
+            .unwrap()
+            .run();
         let s = slow.avg_jct().unwrap();
         let f = fast.avg_jct().unwrap();
         // A 50% slowdown must cost well over 20% end-to-end (it is

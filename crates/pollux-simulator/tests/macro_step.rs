@@ -186,7 +186,7 @@ fn result_of<P: SchedulingPolicy>(
     wl: Vec<(JobSpec, UserConfig)>,
     stepper: Stepper,
 ) -> SimResult {
-    let sim = Simulation::new(cfg, spec, policy, wl).unwrap();
+    let sim = Simulation::try_new(cfg, spec, policy, wl).unwrap();
     match stepper {
         Stepper::Macro => sim.run(),
         Stepper::Reference => sim.run_reference(),
@@ -380,7 +380,7 @@ fn golden_trajectories_survive_live_telemetry() {
      -> (u64, usize) {
         let sink = Arc::new(MemorySink::new(1 << 16));
         let recorder = Recorder::new(sink.clone() as Arc<dyn pollux_telemetry::Sink>);
-        let result = Simulation::new(cfg, spec, policy, wl)
+        let result = Simulation::try_new(cfg, spec, policy, wl)
             .unwrap()
             .with_recorder(recorder)
             .run();

@@ -133,7 +133,7 @@ fn timeline_events_reconstruct_sim_result() {
     };
     let sink = Arc::new(MemorySink::new(1 << 20));
     let recorder = Recorder::new(sink.clone() as Arc<dyn Sink>);
-    let result = Simulation::new(cfg, spec, Churn, workload_64())
+    let result = Simulation::try_new(cfg, spec, Churn, workload_64())
         .unwrap()
         .with_recorder(recorder)
         .run();
@@ -249,7 +249,7 @@ fn report_rounds_emit_one_span_around_their_refits() {
             ..Default::default()
         };
         let workload = workload_64().into_iter().take(6).collect();
-        let sim = Simulation::new(
+        let sim = Simulation::try_new(
             cfg,
             ClusterSpec::homogeneous(4, 4).unwrap(),
             Churn,

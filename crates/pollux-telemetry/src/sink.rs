@@ -103,28 +103,46 @@ impl Sink for MemorySink {
 /// Appends each event as one JSONL line to a file, buffered.
 #[derive(Debug)]
 pub struct JsonlSink {
-    out: Mutex<BufWriter<File>>,
+    /// The file, and the first write or flush error it returned.
+    out: Mutex<(BufWriter<File>, Option<io::Error>)>,
 }
 
 impl JsonlSink {
     /// Creates (truncating) the capture file at `path`.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         Ok(Self {
-            out: Mutex::new(BufWriter::new(File::create(path)?)),
+            out: Mutex::new((BufWriter::new(File::create(path)?), None)),
         })
+    }
+
+    /// Flushes the file, then returns the first write or flush error
+    /// since the last call, if there was one.
+    pub fn finish(&self) -> io::Result<()> {
+        self.flush();
+        self.out
+            .lock()
+            .expect("sink lock")
+            .1
+            .take()
+            .map_or(Ok(()), Err)
     }
 }
 
 impl Sink for JsonlSink {
     fn record(&self, event: Event) {
-        let mut out = self.out.lock().expect("sink lock");
+        let (file, error) = &mut *self.out.lock().expect("sink lock");
         // Capture files are best-effort: a full disk must not take the
-        // simulation down with it.
-        let _ = writeln!(out, "{}", event.to_jsonl());
+        // simulation down with it. `finish` reports it afterwards.
+        if let Err(e) = writeln!(file, "{}", event.to_jsonl()) {
+            error.get_or_insert(e);
+        }
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().expect("sink lock").flush();
+        let (file, error) = &mut *self.out.lock().expect("sink lock");
+        if let Err(e) = file.flush() {
+            error.get_or_insert(e);
+        }
     }
 }
 
@@ -192,6 +210,18 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let parsed: Vec<Event> = text.lines().filter_map(Event::parse_jsonl).collect();
         assert_eq!(parsed, vec![count(7), count(8)]);
+        assert!(sink.finish().is_ok());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn jsonl_sink_keeps_its_first_write_error() {
+        let Ok(sink) = JsonlSink::create("/dev/full") else {
+            return; // No such device on this platform.
+        };
+        sink.record(count(7));
+        let error = sink.finish().expect_err("a write to a full device fails");
+        assert_eq!(error.raw_os_error(), Some(28), "{error}");
+        assert!(sink.finish().is_err(), "the flush fails again");
     }
 }

@@ -3,14 +3,14 @@
 //! Pollux decides GPUs and batch sizes itself, but Tiresias and
 //! Optimus need them from the user:
 //!
-//! - [`tuned_config`] reproduces the idealized **TunedJobs** setup of
-//!   Sec. 5.2: a GPU count is *valid* if, using its optimal batch
-//!   size, the job achieves 50–80 % of the ideal (linear) speedup over
-//!   one GPU; the configuration is drawn uniformly from the valid set.
-//! - [`realistic_config`] reproduces Sec. 5.3.1: the GPU count comes
-//!   from the (user-chosen, often poor) Microsoft-trace distribution
-//!   and the batch size is drawn within 2× of the most efficient batch
-//!   size for that GPU count.
+//! - [`UserConfigTable::tuned`] reproduces the **TunedJobs** setup of
+//!   Sec. 5.2: a GPU count is *valid* if, using its optimal batch size,
+//!   the job achieves 50–80 % of the ideal (linear) speedup over one
+//!   GPU; the configuration is drawn uniformly from the valid set.
+//! - [`UserConfigTable::realistic`] reproduces Sec. 5.3.1: the GPU
+//!   count comes from the (user-chosen, often poor) Microsoft-trace
+//!   distribution and the batch size is drawn within 2× of the most
+//!   efficient batch size for that GPU count.
 
 use crate::models::ModelProfile;
 use pollux_models::{EfficiencyModel, GoodputModel, PlacementShape};
@@ -58,7 +58,7 @@ pub struct UserConfigTable {
     /// `optimal_batch_size` of the packed shape of `K` GPUs at index
     /// `K − 1`, once asked for; the inner `None` is an infeasible `K`.
     optimal: Vec<Option<Option<(u64, f64)>>>,
-    /// [`valid_tuned_gpu_counts`], once asked for.
+    /// The TunedJobs validity set, once asked for.
     valid: Option<Vec<u32>>,
     solves: u64,
 }
@@ -110,7 +110,10 @@ impl UserConfigTable {
         solve.map_or(0.0, |(_, goodput)| goodput)
     }
 
-    /// See [`valid_tuned_gpu_counts`].
+    /// GPU counts whose optimally-batched goodput achieves 50–80 % of
+    /// the ideal linear speedup (Sec. 5.2's validity criterion), up to
+    /// `max_gpus`, ascending. One GPU is always valid (its "speedup" is
+    /// exactly 1).
     fn valid(&mut self) -> &[u32] {
         if self.valid.is_none() {
             self.valid = Some(self.solve_valid());
@@ -134,7 +137,9 @@ impl UserConfigTable {
         valid
     }
 
-    /// See [`tuned_config`].
+    /// Draws an idealized TunedJobs configuration (Sec. 5.2): a
+    /// uniformly random valid GPU count, with the goodput-optimal batch
+    /// size for it. The first draw solves the whole validity set.
     pub fn tuned<R: Rng>(&mut self, rng: &mut R) -> UserConfig {
         let valid = self.valid();
         let gpus = valid[rng.gen_range(0..valid.len())];
@@ -142,7 +147,11 @@ impl UserConfigTable {
         UserConfig { gpus, batch_size }
     }
 
-    /// See [`realistic_config`].
+    /// Draws a realistic user configuration (Sec. 5.3.1): `trace_gpus`
+    /// comes from the trace (the caller samples it from the Microsoft
+    /// distribution; 0 counts as 1) and the batch size is uniform
+    /// within a factor of 2 of the most efficient batch size for that
+    /// GPU count.
     pub fn realistic<R: Rng>(&mut self, trace_gpus: u32, rng: &mut R) -> UserConfig {
         let m0 = self.model.limits.min;
         let gpus = trace_gpus.max(1);
@@ -159,54 +168,18 @@ impl UserConfigTable {
     }
 }
 
-/// GPU counts whose optimally-batched goodput achieves 50–80 % of the
-/// ideal linear speedup (Sec. 5.2's validity criterion), evaluated at
-/// mid-training φ on `gpus_per_node`-GPU nodes up to `max_gpus`.
-///
-/// One GPU is always valid (its "speedup" is exactly 1).
-pub fn valid_tuned_gpu_counts(
-    profile: &ModelProfile,
-    max_gpus: u32,
-    gpus_per_node: u32,
-) -> Vec<u32> {
-    UserConfigTable::new(profile, max_gpus, gpus_per_node)
-        .valid()
-        .to_vec()
-}
-
-/// Draws an idealized TunedJobs configuration (Sec. 5.2): a uniformly
-/// random valid GPU count, with the goodput-optimal batch size for it.
-///
-/// One draw solves the whole validity set; a caller drawing many
-/// configurations of one model keeps a [`UserConfigTable`].
-pub fn tuned_config<R: Rng>(
-    profile: &ModelProfile,
-    max_gpus: u32,
-    gpus_per_node: u32,
-    rng: &mut R,
-) -> UserConfig {
-    UserConfigTable::new(profile, max_gpus, gpus_per_node).tuned(rng)
-}
-
-/// Draws a realistic user configuration (Sec. 5.3.1): `gpus` comes from
-/// the trace (the caller samples it from the Microsoft distribution)
-/// and the batch size is uniform within a factor of 2 of the most
-/// efficient batch size for that GPU count.
-pub fn realistic_config<R: Rng>(
-    profile: &ModelProfile,
-    trace_gpus: u32,
-    gpus_per_node: u32,
-    rng: &mut R,
-) -> UserConfig {
-    UserConfigTable::new(profile, 0, gpus_per_node).realistic(trace_gpus, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models::ModelKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn valid_counts(p: &ModelProfile, max_gpus: u32, gpus_per_node: u32) -> Vec<u32> {
+        UserConfigTable::new(p, max_gpus, gpus_per_node)
+            .valid()
+            .to_vec()
+    }
 
     #[test]
     fn packed_shape_fills_nodes() {
@@ -220,7 +193,7 @@ mod tests {
     fn valid_counts_always_include_one() {
         for kind in ModelKind::ALL {
             let p = kind.profile();
-            let v = valid_tuned_gpu_counts(&p, 16, 4);
+            let v = valid_counts(&p, 16, 4);
             assert!(v.contains(&1), "{}: {:?}", p.name, v);
             // Counts are sorted and unique by construction.
             for w in v.windows(2) {
@@ -236,7 +209,7 @@ mod tests {
         let scalable = [ModelKind::ResNet18Cifar10, ModelKind::ResNet50ImageNet];
         for kind in scalable {
             let p = kind.profile();
-            let v = valid_tuned_gpu_counts(&p, 16, 4);
+            let v = valid_counts(&p, 16, 4);
             assert!(
                 v.iter().any(|&k| k > 1),
                 "{}: no multi-GPU valid config: {:?}",
@@ -247,13 +220,14 @@ mod tests {
     }
 
     #[test]
-    fn tuned_config_is_valid_and_batch_feasible() {
+    fn tuned_draws_are_valid_and_batch_feasible() {
         let mut rng = StdRng::seed_from_u64(5);
         for kind in ModelKind::ALL {
             let p = kind.profile();
-            let valid = valid_tuned_gpu_counts(&p, 16, 4);
+            let mut table = UserConfigTable::new(&p, 16, 4);
+            let valid = table.valid().to_vec();
             for _ in 0..20 {
-                let c = tuned_config(&p, 16, 4, &mut rng);
+                let c = table.tuned(&mut rng);
                 assert!(
                     valid.contains(&c.gpus),
                     "{}: {:?} not in {:?}",
@@ -269,15 +243,16 @@ mod tests {
     }
 
     #[test]
-    fn realistic_config_within_2x_of_optimal() {
+    fn realistic_batch_within_2x_of_optimal() {
         let mut rng = StdRng::seed_from_u64(6);
         let p = ModelKind::ResNet18Cifar10.profile();
         let model = midtraining_model(&p);
+        let mut table = UserConfigTable::new(&p, 0, 4);
         for gpus in [1u32, 2, 4, 8] {
             let shape = packed_shape(gpus, 4);
             let (m_opt, _) = model.optimal_batch_size(shape).unwrap();
             for _ in 0..20 {
-                let c = realistic_config(&p, gpus, 4, &mut rng);
+                let c = table.realistic(gpus, &mut rng);
                 assert_eq!(c.gpus, gpus);
                 assert!(
                     c.batch_size * 2 >= m_opt && c.batch_size <= m_opt * 2,
@@ -289,12 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn realistic_config_respects_memory_limits() {
+    fn realistic_respects_memory_limits() {
         let mut rng = StdRng::seed_from_u64(7);
         for kind in ModelKind::ALL {
             let p = kind.profile();
+            let mut table = UserConfigTable::new(&p, 0, 4);
             for gpus in [1u32, 2, 8, 16] {
-                let c = realistic_config(&p, gpus, 4, &mut rng);
+                let c = table.realistic(gpus, &mut rng);
                 let shape = packed_shape(c.gpus, 4);
                 let (lo, hi) = p.limits.range(shape).unwrap();
                 assert!(
@@ -311,7 +287,7 @@ mod tests {
     fn zero_trace_gpus_clamped_to_one() {
         let mut rng = StdRng::seed_from_u64(8);
         let p = ModelKind::NeuMFMovieLens.profile();
-        let c = realistic_config(&p, 0, 4, &mut rng);
+        let c = UserConfigTable::new(&p, 0, 4).realistic(0, &mut rng);
         assert_eq!(c.gpus, 1);
     }
 }

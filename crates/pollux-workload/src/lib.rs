@@ -24,9 +24,7 @@ pub mod gns;
 pub mod models;
 pub mod tracegen;
 
-pub use configs::{
-    realistic_config, tuned_config, valid_tuned_gpu_counts, UserConfig, UserConfigTable,
-};
+pub use configs::{UserConfig, UserConfigTable};
 pub use gns::GnsProfile;
 pub use models::{ModelKind, ModelProfile, SizeCategory};
 pub use tracegen::{JobSpec, TraceConfig, TraceGenerator};

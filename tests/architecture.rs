@@ -205,6 +205,16 @@ fn retired_identifiers_stay_gone() {
         "row_equals",
         "effective_examples",
         "from_gradient_stats",
+        "PreemptionPolicy",
+        "PreemptAll",
+        "NoPreemption",
+        "yield_rows",
+        "from_rack_of",
+        "RowStripe",
+        "Simulation::new(",
+        "tuned_config",
+        "realistic_config",
+        "valid_tuned_gpu_counts",
     ];
     let hits = grep(&files(&["crates", "src", "tests", "examples"]), |line| {
         RETIRED.iter().any(|name| line.contains(name))
@@ -213,7 +223,8 @@ fn retired_identifiers_stay_gone() {
         hits.is_empty(),
         "the capture is the one timeline, the recorder the one counter channel, \
          telemetry-report the one Chrome exporter, phase 1 a pick and no search, \
-         goodput the paper's; settings are what a caller sets\n{}",
+         goodput the paper's, preemption a rule, a topology a rack width; settings \
+         are what a caller sets\n{}",
         hits.join("\n")
     );
 }

@@ -108,7 +108,7 @@ fn run_chaos(
         rng: RefCell::new(StdRng::seed_from_u64(seed ^ 0xC0FFEE)),
     };
     let sink = Arc::new(MemorySink::new(1 << 20));
-    let sim = Simulation::new(sim, ClusterSpec::homogeneous(3, 4).unwrap(), policy, trace)
+    let sim = Simulation::try_new(sim, ClusterSpec::homogeneous(3, 4).unwrap(), policy, trace)
         .unwrap()
         .with_recorder(Recorder::new(sink.clone()));
     let res = if reference {

@@ -60,7 +60,7 @@ fn check<P: SchedulingPolicy>(
     workload: &[Submission],
     policy: impl Fn() -> P,
 ) -> SimResult {
-    let sim = |policy| Simulation::new(cfg, spec.clone(), policy, workload.to_vec()).unwrap();
+    let sim = |policy| Simulation::try_new(cfg, spec.clone(), policy, workload.to_vec()).unwrap();
     let stepped = sim(policy()).run();
     let reference = sim(policy()).run_reference();
     let text = stepped.canonical_text();
@@ -502,7 +502,7 @@ fn shifting_every_submit_time_leaves_the_jcts_alone() {
         for (job, _) in &mut workload {
             job.submit_time += 41.7 + shift;
         }
-        let res = Simulation::new(cfg, spec.clone(), policy, workload)
+        let res = Simulation::try_new(cfg, spec.clone(), policy, workload)
             .unwrap()
             .run();
         let mut jcts: Vec<f64> = res.records.iter().filter_map(|r| r.jct()).collect();
