@@ -30,11 +30,29 @@ use pollux_models::PlacementShape;
 /// let shape = a.shape_of(1).unwrap();
 /// assert_eq!((shape.gpus, shape.nodes), (3, 2));
 /// ```
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Default, PartialEq, Eq)]
 pub struct AllocationMatrix {
     num_jobs: usize,
     num_nodes: usize,
     cells: Vec<u32>,
+}
+
+/// `clone_from` copies into the existing cell buffer, so overwriting a
+/// matrix with one of no more cells allocates nothing.
+impl Clone for AllocationMatrix {
+    fn clone(&self) -> Self {
+        Self {
+            num_jobs: self.num_jobs,
+            num_nodes: self.num_nodes,
+            cells: self.cells.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.num_jobs = source.num_jobs;
+        self.num_nodes = source.num_nodes;
+        self.cells.clone_from(&source.cells);
+    }
 }
 
 /// The text `#[derive(Debug)]` rendered for the former
@@ -102,8 +120,11 @@ impl AllocationMatrix {
         &self.cells[self.span(j)]
     }
 
+    /// The placement vector of job row `j`, writable. Unlike
+    /// [`Self::rows_mut`] it works on a matrix without node columns,
+    /// where every row is empty.
     #[inline]
-    fn row_mut(&mut self, j: usize) -> &mut [u32] {
+    pub fn row_mut(&mut self, j: usize) -> &mut [u32] {
         let span = self.span(j);
         &mut self.cells[span]
     }

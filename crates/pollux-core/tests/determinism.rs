@@ -1,10 +1,9 @@
 //! Determinism regression tests: results are a pure function of the
 //! seed — never of how many workers the host offers.
 //!
-//! The rack is the scheduler's one grain of parallelism (per-rack
-//! searches and phase 1's placement scan fan out over the host's
-//! cores, `PolluxSched::set_threads` caps them), so that is where
-//! these tests vary the worker count:
+//! A racked round fans its per-rack searches and phase 1's placement
+//! scan out over the host's cores (`PolluxSched::set_threads` caps
+//! them), so that is where these tests vary the worker count:
 //!
 //! - `PolluxSched::optimize` on a racked cluster must return the same
 //!   `best`, fitness bits and `GaOutcome::stats`, and record the same
@@ -17,8 +16,10 @@
 //!   every f64 bit pattern) when only
 //!   `SchedulingPolicy::configure_parallelism` changes.
 //!
-//! The flat search is serial; what is pinned for it here is that
-//! telemetry, the macro-stepped engine and the incremental tables
+//! The flat round builds each generation on one or two threads;
+//! `pollux-sched`'s `a_flat_round_is_the_same_on_one_thread_and_two`
+//! pins that, saved population included. What is pinned for it here is
+//! that telemetry, the macro-stepped engine and the incremental tables
 //! leave its bits alone.
 
 use pollux_cluster::{ClusterSpec, JobId};

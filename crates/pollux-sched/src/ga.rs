@@ -30,19 +30,32 @@
 //! by a `debug_assert` full recompute on every offspring in debug
 //! builds and pinned by the determinism test suite.
 //!
+//! A crossover child of two parents with one matrix — the same parent
+//! drawn twice, or two equal ones — is a copy of that parent: every
+//! row comes from one repaired matrix, and repair returns a repaired
+//! matrix unchanged without drawing. Such a clone skips the crossover
+//! draws (the slot's own stream, which nothing reads afterwards),
+//! repair and evaluation; debug builds build it the long way too and
+//! compare.
+//!
 //! # Seed-per-slot determinism
 //!
-//! `evolve` is serial: one thread builds every member of a generation
-//! (a generation is ≈ 80 members of ≈ 1.4 µs each, less than two
-//! thread spawns — fanning it out measured +55 % wall time, DESIGN §8).
-//! Its RNG contract is **seed-per-slot splitting**: the master RNG is
+//! The RNG contract is **seed-per-slot splitting**: the master RNG is
 //! advanced once per population slot, drawing one `u64` seed; each
 //! slot then derives its own private `StdRng` from that seed and
 //! performs every random decision for that slot locally. No slot
 //! observes another slot's RNG stream, so a member is a pure function
-//! of `(slot index, master seed)` — the draw order the golden digests
-//! pin. The racked round runs whole `evolve` calls side by side, one
-//! per rack ([`crate::scheduler`]); nothing inside a call is shared.
+//! of its slot seed and the generation's parents — the draw order the
+//! golden digests pin — and the slots of a generation can be built in
+//! any order on any thread. The flat round builds them on two when two
+//! measure faster than one: the caller takes the even slots and a
+//! member worker thread kept by the scheduler the odd ones (a
+//! generation is ≈ 80 members of up to a few µs, about one thread
+//! spawn, so the worker is spawned once and kept; DESIGN §8). Everything
+//! else calls [`GeneticAlgorithm::evolve`],
+//! which builds every slot on the calling thread — the racked round
+//! runs whole `evolve` calls side by side, one per rack
+//! ([`crate::scheduler`]).
 
 use crate::fitness::{fitness_of, row_contribution, weight_sum, FitnessConfig};
 use crate::speedup::{SchedJob, SpeedupTable};
@@ -51,6 +64,10 @@ use pollux_models::PlacementShape;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::mpsc::{self, Receiver, RecvError, SyncSender, TryRecvError};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Members drawn per crossover parent selection (Sec. 4.2.1's
 /// tournament).
@@ -120,22 +137,74 @@ pub struct GeneticAlgorithm {
     config: GaConfig,
 }
 
-/// Borrowed inputs shared by every population slot of one round,
-/// handed to the per-slot builder as one reference.
+/// What every population slot of one round reads, borrowed.
 struct EvalCtx<'a> {
+    config: &'a GaConfig,
     jobs: &'a [SchedJob],
     spec: &'a ClusterSpec,
+    /// GPUs of each node, in node order.
+    caps: &'a [u32],
     table: &'a SpeedupTable,
     weight_sum: f64,
     /// [`SchedJob::is_running`] of every job, fixed for the round.
     running: &'a [bool],
     /// First initial-population slot built by mutating an empty matrix.
     first_fresh: usize,
-    /// The population offspring are bred from (empty while the initial
-    /// population is being built) and its fitnesses.
-    parents: &'a [Member],
-    fitnesses: &'a [f64],
-    slot_seeds: &'a [u64],
+}
+
+/// An [`EvalCtx`] owned, as the [`MemberWorker`] holds it for a round.
+#[derive(Debug)]
+struct RoundCtx {
+    config: GaConfig,
+    jobs: Vec<SchedJob>,
+    spec: ClusterSpec,
+    caps: Vec<u32>,
+    table: SpeedupTable,
+    weight_sum: f64,
+    running: Vec<bool>,
+    first_fresh: usize,
+}
+
+impl RoundCtx {
+    fn of(ctx: &EvalCtx<'_>) -> Self {
+        Self {
+            config: *ctx.config,
+            jobs: ctx.jobs.to_vec(),
+            spec: ctx.spec.clone(),
+            caps: ctx.caps.to_vec(),
+            table: ctx.table.clone(),
+            weight_sum: ctx.weight_sum,
+            running: ctx.running.to_vec(),
+            first_fresh: ctx.first_fresh,
+        }
+    }
+
+    fn view(&self) -> EvalCtx<'_> {
+        EvalCtx {
+            config: &self.config,
+            jobs: &self.jobs,
+            spec: &self.spec,
+            caps: &self.caps,
+            table: &self.table,
+            weight_sum: self.weight_sum,
+            running: &self.running,
+            first_fresh: self.first_fresh,
+        }
+    }
+}
+
+/// What the slots of one generation are bred from. Shared with the
+/// [`MemberWorker`] while a generation is built, and written by
+/// `evolve` only in between, when nothing else holds it.
+#[derive(Debug, Default)]
+struct Generation {
+    /// The population (empty while the initial population is built).
+    parents: Vec<Member>,
+    /// The parents' fitnesses, which the tournament reads; `evolve`
+    /// appends the offspring's for survival.
+    fitnesses: Vec<f64>,
+    /// One seed per slot, drawn serially from the master RNG.
+    slot_seeds: Vec<u64>,
 }
 
 /// One chromosome with its cached per-job fitness contributions.
@@ -148,11 +217,29 @@ struct Member {
     fitness: f64,
 }
 
+/// Copies into the existing buffers: overwriting a member of the same
+/// round allocates nothing.
+impl Clone for Member {
+    fn clone(&self) -> Self {
+        Self {
+            matrix: self.matrix.clone(),
+            contrib: self.contrib.clone(),
+            fitness: self.fitness,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.matrix.clone_from(&source.matrix);
+        self.contrib.clone_from(&source.contrib);
+        self.fitness = source.fitness;
+    }
+}
+
 /// Scratch that mutation and repair reuse from call to call, so that
 /// building a member allocates nothing once the buffers have grown.
-/// One per `evolve` call; what carries meaning between calls is
-/// [`Self::touched`], which the caller resets with [`Self::track`],
-/// and the tally `evolve` reads at its end.
+/// One per thread building members; what carries meaning between
+/// calls is [`Self::touched`], which the caller resets with
+/// [`Self::track`], and the tally `evolve` reads at its end.
 #[derive(Debug, Default)]
 pub struct GaWorkspace {
     touched: Vec<bool>,
@@ -191,6 +278,24 @@ impl GaWorkspace {
     pub fn touched(&self) -> &[bool] {
         &self.touched
     }
+
+    /// Grows every buffer to what building a `num_jobs × num_nodes`
+    /// member can use, so that the thread the workspace is lent to
+    /// allocates nothing.
+    fn reserve(&mut self, num_jobs: usize, num_nodes: usize) {
+        fn at_least<T>(buffer: &mut Vec<T>, len: usize) {
+            buffer.reserve(len.saturating_sub(buffer.len()));
+        }
+        at_least(&mut self.touched, num_jobs);
+        at_least(&mut self.row_gpus, num_jobs);
+        at_least(&mut self.row_nodes, num_jobs);
+        at_least(&mut self.col_gpus, num_nodes);
+        at_least(&mut self.col_jobs, num_nodes);
+        at_least(&mut self.holders, num_jobs * num_nodes);
+        at_least(&mut self.col_spread, num_nodes);
+        at_least(&mut self.picks, num_jobs.max(num_nodes));
+        at_least(&mut self.order, num_nodes);
+    }
 }
 
 #[inline]
@@ -209,122 +314,6 @@ impl GeneticAlgorithm {
     /// The active configuration.
     pub fn config(&self) -> &GaConfig {
         &self.config
-    }
-
-    /// Mutates `m` in place: each element flips with probability `1/N`
-    /// to a uniform GPU count within the node's capacity. Every row
-    /// that had a cell rewritten is marked in `ws`.
-    fn mutate<R: Rng>(
-        &self,
-        m: &mut AllocationMatrix,
-        spec: &ClusterSpec,
-        rng: &mut R,
-        ws: &mut GaWorkspace,
-    ) {
-        let p = 1.0 / m.num_nodes().max(1) as f64;
-        for j in 0..m.num_jobs() {
-            for node in 0..m.num_nodes() {
-                if rng.gen_bool(p) {
-                    let cap = spec.gpus_on(NodeId(node as u32));
-                    m.set(j, node, rng.gen_range(0..=cap));
-                    mark(&mut ws.touched, j);
-                }
-            }
-        }
-    }
-
-    /// Writes into `child` an offspring whose rows are randomly mixed
-    /// from the two parents, one `gen_bool` per row. Each row's cached
-    /// contribution comes along from the parent supplying the row (a
-    /// contribution is a pure function of its row), so the child needs
-    /// no evaluation for rows repair leaves untouched.
-    fn crossover<R: Rng>(a: &Member, b: &Member, child: &mut Member, rng: &mut R) {
-        debug_assert_eq!(a.matrix.num_jobs(), b.matrix.num_jobs());
-        debug_assert_eq!(a.matrix.num_nodes(), b.matrix.num_nodes());
-        for j in 0..a.matrix.num_jobs() {
-            let src = if rng.gen_bool(0.5) { a } else { b };
-            child.matrix.copy_row(j, src.matrix.row(j));
-            child.contrib[j] = src.contrib[j];
-        }
-    }
-
-    /// Tournament selection: returns the index of the best of
-    /// two uniformly sampled members.
-    fn tournament_select<R: Rng>(fitnesses: &[f64], rng: &mut R) -> usize {
-        let mut best = rng.gen_range(0..fitnesses.len());
-        for _ in 1..TOURNAMENT_SIZE {
-            let c = rng.gen_range(0..fitnesses.len());
-            if fitnesses[c] > fitnesses[best] {
-                best = c;
-            }
-        }
-        best
-    }
-
-    /// Builds the member of one population slot into `child` from the
-    /// slot's seed. With no parents it is an initial member: `child`
-    /// holds its template (mutated first from `ctx.first_fresh` on)
-    /// and every row is evaluated. Otherwise slots below
-    /// `parents.len()` are mutated copies of the same-index parent and
-    /// the rest are crossover children of tournament-selected parents;
-    /// either way only the rows mutation and repair touched have their
-    /// contributions recomputed, the others keep the parent's.
-    fn build_member(
-        &self,
-        slot: usize,
-        ctx: &EvalCtx<'_>,
-        ws: &mut GaWorkspace,
-        child: &mut Member,
-    ) {
-        let parents = ctx.parents;
-        let mut rng = StdRng::seed_from_u64(ctx.slot_seeds[slot]);
-        ws.track(ctx.jobs.len());
-        child.contrib.resize(ctx.jobs.len(), 0.0);
-        let initial = parents.is_empty();
-        let mutated = if initial {
-            slot >= ctx.first_fresh
-        } else if let Some(parent) = parents.get(slot) {
-            for j in 0..parent.matrix.num_jobs() {
-                child.matrix.copy_row(j, parent.matrix.row(j));
-            }
-            child.contrib.copy_from_slice(&parent.contrib);
-            true
-        } else {
-            let a = Self::tournament_select(ctx.fitnesses, &mut rng);
-            let b = Self::tournament_select(ctx.fitnesses, &mut rng);
-            Self::crossover(&parents[a], &parents[b], child, &mut rng);
-            false
-        };
-        if mutated {
-            self.mutate(&mut child.matrix, ctx.spec, &mut rng, ws);
-        }
-        let avoid = self.config.interference_avoidance;
-        repair_matrix(&mut child.matrix, ctx.jobs, ctx.spec, avoid, &mut rng, ws);
-
-        let evaluate = |j: usize, shape: Option<PlacementShape>, row: &[u32]| {
-            row_contribution(
-                &ctx.jobs[j],
-                row,
-                shape,
-                ctx.running[j],
-                &self.config.fitness,
-                |shape| ctx.table.speedup(j, shape),
-            )
-        };
-        // Repair left every row's `K` and `N` in the workspace.
-        for j in (0..ctx.jobs.len()).filter(|&j| initial || ws.touched[j]) {
-            let shape = PlacementShape::new(ws.row_gpus[j], ws.row_nodes[j]);
-            child.contrib[j] = evaluate(j, shape, child.matrix.row(j));
-            ws.rows_recomputed += 1;
-        }
-        debug_assert!(
-            (0..ctx.jobs.len()).all(|j| {
-                let row = child.matrix.row(j);
-                evaluate(j, row_shape(row), row).to_bits() == child.contrib[j].to_bits()
-            }),
-            "incremental contributions diverged from a full recompute"
-        );
-        child.fitness = fitness_of(&child.contrib, ctx.weight_sum);
     }
 
     /// Runs the genetic algorithm from a seed population.
@@ -354,103 +343,146 @@ impl GeneticAlgorithm {
         table: &SpeedupTable,
         rng: &mut R,
     ) -> (GaOutcome, Vec<AllocationMatrix>) {
+        self.evolve_on(jobs, spec, seed, table, rng, None)
+    }
+
+    /// [`Self::evolve`], with the odd slots of every generation built
+    /// on `worker` while the calling thread builds the even ones, if
+    /// the worker's pacer pairs this round. The outcome, the population
+    /// and the draws from `rng` are those of [`Self::evolve`], bit for
+    /// bit.
+    pub(crate) fn evolve_on<R: Rng>(
+        &self,
+        jobs: &[SchedJob],
+        spec: &ClusterSpec,
+        seed: Vec<AllocationMatrix>,
+        table: &SpeedupTable,
+        rng: &mut R,
+        mut worker: Option<&mut MemberWorker>,
+    ) -> (GaOutcome, Vec<AllocationMatrix>) {
+        const UNSHARED: &str = "the worker lets go of a generation before handing it back";
+        let started = Instant::now();
         let num_jobs = jobs.len();
         let num_nodes = spec.num_nodes();
         let pop_size = self.config.population.max(2);
 
-        // The initial population, built in place from its templates:
-        // retained seed members, the "current allocations" member (so
-        // doing nothing is representable), and fresh random members
-        // (mutated from zero) to fill up to `pop_size`.
+        // The initial population's slots, built in place from their
+        // templates: retained seed members, the "current allocations"
+        // member (so doing nothing is representable), and fresh random
+        // members (mutated from zero) to fill up to `pop_size`. Every
+        // member is sized before it is built, on the calling thread.
         let template = |matrix| Member {
             matrix,
-            ..Default::default()
+            contrib: vec![0.0; num_jobs],
+            fitness: 0.0,
         };
-        let mut members: Vec<Member> = seed
+        let mut slots: Vec<Member> = seed
             .into_iter()
             .filter(|m| m.num_jobs() == num_jobs && m.num_nodes() == num_nodes)
             .take(pop_size)
             .map(template)
             .collect();
-        members.push(template(incumbents(jobs, spec)));
-        let first_fresh = members.len();
-        while members.len() < pop_size {
-            members.push(template(AllocationMatrix::zeros(num_jobs, num_nodes)));
+        slots.push(template(incumbents(jobs, spec)));
+        let first_fresh = slots.len();
+        while slots.len() < pop_size {
+            slots.push(template(AllocationMatrix::zeros(num_jobs, num_nodes)));
         }
 
-        let weight_sum = weight_sum(jobs);
+        let caps: Vec<u32> = spec.iter().map(|(_, node)| node.gpus).collect();
         let running: Vec<bool> = jobs.iter().map(SchedJob::is_running).collect();
+        let ctx = EvalCtx {
+            config: &self.config,
+            jobs,
+            spec,
+            caps: &caps,
+            table,
+            weight_sum: weight_sum(jobs),
+            running: &running,
+            first_fresh,
+        };
+        let paired = worker
+            .as_deref_mut()
+            .is_some_and(|worker| worker.start_round(&ctx));
+        let mut cells_built = 0;
         let mut ws = GaWorkspace::default();
         let mut run_stats = GaRunStats::default();
-        // `members[..live]` is the population; the buffers behind it
-        // are last generation's losers, overwritten by the offspring.
+        let mut gen = Arc::new(Generation::default());
         let mut live = 0;
-        let mut fitnesses: Vec<f64> = Vec::new();
-        let mut slot_seeds: Vec<u64> = Vec::new();
         let mut order: Vec<usize> = Vec::new();
         let mut ranked: Vec<Member> = Vec::new();
+        let max_of = |f: &[f64]| f.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut best_so_far = f64::NEG_INFINITY;
         let mut stale_gens = 0usize;
         // Round 0 builds the initial population; every later round is
         // a generation: one mutated copy per member plus `pop_size`
-        // crossover children, then survival.
+        // crossover children, then survival. `slots` holds last
+        // generation's losers between generations, overwritten by the
+        // offspring.
         for generation in 0..=self.config.generations {
             let num_slots = if generation == 0 {
-                members.len()
+                slots.len()
             } else {
                 run_stats.generations_run += 1;
                 run_stats.incremental_evals += (live + pop_size) as u64;
                 live + pop_size
             };
-            // One seed per slot, drawn serially from the master RNG.
-            slot_seeds.clear();
-            slot_seeds.extend((0..num_slots).map(|_| rng.next_u64()));
-            members.resize_with(live + num_slots, || {
+            let g = Arc::get_mut(&mut gen).expect(UNSHARED);
+            g.slot_seeds.clear();
+            g.slot_seeds.extend((0..num_slots).map(|_| rng.next_u64()));
+            slots.resize_with(num_slots, || {
                 template(AllocationMatrix::zeros(num_jobs, num_nodes))
             });
-            let (parents, slots) = members.split_at_mut(live);
-            let ctx = EvalCtx {
-                jobs,
-                spec,
-                table,
-                weight_sum,
-                running: &running,
-                first_fresh,
-                parents,
-                fitnesses: &fitnesses,
-                slot_seeds: &slot_seeds,
-            };
-            for (i, child) in slots.iter_mut().enumerate() {
-                self.build_member(i, &ctx, &mut ws, child);
+            match worker.as_deref_mut().filter(|_| paired) {
+                Some(worker) => worker.build_beside(&ctx, &gen, &mut ws, &mut slots),
+                None => {
+                    for (i, child) in slots.iter_mut().enumerate() {
+                        build_member(i, &ctx, &gen, &mut ws, child);
+                    }
+                }
             }
             run_stats.fitness_evals += num_slots as u64;
-            fitnesses.extend(slots.iter().map(|m| m.fitness));
+            cells_built += num_slots * num_jobs * num_nodes;
+            let g = Arc::get_mut(&mut gen).expect(UNSHARED);
+            g.fitnesses.extend(slots.iter().map(|m| m.fitness));
             if generation == 0 {
-                live = members.len();
-                best_so_far = fitnesses.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                std::mem::swap(&mut g.parents, &mut slots);
+                live = g.parents.len();
+                best_so_far = max_of(&g.fitnesses);
                 continue;
             }
 
-            // Survival: the top `pop_size` move to the front. Fitter
-            // first, NaN last, ties by slot index: a total order, and
-            // for finite fitnesses that of a stable descending sort.
-            order.clear();
-            order.extend(0..members.len());
-            order.sort_unstable_by(|&a, &b| {
+            // Survival: the top `pop_size` become the parents, in rank
+            // order. Fitter first, NaN last, ties by slot index (parents
+            // before offspring): a total order, and for finite
+            // fitnesses that of a stable descending sort. Only the
+            // survivors are sorted; the losers are buffers to overwrite.
+            let fitnesses = &g.fitnesses;
+            let by_rank = |&a: &usize, &b: &usize| {
                 let (fa, fb) = (fitnesses[a], fitnesses[b]);
                 fb.partial_cmp(&fa)
                     .unwrap_or_else(|| fa.is_nan().cmp(&fb.is_nan()))
                     .then(a.cmp(&b))
-            });
+            };
+            order.clear();
+            order.extend(0..live + num_slots);
+            order.select_nth_unstable_by(pop_size - 1, by_rank);
+            order[..pop_size].sort_unstable_by(by_rank);
             ranked.clear();
-            ranked.extend(order.iter().map(|&i| std::mem::take(&mut members[i])));
-            std::mem::swap(&mut members, &mut ranked);
+            ranked.extend(order.iter().map(|&i| match i.checked_sub(live) {
+                None => std::mem::take(&mut g.parents[i]),
+                Some(slot) => std::mem::take(&mut slots[slot]),
+            }));
+            g.parents.clear();
+            slots.clear();
+            let mut rest = ranked.drain(..);
+            g.parents.extend(rest.by_ref().take(pop_size));
+            slots.extend(rest);
             live = pop_size;
-            fitnesses.clear();
-            fitnesses.extend(members[..live].iter().map(|m| m.fitness));
+            g.fitnesses.clear();
+            g.fitnesses.extend(g.parents.iter().map(|m| m.fitness));
 
             if self.config.early_stop_gens > 0 {
-                let best_now = fitnesses.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let best_now = max_of(&g.fitnesses);
                 if best_now > best_so_far + 1e-12 {
                     best_so_far = best_now;
                     stale_gens = 0;
@@ -462,21 +494,428 @@ impl GeneticAlgorithm {
                 }
             }
         }
-        run_stats.rows_recomputed = ws.rows_recomputed;
+        let lent_rows = worker.map_or(0, |worker| {
+            worker.end_round(paired, started.elapsed(), cells_built)
+        });
+        run_stats.rows_recomputed = ws.rows_recomputed + lent_rows;
 
-        let best_idx = fitnesses
+        let g = Arc::get_mut(&mut gen).expect(UNSHARED);
+        let best_idx = g
+            .fitnesses
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(i, _)| i)
             .unwrap_or(0);
-        members.truncate(live);
         let outcome = GaOutcome {
-            best: members[best_idx].matrix.clone(),
-            best_fitness: fitnesses[best_idx],
+            best: g.parents[best_idx].matrix.clone(),
+            best_fitness: g.fitnesses[best_idx],
             stats: run_stats,
         };
-        (outcome, members.into_iter().map(|m| m.matrix).collect())
+        let population = std::mem::take(&mut g.parents);
+        (outcome, population.into_iter().map(|m| m.matrix).collect())
+    }
+}
+
+/// Mutates `m` in place: each element flips with probability `1/N` to
+/// a uniform GPU count within its node's capacity `caps[n]`. Every row
+/// that had a cell rewritten is marked in `ws`.
+///
+/// The flip is `gen_bool(1/N)` without the float: `gen_bool(p)` draws
+/// `u = next_u64() >> 11` and tests `u · 2⁻⁵³ < p`, where both sides
+/// are exact (`u < 2⁵³`, and `p · 2⁵³` only shifts the exponent), so
+/// it is `u < ⌈p · 2⁵³⌉` — the same draws, the same answers.
+fn mutate<R: Rng>(m: &mut AllocationMatrix, caps: &[u32], rng: &mut R, ws: &mut GaWorkspace) {
+    let p = 1.0 / m.num_nodes().max(1) as f64;
+    let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
+    for j in 0..m.num_jobs() {
+        let row = m.row_mut(j);
+        debug_assert_eq!(row.len(), caps.len(), "one capacity per node");
+        let mut hit = false;
+        for (cell, &cap) in row.iter_mut().zip(caps) {
+            if rng.next_u64() >> 11 < threshold {
+                *cell = rng.gen_range(0..=cap);
+                hit = true;
+            }
+        }
+        if hit {
+            mark(&mut ws.touched, j);
+        }
+    }
+}
+
+/// Writes into `child` an offspring whose rows are randomly mixed from
+/// the two parents, one `gen_bool` per row. Each row's cached
+/// contribution comes along from the parent supplying the row (a
+/// contribution is a pure function of its row), so the child needs no
+/// evaluation for rows repair leaves untouched.
+fn crossover<R: Rng>(a: &Member, b: &Member, child: &mut Member, rng: &mut R) {
+    debug_assert_eq!(a.matrix.num_jobs(), b.matrix.num_jobs());
+    debug_assert_eq!(a.matrix.num_nodes(), b.matrix.num_nodes());
+    for j in 0..a.matrix.num_jobs() {
+        let src = if rng.gen_bool(0.5) { a } else { b };
+        child.matrix.copy_row(j, src.matrix.row(j));
+        child.contrib[j] = src.contrib[j];
+    }
+}
+
+/// Tournament selection: returns the index of the best of two
+/// uniformly sampled members.
+fn tournament_select<R: Rng>(fitnesses: &[f64], rng: &mut R) -> usize {
+    let mut best = rng.gen_range(0..fitnesses.len());
+    for _ in 1..TOURNAMENT_SIZE {
+        let c = rng.gen_range(0..fitnesses.len());
+        if fitnesses[c] > fitnesses[best] {
+            best = c;
+        }
+    }
+    best
+}
+
+/// Builds the member of population slot `slot` into `child` from the
+/// slot's seed. With no parents it is an initial member: `child` holds
+/// its template (mutated first from `ctx.first_fresh` on) and every
+/// row is evaluated. Otherwise slots below `parents.len()` are mutated
+/// copies of the same-index parent and the rest are crossover children
+/// of tournament-selected parents; either way only the rows mutation
+/// and repair touched have their contributions recomputed, the others
+/// keep the parent's. A crossover child of two parents with one matrix
+/// is that parent, copied.
+fn build_member(
+    slot: usize,
+    ctx: &EvalCtx<'_>,
+    gen: &Generation,
+    ws: &mut GaWorkspace,
+    child: &mut Member,
+) {
+    let parents = &gen.parents;
+    let mut rng = StdRng::seed_from_u64(gen.slot_seeds[slot]);
+    ws.track(ctx.jobs.len());
+    child.contrib.resize(ctx.jobs.len(), 0.0);
+    let initial = parents.is_empty();
+    let mut clone_of = None;
+    let mutated = if initial {
+        slot >= ctx.first_fresh
+    } else if let Some(parent) = parents.get(slot) {
+        child.clone_from(parent);
+        true
+    } else {
+        let a = &parents[tournament_select(&gen.fitnesses, &mut rng)];
+        let b = &parents[tournament_select(&gen.fitnesses, &mut rng)];
+        if std::ptr::eq(a, b) || a.matrix == b.matrix {
+            if !cfg!(debug_assertions) {
+                child.clone_from(a);
+                return;
+            }
+            clone_of = Some(a);
+        }
+        crossover(a, b, child, &mut rng);
+        false
+    };
+    if mutated {
+        mutate(&mut child.matrix, ctx.caps, &mut rng, ws);
+    }
+    let avoid = ctx.config.interference_avoidance;
+    repair_matrix(&mut child.matrix, ctx.jobs, ctx.spec, avoid, &mut rng, ws);
+
+    let evaluate = |j: usize, shape: Option<PlacementShape>, row: &[u32]| {
+        row_contribution(
+            &ctx.jobs[j],
+            row,
+            shape,
+            ctx.running[j],
+            &ctx.config.fitness,
+            |shape| ctx.table.speedup(j, shape),
+        )
+    };
+    // Repair left every row's `K` and `N` in the workspace.
+    for j in (0..ctx.jobs.len()).filter(|&j| initial || ws.touched[j]) {
+        let shape = PlacementShape::new(ws.row_gpus[j], ws.row_nodes[j]);
+        child.contrib[j] = evaluate(j, shape, child.matrix.row(j));
+        ws.rows_recomputed += 1;
+    }
+    debug_assert!(
+        (0..ctx.jobs.len()).all(|j| {
+            let row = child.matrix.row(j);
+            evaluate(j, row_shape(row), row).to_bits() == child.contrib[j].to_bits()
+        }),
+        "incremental contributions diverged from a full recompute"
+    );
+    child.fitness = fitness_of(&child.contrib, ctx.weight_sum);
+    if let Some(parent) = clone_of {
+        let same = |x: &f64, y: &f64| x.to_bits() == y.to_bits();
+        assert!(
+            child.matrix == parent.matrix
+                && child
+                    .contrib
+                    .iter()
+                    .zip(&parent.contrib)
+                    .all(|(x, y)| same(x, y))
+                && same(&child.fitness, &parent.fitness),
+            "a crossover of one matrix with itself is not a copy of it"
+        );
+    }
+}
+
+/// How long a thread polls a hand-off before blocking on it. A
+/// hand-off inside a round arrives within microseconds, while a
+/// blocked thread takes tens of microseconds to wake; between rounds
+/// the wait runs out and the thread blocks, holding no core.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// [`Receiver::recv`] after polling for [`SPIN`].
+fn recv_spinning<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    let deadline = Instant::now() + SPIN;
+    loop {
+        for _ in 0..64 {
+            match rx.try_recv() {
+                Ok(value) => return Ok(value),
+                Err(TryRecvError::Disconnected) => return Err(RecvError),
+                Err(TryRecvError::Empty) => std::hint::spin_loop(),
+            }
+        }
+        if Instant::now() >= deadline {
+            return rx.recv();
+        }
+    }
+}
+
+/// Fewest and most rounds between two rounds a [`Pacer`] runs the way
+/// it measures slower, to keep that measurement current.
+const PROBE_GAPS: [u64; 2] = [8, 128];
+
+/// Chooses, round by round, whether the flat round builds on one thread
+/// or two. Two threads only pay while the host runs both: on a host
+/// that caps the process below two cores, or lends the second to
+/// others, a round on two threads ran up to four times slower than on
+/// one. So the pacer keeps the time per matrix cell built of the rounds
+/// run each way, as a running average, and pairs when that has measured
+/// faster. Now and then a round runs the other way, to keep its figure
+/// current: the second round, then after a gap that doubles each time
+/// such a round leaves the choice as it was and shrinks back when it
+/// changes it ([`PROBE_GAPS`]). Which thread builds a slot never changes
+/// what is built.
+#[derive(Debug)]
+struct Pacer {
+    /// Seconds per matrix cell built, of rounds built on one thread and
+    /// of rounds built on two; `None` until a round has run that way.
+    alone: Option<f64>,
+    paired: Option<f64>,
+    /// Rounds started, the round of the next probe, the gap after it,
+    /// and whether the current round is one.
+    rounds: u64,
+    next_probe: u64,
+    probe_gap: u64,
+    probing: bool,
+}
+
+impl Pacer {
+    fn new() -> Self {
+        Self {
+            alone: None,
+            paired: None,
+            rounds: 0,
+            next_probe: 1,
+            probe_gap: PROBE_GAPS[0],
+            probing: false,
+        }
+    }
+
+    /// Whether the round about to start builds on two threads.
+    fn pairs_next(&mut self) -> bool {
+        self.probing = self.rounds == self.next_probe;
+        self.rounds += 1;
+        self.prefers_pairing() != self.probing
+    }
+
+    /// Whether rounds built on two threads have measured faster.
+    fn prefers_pairing(&self) -> bool {
+        matches!((self.paired, self.alone), (Some(p), Some(a)) if p < a)
+    }
+
+    /// Folds in the round just run: `cells` matrix cells built in
+    /// `elapsed`, on two threads if `paired`.
+    fn record(&mut self, paired: bool, elapsed: Duration, cells: usize) {
+        let preferred = self.prefers_pairing();
+        let pace = if paired {
+            &mut self.paired
+        } else {
+            &mut self.alone
+        };
+        if cells > 0 {
+            let now = elapsed.as_secs_f64() / cells as f64;
+            *pace = Some(pace.map_or(now, |before| 0.75 * before + 0.25 * now));
+        }
+        if self.probing {
+            let [fewest, most] = PROBE_GAPS;
+            self.probe_gap = if self.prefers_pairing() == preferred {
+                (2 * self.probe_gap).min(most)
+            } else {
+                fewest
+            };
+            self.next_probe = self.rounds + self.probe_gap;
+        }
+    }
+}
+
+/// One generation's odd slots, lent to the worker thread.
+struct Task {
+    ctx: Arc<RoundCtx>,
+    gen: Arc<Generation>,
+    members: Vec<Member>,
+    ws: GaWorkspace,
+}
+
+/// A second thread that builds the odd slots of every generation of
+/// the flat round while the caller builds the even ones
+/// ([`GeneticAlgorithm::evolve_on`]). Spawning a thread costs about as
+/// much as a generation, so the scheduler spawns one on its first flat
+/// round and keeps it; dropping it joins the thread.
+///
+/// Everything the thread works with is owned and moves between the
+/// threads: the round's inputs and the generation's parents behind
+/// [`Arc`]s, which the thread drops before it hands back, and the
+/// slots' members and a [`GaWorkspace`], moved out and back. The
+/// caller sizes all of them before each hand-off, so the thread
+/// allocates nothing of its own. A [`Pacer`] decides which rounds the
+/// thread takes part in.
+#[derive(Debug)]
+pub(crate) struct MemberWorker {
+    /// `None` once dropping has begun: the thread sees the hang-up.
+    tasks: Option<SyncSender<Task>>,
+    done: Receiver<(Vec<Member>, GaWorkspace)>,
+    thread: Option<JoinHandle<()>>,
+    /// The current round's inputs, refreshed by each round.
+    ctx: Option<Arc<RoundCtx>>,
+    /// The thread's members and workspace between hand-offs.
+    members: Vec<Member>,
+    ws: GaWorkspace,
+    pacer: Pacer,
+}
+
+impl MemberWorker {
+    /// Starts the thread, or returns `None` when the host refuses one
+    /// (the round then builds every slot itself).
+    pub(crate) fn spawn() -> Option<Self> {
+        let (tasks, task_rx) = mpsc::sync_channel::<Task>(1);
+        let (done_tx, done) = mpsc::sync_channel(1);
+        let thread = std::thread::Builder::new()
+            .name("pollux-ga-members".into())
+            .spawn(move || {
+                while let Ok(Task {
+                    ctx,
+                    gen,
+                    mut members,
+                    mut ws,
+                }) = recv_spinning(&task_rx)
+                {
+                    let view = ctx.view();
+                    for (k, child) in members.iter_mut().enumerate() {
+                        build_member(2 * k + 1, &view, &gen, &mut ws, child);
+                    }
+                    drop((ctx, gen));
+                    if done_tx.send((members, ws)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .ok()?;
+        Some(Self {
+            tasks: Some(tasks),
+            done,
+            thread: Some(thread),
+            ctx: None,
+            members: Vec::new(),
+            ws: GaWorkspace::default(),
+            pacer: Pacer::new(),
+        })
+    }
+
+    /// Decides whether the thread takes part in the round and, if it
+    /// does, takes a copy of the round's inputs and sizes the
+    /// workspace for them.
+    fn start_round(&mut self, ctx: &EvalCtx<'_>) -> bool {
+        let joins = self.pacer.pairs_next();
+        if joins {
+            self.ctx = Some(Arc::new(RoundCtx::of(ctx)));
+            self.ws.reserve(ctx.jobs.len(), ctx.spec.num_nodes());
+            self.ws.rows_recomputed = 0;
+        }
+        joins
+    }
+
+    /// Builds `slots` for `gen`: the odd ones on the thread, the even
+    /// ones here meanwhile.
+    fn build_beside(
+        &mut self,
+        ctx: &EvalCtx<'_>,
+        gen: &Arc<Generation>,
+        ws: &mut GaWorkspace,
+        slots: &mut [Member],
+    ) {
+        let round = self.ctx.clone().expect("a round was started");
+        self.members
+            .extend(slots.iter_mut().skip(1).step_by(2).map(std::mem::take));
+        let task = Task {
+            ctx: round,
+            gen: Arc::clone(gen),
+            members: std::mem::take(&mut self.members),
+            ws: std::mem::take(&mut self.ws),
+        };
+        if self
+            .tasks
+            .as_ref()
+            .is_none_or(|tasks| tasks.send(task).is_err())
+        {
+            self.rethrow();
+        }
+        for (i, child) in slots.iter_mut().enumerate().step_by(2) {
+            build_member(i, ctx, gen, ws, child);
+        }
+        let Ok((members, workspace)) = recv_spinning(&self.done) else {
+            self.rethrow()
+        };
+        (self.members, self.ws) = (members, workspace);
+        for (slot, member) in slots
+            .iter_mut()
+            .skip(1)
+            .step_by(2)
+            .zip(self.members.drain(..))
+        {
+            *slot = member;
+        }
+    }
+
+    /// Ends a round that built `cells` matrix cells in `elapsed`, with
+    /// the thread if `paired`: tells the pacer, lets go of the round's
+    /// inputs and returns the rows the thread recomputed.
+    fn end_round(&mut self, paired: bool, elapsed: Duration, cells: usize) -> u64 {
+        self.pacer.record(paired, elapsed, cells);
+        if !paired {
+            return 0;
+        }
+        self.ctx = None;
+        self.ws.rows_recomputed
+    }
+
+    /// Re-raises the panic that ended the thread.
+    fn rethrow(&mut self) -> ! {
+        let thread = self.thread.take().expect("the member worker hung up once");
+        match thread.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => panic!("the member worker stopped without a panic"),
+        }
+    }
+}
+
+impl Drop for MemberWorker {
+    fn drop(&mut self) {
+        // Hang up, then wait: the thread's next receive fails and it
+        // returns. A panic it died of was re-raised on the caller.
+        self.tasks = None;
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 
@@ -510,6 +949,10 @@ pub(crate) fn incumbents(jobs: &[SchedJob], spec: &ClusterSpec) -> AllocationMat
 /// 4. per-job minimums — rows left with `0 < K < min_gpus` are zeroed
 ///    (the job stays pending rather than holding useless GPUs).
 ///
+/// A matrix that already satisfies all four — any matrix this function
+/// returned for the same jobs, cluster and setting — comes back
+/// unchanged, with no row marked and no draw taken.
+///
 /// One row-major pass gathers `K_j`, `N_j`, the column sums and each
 /// column's holders; every later decrement keeps them current, so no
 /// step rescans the matrix — nor does the caller, who finds `K_j` and
@@ -540,14 +983,23 @@ pub fn repair_matrix<R: Rng>(
 
     // The pass, with step 1 applied to each row before it is entered
     // into the column sums: single-GPU decrements at random occupied
-    // nodes, O(excess + nodes) per job.
+    // nodes, O(excess + nodes) per job. A row's occupied nodes are
+    // read off a bitmask of its non-zero cells, 64 at a time, in
+    // ascending order.
     for j in 0..num_jobs {
+        let row = m.row_mut(j);
         ws.picks.clear();
         let mut k = 0;
-        for (n, &g) in m.row(j).iter().enumerate() {
-            if g > 0 {
+        for (block, cells) in row.chunks(64).enumerate() {
+            let mut occupied = 0u64;
+            for (bit, &g) in cells.iter().enumerate() {
                 k += g;
-                ws.picks.push(n);
+                occupied |= u64::from(g != 0) << bit;
+            }
+            while occupied != 0 {
+                ws.picks
+                    .push(block * 64 + occupied.trailing_zeros() as usize);
+                occupied &= occupied - 1;
             }
         }
         let cap = jobs.get(j).map_or(u32::MAX, |job| job.gpu_cap);
@@ -555,10 +1007,9 @@ pub fn repair_matrix<R: Rng>(
             mark(&mut ws.touched, j);
             for _ in cap..k {
                 let pick = rng.gen_range(0..ws.picks.len());
-                let n = ws.picks[pick];
-                let left = m.get(j, n) - 1;
-                m.set(j, n, left);
-                if left == 0 {
+                let cell = &mut row[ws.picks[pick]];
+                *cell -= 1;
+                if *cell == 0 {
                     ws.picks.swap_remove(pick);
                 }
             }
@@ -567,7 +1018,6 @@ pub fn repair_matrix<R: Rng>(
         ws.row_gpus.push(k);
         ws.row_nodes.push(ws.picks.len() as u32);
         let spread = u32::from(ws.picks.len() > 1);
-        let row = m.row(j);
         for &n in ws.picks.iter() {
             ws.col_gpus[n] += row[n];
             ws.holders[n * num_jobs + ws.col_jobs[n]] = j as u32;
@@ -589,11 +1039,11 @@ pub fn repair_matrix<R: Rng>(
         for _ in cap..ws.col_gpus[n] {
             let pick = rng.gen_range(0..ws.picks.len());
             let j = ws.picks[pick];
-            let left = m.get(j, n) - 1;
-            m.set(j, n, left);
+            let cell = &mut m.row_mut(j)[n];
+            *cell -= 1;
             mark(&mut ws.touched, j);
             ws.row_gpus[j] -= 1;
-            if left == 0 {
+            if *cell == 0 {
                 ws.picks.swap_remove(pick);
                 ws.row_nodes[j] -= 1;
             }
@@ -614,7 +1064,7 @@ pub fn repair_matrix<R: Rng>(
             ws.picks.extend(
                 column
                     .map(|&j| j as usize)
-                    .filter(|&j| ws.row_nodes[j] > 1 && m.get(j, n) > 0),
+                    .filter(|&j| ws.row_nodes[j] > 1 && m.row(j)[n] > 0),
             );
             if ws.picks.len() <= 1 {
                 continue;
@@ -622,9 +1072,10 @@ pub fn repair_matrix<R: Rng>(
             let keep = rng.gen_range(0..ws.picks.len());
             ws.picks.swap_remove(keep);
             for &j in ws.picks.iter() {
-                ws.row_gpus[j] -= m.get(j, n);
+                let cell = &mut m.row_mut(j)[n];
+                ws.row_gpus[j] -= *cell;
                 ws.row_nodes[j] -= 1;
-                m.set(j, n, 0);
+                *cell = 0;
                 mark(&mut ws.touched, j);
             }
         }
@@ -674,6 +1125,10 @@ mod tests {
 
     fn table(jobs: &[SchedJob], spec: &ClusterSpec) -> SpeedupTable {
         SpeedupTable::build(jobs, spec, 1)
+    }
+
+    fn node_caps(spec: &ClusterSpec) -> Vec<u32> {
+        spec.iter().map(|(_, node)| node.gpus).collect()
     }
 
     fn repair(
@@ -785,7 +1240,7 @@ mod tests {
             b.contrib[j] = 2.0;
         }
         let mut c = member(AllocationMatrix::zeros(3, 2));
-        GeneticAlgorithm::crossover(&a, &b, &mut c, &mut rng);
+        crossover(&a, &b, &mut c, &mut rng);
         for j in 0..3 {
             let from = if c.matrix.row(j) == a.matrix.row(j) {
                 &a
@@ -800,13 +1255,87 @@ mod tests {
         }
     }
 
+    /// `mutate`'s threshold test against the `gen_bool(1/N)` and
+    /// `set` it replaced: the same matrix, the same marked rows and the
+    /// same stream left behind, at every width from 1 to 17.
+    #[test]
+    fn threshold_mutation_draws_as_gen_bool_does() {
+        for nodes in 1..=17u32 {
+            let spec = ClusterSpec::new(
+                (0..nodes)
+                    .map(|n| pollux_cluster::NodeSpec { gpus: 1 + n % 5 })
+                    .collect(),
+            )
+            .unwrap();
+            for seed in 0..24u64 {
+                let jobs = 1 + (seed % 7) as usize;
+                let mut start = AllocationMatrix::zeros(jobs, nodes as usize);
+                for j in 0..jobs {
+                    start.set(j, (seed as usize + j) % nodes as usize, 1);
+                }
+                let mut reference = start.clone();
+                let mut want = StdRng::seed_from_u64(seed);
+                let mut want_ws = GaWorkspace::default();
+                want_ws.track(jobs);
+                let p = 1.0 / nodes as f64;
+                for j in 0..jobs {
+                    for n in 0..nodes as usize {
+                        if want.gen_bool(p) {
+                            let cap = spec.gpus_on(NodeId(n as u32));
+                            reference.set(j, n, want.gen_range(0..=cap));
+                            mark(&mut want_ws.touched, j);
+                        }
+                    }
+                }
+                let mut got = StdRng::seed_from_u64(seed);
+                let mut ws = GaWorkspace::default();
+                ws.track(jobs);
+                mutate(&mut start, &node_caps(&spec), &mut got, &mut ws);
+                assert_eq!(start, reference, "{nodes} nodes, seed {seed}");
+                assert_eq!(
+                    ws.touched(),
+                    want_ws.touched(),
+                    "{nodes} nodes, seed {seed}"
+                );
+                assert_eq!(
+                    got, want,
+                    "{nodes} nodes, seed {seed}: the stream moved on alike"
+                );
+            }
+        }
+    }
+
+    /// The pacer pairs only once pairing has measured faster, probes
+    /// the other way at the second round and then at doubling gaps, and
+    /// stops pairing when the host stops lending the second core.
+    #[test]
+    fn the_pacer_pairs_while_two_threads_measure_faster() {
+        let mut pacer = Pacer::new();
+        // A round's time on one thread and on two, in microseconds.
+        let mut run = |[alone, paired]: [u64; 2]| {
+            let pairs = pacer.pairs_next();
+            let micros = if pairs { paired } else { alone };
+            pacer.record(pairs, Duration::from_micros(micros), 1000);
+            pairs
+        };
+        let ways: Vec<bool> = (0..30).map(|_| run([100, 60])).collect();
+        assert_eq!(ways[..2], [false, true], "one round each way first");
+        let alone: Vec<usize> = (2..30).filter(|&r| !ways[r]).collect();
+        assert_eq!(alone, [10, 27], "probes alone after gaps of 8, then 16");
+        // Two threads now run four times slower than one: one round
+        // shows it, and after that only the probe already due pairs.
+        let ways: Vec<bool> = (0..40).map(|_| run([100, 400])).collect();
+        let paired: Vec<usize> = (0..40).filter(|&r| ways[r]).collect();
+        assert_eq!(paired, [0, 30], "{ways:?}");
+    }
+
     #[test]
     fn tournament_prefers_fitter_members() {
         let mut rng = StdRng::seed_from_u64(7);
         let fit = vec![0.1, 0.9, 0.2, 0.3];
         let mut wins = [0usize; 4];
         for _ in 0..500 {
-            wins[GeneticAlgorithm::tournament_select(&fit, &mut rng)] += 1;
+            wins[tournament_select(&fit, &mut rng)] += 1;
         }
         assert!(wins[1] > wins[0] && wins[1] > wins[2] && wins[1] > wins[3]);
     }
@@ -995,7 +1524,7 @@ mod tests {
                     }
                 }
                 let mut rng = StdRng::seed_from_u64(seed);
-                ga(0).mutate(&mut m, &spec, &mut rng, &mut GaWorkspace::default());
+                mutate(&mut m, &node_caps(&spec), &mut rng, &mut GaWorkspace::default());
                 for j in 0..m.num_jobs() {
                     for n in 0..m.num_nodes() {
                         prop_assert!(m.get(j, n) <= gpus_per_node);
@@ -1027,11 +1556,11 @@ mod tests {
                     AllocationMatrix::from_rows(rows_a, num_nodes as usize).unwrap();
                 repair(&g, &mut a, &jobs, &spec, &mut rng);
                 let mut b = a.clone();
-                g.mutate(&mut b, &spec, &mut rng, &mut GaWorkspace::default());
+                mutate(&mut b, &node_caps(&spec), &mut rng, &mut GaWorkspace::default());
                 repair(&g, &mut b, &jobs, &spec, &mut rng);
                 let (a, b) = (member(a), member(b));
                 let mut child = member(AllocationMatrix::zeros(jobs.len(), num_nodes as usize));
-                GeneticAlgorithm::crossover(&a, &b, &mut child, &mut rng);
+                crossover(&a, &b, &mut child, &mut rng);
                 let mut child = child.matrix;
                 repair(&g, &mut child, &jobs, &spec, &mut rng);
                 prop_assert!(child.is_feasible(&spec), "infeasible child:\n{child}");

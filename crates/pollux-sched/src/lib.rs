@@ -30,17 +30,20 @@
 //! chromosome carries its per-job contribution vector and only rows
 //! touched by mutation, crossover, or repair are recomputed ([`ga`]).
 //!
-//! # Parallelism: one grain, the rack
+//! # Parallelism
 //!
-//! A search is serial: the master RNG is advanced one seed draw per
-//! population slot and each slot derives a private `StdRng` from its
-//! seed ([`ga`]). What runs side by side is whole racks: with a
-//! multi-rack topology ([`PolluxSched::set_topology`]) the per-rack
-//! searches — and phase 1's scan of the jobs' placements — fan out over
-//! [`par::parallel_map`] on as many workers as the host has cores
-//! ([`PolluxSched::set_threads`] caps it), each rack under a seed drawn
+//! The master RNG is advanced one seed draw per population slot and
+//! each slot derives a private `StdRng` from its seed ([`ga`]), so a
+//! member is the same whichever thread builds it. A scheduler works
+//! on as many threads as the host has cores
+//! ([`PolluxSched::set_threads`] caps it). The flat round, given two or
+//! more, builds each generation on two: the caller and one worker
+//! thread the scheduler keeps. With a multi-rack topology
+//! ([`PolluxSched::set_topology`]) the per-rack searches — and phase
+//! 1's scan of the jobs' placements — fan out over
+//! [`par::parallel_map`] on all of them, each rack under a seed drawn
 //! serially in rack order. For a fixed seed the schedule is therefore
-//! bit-identical at every worker count; the flat search spawns nothing.
+//! bit-identical at every worker count.
 
 pub mod autoscale;
 pub mod fitness;

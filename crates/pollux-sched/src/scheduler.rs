@@ -7,7 +7,7 @@
 //! completions, evolves it, and returns the best allocation matrix.
 
 use crate::fitness::FitnessConfig;
-use crate::ga::{GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm};
+use crate::ga::{GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm, MemberWorker};
 use crate::par::parallel_map;
 use crate::racks;
 use crate::speedup::{pure_speedup, SchedJob, SpeedupTable, SpeedupTableStats};
@@ -56,9 +56,13 @@ pub struct PolluxSched {
     /// rack memberships stable — the precondition for the per-rack
     /// carries above to hit. Cleared together with `carry`.
     assign_carry: HashMap<JobId, u32>,
-    /// Most threads a racked interval works on, the calling one
-    /// included ([`Self::set_threads`]).
+    /// Most threads an interval works on, the calling one included
+    /// ([`Self::set_threads`]).
     threads: usize,
+    /// The flat round's second thread, spawned by the first flat round
+    /// run with two or more threads and kept until the scheduler is
+    /// dropped or capped to one thread.
+    member_worker: Option<MemberWorker>,
 }
 
 /// What one [`search`] saves for the next interval: the evolved
@@ -129,6 +133,7 @@ impl PolluxSched {
             carry: Vec::new(),
             assign_carry: HashMap::new(),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            member_worker: None,
         }
     }
 
@@ -167,15 +172,21 @@ impl PolluxSched {
         self.recorder = recorder;
     }
 
-    /// Caps the threads a racked interval works on (`1` = nothing is
-    /// ever spawned); a new scheduler starts at the host's
-    /// [`std::thread::available_parallelism`]. The rack is the one
-    /// grain of parallelism — the flat search is serial whatever the
-    /// cap. Safe to change between intervals: for a fixed seed the
-    /// schedule is identical at every worker count (see
-    /// `racked_round`'s determinism notes).
+    /// Caps the threads an interval works on (`1` = nothing is ever
+    /// spawned); a new scheduler starts at the host's
+    /// [`std::thread::available_parallelism`]. A racked interval fans
+    /// its racks out over up to that many workers; a flat one, given
+    /// two or more, builds each generation's members on the calling
+    /// thread and one kept worker thread, in the rounds where that has
+    /// measured faster ([`crate::ga`]). Safe to
+    /// change between intervals: for a fixed seed the schedule is
+    /// identical at every worker count (see `racked_round`'s
+    /// determinism notes and the GA's seed-per-slot contract).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
+        if self.threads == 1 {
+            self.member_worker = None;
+        }
     }
 
     /// Runs one full optimization for this interval and returns the
@@ -218,10 +229,16 @@ impl PolluxSched {
             Some(topo) => self.racked_round(topo, jobs, spec, prev_carry, rng),
             None => {
                 // The flat round: one search over every node on the
-                // caller's stream; never replayed, so its answer leaves.
+                // caller's stream, its members built on two threads
+                // when it may use two; never replayed, so its answer
+                // leaves.
                 let prev = prev_carry.pop().expect("one entry per rack searched");
+                if self.threads > 1 && self.member_worker.is_none() {
+                    self.member_worker = MemberWorker::spawn();
+                }
+                let worker = self.member_worker.as_mut();
                 let (mut carry, stats, speedup, [build_nanos, evolve_nanos]) =
-                    search(&self.ga, jobs, spec, prev, rng);
+                    search(&self.ga, jobs, spec, prev, rng, worker);
                 self.recorder
                     .record_duration_ns("sched", "table_build", build_nanos);
                 self.recorder
@@ -315,7 +332,7 @@ impl PolluxSched {
     ///
     /// # Parallelism and determinism
     ///
-    /// The rack is the scheduler's one grain of parallelism. The
+    /// The rack is the racked round's grain of parallelism. The
     /// per-rack phase-2 searches are independent (racks partition both
     /// nodes and jobs), so they fan out over
     /// [`crate::par::parallel_map`] on up to [`Self::threads`] workers
@@ -502,22 +519,24 @@ impl PolluxSched {
 /// The one search step, of the flat round and of every rack that
 /// evolves: reconcile the carried population onto `jobs`, build the
 /// table copying forward the carried table's clean rows, evolve on
-/// `rng`. Returns the next carry (`sub_jobs` left to a caller that
-/// replays), the search and table counters, and the wall-clock
-/// nanoseconds of the table build and of the evolve.
+/// `rng` — with half of each generation on `worker`, if given. Returns
+/// the next carry (`sub_jobs` left to a caller that replays), the
+/// search and table counters, and the wall-clock nanoseconds of the
+/// table build and of the evolve.
 fn search<R: Rng>(
     ga: &GeneticAlgorithm,
     jobs: &[SchedJob],
     spec: &ClusterSpec,
     prev: RackCarry,
     rng: &mut R,
+    worker: Option<&mut MemberWorker>,
 ) -> (RackCarry, GaRunStats, SpeedupTableStats, [u64; 2]) {
     let seed = reconcile_population(&prev.population, &prev.job_ids, jobs, spec.num_nodes());
     let build_start = Instant::now();
     let table = SpeedupTable::build_reusing(jobs, spec, 1, prev.table.as_ref());
     let build_nanos = build_start.elapsed().as_nanos() as u64;
     let evolve_start = Instant::now();
-    let (outcome, population) = ga.evolve(jobs, spec, seed, &table, rng);
+    let (outcome, population) = ga.evolve_on(jobs, spec, seed, &table, rng, worker);
     let evolve_nanos = evolve_start.elapsed().as_nanos() as u64;
     let speedup = table.stats();
     let carry = RackCarry {
@@ -556,8 +575,14 @@ fn run_rack(
             )
             .expect("racks are non-empty and rack nodes have GPUs");
             let mut rack_rng = StdRng::seed_from_u64(seed);
-            let (mut carry, search, table, _) =
-                search(ga, &task.sub_jobs, &sub_spec, task.carry, &mut rack_rng);
+            let (mut carry, search, table, _) = search(
+                ga,
+                &task.sub_jobs,
+                &sub_spec,
+                task.carry,
+                &mut rack_rng,
+                None,
+            );
             carry.sub_jobs = task.sub_jobs;
             (carry, Some((search, table)))
         }
@@ -927,6 +952,56 @@ mod tests {
         assert!(
             out.stats.generations_run > 0,
             "a changed rack must re-search"
+        );
+    }
+
+    /// The flat round's kept member worker changes who builds a slot,
+    /// never what it builds: over rounds with arrivals, departures,
+    /// moved incumbents and re-weighted jobs, one and two threads give
+    /// the same answer, population, counters and master stream.
+    #[test]
+    fn a_flat_round_is_the_same_on_one_thread_and_two() {
+        use rand::RngCore;
+
+        let spec = ClusterSpec::homogeneous(6, 4).unwrap();
+        let mut serial = sched();
+        serial.set_threads(1);
+        let mut paired = sched();
+        paired.set_threads(2);
+        let (mut rng1, mut rng2) = (StdRng::seed_from_u64(21), StdRng::seed_from_u64(21));
+        let mut jobs: Vec<SchedJob> = (0..5).map(job).collect();
+        for round in 0..6u32 {
+            let one = serial.optimize(&jobs, &spec, &mut rng1);
+            let two = paired.optimize(&jobs, &spec, &mut rng2);
+            assert!(
+                paired.member_worker.is_some(),
+                "round {round}: two threads, one kept worker"
+            );
+            assert_eq!(one.best, two.best, "round {round}");
+            assert_eq!(
+                one.best_fitness.to_bits(),
+                two.best_fitness.to_bits(),
+                "round {round}"
+            );
+            assert_eq!(one.stats, two.stats, "round {round}");
+            assert_eq!(
+                serial.carry[0].population, paired.carry[0].population,
+                "round {round}"
+            );
+            assert_eq!(rng1.next_u64(), rng2.next_u64(), "round {round}");
+            // Churn: one job leaves, one arrives, the rest keep the
+            // answer as their incumbents and one of them is re-weighted.
+            jobs.remove(0);
+            jobs.push(job(10 + round));
+            for (j, job) in jobs.iter_mut().enumerate().take(3) {
+                job.current_placement = one.best.row(j + 1).to_vec();
+            }
+            jobs[1].weight = 1.0 + 0.5 * f64::from(round);
+        }
+        paired.set_threads(1);
+        assert!(
+            paired.member_worker.is_none(),
+            "one thread joins the worker"
         );
     }
 

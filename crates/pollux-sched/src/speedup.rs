@@ -105,7 +105,7 @@ impl SpeedupTableStats {
 /// rows copied forward from the previous interval's table via
 /// [`Self::build_reusing`], skipping their batch-size solves
 /// entirely.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SpeedupTable {
     values: Vec<f64>,
     num_jobs: usize,
