@@ -8,18 +8,17 @@
 //! 2. **Restart penalty** — Sec. 4.2.1 subtracts 0.25 from re-placed
 //!    jobs' speedups. What happens to restarts and JCT at 0 / 0.25 /
 //!    1.0?
-//! 3. **Genetic algorithm vs random search** — the GA's operators vs
-//!    an equal-budget random sampler on the same allocation problem.
+//! 3. **Co-adaptation** — the same genetic allocator with the agents'
+//!    batch-size tuning on and off.
 
 use crate::cell::simulate;
 use crate::common::{mean, recorder, render_table};
-use pollux_cluster::{ClusterSpec, JobId};
+use pollux_cluster::ClusterSpec;
 use pollux_core::{ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux_models::{
-    fit_throughput_params_constrained, EfficiencyModel, FitObservation, FitPriors, GoodputModel,
-    PlacementShape, ThroughputParams,
+    fit_throughput_params_constrained, FitObservation, FitPriors, PlacementShape, ThroughputParams,
 };
-use pollux_sched::{fitness, FitnessConfig, GaConfig, GeneticAlgorithm, SchedJob, SpeedupTable};
+use pollux_sched::{FitnessConfig, GaConfig};
 use pollux_simulator::SimConfig;
 use pollux_workload::{ModelKind, TraceConfig, TraceGenerator};
 use rand::rngs::StdRng;
@@ -154,100 +153,6 @@ pub fn restart_penalty_ablation(seed: u64) -> Vec<RestartPenaltyPoint> {
         .collect()
 }
 
-/// Result of the allocation-search ablation.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchAblation {
-    /// Best fitness found by the genetic algorithm.
-    pub ga_fitness: f64,
-    /// Best fitness from equal-budget greedy hill climbing.
-    pub local_search_fitness: f64,
-    /// Best fitness from equal-budget uniform random sampling.
-    pub random_fitness: f64,
-}
-
-fn ablation_jobs(n: u32) -> Vec<SchedJob> {
-    let kinds = [
-        ModelKind::ResNet18Cifar10,
-        ModelKind::NeuMFMovieLens,
-        ModelKind::DeepSpeech2Arctic,
-        ModelKind::Yolov3Voc,
-    ];
-    (0..n)
-        .map(|i| {
-            let profile = kinds[i as usize % kinds.len()].profile();
-            let phi = profile.phi_at(0.3 + 0.1 * (i % 5) as f64);
-            let eff = EfficiencyModel::from_noise_scale(profile.m0, phi).expect("phi > 0");
-            SchedJob {
-                id: JobId(i),
-                model: GoodputModel::new(profile.params, eff, profile.limits)
-                    .expect("m0 == limits.min"),
-                min_gpus: 1,
-                gpu_cap: 16,
-                weight: 1.0,
-                current_placement: vec![],
-            }
-        })
-        .collect()
-}
-
-/// Compares the GA against random search with the same number of
-/// fitness evaluations.
-pub fn search_ablation(seed: u64) -> SearchAblation {
-    let jobs = ablation_jobs(24);
-    let spec = ClusterSpec::homogeneous(16, 4).expect("static");
-    let ga_cfg = GaConfig {
-        population: 40,
-        generations: 20,
-        early_stop_gens: 0,
-        ..Default::default()
-    };
-    // GA budget: initial pop + gens × (2 × pop) evaluations.
-    let budget = ga_cfg.population + ga_cfg.generations * 2 * ga_cfg.population;
-
-    let ga = GeneticAlgorithm::new(ga_cfg);
-    // One dense table shared by all three search arms: every arm pays
-    // the same (zero) per-lookup cost, so the comparison isolates the
-    // search strategies themselves.
-    let table = SpeedupTable::build(&jobs, &spec, 1);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (out, _) = ga.evolve(&jobs, &spec, vec![], &table, &mut rng);
-
-    // Local search: same evaluation budget, first-improvement moves.
-    let ls = pollux_sched::LocalSearch::new(pollux_sched::LocalSearchConfig {
-        iterations: budget / 2,
-        restarts: 2,
-        ..Default::default()
-    });
-    let mut rng_ls = StdRng::seed_from_u64(seed ^ 0x5151);
-    let (_, local_search_fitness) = ls.optimize(&jobs, &spec, &table, &mut rng_ls);
-
-    // Random search: sample, repair, evaluate.
-    let mut best_random = f64::NEG_INFINITY;
-    let mut rng2 = StdRng::seed_from_u64(seed ^ 0xABCD);
-    let fitness_cfg = FitnessConfig::default();
-    let mut ws = pollux_sched::GaWorkspace::default();
-    let avoid = ga_cfg.interference_avoidance;
-    for _ in 0..budget {
-        let mut m = pollux_cluster::AllocationMatrix::zeros(jobs.len(), spec.num_nodes());
-        for j in 0..jobs.len() {
-            for n in 0..spec.num_nodes() {
-                m.set(j, n, rng2.gen_range(0..=4));
-            }
-        }
-        pollux_sched::repair_matrix(&mut m, &jobs, &spec, avoid, &mut rng2, &mut ws);
-        let f = fitness(&jobs, &m, &table, &fitness_cfg);
-        if f > best_random {
-            best_random = f;
-        }
-    }
-
-    SearchAblation {
-        ga_fitness: out.best_fitness,
-        local_search_fitness,
-        random_fitness: best_random,
-    }
-}
-
 /// Result of the co-adaptation ablation.
 #[derive(Debug, Clone, Copy)]
 pub struct CoAdaptationAblation {
@@ -316,18 +221,15 @@ pub struct AblationResult {
     pub overlap: OverlapAblation,
     /// Restart-penalty sweep.
     pub restart: Vec<RestartPenaltyPoint>,
-    /// GA vs random search.
-    pub search: SearchAblation,
     /// Co-adaptation (batch tuning) on/off.
     pub coadaptation: CoAdaptationAblation,
 }
 
-/// Runs all four ablations.
+/// Runs all three ablations.
 pub fn run(seed: u64) -> AblationResult {
     AblationResult {
         overlap: overlap_ablation(seed),
         restart: restart_penalty_ablation(seed),
-        search: search_ablation(seed),
         coadaptation: coadaptation_ablation(seed),
     }
 }
@@ -377,27 +279,7 @@ impl std::fmt::Display for AblationResult {
 
         writeln!(
             f,
-            "\nAblation 3: allocation search, equal budgets (24 jobs, 64 GPUs)"
-        )?;
-        let rows = vec![
-            vec![
-                "genetic algorithm".into(),
-                format!("{:.3}", self.search.ga_fitness),
-            ],
-            vec![
-                "hill climbing".into(),
-                format!("{:.3}", self.search.local_search_fitness),
-            ],
-            vec![
-                "random search".into(),
-                format!("{:.3}", self.search.random_fitness),
-            ],
-        ];
-        write!(f, "{}", render_table(&["search", "best fitness"], &rows))?;
-
-        writeln!(
-            f,
-            "\nAblation 4: co-adaptation (batch tuning) on vs off, same GA allocator"
+            "\nAblation 3: co-adaptation (batch tuning) on vs off, same GA allocator"
         )?;
         let rows = vec![
             vec![
@@ -429,24 +311,6 @@ mod tests {
         assert!(a.gamma_free < a.gamma_sum, "{a:?}");
         assert!(a.gamma_free < a.gamma_max, "{a:?}");
         assert!(a.gamma_free < 0.1, "free-γ error too large: {a:?}");
-    }
-
-    #[test]
-    fn ga_beats_random_search() {
-        let s = search_ablation(1);
-        assert!(
-            s.ga_fitness > s.random_fitness,
-            "GA {} vs random {}",
-            s.ga_fitness,
-            s.random_fitness
-        );
-        // Hill climbing also beats blind sampling.
-        assert!(
-            s.local_search_fitness > s.random_fitness,
-            "local {} vs random {}",
-            s.local_search_fitness,
-            s.random_fitness
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! ```sh
 //! experiments --list
 //! experiments fig1 fig6
-//! experiments table2 fidelity --traces 8
+//! experiments table2 --traces 8
 //! experiments fig10 --imagenet-scale 1.0
 //! experiments all
 //! ```
@@ -21,11 +21,12 @@
 //! like every other experiment driver; `telemetry-report` summarizes
 //! it.
 
-use pollux_experiments::common::{capture_recorder, exit_on_error, finish_capture, flag_value};
-use pollux_experiments::{
-    ablations, fidelity, fig1, fig10, fig2, fig3, fig6, fig7, fig8, fig9, table2, table3,
+use pollux_experiments::common::{
+    capture_recorder, cli_args, exit_on_error, finish_capture, flag_value,
 };
-use std::sync::OnceLock;
+use pollux_experiments::{
+    ablations, fig1, fig10, fig2, fig3, fig6, fig7, fig8, fig9, table2, table3,
+};
 
 /// The two command-line settings, parsed once in `main`.
 struct Settings {
@@ -71,15 +72,7 @@ static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "table2",
         banner: "Table 2 — Pollux vs Optimus+Oracle vs Tiresias+TunedJobs",
-        run: |s| println!("{}", table2_result(s)),
-    },
-    Experiment {
-        name: "fidelity",
-        banner: "Sec 5.3 — simulator fidelity (JCT reduction factors)",
-        run: |s| match fidelity::from_table2(table2_result(s)) {
-            Some(f) => println!("{f}"),
-            None => println!("insufficient data"),
-        },
+        run: |s| println!("{}", exit_on_error(table2::run(s.traces(2)))),
     },
     Experiment {
         name: "fig7",
@@ -111,17 +104,10 @@ static REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "ablations",
-        banner: "Ablations — overlap model, restart penalty, GA vs random search",
+        banner: "Ablations — overlap model, restart penalty, co-adaptation",
         run: |_| println!("{}", ablations::run(7)),
     },
 ];
-
-/// The Table 2 sweep, run at most once per process: `fidelity` derives
-/// its factors from the same result `table2` prints.
-fn table2_result(s: &Settings) -> &'static table2::Table2Result {
-    static RESULT: OnceLock<table2::Table2Result> = OnceLock::new();
-    RESULT.get_or_init(|| exit_on_error(table2::run(s.traces(2))))
-}
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("{msg}; usage: experiments [--list] [--traces N] [--imagenet-scale F] <name|all>...");
@@ -136,7 +122,7 @@ fn main() {
     let mut list = false;
     let mut selected: Vec<&Experiment> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
+    let mut args = cli_args();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => list = true,

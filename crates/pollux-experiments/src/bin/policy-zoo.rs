@@ -37,7 +37,8 @@
 
 use pollux_core::ConfigChoice;
 use pollux_experiments::common::{
-    capture_recorder, exit_on_error, finish_capture, flag_value, render_table, CaptureError,
+    capture_recorder, cli_args, exit_on_error, finish_capture, flag_value, render_table,
+    CaptureError,
 };
 use pollux_experiments::zoo::{self, ZooOptions};
 use pollux_telemetry::{JsonlSink, Recorder};
@@ -83,7 +84,7 @@ fn main() {
     let mut trace_dir: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = cli_args();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => list = true,

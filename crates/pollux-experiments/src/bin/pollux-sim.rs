@@ -17,7 +17,9 @@
 //!   stderr and exit status 2, after the summaries.
 
 use pollux_experiments::cell::{run_cells, Cell};
-use pollux_experiments::common::{capture_recorder, exit_on_error, finish_capture, flag_value};
+use pollux_experiments::common::{
+    capture_recorder, cli_args, exit_on_error, finish_capture, flag_value,
+};
 use pollux_simulator::SimResult;
 use std::time::{Duration, Instant};
 
@@ -64,7 +66,7 @@ fn report(name: &str, res: &SimResult, wall: Duration) {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
+    let mut args = cli_args();
     let which = args.next().unwrap_or_else(|| "all".into());
     let seed = match args.next() {
         None => 1u64,
@@ -84,9 +86,9 @@ fn main() {
         sim_seed: seed,
         ..Cell::evaluation("pollux", 0)
     };
-    if let Ok(jobs) = std::env::var("POLLUX_SIM_JOBS") {
-        cell.jobs =
-            flag_value("POLLUX_SIM_JOBS", Some(jobs), 1..=100_000).unwrap_or_else(|e| fail(e));
+    if let Some(jobs) = std::env::var_os("POLLUX_SIM_JOBS") {
+        let jobs = jobs.into_string().ok();
+        cell.jobs = flag_value("POLLUX_SIM_JOBS", jobs, 1..=100_000).unwrap_or_else(|e| fail(e));
     }
     // One policy at a time: each summary line times its own run.
     for (name, policy) in POLICIES {

@@ -46,7 +46,7 @@
 //! export is one line on stderr and exit status 2, before the report
 //! prints.
 
-use pollux_experiments::common::{exit_on_error, render_table, CaptureError};
+use pollux_experiments::common::{cli_args, exit_on_error, render_table, CaptureError};
 use pollux_telemetry::{chrome, Event, HistogramSnapshot, RoundExplain};
 use std::collections::BTreeMap;
 use std::ffi::OsStr;
@@ -98,7 +98,7 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> Options {
-    let mut args = std::env::args().skip(1);
+    let mut args = cli_args();
     let mut path = None;
     let mut chrome_out = None;
     let mut prefix = None;

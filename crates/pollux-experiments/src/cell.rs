@@ -5,7 +5,7 @@
 //! (Sec. 5.3). A [`Cell`] is that run as plain data, [`run_cells`]
 //! simulates a whole `(point × policy × trace)` grid of them on one
 //! worker pool, and [`Summary::mean_of`] averages the traces of one
-//! table cell. Table 2, the fidelity factors, Figs 7–9, Table 3, the
+//! table cell. Table 2, Figs 7–9, Table 3, the
 //! policy zoo and `pollux-sim` declare their cells and format the
 //! summaries; experiments that bring their own cluster and trace
 //! (Fig 10, the ablations) enter one level lower, at [`simulate`],

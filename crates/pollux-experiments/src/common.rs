@@ -139,6 +139,22 @@ pub fn exit_on_error<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     })
 }
 
+/// The command-line arguments after the program's name. They are user
+/// input too: one that is not valid UTF-8 is refused by
+/// [`exit_on_error`] before the binary looks at any of them.
+pub fn cli_args() -> std::vec::IntoIter<String> {
+    let args: Vec<String> = std::env::args_os()
+        .skip(1)
+        .map(|arg| {
+            exit_on_error(
+                arg.into_string()
+                    .map_err(|arg| format!("argument {arg:?} is not valid UTF-8")),
+            )
+        })
+        .collect();
+    args.into_iter()
+}
+
 /// Parses a flag's value and checks it against the accepted range (NaN
 /// is in no range).
 ///

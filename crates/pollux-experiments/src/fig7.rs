@@ -32,7 +32,7 @@ pub struct Fig7Result {
     pub load: f64,
 }
 
-/// Default workload scale for this experiment.
+/// The workload scale of this experiment.
 ///
 /// Our calibration's 1.0× load is more contended than the paper's
 /// testbed: there, the queueing relief that small user GPU requests
@@ -40,23 +40,14 @@ pub struct Fig7Result {
 /// trend. At 0.6× the baseline-vs-Pollux starting ratios match the
 /// paper's and the degradation direction reproduces. See
 /// EXPERIMENTS.md.
-pub const DEFAULT_LOAD: f64 = 0.6;
+const LOAD: f64 = 0.6;
 
-/// Runs the sweep with `traces` traces per cell at `DEFAULT_LOAD`.
+/// Runs the sweep with `traces` traces per cell at `LOAD`.
 ///
 /// # Errors
 ///
-/// As [`run_at_load`].
+/// [`CellError::NoTraces`] for `traces == 0`.
 pub fn run(traces: u64) -> Result<Fig7Result, CellError> {
-    run_at_load(traces, DEFAULT_LOAD)
-}
-
-/// Runs the sweep at an explicit workload scale.
-///
-/// # Errors
-///
-/// [`CellError`] for `traces == 0` or a `load` that describes no trace.
-pub fn run_at_load(traces: u64, load: f64) -> Result<Fig7Result, CellError> {
     let fractions = [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0];
     let mut cells = Vec::new();
     for &frac in &fractions {
@@ -73,7 +64,7 @@ pub fn run_at_load(traces: u64, load: f64) -> Result<Fig7Result, CellError> {
                     }
                 };
                 cells.push(Cell {
-                    load,
+                    load: LOAD,
                     choice,
                     ..Cell::evaluation(policy, t)
                 });
@@ -97,7 +88,7 @@ pub fn run_at_load(traces: u64, load: f64) -> Result<Fig7Result, CellError> {
     Ok(Fig7Result {
         points,
         traces,
-        load,
+        load: LOAD,
     })
 }
 

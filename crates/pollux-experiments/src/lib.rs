@@ -15,13 +15,12 @@
 //! | [`fig3`] | Fig 3a/3b — throughput-model fit |
 //! | [`fig6`] | Fig 6 — workload submission histogram |
 //! | [`table2`] | Table 2 — JCT/makespan vs baselines (+Sec 5.2.1 factors) |
-//! | [`fidelity`] | Sec 5.3 — simulator fidelity factors |
 //! | [`fig7`] | Fig 7 — realistic user-configured job sweep |
 //! | [`fig8`] | Fig 8 — load sweep |
 //! | [`table3`] | Table 3 — job-weight decay sweep |
 //! | [`fig9`] | Fig 9 — interference-avoidance sweep |
 //! | [`fig10`] | Fig 10a/10b — cloud auto-scaling comparison |
-//! | [`ablations`] | extra ablations: γ-norm, restart penalty, search backends |
+//! | [`ablations`] | extra ablations: γ-norm, restart penalty, co-adaptation |
 //! | [`zoo`] | policy-zoo head-to-head across every registered scheduler |
 //!
 //! Every simulated table and figure runs through one path, [`cell`]:
@@ -35,7 +34,6 @@
 pub mod ablations;
 pub mod cell;
 pub mod common;
-pub mod fidelity;
 pub mod fig1;
 pub mod fig10;
 pub mod fig2;

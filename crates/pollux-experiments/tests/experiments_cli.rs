@@ -7,7 +7,10 @@
 
 use pollux_telemetry::chrome;
 use pollux_telemetry::json::{self, JsonValue};
+use std::ffi::OsStr;
+use std::fmt::Debug;
 use std::fs;
+use std::os::unix::ffi::OsStrExt;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -26,7 +29,7 @@ fn list_is_the_lib_rs_table_minus_the_zoo() {
         .filter_map(|l| l.strip_prefix("//! | [`")?.split('`').next())
         .filter(|&name| name != "zoo")
         .collect();
-    assert_eq!(documented.len(), 12, "{documented:?}");
+    assert_eq!(documented.len(), 11, "{documented:?}");
 
     let out = experiments(&["--list"]);
     assert!(out.status.success());
@@ -38,18 +41,30 @@ fn list_is_the_lib_rs_table_minus_the_zoo() {
     assert_eq!(listed, documented);
 }
 
+/// Runs `bin` with `args` and checks it refused them: one line on
+/// stderr, exit status 2, nothing on stdout.
+fn refused<A: AsRef<OsStr> + Debug>(bin: &str, args: &[A]) {
+    let out = Command::new(bin).args(args).output().expect("the bin runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{bin} {args:?}: ran before rejecting"
+    );
+}
+
 #[test]
 fn bad_arguments_exit_2_with_one_line() {
-    let refused = |bin: &str, args: &[&str]| {
-        let out = Command::new(bin).args(args).output().expect("the bin runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
-        assert!(
-            out.stdout.is_empty(),
-            "{bin} {args:?}: ran before rejecting"
-        );
-    };
+    // An argument that is not UTF-8, first on the line of every binary.
+    for bin in [
+        env!("CARGO_BIN_EXE_experiments"),
+        env!("CARGO_BIN_EXE_policy-zoo"),
+        env!("CARGO_BIN_EXE_pollux-sim"),
+        env!("CARGO_BIN_EXE_telemetry-report"),
+    ] {
+        refused(bin, &[OsStr::from_bytes(b"\xff")]);
+    }
     for args in [
         &["fig99"][..],
         &["fig1", "--traces", "many"],

@@ -3,13 +3,15 @@
 //! panic or a run that quietly goes without. Live event streaming is
 //! the one capture path pointed at `/dev/stderr`.
 
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const UNWRITABLE: &str = "/nonexistent-dir/pollux-sim-out";
 
 /// A two-job `pollux-sim` run with the given extra environment.
-fn pollux_sim(args: &[&str], env: &[(&str, &str)]) -> Output {
+fn pollux_sim(args: &[&str], env: &[(&str, &OsStr)]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_pollux-sim"))
         .args(args)
         .env("POLLUX_SIM_JOBS", "2")
@@ -40,7 +42,7 @@ fn digests(out: &Output) -> Vec<String> {
 fn telemetry_out_dev_stderr_streams_parseable_jsonl() {
     let out = pollux_sim(
         &["tiresias", "1"],
-        &[("POLLUX_TELEMETRY_OUT", "/dev/stderr")],
+        &[("POLLUX_TELEMETRY_OUT", "/dev/stderr".as_ref())],
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
@@ -159,18 +161,22 @@ fn arguments_past_the_seed_exit_2() {
     assert!(out.stdout.is_empty(), "something ran");
 }
 
-/// A trace size outside 1–100000, or not a number, is refused before
-/// anything is simulated — one line, exit 2 — never an allocation the
-/// process cannot survive.
+/// A trace size outside 1–100000, not a number or not even UTF-8 is
+/// refused before anything is simulated — one line, exit 2 — never an
+/// allocation the process cannot survive, nor the default size.
 #[test]
 fn out_of_range_trace_sizes_exit_2() {
-    for jobs in ["0", "100000000000", "many"] {
+    for jobs in ["0", "100000000000", "many"]
+        .map(OsStr::new)
+        .into_iter()
+        .chain([OsStr::from_bytes(b"\xff")])
+    {
         let out = pollux_sim(&["tiresias", "1"], &[("POLLUX_SIM_JOBS", jobs)]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{jobs}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{jobs}: {stderr}");
-        assert!(stderr.contains("POLLUX_SIM_JOBS"), "{jobs}: {stderr}");
-        assert!(out.stdout.is_empty(), "{jobs}: something ran");
+        assert_eq!(out.status.code(), Some(2), "{jobs:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{jobs:?}: {stderr}");
+        assert!(stderr.contains("POLLUX_SIM_JOBS"), "{jobs:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{jobs:?}: something ran");
     }
 }
 
@@ -189,7 +195,7 @@ fn a_chrome_trace_is_one_run_of_the_capture() {
     };
     let one = scratch("one-run.jsonl");
     let one_trace = scratch("one-run.trace.json");
-    let env = [("POLLUX_TELEMETRY_OUT", one.to_str().unwrap())];
+    let env = [("POLLUX_TELEMETRY_OUT", one.as_os_str())];
     assert_eq!(digests(&pollux_sim(&["tiresias", "1"], &env)).len(), 1);
     let out = report(&one, &["--chrome-trace".as_ref(), &one_trace]);
     assert!(out.status.success(), "{out:?}");
@@ -198,7 +204,7 @@ fn a_chrome_trace_is_one_run_of_the_capture() {
 
     let all = scratch("three-runs.jsonl");
     let all_trace = scratch("three-runs.trace.json");
-    let env = [("POLLUX_TELEMETRY_OUT", all.to_str().unwrap())];
+    let env = [("POLLUX_TELEMETRY_OUT", all.as_os_str())];
     assert_eq!(digests(&pollux_sim(&["all", "1"], &env)).len(), 3);
     let out = report(&all, &["--chrome-trace".as_ref(), &all_trace]);
     let stderr = String::from_utf8_lossy(&out.stderr);

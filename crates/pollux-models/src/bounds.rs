@@ -27,19 +27,6 @@ impl Bounds {
         Some(Self { lo, hi })
     }
 
-    /// An unconstrained box of dimension `dim`.
-    pub fn unbounded(dim: usize) -> Self {
-        Self {
-            lo: vec![f64::NEG_INFINITY; dim],
-            hi: vec![f64::INFINITY; dim],
-        }
-    }
-
-    /// A box where every coordinate shares the same `[lo, hi]` interval.
-    pub fn uniform(dim: usize, lo: f64, hi: f64) -> Option<Self> {
-        Self::new(vec![lo; dim], vec![hi; dim])
-    }
-
     /// Number of coordinates.
     pub fn dim(&self) -> usize {
         self.lo.len()
@@ -73,14 +60,6 @@ impl Bounds {
         y
     }
 
-    /// True when `x` lies inside the box (inclusive).
-    pub fn contains(&self, x: &[f64]) -> bool {
-        x.len() == self.dim()
-            && x.iter()
-                .zip(self.lo.iter().zip(&self.hi))
-                .all(|(&xi, (&l, &h))| xi >= l && xi <= h)
-    }
-
     /// True when coordinate `i` of `x` is at (or numerically on) a bound
     /// and the gradient pushes it further outside.
     ///
@@ -88,6 +67,31 @@ impl Bounds {
     pub fn is_active(&self, x: &[f64], grad: &[f64], i: usize) -> bool {
         let eps = 1e-12;
         (x[i] <= self.lo[i] + eps && grad[i] > 0.0) || (x[i] >= self.hi[i] - eps && grad[i] < 0.0)
+    }
+}
+
+/// The boxes and the membership test only the tests build and ask.
+#[cfg(test)]
+impl Bounds {
+    /// An unconstrained box of dimension `dim`.
+    pub fn unbounded(dim: usize) -> Self {
+        Self {
+            lo: vec![f64::NEG_INFINITY; dim],
+            hi: vec![f64::INFINITY; dim],
+        }
+    }
+
+    /// A box where every coordinate shares the same `[lo, hi]` interval.
+    pub fn uniform(dim: usize, lo: f64, hi: f64) -> Option<Self> {
+        Self::new(vec![lo; dim], vec![hi; dim])
+    }
+
+    /// True when `x` lies inside the box (inclusive).
+    pub fn contains(&self, x: &[f64]) -> bool {
+        x.len() == self.dim()
+            && x.iter()
+                .zip(self.lo.iter().zip(&self.hi))
+                .all(|(&xi, (&l, &h))| xi >= l && xi <= h)
     }
 }
 

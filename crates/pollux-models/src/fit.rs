@@ -40,8 +40,9 @@
 //! pinned by a prior) `T = g` and `r^γ ln r` takes its limit 0, so
 //! `∂T/∂γ = 0`.
 
+use crate::bounds::Bounds;
+use crate::lbfgsb::lbfgsb_minimize;
 use crate::throughput::{PlacementShape, ThroughputParams};
-use pollux_opt::{lbfgsb_minimize, Bounds};
 
 /// One throughput observation collected during training.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -407,8 +408,7 @@ fn fit_impl(
             // 7 parameters: quasi-Newton converges in a few dozen
             // steps; the agent refits often, so the budget is tight.
             80,
-        )
-        .ok()?;
+        )?;
         work.evals += r.evals as u64;
         work.iters += r.iters as u64;
         Some((r.x, r.fx))

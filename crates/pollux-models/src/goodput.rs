@@ -2,8 +2,8 @@
 //! (Eqn 13), and `SPEEDUP` (Eqn 15).
 
 use crate::efficiency::EfficiencyModel;
+use crate::golden::golden_section_max_int;
 use crate::throughput::{PlacementShape, ThroughputParams};
-use pollux_opt::golden_section_max_int;
 
 /// Feasible batch-size range for a job.
 ///
@@ -188,7 +188,7 @@ impl GoodputModel {
                 evals += 1;
                 self.goodput(shape, m)
             };
-            golden_section_max_int(counted, lo, hi).ok()
+            golden_section_max_int(counted, lo, hi)
         })?;
         Some(BatchSolve {
             batch_size,

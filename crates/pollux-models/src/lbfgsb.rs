@@ -9,7 +9,6 @@
 //! 7-parameter θsys fit this converges in a few dozen iterations.
 
 use crate::bounds::Bounds;
-use crate::OptError;
 
 /// History length for the limited-memory Hessian approximation.
 const HISTORY: usize = 8;
@@ -29,8 +28,6 @@ pub struct LbfgsbResult {
     pub iters: usize,
     /// Value-and-gradient evaluations performed.
     pub evals: usize,
-    /// True when a convergence criterion was met (vs. iteration cap).
-    pub converged: bool,
 }
 
 /// Minimizes over the box `bounds` starting from `x0`, for at most
@@ -38,26 +35,19 @@ pub struct LbfgsbResult {
 ///
 /// `fg(x, grad)` returns the objective at `x` and writes its gradient
 /// into `grad`. It is only ever called on points inside the box.
-///
-/// # Errors
-///
-/// - [`OptError::DimensionMismatch`] when `x0` and `bounds` disagree.
-/// - [`OptError::NonFiniteObjective`] when the objective is non-finite
-///   at the projected initial point.
+/// `None` when `x0` and `bounds` differ in dimension, or when the
+/// objective is non-finite at the projected initial point.
 pub fn lbfgsb_minimize<F>(
     mut fg: F,
     x0: &[f64],
     bounds: &Bounds,
     max_iters: usize,
-) -> Result<LbfgsbResult, OptError>
+) -> Option<LbfgsbResult>
 where
     F: FnMut(&[f64], &mut [f64]) -> f64,
 {
     if x0.len() != bounds.dim() {
-        return Err(OptError::DimensionMismatch {
-            point: x0.len(),
-            bounds: bounds.dim(),
-        });
+        return None;
     }
     let n = x0.len();
     let mut x = bounds.projected(x0);
@@ -65,7 +55,7 @@ where
     let mut fx = fg(&x, &mut grad);
     let mut evals = 1;
     if !fx.is_finite() {
-        return Err(OptError::NonFiniteObjective);
+        return None;
     }
 
     // Work buffers, reused by every iteration.
@@ -79,7 +69,6 @@ where
     let mut s_hist: Vec<Vec<f64>> = Vec::with_capacity(HISTORY);
     let mut y_hist: Vec<Vec<f64>> = Vec::with_capacity(HISTORY);
     let mut rho_hist: Vec<f64> = Vec::with_capacity(HISTORY);
-    let mut converged = false;
     let mut iters = 0;
 
     for iter in 0..max_iters {
@@ -92,7 +81,6 @@ where
             pg_norm = pg_norm.max((stepped - x[i]).abs());
         }
         if pg_norm < GRAD_TOL {
-            converged = true;
             break;
         }
 
@@ -119,7 +107,6 @@ where
             }
             zero_where(&mut d, &active);
             if d.iter().all(|&v| v == 0.0) {
-                converged = true;
                 break;
             }
             dd = dot(&d, &grad);
@@ -152,7 +139,6 @@ where
         }
         if !accepted {
             // The line search failed: we are at (numerical) stationarity.
-            converged = true;
             break;
         }
 
@@ -182,17 +168,15 @@ where
         std::mem::swap(&mut grad, &mut grad_new);
         fx = f_new;
         if f_decrease / f_scale < F_TOL {
-            converged = true;
             break;
         }
     }
 
-    Ok(LbfgsbResult {
+    Some(LbfgsbResult {
         x,
         fx,
         iters,
         evals,
-        converged,
     })
 }
 
@@ -273,7 +257,7 @@ mod tests {
     fn minimizes_unconstrained_quadratic() {
         let f = quadratic(&[1.0, -2.0], &[1.0, 10.0]);
         let r = lbfgsb_minimize(f, &[5.0, 5.0], &Bounds::unbounded(2), MAX_ITERS).unwrap();
-        assert!(r.converged);
+        assert!(r.iters < MAX_ITERS, "a criterion stopped the solve");
         assert!((r.x[0] - 1.0).abs() < 1e-4, "{:?}", r.x);
         assert!((r.x[1] + 2.0).abs() < 1e-4, "{:?}", r.x);
     }
@@ -355,35 +339,22 @@ mod tests {
     fn dimension_mismatch_is_an_error() {
         let f = |_: &[f64], _: &mut [f64]| 0.0;
         let b = Bounds::unbounded(3);
-        assert!(matches!(
-            lbfgsb_minimize(f, &[0.0], &b, MAX_ITERS),
-            Err(OptError::DimensionMismatch {
-                point: 1,
-                bounds: 3
-            })
-        ));
+        assert!(lbfgsb_minimize(f, &[0.0], &b, MAX_ITERS).is_none());
     }
 
     #[test]
     fn nan_at_start_is_an_error() {
         let f = |_: &[f64], _: &mut [f64]| f64::NAN;
         let b = Bounds::unbounded(1);
-        assert!(matches!(
-            lbfgsb_minimize(f, &[0.0], &b, MAX_ITERS),
-            Err(OptError::NonFiniteObjective)
-        ));
+        assert!(lbfgsb_minimize(f, &[0.0], &b, MAX_ITERS).is_none());
         // A NaN start stays NaN under projection and is refused too.
-        assert!(matches!(
-            lbfgsb_minimize(quadratic(&[0.0], &[1.0]), &[f64::NAN], &b, MAX_ITERS),
-            Err(OptError::NonFiniteObjective)
-        ));
+        assert!(lbfgsb_minimize(quadratic(&[0.0], &[1.0]), &[f64::NAN], &b, MAX_ITERS).is_none());
     }
 
     #[test]
     fn already_optimal_converges_immediately() {
         let f = quadratic(&[0.0], &[1.0]);
         let r = lbfgsb_minimize(f, &[0.0], &Bounds::unbounded(1), MAX_ITERS).unwrap();
-        assert!(r.converged);
         assert!(r.iters <= 2);
         assert_eq!(r.evals, 1);
     }

@@ -10,14 +10,14 @@
 //! the solver hands the question to the oracle itself.
 
 use pollux_models::{
-    BatchSizeLimits, EfficiencyModel, GoodputModel, PlacementShape, ThroughputParams,
+    golden_section_max_int, BatchSizeLimits, EfficiencyModel, GoodputModel, PlacementShape,
+    ThroughputParams,
 };
-use pollux_opt::golden_section_max_int;
 use proptest::prelude::*;
 
 fn oracle(model: &GoodputModel, shape: PlacementShape) -> Option<(u64, f64)> {
     let (lo, hi) = model.limits.range(shape)?;
-    golden_section_max_int(|m| model.goodput(shape, m), lo, hi).ok()
+    golden_section_max_int(|m| model.goodput(shape, m), lo, hi)
 }
 
 fn bits(solve: Option<(u64, f64)>) -> Option<(u64, u64)> {

@@ -89,7 +89,7 @@ impl Autoscaler {
     }
 
     /// The target utility: the midpoint of the utility band.
-    pub fn target_utility(&self) -> f64 {
+    fn target_utility(&self) -> f64 {
         0.5 * (LOW_UTIL + HIGH_UTIL)
     }
 

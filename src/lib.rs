@@ -4,7 +4,7 @@
 //! [`pollux_core`], [`pollux_models`], [`pollux_sched`], [`pollux_agent`],
 //! [`pollux_control`], [`pollux_simulator`], [`pollux_workload`],
 //! [`pollux_baselines`], [`pollux_trainer`], [`pollux_experiments`],
-//! [`pollux_opt`], [`pollux_cluster`].
+//! [`pollux_cluster`].
 
 pub use pollux_agent as agent;
 pub use pollux_baselines as baselines;
@@ -13,7 +13,6 @@ pub use pollux_control as control;
 pub use pollux_core as core;
 pub use pollux_experiments as experiments;
 pub use pollux_models as models;
-pub use pollux_opt as opt;
 pub use pollux_sched as sched;
 pub use pollux_simulator as simulator;
 pub use pollux_trainer as trainer;

@@ -164,7 +164,9 @@ fn one_simresult_digest() {
 // at the default, the trainer's unused models, the Chrome exporters
 // beside `telemetry-report --chrome-trace`, the rack-assignment GA
 // whose pick phase 1 now makes outright, the gradient-accumulation
-// extension the paper never uses and the public helpers nothing called.
+// extension the paper never uses, the public helpers nothing called,
+// the optimizer crate the goodput model now holds as modules, and the
+// runners that repeated Table 2's factor lines and the search oracle.
 #[test]
 fn retired_identifiers_stay_gone() {
     const RETIRED: &[&str] = &[
@@ -215,6 +217,13 @@ fn retired_identifiers_stay_gone() {
         "tuned_config",
         "realistic_config",
         "valid_tuned_gpu_counts",
+        "pollux_opt",
+        "OptError",
+        "search_ablation",
+        "SearchAblation",
+        "FidelityResult",
+        "from_table2",
+        "run_at_load",
     ];
     let hits = grep(&files(&["crates", "src", "tests", "examples"]), |line| {
         RETIRED.iter().any(|name| line.contains(name))
@@ -223,8 +232,9 @@ fn retired_identifiers_stay_gone() {
         hits.is_empty(),
         "the capture is the one timeline, the recorder the one counter channel, \
          telemetry-report the one Chrome exporter, phase 1 a pick and no search, \
-         goodput the paper's, preemption a rule, a topology a rack width; settings \
-         are what a caller sets\n{}",
+         goodput the paper's, preemption a rule, a topology a rack width, the optimizers \
+         private to pollux-models, Table 2 and the search oracle the one printout each; \
+         settings are what a caller sets\n{}",
         hits.join("\n")
     );
 }
