@@ -6,18 +6,21 @@
 //! policy in the zoo). When the head of the queue does not fit the
 //! free GPUs, later jobs that do fit backfill around it, which keeps
 //! utilization up at the cost of possibly delaying the head further
-//! (no reservation). Admission is the shared [`RankedBackfill`] with
-//! every job ranked alike, so submission time alone orders it.
+//! (no reservation). Admission is the shared [`Admission::Ranked`]
+//! with every job ranked alike, so submission time alone orders it.
 
-use pollux_control::{ConsolidatedPlacement, Preemption, RankedBackfill, StagedScheduler};
+use crate::stages::{Admission, Placement, Preemption, StagedScheduler};
 
 /// Gang-scheduled FIFO with backfill: arrival-order admission over the
 /// free GPUs, consolidated placement, and no preemption.
 pub fn fifo_backfill() -> StagedScheduler {
     StagedScheduler::new(
         "fifo+backfill",
-        RankedBackfill::new("fifo-backfill", |_| 0.0),
-        ConsolidatedPlacement::admitted_order(),
+        Admission::Ranked {
+            name: "fifo-backfill",
+            rank: |_| 0.0,
+        },
+        Placement::FullestFirst,
         Preemption::Never,
     )
 }
@@ -25,8 +28,8 @@ pub fn fifo_backfill() -> StagedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyJobView, SchedulingPolicy};
     use pollux_cluster::{ClusterSpec, JobId};
-    use pollux_control::{PolicyJobView, SchedulingPolicy};
     use pollux_models::BatchSizeLimits;
     use pollux_workload::UserConfig;
     use rand::rngs::StdRng;

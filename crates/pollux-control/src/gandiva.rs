@@ -5,7 +5,7 @@
 //! free for incoming multi-GPU jobs, where the Tiresias/Optimus
 //! heuristic grabs the *fullest-free* node first. That choice is the
 //! best-fit packing of the shared keep-then-pack placement
-//! ([`ConsolidatedPlacement::best_fit`]), so it composes with any
+//! ([`Placement::BestFit`]), so it composes with any
 //! admission stage; [`gandiva_packing`] pairs it with Tiresias's LAS
 //! admission, isolating the placement-stage difference in head-to-head
 //! sweeps (the whole point of the Blox decomposition — the two zoo
@@ -15,17 +15,16 @@
 //! fullest-first spread; affinity (keeping an exact-count placement)
 //! is preserved like the default packing to avoid gratuitous restarts.
 
-use pollux_control::{ConsolidatedPlacement, Preemption, StagedScheduler};
-
+use crate::stages::{Placement, Preemption, StagedScheduler};
 use crate::tiresias::las_two_queue;
 
 /// Gandiva-style packing over Tiresias's LAS admission: differs from
-/// [`crate::tiresias()`] in the placement stage only.
+/// [`crate::baselines::tiresias()`] in the placement stage only.
 pub fn gandiva_packing() -> StagedScheduler {
     StagedScheduler::new(
         "gandiva-packing",
         las_two_queue(),
-        ConsolidatedPlacement::best_fit(),
+        Placement::BestFit,
         Preemption::All,
     )
 }
@@ -33,8 +32,8 @@ pub fn gandiva_packing() -> StagedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyJobView, SchedulingPolicy};
     use pollux_cluster::{ClusterSpec, JobId};
-    use pollux_control::{PolicyJobView, SchedulingPolicy};
     use pollux_models::BatchSizeLimits;
     use pollux_workload::UserConfig;
     use rand::rngs::StdRng;
@@ -87,7 +86,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let m = gandiva_packing().schedule(0.0, &jobs, &spec, &mut rng);
         assert_eq!((m.row(0), m.row(1)), (&[1, 0][..], &[1, 0][..]));
-        let m = crate::tiresias().schedule(0.0, &jobs, &spec, &mut rng);
+        let m = crate::baselines::tiresias().schedule(0.0, &jobs, &spec, &mut rng);
         assert_eq!((m.row(0), m.row(1)), (&[1, 0][..], &[0, 1][..]));
     }
 }

@@ -20,12 +20,14 @@
 //!   capacity, diff old vs new placements into [`Reallocation`]s), one
 //!   apply rule, and the stamped decision audit. A store lends its jobs
 //!   ([`JobMut`]); the rules live here;
-//! - [`StagedScheduler`] + the [`stages`] module: the Blox-style
-//!   decomposition of a policy into admission / placement / preemption
-//!   stages, composed back into a [`SchedulingPolicy`] (DESIGN.md §10),
-//!   with the one ranked-backfill admission ([`RankedBackfill`]) and
-//!   the one keep-then-pack placement ([`ConsolidatedPlacement`]) the
-//!   zoo's baselines share.
+//! - [`StagedScheduler`]: the Blox-style decomposition of a policy
+//!   into preemption / admission / placement stages, each a closed
+//!   set of rules, composed back into a [`SchedulingPolicy`]
+//!   (DESIGN.md §10);
+//! - [`baselines`]: the seven staged policies — the paper's Tiresias,
+//!   Optimus+Oracle and Or et al., and the zoo's SRTF, SRSF, gang FIFO
+//!   and Gandiva packing — one rule per stage each. Their six files
+//!   sit at the crate root beside the stages.
 //!
 //! Nothing here reads clocks, sleeps, or touches global state: `now`
 //! is always an input and the RNG is caller-owned, so the same core is
@@ -33,17 +35,21 @@
 //! under wall-clock time (`ClusterService` in `pollux-core`), with
 //! bit-identical decisions for identical inputs.
 
+pub mod baselines;
+mod fifo;
+mod gandiva;
 pub mod lifecycle;
+mod optimus;
+mod or_etal;
 pub mod policy;
 pub mod round;
 pub mod sched_jobs;
-pub mod stages;
+mod shortest;
+mod stages;
+mod tiresias;
 
 pub use lifecycle::{JobLifecycle, JobState};
 pub use policy::{PlacementDelta, PolicyJobView, SchedIntervalSample, SchedulingPolicy};
 pub use round::{JobMut, JobStore, Reallocation, RoundError, RoundPlanner};
 pub use sched_jobs::{bootstrap_sched_job, sched_jobs_from_views, SchedJobCache};
-pub use stages::{
-    keep_placement, pack_consolidated, ranked_backfill, AdmissionPolicy, Admitted,
-    ConsolidatedPlacement, PlacementPolicy, Preemption, Rank, RankedBackfill, StagedScheduler,
-};
+pub use stages::{pack_consolidated, StagedScheduler};

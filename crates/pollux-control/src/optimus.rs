@@ -12,126 +12,108 @@
 //! - a minimum GPU count is enforced so the user batch size fits in
 //!   GPU memory.
 //!
-//! Decomposed Blox-style (DESIGN.md §10): [`OptimusAdmission`] owns
-//! the minimum-allocation pass and the marginal-gain GPU auction;
-//! placement is the shared [`ConsolidatedPlacement`] packing largest
-//! jobs first; preemption is [`Preemption::All`]. [`optimus`] composes the
-//! three. The staged form is pinned byte-identical to the
-//! pre-decomposition monolith by
+//! Decomposed Blox-style (DESIGN.md §10): [`Admission::MarginalGain`]
+//! ([`admit`]) owns the minimum-allocation pass and the marginal-gain
+//! GPU auction; placement is [`Placement::LargestFirst`]; preemption
+//! is [`Preemption::All`]. [`optimus`] composes the three. The staged
+//! form is pinned byte-identical to the pre-decomposition monolith by
 //! `pollux-core/tests/baseline_golden.rs`.
 
+use crate::stages::{ranked_backfill, Admission, Admitted, Placement, Preemption, StagedScheduler};
+use crate::PolicyJobView;
 use pollux_cluster::ClusterSpec;
-use pollux_control::{
-    ranked_backfill, AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, Preemption,
-    StagedScheduler,
-};
 use pollux_models::PlacementShape;
-use rand::rngs::StdRng;
 
-/// The Optimus+Oracle admission stage: every job gets the fewest GPUs
-/// its user batch size fits on (in submission order while capacity
-/// lasts), then spare GPUs go one at a time to the job with the best
-/// marginal remaining-time reduction. Marginal gains assume a K-GPU
-/// job is packed onto the cluster's widest nodes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptimusAdmission;
-
-impl OptimusAdmission {
-    /// Estimated time to completion with `k` GPUs at the user batch
-    /// size on `gpus_per_node`-GPU nodes, or `f64::INFINITY` when
-    /// infeasible/unknown.
-    fn remaining_time(&self, job: &PolicyJobView<'_>, k: u32, gpus_per_node: u32) -> f64 {
-        if k == 0 {
-            return f64::INFINITY;
-        }
-        let Some(report) = &job.report else {
-            // No model yet: pretend 1 GPU is as good as it gets, which
-            // makes marginal gains zero and keeps the job at its
-            // minimum allocation until a report exists.
-            return job.remaining_work;
-        };
-        let nodes = k.div_ceil(gpus_per_node).max(1);
-        let Some(shape) = PlacementShape::new(k, nodes.min(k)) else {
-            return f64::INFINITY;
-        };
-        let m = job.batch_size;
-        let tput = report.model.raw_throughput(shape, m);
-        let eff = report.model.efficiency.efficiency(m);
-        let goodput = tput * eff;
-        if goodput <= 0.0 {
-            f64::INFINITY
-        } else {
-            job.remaining_work / goodput
-        }
+/// Estimated time to completion with `k` GPUs at the user batch size
+/// on `gpus_per_node`-GPU nodes, or `f64::INFINITY` when
+/// infeasible/unknown.
+fn remaining_time(job: &PolicyJobView<'_>, k: u32, gpus_per_node: u32) -> f64 {
+    if k == 0 {
+        return f64::INFINITY;
     }
-
-    /// The fewest GPUs on which the job's user batch size fits.
-    fn min_gpus(&self, job: &PolicyJobView<'_>) -> u32 {
-        job.batch_size
-            .div_ceil(job.limits.max_per_gpu)
-            .clamp(1, u32::MAX as u64) as u32
+    let Some(report) = &job.report else {
+        // No model yet: pretend 1 GPU is as good as it gets, which
+        // makes marginal gains zero and keeps the job at its minimum
+        // allocation until a report exists.
+        return job.remaining_work;
+    };
+    let nodes = k.div_ceil(gpus_per_node).max(1);
+    let Some(shape) = PlacementShape::new(k, nodes.min(k)) else {
+        return f64::INFINITY;
+    };
+    let m = job.batch_size;
+    let tput = report.model.raw_throughput(shape, m);
+    let eff = report.model.efficiency.efficiency(m);
+    let goodput = tput * eff;
+    if goodput <= 0.0 {
+        f64::INFINITY
+    } else {
+        job.remaining_work / goodput
     }
 }
 
-impl AdmissionPolicy for OptimusAdmission {
-    fn name(&self) -> &'static str {
-        "marginal-gain"
+/// The fewest GPUs on which the job's user batch size fits.
+fn min_gpus(job: &PolicyJobView<'_>) -> u32 {
+    job.batch_size
+        .div_ceil(job.limits.max_per_gpu)
+        .clamp(1, u32::MAX as u64) as u32
+}
+
+/// The Optimus+Oracle admission: every job gets the fewest GPUs its
+/// user batch size fits on (in submission order while capacity lasts),
+/// then spare GPUs go one at a time to the job with the best marginal
+/// remaining-time reduction. Marginal gains assume a K-GPU job is
+/// packed onto the cluster's widest nodes.
+pub(crate) fn admit(
+    jobs: &[PolicyJobView<'_>],
+    held: &[bool],
+    free: &[u32],
+    spec: &ClusterSpec,
+) -> Vec<Admitted> {
+    let gpus_per_node = spec.iter().map(|(_, s)| s.gpus).max().unwrap_or(1);
+
+    // Give every job its minimum (the shared backfill, every job ranked
+    // alike, so in submission order while capacity lasts), then add
+    // GPUs one at a time to the job with the best marginal
+    // remaining-time reduction.
+    let mut assigned: Vec<u32> = vec![0; jobs.len()];
+    let mut budget: u32 = free.iter().sum();
+    let minimums = ranked_backfill(jobs, held, |_| 0.0, min_gpus, &mut budget);
+    for a in minimums {
+        assigned[a.row] = a.gpus;
     }
-
-    fn admit(
-        &mut self,
-        _now: f64,
-        jobs: &[PolicyJobView<'_>],
-        held: &[bool],
-        free: &[u32],
-        spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Vec<Admitted> {
-        let gpus_per_node = spec.iter().map(|(_, s)| s.gpus).max().unwrap_or(1);
-
-        // Give every job its minimum (the shared backfill, every job
-        // ranked alike, so in submission order while capacity lasts),
-        // then add GPUs one at a time to the job with the best marginal
-        // remaining-time reduction.
-        let mut assigned: Vec<u32> = vec![0; jobs.len()];
-        let mut budget: u32 = free.iter().sum();
-        let minimums = ranked_backfill(jobs, held, |_| 0.0, |j| self.min_gpus(j), &mut budget);
-        for a in minimums {
-            assigned[a.row] = a.gpus;
-        }
-        while budget > 0 {
-            let mut best: Option<(usize, f64)> = None;
-            for (j, view) in jobs.iter().enumerate() {
-                if assigned[j] == 0 {
-                    continue; // Held, or didn't even fit its minimum.
-                }
-                let cur = self.remaining_time(view, assigned[j], gpus_per_node);
-                let next = self.remaining_time(view, assigned[j] + 1, gpus_per_node);
-                let gain = cur - next;
-                if gain > 1e-9 && best.is_none_or(|(_, g)| gain > g) {
-                    best = Some((j, gain));
-                }
+    while budget > 0 {
+        let mut best: Option<(usize, f64)> = None;
+        for (j, view) in jobs.iter().enumerate() {
+            if assigned[j] == 0 {
+                continue; // Held, or didn't even fit its minimum.
             }
-            match best {
-                Some((j, _)) => {
-                    assigned[j] += 1;
-                    budget -= 1;
-                }
-                None => break,
+            let cur = remaining_time(view, assigned[j], gpus_per_node);
+            let next = remaining_time(view, assigned[j] + 1, gpus_per_node);
+            let gain = cur - next;
+            if gain > 1e-9 && best.is_none_or(|(_, g)| gain > g) {
+                best = Some((j, gain));
             }
         }
-
-        // Row order: the largest-first placement stage re-sorts, so the
-        // admitted order only breaks its ties — exactly as the
-        // monolith's stable sort over row-ordered candidates did.
-        (0..jobs.len())
-            .filter(|&j| assigned[j] > 0)
-            .map(|j| Admitted {
-                row: j,
-                gpus: assigned[j],
-            })
-            .collect()
+        match best {
+            Some((j, _)) => {
+                assigned[j] += 1;
+                budget -= 1;
+            }
+            None => break,
+        }
     }
+
+    // Row order: the largest-first placement re-sorts, so the admitted
+    // order only breaks its ties — exactly as the monolith's stable
+    // sort over row-ordered candidates did.
+    (0..jobs.len())
+        .filter(|&j| assigned[j] > 0)
+        .map(|j| Admitted {
+            row: j,
+            gpus: assigned[j],
+        })
+        .collect()
 }
 
 /// The Optimus+Oracle scheduling policy: marginal-gain admission,
@@ -139,8 +121,8 @@ impl AdmissionPolicy for OptimusAdmission {
 pub fn optimus() -> StagedScheduler {
     StagedScheduler::new(
         "optimus+oracle",
-        OptimusAdmission,
-        ConsolidatedPlacement::largest_first(),
+        Admission::MarginalGain,
+        Placement::LargestFirst,
         Preemption::All,
     )
 }
@@ -148,11 +130,12 @@ pub fn optimus() -> StagedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SchedulingPolicy;
     use pollux_agent::PolluxAgent;
     use pollux_cluster::JobId;
-    use pollux_control::SchedulingPolicy;
     use pollux_models::GradientStats;
     use pollux_workload::{ModelKind, ModelProfile, UserConfig};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Builds a job view with a real fitted agent report.

@@ -9,22 +9,20 @@
 //! stays flat (Fig 10a) — it cannot know that large batches are
 //! statistically wasteful early in training.
 //!
-//! Decomposed Blox-style (DESIGN.md §10): [`OrEtAlAdmission`] owns
-//! the single-tenant whole-cluster grant plus the `desired_nodes` /
-//! `choose_batch_size` autoscaling hooks (admission controls cluster
-//! entry, so it owns sizing too); placement is the shared
-//! [`ConsolidatedPlacement`] (a whole-cluster grant packs to every
-//! node's full capacity); preemption is [`Preemption::All`]. [`or_etal`]
-//! composes the three. The staged form is pinned byte-identical to the
-//! pre-decomposition monolith by
+//! Decomposed Blox-style (DESIGN.md §10): [`Admission::SingleTenant`]
+//! owns the single-tenant whole-cluster grant ([`admit`]) plus the
+//! autoscaling hooks ([`desired_nodes`], [`choose_batch_size`]) —
+//! admission controls cluster entry, so it owns sizing too; placement
+//! is [`Placement::FullestFirst`] (a whole-cluster grant packs to every
+//! node's full capacity); preemption is [`Preemption::All`].
+//! [`or_etal`] composes the three. The staged form is pinned
+//! byte-identical to the pre-decomposition monolith by
 //! `pollux-core/tests/baseline_golden.rs`.
 
+use crate::stages::{Admission, Admitted, Placement, Preemption, StagedScheduler};
+use crate::PolicyJobView;
 use pollux_cluster::{ClusterSpec, NodeId};
-use pollux_control::{
-    AdmissionPolicy, Admitted, ConsolidatedPlacement, PolicyJobView, Preemption, StagedScheduler,
-};
 use pollux_models::PlacementShape;
-use rand::rngs::StdRng;
 
 /// Minimum acceptable throughput-scaling efficiency
 /// `THROUGHPUT(K·g) / (K · THROUGHPUT(g))`.
@@ -32,112 +30,77 @@ const SCALING_THRESHOLD: f64 = 0.7;
 /// Smallest cluster size recommended (nodes).
 const MIN_NODES: u32 = 1;
 
-/// The Or et al. admission stage: single-tenant — the first job gets
-/// every free GPU — plus the throughput-driven node recommendation and
-/// linear batch scaling hooks.
-#[derive(Debug, Clone)]
-pub struct OrEtAlAdmission {
-    /// Largest allowed cluster size (nodes).
+/// The batch size the policy would use on `gpus` GPUs: linear scaling
+/// of the per-GPU maximum, capped by the global limit.
+fn batch_for(job: &PolicyJobView<'_>, gpus: u32) -> u64 {
+    (job.limits.max_per_gpu * gpus as u64)
+        .min(job.limits.max_global)
+        .max(job.limits.min)
+}
+
+/// Throughput at `nodes` nodes of `gpus_per_node` GPUs with the scaled
+/// batch, from the job's fitted model (or `None` before a report
+/// exists).
+fn throughput_at(job: &PolicyJobView<'_>, nodes: u32, gpus_per_node: u32) -> Option<f64> {
+    let report = job.report.as_ref()?;
+    let gpus = nodes * gpus_per_node;
+    let shape = PlacementShape::new(gpus, nodes)?;
+    let m = batch_for(job, gpus);
+    Some(report.model.throughput.throughput(shape, m))
+}
+
+/// The largest count of `gpus_per_node`-GPU nodes, up to `max_nodes`,
+/// whose throughput-scaling efficiency versus one node stays above the
+/// threshold.
+fn recommend_nodes(job: &PolicyJobView<'_>, max_nodes: u32, gpus_per_node: u32) -> u32 {
+    let Some(base) = throughput_at(job, 1, gpus_per_node) else {
+        return MIN_NODES;
+    };
+    if base <= 0.0 {
+        return MIN_NODES;
+    }
+    let mut best = MIN_NODES;
+    for n in MIN_NODES..=max_nodes {
+        match throughput_at(job, n, gpus_per_node) {
+            Some(t) if t / (n as f64 * base) >= SCALING_THRESHOLD => best = n,
+            _ => {}
+        }
+    }
+    best
+}
+
+/// The single-tenant admission of Fig 10: the first job gets every
+/// free GPU.
+pub(crate) fn admit(jobs: &[PolicyJobView<'_>], held: &[bool], free: &[u32]) -> Vec<Admitted> {
+    let total: u32 = free.iter().sum();
+    if jobs.is_empty() || held.first() == Some(&true) || total == 0 {
+        return Vec::new();
+    }
+    vec![Admitted {
+        row: 0,
+        gpus: total,
+    }]
+}
+
+/// Single-tenant: the cluster is sized for the (first) job, up to
+/// `max_nodes` nodes as wide as the ones the round resizes to.
+pub(crate) fn desired_nodes(
+    jobs: &[PolicyJobView<'_>],
+    spec: &ClusterSpec,
     max_nodes: u32,
+) -> Option<u32> {
+    jobs.first()
+        .map(|j| recommend_nodes(j, max_nodes, spec.gpus_on(NodeId(0))))
 }
 
-impl OrEtAlAdmission {
-    /// Creates the stage with a budget of `max_nodes` nodes.
-    pub fn new(max_nodes: u32) -> Self {
-        Self { max_nodes }
-    }
-
-    /// The batch size the policy would use on `gpus` GPUs: linear
-    /// scaling of the per-GPU maximum, capped by the global limit.
-    fn batch_for(&self, job: &PolicyJobView<'_>, gpus: u32) -> u64 {
-        (job.limits.max_per_gpu * gpus as u64)
-            .min(job.limits.max_global)
-            .max(job.limits.min)
-    }
-
-    /// Throughput at `nodes` nodes of `gpus_per_node` GPUs with the
-    /// scaled batch, from the job's fitted model (or `None` before a
-    /// report exists).
-    fn throughput_at(
-        &self,
-        job: &PolicyJobView<'_>,
-        nodes: u32,
-        gpus_per_node: u32,
-    ) -> Option<f64> {
-        let report = job.report.as_ref()?;
-        let gpus = nodes * gpus_per_node;
-        let shape = PlacementShape::new(gpus, nodes)?;
-        let m = self.batch_for(job, gpus);
-        Some(report.model.throughput.throughput(shape, m))
-    }
-
-    /// The largest count of `gpus_per_node`-GPU nodes whose
-    /// throughput-scaling efficiency versus one node stays above the
-    /// threshold.
-    fn recommend_nodes(&self, job: &PolicyJobView<'_>, gpus_per_node: u32) -> u32 {
-        let Some(base) = self.throughput_at(job, 1, gpus_per_node) else {
-            return MIN_NODES;
-        };
-        if base <= 0.0 {
-            return MIN_NODES;
-        }
-        let mut best = MIN_NODES;
-        for n in MIN_NODES..=self.max_nodes {
-            match self.throughput_at(job, n, gpus_per_node) {
-                Some(t) if t / (n as f64 * base) >= SCALING_THRESHOLD => best = n,
-                _ => {}
-            }
-        }
-        best
-    }
-}
-
-impl AdmissionPolicy for OrEtAlAdmission {
-    fn name(&self) -> &'static str {
-        "single-tenant"
-    }
-
-    fn admit(
-        &mut self,
-        _now: f64,
-        jobs: &[PolicyJobView<'_>],
-        held: &[bool],
-        free: &[u32],
-        _spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Vec<Admitted> {
-        // Hand every free GPU to the (first) job — the single-tenant
-        // scenario of Fig 10.
-        let total: u32 = free.iter().sum();
-        if jobs.is_empty() || held.first() == Some(&true) || total == 0 {
-            return Vec::new();
-        }
-        vec![Admitted {
-            row: 0,
-            gpus: total,
-        }]
-    }
-
-    fn desired_nodes(
-        &mut self,
-        _now: f64,
-        jobs: &[PolicyJobView<'_>],
-        spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Option<u32> {
-        // Single-tenant: size the cluster for the (first) job, in nodes
-        // as wide as the ones the round resizes to.
-        jobs.first()
-            .map(|j| self.recommend_nodes(j, spec.gpus_on(NodeId(0))))
-    }
-
-    fn choose_batch_size(&self, job: &PolicyJobView<'_>) -> Option<u64> {
-        let gpus: u32 = job.current_placement.iter().sum();
-        if gpus == 0 {
-            None
-        } else {
-            Some(self.batch_for(job, gpus))
-        }
+/// The batch linearly scaled to the job's current GPUs, or `None` for
+/// an unplaced job.
+pub(crate) fn choose_batch_size(job: &PolicyJobView<'_>) -> Option<u64> {
+    let gpus: u32 = job.current_placement.iter().sum();
+    if gpus == 0 {
+        None
+    } else {
+        Some(batch_for(job, gpus))
     }
 }
 
@@ -146,8 +109,8 @@ impl AdmissionPolicy for OrEtAlAdmission {
 pub fn or_etal(max_nodes: u32) -> StagedScheduler {
     StagedScheduler::new(
         "or-etal",
-        OrEtAlAdmission::new(max_nodes),
-        ConsolidatedPlacement::admitted_order(),
+        Admission::SingleTenant { max_nodes },
+        Placement::FullestFirst,
         Preemption::All,
     )
 }
@@ -155,11 +118,12 @@ pub fn or_etal(max_nodes: u32) -> StagedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SchedulingPolicy;
     use pollux_agent::PolluxAgent;
     use pollux_cluster::JobId;
-    use pollux_control::SchedulingPolicy;
     use pollux_models::GradientStats;
     use pollux_workload::{ModelKind, ModelProfile, UserConfig};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     struct Owned {
@@ -230,8 +194,7 @@ mod tests {
         // the recommendation lands near the maximum — Fig 10a's flat
         // high line.
         let owned = Owned::new(16);
-        let stage = OrEtAlAdmission::new(16);
-        let n = stage.recommend_nodes(&owned.view(), 4);
+        let n = recommend_nodes(&owned.view(), 16, 4);
         assert!(n >= 8, "recommended only {n} nodes");
     }
 
@@ -240,9 +203,8 @@ mod tests {
         // Throughput-based scaling ignores training progress by
         // construction: same report, same recommendation.
         let owned = Owned::new(16);
-        let stage = OrEtAlAdmission::new(16);
-        let a = stage.recommend_nodes(&owned.view(), 4);
-        let b = stage.recommend_nodes(&owned.view(), 4);
+        let a = recommend_nodes(&owned.view(), 16, 4);
+        let b = recommend_nodes(&owned.view(), 16, 4);
         assert_eq!(a, b);
     }
 
@@ -266,19 +228,17 @@ mod tests {
             batch_size: profile.m0,
             remaining_work: 1e8,
         };
-        let stage = OrEtAlAdmission::new(16);
-        assert_eq!(stage.recommend_nodes(&view, 4), 1);
+        assert_eq!(recommend_nodes(&view, 16, 4), 1);
     }
 
     #[test]
     fn batch_scales_linearly_with_gpus_up_to_cap() {
         let owned = Owned::new(4);
-        let stage = OrEtAlAdmission::new(16);
         let v = owned.view();
-        assert_eq!(stage.batch_for(&v, 1), v.limits.max_per_gpu);
-        assert_eq!(stage.batch_for(&v, 4), v.limits.max_per_gpu * 4);
+        assert_eq!(batch_for(&v, 1), v.limits.max_per_gpu);
+        assert_eq!(batch_for(&v, 4), v.limits.max_per_gpu * 4);
         // Capped at the global limit for very large clusters.
-        let huge = stage.batch_for(&v, 100_000);
+        let huge = batch_for(&v, 100_000);
         assert_eq!(huge, v.limits.max_global);
     }
 
@@ -325,13 +285,12 @@ mod tests {
         // largest n whose 8n-GPU throughput keeps the scaling threshold.
         let owned = Owned::new(1);
         let view = owned.view();
-        let stage = OrEtAlAdmission::new(16);
         let model = &view.report.as_ref().unwrap().model.throughput;
         let tput = |n: u32| {
             let gpus = 8 * n;
             model.throughput(
                 PlacementShape::new(gpus, n).unwrap(),
-                stage.batch_for(&view, gpus),
+                batch_for(&view, gpus),
             )
         };
         let expected = (1..=16)

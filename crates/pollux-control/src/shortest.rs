@@ -10,21 +10,24 @@
 //!   flavor) ranks by remaining work × requested GPUs, so a short but
 //!   wide job does not starve many narrow ones.
 //!
-//! Both are the shared [`RankedBackfill`] admission under their own
+//! Both are the shared [`Admission::Ranked`] under their own
 //! rank (ties break by submission time, then row), preempt freely, and
 //! place consolidated — i.e. they differ from Tiresias only in the
 //! rank, which is exactly the kind of one-stage-at-a-time comparison
 //! the Blox decomposition exists for.
 
-use pollux_control::{ConsolidatedPlacement, Preemption, RankedBackfill, StagedScheduler};
+use crate::stages::{Admission, Placement, Preemption, StagedScheduler};
 
 /// Shortest-remaining-time-first: oracle SRTF admission, consolidated
 /// placement, full preemption.
 pub fn srtf() -> StagedScheduler {
     StagedScheduler::new(
         "srtf",
-        RankedBackfill::new("srtf", |j| j.remaining_work),
-        ConsolidatedPlacement::admitted_order(),
+        Admission::Ranked {
+            name: "srtf",
+            rank: |j| j.remaining_work,
+        },
+        Placement::FullestFirst,
         Preemption::All,
     )
 }
@@ -34,8 +37,11 @@ pub fn srtf() -> StagedScheduler {
 pub fn srsf() -> StagedScheduler {
     StagedScheduler::new(
         "srsf",
-        RankedBackfill::new("srsf", |j| j.remaining_work * j.user.gpus.max(1) as f64),
-        ConsolidatedPlacement::admitted_order(),
+        Admission::Ranked {
+            name: "srsf",
+            rank: |j| j.remaining_work * j.user.gpus.max(1) as f64,
+        },
+        Placement::FullestFirst,
         Preemption::All,
     )
 }
@@ -43,8 +49,8 @@ pub fn srsf() -> StagedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyJobView, SchedulingPolicy};
     use pollux_cluster::{ClusterSpec, JobId};
-    use pollux_control::{PolicyJobView, SchedulingPolicy};
     use pollux_models::BatchSizeLimits;
     use pollux_workload::UserConfig;
     use rand::rngs::StdRng;

@@ -4,32 +4,33 @@
 //! EuroSys '24) observes that most DL cluster schedulers factor into
 //! three orthogonal decisions composed over one cluster abstraction:
 //!
-//! 1. **admission** — which jobs may hold GPUs this round, and how
-//!    many ([`AdmissionPolicy`]);
-//! 2. **preemption** — whether running jobs may yield their GPUs to
+//! 1. **preemption** — whether running jobs may yield their GPUs to
 //!    make room ([`Preemption`]);
+//! 2. **admission** — which jobs may hold GPUs this round, and how
+//!    many ([`Admission`]);
 //! 3. **placement** — which concrete GPUs each admitted job gets
-//!    ([`PlacementPolicy`]).
+//!    ([`Placement`]).
 //!
-//! [`StagedScheduler`] composes one implementation of each stage into
-//! a [`SchedulingPolicy`], so the `RoundPlanner`, the simulator
-//! engine, and the live `ClusterService` drive a staged policy exactly
-//! like a monolithic one. A new scheduling idea is usually one small
-//! stage implementation (~100 LoC) instead of a new monolith — see
+//! Each stage is a closed set of rules, an enum whose methods `match`
+//! on the rule. [`StagedScheduler`] holds one rule of each by value
+//! and composes them into a [`SchedulingPolicy`], so the
+//! `RoundPlanner`, the simulator engine, and the live `ClusterService`
+//! drive a staged policy exactly like a monolithic one. A new
+//! scheduling idea is one more variant of the stage it changes — see
 //! DESIGN.md §10 for the composition contract and the policy zoo.
 //!
 //! ## Round pipeline
 //!
 //! ```text
-//! schedule(now, jobs, spec, rng):
+//! schedule(jobs, spec):
 //!   1. under Preemption::Never, running jobs are *held*: their
 //!      current placement is copied into the matrix verbatim and
 //!      deducted from free capacity (a held job whose placement no
 //!      longer fits a shrunken cluster is implicitly preempted this
 //!      round); under Preemption::All nothing is held
-//!   2. admitted = admission.admit(..., held, free) (ordered rows+GPUs;
-//!      held rows must not appear)
-//!   3. placement.place(..., admitted, free, matrix)
+//!   2. admitted = admission.admit(jobs, held, free, spec) (ordered
+//!      rows+GPUs; held rows must not appear)
+//!   3. placement.place(jobs, admitted, free, matrix)
 //! ```
 //!
 //! Fully-preemptive policies (Tiresias, Optimus, SRTF) use
@@ -41,23 +42,23 @@
 //! (gang FIFO) use [`Preemption::Never`], so running jobs are never
 //! disturbed and admission fills only the free GPUs.
 //!
-//! ## Shared stages
+//! ## Shared rules
 //!
-//! Two stages here serve most of the zoo. [`RankedBackfill`] is the one
-//! rank-then-backfill admission (gang FIFO, Tiresias' LAS, SRTF and
-//! SRSF are four [`Rank`]s of it, and Optimus' minimum pass runs
-//! [`ranked_backfill`] too); [`ConsolidatedPlacement`] is the one
-//! keep-then-pack placement, with fullest-first, largest-first and
-//! Gandiva best-fit packings.
+//! [`Admission::Ranked`] is the one rank-then-backfill admission (gang
+//! FIFO, Tiresias' LAS, SRTF and SRSF are four [`Rank`]s of it, and
+//! Optimus' minimum pass runs [`ranked_backfill`] too); every
+//! [`Placement`] is the one keep-then-pack placement, with
+//! fullest-first, largest-first and Gandiva best-fit packings.
 //!
 //! ## Determinism contract
 //!
-//! Stages draw RNG only through the `rng` argument and are invoked in
-//! the fixed order above, so a staged policy inherits the simulator's
-//! bit-reproducibility guarantees as long as each stage is itself a
-//! pure function of its inputs (all in-repo stages are; none draw).
+//! No stage reads the clock or draws from the RNG: each is a pure
+//! function of the round's views and capacity, invoked in the fixed
+//! order above, so a staged policy inherits the simulator's
+//! bit-reproducibility guarantees.
 
 use crate::policy::{PolicyJobView, SchedulingPolicy};
+use crate::{optimus, or_etal};
 use pollux_cluster::{row_is_empty, row_shape, AllocationMatrix, ClusterSpec};
 use pollux_telemetry::{Counter, HistogramHandle, Recorder};
 use rand::rngs::StdRng;
@@ -68,17 +69,17 @@ use std::time::Instant;
 /// `gpus` GPUs this round. Order is meaningful — placement stages
 /// honor it (e.g. consolidated placement packs in admitted order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Admitted {
+pub(crate) struct Admitted {
     /// Index into the round's view slice.
-    pub row: usize,
+    pub(crate) row: usize,
     /// GPUs the job is entitled to this round (> 0).
-    pub gpus: u32,
+    pub(crate) gpus: u32,
 }
 
 /// Stage 1 of a [`StagedScheduler`] round: whether running jobs may
 /// yield their GPUs this round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Preemption {
+pub(crate) enum Preemption {
     /// Every running job may yield: the fully-preemptive rule of
     /// Tiresias, Optimus, SRTF/SRSF, Gandiva and Or et al. Nothing is
     /// held, so admission ranks every job.
@@ -90,7 +91,7 @@ pub enum Preemption {
 
 impl Preemption {
     /// The rule's name in telemetry metadata and the zoo table.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Self::All => "preempt-all",
             Self::Never => "no-preemption",
@@ -98,79 +99,88 @@ impl Preemption {
     }
 }
 
+/// A row's key in [`Admission::Ranked`]: lower ranks are admitted
+/// first.
+pub(crate) type Rank = fn(&PolicyJobView<'_>) -> f64;
+
 /// Stage 2 of a [`StagedScheduler`] round: which jobs may hold GPUs
-/// this round, in priority order, and how many.
-pub trait AdmissionPolicy: Send {
-    /// Stage name (shown in telemetry metadata).
-    fn name(&self) -> &'static str;
+/// this round, in priority order, and how many. Admission controls
+/// cluster entry, so it also owns the cluster-sizing and batch-size
+/// hooks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Admission {
+    /// The one ranked-backfill admission: every row that is not held
+    /// asks for its user GPU count (at least 1), and rows are admitted
+    /// in [`ranked_backfill`] order over the free GPUs. The zoo's four
+    /// orders differ only in the [`Rank`]: gang FIFO ranks every row
+    /// alike (submit time decides), Tiresias' LAS puts rows past its
+    /// attained-service threshold second, SRTF ranks by remaining work
+    /// and SRSF by remaining work × GPUs.
+    Ranked { name: &'static str, rank: Rank },
+    /// Optimus+Oracle: every job's minimum GPUs, then a marginal-gain
+    /// auction of the rest (`optimus.rs`).
+    MarginalGain,
+    /// Or et al.: the first job gets every free GPU, the cluster is
+    /// sized for it up to `max_nodes` nodes, and its batch grows with
+    /// its GPUs (`or_etal.rs`).
+    SingleTenant { max_nodes: u32 },
+}
+
+impl Admission {
+    /// The rule's name in telemetry metadata and the zoo table.
+    fn name(self) -> &'static str {
+        match self {
+            Self::Ranked { name, .. } => name,
+            Self::MarginalGain => "marginal-gain",
+            Self::SingleTenant { .. } => "single-tenant",
+        }
+    }
 
     /// Ranks the round's jobs and returns the ordered entitlement
     /// list. `held[row]` marks running jobs whose placement is already
     /// locked in (they must not be admitted again); `free` is the
     /// remaining per-node capacity after held placements. Admission
     /// decides *counts*, never concrete GPUs — that is placement's
-    /// job — but the total admitted GPUs should fit `free` (the
-    /// planner clamps defensively, and the stage-invariant proptests
-    /// require feasibility from every in-repo stage).
+    /// job — and the total admitted GPUs fit `free` (the planner
+    /// clamps defensively, and the stage-invariant proptests require
+    /// feasibility from every rule).
     fn admit(
-        &mut self,
-        now: f64,
+        self,
         jobs: &[PolicyJobView<'_>],
         held: &[bool],
         free: &[u32],
         spec: &ClusterSpec,
-        rng: &mut StdRng,
-    ) -> Vec<Admitted>;
-
-    /// Cloud auto-scaling hook, forwarded from
-    /// [`SchedulingPolicy::desired_nodes`] (admission is the stage
-    /// that controls cluster entry, so it owns sizing too). Default:
-    /// keep the cluster fixed.
-    fn desired_nodes(
-        &mut self,
-        _now: f64,
-        _jobs: &[PolicyJobView<'_>],
-        _spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Option<u32> {
-        None
+    ) -> Vec<Admitted> {
+        match self {
+            Self::Ranked { rank, .. } => {
+                let mut budget = free.iter().sum();
+                ranked_backfill(jobs, held, rank, |j| j.user.gpus.max(1), &mut budget)
+            }
+            Self::MarginalGain => optimus::admit(jobs, held, free, spec),
+            Self::SingleTenant { .. } => or_etal::admit(jobs, held, free),
+        }
     }
 
-    /// Batch-size hook, forwarded from
-    /// [`SchedulingPolicy::choose_batch_size`] (Or et al. scales the
-    /// batch with the workers it admits). Default: keep the job's
+    /// Cloud auto-scaling, forwarded from
+    /// [`SchedulingPolicy::desired_nodes`]: `None` keeps the cluster
+    /// fixed.
+    fn desired_nodes(self, jobs: &[PolicyJobView<'_>], spec: &ClusterSpec) -> Option<u32> {
+        match self {
+            Self::SingleTenant { max_nodes } => or_etal::desired_nodes(jobs, spec, max_nodes),
+            Self::Ranked { .. } | Self::MarginalGain => None,
+        }
+    }
+
+    /// Batch-size choice, forwarded from
+    /// [`SchedulingPolicy::choose_batch_size`]: `None` keeps the job's
     /// current batch size.
-    fn choose_batch_size(&self, _job: &PolicyJobView<'_>) -> Option<u64> {
-        None
+    fn choose_batch_size(self, job: &PolicyJobView<'_>) -> Option<u64> {
+        match self {
+            Self::SingleTenant { .. } => or_etal::choose_batch_size(job),
+            Self::Ranked { .. } | Self::MarginalGain => None,
+        }
     }
 }
-
-/// Stage 3 of a [`StagedScheduler`] round: concrete GPU rows for the
-/// admitted jobs.
-pub trait PlacementPolicy: Send {
-    /// Stage name (shown in telemetry metadata).
-    fn name(&self) -> &'static str;
-
-    /// Writes a placement row into `matrix` for each admitted job,
-    /// deducting every granted GPU from `free`. Jobs that cannot be
-    /// placed within `free` are left at their all-zero row (they stay
-    /// pending / become preempted). Must never exceed `free` — the
-    /// feasibility of the composed matrix is placement's
-    /// responsibility.
-    fn place(
-        &mut self,
-        now: f64,
-        jobs: &[PolicyJobView<'_>],
-        admitted: &[Admitted],
-        free: &mut [u32],
-        matrix: &mut AllocationMatrix,
-        rng: &mut StdRng,
-    );
-}
-
-/// A row's key in a [`RankedBackfill`]: lower ranks are admitted
-/// first.
-pub type Rank = fn(&PolicyJobView<'_>) -> f64;
 
 /// The rank-and-backfill body: the rows not `held`, ordered by
 /// (`rank`, submit time, row), each admitted at `need` GPUs while
@@ -178,7 +188,7 @@ pub type Rank = fn(&PolicyJobView<'_>) -> f64;
 /// backfill around it; `budget` is left at what nobody took. Keys
 /// compare by `partial_cmp` (an incomparable pair ties), and each
 /// row's rank is computed once, never inside the comparator.
-pub fn ranked_backfill(
+pub(crate) fn ranked_backfill(
     jobs: &[PolicyJobView<'_>],
     held: &[bool],
     rank: impl Fn(&PolicyJobView<'_>) -> f64,
@@ -206,45 +216,6 @@ pub fn ranked_backfill(
         }
     }
     admitted
-}
-
-/// The one ranked-backfill admission stage: every row that is not held
-/// asks for its user GPU count (at least 1), and rows are admitted in
-/// [`ranked_backfill`] order over the free GPUs. The zoo's four orders
-/// differ only in the [`Rank`]: gang FIFO ranks every row alike (submit
-/// time decides), Tiresias' LAS puts rows past its attained-service
-/// threshold second, SRTF ranks by remaining work and SRSF by
-/// remaining work × GPUs.
-#[derive(Debug, Clone, Copy)]
-pub struct RankedBackfill {
-    name: &'static str,
-    rank: Rank,
-}
-
-impl RankedBackfill {
-    /// The stage `name`, admitting in `rank` order.
-    pub fn new(name: &'static str, rank: Rank) -> Self {
-        Self { name, rank }
-    }
-}
-
-impl AdmissionPolicy for RankedBackfill {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn admit(
-        &mut self,
-        _now: f64,
-        jobs: &[PolicyJobView<'_>],
-        held: &[bool],
-        free: &[u32],
-        _spec: &ClusterSpec,
-        _rng: &mut StdRng,
-    ) -> Vec<Admitted> {
-        let mut budget = free.iter().sum();
-        ranked_backfill(jobs, held, self.rank, |j| j.user.gpus.max(1), &mut budget)
-    }
 }
 
 /// Attempts to place `need` GPUs onto the nodes with free capacities
@@ -280,7 +251,7 @@ pub fn pack_consolidated(need: u32, free: &mut [u32]) -> Option<Vec<u32>> {
 /// Tries to keep a job's existing placement: succeeds when every node
 /// still has the required free capacity. On success, capacity is
 /// deducted from `free`.
-pub fn keep_placement(current: &[u32], free: &mut [u32]) -> bool {
+fn keep_placement(current: &[u32], free: &mut [u32]) -> bool {
     let pairs = current.iter().zip(&*free);
     let over = pairs.fold(false, |over, (&c, &f)| over | (c > f));
     let fits = current.len() == free.len() && !over;
@@ -309,75 +280,47 @@ fn pack_best_fit(need: u32, free: &mut [u32]) -> Option<Vec<u32>> {
     Some(row)
 }
 
-/// How [`ConsolidatedPlacement`] packs the jobs its keep pass did not
-/// keep.
+/// Stage 3 of a [`StagedScheduler`] round: concrete GPU rows for the
+/// admitted jobs. Every rule is the one keep-then-pack placement:
+/// admitted jobs whose current placement already matches their
+/// entitlement keep it (no gratuitous checkpoint-restart); everyone
+/// else is packed onto the free GPUs, in the rule's packing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Packing {
-    /// Admitted order, fullest-free node first.
+pub(crate) enum Placement {
+    /// Admitted (priority) order, fullest-free node first — Tiresias's
+    /// choice.
     FullestFirst,
     /// Largest entitlement first (ties in admitted order), fullest-free
-    /// node first.
+    /// node first — Optimus's choice (big jobs get the contiguous
+    /// capacity, small jobs fill the gaps).
     LargestFirst,
-    /// Admitted order, tightest single node that fits.
+    /// Admitted order, each job whole on the tightest node that fits
+    /// it, and a job wider than any node spread fullest-first —
+    /// Gandiva's best fit, which keeps whole nodes free for wide gangs.
     BestFit,
 }
 
-/// The one keep-then-pack placement stage: admitted jobs whose current
-/// placement already matches their entitlement keep it (no gratuitous
-/// checkpoint-restart); everyone else is packed onto the free GPUs.
-///
-/// The keep pass is shared; the packing is a constructor choice:
-/// fullest-first in admitted order (Tiresias), largest job first
-/// (Optimus), or Gandiva's best fit.
-#[derive(Debug, Clone, Copy)]
-pub struct ConsolidatedPlacement {
-    packing: Packing,
-}
-
-impl ConsolidatedPlacement {
-    /// Packs in admitted (priority) order onto the fullest-free nodes —
-    /// Tiresias's choice.
-    pub fn admitted_order() -> Self {
-        Self {
-            packing: Packing::FullestFirst,
+impl Placement {
+    /// The rule's name in telemetry metadata and the zoo table.
+    fn name(self) -> &'static str {
+        match self {
+            Self::FullestFirst => "consolidated",
+            Self::LargestFirst => "consolidated-largest-first",
+            Self::BestFit => "best-fit-packing",
         }
     }
 
-    /// Packs largest jobs first — Optimus's choice (big jobs get the
-    /// contiguous capacity, small jobs fill the gaps).
-    pub fn largest_first() -> Self {
-        Self {
-            packing: Packing::LargestFirst,
-        }
-    }
-
-    /// Packs each job whole onto the tightest node that fits it, and
-    /// spreads a job wider than any node fullest-first — Gandiva's best
-    /// fit, which keeps whole nodes free for wide gangs.
-    pub fn best_fit() -> Self {
-        Self {
-            packing: Packing::BestFit,
-        }
-    }
-}
-
-impl PlacementPolicy for ConsolidatedPlacement {
-    fn name(&self) -> &'static str {
-        match self.packing {
-            Packing::FullestFirst => "consolidated",
-            Packing::LargestFirst => "consolidated-largest-first",
-            Packing::BestFit => "best-fit-packing",
-        }
-    }
-
+    /// Writes a placement row into `matrix` for each admitted job,
+    /// deducting every granted GPU from `free`. Jobs that cannot be
+    /// placed within `free` are left at their all-zero row (they stay
+    /// pending / become preempted); `free` is never exceeded, so the
+    /// composed matrix is feasible.
     fn place(
-        &mut self,
-        _now: f64,
+        self,
         jobs: &[PolicyJobView<'_>],
         admitted: &[Admitted],
         free: &mut [u32],
         matrix: &mut AllocationMatrix,
-        _rng: &mut StdRng,
     ) {
         // First pass: keep placements whose GPU count already matches
         // the entitlement, to avoid gratuitous checkpoint-restarts.
@@ -395,12 +338,12 @@ impl PlacementPolicy for ConsolidatedPlacement {
         }
 
         // Second pass: pack the rest.
-        if self.packing == Packing::LargestFirst {
-            needs_placing.sort_by_key(|a| std::cmp::Reverse(a.gpus));
+        if self == Self::LargestFirst {
+            needs_placing.sort_by_key(|a| Reverse(a.gpus));
         }
-        let pack = match self.packing {
-            Packing::BestFit => pack_best_fit,
-            Packing::FullestFirst | Packing::LargestFirst => pack_consolidated,
+        let pack = match self {
+            Self::BestFit => pack_best_fit,
+            Self::FullestFirst | Self::LargestFirst => pack_consolidated,
         };
         for a in needs_placing {
             if let Some(row) = pack(a.gpus, free) {
@@ -410,14 +353,14 @@ impl PlacementPolicy for ConsolidatedPlacement {
     }
 }
 
-/// Composes one admission stage, one placement stage and a preemption
+/// Composes one admission rule, one placement rule and one preemption
 /// rule into a [`SchedulingPolicy`] (see the module docs for the round
-/// pipeline). Construct with [`StagedScheduler::new`]; the policy
-/// `name` is what experiment tables and `SimResult::policy` report.
+/// pipeline). The policy `name` is what experiment tables and
+/// `SimResult::policy` report.
 pub struct StagedScheduler {
     name: &'static str,
-    admission: Box<dyn AdmissionPolicy>,
-    placement: Box<dyn PlacementPolicy>,
+    admission: Admission,
+    placement: Placement,
     preemption: Preemption,
     /// Per-node free GPUs and per-row holds, refilled every round and
     /// kept so that a round allocates neither.
@@ -440,27 +383,28 @@ pub struct StagedScheduler {
 
 impl std::fmt::Debug for StagedScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (admission, placement, preemption) = self.stage_names();
         f.debug_struct("StagedScheduler")
             .field("name", &self.name)
-            .field("admission", &self.admission.name())
-            .field("placement", &self.placement.name())
-            .field("preemption", &self.preemption.name())
+            .field("admission", &admission)
+            .field("placement", &placement)
+            .field("preemption", &preemption)
             .finish()
     }
 }
 
 impl StagedScheduler {
-    /// Composes the stages under a policy `name`.
-    pub fn new(
+    /// Composes the rules under a policy `name`.
+    pub(crate) fn new(
         name: &'static str,
-        admission: impl AdmissionPolicy + 'static,
-        placement: impl PlacementPolicy + 'static,
+        admission: Admission,
+        placement: Placement,
         preemption: Preemption,
     ) -> Self {
         Self {
             name,
-            admission: Box::new(admission),
-            placement: Box::new(placement),
+            admission,
+            placement,
             preemption,
             free: Vec::new(),
             held: Vec::new(),
@@ -488,10 +432,10 @@ impl SchedulingPolicy for StagedScheduler {
 
     fn schedule(
         &mut self,
-        now: f64,
+        _now: f64,
         jobs: &[PolicyJobView<'_>],
         spec: &ClusterSpec,
-        rng: &mut StdRng,
+        _rng: &mut StdRng,
     ) -> AllocationMatrix {
         let mut clock = self.telemetry_live.then(Instant::now);
         let mut matrix = AllocationMatrix::zeros(jobs.len(), spec.num_nodes());
@@ -516,7 +460,7 @@ impl SchedulingPolicy for StagedScheduler {
         lap(&self.stage_ns[0], &mut clock);
 
         // Stage 2: admission over everything not already held.
-        let admitted = self.admission.admit(now, jobs, held, free, spec, rng);
+        let admitted = self.admission.admit(jobs, held, free, spec);
         debug_assert!(
             admitted.iter().all(|a| !held.get(a.row).unwrap_or(&false)),
             "admission must not re-admit held rows"
@@ -524,8 +468,7 @@ impl SchedulingPolicy for StagedScheduler {
         lap(&self.stage_ns[1], &mut clock);
 
         // Stage 3: placement of the admitted jobs.
-        self.placement
-            .place(now, jobs, &admitted, free, &mut matrix, rng);
+        self.placement.place(jobs, &admitted, free, &mut matrix);
         lap(&self.stage_ns[2], &mut clock);
 
         // Observational round accounting: entrants (pending jobs that
@@ -552,12 +495,12 @@ impl SchedulingPolicy for StagedScheduler {
 
     fn desired_nodes(
         &mut self,
-        now: f64,
+        _now: f64,
         jobs: &[PolicyJobView<'_>],
         spec: &ClusterSpec,
-        rng: &mut StdRng,
+        _rng: &mut StdRng,
     ) -> Option<u32> {
-        self.admission.desired_nodes(now, jobs, spec, rng)
+        self.admission.desired_nodes(jobs, spec)
     }
 
     fn choose_batch_size(&self, job: &PolicyJobView<'_>) -> Option<u64> {
@@ -571,9 +514,10 @@ impl SchedulingPolicy for StagedScheduler {
             .map(|stage| recorder.histogram("control", stage));
         self.telemetry_live = recorder.is_enabled();
         // Stage identities, so captures name who made each decision.
-        recorder.meta("sched", "admission", self.admission.name());
-        recorder.meta("sched", "placement", self.placement.name());
-        recorder.meta("sched", "preemption", self.preemption.name());
+        let (admission, placement, preemption) = self.stage_names();
+        recorder.meta("sched", "admission", admission);
+        recorder.meta("sched", "placement", placement);
+        recorder.meta("sched", "preemption", preemption);
     }
 }
 
@@ -615,8 +559,11 @@ mod tests {
     }
 
     /// FIFO admission over free GPUs: every row ranks alike.
-    fn fifo() -> RankedBackfill {
-        RankedBackfill::new("fifo-test", |_| 0.0)
+    fn fifo() -> Admission {
+        Admission::Ranked {
+            name: "fifo-test",
+            rank: |_| 0.0,
+        }
     }
 
     #[test]
@@ -815,7 +762,7 @@ mod tests {
 
     /// Places `gpus` (one admitted job per entry, rows in order) from
     /// `free` with `stage`, returning the matrix.
-    fn place_all(stage: ConsolidatedPlacement, free: &mut [u32], gpus: &[u32]) -> AllocationMatrix {
+    fn place_all(stage: Placement, free: &mut [u32], gpus: &[u32]) -> AllocationMatrix {
         let idle = vec![0u32; free.len()];
         let views: Vec<PolicyJobView<'_>> = (0..gpus.len())
             .map(|i| view(i as u32, &idle, i as f64))
@@ -826,16 +773,14 @@ mod tests {
             .map(|(row, &gpus)| Admitted { row, gpus })
             .collect();
         let mut matrix = AllocationMatrix::zeros(gpus.len(), free.len());
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut stage = stage;
-        stage.place(0.0, &views, &admitted, free, &mut matrix, &mut rng);
+        stage.place(&views, &admitted, free, &mut matrix);
         matrix
     }
 
     #[test]
     fn best_fit_picks_the_tightest_fitting_node() {
         let mut free = vec![4u32, 2, 3];
-        let m = place_all(ConsolidatedPlacement::best_fit(), &mut free, &[2]);
+        let m = place_all(Placement::BestFit, &mut free, &[2]);
         // Node 1 (2 free) is the tightest fit — NOT the fullest (node 0).
         assert_eq!(m.row(0), &[0, 2, 0]);
         assert_eq!(free, vec![4, 0, 3]);
@@ -847,11 +792,11 @@ mod tests {
         // then has to split the 4-GPU gang; best fit tucks it next to
         // the running job instead.
         let mut free = vec![1u32, 4];
-        let m = place_all(ConsolidatedPlacement::best_fit(), &mut free, &[1, 4]);
+        let m = place_all(Placement::BestFit, &mut free, &[1, 4]);
         assert_eq!(m.row(0), &[1, 0]);
         assert_eq!(m.row(1), &[0, 4], "whole node preserved for the gang");
         let mut free = vec![1u32, 4];
-        let m = place_all(ConsolidatedPlacement::admitted_order(), &mut free, &[1, 4]);
+        let m = place_all(Placement::FullestFirst, &mut free, &[1, 4]);
         assert_eq!(m.row(0), &[0, 1]);
         assert_eq!(m.row(1), &[1, 3]);
     }
@@ -859,7 +804,7 @@ mod tests {
     #[test]
     fn best_fit_spreads_jobs_wider_than_a_node() {
         let mut free = vec![4u32, 4];
-        let m = place_all(ConsolidatedPlacement::best_fit(), &mut free, &[6]);
+        let m = place_all(Placement::BestFit, &mut free, &[6]);
         assert_eq!(m.gpus_of(0), 6);
         assert_eq!(m.nodes_of(0), 2);
     }
@@ -875,7 +820,7 @@ mod tests {
         let mut staged = StagedScheduler::new(
             "fifo-preemptive",
             fifo(),
-            ConsolidatedPlacement::admitted_order(),
+            Placement::FullestFirst,
             Preemption::All,
         );
         let mut rng = StdRng::seed_from_u64(0);
@@ -898,7 +843,7 @@ mod tests {
         let mut staged = StagedScheduler::new(
             "fifo-nonpreemptive",
             fifo(),
-            ConsolidatedPlacement::admitted_order(),
+            Placement::FullestFirst,
             Preemption::Never,
         );
         let mut rng = StdRng::seed_from_u64(0);
@@ -919,7 +864,7 @@ mod tests {
         let mut staged = StagedScheduler::new(
             "fifo-nonpreemptive",
             fifo(),
-            ConsolidatedPlacement::admitted_order(),
+            Placement::FullestFirst,
             Preemption::Never,
         );
         let mut rng = StdRng::seed_from_u64(0);
@@ -939,15 +884,7 @@ mod tests {
         let views = [view(0, &cur0, 0.0), view(1, &idle, 1.0)];
         let admitted = [Admitted { row: 0, gpus: 2 }, Admitted { row: 1, gpus: 4 }];
         let mut matrix = AllocationMatrix::zeros(2, 3);
-        let mut rng = StdRng::seed_from_u64(0);
-        ConsolidatedPlacement::admitted_order().place(
-            0.0,
-            &views,
-            &admitted,
-            &mut free,
-            &mut matrix,
-            &mut rng,
-        );
+        Placement::FullestFirst.place(&views, &admitted, &mut free, &mut matrix);
         // Job 0 keeps its exact row; job 1 packs onto one full node.
         assert_eq!(matrix.row(0), &[0, 2, 0]);
         assert_eq!(matrix.nodes_of(1), 1);
@@ -964,15 +901,7 @@ mod tests {
         // the big job the single-node placement.
         let admitted = [Admitted { row: 0, gpus: 2 }, Admitted { row: 1, gpus: 4 }];
         let mut matrix = AllocationMatrix::zeros(2, 2);
-        let mut rng = StdRng::seed_from_u64(0);
-        ConsolidatedPlacement::largest_first().place(
-            0.0,
-            &views,
-            &admitted,
-            &mut free,
-            &mut matrix,
-            &mut rng,
-        );
+        Placement::LargestFirst.place(&views, &admitted, &mut free, &mut matrix);
         assert_eq!(matrix.nodes_of(1), 1, "big job consolidated first");
         assert_eq!(matrix.gpus_of(0), 2);
     }
@@ -991,7 +920,7 @@ mod tests {
         let mut staged = StagedScheduler::new(
             "fifo-preemptive",
             fifo(),
-            ConsolidatedPlacement::admitted_order(),
+            Placement::FullestFirst,
             Preemption::All,
         );
         staged.attach_telemetry(recorder.clone());

@@ -10,14 +10,14 @@
 //! are placed consolidated (fewest nodes).
 //!
 //! Decomposed Blox-style (DESIGN.md §10): admission is the shared
-//! [`RankedBackfill`] ranked by [`las_two_queue`]'s two queues;
-//! placement is the shared [`ConsolidatedPlacement`] in admitted
-//! order; preemption is [`Preemption::All`] (any running job yields to a
+//! [`Admission::Ranked`] ranked by [`las_two_queue`]'s two queues;
+//! placement is [`Placement::FullestFirst`] in admitted order;
+//! preemption is [`Preemption::All`] (any running job yields to a
 //! higher priority). [`tiresias`] composes the three. The staged form
 //! is pinned byte-identical to the pre-decomposition monolith by
 //! `pollux-core/tests/baseline_golden.rs`.
 
-use pollux_control::{ConsolidatedPlacement, Preemption, RankedBackfill, StagedScheduler};
+use crate::stages::{Admission, Placement, Preemption, StagedScheduler};
 
 /// Attained-service threshold (GPU-seconds) splitting the two priority
 /// queues: one GPU-hour, so small jobs finish entirely in the high
@@ -28,10 +28,11 @@ const QUEUE_THRESHOLD: f64 = 3600.0;
 /// priorities — the high queue (attained service below the threshold)
 /// ranks 0, the low queue 1, FIFO within each — then the backfilled
 /// jobs whose user GPU counts fit the free capacity.
-pub fn las_two_queue() -> RankedBackfill {
-    RankedBackfill::new("las-two-queue", |j| {
-        f64::from(u8::from(j.gputime >= QUEUE_THRESHOLD))
-    })
+pub(crate) fn las_two_queue() -> Admission {
+    Admission::Ranked {
+        name: "las-two-queue",
+        rank: |j| f64::from(u8::from(j.gputime >= QUEUE_THRESHOLD)),
+    }
 }
 
 /// The Tiresias scheduling policy: LAS two-queue admission,
@@ -40,7 +41,7 @@ pub fn tiresias() -> StagedScheduler {
     StagedScheduler::new(
         "tiresias",
         las_two_queue(),
-        ConsolidatedPlacement::admitted_order(),
+        Placement::FullestFirst,
         Preemption::All,
     )
 }
@@ -48,8 +49,8 @@ pub fn tiresias() -> StagedScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyJobView, SchedulingPolicy};
     use pollux_cluster::{ClusterSpec, JobId};
-    use pollux_control::{PolicyJobView, SchedulingPolicy};
     use pollux_models::BatchSizeLimits;
     use pollux_workload::{ModelKind, UserConfig};
     use rand::rngs::StdRng;

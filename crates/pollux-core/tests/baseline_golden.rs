@@ -18,8 +18,10 @@
 //! uses), which exercises preemptions, restarts, backfill, and
 //! consolidated placement in every policy.
 
-use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_cluster::{ClusterSpec, JobId};
+use pollux_control::baselines::{
+    fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias,
+};
 use pollux_core::{run_trace_recorded, ConfigChoice};
 use pollux_simulator::{SchedulingPolicy, SimConfig, SimResult};
 use pollux_telemetry::{MemorySink, Recorder};
@@ -93,7 +95,7 @@ fn digest_of<P: SchedulingPolicy>(policy: P) -> u64 {
 /// ground-truth φ became piecewise constant in progress, so every job
 /// that trains above its `m0` (all of these) moved in the low digits
 /// of its progress under every policy. The staged pipeline is
-/// unchanged: `pollux-baselines`' own goldens, which run no engine,
+/// unchanged: the baselines' own unit goldens, which run no engine,
 /// did not move.
 ///
 /// All three were re-pinned once more (this one from

@@ -15,8 +15,10 @@
 //!   one out-of-order admit (an unordered map walk, say) would flip
 //!   the serialized `SimResult`.
 
-use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
 use pollux_cluster::{ClusterSpec, JobId};
+use pollux_control::baselines::{
+    fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias,
+};
 use pollux_control::{pack_consolidated, PolicyJobView, SchedulingPolicy, StagedScheduler};
 use pollux_core::{run_trace, ConfigChoice};
 use pollux_models::BatchSizeLimits;

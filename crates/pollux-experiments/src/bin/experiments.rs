@@ -17,12 +17,15 @@
 //! - `--imagenet-scale F`: fraction of the full ImageNet job `fig10`
 //!   runs, 0.01–1.0 (default 0.25).
 //!
+//! A bad value, a value flag given twice or an unknown name is one
+//! line on stderr and exit status 2, before anything runs.
+//!
 //! Telemetry follows the process-wide `POLLUX_TELEMETRY_OUT` capture
 //! like every other experiment driver; `telemetry-report` summarizes
 //! it.
 
 use pollux_experiments::common::{
-    capture_recorder, cli_args, exit_on_error, finish_capture, flag_value,
+    capture_recorder, cli_args, exit_on_error, finish_capture, first_use, flag_value,
 };
 use pollux_experiments::{
     ablations, fig1, fig10, fig2, fig3, fig6, fig7, fig8, fig9, table2, table3,
@@ -123,7 +126,13 @@ fn main() {
     let mut selected: Vec<&Experiment> = Vec::new();
 
     let mut args = cli_args();
+    let mut seen = Vec::new();
     while let Some(arg) = args.next() {
+        exit_on_error(first_use(
+            &mut seen,
+            &arg,
+            &["--traces", "--imagenet-scale"],
+        ));
         match arg.as_str() {
             "--list" => list = true,
             "--traces" => {

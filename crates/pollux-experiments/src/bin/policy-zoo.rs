@@ -28,16 +28,18 @@
 //!   turns one into a Chrome trace (open in <https://ui.perfetto.dev>).
 //! - `--json PATH`: also dump the structured `ZooResult` as JSON.
 //!
-//! Flags are user input: a bad value, an unknown, blank or repeated
-//! policy name or an output path that cannot be written is one line on
-//! stderr and exit status 2, before anything is simulated; a capture
-//! whose writes failed is the same, after the table. Without
+//! Flags are user input: a bad value, a value flag given twice, an
+//! unknown, blank or repeated policy name or an output path that
+//! cannot be opened is one line on stderr and exit status 2, before
+//! anything is simulated; a `--json` file whose write fails is the
+//! same before the table prints, and a capture whose writes failed
+//! after it. Without
 //! `--trace-dir`, telemetry follows the process-wide
 //! `POLLUX_TELEMETRY_OUT` capture like every other experiment driver.
 
 use pollux_core::ConfigChoice;
 use pollux_experiments::common::{
-    capture_recorder, cli_args, exit_on_error, finish_capture, flag_value, render_table,
+    capture_recorder, cli_args, exit_on_error, finish_capture, first_use, flag_value, render_table,
     CaptureError,
 };
 use pollux_experiments::zoo::{self, ZooOptions};
@@ -78,6 +80,17 @@ fn output<'a, T>(
     exit_on_error(open(path).map_err(CaptureError::io(flag, path.as_os_str())))
 }
 
+/// The flags that take a value; each may be given once.
+const VALUE_FLAGS: [&str; 7] = [
+    "--policies",
+    "--traces",
+    "--jobs",
+    "--load",
+    "--interference",
+    "--trace-dir",
+    "--json",
+];
+
 fn main() {
     let mut opts = ZooOptions::default();
     let mut list = false;
@@ -85,7 +98,9 @@ fn main() {
     let mut json_out: Option<PathBuf> = None;
 
     let mut args = cli_args();
+    let mut seen = Vec::new();
     while let Some(arg) = args.next() {
+        exit_on_error(first_use(&mut seen, &arg, &VALUE_FLAGS));
         match arg.as_str() {
             "--list" => list = true,
             "--policies" => {
@@ -151,14 +166,17 @@ fn main() {
         }),
     });
 
-    println!("{result}");
-
+    // The JSON is written before the table prints, so a file that
+    // cannot take it is refused with nothing on stdout.
     if let Some(path) = &json_out {
         output("--json", path, |path| {
             std::fs::write(path, result.to_json())
         });
         eprintln!("json: {path:?}");
     }
+
+    println!("{result}");
+
     exit_on_error(finish_capture());
     for (capture, sink) in traces.into_inner() {
         output("--trace-dir", &capture, |_| sink.finish());

@@ -40,13 +40,14 @@
 //! - `--prefix <p>`: only report `subsystem/name` entries starting
 //!   with `p`.
 //! - `--kind <k>`: only report one event kind, one of `Event::KINDS`
-//!   (repeatable).
+//!   (repeatable; `--chrome-trace` and `--prefix` are given at most
+//!   once).
 //!
-//! An unreadable capture, an unwritable trace or a capture refused for
-//! export is one line on stderr and exit status 2, before the report
-//! prints.
+//! A repeated `--chrome-trace` or `--prefix`, an unreadable capture,
+//! an unwritable trace or a capture refused for export is one line on
+//! stderr and exit status 2, before the report prints.
 
-use pollux_experiments::common::{cli_args, exit_on_error, render_table, CaptureError};
+use pollux_experiments::common::{cli_args, exit_on_error, first_use, render_table, CaptureError};
 use pollux_telemetry::{chrome, Event, HistogramSnapshot, RoundExplain};
 use std::collections::BTreeMap;
 use std::ffi::OsStr;
@@ -103,7 +104,9 @@ fn parse_args() -> Options {
     let mut chrome_out = None;
     let mut prefix = None;
     let mut kinds = Vec::new();
+    let mut seen = Vec::new();
     while let Some(a) = args.next() {
+        exit_on_error(first_use(&mut seen, &a, &["--chrome-trace", "--prefix"]));
         match a.as_str() {
             "--chrome-trace" => chrome_out = Some(args.next().unwrap_or_else(|| usage())),
             "--prefix" => prefix = Some(args.next().unwrap_or_else(|| usage())),

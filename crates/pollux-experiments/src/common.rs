@@ -180,6 +180,24 @@ where
     }
 }
 
+/// Records `arg` in `seen` when it is one of `value_flags`: a value
+/// flag given twice is refused, where the second value would silently
+/// replace the first.
+///
+/// # Errors
+///
+/// One line naming the flag, when `arg` is a value flag already seen.
+pub fn first_use(seen: &mut Vec<String>, arg: &str, value_flags: &[&str]) -> Result<(), String> {
+    if !value_flags.contains(&arg) {
+        return Ok(());
+    }
+    if seen.iter().any(|flag| flag == arg) {
+        return Err(format!("{arg} is given twice; give each value flag once"));
+    }
+    seen.push(arg.to_string());
+    Ok(())
+}
+
 /// Mean of a slice (None when empty).
 pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {

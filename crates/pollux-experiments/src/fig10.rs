@@ -10,8 +10,8 @@
 
 use crate::cell::simulate;
 use crate::common::{recorder, render_table};
-use pollux_baselines::or_etal;
 use pollux_cluster::{ClusterSpec, JobId};
+use pollux_control::baselines::or_etal;
 use pollux_core::{ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux_sched::{AutoscaleConfig, GaConfig};
 use pollux_simulator::{SimConfig, SimResult};

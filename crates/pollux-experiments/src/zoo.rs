@@ -16,7 +16,9 @@
 
 use crate::cell::{run_cells, Cell, CellError, Summary};
 use crate::common::{experiment_pollux, render_table};
-use pollux_baselines::{fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias};
+use pollux_control::baselines::{
+    fifo_backfill, gandiva_packing, optimus, or_etal, srsf, srtf, tiresias,
+};
 use pollux_control::{SchedulingPolicy, StagedScheduler};
 use pollux_core::{PolluxConfig, PolluxPolicy};
 use pollux_telemetry::{json, Recorder};

@@ -70,6 +70,7 @@ fn bad_arguments_exit_2_with_one_line() {
         &["fig1", "--traces", "many"],
         &["fig1", "--traces", "0"],
         &["fig10", "--imagenet-scale", "1.5"],
+        &["fig1", "--traces", "1", "--traces", "2"],
     ] {
         refused(env!("CARGO_BIN_EXE_experiments"), args);
     }
@@ -79,6 +80,9 @@ fn bad_arguments_exit_2_with_one_line() {
     let trace_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("zoo-squatted-capture");
     std::fs::create_dir_all(trace_dir.join("tiresias.jsonl")).unwrap();
     let trace_dir = trace_dir.to_str().unwrap();
+    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let (za, zb) = (tmp.join("za.json"), tmp.join("zb.json"));
+    let (za, zb) = (za.to_str().unwrap(), zb.to_str().unwrap());
     let quick = ["--traces", "1", "--jobs", "2", "--policies", "tiresias"];
     for args in [
         &["--interference", "2"][..],
@@ -98,6 +102,9 @@ fn bad_arguments_exit_2_with_one_line() {
         &["--json", "/nonexistent-dir/zoo.json"],
         &["--trace-dir", "/dev/null/zoo-traces"],
         &["--trace-dir", trace_dir],
+        &["--json", za, "--json", zb],
+        // Opens, then fails the write: refused before the table prints.
+        &["--json", "/dev/full"],
     ] {
         refused(
             env!("CARGO_BIN_EXE_policy-zoo"),
@@ -107,7 +114,6 @@ fn bad_arguments_exit_2_with_one_line() {
 
     // A capture of one event, and the same event followed by a line
     // that is not UTF-8.
-    let tmp = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let line = pollux_telemetry::Event::Count {
         subsystem: "engine".into(),
         name: "chunks".into(),
@@ -119,10 +125,13 @@ fn bad_arguments_exit_2_with_one_line() {
     let garbled = tmp.join("garbled.jsonl");
     std::fs::write(&garbled, [line.as_bytes(), b"\n\xff\xfe\n"].concat()).unwrap();
     let (capture, garbled) = (capture.to_str().unwrap(), garbled.to_str().unwrap());
+    let (ta, tb) = (tmp.join("ta.json"), tmp.join("tb.json"));
+    let (ta, tb) = (ta.to_str().unwrap(), tb.to_str().unwrap());
     for args in [
         &["/nonexistent-dir/capture.jsonl"][..],
         &[capture, "--chrome-trace", "/nonexistent-dir/trace.json"],
         &[garbled],
+        &[capture, "--chrome-trace", ta, "--chrome-trace", tb],
     ] {
         refused(env!("CARGO_BIN_EXE_telemetry-report"), args);
     }

@@ -18,7 +18,7 @@
 //!
 //! Entry point: [`engine::Simulation`]. Scheduling policies implement
 //! [`SchedulingPolicy`] (from `pollux-control`); Pollux itself lives in
-//! `pollux-core` and the baselines in `pollux-baselines`.
+//! `pollux-core` and the baselines in `pollux-control::baselines`.
 
 #![forbid(unsafe_code)]
 

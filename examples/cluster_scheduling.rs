@@ -6,8 +6,8 @@
 //! cargo run --release --example cluster_scheduling
 //! ```
 
-use pollux::baselines::{optimus, tiresias};
 use pollux::cluster::ClusterSpec;
+use pollux::control::baselines::{optimus, tiresias};
 use pollux::core::{run_trace, ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux::sched::GaConfig;
 use pollux::simulator::{SchedulingPolicy, SimConfig, SimResult};

@@ -2,12 +2,11 @@
 //!
 //! See the individual crates for detailed documentation:
 //! [`pollux_core`], [`pollux_models`], [`pollux_sched`], [`pollux_agent`],
-//! [`pollux_control`], [`pollux_simulator`], [`pollux_workload`],
-//! [`pollux_baselines`], [`pollux_trainer`], [`pollux_experiments`],
-//! [`pollux_cluster`].
+//! [`pollux_control`] (with the baseline schedulers),
+//! [`pollux_simulator`], [`pollux_workload`], [`pollux_trainer`],
+//! [`pollux_experiments`], [`pollux_cluster`].
 
 pub use pollux_agent as agent;
-pub use pollux_baselines as baselines;
 pub use pollux_cluster as cluster;
 pub use pollux_control as control;
 pub use pollux_core as core;

@@ -224,6 +224,13 @@ fn retired_identifiers_stay_gone() {
         "FidelityResult",
         "from_table2",
         "run_at_load",
+        "pollux_baselines",
+        "AdmissionPolicy",
+        "PlacementPolicy",
+        "ConsolidatedPlacement",
+        "RankedBackfill",
+        "OptimusAdmission",
+        "OrEtAlAdmission",
     ];
     let hits = grep(&files(&["crates", "src", "tests", "examples"]), |line| {
         RETIRED.iter().any(|name| line.contains(name))
@@ -233,7 +240,7 @@ fn retired_identifiers_stay_gone() {
         "the capture is the one timeline, the recorder the one counter channel, \
          telemetry-report the one Chrome exporter, phase 1 a pick and no search, \
          goodput the paper's, preemption a rule, a topology a rack width, the optimizers \
-         private to pollux-models, Table 2 and the search oracle the one printout each; \
+         private to pollux-models, each stage a closed set of rules beside the baselines, Table 2 and the search oracle the one printout each; \
          settings are what a caller sets\n{}",
         hits.join("\n")
     );
@@ -307,8 +314,8 @@ fn one_json_writer() {
 
 // Gang FIFO, LAS, SRTF, SRSF and Optimus' minimum pass admit through
 // pollux-control's one ranked backfill; a second copy of the loop starts
-// with a second `budget -= need`. The baselines reach the stages through
-// pollux-control, not through the simulator.
+// with a second `budget -= need`. The baselines live in pollux-control,
+// beside the stages, which does not depend on the simulator.
 #[test]
 fn one_backfill_admission() {
     let hits = grep(&crate_sources(), |line| line.contains("budget -= need"));
@@ -318,7 +325,7 @@ fn one_backfill_admission() {
         "one ranked backfill: the one `budget -= need` is in pollux-control's stages.rs",
     );
 
-    let manifest = fs::read_to_string(root().join("crates/pollux-baselines/Cargo.toml")).unwrap();
+    let manifest = fs::read_to_string(root().join("crates/pollux-control/Cargo.toml")).unwrap();
     let on_simulator = dependencies(&manifest)
         .into_iter()
         .any(|(table, key, value)| {
@@ -327,7 +334,7 @@ fn one_backfill_admission() {
         });
     assert!(
         !on_simulator,
-        "pollux-baselines depends on pollux-control, not on the simulator"
+        "pollux-control, home of the stages and the baselines, does not depend on the simulator"
     );
 }
 

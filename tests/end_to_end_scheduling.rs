@@ -1,8 +1,8 @@
 //! End-to-end integration tests: workload generation → simulation →
 //! the Pollux policy and baselines, across crate boundaries.
 
-use pollux::baselines::tiresias;
 use pollux::cluster::ClusterSpec;
+use pollux::control::baselines::tiresias;
 use pollux::core::{run_trace, ConfigChoice, PolluxConfig, PolluxPolicy};
 use pollux::sched::GaConfig;
 use pollux::simulator::SimConfig;

@@ -38,8 +38,8 @@
 //! moving a whole workload later by whole scheduling intervals moves
 //! nothing else, so neither stepper nor the φ hold reads absolute time.
 
-use pollux::baselines::tiresias;
 use pollux::cluster::{AllocationMatrix, ClusterSpec, JobId};
+use pollux::control::baselines::tiresias;
 use pollux::core::{PolluxConfig, PolluxPolicy};
 use pollux::models::PlacementShape;
 use pollux::sched::GaConfig;

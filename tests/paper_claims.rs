@@ -5,6 +5,7 @@
 //! tests check that it still agrees with the paper, so a re-pinned
 //! golden whose reproduction broke fails here.
 
+use pollux::experiments::cell::{run_averaged, Cell};
 use pollux::experiments::{fig10, fig7, table2, table3};
 
 /// Table 2's headline ordering on one trace: Pollux < Optimus+Oracle <
@@ -37,6 +38,65 @@ fn fig7_user_configured_jobs_help_neither_baseline() {
             tuned.normalized[p]
         );
     }
+}
+
+/// Fig 8's end points on one trace: from 1× to 2× load every policy's
+/// average JCT grows, and Pollux's grows least (Sec. 5.3.2). The cells
+/// are `fig8::run`'s at those two loads.
+#[test]
+fn fig8_pollux_degrades_least_under_double_load() {
+    let cells: Vec<Cell> = [1.0, 2.0]
+        .iter()
+        .flat_map(|&load| {
+            table2::POLICIES.map(|(policy, _)| Cell {
+                load,
+                ..Cell::evaluation(policy, 0)
+            })
+        })
+        .collect();
+    let jct = run_averaged(&cells, 1).expect("one trace is a valid grid");
+    let growth: Vec<f64> = (0..3)
+        .map(|p| jct[3 + p].avg_jct_hours / jct[p].avg_jct_hours)
+        .collect();
+    for (p, (name, _)) in table2::POLICIES.iter().enumerate().skip(1) {
+        assert!(
+            growth[0] < growth[p],
+            "JCT grew {}x under Pollux vs {}x under {name}",
+            growth[0],
+            growth[p]
+        );
+    }
+}
+
+/// Fig 9's end points on one trace: interference avoidance costs
+/// Pollux at most 5 % when co-location is free, and wins when it slows
+/// distributed jobs by 50 % (Sec. 5.3.2). The cells are `fig9::run`'s
+/// at those two slowdowns.
+#[test]
+fn fig9_interference_avoidance_is_cheap_and_wins_under_slowdown() {
+    let cells: Vec<Cell> = [0.0, 0.5]
+        .iter()
+        .flat_map(|&interference| {
+            [true, false].map(|avoidance| {
+                let mut cell = Cell {
+                    interference,
+                    ..Cell::evaluation("pollux", 0)
+                };
+                cell.pollux.sched.ga.interference_avoidance = avoidance;
+                cell
+            })
+        })
+        .collect();
+    let jct = run_averaged(&cells, 1).expect("one trace is a valid grid");
+    let [free_on, free_off, slow_on, slow_off] = [0, 1, 2, 3].map(|i| jct[i].avg_jct_hours);
+    assert!(
+        free_on <= 1.05 * free_off,
+        "at 0 % slowdown: {free_on} h with avoidance vs {free_off} h without"
+    );
+    assert!(
+        slow_off > slow_on,
+        "at 50 % slowdown: {slow_off} h without avoidance vs {slow_on} h with"
+    );
 }
 
 /// Table 3 on one trace: at λ = 1 the median JCT improves on λ = 0 and
