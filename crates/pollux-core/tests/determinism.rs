@@ -343,8 +343,13 @@ fn racked_optimize_is_identical_across_worker_counts() {
         // Per round: the outcome and the counters summed so far.
         let mut round = |jobs: &[SchedJob]| {
             let outcome = sched.optimize(jobs, &spec, &mut rng);
-            let counts = ["table_solves", "table_rows_reused", "racks_evolved"]
-                .map(|name| rec.counter_value("sched", name));
+            let counts = [
+                "table_solves",
+                "table_rows_reused",
+                "racks_evolved",
+                "rounds_certified",
+            ]
+            .map(|name| rec.counter_value("sched", name));
             (
                 outcome.best,
                 outcome.best_fitness.to_bits(),
@@ -384,16 +389,41 @@ fn racked_optimize_is_identical_across_worker_counts() {
     };
 
     let (reference, next_draw) = run(Some(1));
-    let [solves, reused, evolved] = reference[0].3;
+    let [solves, reused, evolved, certified] = reference[0].3;
     assert_eq!(reused, 0, "round 0 is cold");
     // Replayed racks solve nothing, evolve nothing, reuse every row.
     assert_eq!(
         (reference[1].2.generations_run, reference[1].3),
-        (0, [solves, 600, evolved]),
+        (0, [solves, 600, evolved, certified]),
         "round 1 must replay every rack"
     );
-    for round in [&reference[2], &reference[4]] {
-        assert!(round.2.generations_run > 0, "a changed rack must search");
+    // Each changed rack is certified by the bound or searches: a round
+    // runs generations exactly when one of its racks was not certified.
+    for (i, pair) in reference.windows(2).enumerate() {
+        let [.., evolved, certified] = pair[1].3;
+        let [.., evolved_before, certified_before] = pair[0].3;
+        let searched = (evolved - evolved_before) - (certified - certified_before);
+        assert_eq!(
+            searched > 0,
+            pair[1].2.generations_run > 0,
+            "round {}: {searched} racks searched",
+            i + 1
+        );
+    }
+    // The fixture takes both paths.
+    let [.., certified_total] = reference[reference.len() - 1].3;
+    let generations: u64 = reference.iter().map(|round| round.2.generations_run).sum();
+    assert!(
+        certified_total > 0 && generations > 0,
+        "{certified_total} certified, {generations} generations"
+    );
+    for i in [2, 4] {
+        let [.., evolved, _] = reference[i].3;
+        let [.., evolved_before, _] = reference[i - 1].3;
+        assert!(
+            evolved > evolved_before,
+            "round {i}: a changed rack is certified or searches"
+        );
     }
     for workers in [Some(2), Some(3), Some(8), None] {
         let (rounds, draw) = run(workers);

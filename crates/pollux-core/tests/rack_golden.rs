@@ -174,7 +174,15 @@ fn single_rack_topology_is_byte_identical_to_flat() {
 /// The mean JCT moved 1318.7 s → 1355.5 s, with
 /// no job left unfinished. Flat and single-rack runs never enter the
 /// racked path: every other golden is unchanged.
-const GOLDEN_FOUR_RACK: u64 = 0xa059_f45f_c444_783c;
+///
+/// Re-pinned a ninth time (from `0xa059_f45f_c444_783c`) when every
+/// rack's search began from the separable bound's packed matrix and
+/// stopped once its best met the bound: a certified rack runs no
+/// generation and draws nothing from its seed, and the others evolve
+/// from a different first member, so the answers move from the first
+/// interval on. The mean JCT moved 1355.5 s → 1316.2 s, with no job
+/// left unfinished.
+const GOLDEN_FOUR_RACK: u64 = 0xeb24_6d11_c6b4_5465;
 
 #[test]
 fn golden_trajectory_four_racks() {

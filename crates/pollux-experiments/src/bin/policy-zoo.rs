@@ -145,7 +145,10 @@ fn main() {
         return;
     }
 
-    // Every output path is opened before the first simulation.
+    // The names are checked before any output is opened, so a refused
+    // run leaves an existing `--json` file or capture as it was; every
+    // output path is then opened before the first simulation.
+    exit_on_error(zoo::resolve(&opts));
     exit_on_error(capture_recorder());
     if let Some(path) = &json_out {
         output("--json", path, File::create);

@@ -138,6 +138,23 @@ fn bad_arguments_exit_2_with_one_line() {
 }
 
 #[test]
+fn a_refused_zoo_run_leaves_an_existing_json_file_as_it_was() {
+    // The names are refused before any output is opened: a bad
+    // `--policies` must not truncate the file `--json` names.
+    let prior = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("prior.json");
+    let before = b"{\"rows\": 1}";
+    for policies in ["nope", "tiresias,tiresias"] {
+        fs::write(&prior, before).unwrap();
+        let prior = prior.to_str().unwrap();
+        refused(
+            env!("CARGO_BIN_EXE_policy-zoo"),
+            &["--policies", policies, "--json", prior],
+        );
+        assert_eq!(fs::read(prior).unwrap(), before, "--policies {policies}");
+    }
+}
+
+#[test]
 fn fig1_and_fig6_print_their_banner_then_the_module_rows() {
     for (name, rows) in [
         ("fig1", pollux_experiments::fig1::run().to_string()),

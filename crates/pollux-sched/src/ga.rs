@@ -137,6 +137,15 @@ pub struct GeneticAlgorithm {
     config: GaConfig,
 }
 
+/// What one search optimizes: the jobs, the cluster, and the speedup
+/// table built from them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Problem<'a> {
+    pub(crate) jobs: &'a [SchedJob],
+    pub(crate) spec: &'a ClusterSpec,
+    pub(crate) table: &'a SpeedupTable,
+}
+
 /// What every population slot of one round reads, borrowed.
 struct EvalCtx<'a> {
     config: &'a GaConfig,
@@ -343,24 +352,27 @@ impl GeneticAlgorithm {
         table: &SpeedupTable,
         rng: &mut R,
     ) -> (GaOutcome, Vec<AllocationMatrix>) {
-        self.evolve_on(jobs, spec, seed, table, rng, None)
+        let problem = Problem { jobs, spec, table };
+        self.evolve_on(problem, seed, None, rng, None)
     }
 
-    /// [`Self::evolve`], with the odd slots of every generation built
-    /// on `worker` while the calling thread builds the even ones, if
-    /// the worker's pacer pairs this round. The outcome, the population
-    /// and the draws from `rng` are those of [`Self::evolve`], bit for
-    /// bit.
+    /// [`Self::evolve`], ending at the first generation — the initial
+    /// population included — whose best reaches `bound`, an upper
+    /// bound on every feasible fitness ([`crate::bound`]), and with the
+    /// odd slots of every generation built on `worker` while the
+    /// calling thread builds the even ones, if the worker's pacer pairs
+    /// this round. Which thread builds a slot never changes the
+    /// outcome, the population or the draws from `rng`.
     pub(crate) fn evolve_on<R: Rng>(
         &self,
-        jobs: &[SchedJob],
-        spec: &ClusterSpec,
+        problem: Problem<'_>,
         seed: Vec<AllocationMatrix>,
-        table: &SpeedupTable,
+        bound: Option<f64>,
         rng: &mut R,
         mut worker: Option<&mut MemberWorker>,
     ) -> (GaOutcome, Vec<AllocationMatrix>) {
         const UNSHARED: &str = "the worker lets go of a generation before handing it back";
+        let Problem { jobs, spec, table } = problem;
         let started = Instant::now();
         let num_jobs = jobs.len();
         let num_nodes = spec.num_nodes();
@@ -413,6 +425,7 @@ impl GeneticAlgorithm {
         let max_of = |f: &[f64]| f.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut best_so_far = f64::NEG_INFINITY;
         let mut stale_gens = 0usize;
+        let certified = |best: f64| bound.is_some_and(|bound| best >= bound);
         // Round 0 builds the initial population; every later round is
         // a generation: one mutated copy per member plus `pop_size`
         // crossover children, then survival. `slots` holds last
@@ -448,6 +461,9 @@ impl GeneticAlgorithm {
                 std::mem::swap(&mut g.parents, &mut slots);
                 live = g.parents.len();
                 best_so_far = max_of(&g.fitnesses);
+                if certified(best_so_far) {
+                    break;
+                }
                 continue;
             }
 
@@ -481,6 +497,10 @@ impl GeneticAlgorithm {
             g.fitnesses.clear();
             g.fitnesses.extend(g.parents.iter().map(|m| m.fitness));
 
+            // Survival ranks the best first.
+            if certified(g.fitnesses[0]) {
+                break;
+            }
             if self.config.early_stop_gens > 0 {
                 let best_now = max_of(&g.fitnesses);
                 if best_now > best_so_far + 1e-12 {

@@ -9,8 +9,15 @@
 //! ```
 //!
 //! with a genetic algorithm whose operators (mutation, tournament
-//! crossover, repair) are described in Sec. 4.2.1 / Fig 5. The crate
-//! also implements:
+//! crossover, repair) are described in Sec. 4.2.1 / Fig 5. Every search
+//! starts from [`bound`]: Eqn 14 is a weighted mean of per-job terms,
+//! so relaxing node capacity and interference avoidance to a GPU budget
+//! turns it into a knapsack a DP solves exactly. The DP's optimum
+//! bounds every feasible matrix from above and its pick, packed onto
+//! the nodes, is a feasible one; a round whose packed pick meets the
+//! bound is certified optimal and runs no generation, and every other
+//! round seeds the GA with it and stops once the GA's best meets the
+//! bound. The crate also implements:
 //!
 //! - job weights decaying with attained GPU-time (Eqn 16, [`weights`]);
 //! - the restart penalty for re-allocated jobs ([`mod@fitness`]);
@@ -46,6 +53,7 @@
 //! bit-identical at every worker count.
 
 pub mod autoscale;
+pub mod bound;
 pub mod fitness;
 pub mod ga;
 pub mod local_search;

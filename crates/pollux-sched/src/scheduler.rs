@@ -4,10 +4,13 @@
 //! scheduling intervals (Sec. 4.3). At each interval the caller passes
 //! the current set of [`SchedJob`]s (models refreshed by their agents);
 //! the scheduler reconciles the saved population with job arrivals and
-//! completions, evolves it, and returns the best allocation matrix.
+//! completions, solves the separable bound ([`crate::bound`]), evolves
+//! the population from the bound's packed matrix unless that matrix is
+//! already proven optimal, and returns the best allocation matrix.
 
+use crate::bound;
 use crate::fitness::FitnessConfig;
-use crate::ga::{GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm, MemberWorker};
+use crate::ga::{GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm, MemberWorker, Problem};
 use crate::par::parallel_map;
 use crate::racks;
 use crate::speedup::{pure_speedup, SchedJob, SpeedupTable, SpeedupTableStats};
@@ -117,8 +120,8 @@ struct RackTask<'a> {
 struct RackDone {
     rack: usize,
     carry: RackCarry,
-    /// Search and table counters of a rack that evolved.
-    evolved: Option<(GaRunStats, SpeedupTableStats)>,
+    /// What the search of a rack that evolved did.
+    evolved: Option<Searched>,
 }
 
 impl PolluxSched {
@@ -158,16 +161,19 @@ impl PolluxSched {
     }
 
     /// Attaches a telemetry recorder: each interval emits its
-    /// wall-clock spans (`sched/table_build` and `sched/ga_evolve` on
-    /// the flat path, `sched/rack_assign` and `sched/rack_evolve` on
-    /// the racked path) and its counters through it — the one way the
+    /// wall-clock spans (`sched/table_build`, `sched/bound` and
+    /// `sched/ga_evolve` on the flat path, `sched/rack_assign`,
+    /// `sched/rack_evolve` and the racks' summed `sched/bound` on the
+    /// racked path) and its counters through it — the one way the
     /// scheduler's counts leave it: `sched/intervals`, the
     /// [`GaRunStats`] sums (`sched/generations`, `fitness_evals`,
     /// `incremental_evals`, `rows_recomputed`), the table builds'
-    /// `sched/table_solves` and `table_rows_reused`, and on the racked
-    /// path `sched/racks_evolved` and `racks_reused`. Telemetry is
-    /// observational only — schedules are bit-identical with or
-    /// without a recorder.
+    /// `sched/table_solves` and `table_rows_reused`, the searches the
+    /// bound certified (`sched/rounds_certified`) and each search's
+    /// bound minus its best (the `sched/bound_gap` histogram, in 10⁻⁹
+    /// fitness), and on the racked path `sched/racks_evolved` and
+    /// `racks_reused`. Telemetry is observational only — schedules are
+    /// bit-identical with or without a recorder.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -237,18 +243,19 @@ impl PolluxSched {
                     self.member_worker = MemberWorker::spawn();
                 }
                 let worker = self.member_worker.as_mut();
-                let (mut carry, stats, speedup, [build_nanos, evolve_nanos]) =
-                    search(&self.ga, jobs, spec, prev, rng, worker);
-                self.recorder
-                    .record_duration_ns("sched", "table_build", build_nanos);
-                self.recorder
-                    .record_duration_ns("sched", "ga_evolve", evolve_nanos);
+                let (mut carry, searched) = search(&self.ga, jobs, spec, prev, rng, worker);
+                let rec = &self.recorder;
+                let [build_nanos, bound_nanos, evolve_nanos] = searched.nanos;
+                rec.record_duration_ns("sched", "table_build", build_nanos);
+                rec.record_duration_ns("sched", "bound", bound_nanos);
+                rec.record_duration_ns("sched", "ga_evolve", evolve_nanos);
+                searched.record_bound(rec);
                 let (best, best_fitness) = carry.best.take().expect("searched");
                 Round {
                     best,
                     best_fitness,
-                    stats,
-                    speedup,
+                    stats: searched.stats,
+                    speedup: searched.table,
                     carry: vec![carry],
                     assignment: None,
                 }
@@ -464,15 +471,19 @@ impl PolluxSched {
         let mut speedup = SpeedupTableStats::default();
         let mut fitness_weighted = 0.0;
         let mut weight_total = 0.0;
+        let mut bound_nanos = 0;
         let mut new_carry: Vec<_> = (0..num_racks).map(|_| RackCarry::default()).collect();
         for rack in done {
             match rack.evolved {
-                Some((search, table)) => {
-                    speedup.accumulate(table);
+                Some(searched) => {
+                    let search = searched.stats;
+                    speedup.accumulate(searched.table);
                     stats.generations_run += search.generations_run;
                     stats.fitness_evals += search.fitness_evals;
                     stats.incremental_evals += search.incremental_evals;
                     stats.rows_recomputed += search.rows_recomputed;
+                    bound_nanos += searched.nanos[1];
+                    searched.record_bound(&self.recorder);
                 }
                 // A quiet rack's rows were all reused (nothing was
                 // solved this interval).
@@ -492,6 +503,8 @@ impl PolluxSched {
         };
         let rec = &self.recorder;
         rec.record_duration_ns("sched", "rack_evolve", ga_evolve_nanos);
+        // The racks' bound time, summed over the workers that ran them.
+        rec.record_duration_ns("sched", "bound", bound_nanos);
         rec.incr("sched", "racks_evolved", racks_evolved as u64);
         rec.incr("sched", "racks_reused", racks_reused);
         Round {
@@ -516,13 +529,39 @@ impl PolluxSched {
     }
 }
 
+/// What one [`search`] did, for the caller to report.
+#[derive(Debug, Clone, Copy, Default)]
+struct Searched {
+    stats: GaRunStats,
+    table: SpeedupTableStats,
+    /// Wall-clock nanoseconds of the table build, the bound and the
+    /// evolve.
+    nanos: [u64; 3],
+    /// The bound minus the best fitness found.
+    gap: f64,
+    /// Whether the DP's packed matrix met the bound, so no GA ran.
+    certified: bool,
+}
+
+impl Searched {
+    /// Reports the bound's share of a search: `sched/rounds_certified`,
+    /// and `sched/bound_gap` in units of 10⁻⁹ fitness.
+    fn record_bound(&self, rec: &Recorder) {
+        rec.incr("sched", "rounds_certified", u64::from(self.certified));
+        rec.observe("sched", "bound_gap", (self.gap * 1e9).round() as u64);
+    }
+}
+
 /// The one search step, of the flat round and of every rack that
 /// evolves: reconcile the carried population onto `jobs`, build the
-/// table copying forward the carried table's clean rows, evolve on
-/// `rng` — with half of each generation on `worker`, if given. Returns
-/// the next carry (`sub_jobs` left to a caller that replays), the
-/// search and table counters, and the wall-clock nanoseconds of the
-/// table build and of the evolve.
+/// table copying forward the carried table's clean rows, and solve the
+/// separable bound ([`bound::solve`]). If the bound's packed matrix
+/// meets it, that is the answer: no generation runs and `rng` is not
+/// drawn. Otherwise the GA evolves on `rng` from the packed matrix and
+/// the carried population — with half of each generation on `worker`,
+/// if given — and stops early once its best reaches the bound. Returns
+/// the next carry (`sub_jobs` left to a caller that replays) and what
+/// the search did.
 fn search<R: Rng>(
     ga: &GeneticAlgorithm,
     jobs: &[SchedJob],
@@ -530,15 +569,50 @@ fn search<R: Rng>(
     prev: RackCarry,
     rng: &mut R,
     worker: Option<&mut MemberWorker>,
-) -> (RackCarry, GaRunStats, SpeedupTableStats, [u64; 2]) {
-    let seed = reconcile_population(&prev.population, &prev.job_ids, jobs, spec.num_nodes());
+) -> (RackCarry, Searched) {
+    let reconciled = reconcile_population(&prev.population, &prev.job_ids, jobs, spec.num_nodes());
     let build_start = Instant::now();
     let table = SpeedupTable::build_reusing(jobs, spec, 1, prev.table.as_ref());
     let build_nanos = build_start.elapsed().as_nanos() as u64;
+    let bound_start = Instant::now();
+    let bound = bound::solve(jobs, spec, &table, ga.config());
+    let bound_nanos = bound_start.elapsed().as_nanos() as u64;
+    let certified = bound.certifies();
+    let mut population = Vec::with_capacity(reconciled.len() + 1);
+    population.push(bound.packed);
+    population.extend(reconciled);
     let evolve_start = Instant::now();
-    let (outcome, population) = ga.evolve_on(jobs, spec, seed, &table, rng, worker);
+    let (outcome, population) = if certified {
+        population.truncate(ga.config().population.max(2));
+        let outcome = GaOutcome {
+            best: population[0].clone(),
+            best_fitness: bound.packed_fitness,
+            stats: GaRunStats::default(),
+        };
+        (outcome, population)
+    } else {
+        let problem = Problem {
+            jobs,
+            spec,
+            table: &table,
+        };
+        ga.evolve_on(problem, population, Some(bound.value), rng, worker)
+    };
     let evolve_nanos = evolve_start.elapsed().as_nanos() as u64;
-    let speedup = table.stats();
+    debug_assert!(
+        outcome.best_fitness <= bound.value && outcome.best_fitness >= bound.packed_fitness,
+        "the search left [{}, {}]: {}",
+        bound.packed_fitness,
+        bound.value,
+        outcome.best_fitness
+    );
+    let searched = Searched {
+        stats: outcome.stats,
+        table: table.stats(),
+        nanos: [build_nanos, bound_nanos, evolve_nanos],
+        gap: bound.value - outcome.best_fitness,
+        certified,
+    };
     let carry = RackCarry {
         job_ids: jobs.iter().map(|j| j.id).collect(),
         population,
@@ -546,7 +620,7 @@ fn search<R: Rng>(
         sub_jobs: Vec::new(),
         best: Some((outcome.best, outcome.best_fitness)),
     };
-    (carry, outcome.stats, speedup, [build_nanos, evolve_nanos])
+    (carry, searched)
 }
 
 /// One rack's phase 2: [`search`] the rack-local subproblem under the
@@ -575,7 +649,7 @@ fn run_rack(
             )
             .expect("racks are non-empty and rack nodes have GPUs");
             let mut rack_rng = StdRng::seed_from_u64(seed);
-            let (mut carry, search, table, _) = search(
+            let (mut carry, searched) = search(
                 ga,
                 &task.sub_jobs,
                 &sub_spec,
@@ -584,7 +658,7 @@ fn run_rack(
                 None,
             );
             carry.sub_jobs = task.sub_jobs;
-            (carry, Some((search, table)))
+            (carry, Some(searched))
         }
     };
     let (best, _) = carry.best.as_ref().expect("searched or carried");
@@ -798,6 +872,24 @@ mod tests {
         }
     }
 
+    /// Jobs of exactly 3, 3 and 2 GPUs, repeating: on 4-GPU nodes the
+    /// relaxed optimum gives every job its GPUs co-located, but a 2-GPU
+    /// job fits one node only where the 3-GPU ones left a pair free,
+    /// and spread over two it is worth less than the relaxation priced
+    /// it. Such a round is never certified ([`bound`]) and evolves.
+    fn fragmented(n: u32) -> Vec<SchedJob> {
+        (0..n)
+            .map(|j| {
+                let gpus = if j % 3 == 2 { 2 } else { 3 };
+                SchedJob {
+                    min_gpus: gpus,
+                    gpu_cap: gpus,
+                    ..job(j)
+                }
+            })
+            .collect()
+    }
+
     fn sched() -> PolluxSched {
         let mut config = SchedConfig::default();
         config.ga.population = 24;
@@ -831,6 +923,35 @@ mod tests {
         for j in 0..3 {
             assert!(a.gpus_of(j) >= 1, "job {j} starved:\n{a}");
         }
+    }
+
+    #[test]
+    fn a_certified_round_runs_no_generation_and_draws_nothing() {
+        use rand::RngCore;
+
+        // Two jobs that fit a node each: the packed relaxed optimum is
+        // feasible, so it is the answer, proven optimal.
+        let spec = ClusterSpec::homogeneous(2, 4).unwrap();
+        let jobs: Vec<SchedJob> = (0..2)
+            .map(|j| SchedJob {
+                gpu_cap: 4,
+                ..job(j)
+            })
+            .collect();
+        let mut s = sched();
+        let rec = record(&mut s);
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut untouched = rng.clone();
+        let out = s.optimize(&jobs, &spec, &mut rng);
+        assert_eq!(rec.counter_value("sched", "rounds_certified"), 1);
+        assert_eq!(out.stats, GaRunStats::default(), "no generation ran");
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "no draw was taken");
+        assert_eq!((out.best.gpus_of(0), out.best.gpus_of(1)), (4, 4));
+        let table = SpeedupTable::build(&jobs, &spec, 1);
+        let fitness = crate::fitness::fitness(&jobs, &out.best, &table, &s.config.ga.fitness);
+        assert_eq!(out.best_fitness.to_bits(), fitness.to_bits());
+        // The carry is the answer, then the reconciled population.
+        assert_eq!(s.carry[0].population, [out.best]);
     }
 
     #[test]
@@ -928,10 +1049,11 @@ mod tests {
         s.set_topology(Some(topo));
         let rec = record(&mut s);
         let mut rng = StdRng::seed_from_u64(5);
-        let jobs: Vec<SchedJob> = (0..4).map(job).collect();
+        let jobs = fragmented(6);
 
         let cold = s.optimize(&jobs, &spec, &mut rng);
         assert!(cold.stats.generations_run > 0);
+        assert_eq!(rec.counter_value("sched", "rounds_certified"), 0);
         let [solves, reused] = table_counts(&rec);
 
         // Identical inputs: every rack replays its carried answer —
@@ -953,6 +1075,7 @@ mod tests {
             out.stats.generations_run > 0,
             "a changed rack must re-search"
         );
+        assert_eq!(rec.counter_value("sched", "rounds_certified"), 0);
     }
 
     /// The flat round's kept member worker changes who builds a slot,
@@ -968,8 +1091,9 @@ mod tests {
         serial.set_threads(1);
         let mut paired = sched();
         paired.set_threads(2);
+        let rec = record(&mut paired);
         let (mut rng1, mut rng2) = (StdRng::seed_from_u64(21), StdRng::seed_from_u64(21));
-        let mut jobs: Vec<SchedJob> = (0..5).map(job).collect();
+        let mut jobs = fragmented(9);
         for round in 0..6u32 {
             let one = serial.optimize(&jobs, &spec, &mut rng1);
             let two = paired.optimize(&jobs, &spec, &mut rng2);
@@ -977,6 +1101,7 @@ mod tests {
                 paired.member_worker.is_some(),
                 "round {round}: two threads, one kept worker"
             );
+            assert!(two.stats.generations_run > 0, "round {round} evolves");
             assert_eq!(one.best, two.best, "round {round}");
             assert_eq!(
                 one.best_fitness.to_bits(),
@@ -989,15 +1114,21 @@ mod tests {
                 "round {round}"
             );
             assert_eq!(rng1.next_u64(), rng2.next_u64(), "round {round}");
-            // Churn: one job leaves, one arrives, the rest keep the
-            // answer as their incumbents and one of them is re-weighted.
-            jobs.remove(0);
-            jobs.push(job(10 + round));
+            // Churn: one job leaves, one of its size arrives, the rest
+            // keep the answer as their incumbents and one of them is
+            // re-weighted.
+            let gone = jobs.remove(0);
+            jobs.push(SchedJob {
+                id: JobId(10 + round),
+                current_placement: Vec::new(),
+                ..gone
+            });
             for (j, job) in jobs.iter_mut().enumerate().take(3) {
                 job.current_placement = one.best.row(j + 1).to_vec();
             }
             jobs[1].weight = 1.0 + 0.5 * f64::from(round);
         }
+        assert_eq!(rec.counter_value("sched", "rounds_certified"), 0);
         paired.set_threads(1);
         assert!(
             paired.member_worker.is_none(),
@@ -1012,7 +1143,7 @@ mod tests {
         let spec4 = ClusterSpec::homogeneous(4, 4).unwrap();
         let spec6 = ClusterSpec::homogeneous(6, 4).unwrap();
         let two_racks = Some(Topology::grouped(4, 2).unwrap());
-        let jobs: Vec<SchedJob> = (0..4).map(job).collect();
+        let jobs = fragmented(9);
         let mut s = sched();
         let mut rng = StdRng::seed_from_u64(8);
         // Flat, racked, flat, racked — and flat again, because the
@@ -1039,6 +1170,8 @@ mod tests {
             assert_eq!(out.stats, cold.stats, "round {i}");
             assert_eq!(table_counts(&rec), table_counts(&fresh_rec), "round {i}");
             assert_eq!(rng.next_u64(), fresh_rng.next_u64(), "round {i}");
+            assert!(out.stats.generations_run > 0, "round {i} evolves");
+            assert_eq!(rec.counter_value("sched", "rounds_certified"), 0);
         }
 
         // Flat → flat keeps its carry, across a cluster resize and a
@@ -1104,7 +1237,7 @@ mod tests {
     #[test]
     fn interval_counters_reach_the_recorder() {
         let spec = ClusterSpec::homogeneous(2, 4).unwrap();
-        let jobs: Vec<SchedJob> = (0..2).map(job).collect();
+        let jobs = fragmented(3);
         let mut s = sched();
         let rec = record(&mut s);
         let count = |name| rec.counter_value("sched", name);
@@ -1116,6 +1249,7 @@ mod tests {
         }
         let sum = |f: fn(&GaRunStats) -> u64| outcomes.iter().map(f).sum::<u64>();
         assert!(sum(|s| s.fitness_evals) > 0 && sum(|s| s.generations_run) > 0);
+        assert_eq!(count("rounds_certified"), 0);
         assert_eq!(count("fitness_evals"), sum(|s| s.fitness_evals));
         assert_eq!(count("generations"), sum(|s| s.generations_run));
         assert_eq!(count("incremental_evals"), sum(|s| s.incremental_evals));

@@ -10,16 +10,19 @@
 //! gpu_cap]`, and no node hosting two distributed jobs.
 //!
 //! No arm may score above the oracle: each returns a repaired matrix,
-//! which lies inside the enumerated set. How often the GA at 40 × 20
-//! misses the optimum is pinned, one-sided, as the bar a change to the
-//! search must hold, and it must land closer to the optimum on average
-//! than random search given the same number of fitness evaluations.
+//! which lies inside the enumerated set. The separable bound
+//! (`pollux::sched::bound`) may never score below it. How often the GA
+//! at 40 × 20 and the bound's packed matrix miss the optimum is pinned,
+//! one-sided, as the bar a change to the search must hold; the GA must
+//! land closer to the optimum on average than random search given the
+//! same number of fitness evaluations, and seeded with the packed
+//! matrix it must never score below it.
 
 use pollux::cluster::{row_shape, AllocationMatrix, ClusterSpec, JobId};
 use pollux::models::{EfficiencyModel, GoodputModel};
 use pollux::sched::{
-    contribution, fitness, repair_matrix, FitnessConfig, GaConfig, GaWorkspace, GeneticAlgorithm,
-    LocalSearch, LocalSearchConfig, SchedJob, SpeedupTable,
+    bound, contribution, fitness, repair_matrix, FitnessConfig, GaConfig, GaWorkspace,
+    GeneticAlgorithm, LocalSearch, LocalSearchConfig, SchedJob, SpeedupTable,
 };
 use pollux::workload::ModelKind;
 use rand::rngs::StdRng;
@@ -31,6 +34,11 @@ const INSTANCES: u64 = 64;
 /// test was written; a change to the search may lower it, never raise
 /// it.
 const GA_40X20_MISSES: usize = 14;
+/// Instances on which the bound's packed matrix, and the GA at 40 × 20
+/// seeded with it, missed the optimum when the bound was added; pinned
+/// the same way.
+const PACKED_MISSES: usize = 5;
+const SEEDED_GA_MISSES: usize = 1;
 /// A score this far below the oracle is a miss.
 const MISS: f64 = 1e-9;
 
@@ -181,7 +189,7 @@ fn ga(population: usize, generations: usize, early_stop_gens: usize) -> GeneticA
 /// Fitness evaluations of the GA at 40 × 20 run to the end.
 const BUDGET: usize = 40 + 20 * 2 * 40;
 
-const ARMS: [Arm; 5] = [
+const ARMS: [Arm; 7] = [
     ("GA 40x20", |jobs, spec, table, seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let default_stop = GaConfig::default().early_stop_gens;
@@ -233,6 +241,19 @@ const ARMS: [Arm; 5] = [
         }
         best.0
     }),
+    ("DP + packing", |jobs, spec, table, _| {
+        bound::solve(jobs, spec, table, &GaConfig::default()).packed
+    }),
+    (
+        "GA 40x20 seeded with DP + packing",
+        |jobs, spec, table, seed| {
+            let packed = bound::solve(jobs, spec, table, &GaConfig::default()).packed;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let default_stop = GaConfig::default().early_stop_gens;
+            let ga = ga(40, 20, default_stop);
+            ga.evolve(jobs, spec, vec![packed], table, &mut rng).0.best
+        },
+    ),
 ];
 
 #[test]
@@ -246,6 +267,11 @@ fn no_search_beats_the_exhaustive_optimum_and_the_ga_misses_it_rarely() {
         let (jobs, spec) = instance(i);
         let table = SpeedupTable::build(&jobs, &spec, 1);
         let best = oracle(&jobs, &spec, &table);
+        let bound = bound::solve(&jobs, &spec, &table, &GaConfig::default()).value;
+        assert!(
+            bound >= best,
+            "the bound is below the optimum on instance {i}: {bound} < {best}"
+        );
         let mut scores = [0.0; ARMS.len()];
         for ((name, arm), score) in ARMS.iter().zip(&mut scores) {
             let m = arm(&jobs, &spec, &table, i);
@@ -263,6 +289,12 @@ fn no_search_beats_the_exhaustive_optimum_and_the_ga_misses_it_rarely() {
             }
         }
         climbing_ahead += usize::from(scores[3] > scores[0] + MISS);
+        assert!(
+            scores[6] >= scores[5],
+            "the seeded GA fell below its seed on instance {i}: {} < {}",
+            scores[6],
+            scores[5]
+        );
     }
     let report: Vec<String> = ARMS
         .iter()
@@ -278,6 +310,16 @@ fn no_search_beats_the_exhaustive_optimum_and_the_ga_misses_it_rarely() {
     assert!(
         misses[0].0 <= GA_40X20_MISSES,
         "the GA at 40 x 20 missed the optimum more often than {GA_40X20_MISSES} times\n{}",
+        report.join("\n")
+    );
+    assert!(
+        misses[5].0 <= PACKED_MISSES,
+        "DP + packing missed the optimum more often than {PACKED_MISSES} times\n{}",
+        report.join("\n")
+    );
+    assert!(
+        misses[6].0 <= SEEDED_GA_MISSES,
+        "the seeded GA missed the optimum more often than {SEEDED_GA_MISSES} times\n{}",
         report.join("\n")
     );
     assert!(
