@@ -172,12 +172,8 @@ pub fn simulate<P: SchedulingPolicy>(
 /// Each cell is an isolated simulation — its trace, policy and RNG
 /// come from its own fields — so the whole grid runs on one
 /// order-preserving worker pool and the results are those of a serial
-/// loop at any worker count. The cores are the pool's: cells that run
-/// side by side each get their share, and a policy's own threads
-/// ([`SchedulingPolicy::configure_parallelism`]) stay within it, so
-/// two cells on two cores schedule on one thread each. `recorder`
-/// names the capture each cell's telemetry goes to; cells sharing a
-/// recorder append into one capture.
+/// loop at any worker count. `recorder` names the capture each cell's
+/// telemetry goes to; cells sharing a recorder append into one capture.
 ///
 /// # Errors
 ///
@@ -198,7 +194,6 @@ fn run_cells_on(
 ) -> Result<Vec<SimResult>, CellError> {
     // A policy is not `Send`: each is checked here and built again on
     // the worker that runs it.
-    let threads_per_cell = (workers / workers.min(cells.len()).max(1)).max(1);
     let runs = cells
         .iter()
         .map(|cell| {
@@ -207,10 +202,8 @@ fn run_cells_on(
         })
         .collect::<Result<Vec<_>, _>>()?;
     parallel_map(runs.into_iter(), workers, |(cell, trace, sim)| {
-        let mut policy = cell.policy()?;
-        policy.configure_parallelism(threads_per_cell);
         simulate(
-            policy,
+            cell.policy()?,
             &trace,
             cell.choice,
             testbed_cluster(),

@@ -46,16 +46,9 @@
 //! performs every random decision for that slot locally. No slot
 //! observes another slot's RNG stream, so a member is a pure function
 //! of its slot seed and the generation's parents — the draw order the
-//! golden digests pin — and the slots of a generation can be built in
-//! any order on any thread. The flat round builds them on two when two
-//! measure faster than one: the caller takes the even slots and a
-//! member worker thread kept by the scheduler the odd ones (a
-//! generation is ≈ 80 members of up to a few µs, about one thread
-//! spawn, so the worker is spawned once and kept; DESIGN §8). Everything
-//! else calls [`GeneticAlgorithm::evolve`],
-//! which builds every slot on the calling thread — the racked round
-//! runs whole `evolve` calls side by side, one per rack
-//! ([`crate::scheduler`]).
+//! golden digests pin. Every generation's slots are built in one loop
+//! on the calling thread; the racked round runs whole searches side by
+//! side, one per rack ([`crate::scheduler`]).
 
 use crate::fitness::{fitness_of, row_contribution, weight_sum, FitnessConfig};
 use crate::speedup::{SchedJob, SpeedupTable};
@@ -64,10 +57,6 @@ use pollux_models::PlacementShape;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::sync::mpsc::{self, Receiver, RecvError, SyncSender, TryRecvError};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Members drawn per crossover parent selection (Sec. 4.2.1's
 /// tournament).
@@ -161,50 +150,7 @@ struct EvalCtx<'a> {
     first_fresh: usize,
 }
 
-/// An [`EvalCtx`] owned, as the [`MemberWorker`] holds it for a round.
-#[derive(Debug)]
-struct RoundCtx {
-    config: GaConfig,
-    jobs: Vec<SchedJob>,
-    spec: ClusterSpec,
-    caps: Vec<u32>,
-    table: SpeedupTable,
-    weight_sum: f64,
-    running: Vec<bool>,
-    first_fresh: usize,
-}
-
-impl RoundCtx {
-    fn of(ctx: &EvalCtx<'_>) -> Self {
-        Self {
-            config: *ctx.config,
-            jobs: ctx.jobs.to_vec(),
-            spec: ctx.spec.clone(),
-            caps: ctx.caps.to_vec(),
-            table: ctx.table.clone(),
-            weight_sum: ctx.weight_sum,
-            running: ctx.running.to_vec(),
-            first_fresh: ctx.first_fresh,
-        }
-    }
-
-    fn view(&self) -> EvalCtx<'_> {
-        EvalCtx {
-            config: &self.config,
-            jobs: &self.jobs,
-            spec: &self.spec,
-            caps: &self.caps,
-            table: &self.table,
-            weight_sum: self.weight_sum,
-            running: &self.running,
-            first_fresh: self.first_fresh,
-        }
-    }
-}
-
-/// What the slots of one generation are bred from. Shared with the
-/// [`MemberWorker`] while a generation is built, and written by
-/// `evolve` only in between, when nothing else holds it.
+/// What the slots of one generation are bred from.
 #[derive(Debug, Default)]
 struct Generation {
     /// The population (empty while the initial population is built).
@@ -246,9 +192,9 @@ impl Clone for Member {
 
 /// Scratch that mutation and repair reuse from call to call, so that
 /// building a member allocates nothing once the buffers have grown.
-/// One per thread building members; what carries meaning between
-/// calls is [`Self::touched`], which the caller resets with
-/// [`Self::track`], and the tally `evolve` reads at its end.
+/// What carries meaning between calls is [`Self::touched`], which the
+/// caller resets with [`Self::track`], and the tally `evolve` reads at
+/// its end.
 #[derive(Debug, Default)]
 pub struct GaWorkspace {
     touched: Vec<bool>,
@@ -286,24 +232,6 @@ impl GaWorkspace {
     /// contribution bits). Rows beyond the tracked count go unmarked.
     pub fn touched(&self) -> &[bool] {
         &self.touched
-    }
-
-    /// Grows every buffer to what building a `num_jobs × num_nodes`
-    /// member can use, so that the thread the workspace is lent to
-    /// allocates nothing.
-    fn reserve(&mut self, num_jobs: usize, num_nodes: usize) {
-        fn at_least<T>(buffer: &mut Vec<T>, len: usize) {
-            buffer.reserve(len.saturating_sub(buffer.len()));
-        }
-        at_least(&mut self.touched, num_jobs);
-        at_least(&mut self.row_gpus, num_jobs);
-        at_least(&mut self.row_nodes, num_jobs);
-        at_least(&mut self.col_gpus, num_nodes);
-        at_least(&mut self.col_jobs, num_nodes);
-        at_least(&mut self.holders, num_jobs * num_nodes);
-        at_least(&mut self.col_spread, num_nodes);
-        at_least(&mut self.picks, num_jobs.max(num_nodes));
-        at_least(&mut self.order, num_nodes);
     }
 }
 
@@ -353,27 +281,20 @@ impl GeneticAlgorithm {
         rng: &mut R,
     ) -> (GaOutcome, Vec<AllocationMatrix>) {
         let problem = Problem { jobs, spec, table };
-        self.evolve_on(problem, seed, None, rng, None)
+        self.evolve_on(problem, seed, None, rng)
     }
 
     /// [`Self::evolve`], ending at the first generation — the initial
     /// population included — whose best reaches `bound`, an upper
-    /// bound on every feasible fitness ([`crate::bound`]), and with the
-    /// odd slots of every generation built on `worker` while the
-    /// calling thread builds the even ones, if the worker's pacer pairs
-    /// this round. Which thread builds a slot never changes the
-    /// outcome, the population or the draws from `rng`.
+    /// bound on every feasible fitness ([`crate::bound`]).
     pub(crate) fn evolve_on<R: Rng>(
         &self,
         problem: Problem<'_>,
         seed: Vec<AllocationMatrix>,
         bound: Option<f64>,
         rng: &mut R,
-        mut worker: Option<&mut MemberWorker>,
     ) -> (GaOutcome, Vec<AllocationMatrix>) {
-        const UNSHARED: &str = "the worker lets go of a generation before handing it back";
         let Problem { jobs, spec, table } = problem;
-        let started = Instant::now();
         let num_jobs = jobs.len();
         let num_nodes = spec.num_nodes();
         let pop_size = self.config.population.max(2);
@@ -381,8 +302,7 @@ impl GeneticAlgorithm {
         // The initial population's slots, built in place from their
         // templates: retained seed members, the "current allocations"
         // member (so doing nothing is representable), and fresh random
-        // members (mutated from zero) to fill up to `pop_size`. Every
-        // member is sized before it is built, on the calling thread.
+        // members (mutated from zero) to fill up to `pop_size`.
         let template = |matrix| Member {
             matrix,
             contrib: vec![0.0; num_jobs],
@@ -412,13 +332,9 @@ impl GeneticAlgorithm {
             running: &running,
             first_fresh,
         };
-        let paired = worker
-            .as_deref_mut()
-            .is_some_and(|worker| worker.start_round(&ctx));
-        let mut cells_built = 0;
         let mut ws = GaWorkspace::default();
         let mut run_stats = GaRunStats::default();
-        let mut gen = Arc::new(Generation::default());
+        let mut gen = Generation::default();
         let mut live = 0;
         let mut order: Vec<usize> = Vec::new();
         let mut ranked: Vec<Member> = Vec::new();
@@ -439,28 +355,21 @@ impl GeneticAlgorithm {
                 run_stats.incremental_evals += (live + pop_size) as u64;
                 live + pop_size
             };
-            let g = Arc::get_mut(&mut gen).expect(UNSHARED);
-            g.slot_seeds.clear();
-            g.slot_seeds.extend((0..num_slots).map(|_| rng.next_u64()));
+            gen.slot_seeds.clear();
+            gen.slot_seeds
+                .extend((0..num_slots).map(|_| rng.next_u64()));
             slots.resize_with(num_slots, || {
                 template(AllocationMatrix::zeros(num_jobs, num_nodes))
             });
-            match worker.as_deref_mut().filter(|_| paired) {
-                Some(worker) => worker.build_beside(&ctx, &gen, &mut ws, &mut slots),
-                None => {
-                    for (i, child) in slots.iter_mut().enumerate() {
-                        build_member(i, &ctx, &gen, &mut ws, child);
-                    }
-                }
+            for (i, child) in slots.iter_mut().enumerate() {
+                build_member(i, &ctx, &gen, &mut ws, child);
             }
             run_stats.fitness_evals += num_slots as u64;
-            cells_built += num_slots * num_jobs * num_nodes;
-            let g = Arc::get_mut(&mut gen).expect(UNSHARED);
-            g.fitnesses.extend(slots.iter().map(|m| m.fitness));
+            gen.fitnesses.extend(slots.iter().map(|m| m.fitness));
             if generation == 0 {
-                std::mem::swap(&mut g.parents, &mut slots);
-                live = g.parents.len();
-                best_so_far = max_of(&g.fitnesses);
+                std::mem::swap(&mut gen.parents, &mut slots);
+                live = gen.parents.len();
+                best_so_far = max_of(&gen.fitnesses);
                 if certified(best_so_far) {
                     break;
                 }
@@ -472,7 +381,7 @@ impl GeneticAlgorithm {
             // before offspring): a total order, and for finite
             // fitnesses that of a stable descending sort. Only the
             // survivors are sorted; the losers are buffers to overwrite.
-            let fitnesses = &g.fitnesses;
+            let fitnesses = &gen.fitnesses;
             let by_rank = |&a: &usize, &b: &usize| {
                 let (fa, fb) = (fitnesses[a], fitnesses[b]);
                 fb.partial_cmp(&fa)
@@ -485,24 +394,24 @@ impl GeneticAlgorithm {
             order[..pop_size].sort_unstable_by(by_rank);
             ranked.clear();
             ranked.extend(order.iter().map(|&i| match i.checked_sub(live) {
-                None => std::mem::take(&mut g.parents[i]),
+                None => std::mem::take(&mut gen.parents[i]),
                 Some(slot) => std::mem::take(&mut slots[slot]),
             }));
-            g.parents.clear();
+            gen.parents.clear();
             slots.clear();
             let mut rest = ranked.drain(..);
-            g.parents.extend(rest.by_ref().take(pop_size));
+            gen.parents.extend(rest.by_ref().take(pop_size));
             slots.extend(rest);
             live = pop_size;
-            g.fitnesses.clear();
-            g.fitnesses.extend(g.parents.iter().map(|m| m.fitness));
+            gen.fitnesses.clear();
+            gen.fitnesses.extend(gen.parents.iter().map(|m| m.fitness));
 
             // Survival ranks the best first.
-            if certified(g.fitnesses[0]) {
+            if certified(gen.fitnesses[0]) {
                 break;
             }
             if self.config.early_stop_gens > 0 {
-                let best_now = max_of(&g.fitnesses);
+                let best_now = max_of(&gen.fitnesses);
                 if best_now > best_so_far + 1e-12 {
                     best_so_far = best_now;
                     stale_gens = 0;
@@ -514,13 +423,9 @@ impl GeneticAlgorithm {
                 }
             }
         }
-        let lent_rows = worker.map_or(0, |worker| {
-            worker.end_round(paired, started.elapsed(), cells_built)
-        });
-        run_stats.rows_recomputed = ws.rows_recomputed + lent_rows;
+        run_stats.rows_recomputed = ws.rows_recomputed;
 
-        let g = Arc::get_mut(&mut gen).expect(UNSHARED);
-        let best_idx = g
+        let best_idx = gen
             .fitnesses
             .iter()
             .enumerate()
@@ -528,11 +433,11 @@ impl GeneticAlgorithm {
             .map(|(i, _)| i)
             .unwrap_or(0);
         let outcome = GaOutcome {
-            best: g.parents[best_idx].matrix.clone(),
-            best_fitness: g.fitnesses[best_idx],
+            best: gen.parents[best_idx].matrix.clone(),
+            best_fitness: gen.fitnesses[best_idx],
             stats: run_stats,
         };
-        let population = std::mem::take(&mut g.parents);
+        let population = std::mem::take(&mut gen.parents);
         (outcome, population.into_iter().map(|m| m.matrix).collect())
     }
 }
@@ -677,268 +582,6 @@ fn build_member(
     }
 }
 
-/// How long a thread polls a hand-off before blocking on it. A
-/// hand-off inside a round arrives within microseconds, while a
-/// blocked thread takes tens of microseconds to wake; between rounds
-/// the wait runs out and the thread blocks, holding no core.
-const SPIN: Duration = Duration::from_micros(50);
-
-/// [`Receiver::recv`] after polling for [`SPIN`].
-fn recv_spinning<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
-    let deadline = Instant::now() + SPIN;
-    loop {
-        for _ in 0..64 {
-            match rx.try_recv() {
-                Ok(value) => return Ok(value),
-                Err(TryRecvError::Disconnected) => return Err(RecvError),
-                Err(TryRecvError::Empty) => std::hint::spin_loop(),
-            }
-        }
-        if Instant::now() >= deadline {
-            return rx.recv();
-        }
-    }
-}
-
-/// Fewest and most rounds between two rounds a [`Pacer`] runs the way
-/// it measures slower, to keep that measurement current.
-const PROBE_GAPS: [u64; 2] = [8, 128];
-
-/// Chooses, round by round, whether the flat round builds on one thread
-/// or two. Two threads only pay while the host runs both: on a host
-/// that caps the process below two cores, or lends the second to
-/// others, a round on two threads ran up to four times slower than on
-/// one. So the pacer keeps the time per matrix cell built of the rounds
-/// run each way, as a running average, and pairs when that has measured
-/// faster. Now and then a round runs the other way, to keep its figure
-/// current: the second round, then after a gap that doubles each time
-/// such a round leaves the choice as it was and shrinks back when it
-/// changes it ([`PROBE_GAPS`]). Which thread builds a slot never changes
-/// what is built.
-#[derive(Debug)]
-struct Pacer {
-    /// Seconds per matrix cell built, of rounds built on one thread and
-    /// of rounds built on two; `None` until a round has run that way.
-    alone: Option<f64>,
-    paired: Option<f64>,
-    /// Rounds started, the round of the next probe, the gap after it,
-    /// and whether the current round is one.
-    rounds: u64,
-    next_probe: u64,
-    probe_gap: u64,
-    probing: bool,
-}
-
-impl Pacer {
-    fn new() -> Self {
-        Self {
-            alone: None,
-            paired: None,
-            rounds: 0,
-            next_probe: 1,
-            probe_gap: PROBE_GAPS[0],
-            probing: false,
-        }
-    }
-
-    /// Whether the round about to start builds on two threads.
-    fn pairs_next(&mut self) -> bool {
-        self.probing = self.rounds == self.next_probe;
-        self.rounds += 1;
-        self.prefers_pairing() != self.probing
-    }
-
-    /// Whether rounds built on two threads have measured faster.
-    fn prefers_pairing(&self) -> bool {
-        matches!((self.paired, self.alone), (Some(p), Some(a)) if p < a)
-    }
-
-    /// Folds in the round just run: `cells` matrix cells built in
-    /// `elapsed`, on two threads if `paired`.
-    fn record(&mut self, paired: bool, elapsed: Duration, cells: usize) {
-        let preferred = self.prefers_pairing();
-        let pace = if paired {
-            &mut self.paired
-        } else {
-            &mut self.alone
-        };
-        if cells > 0 {
-            let now = elapsed.as_secs_f64() / cells as f64;
-            *pace = Some(pace.map_or(now, |before| 0.75 * before + 0.25 * now));
-        }
-        if self.probing {
-            let [fewest, most] = PROBE_GAPS;
-            self.probe_gap = if self.prefers_pairing() == preferred {
-                (2 * self.probe_gap).min(most)
-            } else {
-                fewest
-            };
-            self.next_probe = self.rounds + self.probe_gap;
-        }
-    }
-}
-
-/// One generation's odd slots, lent to the worker thread.
-struct Task {
-    ctx: Arc<RoundCtx>,
-    gen: Arc<Generation>,
-    members: Vec<Member>,
-    ws: GaWorkspace,
-}
-
-/// A second thread that builds the odd slots of every generation of
-/// the flat round while the caller builds the even ones
-/// ([`GeneticAlgorithm::evolve_on`]). Spawning a thread costs about as
-/// much as a generation, so the scheduler spawns one on its first flat
-/// round and keeps it; dropping it joins the thread.
-///
-/// Everything the thread works with is owned and moves between the
-/// threads: the round's inputs and the generation's parents behind
-/// [`Arc`]s, which the thread drops before it hands back, and the
-/// slots' members and a [`GaWorkspace`], moved out and back. The
-/// caller sizes all of them before each hand-off, so the thread
-/// allocates nothing of its own. A [`Pacer`] decides which rounds the
-/// thread takes part in.
-#[derive(Debug)]
-pub(crate) struct MemberWorker {
-    /// `None` once dropping has begun: the thread sees the hang-up.
-    tasks: Option<SyncSender<Task>>,
-    done: Receiver<(Vec<Member>, GaWorkspace)>,
-    thread: Option<JoinHandle<()>>,
-    /// The current round's inputs, refreshed by each round.
-    ctx: Option<Arc<RoundCtx>>,
-    /// The thread's members and workspace between hand-offs.
-    members: Vec<Member>,
-    ws: GaWorkspace,
-    pacer: Pacer,
-}
-
-impl MemberWorker {
-    /// Starts the thread, or returns `None` when the host refuses one
-    /// (the round then builds every slot itself).
-    pub(crate) fn spawn() -> Option<Self> {
-        let (tasks, task_rx) = mpsc::sync_channel::<Task>(1);
-        let (done_tx, done) = mpsc::sync_channel(1);
-        let thread = std::thread::Builder::new()
-            .name("pollux-ga-members".into())
-            .spawn(move || {
-                while let Ok(Task {
-                    ctx,
-                    gen,
-                    mut members,
-                    mut ws,
-                }) = recv_spinning(&task_rx)
-                {
-                    let view = ctx.view();
-                    for (k, child) in members.iter_mut().enumerate() {
-                        build_member(2 * k + 1, &view, &gen, &mut ws, child);
-                    }
-                    drop((ctx, gen));
-                    if done_tx.send((members, ws)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .ok()?;
-        Some(Self {
-            tasks: Some(tasks),
-            done,
-            thread: Some(thread),
-            ctx: None,
-            members: Vec::new(),
-            ws: GaWorkspace::default(),
-            pacer: Pacer::new(),
-        })
-    }
-
-    /// Decides whether the thread takes part in the round and, if it
-    /// does, takes a copy of the round's inputs and sizes the
-    /// workspace for them.
-    fn start_round(&mut self, ctx: &EvalCtx<'_>) -> bool {
-        let joins = self.pacer.pairs_next();
-        if joins {
-            self.ctx = Some(Arc::new(RoundCtx::of(ctx)));
-            self.ws.reserve(ctx.jobs.len(), ctx.spec.num_nodes());
-            self.ws.rows_recomputed = 0;
-        }
-        joins
-    }
-
-    /// Builds `slots` for `gen`: the odd ones on the thread, the even
-    /// ones here meanwhile.
-    fn build_beside(
-        &mut self,
-        ctx: &EvalCtx<'_>,
-        gen: &Arc<Generation>,
-        ws: &mut GaWorkspace,
-        slots: &mut [Member],
-    ) {
-        let round = self.ctx.clone().expect("a round was started");
-        self.members
-            .extend(slots.iter_mut().skip(1).step_by(2).map(std::mem::take));
-        let task = Task {
-            ctx: round,
-            gen: Arc::clone(gen),
-            members: std::mem::take(&mut self.members),
-            ws: std::mem::take(&mut self.ws),
-        };
-        if self
-            .tasks
-            .as_ref()
-            .is_none_or(|tasks| tasks.send(task).is_err())
-        {
-            self.rethrow();
-        }
-        for (i, child) in slots.iter_mut().enumerate().step_by(2) {
-            build_member(i, ctx, gen, ws, child);
-        }
-        let Ok((members, workspace)) = recv_spinning(&self.done) else {
-            self.rethrow()
-        };
-        (self.members, self.ws) = (members, workspace);
-        for (slot, member) in slots
-            .iter_mut()
-            .skip(1)
-            .step_by(2)
-            .zip(self.members.drain(..))
-        {
-            *slot = member;
-        }
-    }
-
-    /// Ends a round that built `cells` matrix cells in `elapsed`, with
-    /// the thread if `paired`: tells the pacer, lets go of the round's
-    /// inputs and returns the rows the thread recomputed.
-    fn end_round(&mut self, paired: bool, elapsed: Duration, cells: usize) -> u64 {
-        self.pacer.record(paired, elapsed, cells);
-        if !paired {
-            return 0;
-        }
-        self.ctx = None;
-        self.ws.rows_recomputed
-    }
-
-    /// Re-raises the panic that ended the thread.
-    fn rethrow(&mut self) -> ! {
-        let thread = self.thread.take().expect("the member worker hung up once");
-        match thread.join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(()) => panic!("the member worker stopped without a panic"),
-        }
-    }
-}
-
-impl Drop for MemberWorker {
-    fn drop(&mut self) {
-        // Hang up, then wait: the thread's next receive fails and it
-        // returns. A panic it died of was re-raised on the caller.
-        self.tasks = None;
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
 /// The "current allocations" matrix: row `j` is `jobs[j]`'s current
 /// placement with each cell clamped to its node's GPUs, or empty when
 /// the placement's width is not the cluster's.
@@ -955,8 +598,7 @@ pub(crate) fn incumbents(jobs: &[SchedJob], spec: &ClusterSpec) -> AllocationMat
     m
 }
 
-/// Repairs `m` into a feasible allocation (the Fig 5 repair step),
-/// shared by the genetic algorithm and the local-search backend:
+/// Repairs `m` into a feasible allocation (the Fig 5 repair step):
 ///
 /// 1. per-job scale caps — random decrements until `K ≤ gpu_cap`;
 /// 2. node capacities — random decrements within over-capacity
@@ -1323,30 +965,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The pacer pairs only once pairing has measured faster, probes
-    /// the other way at the second round and then at doubling gaps, and
-    /// stops pairing when the host stops lending the second core.
-    #[test]
-    fn the_pacer_pairs_while_two_threads_measure_faster() {
-        let mut pacer = Pacer::new();
-        // A round's time on one thread and on two, in microseconds.
-        let mut run = |[alone, paired]: [u64; 2]| {
-            let pairs = pacer.pairs_next();
-            let micros = if pairs { paired } else { alone };
-            pacer.record(pairs, Duration::from_micros(micros), 1000);
-            pairs
-        };
-        let ways: Vec<bool> = (0..30).map(|_| run([100, 60])).collect();
-        assert_eq!(ways[..2], [false, true], "one round each way first");
-        let alone: Vec<usize> = (2..30).filter(|&r| !ways[r]).collect();
-        assert_eq!(alone, [10, 27], "probes alone after gaps of 8, then 16");
-        // Two threads now run four times slower than one: one round
-        // shows it, and after that only the probe already due pairs.
-        let ways: Vec<bool> = (0..40).map(|_| run([100, 400])).collect();
-        let paired: Vec<usize> = (0..40).filter(|&r| ways[r]).collect();
-        assert_eq!(paired, [0, 30], "{ways:?}");
     }
 
     #[test]

@@ -39,24 +39,20 @@
 //!
 //! # Parallelism
 //!
-//! The master RNG is advanced one seed draw per population slot and
-//! each slot derives a private `StdRng` from its seed ([`ga`]), so a
-//! member is the same whichever thread builds it. A scheduler works
-//! on as many threads as the host has cores
-//! ([`PolluxSched::set_threads`] caps it). The flat round, given two or
-//! more, builds each generation on two: the caller and one worker
-//! thread the scheduler keeps. With a multi-rack topology
-//! ([`PolluxSched::set_topology`]) the per-rack searches — and phase
-//! 1's scan of the jobs' placements — fan out over
-//! [`par::parallel_map`] on all of them, each rack under a seed drawn
-//! serially in rack order. For a fixed seed the schedule is therefore
-//! bit-identical at every worker count.
+//! The flat round runs on the calling thread: after the separable
+//! bound, its GA is a short polish with nothing worth a second thread.
+//! With a multi-rack topology ([`PolluxSched::set_topology`]) the
+//! per-rack searches — and phase 1's scan of the jobs' placements —
+//! fan out over [`par::parallel_map`] on as many threads as the host
+//! has cores ([`PolluxSched::set_threads`] caps it), each rack under a
+//! seed drawn serially in rack order, so for a fixed seed the schedule
+//! is bit-identical at every worker count. `par.rs` is the one place
+//! the crate spawns a thread.
 
 pub mod autoscale;
 pub mod bound;
 pub mod fitness;
 pub mod ga;
-pub mod local_search;
 pub mod par;
 pub mod racks;
 pub mod scheduler;
@@ -68,7 +64,6 @@ pub use fitness::{
     contribution, contributions, fitness, fitness_of, utility, weight_sum, FitnessConfig,
 };
 pub use ga::{repair_matrix, GaConfig, GaOutcome, GaRunStats, GaWorkspace, GeneticAlgorithm};
-pub use local_search::{LocalSearch, LocalSearchConfig};
 pub use par::parallel_map;
 pub use racks::{assign_racks, home_rack};
 pub use scheduler::{PolluxSched, SchedConfig};

@@ -10,7 +10,7 @@
 
 use crate::bound;
 use crate::fitness::FitnessConfig;
-use crate::ga::{GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm, MemberWorker, Problem};
+use crate::ga::{GaConfig, GaOutcome, GaRunStats, GeneticAlgorithm, Problem};
 use crate::par::parallel_map;
 use crate::racks;
 use crate::speedup::{pure_speedup, SchedJob, SpeedupTable, SpeedupTableStats};
@@ -59,13 +59,9 @@ pub struct PolluxSched {
     /// rack memberships stable — the precondition for the per-rack
     /// carries above to hit. Cleared together with `carry`.
     assign_carry: HashMap<JobId, u32>,
-    /// Most threads an interval works on, the calling one included
+    /// Most threads a racked interval works on, the calling one included
     /// ([`Self::set_threads`]).
     threads: usize,
-    /// The flat round's second thread, spawned by the first flat round
-    /// run with two or more threads and kept until the scheduler is
-    /// dropped or capped to one thread.
-    member_worker: Option<MemberWorker>,
 }
 
 /// What one [`search`] saves for the next interval: the evolved
@@ -136,7 +132,6 @@ impl PolluxSched {
             carry: Vec::new(),
             assign_carry: HashMap::new(),
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            member_worker: None,
         }
     }
 
@@ -178,21 +173,17 @@ impl PolluxSched {
         self.recorder = recorder;
     }
 
-    /// Caps the threads an interval works on (`1` = nothing is ever
-    /// spawned); a new scheduler starts at the host's
-    /// [`std::thread::available_parallelism`]. A racked interval fans
-    /// its racks out over up to that many workers; a flat one, given
-    /// two or more, builds each generation's members on the calling
-    /// thread and one kept worker thread, in the rounds where that has
-    /// measured faster ([`crate::ga`]). Safe to
+    /// Caps the threads a racked interval works on (`1` = nothing is
+    /// ever spawned); a new scheduler starts at the host's
+    /// [`std::thread::available_parallelism`]. Only the racked round
+    /// spawns: its rack pick and its racks fan out over
+    /// [`crate::par::parallel_map`] on up to that many workers. The
+    /// flat round runs on the calling thread whatever the cap. Safe to
     /// change between intervals: for a fixed seed the schedule is
     /// identical at every worker count (see `racked_round`'s
-    /// determinism notes and the GA's seed-per-slot contract).
+    /// determinism notes).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-        if self.threads == 1 {
-            self.member_worker = None;
-        }
     }
 
     /// Runs one full optimization for this interval and returns the
@@ -235,15 +226,10 @@ impl PolluxSched {
             Some(topo) => self.racked_round(topo, jobs, spec, prev_carry, rng),
             None => {
                 // The flat round: one search over every node on the
-                // caller's stream, its members built on two threads
-                // when it may use two; never replayed, so its answer
-                // leaves.
+                // caller's thread and stream; never replayed, so its
+                // answer leaves.
                 let prev = prev_carry.pop().expect("one entry per rack searched");
-                if self.threads > 1 && self.member_worker.is_none() {
-                    self.member_worker = MemberWorker::spawn();
-                }
-                let worker = self.member_worker.as_mut();
-                let (mut carry, searched) = search(&self.ga, jobs, spec, prev, rng, worker);
+                let (mut carry, searched) = search(&self.ga, jobs, spec, prev, rng);
                 let rec = &self.recorder;
                 let [build_nanos, bound_nanos, evolve_nanos] = searched.nanos;
                 rec.record_duration_ns("sched", "table_build", build_nanos);
@@ -558,17 +544,15 @@ impl Searched {
 /// separable bound ([`bound::solve`]). If the bound's packed matrix
 /// meets it, that is the answer: no generation runs and `rng` is not
 /// drawn. Otherwise the GA evolves on `rng` from the packed matrix and
-/// the carried population — with half of each generation on `worker`,
-/// if given — and stops early once its best reaches the bound. Returns
-/// the next carry (`sub_jobs` left to a caller that replays) and what
-/// the search did.
+/// the carried population and stops early once its best reaches the
+/// bound. Returns the next carry (`sub_jobs` left to a caller that
+/// replays) and what the search did.
 fn search<R: Rng>(
     ga: &GeneticAlgorithm,
     jobs: &[SchedJob],
     spec: &ClusterSpec,
     prev: RackCarry,
     rng: &mut R,
-    worker: Option<&mut MemberWorker>,
 ) -> (RackCarry, Searched) {
     let reconciled = reconcile_population(&prev.population, &prev.job_ids, jobs, spec.num_nodes());
     let build_start = Instant::now();
@@ -596,7 +580,7 @@ fn search<R: Rng>(
             spec,
             table: &table,
         };
-        ga.evolve_on(problem, population, Some(bound.value), rng, worker)
+        ga.evolve_on(problem, population, Some(bound.value), rng)
     };
     let evolve_nanos = evolve_start.elapsed().as_nanos() as u64;
     debug_assert!(
@@ -649,14 +633,8 @@ fn run_rack(
             )
             .expect("racks are non-empty and rack nodes have GPUs");
             let mut rack_rng = StdRng::seed_from_u64(seed);
-            let (mut carry, searched) = search(
-                ga,
-                &task.sub_jobs,
-                &sub_spec,
-                task.carry,
-                &mut rack_rng,
-                None,
-            );
+            let (mut carry, searched) =
+                search(ga, &task.sub_jobs, &sub_spec, task.carry, &mut rack_rng);
             carry.sub_jobs = task.sub_jobs;
             (carry, Some(searched))
         }
@@ -1078,10 +1056,10 @@ mod tests {
         assert_eq!(rec.counter_value("sched", "rounds_certified"), 0);
     }
 
-    /// The flat round's kept member worker changes who builds a slot,
-    /// never what it builds: over rounds with arrivals, departures,
-    /// moved incumbents and re-weighted jobs, one and two threads give
-    /// the same answer, population, counters and master stream.
+    /// The thread cap never reaches the flat round: over rounds with
+    /// arrivals, departures, moved incumbents and re-weighted jobs, one
+    /// and two threads give the same answer, population, counters and
+    /// master stream.
     #[test]
     fn a_flat_round_is_the_same_on_one_thread_and_two() {
         use rand::RngCore;
@@ -1097,10 +1075,6 @@ mod tests {
         for round in 0..6u32 {
             let one = serial.optimize(&jobs, &spec, &mut rng1);
             let two = paired.optimize(&jobs, &spec, &mut rng2);
-            assert!(
-                paired.member_worker.is_some(),
-                "round {round}: two threads, one kept worker"
-            );
             assert!(two.stats.generations_run > 0, "round {round} evolves");
             assert_eq!(one.best, two.best, "round {round}");
             assert_eq!(
@@ -1129,11 +1103,6 @@ mod tests {
             jobs[1].weight = 1.0 + 0.5 * f64::from(round);
         }
         assert_eq!(rec.counter_value("sched", "rounds_certified"), 0);
-        paired.set_threads(1);
-        assert!(
-            paired.member_worker.is_none(),
-            "one thread joins the worker"
-        );
     }
 
     #[test]

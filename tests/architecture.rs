@@ -165,8 +165,10 @@ fn one_simresult_digest() {
 // beside `telemetry-report --chrome-trace`, the rack-assignment GA
 // whose pick phase 1 now makes outright, the gradient-accumulation
 // extension the paper never uses, the public helpers nothing called,
-// the optimizer crate the goodput model now holds as modules, and the
-// runners that repeated Table 2's factor lines and the search oracle.
+// the optimizer crate the goodput model now holds as modules, the
+// runners that repeated Table 2's factor lines and the search oracle,
+// the flat round's second thread with its pacer and per-cell thread
+// share, and the hill climber beside the GA.
 #[test]
 fn retired_identifiers_stay_gone() {
     const RETIRED: &[&str] = &[
@@ -231,6 +233,15 @@ fn retired_identifiers_stay_gone() {
         "RankedBackfill",
         "OptimusAdmission",
         "OrEtAlAdmission",
+        "MemberWorker",
+        "Pacer",
+        "PROBE_GAPS",
+        "recv_spinning",
+        "RoundCtx",
+        "member_worker",
+        "LocalSearch",
+        "LocalSearchConfig",
+        "threads_per_cell",
     ];
     let hits = grep(&files(&["crates", "src", "tests", "examples"]), |line| {
         RETIRED.iter().any(|name| line.contains(name))
@@ -240,8 +251,38 @@ fn retired_identifiers_stay_gone() {
         "the capture is the one timeline, the recorder the one counter channel, \
          telemetry-report the one Chrome exporter, phase 1 a pick and no search, \
          goodput the paper's, preemption a rule, a topology a rack width, the optimizers \
-         private to pollux-models, each stage a closed set of rules beside the baselines, Table 2 and the search oracle the one printout each; \
-         settings are what a caller sets\n{}",
+         private to pollux-models, each stage a closed set of rules beside the baselines, Table 2 and the search oracle the one printout each, \
+         the flat round one thread and the GA the one polish; settings are what a caller sets\n{}",
+        hits.join("\n")
+    );
+}
+
+// The scheduler spawns threads in one place, `par::parallel_map`, the
+// racked round's fan-out; the flat round runs on its caller's thread.
+// A second thread pool, kept worker or channel starts with a spawn, a
+// scope or an `mpsc` outside `par.rs`. Test code (each file's
+// `#[cfg(test)]` module, at its foot) may spawn as it likes.
+#[test]
+fn one_thread_fan_out_in_the_scheduler() {
+    const NEEDLES: [&str; 5] = [
+        "thread::spawn",
+        "thread::scope",
+        "thread::Builder",
+        ".spawn(",
+        "mpsc",
+    ];
+    let sources: Vec<String> = files(&["crates/pollux-sched/src"])
+        .into_iter()
+        .filter(|f| f != "crates/pollux-sched/src/par.rs")
+        .collect();
+    let hits = grep_until(
+        &sources,
+        |line| line.trim() == "#[cfg(test)]",
+        |line| NEEDLES.iter().any(|needle| line.contains(needle)),
+    );
+    assert!(
+        hits.is_empty(),
+        "pollux-sched spawns only through par::parallel_map\n{}",
         hits.join("\n")
     );
 }
